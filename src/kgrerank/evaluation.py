@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -51,6 +52,18 @@ class FeatureVector:
     def as_array(self) -> np.ndarray:
         return np.array([getattr(self, name) for name in FEATURE_NAMES])
 
+    # built on first use and kept: ild and unexpectedness reuse every vector
+    # many times, and cosine_distance then only takes the dot product
+    @cached_property
+    def _array(self) -> np.ndarray:
+        array = self.as_array()
+        array.setflags(write=False)
+        return array
+
+    @cached_property
+    def _norm(self) -> np.float64:
+        return np.linalg.norm(self._array)
+
     @classmethod
     def from_iterable(cls, values: Iterable[float]) -> "FeatureVector":
         values = tuple(float(v) for v in values)
@@ -63,11 +76,10 @@ class FeatureVector:
 
 def cosine_distance(a: FeatureVector, b: FeatureVector) -> float:
     """1 - cosine similarity; in [0, 1] for the non-negative vectors used here."""
-    va, vb = a.as_array(), b.as_array()
-    norm = float(np.linalg.norm(va) * np.linalg.norm(vb))
+    norm = float(a._norm * b._norm)
     if norm == 0.0:
         raise ValueError("cosine distance is undefined for a zero-norm vector")
-    return min(1.0, max(0.0, 1.0 - float(va @ vb) / norm))
+    return min(1.0, max(0.0, 1.0 - float(a._array @ b._array) / norm))
 
 
 def ild(items: Sequence[FeatureVector]) -> float:

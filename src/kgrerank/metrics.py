@@ -8,14 +8,31 @@ metric ends up as one number in a comparable range.
 
 Betweenness and closeness are computed on the undirected view of the graph;
 PageRank and the degree distributions use edge directions.
+
+Betweenness and closeness share one engine. The undirected view is compiled
+into a dense 0/1 float64 adjacency ``A`` in ``g.node_ids()`` order, and
+sources are processed in blocks of ``_SOURCE_BLOCK`` rows: a level-synchronous
+BFS (``frontier @ A``) yields hop distances and shortest-path counts (integer
+valued float64, exact below 2**53). Betweenness runs Brandes' dependency pass
+level by level as ``delta += sigma * (((1 + delta) / sigma) @ A)`` and adds each
+source's dependencies in source order; closeness adds 1/d per source in
+non-decreasing distance order.
+
+Float contract: closeness equals a per-source queue BFS bit for bit, and so
+does betweenness on trees. On graphs with cycles betweenness may differ from
+it by a few ulps (up to about 4e-12 per node on 200-node profiles), because the
+matrix products sum in another order; exact ties between candidates can then
+break differently.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from collections.abc import Mapping, Sequence
+import math
+from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from enum import Enum
+
+import numpy as np
 
 
 class MetricError(ValueError):
@@ -102,22 +119,78 @@ def centrality_to_shares(scores: Mapping[str, float]) -> list[float]:
     """Normalize a per-node score map to shares (in sorted key order).
 
     A distribution with zero total mass (e.g. betweenness on a single edge)
-    is treated as uniform: no node monopolizes anything.
+    is treated as uniform: no node monopolizes anything. A NaN, infinite or
+    negative score raises :class:`MetricError` naming its node.
     """
     if not scores:
         raise MetricError("empty centrality distribution")
     keys = sorted(scores)
-    if any(scores[k] < 0 for k in keys):
-        raise MetricError("centrality scores must be non-negative")
+    for k in keys:
+        value = scores[k]
+        if not math.isfinite(value):
+            raise MetricError(f"centrality score of {k!r} is not finite: {value!r}")
+        if value < 0:
+            raise MetricError(f"centrality score of {k!r} is negative: {value!r}")
     total = sum(scores[k] for k in keys)
     if total == 0:
         return [1.0 / len(keys)] * len(keys)
     return [scores[k] / total for k in keys]
 
 
-def _undirected_adjacency(g) -> dict[str, list[str]]:
-    # sorted adjacency lists keep traversal order reproducible
-    return {v: sorted(n for n in g.neighbors(v) if n != v) for v in g.node_ids()}
+# sources per forward/backward pass; bounds the (block x n) work arrays
+_SOURCE_BLOCK = 32
+
+
+def _dense_undirected(g) -> tuple[list[str], np.ndarray]:
+    """Node ids and the 0/1 float64 adjacency of the undirected view.
+
+    Rows follow ``g.node_ids()``; self-loops are dropped and parallel edges
+    collapse into one entry.
+    """
+    nodes = list(g.node_ids())
+    n = len(nodes)
+    if n > np.iinfo(np.int16).max + 1:
+        # distances are held as int16 and reach at most n - 1
+        raise MetricError(f"graph too large for the dense engine: {n} nodes")
+    index = {v: i for i, v in enumerate(nodes)}
+    adj = np.zeros((n, n))
+    for v, i in index.items():
+        for w in g.neighbors(v):
+            adj[i, index[w]] = 1.0
+    np.fill_diagonal(adj, 0.0)
+    return nodes, adj
+
+
+def _source_blocks(
+    adj: np.ndarray,
+) -> Iterator[tuple[range, np.ndarray, np.ndarray]]:
+    """Level-synchronous BFS from consecutive blocks of sources.
+
+    Yields (sources, dist, sigma) with one row per source: hop distances (-1
+    where unreachable) and the number of shortest paths, held exactly as
+    integer-valued float64.
+    """
+    n = adj.shape[0]
+    for start in range(0, n, _SOURCE_BLOCK):
+        sources = range(start, min(start + _SOURCE_BLOCK, n))
+        rows = np.arange(len(sources))
+        dist = np.full((len(sources), n), -1, dtype=np.int16)
+        sigma = np.zeros(dist.shape)
+        dist[rows, sources] = 0
+        sigma[rows, sources] = 1.0
+        frontier = sigma.copy()
+        level = 0
+        while True:
+            reached = frontier @ adj
+            new = reached > 0
+            new &= dist < 0
+            if not new.any():
+                break
+            level += 1
+            np.copyto(dist, level, where=new)
+            frontier = np.where(new, reached, 0.0)
+            sigma += frontier
+        yield sources, dist, sigma
 
 
 def betweenness(g) -> dict[str, float]:
@@ -126,35 +199,27 @@ def betweenness(g) -> dict[str, float]:
     Returns raw, unnormalized scores counting unordered node pairs; parallel
     edges collapse into a single adjacency.
     """
-    adj = _undirected_adjacency(g)
-    bc = dict.fromkeys(adj, 0.0)
-    for s in adj:
-        stack: list[str] = []
-        preds: dict[str, list[str]] = {v: [] for v in adj}
-        sigma = dict.fromkeys(adj, 0)
-        sigma[s] = 1
-        dist = dict.fromkeys(adj, -1)
-        dist[s] = 0
-        queue = deque([s])
-        while queue:
-            v = queue.popleft()
-            stack.append(v)
-            for w in adj[v]:
-                if dist[w] < 0:
-                    dist[w] = dist[v] + 1
-                    queue.append(w)
-                if dist[w] == dist[v] + 1:
-                    sigma[w] += sigma[v]
-                    preds[w].append(v)
-        delta = dict.fromkeys(adj, 0.0)
-        while stack:
-            w = stack.pop()
-            for v in preds[w]:
-                delta[v] += sigma[v] / sigma[w] * (1.0 + delta[w])
-            if w != s:
-                bc[w] += delta[w]
+    nodes, adj = _dense_undirected(g)
+    bc = np.zeros(len(nodes))
+    for _, dist, sigma in _source_blocks(adj):
+        delta = np.zeros(dist.shape)
+        coef = np.empty(dist.shape)
+        top = int(dist.max())
+        upper = dist == top
+        # level 1 would only feed the sources, which score nothing
+        for level in range(top, 1, -1):
+            lower = dist == level - 1
+            # where= keeps unreachable nodes (sigma 0) out: 0 * inf is NaN
+            coef.fill(0.0)
+            np.divide(1.0 + delta, sigma, out=coef, where=upper)
+            np.add(delta, sigma * (coef @ adj), out=delta, where=lower)
+            upper = lower
+        # row by row in source order: the summation order of a per-source
+        # loop, which the float contract in the module docstring relies on
+        for row in delta:
+            bc += row
     # each unordered pair was counted from both endpoints
-    return {v: value / 2.0 for v, value in bc.items()}
+    return {v: float(value) / 2.0 for v, value in zip(nodes, bc)}
 
 
 def closeness(g) -> dict[str, float]:
@@ -163,22 +228,15 @@ def closeness(g) -> dict[str, float]:
     Unreachable nodes contribute 0, so disconnected graphs are handled
     without special cases.
     """
-    adj = _undirected_adjacency(g)
-    out: dict[str, float] = {}
-    for s in adj:
-        dist = {s: 0}
-        queue = deque([s])
-        total = 0.0
-        while queue:
-            v = queue.popleft()
-            if v != s:
-                total += 1.0 / dist[v]
-            for w in adj[v]:
-                if w not in dist:
-                    dist[w] = dist[v] + 1
-                    queue.append(w)
-        out[s] = total
-    return out
+    nodes, adj = _dense_undirected(g)
+    out = np.empty(len(nodes))
+    for sources, dist, _ in _source_blocks(adj):
+        inv = np.zeros(dist.shape)
+        np.divide(1.0, dist, out=inv, where=dist > 0)
+        # sequential sum in non-decreasing distance, i.e. BFS, order
+        inv = np.sort(inv, axis=1)[:, ::-1]
+        out[sources.start : sources.stop] = np.cumsum(inv, axis=1)[:, -1]
+    return {v: float(value) for v, value in zip(nodes, out)}
 
 
 def pagerank(

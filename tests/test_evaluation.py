@@ -86,6 +86,18 @@ class TestCosineDistance:
         assert 0.0 <= d <= 1.0
         assert d == pytest.approx(cosine_distance(vb, va), abs=1e-12)
 
+    @given(feature_values, feature_values)
+    @settings(max_examples=100, deadline=None)
+    def test_cached_equals_uncached(self, a, b):
+        # the formula on freshly built arrays, as computed before caching
+        va, vb = fv(*a), fv(*b)
+        xa, xb = va.as_array(), vb.as_array()
+        norm = float(np.linalg.norm(xa) * np.linalg.norm(xb))
+        fresh = min(1.0, max(0.0, 1.0 - float(xa @ xb) / norm))
+        assert cosine_distance(va, vb) == fresh
+        # a second call reads the cache
+        assert cosine_distance(va, vb) == fresh
+
 
 class TestIld:
     def test_identical_vectors(self):

@@ -19,11 +19,16 @@ from kgrerank import (
     pagerank,
 )
 
+from kgrerank.metrics import _SOURCE_BLOCK
+
 from oracles import (
+    INF,
     brute_betweenness,
     brute_harmonic_closeness,
     dense_pagerank,
+    floyd_warshall,
     random_multigraph,
+    undirected_adjacency,
 )
 
 
@@ -67,6 +72,51 @@ def simplex(draw, min_n=1, max_n=40):
     )
     total = sum(raw)
     return [x / total for x in raw]
+
+
+# more nodes than one source block, and not a multiple of it
+MAX_ENGINE_NODES = 2 * _SOURCE_BLOCK + 7
+
+
+def _graph_from(draw, n, edges):
+    """Nodes inserted in a drawn order, so block boundaries fall anywhere."""
+    g = Multigraph()
+    for i in draw(st.permutations(range(n))):
+        g.add_node(Node(f"n{i}", "other"))
+    for a, predicate, b in edges:
+        g.add_edge(f"n{a}", predicate, f"n{b}")
+    return g
+
+
+@st.composite
+def multigraphs(draw, max_nodes=MAX_ENGINE_NODES):
+    """Sparse multigraphs: isolated nodes, disconnected parts, self-loops and
+    parallel edges (same direction with another predicate, or reversed)."""
+    n = draw(st.integers(1, max_nodes))
+    ends = st.integers(0, n - 1)
+    edges = draw(
+        st.lists(st.tuples(ends, st.sampled_from(["rel", "alt"]), ends),
+                 max_size=2 * n)
+    )
+    return _graph_from(draw, n, edges)
+
+
+@st.composite
+def forests(draw, max_nodes=MAX_ENGINE_NODES):
+    """Forests whose edges point either way, some doubled, plus self-loops."""
+    n = draw(st.integers(1, max_nodes))
+    edges = []
+    for child in range(1, n):
+        parent = draw(st.none() | st.integers(0, child - 1))
+        if parent is None:
+            continue
+        a, b = draw(st.permutations([parent, child]))
+        edges.append((a, "rel", b))
+        if draw(st.booleans()):
+            edges.append((b, "alt", a))
+    loops = draw(st.lists(st.integers(0, n - 1), max_size=3))
+    edges += [(v, "self", v) for v in loops]
+    return _graph_from(draw, n, edges)
 
 
 class TestHhi:
@@ -160,6 +210,11 @@ class TestCentralityToShares:
         with pytest.raises(MetricError):
             centrality_to_shares({})
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_rejects_non_finite_scores_naming_the_node(self, bad):
+        with pytest.raises(MetricError, match="'a'.*not finite"):
+            centrality_to_shares({"a": bad, "b": 1.0})
+
 
 class TestBetweenness:
     def test_three_path(self):
@@ -184,6 +239,31 @@ class TestBetweenness:
             exact = brute_betweenness(g)
             for v in mine:
                 assert mine[v] == pytest.approx(float(exact[v]), abs=1e-9)
+
+    @given(multigraphs())
+    @settings(max_examples=60, deadline=None)
+    def test_property_matches_path_enumeration(self, g):
+        mine = betweenness(g)
+        exact = brute_betweenness(g)
+        assert list(mine) == list(g.node_ids())
+        for v in mine:
+            assert abs(mine[v] - float(exact[v])) <= 1e-9
+
+    @given(forests())
+    @settings(max_examples=60, deadline=None)
+    def test_property_exact_on_forests(self, g):
+        exact = brute_betweenness(g)
+        assert betweenness(g) == {v: float(exact[v]) for v in g.node_ids()}
+
+
+class TestEngineLimits:
+    def test_too_many_nodes_for_int16_distances(self):
+        g = Multigraph()
+        for i in range(2**15 + 1):
+            g.add_node(Node(f"v{i}", "other"))
+        for metric in (betweenness, closeness):
+            with pytest.raises(MetricError, match="too large"):
+                metric(g)
 
 
 class TestCloseness:
@@ -211,6 +291,18 @@ class TestCloseness:
             exact = brute_harmonic_closeness(g)
             for v in mine:
                 assert mine[v] == pytest.approx(exact[v], abs=1e-9)
+
+    @given(multigraphs())
+    @settings(max_examples=100, deadline=None)
+    def test_property_equals_ordered_sum_of_inverse_distances(self, g):
+        dist = floyd_warshall(undirected_adjacency(g))
+        mine = closeness(g)
+        assert list(mine) == list(g.node_ids())
+        for v, row in dist.items():
+            total = 0.0
+            for d in sorted(d for u, d in row.items() if u != v and d != INF):
+                total += 1.0 / d
+            assert mine[v] == total
 
 
 class TestPagerank:
