@@ -53,6 +53,8 @@ from .rerank import (
     SortOrder,
     baseline_metric,
     evaluate_candidates,
+    evaluate_metrics,
+    order_candidates,
     rank_candidates,
     rerank,
 )
@@ -108,8 +110,8 @@ __all__ = [
     "hhi", "hhi_normalized", "pagerank",
     # rerank
     "RankedItem", "RecommendationList", "RerankConfig", "RerankError",
-    "SortOrder", "baseline_metric", "evaluate_candidates", "rank_candidates",
-    "rerank",
+    "SortOrder", "baseline_metric", "evaluate_candidates", "evaluate_metrics",
+    "order_candidates", "rank_candidates", "rerank",
     # recsys
     "BaselineRecommender", "Interaction", "ItemKnnRecommender", "NotFittedError",
     "RatingMatrix", "RunFileError", "anti_testset",

@@ -65,9 +65,9 @@ from .recsys import (
 from .rerank import (
     RecommendationList,
     SortOrder,
-    baseline_metric,
-    evaluate_candidates,
-    rank_candidates,
+    evaluate_candidates,  # noqa: F401 - perfbench/worker.py probes through this name
+    evaluate_metrics,
+    order_candidates,
 )
 
 log = logging.getLogger(__name__)
@@ -485,19 +485,31 @@ def _profiles_from_interactions(
     }
 
 
+# user ids named in the one warning about users without external lists
+_SKIPPED_SHOWN = 5
+
+
 def stage_recommend(cfg: RunConfig) -> None:
     out = Path(cfg.output_dir)
     profiles = _read_profiles(out / PROFILES)
     if cfg.recommender == "external":
         lists = load_external_recommendations(cfg.external_recs_path)
         selected = {}
+        skipped = []
         for user in sorted(profiles):
             if user not in lists:
-                log.warning("no external recommendations for user %s; skipped", user)
+                skipped.append(user)
                 continue
             full = lists[user]
             selected[user] = RecommendationList(
                 user=user, items=full.items[: cfg.top_n_candidates]
+            )
+        if skipped:
+            shown = ", ".join(skipped[:_SKIPPED_SHOWN])
+            more = len(skipped) - _SKIPPED_SHOWN
+            log.warning(
+                "no external recommendations for %d user(s); skipped: %s%s",
+                len(skipped), shown, f" and {more} more" if more > 0 else "",
             )
     else:
         interactions = _read_interactions(out / INTERACTIONS)
@@ -518,20 +530,20 @@ def _rerank_profile(catalog, user, history, rec_items, metric_names, order_names
     """Per-user work unit; returns {(metric, order): ordered item ids}."""
     sg = induce_profile_subgraph(catalog, history, user=user)
     recs = RecommendationList(user=user, items=tuple(rec_items))
-    results: dict[tuple[str, str], list[str]] = {}
-    cache: dict = {}
-    for metric_name in metric_names:
-        metric = MetricKind.from_name(metric_name)
-        baseline = baseline_metric(sg, metric, cache)
-        evaluations = evaluate_candidates(
-            catalog, sg, recs, metric, NeighborhoodMode(mode)
-        )
-        for order_name in order_names:
-            ranked = rank_candidates(
-                evaluations, baseline, SortOrder(order_name), top_n
-            )
-            results[(metric_name, order_name)] = [r.item for r in ranked]
-    return results
+    evaluations = evaluate_metrics(
+        catalog,
+        sg,
+        recs,
+        [MetricKind.from_name(name) for name in metric_names],
+        NeighborhoodMode(mode),
+    )
+    return {
+        (kind.value, order_name): [
+            e.item for e in order_candidates(evaluated, SortOrder(order_name), top_n)
+        ]
+        for kind, evaluated in evaluations.items()
+        for order_name in order_names
+    }
 
 
 _WORKER_CATALOG = None

@@ -18,6 +18,15 @@ level by level as ``delta += sigma * (((1 + delta) / sigma) @ A)`` and adds each
 source's dependencies in source order; closeness adds 1/d per source in
 non-decreasing distance order.
 
+Both metrics read the same per-block distances and path counts, so asking
+for both costs one forward BFS. :class:`PathEngine` compiles a graph's
+adjacency once (the re-ranker does this once per user profile) and evaluates
+it extended by one candidate's delta at a time: the base array is copied into
+an (n + k)-square array with the k added nodes last and the added edges set,
+which is the array ``OverlayView`` of the same delta would compile. The
+source block stays at 32 rows: from 64 rows on, OpenBLAS sums the backward
+``coef @ A`` products in another order and betweenness bits change.
+
 Float contract: closeness equals a per-source queue BFS bit for bit, and so
 does betweenness on trees. On graphs with cycles betweenness may differ from
 it by a few ulps (up to about 4e-12 per node on 200-node profiles), because the
@@ -28,7 +37,7 @@ break differently.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator, Mapping, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from enum import Enum
 
@@ -137,8 +146,18 @@ def centrality_to_shares(scores: Mapping[str, float]) -> list[float]:
     return [scores[k] / total for k in keys]
 
 
-# sources per forward/backward pass; bounds the (block x n) work arrays
+# Sources per forward/backward pass; bounds the (block x n) work arrays. Keep
+# it at 32: from 64 rows on, OpenBLAS sums the backward ``coef @ adj``
+# products in another order and betweenness values change in their last bits.
 _SOURCE_BLOCK = 32
+
+PATH_KINDS = frozenset({MetricKind.BETWEENNESS, MetricKind.CLOSENESS})
+
+
+def _check_dense_size(n: int) -> None:
+    # distances are held as int16 and reach at most n - 1
+    if n > np.iinfo(np.int16).max + 1:
+        raise MetricError(f"graph too large for the dense engine: {n} nodes")
 
 
 def _dense_undirected(g) -> tuple[list[str], np.ndarray]:
@@ -149,9 +168,7 @@ def _dense_undirected(g) -> tuple[list[str], np.ndarray]:
     """
     nodes = list(g.node_ids())
     n = len(nodes)
-    if n > np.iinfo(np.int16).max + 1:
-        # distances are held as int16 and reach at most n - 1
-        raise MetricError(f"graph too large for the dense engine: {n} nodes")
+    _check_dense_size(n)
     index = {v: i for i, v in enumerate(nodes)}
     adj = np.zeros((n, n))
     for v, i in index.items():
@@ -193,6 +210,60 @@ def _source_blocks(
         yield sources, dist, sigma
 
 
+def _add_dependencies(
+    adj: np.ndarray, dist: np.ndarray, sigma: np.ndarray, bc: np.ndarray
+) -> None:
+    """Brandes' dependency pass for one source block, added into ``bc``."""
+    delta = np.zeros(dist.shape)
+    coef = np.empty(dist.shape)
+    top = int(dist.max())
+    upper = dist == top
+    # level 1 would only feed the sources, which score nothing
+    for level in range(top, 1, -1):
+        lower = dist == level - 1
+        # where= keeps unreachable nodes (sigma 0) out: 0 * inf is NaN
+        coef.fill(0.0)
+        np.divide(1.0 + delta, sigma, out=coef, where=upper)
+        np.add(delta, sigma * (coef @ adj), out=delta, where=lower)
+        upper = lower
+    # row by row in source order: the summation order of a per-source
+    # loop, which the float contract in the module docstring relies on
+    for row in delta:
+        bc += row
+
+
+def _harmonic_rows(dist: np.ndarray) -> np.ndarray:
+    """Sum of 1/d over each source row; unreachable nodes add nothing."""
+    inv = np.zeros(dist.shape)
+    np.divide(1.0, dist, out=inv, where=dist > 0)
+    # sequential sum in non-decreasing distance, i.e. BFS, order
+    inv = np.sort(inv, axis=1)[:, ::-1]
+    return np.cumsum(inv, axis=1)[:, -1]
+
+
+def _path_scores(adj: np.ndarray, kinds) -> dict[MetricKind, np.ndarray]:
+    """Per-row betweenness and/or closeness of ``adj`` from one shared pass.
+
+    Every source block's distances and path counts feed both metrics, so
+    asking for both costs one forward BFS, not two.
+    """
+    n = adj.shape[0]
+    bc = np.zeros(n) if MetricKind.BETWEENNESS in kinds else None
+    cl = np.empty(n) if MetricKind.CLOSENESS in kinds else None
+    for sources, dist, sigma in _source_blocks(adj):
+        if bc is not None:
+            _add_dependencies(adj, dist, sigma, bc)
+        if cl is not None:
+            cl[sources.start : sources.stop] = _harmonic_rows(dist)
+    out = {}
+    if bc is not None:
+        # each unordered pair was counted from both endpoints
+        out[MetricKind.BETWEENNESS] = bc / 2.0
+    if cl is not None:
+        out[MetricKind.CLOSENESS] = cl
+    return out
+
+
 def betweenness(g) -> dict[str, float]:
     """Shortest-path betweenness on the undirected view (Brandes accumulation).
 
@@ -200,26 +271,8 @@ def betweenness(g) -> dict[str, float]:
     edges collapse into a single adjacency.
     """
     nodes, adj = _dense_undirected(g)
-    bc = np.zeros(len(nodes))
-    for _, dist, sigma in _source_blocks(adj):
-        delta = np.zeros(dist.shape)
-        coef = np.empty(dist.shape)
-        top = int(dist.max())
-        upper = dist == top
-        # level 1 would only feed the sources, which score nothing
-        for level in range(top, 1, -1):
-            lower = dist == level - 1
-            # where= keeps unreachable nodes (sigma 0) out: 0 * inf is NaN
-            coef.fill(0.0)
-            np.divide(1.0 + delta, sigma, out=coef, where=upper)
-            np.add(delta, sigma * (coef @ adj), out=delta, where=lower)
-            upper = lower
-        # row by row in source order: the summation order of a per-source
-        # loop, which the float contract in the module docstring relies on
-        for row in delta:
-            bc += row
-    # each unordered pair was counted from both endpoints
-    return {v: float(value) / 2.0 for v, value in zip(nodes, bc)}
+    scores = _path_scores(adj, (MetricKind.BETWEENNESS,))[MetricKind.BETWEENNESS]
+    return dict(zip(nodes, scores.tolist()))
 
 
 def closeness(g) -> dict[str, float]:
@@ -229,14 +282,52 @@ def closeness(g) -> dict[str, float]:
     without special cases.
     """
     nodes, adj = _dense_undirected(g)
-    out = np.empty(len(nodes))
-    for sources, dist, _ in _source_blocks(adj):
-        inv = np.zeros(dist.shape)
-        np.divide(1.0, dist, out=inv, where=dist > 0)
-        # sequential sum in non-decreasing distance, i.e. BFS, order
-        inv = np.sort(inv, axis=1)[:, ::-1]
-        out[sources.start : sources.stop] = np.cumsum(inv, axis=1)[:, -1]
-    return {v: float(value) for v, value in zip(nodes, out)}
+    scores = _path_scores(adj, (MetricKind.CLOSENESS,))[MetricKind.CLOSENESS]
+    return dict(zip(nodes, scores.tolist()))
+
+
+class PathEngine:
+    """Betweenness and closeness of one graph, extended by one delta at a time.
+
+    The graph's undirected adjacency is compiled once, in ``g.node_ids()``
+    order. :meth:`evaluate` copies it into a larger array with the added
+    nodes last, sets the added edges and derives every requested path metric
+    from one shared BFS pass. The values equal :func:`compute_metric` on the
+    extended graph whose ``node_ids()`` list the added nodes last, in the
+    given order, as ``OverlayView`` and ``extend_subgraph`` do.
+    """
+
+    def __init__(self, g) -> None:
+        self._nodes, self._adj = _dense_undirected(g)
+        self._index = {v: i for i, v in enumerate(self._nodes)}
+
+    def evaluate(
+        self,
+        added: Sequence[str],
+        edges: Iterable[tuple[str, str]],
+        kinds: Sequence[MetricKind],
+    ) -> dict[MetricKind, MetricValue]:
+        """Betweenness and/or closeness (``kinds``) of the graph plus the
+        ``added`` nodes and the (source, target) ``edges``; every endpoint is a
+        graph node or an added one."""
+        n = len(self._nodes)
+        size = n + len(added)
+        _check_dense_size(size)
+        adj = np.zeros((size, size))
+        adj[:n, :n] = self._adj
+        index = self._index
+        extra = {v: n + k for k, v in enumerate(added)}
+        for source, target in edges:
+            i = index[source] if source in index else extra[source]
+            j = index[target] if target in index else extra[target]
+            if i != j:
+                adj[i, j] = adj[j, i] = 1.0
+        nodes = self._nodes + list(added)
+        scores = _path_scores(adj, kinds)
+        return {
+            kind: _concentration(dict(zip(nodes, scores[kind].tolist())), kind)
+            for kind in kinds
+        }
 
 
 def pagerank(
@@ -330,6 +421,10 @@ def compute_metric(g, kind: MetricKind) -> MetricValue:
     if kind in _DISTRIBUTIONS:
         if n == 0:
             raise MetricError(f"{kind.value} is undefined on an empty graph")
-        scores = _DISTRIBUTIONS[kind](g)
-        return MetricValue(hhi_normalized(centrality_to_shares(scores)), kind)
+        return _concentration(_DISTRIBUTIONS[kind](g), kind)
     raise MetricError(f"unknown metric kind {kind!r}")  # pragma: no cover
+
+
+def _concentration(scores: Mapping[str, float], kind: MetricKind) -> MetricValue:
+    """A per-node distribution collapsed to its normalized HHI."""
+    return MetricValue(hhi_normalized(centrality_to_shares(scores)), kind)

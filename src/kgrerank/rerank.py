@@ -19,13 +19,12 @@ from .graph import (
     OverlayView,
     ProfileSubgraph,
     extension_delta,
-    extend_subgraph,
 )
-from .metrics import MetricKind, MetricValue, compute_metric
+from .metrics import PATH_KINDS, MetricKind, MetricValue, PathEngine, compute_metric
 
 
 class RerankError(RuntimeError):
-    """Raised when candidate evaluation fails; names the offending item."""
+    """Raised when candidate evaluation fails; names the user, item and metric."""
 
 
 class SortOrder(Enum):
@@ -125,41 +124,75 @@ def baseline_metric(
     return value
 
 
+def evaluate_metrics(
+    catalog: CatalogGraph,
+    sg: ProfileSubgraph,
+    recs: RecommendationList,
+    metrics: Sequence[MetricKind],
+    mode: NeighborhoodMode = NeighborhoodMode.CLOSED_NEIGHBORHOOD,
+) -> dict[MetricKind, list[CandidateEvaluation]]:
+    """Evaluate every metric on the extension of ``sg`` by each candidate.
+
+    One loop, candidates first and metrics second. Each candidate is applied
+    to the original subgraph independently, so the outcome does not depend on
+    list order, and its extension delta is computed once for all metrics.
+    Betweenness and closeness read the profile's adjacency, compiled once, plus
+    the delta, and share one BFS pass (:class:`~kgrerank.metrics.PathEngine`);
+    the other metrics read an :class:`OverlayView`. Both give the values of
+    ``compute_metric`` on the materialized extension.
+    """
+    kinds = list(dict.fromkeys(metrics))
+    path_kinds = [k for k in kinds if k in PATH_KINDS]
+    view_kinds = [k for k in kinds if k not in PATH_KINDS]
+    engine = None
+    results: dict[MetricKind, list[CandidateEvaluation]] = {k: [] for k in kinds}
+    for position, (item, score) in enumerate(recs.items, start=1):
+        failing = kinds
+        try:
+            delta = extension_delta(sg.graph, catalog, item, mode)
+            values = {}
+            if view_kinds:
+                view = OverlayView(sg.graph, delta)
+                for kind in view_kinds:
+                    failing = [kind]
+                    values[kind] = compute_metric(view, kind)
+            if path_kinds:
+                failing = path_kinds
+                if engine is None:
+                    engine = PathEngine(sg.graph)
+                values.update(
+                    engine.evaluate(
+                        [node.id for node in delta.nodes],
+                        [(source, target) for source, _, target in delta.edges],
+                        path_kinds,
+                    )
+                )
+        except Exception as exc:
+            names = ", ".join(k.value for k in failing)
+            raise RerankError(
+                f"{names} evaluation failed for user {sg.user!r}, item {item!r}: {exc}"
+            ) from exc
+        for kind in kinds:
+            results[kind].append(CandidateEvaluation(item, score, position, values[kind]))
+    return results
+
+
 def evaluate_candidates(
     catalog: CatalogGraph,
     sg: ProfileSubgraph,
     recs: RecommendationList,
     metric: MetricKind,
     mode: NeighborhoodMode = NeighborhoodMode.CLOSED_NEIGHBORHOOD,
-    use_overlay: bool = True,
 ) -> list[CandidateEvaluation]:
-    """Evaluate the metric on the extension of ``sg`` by each candidate.
-
-    Each candidate is applied to the original subgraph independently, so the
-    outcome does not depend on list order. With ``use_overlay`` the extended
-    subgraph is a copy-free view; otherwise it is materialized. Both routes
-    produce identical metric values.
-    """
-    results = []
-    for position, (item, score) in enumerate(recs.items, start=1):
-        try:
-            if use_overlay:
-                view = OverlayView(sg.graph, extension_delta(sg.graph, catalog, item, mode))
-            else:
-                view = extend_subgraph(sg, catalog, item, mode).graph
-            value = compute_metric(view, metric)
-        except Exception as exc:
-            raise RerankError(f"metric evaluation failed for item {item!r}: {exc}") from exc
-        results.append(CandidateEvaluation(item, score, position, value))
-    return results
+    """Evaluate one metric on the extension of ``sg`` by each candidate."""
+    return evaluate_metrics(catalog, sg, recs, (metric,), mode)[metric]
 
 
-def rank_candidates(
+def order_candidates(
     evaluations: Iterable[CandidateEvaluation],
-    baseline: MetricValue,
     order: SortOrder,
     top_n: int,
-) -> list[RankedItem]:
+) -> list[CandidateEvaluation]:
     """Order evaluated candidates and truncate to the requested length.
 
     Ties on the metric value fall back to descending base score, then to the
@@ -170,6 +203,16 @@ def rank_candidates(
         evaluations,
         key=lambda e: (sign * e.metric_value.value, -e.base_score, e.item),
     )
+    return ordered[:top_n]
+
+
+def rank_candidates(
+    evaluations: Iterable[CandidateEvaluation],
+    baseline: MetricValue,
+    order: SortOrder,
+    top_n: int,
+) -> list[RankedItem]:
+    """:func:`order_candidates`, each carrying its delta against ``baseline``."""
     return [
         RankedItem(
             item=e.item,
@@ -178,7 +221,7 @@ def rank_candidates(
             original_rank=e.original_rank,
             new_rank=rank,
         )
-        for rank, e in enumerate(ordered[:top_n], start=1)
+        for rank, e in enumerate(order_candidates(evaluations, order, top_n), start=1)
     ]
 
 
@@ -187,7 +230,6 @@ def rerank(
     sg: ProfileSubgraph,
     recs: RecommendationList,
     cfg: RerankConfig,
-    use_overlay: bool = True,
     baseline_cache: dict[tuple[str, MetricKind], MetricValue] | None = None,
 ) -> list[RankedItem]:
     """Re-rank a recommendation list by metric impact on the profile subgraph.
@@ -199,9 +241,7 @@ def rerank(
     if not recs.items:
         return []
     baseline = baseline_metric(sg, cfg.metric, baseline_cache)
-    evaluations = evaluate_candidates(
-        catalog, sg, recs, cfg.metric, cfg.mode, use_overlay
-    )
+    evaluations = evaluate_candidates(catalog, sg, recs, cfg.metric, cfg.mode)
     return rank_candidates(evaluations, baseline, cfg.order, cfg.top_n)
 
 

@@ -23,6 +23,7 @@ from kgrerank import (
     betweenness,
     build_catalog,
     closeness,
+    compute_metric,
     evaluate_candidates,
     extend_subgraph,
     hhi_normalized,
@@ -153,14 +154,12 @@ def test_c4_candidate_evaluation_independence():
             sg = induce_profile_subgraph(catalog, history, user="u")
             metric = metric_cycle[round_number % len(metric_cycle)]
 
-            # overlay evaluation equals the naive full-copy evaluation
-            fast = evaluate_candidates(catalog, sg, recs, metric, use_overlay=True)
-            slow = evaluate_candidates(catalog, sg, recs, metric, use_overlay=False)
-            for a, b in zip(fast, slow):
-                assert a.item == b.item
-                assert a.metric_value.value == pytest.approx(
-                    b.metric_value.value, abs=1e-12
-                )
+            # each evaluation equals the metric on the naive full copy
+            evaluations = evaluate_candidates(catalog, sg, recs, metric)
+            assert [e.item for e in evaluations] == list(recs.item_ids())
+            for e in evaluations:
+                extended = extend_subgraph(sg, catalog, e.item).graph
+                assert e.metric_value == compute_metric(extended, metric)
 
             # permuting the candidate list has no effect on any metric value
             items = list(recs.items)

@@ -231,6 +231,53 @@ class TestPipeline:
         loaded = load_external_recommendations(out / BASE_RUN)
         assert set(loaded) == set(profiles)
 
+    def test_users_without_external_lists_share_one_warning(self, tmp_path, caplog):
+        from kgrerank.cli import stage_ingest, stage_recommend
+
+        cfg = synth_config(tmp_path, recommender="external", synth_users=8)
+        stage_ingest(cfg)
+        out = tmp_path / "out"
+        users = sorted(json.loads((out / PROFILES).read_text(encoding="utf-8"))["users"])
+        kept = users[0]
+        external = tmp_path / "external_run.txt"
+        write_recommendations(
+            {kept: RecommendationList(user=kept, items=(("t_a0020", 1.0),))}, external
+        )
+        cfg.external_recs_path = str(external)
+        with caplog.at_level("WARNING", logger="kgrerank.cli"):
+            stage_recommend(cfg)
+        warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+        skipped = users[1:]
+        assert len(skipped) == 7
+        assert warnings == [
+            f"no external recommendations for 7 user(s); skipped: "
+            f"{', '.join(skipped[:5])} and 2 more"
+        ]
+        assert set(load_external_recommendations(out / BASE_RUN)) == {kept}
+
+    def test_failing_candidate_names_stage_user_item_and_metric(self, tmp_path, capsys):
+        from kgrerank.cli import stage_ingest, stage_recommend
+
+        cfg = synth_config(tmp_path, recommender="external", metrics=["closeness"])
+        stage_ingest(cfg)
+        out = tmp_path / "out"
+        user = sorted(json.loads((out / PROFILES).read_text(encoding="utf-8"))["users"])[0]
+        external = tmp_path / "external_run.txt"
+        write_recommendations(
+            {user: RecommendationList(user=user, items=(("no_such_item", 1.0),))}, external
+        )
+        cfg.external_recs_path = str(external)
+        stage_recommend(cfg)
+        code = main(
+            ["rerank", "--dataset", "synthetic", "--out", str(out),
+             "--metric", "closeness", "--parallelism", "1"]
+        )
+        assert code == 2
+        assert (
+            f"stage rerank failed: closeness evaluation failed for user {user!r}, "
+            "item 'no_such_item'"
+        ) in capsys.readouterr().err
+
     def test_netflix_pipeline(self, tmp_path, netflix_csv):
         cfg = RunConfig(
             dataset="netflix",

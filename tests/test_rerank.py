@@ -1,8 +1,13 @@
+import importlib
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kgrerank import (
+    CatalogGraph,
+    ConvergenceError,
     MetricKind,
     NeighborhoodMode,
     RecommendationList,
@@ -12,9 +17,13 @@ from kgrerank import (
     baseline_metric,
     compute_metric,
     evaluate_candidates,
+    extend_subgraph,
     induce_profile_subgraph,
     rerank,
 )
+from kgrerank import metrics as metrics_module
+from kgrerank.graph import Node
+from kgrerank.rerank import evaluate_metrics
 
 from conftest import DVS_EXPECTED
 from oracles import random_catalog_with_profile
@@ -22,6 +31,10 @@ from oracles import random_catalog_with_profile
 ASC = SortOrder.ASCENDING
 DESC = SortOrder.DESCENDING
 BETW = MetricKind.BETWEENNESS
+CLOSE = MetricKind.CLOSENESS
+# the package's ``rerank`` attribute is the function, not the module
+rerank_module = importlib.import_module("kgrerank.rerank")
+PAGERANK = MetricKind.PAGERANK
 
 
 def cfg(metric=BETW, order=ASC, top_n=100, mode=NeighborhoodMode.CLOSED_NEIGHBORHOOD):
@@ -115,18 +128,22 @@ class TestRerankOnFixture:
 class TestRerankProperties:
     @pytest.mark.parametrize("kind", sorted(MetricKind, key=lambda k: k.value),
                              ids=lambda k: k.value)
-    def test_overlay_equals_materialized(self, kind):
+    def test_evaluation_equals_materialized(self, kind):
         rng = random.Random(31)
         for _ in range(8):
             catalog, history, recs = random_catalog_with_profile(rng)
             sg = induce_profile_subgraph(catalog, history, user="u")
-            fast = rerank(catalog, sg, recs, cfg(metric=kind), use_overlay=True)
-            slow = rerank(catalog, sg, recs, cfg(metric=kind), use_overlay=False)
-            assert [r.item for r in fast] == [r.item for r in slow]
-            for a, b in zip(fast, slow):
-                assert a.metric_value.value == pytest.approx(
-                    b.metric_value.value, abs=1e-12
-                )
+            ranked = rerank(catalog, sg, recs, cfg(metric=kind))
+            expected = {
+                item: compute_metric(extend_subgraph(sg, catalog, item).graph, kind)
+                for item in recs.item_ids()
+            }
+            for r in ranked:
+                assert r.metric_value == expected[r.item]
+            scores = dict(recs.items)
+            assert [r.item for r in ranked] == sorted(
+                expected, key=lambda i: (expected[i].value, -scores[i], i)
+            )
 
     def test_order_by_update_equals_order_by_delta(self):
         rng = random.Random(32)
@@ -216,3 +233,105 @@ class TestBaselineMetric:
         # a cache hit returns the stored object untouched
         again = baseline_metric(dvs_profile, BETW, cache)
         assert again is first
+
+
+@st.composite
+def profile_cases(draw):
+    """A random catalog, profile, candidate list, mode and metric list.
+
+    Edges join any two nodes, tracks included, either way round; self-loops
+    and parallel edges (another predicate, or reversed) occur. Candidates may
+    already be in the profile (history items or their neighbours), and a new
+    candidate's closed neighbourhood may add several nodes with edges among
+    them. Nodes are inserted in a drawn order, so profile rows and source
+    blocks fall anywhere.
+    """
+    n_tracks = draw(st.integers(1, 10))
+    n_entities = draw(st.integers(0, 30))
+    tracks = [f"t{i}" for i in range(n_tracks)]
+    names = tracks + [f"e{i}" for i in range(n_entities)]
+    catalog = CatalogGraph()
+    for name in draw(st.permutations(names)):
+        catalog.add_node(Node(name, "track" if name[0] == "t" else "entity"))
+    ends = st.sampled_from(names)
+    for source, predicate, target in draw(
+        st.lists(st.tuples(ends, st.sampled_from(["rel", "alt"]), ends),
+                 max_size=3 * len(names))
+    ):
+        catalog.add_edge(source, predicate, target)
+    history = draw(st.sets(st.sampled_from(tracks)))
+    sg = induce_profile_subgraph(catalog, history, user="u")
+    candidates = draw(st.lists(st.sampled_from(tracks), min_size=1, unique=True))
+    recs = RecommendationList(user="u", items=tuple((c, 1.0) for c in candidates))
+    mode = draw(st.sampled_from(list(NeighborhoodMode)))
+    extra = draw(st.lists(st.sampled_from([PAGERANK, MetricKind.NODE_COUNT]), unique=True))
+    kinds = draw(st.permutations([BETW, CLOSE, *extra]))
+    return catalog, sg, recs, mode, kinds
+
+
+class TestSharedEvaluation:
+    """One loop over candidates serves every metric; betweenness and closeness
+    share one BFS pass over the profile's adjacency, compiled once."""
+
+    @given(profile_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_multi_metric_equals_materialized(self, case):
+        catalog, sg, recs, mode, kinds = case
+        evaluations = evaluate_metrics(catalog, sg, recs, kinds, mode)
+        assert list(evaluations) == kinds
+        for kind in kinds:
+            assert [e.item for e in evaluations[kind]] == list(recs.item_ids())
+            for e in evaluations[kind]:
+                extended = extend_subgraph(sg, catalog, e.item, mode).graph
+                assert e.metric_value == compute_metric(extended, kind)
+
+    def test_one_pass_per_candidate(self, monkeypatch, dvs_catalog, dvs_profile, dvs_recs):
+        sizes = []
+        real = metrics_module._source_blocks
+
+        def counting(adj):
+            sizes.append(adj.shape[0])
+            return real(adj)
+
+        monkeypatch.setattr(metrics_module, "_source_blocks", counting)
+        evaluate_metrics(dvs_catalog, dvs_profile, dvs_recs, [BETW, PAGERANK, CLOSE])
+        assert len(sizes) == len(dvs_recs)
+        sizes.clear()
+        evaluate_metrics(
+            dvs_catalog, dvs_profile, dvs_recs,
+            [PAGERANK, MetricKind.IN_DEGREE, MetricKind.NODE_COUNT],
+        )
+        assert sizes == []
+
+    def test_duplicate_metrics_evaluated_once(self, dvs_catalog, dvs_profile, dvs_recs):
+        evaluations = evaluate_metrics(dvs_catalog, dvs_profile, dvs_recs, [BETW, BETW])
+        assert list(evaluations) == [BETW]
+        assert evaluations[BETW] == evaluate_candidates(
+            dvs_catalog, dvs_profile, dvs_recs, BETW
+        )
+
+    def test_unknown_candidate_names_user_item_and_metrics(self, dvs_catalog, dvs_profile):
+        recs = RecommendationList(user="u1", items=(("s1", 1.0), ("nope", 0.5)))
+        with pytest.raises(
+            RerankError,
+            match="betweenness, closeness evaluation failed for user 'u1', item 'nope'",
+        ):
+            evaluate_metrics(dvs_catalog, dvs_profile, recs, [BETW, CLOSE])
+
+    def test_failing_metric_names_user_item_and_metric(
+        self, monkeypatch, dvs_catalog, dvs_profile, dvs_recs
+    ):
+        real = rerank_module.compute_metric
+
+        def failing(view, kind):
+            if kind is PAGERANK and "d1" in view:
+                raise ConvergenceError("injected failure", {})
+            return real(view, kind)
+
+        monkeypatch.setattr(rerank_module, "compute_metric", failing)
+        with pytest.raises(
+            RerankError,
+            match="pagerank evaluation failed for user 'u1', item 'd1': injected failure",
+        ) as info:
+            evaluate_metrics(dvs_catalog, dvs_profile, dvs_recs, [BETW, PAGERANK])
+        assert isinstance(info.value.__cause__, ConvergenceError)
