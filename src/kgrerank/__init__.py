@@ -19,7 +19,6 @@ from .graph import (
     Multigraph,
     NeighborhoodMode,
     Node,
-    OverlayView,
     ProfileSubgraph,
     PruneRules,
     Triple,
@@ -100,10 +99,9 @@ __all__ = [
     "__version__",
     # graph
     "CatalogGraph", "EntityKind", "ExtensionDelta", "GraphError", "Multigraph",
-    "NeighborhoodMode", "Node", "OverlayView", "ProfileSubgraph", "PruneRules",
-    "Triple", "build_catalog", "closed_neighborhood", "export_graph",
-    "extend_subgraph", "extension_delta", "induce_profile_subgraph",
-    "prune_graph", "read_graph",
+    "NeighborhoodMode", "Node", "ProfileSubgraph", "PruneRules", "Triple",
+    "build_catalog", "closed_neighborhood", "export_graph", "extend_subgraph",
+    "extension_delta", "induce_profile_subgraph", "prune_graph", "read_graph",
     # metrics
     "ConvergenceError", "MetricError", "MetricKind", "MetricValue",
     "betweenness", "centrality_to_shares", "closeness", "compute_metric",

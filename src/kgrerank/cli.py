@@ -16,7 +16,7 @@ import json
 import logging
 import os
 import sys
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from . import __version__
@@ -197,8 +197,8 @@ class RunConfig:
             )
             cfg.knn_k = recommender.get("knn_k", cfg.knn_k)
         rerank_section = data.get("rerank", {})
-        cfg.metrics = list(rerank_section.get("metrics", cfg.metrics))
-        cfg.orders = list(rerank_section.get("orders", cfg.orders))
+        cfg.metrics = rerank_section.get("metrics", cfg.metrics)
+        cfg.orders = rerank_section.get("orders", cfg.orders)
         cfg.mode = rerank_section.get("mode", cfg.mode)
         cfg.top_n_candidates = rerank_section.get("top_n", cfg.top_n_candidates)
         cfg.eval_k = data.get("evaluation", {}).get("k", cfg.eval_k)
@@ -216,9 +216,43 @@ class RunConfig:
         return asdict(self)
 
 
+# RunConfig annotation -> (accepted types, what a finding says is expected)
+_FIELD_TYPES = {
+    "str": ((str,), "a string"),
+    "str | None": ((str, type(None)), "a string or null"),
+    "int": ((int,), "an integer"),
+    "int | None": ((int, type(None)), "an integer or null"),
+    "float": ((int, float), "a number"),
+    "bool": ((bool,), "true or false"),
+    "list[str]": ((list,), "a list of strings"),
+}
+
+
+def _type_findings(cfg: RunConfig) -> list[str]:
+    """One finding per field whose value has the wrong JSON type."""
+    findings = []
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        accepted, expected = _FIELD_TYPES[f.type]
+        ok = isinstance(value, accepted) and (
+            bool in accepted or not isinstance(value, bool)
+        )
+        if ok and isinstance(value, list):
+            ok = all(isinstance(v, str) for v in value)
+        if not ok:
+            findings.append(f"{f.name} must be {expected}, got {value!r}")
+    return findings
+
+
 def validate_config(cfg: RunConfig) -> list[str]:
-    """All config violations at once, not first-failure."""
-    findings: list[str] = []
+    """All config violations at once, not first-failure.
+
+    Wrongly typed values are reported alone: the other checks compare and
+    iterate the values, which needs the declared types.
+    """
+    findings = _type_findings(cfg)
+    if findings:
+        return findings
     if cfg.dataset not in DATASETS:
         findings.append(f"dataset must be one of {DATASETS}, got {cfg.dataset!r}")
     if cfg.recommender not in RECOMMENDERS:

@@ -363,8 +363,7 @@ def extension_delta(
     """Compute what adding ``item`` to ``graph`` contributes, without applying it.
 
     The delta contains only nodes absent from ``graph`` and edges not already
-    present, so applying it (or viewing it through :class:`OverlayView`) yields
-    the extended subgraph exactly.
+    present, so applying it yields the extended subgraph exactly.
     """
     if item not in catalog:
         raise GraphError(f"unknown item {item!r}")
@@ -425,111 +424,6 @@ def extend_subgraph(
     for source, predicate, target in delta.edges:
         graph.add_edge(source, predicate, target)
     return ProfileSubgraph(user=sg.user, graph=graph, history=sg.history)
-
-
-class OverlayView:
-    """Read-only graph view of a base graph plus an extension delta.
-
-    Implements the query surface the metric functions need, without copying
-    the base graph. Metric values computed on the overlay equal those computed
-    on the materialized extension.
-    """
-
-    __slots__ = ("_base", "_added", "_out_extra", "_in_extra", "_num_edges")
-
-    def __init__(self, base: Multigraph, delta: ExtensionDelta) -> None:
-        self._base = base
-        self._added: dict[str, Node] = {n.id: n for n in delta.nodes}
-        self._out_extra: dict[str, dict[str, set[str]]] = {}
-        self._in_extra: dict[str, dict[str, set[str]]] = {}
-        for source, predicate, target in delta.edges:
-            self._out_extra.setdefault(source, {}).setdefault(target, set()).add(
-                predicate
-            )
-            self._in_extra.setdefault(target, {}).setdefault(source, set()).add(
-                predicate
-            )
-        self._num_edges = base.num_edges + len(delta.edges)
-
-    def __contains__(self, node_id: object) -> bool:
-        return node_id in self._base or node_id in self._added
-
-    @property
-    def num_nodes(self) -> int:
-        return self._base.num_nodes + len(self._added)
-
-    @property
-    def num_edges(self) -> int:
-        return self._num_edges
-
-    def node(self, node_id: str) -> Node:
-        if node_id in self._added:
-            return self._added[node_id]
-        return self._base.node(node_id)
-
-    def node_ids(self) -> Iterator[str]:
-        yield from self._base.node_ids()
-        yield from self._added
-
-    def nodes(self) -> Iterator[Node]:
-        yield from self._base.nodes()
-        yield from self._added.values()
-
-    def edges(self) -> Iterator[EdgeTriple]:
-        yield from self._base.edges()
-        for source in self._out_extra:
-            for target, preds in self._out_extra[source].items():
-                for predicate in sorted(preds):
-                    yield (source, predicate, target)
-
-    def successors(self, node_id: str) -> Mapping[str, set[str]]:
-        base_part: Mapping[str, set[str]] = (
-            self._base.successors(node_id) if node_id in self._base else {}
-        )
-        extra = self._out_extra.get(node_id)
-        if not extra:
-            if node_id not in self:
-                raise GraphError(f"unknown node {node_id!r}")
-            return base_part
-        merged = {t: set(p) for t, p in base_part.items()}
-        for target, preds in extra.items():
-            merged.setdefault(target, set()).update(preds)
-        return merged
-
-    def predecessors(self, node_id: str) -> Mapping[str, set[str]]:
-        base_part: Mapping[str, set[str]] = (
-            self._base.predecessors(node_id) if node_id in self._base else {}
-        )
-        extra = self._in_extra.get(node_id)
-        if not extra:
-            if node_id not in self:
-                raise GraphError(f"unknown node {node_id!r}")
-            return base_part
-        merged = {s: set(p) for s, p in base_part.items()}
-        for source, preds in extra.items():
-            merged.setdefault(source, set()).update(preds)
-        return merged
-
-    def neighbors(self, node_id: str) -> set[str]:
-        out = set(self._base.neighbors(node_id)) if node_id in self._base else set()
-        if not out and node_id not in self:
-            raise GraphError(f"unknown node {node_id!r}")
-        out.update(self._out_extra.get(node_id, ()))
-        out.update(self._in_extra.get(node_id, ()))
-        return out
-
-    def out_degree(self, node_id: str) -> int:
-        base = self._base.out_degree(node_id) if node_id in self._base else 0
-        extra = sum(len(p) for p in self._out_extra.get(node_id, {}).values())
-        return base + extra
-
-    def in_degree(self, node_id: str) -> int:
-        base = self._base.in_degree(node_id) if node_id in self._base else 0
-        extra = sum(len(p) for p in self._in_extra.get(node_id, {}).values())
-        return base + extra
-
-    def degree(self, node_id: str) -> int:
-        return self.out_degree(node_id) + self.in_degree(node_id)
 
 
 @dataclass(frozen=True)

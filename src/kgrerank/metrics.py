@@ -1,4 +1,4 @@
-"""Network metrics on graph views, collapsed to scalars where needed.
+"""Network metrics on graphs, collapsed to scalars where needed.
 
 Four metrics are plain scalars (node count, edge count, density, average
 degree). The remaining five (in-/out-degree, PageRank, betweenness, closeness)
@@ -6,32 +6,35 @@ produce a score per node; those distributions are collapsed to a single
 concentration value with the normalized Herfindahl-Hirschman index, so every
 metric ends up as one number in a comparable range.
 
-Betweenness and closeness are computed on the undirected view of the graph;
-PageRank and the degree distributions use edge directions.
+Every metric reads one array form of the graph, :class:`CompiledGraph` (in
+the linear-algebra style of Kepner & Gilbert, *Graph Algorithms in the
+Language of Linear Algebra*, 2011): the node ids in ``g.node_ids()`` order,
+each directed (source, target) pair once with its number of parallel edges,
+sorted by source, and, built only when a path metric asks for it, the dense
+0/1 adjacency ``A`` of the undirected view. The re-ranker compiles each user
+profile once and extends it by one candidate's delta at a time, added nodes
+last (:meth:`CompiledGraph.extend`).
 
-Betweenness and closeness share one engine. The undirected view is compiled
-into a dense 0/1 float64 adjacency ``A`` in ``g.node_ids()`` order, and
-sources are processed in blocks of ``_SOURCE_BLOCK`` rows: a level-synchronous
-BFS (``frontier @ A``) yields hop distances and shortest-path counts (integer
-valued float64, exact below 2**53). Betweenness runs Brandes' dependency pass
-level by level as ``delta += sigma * (((1 + delta) / sigma) @ A)`` and adds each
-source's dependencies in source order; closeness adds 1/d per source in
-non-decreasing distance order.
+The degrees are ``np.bincount`` over the multiplicities and PageRank is a
+power iteration over the pairs; both use edge directions. Betweenness and
+closeness use ``A``. Sources are processed in blocks of ``_SOURCE_BLOCK`` rows:
+a level-synchronous BFS (``frontier @ A``) yields hop distances and
+shortest-path counts (integer valued float64, exact below 2**53). Betweenness
+runs Brandes' dependency pass level by level as
+``delta += sigma * (((1 + delta) / sigma) @ A)`` and adds each source's
+dependencies in source order; closeness adds 1/d per source in non-decreasing
+distance order. Both read the same blocks, so asking for both costs one
+forward BFS. The block stays at 32 rows: from 64 rows on, OpenBLAS sums the
+backward ``coef @ A`` products in another order and betweenness bits change.
 
-Both metrics read the same per-block distances and path counts, so asking
-for both costs one forward BFS. :class:`PathEngine` compiles a graph's
-adjacency once (the re-ranker does this once per user profile) and evaluates
-it extended by one candidate's delta at a time: the base array is copied into
-an (n + k)-square array with the k added nodes last and the added edges set,
-which is the array ``OverlayView`` of the same delta would compile. The
-source block stays at 32 rows: from 64 rows on, OpenBLAS sums the backward
-``coef @ A`` products in another order and betweenness bits change.
-
-Float contract: closeness equals a per-source queue BFS bit for bit, and so
-does betweenness on trees. On graphs with cycles betweenness may differ from
-it by a few ulps (up to about 4e-12 per node on 200-node profiles), because the
-matrix products sum in another order; exact ties between candidates can then
-break differently.
+Float contract: PageRank adds each pair's contribution with ``np.add.at``,
+which adds in source order, and takes the dangling mass and the L1 change as
+sequential left-to-right sums, not numpy's pairwise ones, so it equals a
+per-node Python loop bit for bit. Degrees are exact integers. Closeness equals
+a per-source queue BFS bit for bit, and so does betweenness on trees. On graphs
+with cycles betweenness may differ from it by a few ulps (up to about 4e-12 per
+node on 200-node profiles), because the matrix products sum in another order;
+exact ties between candidates can then break differently.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ import math
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -146,6 +150,81 @@ def centrality_to_shares(scores: Mapping[str, float]) -> list[float]:
     return [scores[k] / total for k in keys]
 
 
+class CompiledGraph:
+    """A graph as arrays, in one fixed node order.
+
+    Node ``i`` is ``nodes[i]``, in ``g.node_ids()`` order. ``src``, ``dst`` and
+    ``mult`` hold each directed (source, target) pair once with its number of
+    parallel edges, sorted by source and then target index. Build one with
+    :func:`compile_graph` or :meth:`extend`.
+    """
+
+    def __init__(
+        self, nodes: list[str], src: np.ndarray, dst: np.ndarray, mult: np.ndarray
+    ) -> None:
+        self.nodes = nodes
+        self.src = src
+        self.dst = dst
+        self.mult = mult
+        self.num_edges = int(mult.sum())
+
+    @cached_property
+    def _index(self) -> dict[str, int]:
+        return {v: i for i, v in enumerate(self.nodes)}
+
+    @cached_property
+    def adjacency(self) -> np.ndarray:
+        """The 0/1 float64 adjacency of the undirected view; self-loops are
+        dropped and parallel edges collapse into one entry."""
+        n = len(self.nodes)
+        _check_dense_size(n)
+        adj = np.zeros((n, n))
+        adj[self.src, self.dst] = 1.0
+        adj[self.dst, self.src] = 1.0
+        np.fill_diagonal(adj, 0.0)
+        return adj
+
+    def by_node(self, values: np.ndarray) -> dict[str, float]:
+        return dict(zip(self.nodes, values.tolist()))
+
+    def in_degrees(self) -> np.ndarray:
+        return np.bincount(self.dst, weights=self.mult, minlength=len(self.nodes))
+
+    def out_degrees(self) -> np.ndarray:
+        return np.bincount(self.src, weights=self.mult, minlength=len(self.nodes))
+
+    def extend(
+        self, added: Sequence[str], edges: Iterable[tuple[str, str]]
+    ) -> "CompiledGraph":
+        """This graph plus the ``added`` nodes, last and in the given order, and
+        one more parallel edge per (source, target) in ``edges``; every endpoint
+        is a node of this graph or an added one."""
+        index = self._index
+        extra = {v: len(index) + k for k, v in enumerate(added)}
+        size = len(index) + len(extra)
+        ends = np.array(
+            [index[v] if v in index else extra[v] for edge in edges for v in edge],
+            dtype=np.intp,
+        )
+        # one key per parallel edge; sorted unique keys are sorted pairs
+        keys = np.concatenate(
+            (np.repeat(self.src * size + self.dst, self.mult), ends[::2] * size + ends[1::2])
+        )
+        pairs, mult = np.unique(keys, return_counts=True)
+        return CompiledGraph(self.nodes + list(added), pairs // size, pairs % size, mult)
+
+
+_NO_PAIRS = np.zeros(0, dtype=np.intp)
+
+
+def compile_graph(g) -> CompiledGraph:
+    """The array form of a graph; a :class:`CompiledGraph` is returned as is."""
+    if isinstance(g, CompiledGraph):
+        return g
+    empty = CompiledGraph([], _NO_PAIRS, _NO_PAIRS, _NO_PAIRS)
+    return empty.extend(list(g.node_ids()), [(s, t) for s, _, t in g.edges()])
+
+
 # Sources per forward/backward pass; bounds the (block x n) work arrays. Keep
 # it at 32: from 64 rows on, OpenBLAS sums the backward ``coef @ adj``
 # products in another order and betweenness values change in their last bits.
@@ -158,24 +237,6 @@ def _check_dense_size(n: int) -> None:
     # distances are held as int16 and reach at most n - 1
     if n > np.iinfo(np.int16).max + 1:
         raise MetricError(f"graph too large for the dense engine: {n} nodes")
-
-
-def _dense_undirected(g) -> tuple[list[str], np.ndarray]:
-    """Node ids and the 0/1 float64 adjacency of the undirected view.
-
-    Rows follow ``g.node_ids()``; self-loops are dropped and parallel edges
-    collapse into one entry.
-    """
-    nodes = list(g.node_ids())
-    n = len(nodes)
-    _check_dense_size(n)
-    index = {v: i for i, v in enumerate(nodes)}
-    adj = np.zeros((n, n))
-    for v, i in index.items():
-        for w in g.neighbors(v):
-            adj[i, index[w]] = 1.0
-    np.fill_diagonal(adj, 0.0)
-    return nodes, adj
 
 
 def _source_blocks(
@@ -270,9 +331,9 @@ def betweenness(g) -> dict[str, float]:
     Returns raw, unnormalized scores counting unordered node pairs; parallel
     edges collapse into a single adjacency.
     """
-    nodes, adj = _dense_undirected(g)
-    scores = _path_scores(adj, (MetricKind.BETWEENNESS,))[MetricKind.BETWEENNESS]
-    return dict(zip(nodes, scores.tolist()))
+    cg = compile_graph(g)
+    scores = _path_scores(cg.adjacency, (MetricKind.BETWEENNESS,))
+    return cg.by_node(scores[MetricKind.BETWEENNESS])
 
 
 def closeness(g) -> dict[str, float]:
@@ -281,53 +342,9 @@ def closeness(g) -> dict[str, float]:
     Unreachable nodes contribute 0, so disconnected graphs are handled
     without special cases.
     """
-    nodes, adj = _dense_undirected(g)
-    scores = _path_scores(adj, (MetricKind.CLOSENESS,))[MetricKind.CLOSENESS]
-    return dict(zip(nodes, scores.tolist()))
-
-
-class PathEngine:
-    """Betweenness and closeness of one graph, extended by one delta at a time.
-
-    The graph's undirected adjacency is compiled once, in ``g.node_ids()``
-    order. :meth:`evaluate` copies it into a larger array with the added
-    nodes last, sets the added edges and derives every requested path metric
-    from one shared BFS pass. The values equal :func:`compute_metric` on the
-    extended graph whose ``node_ids()`` list the added nodes last, in the
-    given order, as ``OverlayView`` and ``extend_subgraph`` do.
-    """
-
-    def __init__(self, g) -> None:
-        self._nodes, self._adj = _dense_undirected(g)
-        self._index = {v: i for i, v in enumerate(self._nodes)}
-
-    def evaluate(
-        self,
-        added: Sequence[str],
-        edges: Iterable[tuple[str, str]],
-        kinds: Sequence[MetricKind],
-    ) -> dict[MetricKind, MetricValue]:
-        """Betweenness and/or closeness (``kinds``) of the graph plus the
-        ``added`` nodes and the (source, target) ``edges``; every endpoint is a
-        graph node or an added one."""
-        n = len(self._nodes)
-        size = n + len(added)
-        _check_dense_size(size)
-        adj = np.zeros((size, size))
-        adj[:n, :n] = self._adj
-        index = self._index
-        extra = {v: n + k for k, v in enumerate(added)}
-        for source, target in edges:
-            i = index[source] if source in index else extra[source]
-            j = index[target] if target in index else extra[target]
-            if i != j:
-                adj[i, j] = adj[j, i] = 1.0
-        nodes = self._nodes + list(added)
-        scores = _path_scores(adj, kinds)
-        return {
-            kind: _concentration(dict(zip(nodes, scores[kind].tolist())), kind)
-            for kind in kinds
-        }
+    cg = compile_graph(g)
+    scores = _path_scores(cg.adjacency, (MetricKind.CLOSENESS,))
+    return cg.by_node(scores[MetricKind.CLOSENESS])
 
 
 def pagerank(
@@ -342,89 +359,79 @@ def pagerank(
     """
     if not 0.0 < damping < 1.0:
         raise MetricError(f"damping must lie in (0, 1), got {damping!r}")
-    nodes = list(g.node_ids())
-    n = len(nodes)
+    cg = compile_graph(g)
+    n = len(cg.nodes)
     if n == 0:
         raise MetricError("pagerank is undefined on an empty graph")
-    index = {v: i for i, v in enumerate(nodes)}
-
-    out_lists: list[list[tuple[int, float]]] = []
-    for v in nodes:
-        succ = g.successors(v)
-        total = sum(len(p) for p in succ.values())
-        if total == 0:
-            out_lists.append([])
-        else:
-            out_lists.append(
-                [(index[t], len(p) / total) for t, p in sorted(succ.items())]
-            )
-
-    ranks = [1.0 / n] * n
+    out = cg.out_degrees()
+    dangling = out == 0
+    src, dst = cg.src, cg.dst
+    weight = cg.mult / out[src]
+    ranks = np.full(n, 1.0 / n)
     base = (1.0 - damping) / n
     for _ in range(max_iter):
-        nxt = [base] * n
-        dangling = sum(ranks[i] for i in range(n) if not out_lists[i])
-        if dangling:
-            spread = damping * dangling / n
-            nxt = [x + spread for x in nxt]
-        for i, targets in enumerate(out_lists):
-            if targets:
-                r = damping * ranks[i]
-                for j, w in targets:
-                    nxt[j] += r * w
-        change = sum(abs(a - b) for a, b in zip(nxt, ranks))
+        nxt = np.full(n, base)
+        # sequential sums, in node order, not numpy's pairwise ones
+        mass = sum(ranks[dangling].tolist())
+        if mass:
+            nxt += damping * mass / n
+        # unbuffered, so each target adds its sources in source order
+        np.add.at(nxt, dst, (damping * ranks)[src] * weight)
+        change = sum(np.abs(nxt - ranks).tolist())
         ranks = nxt
         if change < tol:
-            return dict(zip(nodes, ranks))
+            return cg.by_node(ranks)
     raise ConvergenceError(
-        f"pagerank did not converge within {max_iter} iterations",
-        dict(zip(nodes, ranks)),
+        f"pagerank did not converge within {max_iter} iterations", cg.by_node(ranks)
     )
 
 
-def in_degree_scores(g) -> dict[str, float]:
-    return {v: float(g.in_degree(v)) for v in g.node_ids()}
-
-
-def out_degree_scores(g) -> dict[str, float]:
-    return {v: float(g.out_degree(v)) for v in g.node_ids()}
-
-
-_DISTRIBUTIONS = {
-    MetricKind.IN_DEGREE: in_degree_scores,
-    MetricKind.OUT_DEGREE: out_degree_scores,
-    MetricKind.PAGERANK: pagerank,
-    MetricKind.BETWEENNESS: betweenness,
-    MetricKind.CLOSENESS: closeness,
-}
-
-
-def compute_metric(g, kind: MetricKind) -> MetricValue:
-    """Evaluate one metric on a graph view.
+def compute_metrics(g, kinds: Sequence[MetricKind]) -> dict[MetricKind, MetricValue]:
+    """Evaluate several metrics on one graph, compiled once.
 
     Scalar metrics follow their definitions directly (density uses the
     directed formula |E| / (|V| (|V|-1)), average degree counts each directed
     edge once). Distributional metrics are collapsed via the normalized HHI of
-    the per-node shares and therefore land in [0, 1].
+    the per-node shares and therefore land in [0, 1]. Betweenness and
+    closeness share one BFS pass.
     """
-    n = g.num_nodes
-    if kind is MetricKind.NODE_COUNT:
-        return MetricValue(float(n), kind)
-    if kind is MetricKind.EDGE_COUNT:
-        return MetricValue(float(g.num_edges), kind)
-    if kind is MetricKind.DENSITY:
-        value = 0.0 if n <= 1 else g.num_edges / (n * (n - 1))
-        return MetricValue(value, kind)
-    if kind is MetricKind.AVERAGE_DEGREE:
-        value = 0.0 if n == 0 else g.num_edges / n
-        return MetricValue(value, kind)
-    if kind in _DISTRIBUTIONS:
-        if n == 0:
-            raise MetricError(f"{kind.value} is undefined on an empty graph")
-        return _concentration(_DISTRIBUTIONS[kind](g), kind)
-    raise MetricError(f"unknown metric kind {kind!r}")  # pragma: no cover
+    cg = compile_graph(g)
+    n, m = len(cg.nodes), cg.num_edges
+    if n == 0:
+        for kind in kinds:
+            if kind in DISTRIBUTIONAL_KINDS:
+                raise MetricError(f"{kind.value} is undefined on an empty graph")
+    path_kinds = [k for k in kinds if k in PATH_KINDS]
+    paths = _path_scores(cg.adjacency, path_kinds) if path_kinds else {}
+    values = {}
+    for kind in kinds:
+        if kind is MetricKind.NODE_COUNT:
+            value = float(n)
+        elif kind is MetricKind.EDGE_COUNT:
+            value = float(m)
+        elif kind is MetricKind.DENSITY:
+            value = 0.0 if n <= 1 else m / (n * (n - 1))
+        elif kind is MetricKind.AVERAGE_DEGREE:
+            value = 0.0 if n == 0 else m / n
+        elif kind is MetricKind.PAGERANK:
+            value = _concentration(pagerank(cg))
+        elif kind is MetricKind.IN_DEGREE:
+            value = _concentration(cg.by_node(cg.in_degrees()))
+        elif kind is MetricKind.OUT_DEGREE:
+            value = _concentration(cg.by_node(cg.out_degrees()))
+        elif kind in PATH_KINDS:
+            value = _concentration(cg.by_node(paths[kind]))
+        else:  # pragma: no cover - enum is closed
+            raise MetricError(f"unknown metric kind {kind!r}")
+        values[kind] = MetricValue(value, kind)
+    return values
 
 
-def _concentration(scores: Mapping[str, float], kind: MetricKind) -> MetricValue:
+def compute_metric(g, kind: MetricKind) -> MetricValue:
+    """Evaluate one metric on a graph; see :func:`compute_metrics`."""
+    return compute_metrics(g, (kind,))[kind]
+
+
+def _concentration(scores: Mapping[str, float]) -> float:
     """A per-node distribution collapsed to its normalized HHI."""
-    return MetricValue(hhi_normalized(centrality_to_shares(scores)), kind)
+    return hhi_normalized(centrality_to_shares(scores))

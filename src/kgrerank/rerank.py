@@ -1,10 +1,10 @@
 """Re-rank a recommendation list by each candidate's impact on a network metric.
 
-Every candidate is merged into a fresh view of the user's original profile
-subgraph (never cumulatively), the configured metric is evaluated on the
-extended subgraph, and the list is reordered by those metric values. Sorting
-ascending by a concentration-style metric surfaces candidates that leave the
-profile graph balanced; descending favors candidates that centralize it.
+Every candidate is merged into the user's original profile subgraph (never
+cumulatively), the configured metric is evaluated on the extended subgraph,
+and the list is reordered by those metric values. Sorting ascending by a
+concentration-style metric surfaces candidates that leave the profile graph
+balanced; descending favors candidates that centralize it.
 """
 
 from __future__ import annotations
@@ -13,14 +13,15 @@ from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from enum import Enum
 
-from .graph import (
-    CatalogGraph,
-    NeighborhoodMode,
-    OverlayView,
-    ProfileSubgraph,
-    extension_delta,
+from .graph import CatalogGraph, NeighborhoodMode, ProfileSubgraph, extension_delta
+from .metrics import (
+    PATH_KINDS,
+    MetricKind,
+    MetricValue,
+    compile_graph,
+    compute_metric,
+    compute_metrics,
 )
-from .metrics import PATH_KINDS, MetricKind, MetricValue, PathEngine, compute_metric
 
 
 class RerankError(RuntimeError):
@@ -103,25 +104,9 @@ class CandidateEvaluation:
     metric_value: MetricValue
 
 
-def baseline_metric(
-    sg: ProfileSubgraph,
-    kind: MetricKind,
-    cache: dict[tuple[str, MetricKind], MetricValue] | None = None,
-) -> MetricValue:
-    """Metric on the unextended profile subgraph, optionally cached per run.
-
-    The cache is keyed by (user, metric); pass the same dict across calls
-    within one run to avoid recomputing the baseline per candidate list.
-    """
-    if cache is not None:
-        key = (sg.user, kind)
-        hit = cache.get(key)
-        if hit is not None:
-            return hit
-    value = compute_metric(sg.graph, kind)
-    if cache is not None:
-        cache[(sg.user, kind)] = value
-    return value
+def baseline_metric(sg: ProfileSubgraph, kind: MetricKind) -> MetricValue:
+    """Metric on the unextended profile subgraph."""
+    return compute_metric(sg.graph, kind)
 
 
 def evaluate_metrics(
@@ -135,38 +120,30 @@ def evaluate_metrics(
 
     One loop, candidates first and metrics second. Each candidate is applied
     to the original subgraph independently, so the outcome does not depend on
-    list order, and its extension delta is computed once for all metrics.
-    Betweenness and closeness read the profile's adjacency, compiled once, plus
-    the delta, and share one BFS pass (:class:`~kgrerank.metrics.PathEngine`);
-    the other metrics read an :class:`OverlayView`. Both give the values of
+    list order. The profile is compiled once
+    (:func:`~kgrerank.metrics.compile_graph`); each candidate's delta extends
+    it once, and every metric reads that extension, which gives the values of
     ``compute_metric`` on the materialized extension.
     """
     kinds = list(dict.fromkeys(metrics))
-    path_kinds = [k for k in kinds if k in PATH_KINDS]
-    view_kinds = [k for k in kinds if k not in PATH_KINDS]
-    engine = None
+    # betweenness and closeness share one BFS pass, so they are computed, and
+    # named in errors, together; every other metric on its own
+    paths = [k for k in kinds if k in PATH_KINDS]
+    groups = ([paths] if paths else []) + [[k] for k in kinds if k not in PATH_KINDS]
+    profile = compile_graph(sg.graph)
     results: dict[MetricKind, list[CandidateEvaluation]] = {k: [] for k in kinds}
     for position, (item, score) in enumerate(recs.items, start=1):
         failing = kinds
         try:
             delta = extension_delta(sg.graph, catalog, item, mode)
+            graph = profile.extend(
+                [node.id for node in delta.nodes],
+                [(source, target) for source, _, target in delta.edges],
+            )
             values = {}
-            if view_kinds:
-                view = OverlayView(sg.graph, delta)
-                for kind in view_kinds:
-                    failing = [kind]
-                    values[kind] = compute_metric(view, kind)
-            if path_kinds:
-                failing = path_kinds
-                if engine is None:
-                    engine = PathEngine(sg.graph)
-                values.update(
-                    engine.evaluate(
-                        [node.id for node in delta.nodes],
-                        [(source, target) for source, _, target in delta.edges],
-                        path_kinds,
-                    )
-                )
+            for group in groups:
+                failing = group
+                values.update(compute_metrics(graph, group))
         except Exception as exc:
             names = ", ".join(k.value for k in failing)
             raise RerankError(
@@ -230,7 +207,6 @@ def rerank(
     sg: ProfileSubgraph,
     recs: RecommendationList,
     cfg: RerankConfig,
-    baseline_cache: dict[tuple[str, MetricKind], MetricValue] | None = None,
 ) -> list[RankedItem]:
     """Re-rank a recommendation list by metric impact on the profile subgraph.
 
@@ -240,7 +216,7 @@ def rerank(
     """
     if not recs.items:
         return []
-    baseline = baseline_metric(sg, cfg.metric, baseline_cache)
+    baseline = baseline_metric(sg, cfg.metric)
     evaluations = evaluate_candidates(catalog, sg, recs, cfg.metric, cfg.mode)
     return rank_candidates(evaluations, baseline, cfg.order, cfg.top_n)
 

@@ -4,6 +4,9 @@ These deliberately take different algorithmic routes: distances come from
 Floyd-Warshall instead of BFS, betweenness from explicit enumeration of every
 shortest path with exact Fraction accounting instead of Brandes accumulation,
 and PageRank from a dense linear solve instead of power iteration.
+``reference_pagerank`` is the exception: the same power iteration as the
+library, written as plain Python loops over dicts, so that the library's
+array form can be held to it bit for bit.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from kgrerank import CatalogGraph, Multigraph, Node, RecommendationList
+from kgrerank import CatalogGraph, ConvergenceError, Multigraph, Node, RecommendationList
 
 INF = float("inf")
 
@@ -114,6 +117,51 @@ def dense_pagerank(g, damping: float = 0.85) -> dict[str, float]:
                 M[index[t], index[v]] += len(preds) / total
     x = np.linalg.solve(np.eye(n) - damping * M, (1.0 - damping) / n * np.ones(n))
     return dict(zip(nodes, x))
+
+
+def reference_pagerank(
+    g, damping: float = 0.85, tol: float = 1e-9, max_iter: int = 200
+) -> dict[str, float]:
+    """PageRank by power iteration in pure Python, summing in node order.
+
+    Each node's contributions reach their targets in source order, and the
+    dangling mass and the L1 change are left-to-right sums.
+    """
+    nodes = list(g.node_ids())
+    n = len(nodes)
+    index = {v: i for i, v in enumerate(nodes)}
+    out_lists: list[list[tuple[int, float]]] = []
+    for v in nodes:
+        succ = g.successors(v)
+        total = sum(len(p) for p in succ.values())
+        if total == 0:
+            out_lists.append([])
+        else:
+            out_lists.append(
+                [(index[t], len(p) / total) for t, p in sorted(succ.items())]
+            )
+
+    ranks = [1.0 / n] * n
+    base = (1.0 - damping) / n
+    for _ in range(max_iter):
+        nxt = [base] * n
+        dangling = sum(ranks[i] for i in range(n) if not out_lists[i])
+        if dangling:
+            spread = damping * dangling / n
+            nxt = [x + spread for x in nxt]
+        for i, targets in enumerate(out_lists):
+            if targets:
+                r = damping * ranks[i]
+                for j, w in targets:
+                    nxt[j] += r * w
+        change = sum(abs(a - b) for a, b in zip(nxt, ranks))
+        ranks = nxt
+        if change < tol:
+            return dict(zip(nodes, ranks))
+    raise ConvergenceError(
+        f"pagerank did not converge within {max_iter} iterations",
+        dict(zip(nodes, ranks)),
+    )
 
 
 def brute_cosine_distance(a: np.ndarray, b: np.ndarray) -> float:

@@ -311,6 +311,22 @@ class TestExitCodes:
         ) == 1
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "rerank_section, finding",
+        [
+            ({"top_n": "5"}, "top_n_candidates must be an integer, got '5'"),
+            ({"metrics": "pagerank"}, "metrics must be a list of strings, got 'pagerank'"),
+        ],
+        ids=["top_n-string", "metrics-string"],
+    )
+    def test_wrong_typed_config_value_is_one(self, tmp_path, capsys, rerank_section, finding):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"rerank": rerank_section}), encoding="utf-8")
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "x")]) == 1
+        err = capsys.readouterr().err
+        assert err == f"config error: {finding}\n"
+        assert not (tmp_path / "x").exists()
+
     def test_usage_error_is_one(self):
         with pytest.raises(SystemExit) as info:
             main(["not-a-command"])

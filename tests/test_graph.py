@@ -8,7 +8,6 @@ from kgrerank import (
     Multigraph,
     NeighborhoodMode,
     Node,
-    OverlayView,
     PruneRules,
     Triple,
     build_catalog,
@@ -20,6 +19,8 @@ from kgrerank import (
     prune_graph,
     read_graph,
 )
+
+from kgrerank.metrics import compile_graph
 
 from oracles import random_catalog_with_profile
 
@@ -246,26 +247,50 @@ class TestExtendSubgraph:
                 assert ext.graph.num_edges - sg.graph.num_edges <= incident
 
 
-class TestOverlayView:
-    def test_overlay_matches_materialized_extension(self):
+def _edge_pairs(g):
+    """(source index, target index, multiplicity), counted from ``g.edges()``."""
+    index = {v: i for i, v in enumerate(g.node_ids())}
+    counts = {}
+    for source, _, target in g.edges():
+        pair = (index[source], index[target])
+        counts[pair] = counts.get(pair, 0) + 1
+    return sorted((i, j, m) for (i, j), m in counts.items())
+
+
+class TestCompiledExtension:
+    def test_extension_matches_compiled_materialized_extension(self):
         rng = random.Random(11)
         for _ in range(20):
             catalog, history, recs = random_catalog_with_profile(rng)
+            # parallel edges (same way round or reversed) and self-loops
+            for source, _, target in list(catalog.edges()):
+                if rng.random() < 0.3:
+                    catalog.add_edge(source, "alt", target)
+                if rng.random() < 0.2:
+                    catalog.add_edge(target, "rev", source)
+                if rng.random() < 0.1:
+                    catalog.add_edge(source, "self", source)
             sg = induce_profile_subgraph(catalog, history)
+            profile = compile_graph(sg.graph)
             for item, _ in recs.items:
                 for mode in (CLOSED, EDGES):
                     delta = extension_delta(sg.graph, catalog, item, mode)
-                    overlay = OverlayView(sg.graph, delta)
+                    extended = profile.extend(
+                        [node.id for node in delta.nodes],
+                        [(source, target) for source, _, target in delta.edges],
+                    )
                     solid = extend_subgraph(sg, catalog, item, mode).graph
-                    assert overlay.num_nodes == solid.num_nodes
-                    assert overlay.num_edges == solid.num_edges
-                    assert sorted(overlay.node_ids()) == sorted(solid.node_ids())
-                    assert sorted(overlay.edges()) == sorted(solid.edges())
-                    for v in solid.node_ids():
-                        assert overlay.neighbors(v) == solid.neighbors(v)
-                        assert overlay.out_degree(v) == solid.out_degree(v)
-                        assert overlay.in_degree(v) == solid.in_degree(v)
-                        assert dict(overlay.successors(v)) == dict(solid.successors(v))
+                    compiled = compile_graph(solid)
+                    assert extended.nodes == compiled.nodes == list(solid.node_ids())
+                    assert extended.src.tolist() == compiled.src.tolist()
+                    assert extended.dst.tolist() == compiled.dst.tolist()
+                    assert extended.mult.tolist() == compiled.mult.tolist()
+                    pairs = list(zip(*(a.tolist() for a in (compiled.src, compiled.dst, compiled.mult))))
+                    assert pairs == _edge_pairs(solid)
+                    assert extended.num_edges == compiled.num_edges == solid.num_edges
+                    assert (extended.adjacency == compiled.adjacency).all()
+            # extending never touches the compiled profile
+            assert compile_graph(sg.graph).mult.tolist() == profile.mult.tolist()
 
 
 class TestPruneGraph:

@@ -28,6 +28,7 @@ from oracles import (
     dense_pagerank,
     floyd_warshall,
     random_multigraph,
+    reference_pagerank,
     undirected_adjacency,
 )
 
@@ -358,6 +359,29 @@ class TestPagerank:
         g = complete_graph(3)
         with pytest.raises(MetricError, match="damping"):
             pagerank(g, damping=1.0)
+
+    @given(multigraphs(), st.floats(0.05, 0.95))
+    @settings(max_examples=150, deadline=None)
+    def test_property_equals_reference_iteration(self, g, damping):
+        # isolated nodes are dangling; self-loops and parallel edges weight
+        # the transitions; high damping may not converge within max_iter
+        def outcome(fn):
+            try:
+                return "converged", fn(g, damping=damping)
+            except ConvergenceError as exc:
+                return "diverged", exc.last_scores
+
+        assert outcome(pagerank) == outcome(reference_pagerank)
+
+    @given(multigraphs(), st.integers(1, 5))
+    @settings(max_examples=50, deadline=None)
+    def test_property_nonconvergence_equals_reference_iteration(self, g, max_iter):
+        with pytest.raises(ConvergenceError) as mine:
+            pagerank(g, tol=0.0, max_iter=max_iter)
+        with pytest.raises(ConvergenceError) as reference:
+            reference_pagerank(g, tol=0.0, max_iter=max_iter)
+        assert str(mine.value) == str(reference.value)
+        assert mine.value.last_scores == reference.value.last_scores
 
 
 class TestComputeMetric:

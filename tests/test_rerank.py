@@ -1,4 +1,3 @@
-import importlib
 import random
 
 import pytest
@@ -32,8 +31,6 @@ ASC = SortOrder.ASCENDING
 DESC = SortOrder.DESCENDING
 BETW = MetricKind.BETWEENNESS
 CLOSE = MetricKind.CLOSENESS
-# the package's ``rerank`` attribute is the function, not the module
-rerank_module = importlib.import_module("kgrerank.rerank")
 PAGERANK = MetricKind.PAGERANK
 
 
@@ -226,13 +223,16 @@ class TestBaselineMetric:
     def test_profile_node_count(self, dvs_profile):
         assert baseline_metric(dvs_profile, MetricKind.NODE_COUNT).value == 4.0
 
-    def test_cache_is_used(self, dvs_profile):
-        cache = {}
-        first = baseline_metric(dvs_profile, BETW, cache)
-        assert cache[(dvs_profile.user, BETW)] is first
-        # a cache hit returns the stored object untouched
-        again = baseline_metric(dvs_profile, BETW, cache)
-        assert again is first
+    def test_unnamed_profiles_get_their_own_baseline(self, dvs_catalog):
+        # both profiles carry the default user name ""
+        one = induce_profile_subgraph(dvs_catalog, {"t1"})
+        other = induce_profile_subgraph(dvs_catalog, {"s1"})
+        assert one.user == other.user == ""
+        assert baseline_metric(one, MetricKind.NODE_COUNT).value == 3.0
+        assert baseline_metric(other, MetricKind.NODE_COUNT).value == 2.0
+
+
+NON_PATH_KINDS = sorted(set(MetricKind) - {BETW, CLOSE}, key=lambda k: k.value)
 
 
 @st.composite
@@ -264,7 +264,7 @@ def profile_cases(draw):
     candidates = draw(st.lists(st.sampled_from(tracks), min_size=1, unique=True))
     recs = RecommendationList(user="u", items=tuple((c, 1.0) for c in candidates))
     mode = draw(st.sampled_from(list(NeighborhoodMode)))
-    extra = draw(st.lists(st.sampled_from([PAGERANK, MetricKind.NODE_COUNT]), unique=True))
+    extra = draw(st.lists(st.sampled_from(NON_PATH_KINDS), unique=True))
     kinds = draw(st.permutations([BETW, CLOSE, *extra]))
     return catalog, sg, recs, mode, kinds
 
@@ -321,14 +321,14 @@ class TestSharedEvaluation:
     def test_failing_metric_names_user_item_and_metric(
         self, monkeypatch, dvs_catalog, dvs_profile, dvs_recs
     ):
-        real = rerank_module.compute_metric
+        real = metrics_module.pagerank
 
-        def failing(view, kind):
-            if kind is PAGERANK and "d1" in view:
+        def failing(graph, *args, **kwargs):
+            if "d1" in graph.nodes:
                 raise ConvergenceError("injected failure", {})
-            return real(view, kind)
+            return real(graph, *args, **kwargs)
 
-        monkeypatch.setattr(rerank_module, "compute_metric", failing)
+        monkeypatch.setattr(metrics_module, "pagerank", failing)
         with pytest.raises(
             RerankError,
             match="pagerank evaluation failed for user 'u1', item 'd1': injected failure",
