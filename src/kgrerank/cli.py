@@ -104,116 +104,149 @@ class PipelineError(RuntimeError):
     """A stage failed; the message names the stage and the cause."""
 
 
+class ConfigError(ValueError):
+    """The config document cannot be loaded; one finding per problem."""
+
+    def __init__(self, findings: list[str]):
+        super().__init__("; ".join(findings))
+        self.findings = findings
+
+
+def _setting(default, path: str, flag: str | None = None, **argparse_extras):
+    """A RunConfig field read from the dotted JSON ``path`` and, if given, ``flag``.
+
+    ``argparse_extras`` go to ``add_argument``; ``type=int`` comes from the
+    field's annotation.
+    """
+    metadata = {"path": path, "flag": flag, "argparse": argparse_extras}
+    if isinstance(default, list):
+        return field(default_factory=lambda: list(default), metadata=metadata)
+    return field(default=default, metadata=metadata)
+
+
 @dataclass
 class RunConfig:
     """Everything one pipeline run depends on.
 
     Values load from a JSON config document first; command-line flags win.
+    Each field declares its JSON path and flag once, and both the loader and
+    the argument parser read that declaration.
     """
 
-    dataset: str = "synthetic"
-    output_dir: str = "runs/out"
-    seed: int = 42
-    parallelism: int | None = None  # None: one worker per available CPU
+    dataset: str = _setting(
+        "synthetic", "dataset.kind", "--dataset", choices=DATASETS
+    )
+    output_dir: str = _setting(
+        "runs/out", "output_dir", "--out", help="output directory"
+    )
+    seed: int = _setting(42, "seed", "--seed")
+    # None: one worker per available CPU
+    parallelism: int | None = _setting(None, "parallelism", "--parallelism")
 
     # dataset inputs
-    events_path: str | None = None
-    features_path: str | None = None
-    genres_path: str | None = None
-    titles_path: str | None = None
+    events_path: str | None = _setting(None, "dataset.events", "--events")
+    features_path: str | None = _setting(None, "dataset.features", "--features")
+    genres_path: str | None = _setting(None, "dataset.genres", "--genres")
+    titles_path: str | None = _setting(None, "dataset.titles", "--titles")
 
     # lastfm user sampling (disabled unless sample_users is set)
-    sample_users: int | None = None
-    min_unique_tracks: int = 100
+    sample_users: int | None = _setting(None, "dataset.sample_users")
+    min_unique_tracks: int = _setting(100, "dataset.min_unique_tracks")
 
     # netflix synthetic profiles and split
-    profile_count: int = 88
-    profile_min_items: int = 5
-    profile_max_items: int = 55
-    split_ratio: float = 0.9
-    prune_degree_one: bool = True
-    prune_label_entities: bool = False
-    prune_schema_nodes: bool = False
+    profile_count: int = _setting(88, "dataset.profiles.count")
+    profile_min_items: int = _setting(5, "dataset.profiles.min_items")
+    profile_max_items: int = _setting(55, "dataset.profiles.max_items")
+    split_ratio: float = _setting(0.9, "dataset.split_ratio")
+    prune_degree_one: bool = _setting(True, "dataset.prune.degree_one")
+    prune_label_entities: bool = _setting(False, "dataset.prune.label_entities")
+    prune_schema_nodes: bool = _setting(False, "dataset.prune.schema")
 
     # self-contained synthetic dataset
-    synth_tracks: int = 200
-    synth_users: int = 20
-    synth_history: int = 24
-    synth_minority_share: float = 0.1
+    synth_tracks: int = _setting(200, "dataset.synthetic.tracks")
+    synth_users: int = _setting(20, "dataset.synthetic.users")
+    synth_history: int = _setting(24, "dataset.synthetic.history")
+    synth_minority_share: float = _setting(0.1, "dataset.synthetic.minority_share")
 
     # recommender
-    recommender: str = "baseline"
-    external_recs_path: str | None = None
-    knn_k: int = 40
+    recommender: str = _setting(
+        "baseline", "recommender.kind", "--recommender", choices=RECOMMENDERS
+    )
+    external_recs_path: str | None = _setting(
+        None, "recommender.external_path", "--external-recs"
+    )
+    knn_k: int = _setting(40, "recommender.knn_k", "--knn-k")
 
     # rerank and evaluation
-    metrics: list[str] = field(default_factory=lambda: ["betweenness"])
-    orders: list[str] = field(default_factory=lambda: ["asc"])
-    mode: str = "closed"
-    top_n_candidates: int = 100
-    eval_k: int = 10
+    metrics: list[str] = _setting(
+        ["betweenness"], "rerank.metrics", "--metric",
+        action="append", help="metric to rerank by; repeatable",
+    )
+    orders: list[str] = _setting(
+        ["asc"], "rerank.orders", "--order",
+        action="append", choices=ORDERS, help="sort order; repeatable",
+    )
+    mode: str = _setting(
+        "closed", "rerank.mode", "--mode", choices=MODES, help="neighborhood mode"
+    )
+    top_n_candidates: int = _setting(100, "rerank.top_n", "--top-n")
+    eval_k: int = _setting(10, "evaluation.k", "--k")
 
     @classmethod
-    def from_dict(cls, data: dict) -> "RunConfig":
+    def from_dict(cls, data) -> "RunConfig":
+        """Load a nested config document; raise ConfigError on any bad key.
+
+        A section with a ``kind`` key may also be given as the kind alone, as
+        in ``"dataset": "synthetic"``. Values are not type-checked here; that
+        is ``validate_config``'s job.
+        """
+        if not isinstance(data, dict):
+            raise ConfigError([f"config must be a JSON object, got {data!r}"])
         cfg = cls()
-        dataset = data.get("dataset", {})
-        if isinstance(dataset, str):  # allow the flat spelling
-            cfg.dataset = dataset
-        else:
-            cfg.dataset = dataset.get("kind", cfg.dataset)
-            cfg.events_path = dataset.get("events", cfg.events_path)
-            cfg.features_path = dataset.get("features", cfg.features_path)
-            cfg.genres_path = dataset.get("genres", cfg.genres_path)
-            cfg.titles_path = dataset.get("titles", cfg.titles_path)
-            cfg.sample_users = dataset.get("sample_users", cfg.sample_users)
-            cfg.min_unique_tracks = dataset.get(
-                "min_unique_tracks", cfg.min_unique_tracks
-            )
-            profiles = dataset.get("profiles", {})
-            cfg.profile_count = profiles.get("count", cfg.profile_count)
-            cfg.profile_min_items = profiles.get("min_items", cfg.profile_min_items)
-            cfg.profile_max_items = profiles.get("max_items", cfg.profile_max_items)
-            cfg.split_ratio = dataset.get("split_ratio", cfg.split_ratio)
-            prune = dataset.get("prune", {})
-            cfg.prune_degree_one = prune.get("degree_one", cfg.prune_degree_one)
-            cfg.prune_label_entities = prune.get(
-                "label_entities", cfg.prune_label_entities
-            )
-            cfg.prune_schema_nodes = prune.get("schema", cfg.prune_schema_nodes)
-            synthetic = dataset.get("synthetic", {})
-            cfg.synth_tracks = synthetic.get("tracks", cfg.synth_tracks)
-            cfg.synth_users = synthetic.get("users", cfg.synth_users)
-            cfg.synth_history = synthetic.get("history", cfg.synth_history)
-            cfg.synth_minority_share = synthetic.get(
-                "minority_share", cfg.synth_minority_share
-            )
-        recommender = data.get("recommender", {})
-        if isinstance(recommender, str):
-            cfg.recommender = recommender
-        else:
-            cfg.recommender = recommender.get("kind", cfg.recommender)
-            cfg.external_recs_path = recommender.get(
-                "external_path", cfg.external_recs_path
-            )
-            cfg.knn_k = recommender.get("knn_k", cfg.knn_k)
-        rerank_section = data.get("rerank", {})
-        cfg.metrics = rerank_section.get("metrics", cfg.metrics)
-        cfg.orders = rerank_section.get("orders", cfg.orders)
-        cfg.mode = rerank_section.get("mode", cfg.mode)
-        cfg.top_n_candidates = rerank_section.get("top_n", cfg.top_n_candidates)
-        cfg.eval_k = data.get("evaluation", {}).get("k", cfg.eval_k)
-        cfg.seed = data.get("seed", cfg.seed)
-        cfg.parallelism = data.get("parallelism", cfg.parallelism)
-        cfg.output_dir = data.get("output_dir", cfg.output_dir)
+        findings: list[str] = []
+
+        def walk(section: dict, prefix: str) -> None:
+            for key, value in section.items():
+                path = prefix + key
+                if path in _FIELDS_BY_PATH:
+                    setattr(cfg, _FIELDS_BY_PATH[path].name, value)
+                elif path not in _SECTIONS:
+                    findings.append(f"unknown config key {path}")
+                elif isinstance(value, dict):
+                    walk(value, path + ".")
+                elif isinstance(value, str) and f"{path}.kind" in _FIELDS_BY_PATH:
+                    walk({"kind": value}, path + ".")
+                else:
+                    findings.append(f"{path} must be an object, got {value!r}")
+
+        walk(data, "")
+        if findings:
+            raise ConfigError(findings)
         return cfg
 
     @classmethod
     def from_file(cls, path) -> "RunConfig":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+        try:
+            with open(path, encoding="utf-8") as fh:
+                data = json.load(fh)
+        except OSError as exc:
+            raise ConfigError([f"cannot read {path}: {exc.strerror}"]) from None
+        except ValueError as exc:  # malformed JSON or not UTF-8
+            raise ConfigError([f"cannot parse {path}: {exc}"]) from None
+        return cls.from_dict(data)
 
     def to_dict(self) -> dict:
         return asdict(self)
+
+
+_FIELDS_BY_PATH = {f.metadata["path"]: f for f in fields(RunConfig)}
+# every proper prefix of a path, such as "dataset" and "dataset.profiles"
+_SECTIONS = {
+    path.rsplit(".", i)[0]
+    for path in _FIELDS_BY_PATH
+    for i in range(1, path.count(".") + 1)
+}
+_FLAGGED = [f for f in fields(RunConfig) if f.metadata["flag"]]
 
 
 # RunConfig annotation -> (accepted types, what a finding says is expected)
@@ -242,6 +275,16 @@ def _type_findings(cfg: RunConfig) -> list[str]:
         if not ok:
             findings.append(f"{f.name} must be {expected}, got {value!r}")
     return findings
+
+
+def _synthetic_config(cfg: RunConfig) -> SyntheticConfig:
+    return SyntheticConfig(
+        n_tracks=cfg.synth_tracks,
+        n_users=cfg.synth_users,
+        history_size=cfg.synth_history,
+        minority_share=cfg.synth_minority_share,
+        seed=cfg.seed,
+    )
 
 
 def validate_config(cfg: RunConfig) -> list[str]:
@@ -307,13 +350,7 @@ def validate_config(cfg: RunConfig) -> list[str]:
             findings.append(f"split_ratio must lie in (0, 1), got {cfg.split_ratio}")
     if cfg.dataset == "synthetic":
         try:
-            SyntheticConfig(
-                n_tracks=cfg.synth_tracks,
-                n_users=cfg.synth_users,
-                history_size=cfg.synth_history,
-                minority_share=cfg.synth_minority_share,
-                seed=cfg.seed,
-            )
+            _synthetic_config(cfg)
         except ValueError as exc:
             findings.append(str(exc))
     if cfg.recommender == "external":
@@ -343,13 +380,8 @@ def _sha256_file(path) -> str:
 
 def write_manifest(cfg: RunConfig) -> None:
     inputs = {}
-    for path in (
-        cfg.events_path,
-        cfg.features_path,
-        cfg.genres_path,
-        cfg.titles_path,
-        cfg.external_recs_path,
-    ):
+    paths = (getattr(cfg, f.name) for f in fields(cfg) if f.name.endswith("_path"))
+    for path in paths:
         if path and Path(path).exists():
             inputs[str(path)] = _sha256_file(path)
     manifest = {
@@ -426,15 +458,7 @@ def stage_ingest(cfg: RunConfig) -> None:
     out.mkdir(parents=True, exist_ok=True)
 
     if cfg.dataset == "synthetic":
-        merged = make_synthetic_dataset(
-            SyntheticConfig(
-                n_tracks=cfg.synth_tracks,
-                n_users=cfg.synth_users,
-                history_size=cfg.synth_history,
-                minority_share=cfg.synth_minority_share,
-                seed=cfg.seed,
-            )
-        )
+        merged = make_synthetic_dataset(_synthetic_config(cfg))
         catalog = build_catalog(merged.triples)
         interactions = merged.interactions
         profiles = _profiles_from_interactions(interactions)
@@ -751,56 +775,19 @@ class _Parser(argparse.ArgumentParser):
 
 def _add_common_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="JSON config file; flags override it")
-    parser.add_argument("--dataset", choices=DATASETS)
-    parser.add_argument("--out", dest="output_dir", help="output directory")
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--parallelism", type=int)
-    parser.add_argument("--recommender", choices=RECOMMENDERS)
-    parser.add_argument(
-        "--metric", action="append", dest="metrics",
-        help="metric to rerank by; repeatable",
-    )
-    parser.add_argument(
-        "--order", action="append", dest="orders", choices=ORDERS,
-        help="sort order; repeatable",
-    )
-    parser.add_argument("--mode", choices=MODES, help="neighborhood mode")
-    parser.add_argument("--top-n", type=int, dest="top_n_candidates")
-    parser.add_argument("--k", type=int, dest="eval_k")
-    parser.add_argument("--events", dest="events_path")
-    parser.add_argument("--features", dest="features_path")
-    parser.add_argument("--genres", dest="genres_path")
-    parser.add_argument("--titles", dest="titles_path")
-    parser.add_argument("--external-recs", dest="external_recs_path")
-    parser.add_argument("--knn-k", type=int, dest="knn_k")
-
-
-_OVERRIDABLE = (
-    "dataset",
-    "output_dir",
-    "seed",
-    "parallelism",
-    "recommender",
-    "metrics",
-    "orders",
-    "mode",
-    "top_n_candidates",
-    "eval_k",
-    "events_path",
-    "features_path",
-    "genres_path",
-    "titles_path",
-    "external_recs_path",
-    "knn_k",
-)
+    for f in _FLAGGED:
+        extras = f.metadata["argparse"]
+        if f.type.startswith("int"):
+            extras = {"type": int, **extras}
+        parser.add_argument(f.metadata["flag"], dest=f.name, **extras)
 
 
 def _build_config(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig.from_file(args.config) if args.config else RunConfig()
-    for name in _OVERRIDABLE:
-        value = getattr(args, name, None)
+    for f in _FLAGGED:
+        value = getattr(args, f.name)
         if value is not None:
-            setattr(cfg, name, value)
+            setattr(cfg, f.name, value)
     return cfg
 
 
@@ -817,8 +804,12 @@ def main(argv=None) -> int:
     _add_common_arguments(subparsers.add_parser("run", help="all stages in order"))
 
     args = parser.parse_args(argv)
-    cfg = _build_config(args)
-    findings = validate_config(cfg)
+    try:
+        cfg = _build_config(args)
+    except ConfigError as exc:
+        findings = exc.findings
+    else:
+        findings = validate_config(cfg)
     if findings:
         for finding in findings:
             print(f"config error: {finding}", file=sys.stderr)

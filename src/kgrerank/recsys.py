@@ -69,9 +69,6 @@ class RatingMatrix:
     def has_user(self, user: str) -> bool:
         return user in self._by_user
 
-    def has_item(self, item: str) -> bool:
-        return item in self._by_item
-
     def rating(self, user: str, item: str) -> float | None:
         return self._by_user.get(user, {}).get(item)
 
@@ -90,10 +87,6 @@ class RatingMatrix:
     def rated_items(self) -> set[str]:
         """Items carrying at least one rating from anyone."""
         return set(self._by_item)
-
-    @property
-    def n_ratings(self) -> int:
-        return sum(len(row) for row in self._by_user.values())
 
 
 def scale_ratings(interactions: Iterable[Interaction]) -> RatingMatrix:

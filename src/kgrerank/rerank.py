@@ -219,7 +219,3 @@ def rerank(
     baseline = baseline_metric(sg, cfg.metric)
     evaluations = evaluate_candidates(catalog, sg, recs, cfg.metric, cfg.mode)
     return rank_candidates(evaluations, baseline, cfg.order, cfg.top_n)
-
-
-def ranked_item_ids(ranked: Sequence[RankedItem]) -> list[str]:
-    return [r.item for r in ranked]

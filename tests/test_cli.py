@@ -1,3 +1,4 @@
+import argparse
 import json
 
 import pytest
@@ -21,6 +22,8 @@ from kgrerank.cli import (
     run_pipeline,
     trec_run_name,
     validate_config,
+    _add_common_arguments,
+    _build_config,
 )
 from kgrerank.rerank import RecommendationList
 
@@ -125,6 +128,116 @@ class TestRunConfigParsing:
         assert cfg.seed == 99
         assert cfg.parallelism == 2
         assert cfg.output_dir == "somewhere"
+
+    def test_flat_kind_spellings(self):
+        cfg = RunConfig.from_dict({"dataset": "synthetic", "recommender": "baseline"})
+        assert (cfg.dataset, cfg.recommender) == ("synthetic", "baseline")
+        cfg = RunConfig.from_dict({"dataset": "netflix", "recommender": "itemknn"})
+        assert (cfg.dataset, cfg.recommender) == ("netflix", "itemknn")
+
+    def test_every_field_round_trips_through_its_path(self):
+        doc = {
+            "dataset": {
+                "kind": "lastfm",
+                "events": "e.tsv",
+                "features": "f.csv",
+                "genres": "g.csv",
+                "titles": "t.csv",
+                "sample_users": 7,
+                "min_unique_tracks": 3,
+                "profiles": {"count": 9, "min_items": 2, "max_items": 4},
+                "split_ratio": 0.5,
+                "prune": {"degree_one": False, "label_entities": True, "schema": True},
+                "synthetic": {
+                    "tracks": 30, "users": 5, "history": 6, "minority_share": 0.3,
+                },
+            },
+            "recommender": {"kind": "external", "external_path": "x.run", "knn_k": 8},
+            "rerank": {
+                "metrics": ["pagerank"],
+                "orders": ["desc"],
+                "mode": "edges",
+                "top_n": 11,
+            },
+            "evaluation": {"k": 4},
+            "seed": 5,
+            "parallelism": 3,
+            "output_dir": "elsewhere",
+        }
+        expected = {
+            "dataset": "lastfm",
+            "events_path": "e.tsv",
+            "features_path": "f.csv",
+            "genres_path": "g.csv",
+            "titles_path": "t.csv",
+            "sample_users": 7,
+            "min_unique_tracks": 3,
+            "profile_count": 9,
+            "profile_min_items": 2,
+            "profile_max_items": 4,
+            "split_ratio": 0.5,
+            "prune_degree_one": False,
+            "prune_label_entities": True,
+            "prune_schema_nodes": True,
+            "synth_tracks": 30,
+            "synth_users": 5,
+            "synth_history": 6,
+            "synth_minority_share": 0.3,
+            "recommender": "external",
+            "external_recs_path": "x.run",
+            "knn_k": 8,
+            "metrics": ["pagerank"],
+            "orders": ["desc"],
+            "mode": "edges",
+            "top_n_candidates": 11,
+            "eval_k": 4,
+            "seed": 5,
+            "parallelism": 3,
+            "output_dir": "elsewhere",
+        }
+        defaults = RunConfig().to_dict()
+        assert set(expected) == set(defaults)
+        assert all(expected[name] != defaults[name] for name in expected)
+        assert RunConfig.from_dict(doc).to_dict() == expected
+
+    def test_every_flag_sets_its_field(self, tmp_path):
+        parser = argparse.ArgumentParser()
+        _add_common_arguments(parser)
+        args = parser.parse_args([
+            "--dataset", "lastfm", "--out", "elsewhere", "--seed", "5",
+            "--parallelism", "3", "--recommender", "external",
+            "--metric", "pagerank", "--metric", "closeness", "--order", "desc",
+            "--mode", "edges", "--top-n", "11", "--k", "4",
+            "--events", "e.tsv", "--features", "f.csv", "--genres", "g.csv",
+            "--titles", "t.csv", "--external-recs", "x.run", "--knn-k", "8",
+        ])
+        flags = {
+            "dataset": "lastfm",
+            "output_dir": "elsewhere",
+            "seed": 5,
+            "parallelism": 3,
+            "recommender": "external",
+            "metrics": ["pagerank", "closeness"],
+            "orders": ["desc"],
+            "mode": "edges",
+            "top_n_candidates": 11,
+            "eval_k": 4,
+            "events_path": "e.tsv",
+            "features_path": "f.csv",
+            "genres_path": "g.csv",
+            "titles_path": "t.csv",
+            "external_recs_path": "x.run",
+            "knn_k": 8,
+        }
+        assert vars(args) == {"config": None, **flags}
+        # flags win over the config file; fields without a flag keep its value
+        config = tmp_path / "cfg.json"
+        doc = {"seed": 1, "rerank": {"top_n": 2}, "dataset": {"sample_users": 6}}
+        config.write_text(json.dumps(doc), encoding="utf-8")
+        args.config = str(config)
+        cfg = _build_config(args)
+        assert {name: getattr(cfg, name) for name in flags} == flags
+        assert cfg.sample_users == 6
 
     def test_config_hash_tracks_content(self, tmp_path):
         a = synth_config(tmp_path)
@@ -325,6 +438,47 @@ class TestExitCodes:
         assert main(["run", "--config", str(config), "--out", str(tmp_path / "x")]) == 1
         err = capsys.readouterr().err
         assert err == f"config error: {finding}\n"
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize(
+        "text, finding",
+        [
+            ('{"rerank": 5}', "rerank must be an object, got 5"),
+            ('{"dataset": null}', "dataset must be an object, got None"),
+            ('{"dataset": {"profiles": 3}}', "dataset.profiles must be an object, got 3"),
+            ("[1, 2]", "config must be a JSON object, got [1, 2]"),
+            ('{"seed": 1,', "cannot parse "),
+            (None, "cannot read "),
+        ],
+        ids=["section-int", "section-null", "subsection-int", "list-document",
+             "malformed-json", "missing-file"],
+    )
+    def test_unloadable_config_is_one(self, tmp_path, capsys, text, finding):
+        config = tmp_path / "cfg.json"
+        if text is not None:
+            config.write_text(text, encoding="utf-8")
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "x")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {finding}")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "x").exists()
+
+    def test_unknown_config_keys_are_one(self, tmp_path, capsys):
+        config = tmp_path / "cfg.json"
+        config.write_text(
+            json.dumps({
+                "rerank": {"topn": 5},
+                "bogus": 1,
+                "dataset": {"kind": "synthetic", "synthetic": {"trakcs": 3}},
+            }),
+            encoding="utf-8",
+        )
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "x")]) == 1
+        assert capsys.readouterr().err == (
+            "config error: unknown config key rerank.topn\n"
+            "config error: unknown config key bogus\n"
+            "config error: unknown config key dataset.synthetic.trakcs\n"
+        )
         assert not (tmp_path / "x").exists()
 
     def test_usage_error_is_one(self):
