@@ -440,12 +440,21 @@ def _write_features(features: dict[str, FeatureVector], path) -> None:
 
 
 def _read_features(path) -> dict[str, FeatureVector]:
+    """Read a workspace features file; a bad row is named by line and item."""
     out = {}
     with open(path, encoding="utf-8", newline="") as fh:
-        for row in csv.DictReader(fh):
-            out[row["item"]] = FeatureVector.from_iterable(
-                float(row[name]) for name in FEATURE_NAMES
-            )
+        reader = csv.DictReader(fh)
+        for row in reader:
+            item = row["item"]
+            try:
+                values = [float(row[name]) for name in FEATURE_NAMES]
+                if not any(values):
+                    raise ValueError("all-zero vector has no cosine distance")
+                out[item] = FeatureVector.from_iterable(values)
+            except (TypeError, ValueError) as exc:
+                raise ValueError(
+                    f"{path}:{reader.line_num}: item {item!r}: {exc}"
+                ) from None
     return out
 
 
@@ -680,56 +689,44 @@ def stage_evaluate(cfg: RunConfig) -> None:
         _read_features(out / FEATURES) if (out / FEATURES).exists() else None
     )
     k = cfg.eval_k
+    reranked = {
+        (metric_name, order_name): load_external_recommendations(
+            out / rerank_run_name(metric_name, order_name)
+        )
+        for metric_name in cfg.metrics
+        for order_name in cfg.orders
+    }
 
     rows: list[EvalRow] = []
-    trec_rankings: dict[tuple[str, str], dict[str, list[str]]] = {}
-    for metric_name in cfg.metrics:
-        for order_name in cfg.orders:
-            run_path = out / rerank_run_name(metric_name, order_name)
-            reranked = load_external_recommendations(run_path)
-            trec_rankings[(metric_name, order_name)] = {
-                user: list(lst.item_ids()) for user, lst in reranked.items()
-            }
-            for user in sorted(base_lists):
-                if user not in reranked:
-                    continue
-                ranked_ids = list(reranked[user].item_ids())
-                ndcg = ndcg_at_k(base_lists[user], ranked_ids, k)
-                ild_value = unexp_value = None
-                if features is not None:
-                    top_vectors = lookup_features(ranked_ids[:k], features)
-                    history_vectors = lookup_features(
-                        profiles[user]["history"], features
-                    )
-                    ild_value = ild(top_vectors)
-                    unexp_value = unexpectedness(history_vectors, top_vectors)
-                rows.append(
-                    EvalRow(user, metric_name, order_name, ild_value, unexp_value, ndcg)
-                )
-
     for user in sorted(base_lists):
-        base_ids = list(base_lists[user].item_ids())
-        ild_value = unexp_value = None
-        if features is not None:
-            base_vectors = lookup_features(base_ids[:k], features)
-            history_vectors = lookup_features(profiles[user]["history"], features)
-            ild_value = ild(base_vectors)
-            unexp_value = unexpectedness(history_vectors, base_vectors)
-            rows.append(
-                EvalRow(user, "profile", "-", ild(history_vectors), None, None)
-            )
-        rows.append(
-            EvalRow(
-                user, "base", "-", ild_value, unexp_value,
-                ndcg_at_k(base_lists[user], base_ids, k),
-            )
-        )
+        base = base_lists[user]
+        lists = [("base", "-", base)] + [
+            (*combo, by_user[user]) for combo, by_user in reranked.items()
+            if user in by_user
+        ]
+        try:
+            history = None
+            if features is not None:
+                history = lookup_features(profiles[user]["history"], features)
+                rows.append(EvalRow(user, "profile", "-", ild(history), None, None))
+            for metric_name, order_name, ranked in lists:
+                ranked_ids = list(ranked.item_ids())
+                ild_value = unexp_value = None
+                if history is not None:
+                    top = lookup_features(ranked_ids[:k], features)
+                    ild_value, unexp_value = ild(top), unexpectedness(history, top)
+                rows.append(EvalRow(
+                    user, metric_name, order_name, ild_value, unexp_value,
+                    ndcg_at_k(base, ranked_ids, k),
+                ))
+        except (KeyError, ValueError) as exc:
+            raise ValueError(f"user {user!r}: {exc.args[0]}") from exc
 
     emit_report(rows, out / REPORT, out / REPORT_SUMMARY)
     write_qrels(base_lists, k, out / QRELS)
-    for (metric_name, order_name), rankings in sorted(trec_rankings.items()):
+    for (metric_name, order_name), by_user in sorted(reranked.items()):
         write_trec_run(
-            rankings,
+            {user: list(lst.item_ids()) for user, lst in by_user.items()},
             tag=f"{metric_name}_{order_name}",
             path=out / trec_run_name(metric_name, order_name),
         )

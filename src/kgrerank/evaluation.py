@@ -5,6 +5,19 @@ acoustic feature vectors with cosine distance; agreement between a re-ranked
 list and its base list is measured with nDCG@k where the base ranking itself
 provides the relevance grades. Report emission is deterministic so output
 files can be compared byte for byte.
+
+Float contract: each distance is an entry of one product
+(``_distance_matrix``) and equals the per-pair formula
+``1 - (a @ b) / (norm(a) * norm(b))`` on fresh 1-D arrays, clipped to [0, 1],
+bit for bit. ILD adds the off-diagonal entries in row-major order
+sequentially (``np.cumsum``; ``np.sum`` adds pairwise) and unexpectedness adds
+its (recommendation, history) block with built-in ``sum``, as the per-pair
+loops did. With OpenBLAS 0.3.31 (Haswell kernels), ``X @ X.T`` (syrk) and one
+row at a time (gemv) differ from the per-pair dot on about 3% and 43% of
+pairs, and unpadded gemm in the tail rows and columns of large n (from 193 on
+some inputs) not a multiple of 8; rows zero-padded to a multiple of 8, times a
+copy of their transpose (gemm), differ on none for any n from 1 to 419.
+``tests/test_evaluation.py`` pins this; another BLAS may need another product.
 """
 
 from __future__ import annotations
@@ -12,7 +25,6 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -52,18 +64,6 @@ class FeatureVector:
     def as_array(self) -> np.ndarray:
         return np.array([getattr(self, name) for name in FEATURE_NAMES])
 
-    # built on first use and kept: ild and unexpectedness reuse every vector
-    # many times, and cosine_distance then only takes the dot product
-    @cached_property
-    def _array(self) -> np.ndarray:
-        array = self.as_array()
-        array.setflags(write=False)
-        return array
-
-    @cached_property
-    def _norm(self) -> np.float64:
-        return np.linalg.norm(self._array)
-
     @classmethod
     def from_iterable(cls, values: Iterable[float]) -> "FeatureVector":
         values = tuple(float(v) for v in values)
@@ -74,12 +74,22 @@ class FeatureVector:
         return cls(*values)
 
 
+def _distance_matrix(vectors: Sequence[FeatureVector]) -> np.ndarray:
+    """Clipped cosine distances of all pairs; padded as the float contract says."""
+    n = len(vectors)
+    rows = np.zeros((-(-n // 8) * 8, len(FEATURE_NAMES)))
+    rows[:n] = [v.as_array() for v in vectors]
+    dots = (rows @ rows.T.copy())[:n, :n]
+    norms = np.sqrt(dots.diagonal())
+    scale = np.multiply.outer(norms, norms)
+    if not scale.all():
+        raise ValueError("cosine distance is undefined for a zero-norm vector")
+    return np.clip(1.0 - dots / scale, 0.0, 1.0)
+
+
 def cosine_distance(a: FeatureVector, b: FeatureVector) -> float:
     """1 - cosine similarity; in [0, 1] for the non-negative vectors used here."""
-    norm = float(a._norm * b._norm)
-    if norm == 0.0:
-        raise ValueError("cosine distance is undefined for a zero-norm vector")
-    return min(1.0, max(0.0, 1.0 - float(a._array @ b._array) / norm))
+    return float(_distance_matrix([a, b])[0, 1])
 
 
 def ild(items: Sequence[FeatureVector]) -> float:
@@ -90,12 +100,8 @@ def ild(items: Sequence[FeatureVector]) -> float:
     n = len(items)
     if n <= 1:
         return 0.0
-    total = 0.0
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                total += cosine_distance(items[i], items[j])
-    return total / (n * (n - 1))
+    distances = _distance_matrix(items)[~np.eye(n, dtype=bool)]
+    return float(np.cumsum(distances)[-1]) / (n * (n - 1))
 
 
 def unexpectedness(
@@ -106,8 +112,9 @@ def unexpectedness(
         raise ValueError("unexpectedness requires a non-empty history")
     if not recs:
         raise ValueError("unexpectedness requires a non-empty recommendation list")
-    total = sum(cosine_distance(r, h) for r in recs for h in history)
-    return total / (len(recs) * len(history))
+    r = len(recs)
+    block = _distance_matrix([*recs, *history])[:r, r:]
+    return sum(block.ravel().tolist()) / (r * len(history))
 
 
 def lookup_features(

@@ -315,12 +315,13 @@ def induce_profile_subgraph(
     endpoints included.
     """
     history_set = frozenset(history)
+    owner = f"user {user!r}: " if user else ""
     node_set: set[str] = set()
     for item in sorted(history_set):
         if item not in catalog:
-            raise GraphError(f"history item {item!r} not in catalog")
+            raise GraphError(f"{owner}history item {item!r} not in catalog")
         if not catalog.is_recommendable(item):
-            raise GraphError(f"history item {item!r} is not recommendable")
+            raise GraphError(f"{owner}history item {item!r} is not recommendable")
         node_set.add(item)
         node_set.update(catalog.neighbors(item))
 

@@ -512,6 +512,59 @@ class TestExitCodes:
         )
         assert (out / "_STALE").exists()
 
+    @staticmethod
+    def _evaluate_with_features(tmp_path, capsys, edit):
+        """Run the pipeline, pass features.csv's lines through ``edit``, then
+        run evaluate again; returns its exit code and standard error."""
+        cfg = synth_config(tmp_path)
+        run_pipeline(cfg)
+        out = tmp_path / "out"
+        path = out / "features.csv"
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        path.write_text("".join(edit(lines)), encoding="utf-8")
+        capsys.readouterr()
+        code = main(
+            ["evaluate", "--dataset", "synthetic", "--out", str(out),
+             "--metric", "node_count", "--order", "asc", "--k", "5"]
+        )
+        return code, capsys.readouterr().err
+
+    def test_missing_feature_vector_names_user_and_item(self, tmp_path, capsys):
+        found = {}
+
+        def drop_first_recommended(lines):
+            first = (tmp_path / "out" / BASE_RUN).read_text(encoding="utf-8").split()
+            found.update(user=first[0], item=first[2])
+            return [line for line in lines if not line.startswith(first[2] + ",")]
+
+        code, err = self._evaluate_with_features(tmp_path, capsys, drop_first_recommended)
+        assert code == 2
+        assert (
+            f"stage evaluate failed: user {found['user']!r}: "
+            f"no feature vector for item {found['item']!r}\n"
+        ) in err
+
+    @pytest.mark.parametrize(
+        "values, reason",
+        [
+            ("0.0," * 7 + "0.0", "all-zero vector has no cosine distance"),
+            ("nan," + "0.5," * 6 + "0.5", "feature danceability = nan outside [0, 1]"),
+        ],
+    )
+    def test_bad_feature_row_names_line_and_item(self, tmp_path, capsys, values, reason):
+        found = {}
+
+        def replace_third_row(lines):
+            found["item"] = lines[3].split(",")[0]
+            return [*lines[:3], f"{found['item']},{values}\n", *lines[4:]]
+
+        code, err = self._evaluate_with_features(tmp_path, capsys, replace_third_row)
+        features = tmp_path / "out" / "features.csv"
+        assert code == 2
+        assert (
+            f"stage evaluate failed: {features}:4: item {found['item']!r}: {reason}\n"
+        ) in err
+
     def test_successful_run_is_zero(self, tmp_path):
         code = main(
             ["run", "--dataset", "synthetic", "--out", str(tmp_path / "ok"),

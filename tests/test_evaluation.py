@@ -19,6 +19,7 @@ from kgrerank import (
     write_trec_run,
 )
 
+from kgrerank.evaluation import _distance_matrix
 from oracles import brute_ild, brute_ndcg, brute_unexpectedness
 
 
@@ -44,6 +45,55 @@ def random_vectors(rng, n):
 feature_values = st.lists(
     st.floats(0.01, 1.0, allow_nan=False), min_size=8, max_size=8
 )
+
+
+# the per-pair formula on fresh 1-D arrays, as computed before the distance
+# matrix; ild and unexpectedness must equal these sums bit for bit
+def fresh_distance(xa, xb):
+    norm = float(np.linalg.norm(xa) * np.linalg.norm(xb))
+    return min(1.0, max(0.0, 1.0 - float(xa @ xb) / norm))
+
+
+def fresh_ild(items):
+    arrays = [v.as_array() for v in items]
+    n = len(arrays)
+    if n <= 1:
+        return 0.0
+    total = 0.0
+    for i in range(n):
+        for j in range(n):
+            if i != j:
+                total += fresh_distance(arrays[i], arrays[j])
+    return total / (n * (n - 1))
+
+
+def fresh_unexpectedness(history, recs):
+    h_arrays = [v.as_array() for v in history]
+    r_arrays = [v.as_array() for v in recs]
+    total = sum(fresh_distance(r, h) for r in r_arrays for h in h_arrays)
+    return total / (len(recs) * len(history))
+
+
+def feature_like_vectors(rng, n):
+    """Vectors shaped like the workload features: exact zeros and ones among
+    uniform and 3-decimal values, never all-zero."""
+    out = []
+    while len(out) < n:
+        values = [
+            rng.choice((0.0, 1.0, rng.random(), round(rng.random(), 3)))
+            for _ in range(8)
+        ]
+        if any(values):
+            out.append(fv(*values))
+    return out
+
+
+# matrix sizes for the exact tests: unpadded, the BLAS product differs from the
+# per-pair dot in the tail rows and columns of large sizes not a multiple of 8
+EXACT_SIZES = (1, 2, 7, 9, 191, 193, 250, 257, 419)
+
+feature_or_zero = st.one_of(st.just(0.0), st.floats(0.01, 1.0))
+nonzero_vectors = st.lists(feature_or_zero, min_size=8, max_size=8).filter(any)
 
 
 class TestFeatureVector:
@@ -86,17 +136,11 @@ class TestCosineDistance:
         assert 0.0 <= d <= 1.0
         assert d == pytest.approx(cosine_distance(vb, va), abs=1e-12)
 
-    @given(feature_values, feature_values)
+    @given(nonzero_vectors, nonzero_vectors)
     @settings(max_examples=100, deadline=None)
-    def test_cached_equals_uncached(self, a, b):
-        # the formula on freshly built arrays, as computed before caching
+    def test_equals_fresh_array_formula(self, a, b):
         va, vb = fv(*a), fv(*b)
-        xa, xb = va.as_array(), vb.as_array()
-        norm = float(np.linalg.norm(xa) * np.linalg.norm(xb))
-        fresh = min(1.0, max(0.0, 1.0 - float(xa @ xb) / norm))
-        assert cosine_distance(va, vb) == fresh
-        # a second call reads the cache
-        assert cosine_distance(va, vb) == fresh
+        assert cosine_distance(va, vb) == fresh_distance(va.as_array(), vb.as_array())
 
 
 class TestIld:
@@ -248,6 +292,50 @@ class TestBruteForceAgreement:
             assert ndcg_at_k(base, reranked, k) == pytest.approx(
                 brute_ndcg(ids, reranked, k), abs=1e-12
             )
+
+
+class TestExactAgainstPerPairSums:
+    @pytest.mark.parametrize("n", EXACT_SIZES)
+    def test_ild(self, n):
+        vectors = feature_like_vectors(random.Random(n), n)
+        assert ild(vectors) == fresh_ild(vectors)
+
+    @pytest.mark.parametrize("n", [n for n in EXACT_SIZES if n > 1])
+    def test_unexpectedness(self, n):
+        # n rows in the matrix: a ten-item list and its history, and a list
+        # against a one-item history
+        vectors = feature_like_vectors(random.Random(1000 + n), n)
+        for r in (min(10, n - 1), n - 1):
+            recs, history = vectors[:r], vectors[r:]
+            assert unexpectedness(history, recs) == fresh_unexpectedness(history, recs)
+
+    @pytest.mark.parametrize("n", EXACT_SIZES)
+    def test_every_matrix_entry(self, n):
+        # the sums above can absorb a one-ulp change in a single distance
+        vectors = feature_like_vectors(random.Random(2000 + n), n)
+        arrays = [v.as_array() for v in vectors]
+        matrix = _distance_matrix(vectors)
+        mismatched = [
+            (i, j) for i in range(n) for j in range(n)
+            if i != j and matrix[i, j] != fresh_distance(arrays[i], arrays[j])
+        ]
+        assert mismatched == []
+
+    @given(
+        st.lists(nonzero_vectors, min_size=1, max_size=4),
+        st.lists(st.integers(0, 3), min_size=1, max_size=20),
+        st.integers(1, 19),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_duplicates_and_one_item_histories(self, pool, picks, split):
+        vectors = [fv(*pool[i % len(pool)]) for i in picks]
+        assert ild(vectors) == fresh_ild(vectors)
+        one = vectors[:1]
+        assert unexpectedness(one, vectors) == fresh_unexpectedness(one, vectors)
+        assert unexpectedness(vectors, one) == fresh_unexpectedness(vectors, one)
+        if split < len(vectors):
+            recs, history = vectors[:split], vectors[split:]
+            assert unexpectedness(history, recs) == fresh_unexpectedness(history, recs)
 
 
 class TestLookupFeatures:

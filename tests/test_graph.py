@@ -112,6 +112,12 @@ class TestInduceProfileSubgraph:
         with pytest.raises(GraphError, match="t_missing"):
             induce_profile_subgraph(track_catalog, {"t_missing"})
 
+    def test_error_names_the_user(self, track_catalog):
+        with pytest.raises(
+            GraphError, match="^user 'u7': history item 't_nope' not in catalog$"
+        ):
+            induce_profile_subgraph(track_catalog, {"t_nope"}, user="u7")
+
     def test_non_recommendable_item_rejected(self, track_catalog):
         with pytest.raises(GraphError, match="disco"):
             induce_profile_subgraph(track_catalog, {"disco"})
