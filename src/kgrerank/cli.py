@@ -444,6 +444,10 @@ def _read_features(path) -> dict[str, FeatureVector]:
     out = {}
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
+        header = reader.fieldnames or []
+        missing = [name for name in ("item", *FEATURE_NAMES) if name not in header]
+        if missing:
+            raise ValueError(f"{path}: missing column(s) {', '.join(missing)}")
         for row in reader:
             item = row["item"]
             try:
@@ -593,40 +597,32 @@ def stage_recommend(cfg: RunConfig) -> None:
     write_recommendations(selected, out / BASE_RUN)
 
 
-def _rerank_profile(catalog, user, history, rec_items, metric_names, order_names, mode, top_n):
-    """Per-user work unit; returns {(metric, order): ordered item ids}."""
+def _rerank_user(catalog, cfg: RunConfig, user, history, recs):
+    """One user's rerankings: {(metric, order): ordered item ids}."""
     sg = induce_profile_subgraph(catalog, history, user=user)
-    recs = RecommendationList(user=user, items=tuple(rec_items))
-    evaluations = evaluate_metrics(
-        catalog,
-        sg,
-        recs,
-        [MetricKind.from_name(name) for name in metric_names],
-        NeighborhoodMode(mode),
-    )
+    kinds = [MetricKind.from_name(name) for name in cfg.metrics]
+    evaluations = evaluate_metrics(catalog, sg, recs, kinds, NeighborhoodMode(cfg.mode))
+    top_n = cfg.top_n_candidates
     return {
-        (kind.value, order_name): [
-            e.item for e in order_candidates(evaluated, SortOrder(order_name), top_n)
+        (kind.value, order): [
+            e.item for e in order_candidates(evaluated, SortOrder(order), top_n)
         ]
         for kind, evaluated in evaluations.items()
-        for order_name in order_names
+        for order in cfg.orders
     }
 
 
-_WORKER_CATALOG = None
+# (catalog, cfg), set once in each pool worker
+_WORKER_STATE = None
 
 
-def _init_worker(catalog) -> None:
-    global _WORKER_CATALOG
-    _WORKER_CATALOG = catalog
+def _init_worker(catalog, cfg: RunConfig) -> None:
+    global _WORKER_STATE
+    _WORKER_STATE = (catalog, cfg)
 
 
-def _run_task(task):
-    user, history, rec_items, metric_names, order_names, mode, top_n = task
-    return user, _rerank_profile(
-        _WORKER_CATALOG, user, history, rec_items, metric_names, order_names,
-        mode, top_n,
-    )
+def _rerank_task(task):
+    return _rerank_user(*_WORKER_STATE, *task)
 
 
 def stage_rerank(cfg: RunConfig) -> None:
@@ -635,33 +631,24 @@ def stage_rerank(cfg: RunConfig) -> None:
     profiles = _read_profiles(out / PROFILES)
     base_lists = load_external_recommendations(out / BASE_RUN)
 
-    tasks = [
-        (
-            user,
-            profiles[user]["history"],
-            tuple(base_lists[user].items),
-            tuple(cfg.metrics),
-            tuple(cfg.orders),
-            cfg.mode,
-            cfg.top_n_candidates,
-        )
-        for user in sorted(base_lists)
-        if user in profiles
-    ]
+    tasks = []
+    for user in sorted(base_lists):
+        if user not in profiles:
+            raise ValueError(
+                f"{out / BASE_RUN}: user {user!r} has no profile in {PROFILES}"
+            )
+        tasks.append((user, profiles[user]["history"], base_lists[user]))
 
     degree = cfg.parallelism if cfg.parallelism is not None else (os.cpu_count() or 1)
     degree = max(1, min(degree, len(tasks)))
-    per_user: dict[str, dict[tuple[str, str], list[str]]] = {}
     if degree > 1:
         with concurrent.futures.ProcessPoolExecutor(
-            max_workers=degree, initializer=_init_worker, initargs=(catalog,)
+            max_workers=degree, initializer=_init_worker, initargs=(catalog, cfg)
         ) as pool:
-            for user, results in pool.map(_run_task, tasks):
-                per_user[user] = results
+            results = list(pool.map(_rerank_task, tasks))
     else:
-        for task in tasks:
-            user = task[0]
-            per_user[user] = _rerank_profile(catalog, *task)
+        results = [_rerank_user(catalog, cfg, *task) for task in tasks]
+    per_user = {task[0]: result for task, result in zip(tasks, results)}
 
     for metric_name in cfg.metrics:
         for order_name in cfg.orders:

@@ -47,11 +47,16 @@ SCHEMA_KINDS = frozenset({EntityKind.CLASS, EntityKind.PROPERTY})
 class NeighborhoodMode(Enum):
     """How a candidate item is merged into a profile subgraph.
 
-    EDGES_TO_EXISTING adds the bare candidate node plus only the catalog edges
-    between the candidate and nodes already present in the subgraph.
-    CLOSED_NEIGHBORHOOD (the default elsewhere) additionally pulls in every
-    neighbor of the candidate and all catalog edges connecting the newly added
-    nodes to each other and to the existing subgraph.
+    Both modes follow one rule. Every catalog edge touching the candidate or
+    an added node is added if its other endpoint is already in the subgraph
+    or counts as an endpoint, and the subgraph does not already have it. The
+    mode decides two things:
+
+    - which nodes are added: CLOSED_NEIGHBORHOOD (the default elsewhere) adds
+      the candidate and its catalog neighbors not yet in the subgraph;
+      EDGES_TO_EXISTING adds the candidate if it is absent;
+    - whether an added node counts as an endpoint: it does in closed mode
+      and does not in edges mode, so a new candidate's self-loop stays out.
     """
 
     EDGES_TO_EXISTING = "edges"
@@ -364,45 +369,28 @@ def extension_delta(
     """Compute what adding ``item`` to ``graph`` contributes, without applying it.
 
     The delta contains only nodes absent from ``graph`` and edges not already
-    present, so applying it yields the extended subgraph exactly.
+    present, so applying it yields the extended subgraph exactly. The rule is
+    stated on :class:`NeighborhoodMode`.
     """
     if item not in catalog:
         raise GraphError(f"unknown item {item!r}")
     if not catalog.is_recommendable(item):
         raise GraphError(f"item {item!r} is not recommendable")
 
+    closed = mode is NeighborhoodMode.CLOSED_NEIGHBORHOOD
+    reach = catalog.neighbors(item) | {item} if closed else {item}
+    added = {n for n in reach if n not in graph}
+    endpoints = added if closed else set()
     new_edges: set[EdgeTriple] = set()
-    if mode is NeighborhoodMode.EDGES_TO_EXISTING:
-        item_present = item in graph
-        added_ids = [] if item_present else [item]
-        for source, predicate, target in catalog.incident_edges(item):
-            other = target if source == item else source
-            if other == item and not item_present:
-                continue  # a self-loop is not an edge to an existing node
-            if (other == item or other in graph) and not graph.has_edge(
+    for node_id in added | {item}:
+        for source, predicate, target in catalog.incident_edges(node_id):
+            other = target if source == node_id else source
+            if (other in graph or other in endpoints) and not graph.has_edge(
                 source, predicate, target
             ):
                 new_edges.add((source, predicate, target))
-    elif mode is NeighborhoodMode.CLOSED_NEIGHBORHOOD:
-        nb_nodes, nb_edges = closed_neighborhood(catalog, item)
-        added_ids = sorted(n for n in nb_nodes if n not in graph)
-        added_set = set(added_ids)
-        for edge in nb_edges:
-            if not graph.has_edge(*edge):
-                new_edges.add(edge)
-        # catalog edges between newly added nodes and the rest of the result
-        for node_id in added_ids:
-            for source, predicate, target in catalog.incident_edges(node_id):
-                other = target if source == node_id else source
-                if (other in added_set or other in graph) and not graph.has_edge(
-                    source, predicate, target
-                ):
-                    new_edges.add((source, predicate, target))
-    else:  # pragma: no cover - enum is closed
-        raise GraphError(f"unknown neighborhood mode {mode!r}")
-
     return ExtensionDelta(
-        nodes=tuple(catalog.node(n) for n in sorted(added_ids)),
+        nodes=tuple(catalog.node(n) for n in sorted(added)),
         edges=tuple(sorted(new_edges)),
     )
 

@@ -164,6 +164,34 @@ def reference_pagerank(
     )
 
 
+def brute_extension(graph, catalog, item: str, closed: bool):
+    """(added node ids, added edges) of extending ``graph`` by ``item``.
+
+    Straight from the rule, over the whole catalog edge list: the added nodes
+    are the candidate and, in closed mode, its neighbors, less those already
+    in ``graph``. A catalog edge is added if one end is the candidate or an
+    added node, the other end is in ``graph`` or (closed mode only) added,
+    and ``graph`` does not have it yet.
+    """
+    reach = {item}
+    if closed:
+        for s, _, t in catalog.edges():
+            if item in (s, t):
+                reach.update((s, t))
+    present = set(graph.node_ids())
+    added = reach - present
+    touched = added | {item}
+    ends = present | added if closed else present
+    have = set(graph.edges())
+    edges = {
+        (s, p, t)
+        for s, p, t in catalog.edges()
+        if ((s in touched and t in ends) or (t in touched and s in ends))
+        and (s, p, t) not in have
+    }
+    return sorted(added), sorted(edges)
+
+
 def brute_cosine_distance(a: np.ndarray, b: np.ndarray) -> float:
     return 1.0 - float(a @ b) / float(np.linalg.norm(a) * np.linalg.norm(b))
 

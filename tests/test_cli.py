@@ -309,17 +309,21 @@ class TestPipeline:
                     )
 
     def test_parallel_equals_serial(self, tmp_path):
-        serial = synth_config(tmp_path / "serial", parallelism=1)
-        parallel = synth_config(tmp_path / "parallel", parallelism=2)
+        rankings = dict(metrics=["pagerank", "betweenness"], orders=["asc", "desc"])
+        serial = synth_config(tmp_path / "serial", parallelism=1, **rankings)
+        parallel = synth_config(tmp_path / "parallel", parallelism=2, **rankings)
         run_pipeline(serial)
         run_pipeline(parallel)
-        name = rerank_run_name("node_count", "asc")
-        assert (tmp_path / "serial" / "out" / name).read_bytes() == (
-            tmp_path / "parallel" / "out" / name
-        ).read_bytes()
-        assert (tmp_path / "serial" / "out" / REPORT).read_bytes() == (
-            tmp_path / "parallel" / "out" / REPORT
-        ).read_bytes()
+        names = [REPORT] + [
+            namer(metric, order)
+            for namer in (rerank_run_name, trec_run_name)
+            for metric in rankings["metrics"]
+            for order in rankings["orders"]
+        ]
+        for name in names:
+            assert (tmp_path / "serial" / "out" / name).read_bytes() == (
+                tmp_path / "parallel" / "out" / name
+            ).read_bytes(), name
 
     def test_external_recommender_flow(self, tmp_path):
         # seed a workspace from the synthetic ingest, then feed external lists
@@ -564,6 +568,38 @@ class TestExitCodes:
         assert (
             f"stage evaluate failed: {features}:4: item {found['item']!r}: {reason}\n"
         ) in err
+
+    def test_missing_feature_column_names_path_and_column(self, tmp_path, capsys):
+        def drop_tempo(lines):
+            header = lines[0].rstrip("\n").split(",")
+            keep = [i for i, name in enumerate(header) if name != "tempo"]
+            return [
+                ",".join(line.rstrip("\n").split(",")[i] for i in keep) + "\n"
+                for line in lines
+            ]
+
+        code, err = self._evaluate_with_features(tmp_path, capsys, drop_tempo)
+        features = tmp_path / "out" / "features.csv"
+        assert code == 2
+        assert f"stage evaluate failed: {features}: missing column(s) tempo\n" in err
+
+    def test_base_run_user_without_profile_fails_rerank(self, tmp_path, capsys):
+        cfg = synth_config(tmp_path)
+        run_pipeline(cfg)
+        base_run = tmp_path / "out" / BASE_RUN
+        first = base_run.read_text(encoding="utf-8").splitlines()[0].split()
+        with open(base_run, "a", encoding="utf-8") as fh:
+            fh.write(" ".join(["u999", *first[1:]]) + "\n")
+        capsys.readouterr()
+        code = main(
+            ["rerank", "--dataset", "synthetic", "--out", str(tmp_path / "out"),
+             "--metric", "node_count", "--order", "asc", "--parallelism", "1"]
+        )
+        assert code == 2
+        assert (
+            f"stage rerank failed: {base_run}: user 'u999' has no profile in "
+            f"{PROFILES}\n"
+        ) in capsys.readouterr().err
 
     def test_successful_run_is_zero(self, tmp_path):
         code = main(

@@ -1,8 +1,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kgrerank import (
+    CatalogGraph,
     EntityKind,
     GraphError,
     Multigraph,
@@ -22,7 +25,7 @@ from kgrerank import (
 
 from kgrerank.metrics import compile_graph
 
-from oracles import random_catalog_with_profile
+from oracles import brute_extension, random_catalog_with_profile
 
 CLOSED = NeighborhoodMode.CLOSED_NEIGHBORHOOD
 EDGES = NeighborhoodMode.EDGES_TO_EXISTING
@@ -251,6 +254,45 @@ class TestExtendSubgraph:
                 assert grew in (0, 1)
                 incident = sum(1 for _ in catalog.incident_edges(item))
                 assert ext.graph.num_edges - sg.graph.num_edges <= incident
+
+
+@st.composite
+def catalog_subgraphs(draw, max_nodes=10):
+    """A catalog with self-loops and parallel edges (same direction with
+    another predicate, or reversed), any subgraph of it (a node subset and
+    any subset of the catalog edges among those nodes, so not necessarily
+    induced) and a recommendable candidate inside or outside that subgraph."""
+    n = draw(st.integers(1, max_nodes))
+    kinds = draw(st.lists(st.sampled_from(["track", "artist"]), min_size=n, max_size=n))
+    kinds[0] = "track"
+    catalog = CatalogGraph()
+    for i, kind in enumerate(kinds):
+        catalog.add_node(Node(f"n{i}", kind))
+    ends = st.integers(0, n - 1)
+    for a, predicate, b in draw(
+        st.lists(st.tuples(ends, st.sampled_from(["rel", "alt"]), ends), max_size=3 * n)
+    ):
+        catalog.add_edge(f"n{a}", predicate, f"n{b}")
+    graph = Multigraph()
+    for node in catalog.nodes():
+        if draw(st.booleans()):
+            graph.add_node(node)
+    for source, predicate, target in catalog.edges():
+        if source in graph and target in graph and draw(st.booleans()):
+            graph.add_edge(source, predicate, target)
+    item = draw(st.sampled_from(sorted(catalog.recommendable)))
+    return catalog, graph, item
+
+
+class TestExtensionDeltaOracle:
+    @given(catalog_subgraphs(), st.sampled_from([CLOSED, EDGES]))
+    @settings(max_examples=400, deadline=None)
+    def test_delta_equals_brute_extension(self, drawn, mode):
+        catalog, graph, item = drawn
+        nodes, edges = brute_extension(graph, catalog, item, closed=mode is CLOSED)
+        delta = extension_delta(graph, catalog, item, mode)
+        assert delta.nodes == tuple(catalog.node(n) for n in nodes)
+        assert list(delta.edges) == edges
 
 
 def _edge_pairs(g):
