@@ -54,7 +54,6 @@ from .rerank import (
     evaluate_candidates,
     evaluate_metrics,
     order_candidates,
-    rank_candidates,
     rerank,
 )
 from .recsys import (
@@ -86,7 +85,6 @@ from .ingest import (
     MergeResult,
     SyntheticConfig,
     SyntheticProfileConfig,
-    TitleRecord,
     generate_profiles,
     load_netflix,
     make_synthetic_dataset,
@@ -109,7 +107,7 @@ __all__ = [
     # rerank
     "RankedItem", "RecommendationList", "RerankConfig", "RerankError",
     "SortOrder", "baseline_metric", "evaluate_candidates", "evaluate_metrics",
-    "order_candidates", "rank_candidates", "rerank",
+    "order_candidates", "rerank",
     # recsys
     "BaselineRecommender", "Interaction", "ItemKnnRecommender", "NotFittedError",
     "RatingMatrix", "RunFileError", "anti_testset",
@@ -120,6 +118,6 @@ __all__ = [
     "write_trec_run",
     # ingest
     "IngestError", "MergeResult", "SyntheticConfig", "SyntheticProfileConfig",
-    "TitleRecord", "generate_profiles", "load_netflix", "make_synthetic_dataset",
-    "merge_lastfm", "sample_users", "split_interactions",
+    "generate_profiles", "load_netflix", "make_synthetic_dataset", "merge_lastfm",
+    "sample_users", "split_interactions",
 ]

@@ -50,7 +50,6 @@ from .ingest import (
     merge_lastfm,
     sample_users,
     split_interactions,
-    title_nodes,
     write_summary,
 )
 from .metrics import MetricKind
@@ -409,11 +408,14 @@ def _write_interactions(interactions: list[Interaction], path) -> None:
 def _read_interactions(path) -> list[Interaction]:
     out = []
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if line:
-                user, item, count = line.split("\t")
-                out.append(Interaction(user, item, int(count)))
+                try:
+                    user, item, count = line.split("\t")
+                    out.append(Interaction(user, item, int(count)))
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{lineno}: {exc}") from None
     return out
 
 
@@ -470,31 +472,9 @@ def stage_ingest(cfg: RunConfig) -> None:
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    if cfg.dataset == "synthetic":
-        merged = make_synthetic_dataset(_synthetic_config(cfg))
-        catalog = build_catalog(merged.triples)
-        interactions = merged.interactions
-        profiles = _profiles_from_interactions(interactions)
-        features = merged.features
-        summary = merged.summary
-    elif cfg.dataset == "lastfm":
-        merged = merge_lastfm(cfg.events_path, cfg.features_path, cfg.genres_path)
-        interactions = merged.interactions
-        summary = list(merged.summary)
-        if cfg.sample_users is not None:
-            kept = sample_users(
-                interactions, cfg.sample_users, cfg.min_unique_tracks, cfg.seed
-            )
-            interactions = [i for i in interactions if i.user in kept]
-            summary.append(
-                {"stage": "sample", "count": len(kept), "reason": "users sampled"}
-            )
-        catalog = build_catalog(merged.triples)
-        profiles = _profiles_from_interactions(interactions)
-        features = merged.features
-    elif cfg.dataset == "netflix":
-        triples, records = load_netflix(cfg.titles_path)
-        catalog = build_catalog(triples, nodes=title_nodes(records))
+    if cfg.dataset == "netflix":
+        triples, titles = load_netflix(cfg.titles_path)
+        catalog = build_catalog(triples, nodes=titles)
         rules = PruneRules(
             drop_label_entities=cfg.prune_label_entities,
             drop_degree_one=cfg.prune_degree_one,
@@ -521,7 +501,7 @@ def stage_ingest(cfg: RunConfig) -> None:
                 interactions.append(Interaction(user, item, 1))
         features = {}
         summary = [
-            {"stage": "load", "count": len(records), "reason": "titles read"},
+            {"stage": "load", "count": len(titles), "reason": "titles read"},
             {
                 "stage": "prune",
                 "count": before - catalog.num_nodes,
@@ -533,8 +513,24 @@ def stage_ingest(cfg: RunConfig) -> None:
                 "reason": "profiles generated",
             },
         ]
-    else:  # pragma: no cover - guarded by validate_config
-        raise PipelineError(f"unknown dataset {cfg.dataset!r}")
+    else:
+        if cfg.dataset == "synthetic":
+            merged = make_synthetic_dataset(_synthetic_config(cfg))
+        else:
+            merged = merge_lastfm(cfg.events_path, cfg.features_path, cfg.genres_path)
+        interactions = merged.interactions
+        summary = list(merged.summary)
+        if cfg.dataset == "lastfm" and cfg.sample_users is not None:
+            kept = sample_users(
+                interactions, cfg.sample_users, cfg.min_unique_tracks, cfg.seed
+            )
+            interactions = [i for i in interactions if i.user in kept]
+            summary.append(
+                {"stage": "sample", "count": len(kept), "reason": "users sampled"}
+            )
+        catalog = build_catalog(merged.triples)
+        profiles = _profiles_from_interactions(interactions)
+        features = merged.features
 
     export_graph(catalog, out / CATALOG_TRIPLES, out / CATALOG_NODES)
     _write_interactions(interactions, out / INTERACTIONS)
@@ -625,19 +621,24 @@ def _rerank_task(task):
     return _rerank_user(*_WORKER_STATE, *task)
 
 
-def stage_rerank(cfg: RunConfig) -> None:
-    out = Path(cfg.output_dir)
-    catalog = read_graph(out / CATALOG_TRIPLES, out / CATALOG_NODES)
+def _base_run_users(out: Path) -> list[tuple[str, list[str], RecommendationList]]:
+    """(user, history, base list) for every base-run user, in user order."""
     profiles = _read_profiles(out / PROFILES)
     base_lists = load_external_recommendations(out / BASE_RUN)
-
-    tasks = []
+    users = []
     for user in sorted(base_lists):
         if user not in profiles:
             raise ValueError(
                 f"{out / BASE_RUN}: user {user!r} has no profile in {PROFILES}"
             )
-        tasks.append((user, profiles[user]["history"], base_lists[user]))
+        users.append((user, profiles[user]["history"], base_lists[user]))
+    return users
+
+
+def stage_rerank(cfg: RunConfig) -> None:
+    out = Path(cfg.output_dir)
+    catalog = read_graph(out / CATALOG_TRIPLES, out / CATALOG_NODES)
+    tasks = _base_run_users(out)
 
     degree = cfg.parallelism if cfg.parallelism is not None else (os.cpu_count() or 1)
     degree = max(1, min(degree, len(tasks)))
@@ -670,8 +671,7 @@ def stage_rerank(cfg: RunConfig) -> None:
 
 def stage_evaluate(cfg: RunConfig) -> None:
     out = Path(cfg.output_dir)
-    profiles = _read_profiles(out / PROFILES)
-    base_lists = load_external_recommendations(out / BASE_RUN)
+    users = _base_run_users(out)
     features = (
         _read_features(out / FEATURES) if (out / FEATURES).exists() else None
     )
@@ -685,8 +685,7 @@ def stage_evaluate(cfg: RunConfig) -> None:
     }
 
     rows: list[EvalRow] = []
-    for user in sorted(base_lists):
-        base = base_lists[user]
+    for user, history_ids, base in users:
         lists = [("base", "-", base)] + [
             (*combo, by_user[user]) for combo, by_user in reranked.items()
             if user in by_user
@@ -694,7 +693,7 @@ def stage_evaluate(cfg: RunConfig) -> None:
         try:
             history = None
             if features is not None:
-                history = lookup_features(profiles[user]["history"], features)
+                history = lookup_features(history_ids, features)
                 rows.append(EvalRow(user, "profile", "-", ild(history), None, None))
             for metric_name, order_name, ranked in lists:
                 ranked_ids = list(ranked.item_ids())
@@ -710,7 +709,7 @@ def stage_evaluate(cfg: RunConfig) -> None:
             raise ValueError(f"user {user!r}: {exc.args[0]}") from exc
 
     emit_report(rows, out / REPORT, out / REPORT_SUMMARY)
-    write_qrels(base_lists, k, out / QRELS)
+    write_qrels({user: base for user, _, base in users}, k, out / QRELS)
     for (metric_name, order_name), by_user in sorted(reranked.items()):
         write_trec_run(
             {user: list(lst.item_ids()) for user, lst in by_user.items()},

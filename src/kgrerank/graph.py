@@ -83,8 +83,6 @@ class Triple:
     target: str
     source_kind: str
     target_kind: str
-    source_attrs: Mapping[str, object] | None = None
-    target_attrs: Mapping[str, object] | None = None
 
 
 class Multigraph:
@@ -113,9 +111,6 @@ class Multigraph:
                     f"node {node.id!r} redeclared with kind {node.kind!r}, "
                     f"already {existing.kind!r}"
                 )
-            # keep the richer attribute map
-            if node.attrs and not existing.attrs:
-                self._nodes[node.id] = node
             return
         self._nodes[node.id] = node
         self._out[node.id] = {}
@@ -213,14 +208,6 @@ class Multigraph:
             for predicate in sorted(preds):
                 yield (source, predicate, node_id)
 
-    def edges_between(self, a: str, b: str) -> Iterator[EdgeTriple]:
-        """Edges in either direction between two nodes (may be more than one)."""
-        for predicate in sorted(self.successors(a).get(b, ())):
-            yield (a, predicate, b)
-        if a != b:
-            for predicate in sorted(self.successors(b).get(a, ())):
-                yield (b, predicate, a)
-
     def copy(self) -> "Multigraph":
         g = self.__class__()
         for node in self._nodes.values():
@@ -280,8 +267,9 @@ def build_catalog(
 ) -> CatalogGraph:
     """Build a catalog graph from a stream of typed triples.
 
-    Nodes are deduplicated by id; a kind conflict is an error. ``nodes`` may
-    seed entities that carry no relations (they would otherwise not appear).
+    Nodes are deduplicated by id; a kind conflict is an error. ``nodes`` are
+    added first, so they keep their attributes, and entities that carry no
+    relations still appear.
     Malformed triples are rejected with their 1-based record index.
     """
     catalog = CatalogGraph()
@@ -298,12 +286,8 @@ def build_catalog(
             if not value:
                 raise GraphError(f"triple #{i}: missing {name}")
         try:
-            catalog.add_node(
-                Node(triple.source, triple.source_kind, dict(triple.source_attrs or {}))
-            )
-            catalog.add_node(
-                Node(triple.target, triple.target_kind, dict(triple.target_attrs or {}))
-            )
+            catalog.add_node(Node(triple.source, triple.source_kind))
+            catalog.add_node(Node(triple.target, triple.target_kind))
             catalog.add_edge(triple.source, triple.predicate, triple.target)
         except GraphError as exc:
             raise GraphError(f"triple #{i}: {exc}") from None

@@ -3,7 +3,7 @@
 The music pipeline merges three tabular sources (listening events, acoustic
 features, genre annotations) into aggregated interactions, catalog triples and
 a per-track feature store. The movie/TV pipeline reads a titles CSV into
-triples and structured records. Synthetic generation covers both user
+triples and one catalog node per title. Synthetic generation covers both user
 profiles over an existing catalog and a fully self-contained two-cluster
 dataset used by the bundled experiments. All sampling is seeded and
 reproducible bit for bit.
@@ -36,21 +36,6 @@ class ListeningEvent:
     artist: str
     track: str
     timestamp: int
-
-
-@dataclass(frozen=True)
-class TitleRecord:
-    show_id: str
-    type_: str
-    title: str
-    directors: tuple[str, ...]
-    cast: tuple[str, ...]
-    countries: tuple[str, ...]
-    release_year: int | None
-    rating: str
-    duration: str
-    genres: tuple[str, ...]
-    description: str
 
 
 @dataclass(frozen=True)
@@ -306,20 +291,29 @@ _NETFLIX_COLUMNS = [
 ]
 
 
-def _split_cell(cell: str) -> list[str]:
-    return [part.strip() for part in cell.split(",") if part.strip()]
+# (column, predicate, kind of the other node); people point at the title,
+# every other relation points away from it
+_NETFLIX_RELATIONS = (
+    ("director", "directs", EntityKind.PERSON),
+    ("cast", "acts_on", EntityKind.PERSON),
+    ("country", "country_of_origin", EntityKind.COUNTRY),
+    ("listed_in", "genre", EntityKind.GENRE),
+    ("rating", "rated", EntityKind.RATING),
+)
 
 
-def load_netflix(path) -> tuple[list[Triple], list[TitleRecord]]:
-    """Read a titles CSV into catalog triples and structured records.
+def load_netflix(path) -> tuple[list[Triple], list[Node]]:
+    """Read a titles CSV into catalog triples and one node per title.
 
     Directors and cast become person nodes pointing at the title (``directs``
     and ``acts_on``); countries, genres and the rating label hang off the
-    title. Multi-valued cells are comma-split and trimmed; empty cells are
-    skipped silently. Kind follows the ``type`` column (movie or TV show).
+    title. Multi-valued cells are comma-split, the rating is one label, values
+    are trimmed and empty ones are skipped silently. A title node's kind
+    follows the ``type`` column (movie or TV show); it has no ``title``
+    attribute when the name is empty.
     """
     triples: list[Triple] = []
-    records: list[TitleRecord] = []
+    titles: list[Node] = []
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
         _require_columns(path, reader.fieldnames, _NETFLIX_COLUMNS)
@@ -338,75 +332,17 @@ def load_netflix(path) -> tuple[list[Triple], list[TitleRecord]]:
                     f"got {type_!r}"
                 )
             title = row["title"].strip()
-            directors = _split_cell(row["director"])
-            cast = _split_cell(row["cast"])
-            countries = _split_cell(row["country"])
-            genres = _split_cell(row["listed_in"])
-            rating = row["rating"].strip()
-            year_text = row["release_year"].strip()
-            year = int(year_text) if year_text.lstrip("-").isdigit() else None
-            records.append(
-                TitleRecord(
-                    show_id=show_id,
-                    type_=type_,
-                    title=title,
-                    directors=tuple(directors),
-                    cast=tuple(cast),
-                    countries=tuple(countries),
-                    release_year=year,
-                    rating=rating,
-                    duration=row["duration"].strip(),
-                    genres=tuple(genres),
-                    description=row["description"].strip(),
-                )
-            )
-            title_attrs = {"title": title} if title else None
-            for person in directors:
-                triples.append(
-                    Triple(
-                        person, "directs", show_id,
-                        EntityKind.PERSON, kind, target_attrs=title_attrs,
-                    )
-                )
-            for person in cast:
-                triples.append(
-                    Triple(
-                        person, "acts_on", show_id,
-                        EntityKind.PERSON, kind, target_attrs=title_attrs,
-                    )
-                )
-            for country in countries:
-                triples.append(
-                    Triple(
-                        show_id, "country_of_origin", country,
-                        kind, EntityKind.COUNTRY, source_attrs=title_attrs,
-                    )
-                )
-            for genre in genres:
-                triples.append(
-                    Triple(
-                        show_id, "genre", genre,
-                        kind, EntityKind.GENRE, source_attrs=title_attrs,
-                    )
-                )
-            if rating:
-                triples.append(
-                    Triple(
-                        show_id, "rated", rating,
-                        kind, EntityKind.RATING, source_attrs=title_attrs,
-                    )
-                )
-    return triples, records
-
-
-def title_nodes(records: Iterable[TitleRecord]) -> list[Node]:
-    """Seed nodes for every title, so relation-free titles still appear."""
-    out = []
-    for record in records:
-        kind = EntityKind.MOVIE if record.type_ == "Movie" else EntityKind.TV_SHOW
-        attrs = {"title": record.title} if record.title else {}
-        out.append(Node(record.show_id, kind, attrs))
-    return out
+            titles.append(Node(show_id, kind, {"title": title} if title else {}))
+            for column, predicate, other_kind in _NETFLIX_RELATIONS:
+                cell = row[column]
+                parts = [cell] if column == "rating" else cell.split(",")
+                for value in filter(None, (part.strip() for part in parts)):
+                    if other_kind == EntityKind.PERSON:
+                        triple = Triple(value, predicate, show_id, other_kind, kind)
+                    else:
+                        triple = Triple(show_id, predicate, value, kind, other_kind)
+                    triples.append(triple)
+    return triples, titles
 
 
 def generate_profiles(

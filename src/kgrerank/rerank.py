@@ -183,25 +183,6 @@ def order_candidates(
     return ordered[:top_n]
 
 
-def rank_candidates(
-    evaluations: Iterable[CandidateEvaluation],
-    baseline: MetricValue,
-    order: SortOrder,
-    top_n: int,
-) -> list[RankedItem]:
-    """:func:`order_candidates`, each carrying its delta against ``baseline``."""
-    return [
-        RankedItem(
-            item=e.item,
-            metric_value=e.metric_value,
-            delta=e.metric_value.value - baseline.value,
-            original_rank=e.original_rank,
-            new_rank=rank,
-        )
-        for rank, e in enumerate(order_candidates(evaluations, order, top_n), start=1)
-    ]
-
-
 def rerank(
     catalog: CatalogGraph,
     sg: ProfileSubgraph,
@@ -218,4 +199,14 @@ def rerank(
         return []
     baseline = baseline_metric(sg, cfg.metric)
     evaluations = evaluate_candidates(catalog, sg, recs, cfg.metric, cfg.mode)
-    return rank_candidates(evaluations, baseline, cfg.order, cfg.top_n)
+    ordered = order_candidates(evaluations, cfg.order, cfg.top_n)
+    return [
+        RankedItem(
+            item=e.item,
+            metric_value=e.metric_value,
+            delta=e.metric_value.value - baseline.value,
+            original_rank=e.original_rank,
+            new_rank=rank,
+        )
+        for rank, e in enumerate(ordered, start=1)
+    ]

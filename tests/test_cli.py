@@ -601,6 +601,46 @@ class TestExitCodes:
             f"{PROFILES}\n"
         ) in capsys.readouterr().err
 
+    def test_base_run_user_without_profile_fails_evaluate(self, tmp_path, capsys):
+        cfg = synth_config(tmp_path)
+        run_pipeline(cfg)
+        base_run = tmp_path / "out" / BASE_RUN
+        first = base_run.read_text(encoding="utf-8").splitlines()[0].split()
+        with open(base_run, "a", encoding="utf-8") as fh:
+            fh.write(" ".join(["u999", *first[1:]]) + "\n")
+        capsys.readouterr()
+        code = main(
+            ["evaluate", "--dataset", "synthetic", "--out", str(tmp_path / "out"),
+             "--metric", "node_count", "--order", "asc", "--k", "5"]
+        )
+        assert code == 2
+        assert (
+            f"stage evaluate failed: {base_run}: user 'u999' has no profile in "
+            f"{PROFILES}\n"
+        ) in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "row, reason",
+        [
+            ("u000\tt_a0001", "not enough values to unpack (expected 3, got 2)"),
+            ("u000\tt_a0001\tmany", "invalid literal for int() with base 10: 'many'"),
+            ("u000\tt_a0001\t0", "interaction count must be >= 1, got 0"),
+        ],
+        ids=["short-row", "non-integer-count", "zero-count"],
+    )
+    def test_bad_interaction_row_names_path_and_line(self, tmp_path, capsys, row, reason):
+        cfg = synth_config(tmp_path)
+        run_pipeline(cfg)
+        path = tmp_path / "out" / INTERACTIONS
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        path.write_text("".join([*lines[:2], row + "\n", *lines[3:]]), encoding="utf-8")
+        capsys.readouterr()
+        code = main(
+            ["recommend", "--dataset", "synthetic", "--out", str(tmp_path / "out")]
+        )
+        assert code == 2
+        assert f"stage recommend failed: {path}:3: {reason}\n" in capsys.readouterr().err
+
     def test_successful_run_is_zero(self, tmp_path):
         code = main(
             ["run", "--dataset", "synthetic", "--out", str(tmp_path / "ok"),

@@ -460,7 +460,7 @@ class TestMultigraphBasics:
         g.add_node(Node("b", "artist"))
         g.add_edge("a", "p", "b")
         g.add_edge("b", "q", "a")
-        assert sorted(g.edges_between("a", "b")) == [("a", "p", "b"), ("b", "q", "a")]
+        assert sorted(g.incident_edges("a")) == [("a", "p", "b"), ("b", "q", "a")]
 
     def test_copy_is_independent(self):
         g = Multigraph()

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from kgrerank import (
+    EntityKind,
     IngestError,
     Interaction,
     SyntheticConfig,
@@ -15,7 +16,8 @@ from kgrerank import (
     sample_users,
     split_interactions,
 )
-from kgrerank.ingest import title_nodes, write_summary
+from kgrerank.cli import CATALOG_NODES, RunConfig, stage_ingest
+from kgrerank.ingest import write_summary
 
 
 class TestMergeLastfm:
@@ -117,8 +119,8 @@ class TestSampleUsers:
 
 class TestLoadNetflix:
     def test_hand_counted_triples(self, netflix_csv):
-        triples, records = load_netflix(netflix_csv)
-        assert len(records) == 5
+        triples, titles = load_netflix(netflix_csv)
+        assert len(titles) == 5
         assert len(triples) == 23
         by_predicate = {}
         for t in triples:
@@ -147,9 +149,59 @@ class TestLoadNetflix:
             for t in triples
         )
 
+    def test_row_triples_follow_column_order(self, netflix_csv):
+        triples, _ = load_netflix(netflix_csv)
+        s1 = [
+            (t.source, t.predicate, t.target, t.source_kind, t.target_kind)
+            for t in triples
+            if "s1" in (t.source, t.target)
+        ]
+        assert s1 == [
+            ("D One", "directs", "s1", "person", "movie"),
+            ("D Two", "directs", "s1", "person", "movie"),
+            ("C One", "acts_on", "s1", "person", "movie"),
+            ("C Two", "acts_on", "s1", "person", "movie"),
+            ("C Three", "acts_on", "s1", "person", "movie"),
+            ("s1", "country_of_origin", "United States", "movie", "country"),
+            ("s1", "genre", "Dramas", "movie", "genre"),
+            ("s1", "rated", "PG", "movie", "rating"),
+        ]
+
+    def test_title_kind_follows_type_column(self, netflix_csv):
+        _, titles = load_netflix(netflix_csv)
+        assert [(n.id, n.kind) for n in titles] == [
+            ("s1", EntityKind.MOVIE),
+            ("s2", EntityKind.TV_SHOW),
+            ("s3", EntityKind.MOVIE),
+            ("s4", EntityKind.MOVIE),
+            ("s5", EntityKind.TV_SHOW),
+        ]
+
+    def test_empty_title_has_no_title_attribute(self, tmp_path, netflix_csv):
+        path = tmp_path / "with_unnamed.csv"
+        path.write_text(
+            netflix_csv.read_text(encoding="utf-8")
+            + "s6,Movie,  ,D Two,C Four,France,2021-06-01,2017,R,80 min,"
+            "Comedies,No name\n",
+            encoding="utf-8",
+        )
+        _, titles = load_netflix(path)
+        assert titles[0].attrs == {"title": "Alpha"}
+        assert titles[-1].id == "s6" and titles[-1].attrs == {}
+
+        out = tmp_path / "out"
+        cfg = RunConfig(
+            dataset="netflix", titles_path=str(path), output_dir=str(out),
+            profile_count=2, profile_min_items=1, profile_max_items=2,
+        )
+        stage_ingest(cfg)
+        rows = (out / CATALOG_NODES).read_text(encoding="utf-8").splitlines()
+        assert "s1\tmovie\tAlpha" in rows
+        assert "s6\tmovie\t" in rows
+
     def test_catalog_has_all_titles(self, netflix_csv):
-        triples, records = load_netflix(netflix_csv)
-        catalog = build_catalog(triples, nodes=title_nodes(records))
+        triples, titles = load_netflix(netflix_csv)
+        catalog = build_catalog(triples, nodes=titles)
         # s5 carries only a rating edge but must still be a recommendable node
         assert catalog.num_nodes == 22
         assert catalog.recommendable == {"s1", "s2", "s3", "s4", "s5"}
@@ -173,8 +225,8 @@ class TestLoadNetflix:
 
 class TestGenerateProfiles:
     def test_sizes_within_range(self, netflix_csv):
-        triples, records = load_netflix(netflix_csv)
-        catalog = build_catalog(triples, nodes=title_nodes(records))
+        triples, titles = load_netflix(netflix_csv)
+        catalog = build_catalog(triples, nodes=titles)
         cfg = SyntheticProfileConfig(n_profiles=88, min_items=1, max_items=5, seed=3)
         profiles = generate_profiles(catalog, cfg)
         assert len(profiles) == 88
