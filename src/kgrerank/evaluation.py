@@ -114,7 +114,7 @@ def unexpectedness(
         raise ValueError("unexpectedness requires a non-empty recommendation list")
     r = len(recs)
     block = _distance_matrix([*recs, *history])[:r, r:]
-    return sum(block.ravel().tolist()) / (r * len(history))
+    return float(np.cumsum(block.ravel())[-1]) / (r * len(history))
 
 
 def lookup_features(

@@ -310,10 +310,11 @@ def load_netflix(path) -> tuple[list[Triple], list[Node]]:
     title. Multi-valued cells are comma-split, the rating is one label, values
     are trimmed and empty ones are skipped silently. A title node's kind
     follows the ``type`` column (movie or TV show); it has no ``title``
-    attribute when the name is empty.
+    attribute when the name is empty. A ``show_id`` may appear on one row only.
     """
     triples: list[Triple] = []
     titles: list[Node] = []
+    first_line: dict[str, int] = {}
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
         _require_columns(path, reader.fieldnames, _NETFLIX_COLUMNS)
@@ -322,6 +323,12 @@ def load_netflix(path) -> tuple[list[Triple], list[Node]]:
             type_ = row["type"].strip()
             if not show_id:
                 raise IngestError(f"{path}:{lineno}: empty show_id")
+            if show_id in first_line:
+                raise IngestError(
+                    f"{path}:{lineno}: repeated show_id {show_id!r}, "
+                    f"first on line {first_line[show_id]}"
+                )
+            first_line[show_id] = lineno
             if type_ == "Movie":
                 kind = EntityKind.MOVIE
             elif type_ == "TV Show":

@@ -15,26 +15,38 @@ sorted by source, and, built only when a path metric asks for it, the dense
 profile once and extends it by one candidate's delta at a time, added nodes
 last (:meth:`CompiledGraph.extend`).
 
-The degrees are ``np.bincount`` over the multiplicities and PageRank is a
-power iteration over the pairs; both use edge directions. Betweenness and
-closeness use ``A``. Sources are processed in blocks of ``_SOURCE_BLOCK`` rows:
-a level-synchronous BFS (``frontier @ A``) yields hop distances and
-shortest-path counts (integer valued float64, exact below 2**53). Betweenness
-runs Brandes' dependency pass level by level as
+:func:`compute_metrics` scores a batch of graphs, one row per graph: the
+re-ranker passes all of a user's candidate extensions at once, and a single
+graph is a batch of one. The rows are stacked into one zero-padded (graphs x
+largest graph) block whose pairs are numbered ``row * width + node``. The
+degrees are one ``np.bincount`` over those pairs and PageRank is one power
+iteration over the whole block; both use edge directions. Betweenness and
+closeness run per graph on ``A``. Sources are processed in blocks of
+``_SOURCE_BLOCK`` rows: a level-synchronous BFS (``frontier @ A``) yields hop
+distances and shortest-path counts (integer valued float64, exact below
+2**53). Betweenness runs Brandes' dependency pass level by level as
 ``delta += sigma * (((1 + delta) / sigma) @ A)`` and adds each source's
 dependencies in source order; closeness adds 1/d per source in non-decreasing
 distance order. Both read the same blocks, so asking for both costs one
 forward BFS. The block stays at 32 rows: from 64 rows on, OpenBLAS sums the
 backward ``coef @ A`` products in another order and betweenness bits change.
+Every distribution is then collapsed to its HHI row by row, in sorted-label
+order (:attr:`CompiledGraph.label_order`).
 
-Float contract: PageRank adds each pair's contribution with ``np.add.at``,
-which adds in source order, and takes the dangling mass and the L1 change as
-sequential left-to-right sums, not numpy's pairwise ones, so it equals a
-per-node Python loop bit for bit. Degrees are exact integers. Closeness equals
-a per-source queue BFS bit for bit, and so does betweenness on trees. On graphs
-with cycles betweenness may differ from it by a few ulps (up to about 4e-12 per
-node on 200-node profiles), because the matrix products sum in another order;
-exact ties between candidates can then break differently.
+Float contract: a row's value does not depend on the other rows of its batch,
+and equals a per-node Python loop over that graph alone. Padding is zero and
+adds nothing. PageRank adds each pair's contribution with ``np.add.at`` over
+the stacked pairs, which are candidate-major and sorted by source, so every
+target adds its sources in source order. Each row stops at its own iteration
+and is frozen there while the others go on. Every other sum (the dangling
+mass, the L1 change, the shares' total, the squared shares) is
+``np.cumsum(..., axis=1)[:, -1]``: strictly left to right, unlike numpy's
+pairwise ``sum`` and the compensated builtin ``sum`` of Python 3.12 and later.
+Degrees are exact integers. Closeness equals a per-source queue BFS bit for
+bit, and so does betweenness on trees. On graphs with cycles betweenness may
+differ from it by a few ulps (up to about 4e-12 per node on 200-node
+profiles), because the matrix products sum in another order; exact ties
+between candidates can then break differently.
 """
 
 from __future__ import annotations
@@ -49,14 +61,23 @@ import numpy as np
 
 
 class MetricError(ValueError):
-    """Raised when a metric is requested on an unsuitable input."""
+    """Raised when a metric is requested on an unsuitable input.
+
+    In a batch, ``row`` is the index of the graph the error concerns.
+    """
+
+    def __init__(self, message: str, row: int | None = None):
+        super().__init__(message)
+        self.row = row
 
 
 class ConvergenceError(MetricError):
     """Power iteration failed to converge; carries the last iterate."""
 
-    def __init__(self, message: str, last_scores: dict[str, float]):
-        super().__init__(message)
+    def __init__(
+        self, message: str, last_scores: dict[str, float], row: int | None = None
+    ):
+        super().__init__(message, row)
         self.last_scores = last_scores
 
 
@@ -97,20 +118,67 @@ class MetricValue:
     kind: MetricKind
 
 
+def _running_total(values: np.ndarray) -> np.ndarray:
+    """Left-to-right sums along the last axis."""
+    return np.cumsum(values, axis=-1)[..., -1]
+
+
+def _to_shares(ordered: np.ndarray, sizes: np.ndarray, label) -> np.ndarray:
+    """Each row's scores divided by the row's total; ``label(row, col)`` names
+    a score in errors.
+
+    Row ``r`` holds ``sizes[r]`` scores, then zero padding. A row with zero
+    total mass (e.g. betweenness on a single edge) is treated as uniform: no
+    node monopolizes anything. A NaN, infinite or negative score raises
+    :class:`MetricError` naming the first such node of the first such row.
+    """
+    bad = ~np.isfinite(ordered) | (ordered < 0)
+    if bad.any():
+        row, col = (int(i) for i in np.argwhere(bad)[0])
+        value = ordered[row, col].item()
+        problem = "is negative" if math.isfinite(value) else "is not finite"
+        raise MetricError(
+            f"centrality score of {label(row, col)!r} {problem}: {value!r}", row
+        )
+    n = sizes[:, None].astype(float)
+    total = _running_total(ordered)[:, None]
+    uniform = np.where(np.arange(ordered.shape[1]) < n, 1.0 / n, 0.0)
+    return np.divide(ordered, total, out=uniform, where=total != 0)
+
+
+def _hhi_rows(shares: np.ndarray) -> np.ndarray:
+    """Each row's sum of squared shares, once the row is checked to sum to 1."""
+    total = _running_total(shares)
+    off = np.abs(total - 1.0) > 1e-9
+    if off.any():
+        row = int(np.argmax(off))
+        raise MetricError(f"shares must sum to 1, got {total[row].item()!r}", row)
+    return _running_total(shares * shares)
+
+
+def _normalize_hhi(raw: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """(HHI - 1/N) / (1 - 1/N) per row, in [0, 1]; 1 where N is 1."""
+    value = np.ones(raw.shape)
+    many = sizes > 1
+    inv = 1.0 / sizes[many]
+    value[many] = (raw[many] - inv) / (1.0 - inv)
+    # clamp away float dust so uniform inputs land exactly on 0
+    value = np.where(value > 0.0, value, 0.0)
+    return np.where(value < 1.0, value, 1.0)
+
+
 def hhi(shares: Sequence[float]) -> float:
     """Herfindahl-Hirschman index: sum of squared shares.
 
     ``shares`` must be non-negative and sum to 1 (within 1e-9). The result
-    lies in [1/N, 1]: 1/N for a uniform split, 1 for a single monopoly.
+    lies in [1/N, 1]: 1/N for a uniform split, 1 for a single monopoly. Both
+    sums run left to right.
     """
     if len(shares) == 0:
         raise MetricError("hhi requires at least one share")
     if any(s < 0 for s in shares):
         raise MetricError("shares must be non-negative")
-    total = sum(shares)
-    if abs(total - 1.0) > 1e-9:
-        raise MetricError(f"shares must sum to 1, got {total!r}")
-    return sum(s * s for s in shares)
+    return _hhi_rows(np.asarray(shares, dtype=float)[None, :])[0].item()
 
 
 def hhi_normalized(shares: Sequence[float]) -> float:
@@ -119,13 +187,8 @@ def hhi_normalized(shares: Sequence[float]) -> float:
     Computed as (HHI - 1/N) / (1 - 1/N). A single share is maximally
     concentrated by definition, so N = 1 returns 1.0.
     """
-    raw = hhi(shares)
-    n = len(shares)
-    if n == 1:
-        return 1.0
-    value = (raw - 1.0 / n) / (1.0 - 1.0 / n)
-    # clamp away float dust so uniform inputs land exactly on 0
-    return min(1.0, max(0.0, value))
+    raw = np.array([hhi(shares)])
+    return _normalize_hhi(raw, np.array([len(shares)])).item()
 
 
 def centrality_to_shares(scores: Mapping[str, float]) -> list[float]:
@@ -138,16 +201,9 @@ def centrality_to_shares(scores: Mapping[str, float]) -> list[float]:
     if not scores:
         raise MetricError("empty centrality distribution")
     keys = sorted(scores)
-    for k in keys:
-        value = scores[k]
-        if not math.isfinite(value):
-            raise MetricError(f"centrality score of {k!r} is not finite: {value!r}")
-        if value < 0:
-            raise MetricError(f"centrality score of {k!r} is negative: {value!r}")
-    total = sum(scores[k] for k in keys)
-    if total == 0:
-        return [1.0 / len(keys)] * len(keys)
-    return [scores[k] / total for k in keys]
+    ordered = np.array([[scores[k] for k in keys]], dtype=float)
+    shares = _to_shares(ordered, np.array([len(keys)]), lambda row, col: keys[col])
+    return shares[0].tolist()
 
 
 class CompiledGraph:
@@ -173,9 +229,17 @@ class CompiledGraph:
         return {v: i for i, v in enumerate(self.nodes)}
 
     @cached_property
+    def label_order(self) -> np.ndarray:
+        """Node indices in sorted-label order, ``sorted(nodes)``: the order
+        in which every distribution is collapsed."""
+        order = sorted(range(len(self.nodes)), key=self.nodes.__getitem__)
+        return np.array(order, dtype=np.intp)
+
+    @property
     def adjacency(self) -> np.ndarray:
         """The 0/1 float64 adjacency of the undirected view; self-loops are
-        dropped and parallel edges collapse into one entry."""
+        dropped and parallel edges collapse into one entry. Built on each
+        access, so that a batch does not keep one per graph."""
         n = len(self.nodes)
         _check_dense_size(n)
         adj = np.zeros((n, n))
@@ -186,12 +250,6 @@ class CompiledGraph:
 
     def by_node(self, values: np.ndarray) -> dict[str, float]:
         return dict(zip(self.nodes, values.tolist()))
-
-    def in_degrees(self) -> np.ndarray:
-        return np.bincount(self.dst, weights=self.mult, minlength=len(self.nodes))
-
-    def out_degrees(self) -> np.ndarray:
-        return np.bincount(self.src, weights=self.mult, minlength=len(self.nodes))
 
     def extend(
         self, added: Sequence[str], edges: Iterable[tuple[str, str]]
@@ -225,6 +283,45 @@ def compile_graph(g) -> CompiledGraph:
     return empty.extend(list(g.node_ids()), [(s, t) for s, _, t in g.edges()])
 
 
+class _Stack:
+    """A non-empty batch of non-empty graphs as one zero-padded block.
+
+    Row ``r`` holds graph ``r``'s nodes in columns ``0 .. sizes[r] - 1``. The
+    pairs of all graphs follow one another, row by row and each in its own
+    order, as flat indices ``r * width + node``.
+    """
+
+    def __init__(self, graphs: Sequence[CompiledGraph]) -> None:
+        self.graphs = graphs
+        self.sizes = np.array([len(g.nodes) for g in graphs])
+        self.shape = (len(graphs), int(self.sizes.max()))
+        self.valid = np.arange(self.shape[1]) < self.sizes[:, None]
+        starts = np.arange(len(graphs)) * self.shape[1]
+        offsets = np.repeat(starts, [len(g.src) for g in graphs])
+        self.src = np.concatenate([g.src for g in graphs]) + offsets
+        self.dst = np.concatenate([g.dst for g in graphs]) + offsets
+        self.mult = np.concatenate([g.mult for g in graphs])
+
+    def degrees(self, ends: np.ndarray) -> np.ndarray:
+        """Per-node sums of the multiplicities, by ``self.src`` or ``self.dst``."""
+        flat = np.bincount(ends, weights=self.mult, minlength=self.valid.size)
+        return flat.reshape(self.shape)
+
+    def collapse(self, block: np.ndarray) -> np.ndarray:
+        """The normalized HHI of each row's distribution (see
+        :func:`hhi_normalized`), summed in sorted-label order."""
+        orders = [g.label_order for g in self.graphs]
+        rows = np.repeat(np.arange(len(orders)), self.sizes)
+        ordered = np.zeros(self.shape)
+        ordered[self.valid] = block[rows, np.concatenate(orders)]
+
+        def label(row: int, col: int) -> str:
+            return self.graphs[row].nodes[orders[row][col]]
+
+        shares = _to_shares(ordered, self.sizes, label)
+        return _normalize_hhi(_hhi_rows(shares), self.sizes)
+
+
 # Sources per forward/backward pass; bounds the (block x n) work arrays. Keep
 # it at 32: from 64 rows on, OpenBLAS sums the backward ``coef @ adj``
 # products in another order and betweenness values change in their last bits.
@@ -233,10 +330,10 @@ _SOURCE_BLOCK = 32
 PATH_KINDS = frozenset({MetricKind.BETWEENNESS, MetricKind.CLOSENESS})
 
 
-def _check_dense_size(n: int) -> None:
+def _check_dense_size(n: int, row: int | None = None) -> None:
     # distances are held as int16 and reach at most n - 1
     if n > np.iinfo(np.int16).max + 1:
-        raise MetricError(f"graph too large for the dense engine: {n} nodes")
+        raise MetricError(f"graph too large for the dense engine: {n} nodes", row)
 
 
 def _source_blocks(
@@ -299,7 +396,7 @@ def _harmonic_rows(dist: np.ndarray) -> np.ndarray:
     np.divide(1.0, dist, out=inv, where=dist > 0)
     # sequential sum in non-decreasing distance, i.e. BFS, order
     inv = np.sort(inv, axis=1)[:, ::-1]
-    return np.cumsum(inv, axis=1)[:, -1]
+    return _running_total(inv)
 
 
 def _path_scores(adj: np.ndarray, kinds) -> dict[MetricKind, np.ndarray]:
@@ -347,6 +444,45 @@ def closeness(g) -> dict[str, float]:
     return cg.by_node(scores[MetricKind.CLOSENESS])
 
 
+def _pagerank_batch(
+    stack: _Stack, damping: float = 0.85, tol: float = 1e-9, max_iter: int = 200
+) -> np.ndarray:
+    """PageRank of every graph of a batch, one row each (see :func:`pagerank`).
+
+    All rows step together. A row whose L1 change falls below ``tol`` keeps
+    that iterate from then on; the first row still moving after ``max_iter``
+    steps raises :class:`ConvergenceError` with its last iterate.
+    """
+    n = stack.sizes[:, None].astype(float)
+    # 0/1 masks as floats: multiplying by them is exact and cheaper than where
+    valid = stack.valid.astype(float)
+    out = stack.degrees(stack.src)
+    dangling = valid * (out == 0)
+    weight = stack.mult / out.reshape(-1)[stack.src]
+    base = valid * ((1.0 - damping) / n)
+    ranks = valid * (1.0 / n)
+    moving = np.ones(len(stack.graphs), dtype=bool)
+    for _ in range(max_iter):
+        mass = _running_total(ranks * dangling)[:, None]
+        nxt = base + (damping * mass / n) * valid
+        # unbuffered over candidate-major, source-sorted pairs, so each
+        # target adds its sources in source order
+        contributions = (damping * ranks).reshape(-1)[stack.src] * weight
+        np.add.at(nxt.reshape(-1), stack.dst, contributions)
+        change = _running_total(np.abs(nxt - ranks))
+        ranks = np.where(moving[:, None], nxt, ranks)
+        moving &= ~(change < tol)
+        if not moving.any():
+            return ranks
+    row = int(np.argmax(moving))
+    graph = stack.graphs[row]
+    raise ConvergenceError(
+        f"pagerank did not converge within {max_iter} iterations",
+        graph.by_node(ranks[row, : len(graph.nodes)]),
+        row,
+    )
+
+
 def pagerank(
     g, damping: float = 0.85, tol: float = 1e-9, max_iter: int = 200
 ) -> dict[str, float]:
@@ -360,78 +496,70 @@ def pagerank(
     if not 0.0 < damping < 1.0:
         raise MetricError(f"damping must lie in (0, 1), got {damping!r}")
     cg = compile_graph(g)
-    n = len(cg.nodes)
-    if n == 0:
+    if not cg.nodes:
         raise MetricError("pagerank is undefined on an empty graph")
-    out = cg.out_degrees()
-    dangling = out == 0
-    src, dst = cg.src, cg.dst
-    weight = cg.mult / out[src]
-    ranks = np.full(n, 1.0 / n)
-    base = (1.0 - damping) / n
-    for _ in range(max_iter):
-        nxt = np.full(n, base)
-        # sequential sums, in node order, not numpy's pairwise ones
-        mass = sum(ranks[dangling].tolist())
-        if mass:
-            nxt += damping * mass / n
-        # unbuffered, so each target adds its sources in source order
-        np.add.at(nxt, dst, (damping * ranks)[src] * weight)
-        change = sum(np.abs(nxt - ranks).tolist())
-        ranks = nxt
-        if change < tol:
-            return cg.by_node(ranks)
-    raise ConvergenceError(
-        f"pagerank did not converge within {max_iter} iterations", cg.by_node(ranks)
-    )
+    return cg.by_node(_pagerank_batch(_Stack([cg]), damping, tol, max_iter)[0])
 
 
-def compute_metrics(g, kinds: Sequence[MetricKind]) -> dict[MetricKind, MetricValue]:
-    """Evaluate several metrics on one graph, compiled once.
+def _scalar(kind: MetricKind, g: CompiledGraph) -> float:
+    n, m = len(g.nodes), g.num_edges
+    if kind is MetricKind.NODE_COUNT:
+        return float(n)
+    if kind is MetricKind.EDGE_COUNT:
+        return float(m)
+    if kind is MetricKind.DENSITY:
+        return 0.0 if n <= 1 else m / (n * (n - 1))
+    if kind is MetricKind.AVERAGE_DEGREE:
+        return 0.0 if n == 0 else m / n
+    raise MetricError(f"unknown metric kind {kind!r}")  # pragma: no cover
+
+
+def compute_metrics(
+    graphs: Sequence, kinds: Sequence[MetricKind]
+) -> dict[MetricKind, list[MetricValue]]:
+    """Evaluate several metrics on a batch of graphs, one value per graph.
 
     Scalar metrics follow their definitions directly (density uses the
     directed formula |E| / (|V| (|V|-1)), average degree counts each directed
     edge once). Distributional metrics are collapsed via the normalized HHI of
     the per-node shares and therefore land in [0, 1]. Betweenness and
-    closeness share one BFS pass.
+    closeness share one BFS pass per graph. A failure that concerns one graph
+    raises :class:`MetricError` with ``row`` set to that graph's index.
     """
-    cg = compile_graph(g)
-    n, m = len(cg.nodes), cg.num_edges
-    if n == 0:
-        for kind in kinds:
-            if kind in DISTRIBUTIONAL_KINDS:
-                raise MetricError(f"{kind.value} is undefined on an empty graph")
+    graphs = [compile_graph(g) for g in graphs]
+    if not graphs:
+        return {kind: [] for kind in kinds}
+    distributional = [k for k in kinds if k in DISTRIBUTIONAL_KINDS]
     path_kinds = [k for k in kinds if k in PATH_KINDS]
-    paths = _path_scores(cg.adjacency, path_kinds) if path_kinds else {}
+    for row, g in enumerate(graphs):
+        if not g.nodes and distributional:
+            raise MetricError(
+                f"{distributional[0].value} is undefined on an empty graph", row
+            )
+        if path_kinds:
+            _check_dense_size(len(g.nodes), row)
+    stack = _Stack(graphs) if distributional else None
+    paths = [_path_scores(g.adjacency, path_kinds) for g in graphs] if path_kinds else []
     values = {}
     for kind in kinds:
-        if kind is MetricKind.NODE_COUNT:
-            value = float(n)
-        elif kind is MetricKind.EDGE_COUNT:
-            value = float(m)
-        elif kind is MetricKind.DENSITY:
-            value = 0.0 if n <= 1 else m / (n * (n - 1))
-        elif kind is MetricKind.AVERAGE_DEGREE:
-            value = 0.0 if n == 0 else m / n
-        elif kind is MetricKind.PAGERANK:
-            value = _concentration(pagerank(cg))
-        elif kind is MetricKind.IN_DEGREE:
-            value = _concentration(cg.by_node(cg.in_degrees()))
-        elif kind is MetricKind.OUT_DEGREE:
-            value = _concentration(cg.by_node(cg.out_degrees()))
-        elif kind in PATH_KINDS:
-            value = _concentration(cg.by_node(paths[kind]))
-        else:  # pragma: no cover - enum is closed
-            raise MetricError(f"unknown metric kind {kind!r}")
-        values[kind] = MetricValue(value, kind)
+        if kind in SCALAR_KINDS:
+            column = [_scalar(kind, g) for g in graphs]
+        else:
+            if kind is MetricKind.PAGERANK:
+                block = _pagerank_batch(stack)
+            elif kind is MetricKind.IN_DEGREE:
+                block = stack.degrees(stack.dst)
+            elif kind is MetricKind.OUT_DEGREE:
+                block = stack.degrees(stack.src)
+            else:
+                block = np.zeros(stack.shape)
+                block[stack.valid] = np.concatenate([scores[kind] for scores in paths])
+            column = stack.collapse(block).tolist()
+        values[kind] = [MetricValue(value, kind) for value in column]
     return values
 
 
 def compute_metric(g, kind: MetricKind) -> MetricValue:
-    """Evaluate one metric on a graph; see :func:`compute_metrics`."""
-    return compute_metrics(g, (kind,))[kind]
-
-
-def _concentration(scores: Mapping[str, float]) -> float:
-    """A per-node distribution collapsed to its normalized HHI."""
-    return hhi_normalized(centrality_to_shares(scores))
+    """Evaluate one metric on a graph, as a batch of one; see
+    :func:`compute_metrics`."""
+    return compute_metrics([g], (kind,))[kind][0]

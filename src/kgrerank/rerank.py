@@ -118,12 +118,12 @@ def evaluate_metrics(
 ) -> dict[MetricKind, list[CandidateEvaluation]]:
     """Evaluate every metric on the extension of ``sg`` by each candidate.
 
-    One loop, candidates first and metrics second. Each candidate is applied
-    to the original subgraph independently, so the outcome does not depend on
-    list order. The profile is compiled once
-    (:func:`~kgrerank.metrics.compile_graph`); each candidate's delta extends
-    it once, and every metric reads that extension, which gives the values of
-    ``compute_metric`` on the materialized extension.
+    Each candidate is applied to the original subgraph independently, so the
+    outcome does not depend on list order. The profile is compiled once
+    (:func:`~kgrerank.metrics.compile_graph`) and every candidate's delta
+    extends it once. With all extensions built, each metric group scores them
+    in one batch (:func:`~kgrerank.metrics.compute_metrics`), which gives the
+    values of ``compute_metric`` on each materialized extension.
     """
     kinds = list(dict.fromkeys(metrics))
     # betweenness and closeness share one BFS pass, so they are computed, and
@@ -131,27 +131,41 @@ def evaluate_metrics(
     paths = [k for k in kinds if k in PATH_KINDS]
     groups = ([paths] if paths else []) + [[k] for k in kinds if k not in PATH_KINDS]
     profile = compile_graph(sg.graph)
-    results: dict[MetricKind, list[CandidateEvaluation]] = {k: [] for k in kinds}
-    for position, (item, score) in enumerate(recs.items, start=1):
-        failing = kinds
+    graphs = []
+    for item, _ in recs.items:
         try:
             delta = extension_delta(sg.graph, catalog, item, mode)
-            graph = profile.extend(
-                [node.id for node in delta.nodes],
-                [(source, target) for source, _, target in delta.edges],
+            graphs.append(
+                profile.extend(
+                    [node.id for node in delta.nodes],
+                    [(source, target) for source, _, target in delta.edges],
+                )
             )
-            values = {}
-            for group in groups:
-                failing = group
-                values.update(compute_metrics(graph, group))
         except Exception as exc:
-            names = ", ".join(k.value for k in failing)
-            raise RerankError(
-                f"{names} evaluation failed for user {sg.user!r}, item {item!r}: {exc}"
-            ) from exc
-        for kind in kinds:
-            results[kind].append(CandidateEvaluation(item, score, position, values[kind]))
-    return results
+            raise _failure(kinds, sg.user, item, exc) from exc
+    values: dict[MetricKind, list[MetricValue]] = {}
+    for group in groups:
+        try:
+            values.update(compute_metrics(graphs, group))
+        except Exception as exc:
+            row = getattr(exc, "row", None)
+            item = None if row is None else recs.items[row][0]
+            raise _failure(group, sg.user, item, exc) from exc
+    return {
+        kind: [
+            CandidateEvaluation(item, score, position, values[kind][position - 1])
+            for position, (item, score) in enumerate(recs.items, start=1)
+        ]
+        for kind in kinds
+    }
+
+
+def _failure(kinds, user: str, item: str | None, exc: Exception) -> RerankError:
+    """The error for a failed evaluation; ``item`` is None when the failure
+    concerns no single candidate."""
+    names = ", ".join(k.value for k in kinds)
+    where = f"user {user!r}" if item is None else f"user {user!r}, item {item!r}"
+    return RerankError(f"{names} evaluation failed for {where}: {exc}")
 
 
 def evaluate_candidates(

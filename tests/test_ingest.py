@@ -222,6 +222,19 @@ class TestLoadNetflix:
         with pytest.raises(IngestError, match="Podcast"):
             load_netflix(bad)
 
+    def test_repeated_show_id_rejected(self, tmp_path):
+        path = tmp_path / "repeated.csv"
+        path.write_text(
+            "show_id,type,title,director,cast,country,date_added,"
+            "release_year,rating,duration,listed_in,description\n"
+            "s1,Movie,Alpha,,,India,2021-01-01,2020,PG,90 min,Dramas,First\n"
+            "s1,Movie,Other,,,France,2021-02-01,2021,R,80 min,Comedies,Second\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(IngestError) as info:
+            load_netflix(path)
+        assert str(info.value) == f"{path}:3: repeated show_id 's1', first on line 2"
+
 
 class TestGenerateProfiles:
     def test_sizes_within_range(self, netflix_csv):

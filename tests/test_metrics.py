@@ -1,5 +1,7 @@
+import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,7 +21,8 @@ from kgrerank import (
     pagerank,
 )
 
-from kgrerank.metrics import _SOURCE_BLOCK
+from kgrerank import metrics as metrics_module
+from kgrerank.metrics import _SOURCE_BLOCK, CompiledGraph, compile_graph, compute_metrics
 
 from oracles import (
     INF,
@@ -183,6 +186,22 @@ class TestHhiNormalized:
         n = len(shares)
         direct = (sum(s * s for s in shares) - 1.0 / n) / (1.0 - 1.0 / n)
         assert hhi_normalized(shares) == pytest.approx(direct, abs=1e-12)
+
+
+class TestSequentialSums:
+    """Sums run left to right with ``np.cumsum``, on every Python version; the
+    builtin ``sum`` of floats compensates from Python 3.12 on."""
+
+    @pytest.mark.parametrize(
+        "shares", [[0.1] * 10, [0.05] * 20], ids=["tenths", "twentieths"]
+    )
+    def test_hhi_is_the_sequential_sum_of_squares(self, shares):
+        squares = np.array(shares) ** 2
+        sequential = float(np.cumsum(squares)[-1])
+        # these shares tell a left-to-right sum from a correctly rounded one;
+        # the twentieths also from numpy's pairwise sum
+        assert sequential != math.fsum(squares.tolist())
+        assert hhi(shares) == sequential
 
 
 class TestCentralityToShares:
@@ -462,3 +481,110 @@ class TestComputeMetric:
         assert MetricKind.from_name("betweenness") is MetricKind.BETWEENNESS
         with pytest.raises(MetricError, match="unknown metric"):
             MetricKind.from_name("bogus")
+
+
+def _pagerank_rows(graphs, **kwargs):
+    """Each graph's PageRank from one batched run."""
+    compiled = [compile_graph(g) for g in graphs]
+    stack = metrics_module._Stack(compiled)
+    ranks = metrics_module._pagerank_batch(stack, **kwargs)
+    return [cg.by_node(row[: len(cg.nodes)]) for cg, row in zip(compiled, ranks)]
+
+
+def _outcome(fn, g, **kwargs):
+    try:
+        return "converged", fn(g, **kwargs)
+    except ConvergenceError as exc:
+        return str(exc), exc.last_scores
+
+
+def _fixed_graphs():
+    """A 1-node graph, and one with an isolated node, a dangling node, a
+    self-loop and parallel edges."""
+    single = Multigraph()
+    single.add_node(Node("only", "x"))
+    mixed = Multigraph()
+    for v in ("a", "b", "c", "d"):
+        mixed.add_node(Node(v, "x"))
+    mixed.add_edge("a", "rel", "b")
+    mixed.add_edge("a", "alt", "b")
+    mixed.add_edge("b", "rel", "b")
+    mixed.add_edge("d", "rel", "a")
+    return [single, mixed]
+
+
+@st.composite
+def batches(draw, max_nodes=MAX_ENGINE_NODES, max_size=6):
+    """Random multigraphs of mixed sizes, with the fixed graphs mixed in."""
+    graphs = draw(st.lists(multigraphs(max_nodes), min_size=0, max_size=max_size))
+    for g in _fixed_graphs():
+        graphs.insert(draw(st.integers(0, len(graphs))), g)
+    return graphs
+
+
+class TestBatch:
+    """A row of a batch equals its graph scored alone."""
+
+    @given(batches(), st.floats(0.05, 0.95))
+    @settings(max_examples=100, deadline=None)
+    def test_converging_rows_equal_batch_of_one_and_reference(self, graphs, damping):
+        # max_iter is high enough here for every row to converge
+        rows = _pagerank_rows(graphs, damping=damping, max_iter=10_000)
+        for g, row in zip(graphs, rows):
+            assert row == pagerank(g, damping=damping, max_iter=10_000)
+            assert row == reference_pagerank(g, damping=damping, max_iter=10_000)
+
+    @given(batches(), st.integers(1, 40))
+    @settings(max_examples=100, deadline=None)
+    def test_first_row_left_moving_raises_as_reference(self, graphs, max_iter):
+        # with few iterations some rows converge and some do not; rows that
+        # stop early are frozen while the others go on
+        expected = [_outcome(reference_pagerank, g, max_iter=max_iter) for g in graphs]
+        failing = [i for i, (status, _) in enumerate(expected) if status != "converged"]
+        if not failing:
+            rows = _pagerank_rows(graphs, max_iter=max_iter)
+            assert [("converged", row) for row in rows] == expected
+            return
+        with pytest.raises(ConvergenceError) as info:
+            _pagerank_rows(graphs, max_iter=max_iter)
+        assert info.value.row == failing[0]
+        assert (str(info.value), info.value.last_scores) == expected[failing[0]]
+
+    @given(batches(), st.integers(1, 5))
+    @settings(max_examples=50, deadline=None)
+    def test_non_converging_rows_carry_their_last_iterate(self, graphs, max_iter):
+        # tol=0 never converges: every suffix of the batch fails on its first row
+        for start, g in enumerate(graphs):
+            with pytest.raises(ConvergenceError) as info:
+                _pagerank_rows(graphs[start:], tol=0.0, max_iter=max_iter)
+            assert info.value.row == 0
+            expected = _outcome(reference_pagerank, g, tol=0.0, max_iter=max_iter)
+            assert (str(info.value), info.value.last_scores) == expected
+            assert _outcome(pagerank, g, tol=0.0, max_iter=max_iter) == expected
+
+    @given(batches(max_nodes=20, max_size=4))
+    @settings(max_examples=60, deadline=None)
+    def test_every_metric_row_equals_the_graph_alone(self, graphs):
+        kinds = list(MetricKind)
+        values = compute_metrics(graphs, kinds)
+        assert list(values) == kinds
+        for kind in kinds:
+            assert values[kind] == [compute_metric(g, kind) for g in graphs]
+
+    def test_empty_batch(self):
+        assert compute_metrics([], [MetricKind.PAGERANK]) == {MetricKind.PAGERANK: []}
+
+    def test_error_names_its_row(self):
+        graphs = [*_fixed_graphs(), Multigraph()]
+        with pytest.raises(MetricError, match="pagerank is undefined") as info:
+            compute_metrics(graphs, [MetricKind.NODE_COUNT, MetricKind.PAGERANK])
+        assert info.value.row == 2
+
+    @given(st.lists(st.text(max_size=3), max_size=12, unique=True), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_label_order_is_sorted_labels(self, labels, data):
+        split = data.draw(st.integers(0, len(labels)))
+        empty = np.zeros(0, dtype=np.intp)
+        base = CompiledGraph(labels[:split], empty, empty, empty)
+        for graph in (base, base.extend(labels[split:], [])):
+            assert [graph.nodes[i] for i in graph.label_order] == sorted(graph.nodes)

@@ -285,6 +285,18 @@ class TestSharedEvaluation:
                 extended = extend_subgraph(sg, catalog, e.item, mode).graph
                 assert e.metric_value == compute_metric(extended, kind)
 
+    @given(profile_cases())
+    @settings(max_examples=100, deadline=None)
+    def test_value_does_not_depend_on_its_batch(self, case):
+        catalog, sg, recs, mode, kinds = case
+        together = evaluate_metrics(catalog, sg, recs, kinds, mode)
+        for position, entry in enumerate(recs.items):
+            alone = evaluate_metrics(
+                catalog, sg, RecommendationList(user="u", items=(entry,)), kinds, mode
+            )
+            for kind in kinds:
+                assert alone[kind][0].metric_value == together[kind][position].metric_value
+
     def test_one_pass_per_candidate(self, monkeypatch, dvs_catalog, dvs_profile, dvs_recs):
         sizes = []
         real = metrics_module._source_blocks
@@ -318,20 +330,52 @@ class TestSharedEvaluation:
         ):
             evaluate_metrics(dvs_catalog, dvs_profile, recs, [BETW, CLOSE])
 
+    @staticmethod
+    def _fail_on_d1(monkeypatch):
+        """Make the batched PageRank kernel raise for the row that holds d1."""
+        real = metrics_module._pagerank_batch
+
+        def failing(stack, *args, **kwargs):
+            for row, graph in enumerate(stack.graphs):
+                if "d1" in graph.nodes:
+                    raise ConvergenceError("injected failure", {}, row)
+            return real(stack, *args, **kwargs)
+
+        monkeypatch.setattr(metrics_module, "_pagerank_batch", failing)
+
     def test_failing_metric_names_user_item_and_metric(
         self, monkeypatch, dvs_catalog, dvs_profile, dvs_recs
     ):
-        real = metrics_module.pagerank
-
-        def failing(graph, *args, **kwargs):
-            if "d1" in graph.nodes:
-                raise ConvergenceError("injected failure", {})
-            return real(graph, *args, **kwargs)
-
-        monkeypatch.setattr(metrics_module, "pagerank", failing)
+        self._fail_on_d1(monkeypatch)
         with pytest.raises(
             RerankError,
             match="pagerank evaluation failed for user 'u1', item 'd1': injected failure",
         ) as info:
             evaluate_metrics(dvs_catalog, dvs_profile, dvs_recs, [BETW, PAGERANK])
         assert isinstance(info.value.__cause__, ConvergenceError)
+
+    @pytest.mark.parametrize("position", [0, 3], ids=["first", "last"])
+    def test_failing_row_is_named_wherever_it_sits(
+        self, monkeypatch, dvs_catalog, dvs_profile, dvs_recs, position
+    ):
+        # dvs_recs holds d1 third; move it to the front or the back
+        items = [entry for entry in dvs_recs.items if entry[0] != "d1"]
+        items.insert(position, ("d1", 0.0))
+        recs = RecommendationList(
+            user="u1", items=tuple((item, 1.0 - i / 10) for i, (item, _) in enumerate(items))
+        )
+        self._fail_on_d1(monkeypatch)
+        with pytest.raises(RerankError, match="item 'd1': injected failure"):
+            evaluate_metrics(dvs_catalog, dvs_profile, recs, [BETW, PAGERANK])
+
+    def test_failure_of_the_whole_batch_names_user_and_metric(
+        self, monkeypatch, dvs_catalog, dvs_profile, dvs_recs
+    ):
+        def failing(stack, *args, **kwargs):
+            raise MemoryError("no room")
+
+        monkeypatch.setattr(metrics_module, "_pagerank_batch", failing)
+        with pytest.raises(
+            RerankError, match="^pagerank evaluation failed for user 'u1': no room$"
+        ):
+            evaluate_metrics(dvs_catalog, dvs_profile, dvs_recs, [PAGERANK])
