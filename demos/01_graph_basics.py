@@ -8,7 +8,6 @@ directly adjacent entity, and all catalog edges among those nodes.
 
 from kgrerank import (
     NeighborhoodMode,
-    PruneRules,
     Triple,
     build_catalog,
     closed_neighborhood,
@@ -52,7 +51,7 @@ for mode in (NeighborhoodMode.CLOSED_NEIGHBORHOOD, NeighborhoodMode.EDGES_TO_EXI
           f"+{extended.graph.num_edges - profile.graph.num_edges} edges")
 print(f"original profile still has {profile.graph.num_nodes} nodes")
 
-# Cleanup rules for noisy catalogs: one single-pass removal of degree-1 nodes.
-pruned = prune_graph(catalog, PruneRules(drop_degree_one=True))
+# Cleanup for noisy catalogs: one single-pass removal of degree-1 nodes.
+pruned = prune_graph(catalog)
 print(f"\nafter degree-1 pruning: {pruned.num_nodes} nodes "
       f"(dropped {catalog.num_nodes - pruned.num_nodes})")

@@ -20,7 +20,6 @@ from .graph import (
     NeighborhoodMode,
     Node,
     ProfileSubgraph,
-    PruneRules,
     Triple,
     build_catalog,
     closed_neighborhood,
@@ -97,7 +96,7 @@ __all__ = [
     "__version__",
     # graph
     "CatalogGraph", "EntityKind", "ExtensionDelta", "GraphError", "Multigraph",
-    "NeighborhoodMode", "Node", "ProfileSubgraph", "PruneRules", "Triple",
+    "NeighborhoodMode", "Node", "ProfileSubgraph", "Triple",
     "build_catalog", "closed_neighborhood", "export_graph", "extend_subgraph",
     "extension_delta", "induce_profile_subgraph", "prune_graph", "read_graph",
     # metrics

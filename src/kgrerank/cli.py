@@ -34,7 +34,6 @@ from .evaluation import (
 )
 from .graph import (
     NeighborhoodMode,
-    PruneRules,
     build_catalog,
     export_graph,
     induce_profile_subgraph,
@@ -73,8 +72,8 @@ log = logging.getLogger(__name__)
 
 DATASETS = ("lastfm", "netflix", "synthetic")
 RECOMMENDERS = ("external", "baseline", "itemknn")
-ORDERS = ("asc", "desc")
-MODES = ("closed", "edges")
+ORDERS = tuple(order.value for order in SortOrder)
+MODES = tuple(sorted(mode.value for mode in NeighborhoodMode))
 
 # workspace artifact names
 CATALOG_TRIPLES = "catalog_triples.tsv"
@@ -111,13 +110,17 @@ class ConfigError(ValueError):
         self.findings = findings
 
 
-def _setting(default, path: str, flag: str | None = None, **argparse_extras):
+def _setting(default, path, flag=None, *, choices=None, minimum=None, **extras):
     """A RunConfig field read from the dotted JSON ``path`` and, if given, ``flag``.
 
-    ``argparse_extras`` go to ``add_argument``; ``type=int`` comes from the
-    field's annotation.
+    ``validate_config`` checks the value against ``choices`` (each element,
+    for a list) and ``minimum`` (None passes); the flag gets the choices too.
+    ``extras`` go to ``add_argument``; ``type=int`` comes from the field's
+    annotation.
     """
-    metadata = {"path": path, "flag": flag, "argparse": argparse_extras}
+    metadata = dict(
+        path=path, flag=flag, choices=choices, minimum=minimum, argparse=extras
+    )
     if isinstance(default, list):
         return field(default_factory=lambda: list(default), metadata=metadata)
     return field(default=default, metadata=metadata)
@@ -140,7 +143,7 @@ class RunConfig:
     )
     seed: int = _setting(42, "seed", "--seed")
     # None: one worker per available CPU
-    parallelism: int | None = _setting(None, "parallelism", "--parallelism")
+    parallelism: int | None = _setting(None, "parallelism", "--parallelism", minimum=1)
 
     # dataset inputs
     events_path: str | None = _setting(None, "dataset.events", "--events")
@@ -149,17 +152,15 @@ class RunConfig:
     titles_path: str | None = _setting(None, "dataset.titles", "--titles")
 
     # lastfm user sampling (disabled unless sample_users is set)
-    sample_users: int | None = _setting(None, "dataset.sample_users")
+    sample_users: int | None = _setting(None, "dataset.sample_users", minimum=1)
     min_unique_tracks: int = _setting(100, "dataset.min_unique_tracks")
 
     # netflix synthetic profiles and split
-    profile_count: int = _setting(88, "dataset.profiles.count")
+    profile_count: int = _setting(88, "dataset.profiles.count", minimum=1)
     profile_min_items: int = _setting(5, "dataset.profiles.min_items")
     profile_max_items: int = _setting(55, "dataset.profiles.max_items")
     split_ratio: float = _setting(0.9, "dataset.split_ratio")
     prune_degree_one: bool = _setting(True, "dataset.prune.degree_one")
-    prune_label_entities: bool = _setting(False, "dataset.prune.label_entities")
-    prune_schema_nodes: bool = _setting(False, "dataset.prune.schema")
 
     # self-contained synthetic dataset
     synth_tracks: int = _setting(200, "dataset.synthetic.tracks")
@@ -174,7 +175,7 @@ class RunConfig:
     external_recs_path: str | None = _setting(
         None, "recommender.external_path", "--external-recs"
     )
-    knn_k: int = _setting(40, "recommender.knn_k", "--knn-k")
+    knn_k: int = _setting(40, "recommender.knn_k", "--knn-k", minimum=1)
 
     # rerank and evaluation
     metrics: list[str] = _setting(
@@ -188,8 +189,8 @@ class RunConfig:
     mode: str = _setting(
         "closed", "rerank.mode", "--mode", choices=MODES, help="neighborhood mode"
     )
-    top_n_candidates: int = _setting(100, "rerank.top_n", "--top-n")
-    eval_k: int = _setting(10, "evaluation.k", "--k")
+    top_n_candidates: int = _setting(100, "rerank.top_n", "--top-n", minimum=1)
+    eval_k: int = _setting(10, "evaluation.k", "--k", minimum=1)
 
     @classmethod
     def from_dict(cls, data) -> "RunConfig":
@@ -295,12 +296,14 @@ def validate_config(cfg: RunConfig) -> list[str]:
     findings = _type_findings(cfg)
     if findings:
         return findings
-    if cfg.dataset not in DATASETS:
-        findings.append(f"dataset must be one of {DATASETS}, got {cfg.dataset!r}")
-    if cfg.recommender not in RECOMMENDERS:
-        findings.append(
-            f"recommender must be one of {RECOMMENDERS}, got {cfg.recommender!r}"
-        )
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        choices, minimum = f.metadata["choices"], f.metadata["minimum"]
+        for v in value if isinstance(value, list) else [value]:
+            if choices is not None and v not in choices:
+                findings.append(f"{f.name} must be one of {choices}, got {v!r}")
+        if minimum is not None and value is not None and value < minimum:
+            findings.append(f"{f.name} must be >= {minimum}, got {value}")
     if not cfg.metrics:
         findings.append("at least one metric is required")
     for name in cfg.metrics:
@@ -310,17 +313,6 @@ def validate_config(cfg: RunConfig) -> list[str]:
             findings.append(str(exc))
     if not cfg.orders:
         findings.append("at least one sort order is required")
-    for order in cfg.orders:
-        if order not in ORDERS:
-            findings.append(f"order must be one of {ORDERS}, got {order!r}")
-    if cfg.mode not in MODES:
-        findings.append(f"mode must be one of {MODES}, got {cfg.mode!r}")
-    if cfg.top_n_candidates < 1:
-        findings.append(f"top_n_candidates must be >= 1, got {cfg.top_n_candidates}")
-    if cfg.eval_k < 1:
-        findings.append(f"eval_k must be >= 1, got {cfg.eval_k}")
-    if cfg.parallelism is not None and cfg.parallelism < 1:
-        findings.append(f"parallelism must be >= 1, got {cfg.parallelism}")
     if not cfg.output_dir:
         findings.append("output_dir must be set")
     if cfg.dataset == "lastfm":
@@ -331,8 +323,6 @@ def validate_config(cfg: RunConfig) -> list[str]:
                 findings.append(f"{label} path does not exist: {path}")
         if cfg.genres_path and not Path(cfg.genres_path).exists():
             findings.append(f"genres path does not exist: {cfg.genres_path}")
-        if cfg.sample_users is not None and cfg.sample_users < 1:
-            findings.append(f"sample_users must be >= 1, got {cfg.sample_users}")
     if cfg.dataset == "netflix":
         if not cfg.titles_path:
             findings.append("netflix dataset requires the titles path")
@@ -343,8 +333,6 @@ def validate_config(cfg: RunConfig) -> list[str]:
                 "need 1 <= profile_min_items <= profile_max_items, got "
                 f"[{cfg.profile_min_items}, {cfg.profile_max_items}]"
             )
-        if cfg.profile_count < 1:
-            findings.append(f"profile_count must be >= 1, got {cfg.profile_count}")
         if not 0.0 < cfg.split_ratio < 1.0:
             findings.append(f"split_ratio must lie in (0, 1), got {cfg.split_ratio}")
     if cfg.dataset == "synthetic":
@@ -359,8 +347,6 @@ def validate_config(cfg: RunConfig) -> list[str]:
             findings.append(
                 f"external_recs_path does not exist: {cfg.external_recs_path}"
             )
-    if cfg.knn_k < 1:
-        findings.append(f"knn_k must be >= 1, got {cfg.knn_k}")
     return findings
 
 
@@ -475,13 +461,9 @@ def stage_ingest(cfg: RunConfig) -> None:
     if cfg.dataset == "netflix":
         triples, titles = load_netflix(cfg.titles_path)
         catalog = build_catalog(triples, nodes=titles)
-        rules = PruneRules(
-            drop_label_entities=cfg.prune_label_entities,
-            drop_degree_one=cfg.prune_degree_one,
-            drop_schema_nodes=cfg.prune_schema_nodes,
-        )
         before = catalog.num_nodes
-        catalog = prune_graph(catalog, rules)
+        if cfg.prune_degree_one:
+            catalog = prune_graph(catalog)
         histories = generate_profiles(
             catalog,
             SyntheticProfileConfig(
@@ -759,7 +741,7 @@ class _Parser(argparse.ArgumentParser):
 def _add_common_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="JSON config file; flags override it")
     for f in _FLAGGED:
-        extras = f.metadata["argparse"]
+        extras = {"choices": f.metadata["choices"], **f.metadata["argparse"]}
         if f.type.startswith("int"):
             extras = {"type": int, **extras}
         parser.add_argument(f.metadata["flag"], dest=f.name, **extras)

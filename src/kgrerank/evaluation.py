@@ -9,14 +9,17 @@ files can be compared byte for byte.
 Float contract: each distance is an entry of one product
 (``_distance_matrix``) and equals the per-pair formula
 ``1 - (a @ b) / (norm(a) * norm(b))`` on fresh 1-D arrays, clipped to [0, 1],
-bit for bit. ILD adds the off-diagonal entries in row-major order
-sequentially (``np.cumsum``; ``np.sum`` adds pairwise) and unexpectedness adds
-its (recommendation, history) block with built-in ``sum``, as the per-pair
-loops did. With OpenBLAS 0.3.31 (Haswell kernels), ``X @ X.T`` (syrk) and one
-row at a time (gemv) differ from the per-pair dot on about 3% and 43% of
-pairs, and unpadded gemm in the tail rows and columns of large n (from 193 on
-some inputs) not a multiple of 8; rows zero-padded to a multiple of 8, times a
-copy of their transpose (gemm), differ on none for any n from 1 to 419.
+bit for bit. ILD adds the off-diagonal entries and unexpectedness its
+(recommendation, history) block in row-major order, left to right
+(``np.cumsum``; ``np.sum`` adds pairwise), as the per-pair loops did. Every
+other float sum here (DCG, the summary means) also adds left to right, with
+``reduce(add, ...)``: built-in ``sum`` compensates from Python 3.12 on.
+
+With OpenBLAS 0.3.31 (Haswell kernels), ``X @ X.T`` (syrk) and one row at a
+time (gemv) differ from the per-pair dot on about 3% and 43% of pairs, and
+unpadded gemm in the tail rows and columns of large n (from 193 on some
+inputs) not a multiple of 8; rows zero-padded to a multiple of 8, times a copy
+of their transpose (gemm), differ on none for any n from 1 to 419.
 ``tests/test_evaluation.py`` pins this; another BLAS may need another product.
 """
 
@@ -25,6 +28,8 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 
 import numpy as np
 
@@ -153,10 +158,10 @@ def ndcg_at_k(base: RecommendationList, reranked: Sequence, k: int = 10) -> floa
     }
 
     def dcg(items: Sequence[str]) -> float:
-        return sum(
+        return reduce(add, (
             relevance.get(item, 0) / math.log2(position + 1)
             for position, item in enumerate(items[:k], start=1)
-        )
+        ), 0.0)
 
     ideal = dcg(list(base_ids))
     if ideal == 0.0:
@@ -207,7 +212,7 @@ def emit_report(rows: Iterable[EvalRow], report_path, summary_path=None) -> None
     if summary_path is None:
         return
     def mean_of(values: list[float]) -> float | None:
-        return sum(values) / len(values) if values else None
+        return reduce(add, values, 0.0) / len(values) if values else None
 
     groups: dict[tuple[str, str], list[EvalRow]] = {}
     for row in ordered:

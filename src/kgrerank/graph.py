@@ -32,16 +32,11 @@ class EntityKind:
     PERSON = "person"
     COUNTRY = "country"
     RATING = "rating"
-    # kinds targeted by pruning rules
-    CLASS = "class"
-    PROPERTY = "property"
-    LABEL = "label"
 
 
 RECOMMENDABLE_KINDS = frozenset(
     {EntityKind.TRACK, EntityKind.MOVIE, EntityKind.TV_SHOW}
 )
-SCHEMA_KINDS = frozenset({EntityKind.CLASS, EntityKind.PROPERTY})
 
 
 class NeighborhoodMode(Enum):
@@ -399,37 +394,18 @@ def extend_subgraph(
     return ProfileSubgraph(user=sg.user, graph=graph, history=sg.history)
 
 
-@dataclass(frozen=True)
-class PruneRules:
-    """Cleanup rules applied by :func:`prune_graph`.
+def prune_graph(g: Multigraph) -> Multigraph:
+    """Return a copy of the graph without its degree-1 nodes.
 
-    Kind-based drops run first; the degree-1 pass then uses degrees measured
-    on the remaining structure and is applied once, not to fixpoint. Nodes
-    with degree exactly 1 are removed (isolated nodes are kept).
+    One pass, not to fixpoint: degrees are measured once on the input, so a
+    node left with degree 1 by the removal stays. Isolated nodes are kept.
+    The input is left untouched.
     """
-
-    drop_label_entities: bool = False
-    drop_degree_one: bool = False
-    drop_schema_nodes: bool = False
-
-
-def prune_graph(g: Multigraph, rules: PruneRules) -> Multigraph:
-    """Return a pruned copy of the graph; the input is left untouched."""
-    doomed: set[str] = set()
-    for node in g.nodes():
-        if rules.drop_label_entities and node.kind == EntityKind.LABEL:
-            doomed.add(node.id)
-        elif rules.drop_schema_nodes and node.kind in SCHEMA_KINDS:
-            doomed.add(node.id)
-
-    survivors = [n.id for n in g.nodes() if n.id not in doomed]
-    if rules.drop_degree_one:
-        degree: dict[str, int] = dict.fromkeys(survivors, 0)
-        for source, _, target in g.edges():
-            if source in degree and target in degree:
-                degree[source] += 1
-                degree[target] += 1
-        doomed.update(v for v in survivors if degree[v] == 1)
+    degree: dict[str, int] = dict.fromkeys(g.node_ids(), 0)
+    for source, _, target in g.edges():
+        degree[source] += 1
+        degree[target] += 1
+    doomed = {v for v, d in degree.items() if d == 1}
 
     pruned = g.__class__()
     for node in g.nodes():

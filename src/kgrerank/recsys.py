@@ -5,6 +5,8 @@ Play counts (or watch flags) are scaled per user into explicit ratings in
 global-mean-plus-biases baseline and item-based kNN with cosine similarity.
 Recommendation lists from any external system can be loaded from a flat run
 file instead, since the re-ranking layer treats the recommender as a black box.
+Float sums add left to right (``reduce(add, ...)``), because built-in ``sum``
+compensates from Python 3.12 on and would change the written scores.
 """
 
 from __future__ import annotations
@@ -12,6 +14,8 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 
 from .rerank import RecommendationList
 
@@ -198,15 +202,15 @@ class BaselineRecommender(_RatingRecommender):
         for _ in range(self.epochs):
             for item in items:
                 raters = matrix.item_ratings(item)
-                residual = sum(
+                residual = reduce(add, (
                     raters[u] - self._mu - bu[u] for u in sorted(raters)
-                )
+                ), 0.0)
                 bi[item] = residual / (self.damping + len(raters))
             for user in users:
                 rated = matrix.user_ratings(user)
-                residual = sum(
+                residual = reduce(add, (
                     rated[i] - self._mu - bi[i] for i in sorted(rated)
-                )
+                ), 0.0)
                 bu[user] = residual / (self.damping + len(rated))
         self._user_bias = bu
         self._item_bias = bi
@@ -294,8 +298,8 @@ class ItemKnnRecommender(_RatingRecommender):
             return self._fallback.predict(user, item)
         neighbors.sort(key=lambda t: (-t[0], t[1]))
         top = neighbors[: self.k]
-        weight = sum(sim for sim, _, _ in top)
-        return sum(sim * rating for sim, _, rating in top) / weight
+        weight = reduce(add, (sim for sim, _, _ in top), 0.0)
+        return reduce(add, (sim * rating for sim, _, rating in top), 0.0) / weight
 
 
 def write_recommendations(
@@ -317,7 +321,8 @@ def load_external_recommendations(path) -> dict[str, RecommendationList]:
     """Parse a run file of externally computed recommendation lists.
 
     Validates the format line by line: four whitespace-separated fields,
-    ranks counting up from 1 per user, and non-increasing scores per user.
+    ranks counting up from 1 per user, and non-NaN, non-increasing scores per
+    user.
     Violations raise :class:`RunFileError` with the line number.
     """
     pending: dict[str, list[tuple[str, float]]] = {}
@@ -340,6 +345,8 @@ def load_external_recommendations(path) -> dict[str, RecommendationList]:
                 raise RunFileError(
                     f"{path}:{lineno}: rank/score are not numeric"
                 ) from None
+            if math.isnan(score):
+                raise RunFileError(f"{path}:{lineno}: score is not a number")
             expected = next_rank.get(user, 1)
             if rank != expected:
                 raise RunFileError(

@@ -9,6 +9,7 @@ balanced; descending favors candidates that centralize it.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from enum import Enum
@@ -37,8 +38,9 @@ class SortOrder(Enum):
 class RecommendationList:
     """Ordered recommendation candidates with base recommender scores.
 
-    Items must be unique and ordered by non-increasing score; construction
-    validates both.
+    Items must be unique and ordered by non-increasing score, and no score may
+    be NaN (every comparison with NaN is false, so it would hide an increase);
+    construction validates all three.
     """
 
     user: str
@@ -54,6 +56,8 @@ class RecommendationList:
             if item in seen:
                 raise ValueError(f"duplicate item {item!r} in recommendation list")
             seen.add(item)
+            if math.isnan(score):
+                raise ValueError(f"score of item {item!r} is not a number")
             if previous is not None and score > previous:
                 raise ValueError(
                     f"scores must be non-increasing; item {item!r} breaks the order"

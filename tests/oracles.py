@@ -6,7 +6,9 @@ shortest path with exact Fraction accounting instead of Brandes accumulation,
 and PageRank from a dense linear solve instead of power iteration.
 ``reference_pagerank`` is the exception: the same power iteration as the
 library, written as plain Python loops over dicts, so that the library's
-array form can be held to it bit for bit.
+array form can be held to it bit for bit. Float sums add left to right
+(``reduce(add, ...)``), because built-in ``sum`` compensates from Python 3.12
+on.
 """
 
 from __future__ import annotations
@@ -14,6 +16,8 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
+from functools import reduce
+from operator import add
 
 import numpy as np
 
@@ -94,9 +98,9 @@ def brute_harmonic_closeness(g) -> dict[str, float]:
     adj = undirected_adjacency(g)
     dist = floyd_warshall(adj)
     return {
-        v: sum(
+        v: reduce(add, (
             1.0 / dist[v][u] for u in adj if u != v and dist[v][u] != INF
-        )
+        ), 0.0)
         for v in adj
     }
 
@@ -145,7 +149,7 @@ def reference_pagerank(
     base = (1.0 - damping) / n
     for _ in range(max_iter):
         nxt = [base] * n
-        dangling = sum(ranks[i] for i in range(n) if not out_lists[i])
+        dangling = reduce(add, (ranks[i] for i in range(n) if not out_lists[i]), 0.0)
         if dangling:
             spread = damping * dangling / n
             nxt = [x + spread for x in nxt]
@@ -154,7 +158,7 @@ def reference_pagerank(
                 r = damping * ranks[i]
                 for j, w in targets:
                     nxt[j] += r * w
-        change = sum(abs(a - b) for a, b in zip(nxt, ranks))
+        change = reduce(add, (abs(a - b) for a, b in zip(nxt, ranks)), 0.0)
         ranks = nxt
         if change < tol:
             return dict(zip(nodes, ranks))
@@ -220,10 +224,10 @@ def brute_ndcg(base_ids: list[str], reranked_ids: list[str], k: int) -> float:
     relevance = {item: k - r + 1 for r, item in enumerate(base_ids[:k], start=1)}
 
     def dcg(ids):
-        return sum(
+        return reduce(add, (
             relevance.get(item, 0) / math.log2(pos + 1)
             for pos, item in enumerate(ids[:k], start=1)
-        )
+        ), 0.0)
 
     ideal = dcg(base_ids)
     if ideal == 0.0:

@@ -1,9 +1,16 @@
 import argparse
 import json
+from dataclasses import fields
 
 import pytest
 
-from kgrerank import load_external_recommendations, write_recommendations
+from kgrerank import (
+    build_catalog,
+    load_external_recommendations,
+    load_netflix,
+    read_graph,
+    write_recommendations,
+)
 from kgrerank.cli import (
     BASE_RUN,
     CATALOG_NODES,
@@ -20,6 +27,7 @@ from kgrerank.cli import (
     main,
     rerank_run_name,
     run_pipeline,
+    stage_ingest,
     trec_run_name,
     validate_config,
     _add_common_arguments,
@@ -147,7 +155,7 @@ class TestRunConfigParsing:
                 "min_unique_tracks": 3,
                 "profiles": {"count": 9, "min_items": 2, "max_items": 4},
                 "split_ratio": 0.5,
-                "prune": {"degree_one": False, "label_entities": True, "schema": True},
+                "prune": {"degree_one": False},
                 "synthetic": {
                     "tracks": 30, "users": 5, "history": 6, "minority_share": 0.3,
                 },
@@ -177,8 +185,6 @@ class TestRunConfigParsing:
             "profile_max_items": 4,
             "split_ratio": 0.5,
             "prune_degree_one": False,
-            "prune_label_entities": True,
-            "prune_schema_nodes": True,
             "synth_tracks": 30,
             "synth_users": 5,
             "synth_history": 6,
@@ -648,3 +654,100 @@ class TestExitCodes:
              "--k", "5", "--seed", "1", "--parallelism", "1"]
         )
         assert code == 0
+
+
+def _nested(path: str, value) -> dict:
+    """The config document that sets only the dotted ``path`` to ``value``."""
+    doc = value
+    for key in reversed(path.split(".")):
+        doc = {key: doc}
+    return doc
+
+
+class TestDeclaredBounds:
+    # (field, out-of-range value, the finding it gives)
+    OUT_OF_RANGE = [
+        ("dataset", "imdb",
+         "dataset must be one of ('lastfm', 'netflix', 'synthetic'), got 'imdb'"),
+        ("parallelism", 0, "parallelism must be >= 1, got 0"),
+        ("sample_users", 0, "sample_users must be >= 1, got 0"),
+        ("profile_count", 0, "profile_count must be >= 1, got 0"),
+        ("recommender", "svd",
+         "recommender must be one of ('external', 'baseline', 'itemknn'), got 'svd'"),
+        ("knn_k", 0, "knn_k must be >= 1, got 0"),
+        ("orders", ["asc", "sideways"],
+         "orders must be one of ('asc', 'desc'), got 'sideways'"),
+        ("mode", "open", "mode must be one of ('closed', 'edges'), got 'open'"),
+        ("top_n_candidates", 0, "top_n_candidates must be >= 1, got 0"),
+        ("eval_k", -3, "eval_k must be >= 1, got -3"),
+    ]
+
+    def test_table_covers_every_declared_bound(self):
+        declared = [
+            f.name for f in fields(RunConfig)
+            if f.metadata["choices"] is not None or f.metadata["minimum"] is not None
+        ]
+        assert declared == [name for name, _, _ in self.OUT_OF_RANGE]
+
+    @pytest.mark.parametrize(
+        "name, value, finding", OUT_OF_RANGE, ids=[row[0] for row in OUT_OF_RANGE]
+    )
+    def test_out_of_range_config_value_is_one(self, tmp_path, capsys, name, value, finding):
+        # the synthetic default dataset: sample_users and profile_count are
+        # checked whatever the dataset
+        path = next(f.metadata["path"] for f in fields(RunConfig) if f.name == name)
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(_nested(path, value)), encoding="utf-8")
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "x")]) == 1
+        assert capsys.readouterr().err == f"config error: {finding}\n"
+        assert not (tmp_path / "x").exists()
+
+    def test_flag_choices_are_the_field_choices(self):
+        parser = argparse.ArgumentParser()
+        _add_common_arguments(parser)
+        by_dest = {action.dest: action for action in parser._actions}
+        for f in fields(RunConfig):
+            if f.metadata["flag"]:
+                assert by_dest[f.name].choices == f.metadata["choices"], f.name
+
+    @pytest.mark.parametrize("key", ["label_entities", "schema"])
+    def test_removed_prune_keys_are_unknown(self, tmp_path, capsys, key):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"dataset": {"prune": {key: True}}}), encoding="utf-8")
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "x")]) == 1
+        assert capsys.readouterr().err == (
+            f"config error: unknown config key dataset.prune.{key}\n"
+        )
+
+    @pytest.mark.parametrize("degree_one", [False, True])
+    def test_netflix_ingest_prunes_degree_one_nodes_only_when_set(
+        self, tmp_path, netflix_csv, degree_one
+    ):
+        triples, titles = load_netflix(netflix_csv)
+        catalog = build_catalog(triples, nodes=titles)
+        degree = dict.fromkeys(catalog.node_ids(), 0)
+        for source, _, target in catalog.edges():
+            degree[source] += 1
+            degree[target] += 1
+        leaves = {v for v, d in degree.items() if d == 1}
+        assert leaves
+        cfg = RunConfig(
+            dataset="netflix", titles_path=str(netflix_csv),
+            output_dir=str(tmp_path / "out"), profile_count=3,
+            profile_min_items=1, profile_max_items=2, prune_degree_one=degree_one,
+        )
+        assert validate_config(cfg) == []
+        stage_ingest(cfg)
+        out = tmp_path / "out"
+        kept = set(read_graph(out / CATALOG_TRIPLES, out / CATALOG_NODES).node_ids())
+        summary = [
+            json.loads(line)
+            for line in (out / INGEST_SUMMARY).read_text(encoding="utf-8").splitlines()
+        ]
+        pruned = next(row["count"] for row in summary if row["reason"] == "nodes pruned")
+        if degree_one:
+            assert kept == set(catalog.node_ids()) - leaves
+            assert pruned == len(leaves)
+        else:
+            assert kept == set(catalog.node_ids())
+            assert pruned == 0

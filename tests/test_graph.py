@@ -11,7 +11,6 @@ from kgrerank import (
     Multigraph,
     NeighborhoodMode,
     Node,
-    PruneRules,
     Triple,
     build_catalog,
     closed_neighborhood,
@@ -349,7 +348,7 @@ class TestPruneGraph:
                 triple("b", "p", "c", sk="artist", tk="genre"),
             ]
         )
-        pruned = prune_graph(catalog, PruneRules(drop_degree_one=True))
+        pruned = prune_graph(catalog)
         assert set(pruned.node_ids()) == {"b"}
         assert pruned.num_edges == 0
 
@@ -361,49 +360,26 @@ class TestPruneGraph:
                 triple("c", "p", "a", sk="genre", tk="track"),
             ]
         )
-        pruned = prune_graph(catalog, PruneRules(drop_degree_one=True))
+        pruned = prune_graph(catalog)
         assert pruned.structural_signature() == catalog.structural_signature()
-
-    def test_schema_nodes_removed_with_edges(self):
-        triples = [
-            triple("a", "p", "b"),
-            Triple("a", "a_type", "Class1", "track", EntityKind.CLASS),
-            Triple("b", "a_type", "Class1", "artist", EntityKind.CLASS),
-        ]
-        catalog = build_catalog(triples)
-        pruned = prune_graph(catalog, PruneRules(drop_schema_nodes=True))
-        assert "Class1" not in pruned
-        assert pruned.num_edges == 1
-
-    def test_label_entities_removed(self):
-        triples = [
-            triple("a", "p", "b"),
-            Triple("a", "label", "Label A", "track", EntityKind.LABEL),
-        ]
-        catalog = build_catalog(triples)
-        pruned = prune_graph(catalog, PruneRules(drop_label_entities=True))
-        assert "Label A" not in pruned
 
     def test_isolated_nodes_survive_degree_rule(self):
         catalog = build_catalog(
             [triple("a", "p", "b")], nodes=[Node("zero", EntityKind.TRACK)]
         )
-        pruned = prune_graph(catalog, PruneRules(drop_degree_one=True))
+        pruned = prune_graph(catalog)
         assert set(pruned.node_ids()) == {"zero"}
 
     def test_output_is_subgraph_of_input(self):
         rng = random.Random(12)
         for _ in range(15):
             catalog, _, _ = random_catalog_with_profile(rng)
-            pruned = prune_graph(
-                catalog,
-                PruneRules(drop_degree_one=True, drop_schema_nodes=True),
-            )
+            pruned = prune_graph(catalog)
             assert set(pruned.node_ids()) <= set(catalog.node_ids())
             assert set(pruned.edges()) <= set(catalog.edges())
 
     def test_recommendable_recomputed(self, dvs_catalog):
-        pruned = prune_graph(dvs_catalog, PruneRules(drop_degree_one=True))
+        pruned = prune_graph(dvs_catalog)
         assert pruned.recommendable <= dvs_catalog.recommendable
 
 

@@ -295,3 +295,12 @@ class TestRunFiles:
         path.write_text("u one a 3.0\n", encoding="utf-8")
         with pytest.raises(RunFileError, match="numeric"):
             load_external_recommendations(path)
+
+    def test_nan_score_rejected_with_line(self, tmp_path):
+        # NaN compares false both ways, so without the check the increase
+        # from 0.2 to 0.9 would go unnoticed
+        path = tmp_path / "bad.txt"
+        path.write_text("u1 1 a 0.2\nu1 2 b nan\nu1 3 c 0.9\n", encoding="utf-8")
+        with pytest.raises(RunFileError) as info:
+            load_external_recommendations(path)
+        assert str(info.value) == f"{path}:2: score is not a number"

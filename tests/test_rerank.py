@@ -47,6 +47,13 @@ class TestRecommendationList:
         with pytest.raises(ValueError, match="non-increasing"):
             RecommendationList(user="u", items=(("a", 1.0), ("b", 2.0)))
 
+    @pytest.mark.parametrize("score", [float("nan"), "nan"])
+    def test_rejects_nan_score_naming_the_item(self, score):
+        with pytest.raises(ValueError, match="score of item 'b' is not a number"):
+            RecommendationList(
+                user="u", items=(("a", 0.2), ("b", score), ("c", 0.9))
+            )
+
     def test_ties_allowed(self):
         lst = RecommendationList(user="u", items=(("a", 1.0), ("b", 1.0)))
         assert lst.item_ids() == ("a", "b")
