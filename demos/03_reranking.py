@@ -11,10 +11,8 @@ ascending by betweenness concentration therefore lifts them to the top.
 from kgrerank import (
     MetricKind,
     RecommendationList,
-    RerankConfig,
     SortOrder,
     Triple,
-    baseline_metric,
     build_catalog,
     induce_profile_subgraph,
     rerank,
@@ -48,21 +46,19 @@ recs = RecommendationList(
 )
 print("base order:", ", ".join(recs.item_ids()))
 
-cfg = RerankConfig(metric=MetricKind.BETWEENNESS, order=SortOrder.ASCENDING)
-baseline = baseline_metric(profile, cfg.metric)
-print(f"baseline betweenness concentration: {baseline.value:.4f}\n")
+BETW, NODES = MetricKind.BETWEENNESS, MetricKind.NODE_COUNT
+ASC, DESC = SortOrder.ASCENDING, SortOrder.DESCENDING
+# One call evaluates every candidate once for all metrics, then orders the
+# evaluations once per (metric, order) pair.
+ranked = rerank(catalog, profile, recs, [BETW, NODES], [ASC, DESC])
 
-print("re-ranked (ascending betweenness concentration):")
-for r in rerank(catalog, profile, recs, cfg):
-    print(f"  #{r.new_rank} {r.item}  metric={r.metric_value.value:.4f} "
-          f"delta={r.delta:+.4f}  (base rank {r.original_rank})")
+print("\nre-ranked (ascending betweenness concentration):")
+for rank, e in enumerate(ranked[BETW, ASC], start=1):
+    print(f"  #{rank} {e.item}  metric={e.metric_value.value:.4f}  "
+          f"(base rank {e.original_rank})")
 
 # Descending order favors the candidates that centralize the profile instead.
-down = rerank(catalog, profile, recs, RerankConfig(
-    metric=MetricKind.BETWEENNESS, order=SortOrder.DESCENDING))
-print("\ndescending order:", ", ".join(r.item for r in down))
+print("\ndescending order:", ", ".join(e.item for e in ranked[BETW, DESC]))
 
 # Any metric plugs into the same machinery.
-by_nodes = rerank(catalog, profile, recs, RerankConfig(
-    metric=MetricKind.NODE_COUNT, order=SortOrder.ASCENDING))
-print("ascending node count:", ", ".join(r.item for r in by_nodes))
+print("ascending node count:", ", ".join(e.item for e in ranked[NODES, ASC]))

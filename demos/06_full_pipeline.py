@@ -18,7 +18,6 @@ import statistics
 from kgrerank import (
     BaselineRecommender,
     MetricKind,
-    RerankConfig,
     SortOrder,
     SyntheticConfig,
     build_catalog,
@@ -43,8 +42,7 @@ for interaction in data.interactions:
     histories.setdefault(interaction.user, set()).add(interaction.item)
 
 K = 10
-cfg = RerankConfig(metric=MetricKind.BETWEENNESS, order=SortOrder.ASCENDING,
-                   top_n=100)
+BETW, ASC = MetricKind.BETWEENNESS, SortOrder.ASCENDING
 base_unexp, rr_unexp, base_ild, rr_ild, agreements = [], [], [], [], []
 for user in sorted(histories):
     recs = model.recommend(user, n=100)
@@ -55,7 +53,8 @@ for user in sorted(histories):
     base_unexp.append(unexpectedness(history_vectors, base_top))
     base_ild.append(ild(base_top))
 
-    reranked = [r.item for r in rerank(catalog, profile, recs, cfg)]
+    ranked = rerank(catalog, profile, recs, [BETW], [ASC], top_n=100)[BETW, ASC]
+    reranked = [e.item for e in ranked]
     rr_top = lookup_features(reranked[:K], data.features)
     rr_unexp.append(unexpectedness(history_vectors, rr_top))
     rr_ild.append(ild(rr_top))

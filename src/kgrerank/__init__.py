@@ -44,15 +44,12 @@ from .metrics import (
     pagerank,
 )
 from .rerank import (
-    RankedItem,
+    CandidateEvaluation,
     RecommendationList,
-    RerankConfig,
     RerankError,
     SortOrder,
-    baseline_metric,
     evaluate_candidates,
     evaluate_metrics,
-    order_candidates,
     rerank,
 )
 from .recsys import (
@@ -104,9 +101,8 @@ __all__ = [
     "betweenness", "centrality_to_shares", "closeness", "compute_metric",
     "hhi", "hhi_normalized", "pagerank",
     # rerank
-    "RankedItem", "RecommendationList", "RerankConfig", "RerankError",
-    "SortOrder", "baseline_metric", "evaluate_candidates", "evaluate_metrics",
-    "order_candidates", "rerank",
+    "CandidateEvaluation", "RecommendationList", "RerankError", "SortOrder",
+    "evaluate_candidates", "evaluate_metrics", "rerank",
     # recsys
     "BaselineRecommender", "Interaction", "ItemKnnRecommender", "NotFittedError",
     "RatingMatrix", "RunFileError", "anti_testset",

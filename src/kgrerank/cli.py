@@ -64,14 +64,14 @@ from .rerank import (
     RecommendationList,
     SortOrder,
     evaluate_candidates,  # noqa: F401 - perfbench/worker.py probes through this name
-    evaluate_metrics,
-    order_candidates,
+    rerank,
 )
 
 log = logging.getLogger(__name__)
 
 DATASETS = ("lastfm", "netflix", "synthetic")
 RECOMMENDERS = ("external", "baseline", "itemknn")
+METRICS = tuple(kind.value for kind in MetricKind)
 ORDERS = tuple(order.value for order in SortOrder)
 MODES = tuple(sorted(mode.value for mode in NeighborhoodMode))
 
@@ -180,7 +180,7 @@ class RunConfig:
     # rerank and evaluation
     metrics: list[str] = _setting(
         ["betweenness"], "rerank.metrics", "--metric",
-        action="append", help="metric to rerank by; repeatable",
+        action="append", choices=METRICS, help="metric to rerank by; repeatable",
     )
     orders: list[str] = _setting(
         ["asc"], "rerank.orders", "--order",
@@ -306,11 +306,6 @@ def validate_config(cfg: RunConfig) -> list[str]:
             findings.append(f"{f.name} must be >= {minimum}, got {value}")
     if not cfg.metrics:
         findings.append("at least one metric is required")
-    for name in cfg.metrics:
-        try:
-            MetricKind.from_name(name)
-        except ValueError as exc:
-            findings.append(str(exc))
     if not cfg.orders:
         findings.append("at least one sort order is required")
     if not cfg.output_dir:
@@ -578,15 +573,16 @@ def stage_recommend(cfg: RunConfig) -> None:
 def _rerank_user(catalog, cfg: RunConfig, user, history, recs):
     """One user's rerankings: {(metric, order): ordered item ids}."""
     sg = induce_profile_subgraph(catalog, history, user=user)
-    kinds = [MetricKind.from_name(name) for name in cfg.metrics]
-    evaluations = evaluate_metrics(catalog, sg, recs, kinds, NeighborhoodMode(cfg.mode))
-    top_n = cfg.top_n_candidates
+    ranked = rerank(
+        catalog, sg, recs,
+        [MetricKind(name) for name in cfg.metrics],
+        [SortOrder(order) for order in cfg.orders],
+        NeighborhoodMode(cfg.mode),
+        cfg.top_n_candidates,
+    )
     return {
-        (kind.value, order): [
-            e.item for e in order_candidates(evaluated, SortOrder(order), top_n)
-        ]
-        for kind, evaluated in evaluations.items()
-        for order in cfg.orders
+        (kind.value, order.value): [e.item for e in evaluations]
+        for (kind, order), evaluations in ranked.items()
     }
 
 

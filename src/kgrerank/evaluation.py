@@ -135,20 +135,14 @@ def lookup_features(
     return out
 
 
-def _entry_item(entry) -> str:
-    # accepts RankedItem-likes (anything with .item) or bare item ids
-    return getattr(entry, "item", entry)
-
-
-def ndcg_at_k(base: RecommendationList, reranked: Sequence, k: int = 10) -> float:
+def ndcg_at_k(base: RecommendationList, reranked: Sequence[str], k: int = 10) -> float:
     """Agreement of a re-ranked list with its base list, as nDCG@k.
 
     The base ranking provides the relevance grades: the item at base rank r
     within the top k is worth k - r + 1, anything below rank k is worth 0.
     DCG is accumulated over the re-ranked top k with log2 position discounts
     and normalized by the DCG of the base order itself, so identical orderings
-    score exactly 1 and disjoint top-k sets score exactly 0. ``reranked`` may
-    hold item ids or ranked-item objects.
+    score exactly 1 and disjoint top-k sets score exactly 0.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -166,7 +160,7 @@ def ndcg_at_k(base: RecommendationList, reranked: Sequence, k: int = 10) -> floa
     ideal = dcg(list(base_ids))
     if ideal == 0.0:
         return 1.0  # empty base list: nothing to disagree about
-    return dcg([_entry_item(e) for e in reranked]) / ideal
+    return dcg(reranked) / ideal
 
 
 @dataclass(frozen=True)
@@ -260,6 +254,5 @@ def write_trec_run(
         for user in sorted(rankings):
             items = list(rankings[user])
             n = len(items)
-            for rank, entry in enumerate(items, start=1):
-                item = _entry_item(entry)
+            for rank, item in enumerate(items, start=1):
                 fh.write(f"{user} Q0 {item} {rank} {float(n - rank + 1)!r} {tag}\n")

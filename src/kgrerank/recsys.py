@@ -321,13 +321,14 @@ def load_external_recommendations(path) -> dict[str, RecommendationList]:
     """Parse a run file of externally computed recommendation lists.
 
     Validates the format line by line: four whitespace-separated fields,
-    ranks counting up from 1 per user, and non-NaN, non-increasing scores per
-    user.
+    ranks counting up from 1 per user, non-NaN, non-increasing scores per
+    user, and no item twice in one user's list.
     Violations raise :class:`RunFileError` with the line number.
     """
     pending: dict[str, list[tuple[str, float]]] = {}
     next_rank: dict[str, int] = {}
     last_score: dict[str, float] = {}
+    first_line: dict[tuple[str, str], int] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
@@ -357,13 +358,16 @@ def load_external_recommendations(path) -> dict[str, RecommendationList]:
                 raise RunFileError(
                     f"{path}:{lineno}: score {score!r} increases for user {user!r}"
                 )
+            if (user, item) in first_line:
+                raise RunFileError(
+                    f"{path}:{lineno}: repeated item {item!r} for user {user!r}, "
+                    f"first on line {first_line[user, item]}"
+                )
+            first_line[user, item] = lineno
             next_rank[user] = expected + 1
             last_score[user] = score
             pending.setdefault(user, []).append((item, score))
-    out: dict[str, RecommendationList] = {}
-    for user, items in pending.items():
-        try:
-            out[user] = RecommendationList(user=user, items=tuple(items))
-        except ValueError as exc:
-            raise RunFileError(f"{path}: user {user!r}: {exc}") from None
-    return out
+    return {
+        user: RecommendationList(user=user, items=tuple(items))
+        for user, items in pending.items()
+    }

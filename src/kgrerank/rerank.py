@@ -1,16 +1,16 @@
 """Re-rank a recommendation list by each candidate's impact on a network metric.
 
 Every candidate is merged into the user's original profile subgraph (never
-cumulatively), the configured metric is evaluated on the extended subgraph,
-and the list is reordered by those metric values. Sorting ascending by a
-concentration-style metric surfaces candidates that leave the profile graph
-balanced; descending favors candidates that centralize it.
+cumulatively), each configured metric is evaluated on the extended subgraph,
+and :func:`rerank` reorders the list by those metric values. Sorting
+ascending by a concentration-style metric surfaces candidates that leave the
+profile graph balanced; descending favors candidates that centralize it.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 
@@ -20,7 +20,6 @@ from .metrics import (
     MetricKind,
     MetricValue,
     compile_graph,
-    compute_metric,
     compute_metrics,
 )
 
@@ -78,39 +77,14 @@ class RecommendationList:
 
 
 @dataclass(frozen=True)
-class RerankConfig:
-    metric: MetricKind
-    order: SortOrder = SortOrder.ASCENDING
-    mode: NeighborhoodMode = NeighborhoodMode.CLOSED_NEIGHBORHOOD
-    top_n: int = 100
-
-    def __post_init__(self) -> None:
-        if self.top_n < 1:
-            raise ValueError(f"top_n must be >= 1, got {self.top_n}")
-
-
-@dataclass(frozen=True)
-class RankedItem:
-    item: str
-    metric_value: MetricValue
-    delta: float
-    original_rank: int
-    new_rank: int
-
-
-@dataclass(frozen=True)
 class CandidateEvaluation:
-    """Metric outcome for one candidate, before any ordering is applied."""
+    """Metric outcome for one candidate; ``original_rank`` is its 1-based
+    position in the base list."""
 
     item: str
     base_score: float
     original_rank: int
     metric_value: MetricValue
-
-
-def baseline_metric(sg: ProfileSubgraph, kind: MetricKind) -> MetricValue:
-    """Metric on the unextended profile subgraph."""
-    return compute_metric(sg.graph, kind)
 
 
 def evaluate_metrics(
@@ -183,48 +157,32 @@ def evaluate_candidates(
     return evaluate_metrics(catalog, sg, recs, (metric,), mode)[metric]
 
 
-def order_candidates(
-    evaluations: Iterable[CandidateEvaluation],
-    order: SortOrder,
-    top_n: int,
-) -> list[CandidateEvaluation]:
-    """Order evaluated candidates and truncate to the requested length.
-
-    Ties on the metric value fall back to descending base score, then to the
-    item id, which keeps the output deterministic.
-    """
-    sign = 1.0 if order is SortOrder.ASCENDING else -1.0
-    ordered = sorted(
-        evaluations,
-        key=lambda e: (sign * e.metric_value.value, -e.base_score, e.item),
-    )
-    return ordered[:top_n]
-
-
 def rerank(
     catalog: CatalogGraph,
     sg: ProfileSubgraph,
     recs: RecommendationList,
-    cfg: RerankConfig,
-) -> list[RankedItem]:
+    metrics: Sequence[MetricKind],
+    orders: Sequence[SortOrder],
+    mode: NeighborhoodMode = NeighborhoodMode.CLOSED_NEIGHBORHOOD,
+    top_n: int = 100,
+) -> dict[tuple[MetricKind, SortOrder], list[CandidateEvaluation]]:
     """Re-rank a recommendation list by metric impact on the profile subgraph.
 
-    Returns at most ``cfg.top_n`` items ordered per ``cfg.order``; each carries
-    its metric value on the extended subgraph and the delta against the
-    baseline metric of the unextended subgraph.
+    Every candidate is evaluated once for all ``metrics``
+    (:func:`evaluate_metrics`); each (metric, order) pair then gets its own
+    ordering of those evaluations, truncated to ``top_n``. Ties on the metric
+    value fall back to descending base score, then to the item id, which
+    keeps the output deterministic.
     """
-    if not recs.items:
-        return []
-    baseline = baseline_metric(sg, cfg.metric)
-    evaluations = evaluate_candidates(catalog, sg, recs, cfg.metric, cfg.mode)
-    ordered = order_candidates(evaluations, cfg.order, cfg.top_n)
-    return [
-        RankedItem(
-            item=e.item,
-            metric_value=e.metric_value,
-            delta=e.metric_value.value - baseline.value,
-            original_rank=e.original_rank,
-            new_rank=rank,
-        )
-        for rank, e in enumerate(ordered, start=1)
-    ]
+    if top_n < 1:
+        raise ValueError(f"top_n must be >= 1, got {top_n}")
+    evaluations = evaluate_metrics(catalog, sg, recs, metrics, mode)
+    ranked = {}
+    for kind, evaluated in evaluations.items():
+        for order in orders:
+            sign = 1.0 if order is SortOrder.ASCENDING else -1.0
+            ranked[kind, order] = sorted(
+                evaluated,
+                key=lambda e: (sign * e.metric_value.value, -e.base_score, e.item),
+            )[:top_n]
+    return ranked

@@ -17,7 +17,6 @@ from kgrerank import (
     MetricKind,
     NeighborhoodMode,
     RecommendationList,
-    RerankConfig,
     SortOrder,
     SyntheticConfig,
     betweenness,
@@ -112,15 +111,13 @@ def test_c2_centrality_oracles():
 
 def test_c3_diverse_vs_similar_reranking(dvs_catalog, dvs_profile, dvs_recs):
     with criterion(3, "diverse-vs-similar directional reproduction"):
-        cfg = RerankConfig(
-            metric=MetricKind.BETWEENNESS,
-            order=ASC,
-            mode=NeighborhoodMode.CLOSED_NEIGHBORHOOD,
-            top_n=100,
-        )
-        ranked = rerank(dvs_catalog, dvs_profile, dvs_recs, cfg)
-        position = {r.item: r.new_rank for r in ranked}
-        values = {r.item: r.metric_value.value for r in ranked}
+        betw = MetricKind.BETWEENNESS
+        ranked = rerank(
+            dvs_catalog, dvs_profile, dvs_recs, [betw], [ASC],
+            mode=NeighborhoodMode.CLOSED_NEIGHBORHOOD, top_n=100,
+        )[betw, ASC]
+        position = {e.item: rank for rank, e in enumerate(ranked, start=1)}
+        values = {e.item: e.metric_value.value for e in ranked}
         for diverse in ("d1", "d2"):
             for similar in ("s1", "s2"):
                 assert position[diverse] < position[similar]
@@ -176,10 +173,11 @@ def test_c4_candidate_evaluation_independence():
             assert original == permuted  # exact equality
 
             # and the final ordering is identical after re-sorting
-            cfg = RerankConfig(metric=metric, order=ASC, top_n=100)
-            assert [r.item for r in rerank(catalog, sg, recs, cfg)] == [
-                r.item for r in rerank(catalog, sg, shuffled, cfg)
-            ]
+            first, second = (
+                [e.item for e in rerank(catalog, sg, lst, [metric], [ASC])[metric, ASC]]
+                for lst in (recs, shuffled)
+            )
+            assert first == second
 
 
 def test_c5_surprise_measure_oracles():
@@ -239,8 +237,7 @@ def synthetic_experiment():
     assert len(histories) >= 20
 
     k = 10
-    cfg_betw = RerankConfig(metric=MetricKind.BETWEENNESS, order=ASC, top_n=100)
-    cfg_nodes = RerankConfig(metric=MetricKind.NODE_COUNT, order=DESC, top_n=100)
+    betw, nodes = MetricKind.BETWEENNESS, MetricKind.NODE_COUNT
     unexp_base, unexp_betw, ndcg_betw, ndcg_nodes = [], [], [], []
     for user in sorted(histories):
         recs = model.recommend(user, n=100)
@@ -251,14 +248,15 @@ def synthetic_experiment():
                 history_vectors, lookup_features(recs.top(k), data.features)
             )
         )
-        ranked_betw = [r.item for r in rerank(catalog, sg, recs, cfg_betw)]
+        ranked = rerank(catalog, sg, recs, [betw, nodes], [ASC, DESC])
+        ranked_betw = [e.item for e in ranked[betw, ASC]]
         unexp_betw.append(
             unexpectedness(
                 history_vectors, lookup_features(ranked_betw[:k], data.features)
             )
         )
         ndcg_betw.append(ndcg_at_k(recs, ranked_betw, k))
-        ranked_nodes = [r.item for r in rerank(catalog, sg, recs, cfg_nodes)]
+        ranked_nodes = [e.item for e in ranked[nodes, DESC]]
         ndcg_nodes.append(ndcg_at_k(recs, ranked_nodes, k))
     return {
         "users": len(histories),

@@ -65,7 +65,11 @@ class TestValidateConfig:
 
     def test_unknown_metric_is_a_finding(self, tmp_path):
         cfg = synth_config(tmp_path, metrics=["bogus"])
-        assert any("unknown metric" in f for f in validate_config(cfg))
+        assert validate_config(cfg) == [
+            "metrics must be one of ('node_count', 'edge_count', 'density', "
+            "'average_degree', 'in_degree', 'out_degree', 'pagerank', "
+            "'betweenness', 'closeness'), got 'bogus'"
+        ]
 
     def test_profile_bounds_finding(self, tmp_path):
         titles = tmp_path / "titles.csv"
@@ -428,11 +432,14 @@ class TestPipeline:
 
 class TestExitCodes:
     def test_validation_error_is_one(self, tmp_path, capsys):
-        assert main(
-            ["run", "--dataset", "synthetic", "--metric", "bogus",
-             "--out", str(tmp_path / "x")]
-        ) == 1
-        assert "config error" in capsys.readouterr().err
+        # an unknown metric flag is rejected while parsing, before any config
+        with pytest.raises(SystemExit) as info:
+            main(
+                ["run", "--dataset", "synthetic", "--metric", "bogus",
+                 "--out", str(tmp_path / "x")]
+            )
+        assert info.value.code == 1
+        assert "argument --metric: invalid choice: 'bogus'" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "rerank_section, finding",
@@ -675,6 +682,10 @@ class TestDeclaredBounds:
         ("recommender", "svd",
          "recommender must be one of ('external', 'baseline', 'itemknn'), got 'svd'"),
         ("knn_k", 0, "knn_k must be >= 1, got 0"),
+        ("metrics", ["betweenness", "bogus"],
+         "metrics must be one of ('node_count', 'edge_count', 'density', "
+         "'average_degree', 'in_degree', 'out_degree', 'pagerank', "
+         "'betweenness', 'closeness'), got 'bogus'"),
         ("orders", ["asc", "sideways"],
          "orders must be one of ('asc', 'desc'), got 'sideways'"),
         ("mode", "open", "mode must be one of ('closed', 'edges'), got 'open'"),

@@ -1,6 +1,8 @@
-"""Every demo script runs to completion against the package in ``src/``."""
+"""Every demo script, and the README's Python code, runs to completion
+against the package in ``src/``."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,11 +13,23 @@ ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
-@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
-def test_demo_runs(demo, tmp_path):
+def _run(args, cwd):
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     result = subprocess.run(
-        [sys.executable, str(demo)],
-        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+        [sys.executable, *args],
+        cwd=cwd, env=env, capture_output=True, text=True, timeout=120,
     )
     assert result.returncode == 0, result.stderr
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
+def test_demo_runs(demo, tmp_path):
+    _run([str(demo)], tmp_path)
+
+
+def test_readme_python_blocks_run(tmp_path):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```$", readme, re.DOTALL | re.MULTILINE)
+    assert blocks, "README.md has no ```python block"
+    for code in blocks:
+        _run(["-c", code], tmp_path)

@@ -252,17 +252,6 @@ class TestNdcg:
         value = ndcg_at_k(base, ["b"], 3)
         assert 0.0 < value < 1.0
 
-    def test_accepts_ranked_item_objects(self, dvs_catalog, dvs_profile, dvs_recs):
-        from kgrerank import MetricKind, RerankConfig, SortOrder, rerank
-
-        ranked = rerank(
-            dvs_catalog, dvs_profile, dvs_recs,
-            RerankConfig(metric=MetricKind.NODE_COUNT, order=SortOrder.ASCENDING),
-        )
-        by_objects = ndcg_at_k(dvs_recs, ranked, 3)
-        by_ids = ndcg_at_k(dvs_recs, [r.item for r in ranked], 3)
-        assert by_objects == by_ids
-
     def test_invalid_k(self):
         with pytest.raises(ValueError, match="k must be"):
             ndcg_at_k(base_list("a"), ["a"], 0)

@@ -304,3 +304,10 @@ class TestRunFiles:
         with pytest.raises(RunFileError) as info:
             load_external_recommendations(path)
         assert str(info.value) == f"{path}:2: score is not a number"
+
+    def test_repeated_item_rejected_with_both_lines(self, tmp_path):
+        path = tmp_path / "dup.run"
+        path.write_text("u1 1 a 0.9\nu2 1 a 0.9\nu1 2 b 0.5\nu1 3 a 0.1\n", encoding="utf-8")
+        with pytest.raises(RunFileError) as info:
+            load_external_recommendations(path)
+        assert str(info.value) == f"{path}:4: repeated item 'a' for user 'u1', first on line 1"

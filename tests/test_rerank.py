@@ -10,10 +10,8 @@ from kgrerank import (
     MetricKind,
     NeighborhoodMode,
     RecommendationList,
-    RerankConfig,
     RerankError,
     SortOrder,
-    baseline_metric,
     compute_metric,
     evaluate_candidates,
     extend_subgraph,
@@ -34,8 +32,9 @@ CLOSE = MetricKind.CLOSENESS
 PAGERANK = MetricKind.PAGERANK
 
 
-def cfg(metric=BETW, order=ASC, top_n=100, mode=NeighborhoodMode.CLOSED_NEIGHBORHOOD):
-    return RerankConfig(metric=metric, order=order, mode=mode, top_n=top_n)
+def ranked(catalog, sg, recs, metric=BETW, order=ASC, **kwargs):
+    """The one list of a single-metric, single-order rerank call."""
+    return rerank(catalog, sg, recs, [metric], [order], **kwargs)[metric, order]
 
 
 class TestRecommendationList:
@@ -59,126 +58,110 @@ class TestRecommendationList:
         assert lst.item_ids() == ("a", "b")
         assert lst.top(1) == ("a",)
 
-    def test_top_n_validated(self):
+    def test_top_n_validated(self, dvs_catalog, dvs_profile, dvs_recs):
         with pytest.raises(ValueError, match="top_n"):
-            RerankConfig(metric=BETW, top_n=0)
+            rerank(dvs_catalog, dvs_profile, dvs_recs, [BETW], [ASC], top_n=0)
 
 
 class TestRerankOnFixture:
     def test_ascending_betweenness_prefers_diverse_candidates(
         self, dvs_catalog, dvs_profile, dvs_recs
     ):
-        ranked = rerank(dvs_catalog, dvs_profile, dvs_recs, cfg())
-        assert [r.item for r in ranked] == ["d2", "d1", "s1", "s2"]
-        for r in ranked:
-            assert r.metric_value.value == pytest.approx(
-                DVS_EXPECTED[r.item], abs=1e-9
+        result = ranked(dvs_catalog, dvs_profile, dvs_recs)
+        assert [e.item for e in result] == ["d2", "d1", "s1", "s2"]
+        for e in result:
+            assert e.metric_value.value == pytest.approx(
+                DVS_EXPECTED[e.item], abs=1e-9
             )
 
-    def test_delta_is_update_minus_baseline(self, dvs_catalog, dvs_profile, dvs_recs):
-        baseline = compute_metric(dvs_profile.graph, BETW).value
-        for r in rerank(dvs_catalog, dvs_profile, dvs_recs, cfg()):
-            assert r.delta == pytest.approx(r.metric_value.value - baseline, abs=1e-12)
-
     def test_tie_break_prefers_higher_base_score(self, dvs_catalog, dvs_profile, dvs_recs):
-        ranked = rerank(dvs_catalog, dvs_profile, dvs_recs, cfg())
-        by_item = {r.item: r for r in ranked}
+        result = ranked(dvs_catalog, dvs_profile, dvs_recs)
+        by_item = {e.item: e for e in result}
         # s1 and s2 tie on the metric; s1 carries the higher base score
         assert by_item["s1"].metric_value.value == by_item["s2"].metric_value.value
-        assert by_item["s1"].new_rank < by_item["s2"].new_rank
+        assert result.index(by_item["s1"]) < result.index(by_item["s2"])
 
     def test_ranks_and_original_positions(self, dvs_catalog, dvs_profile, dvs_recs):
-        ranked = rerank(dvs_catalog, dvs_profile, dvs_recs, cfg())
-        assert [r.new_rank for r in ranked] == [1, 2, 3, 4]
-        originals = {r.item: r.original_rank for r in ranked}
+        result = ranked(dvs_catalog, dvs_profile, dvs_recs)
+        originals = {e.item: e.original_rank for e in result}
         assert originals == {"s1": 1, "s2": 2, "d1": 3, "d2": 4}
 
     def test_truncation(self, dvs_catalog, dvs_profile, dvs_recs):
-        ranked = rerank(dvs_catalog, dvs_profile, dvs_recs, cfg(top_n=2))
-        assert [r.item for r in ranked] == ["d2", "d1"]
-        assert [r.new_rank for r in ranked] == [1, 2]
+        result = ranked(dvs_catalog, dvs_profile, dvs_recs, top_n=2)
+        assert [e.item for e in result] == ["d2", "d1"]
 
     def test_empty_list(self, dvs_catalog, dvs_profile):
         empty = RecommendationList(user="u1", items=())
-        assert rerank(dvs_catalog, dvs_profile, empty, cfg()) == []
+        assert ranked(dvs_catalog, dvs_profile, empty) == []
 
     def test_single_item_is_rank_one(self, dvs_catalog, dvs_profile):
         one = RecommendationList(user="u1", items=(("s1", 1.0),))
         for kind in (BETW, MetricKind.NODE_COUNT, MetricKind.PAGERANK):
-            ranked = rerank(dvs_catalog, dvs_profile, one, cfg(metric=kind))
-            assert len(ranked) == 1
-            assert ranked[0].item == "s1"
-            assert ranked[0].new_rank == 1
+            assert [e.item for e in ranked(dvs_catalog, dvs_profile, one, kind)] == ["s1"]
 
     def test_node_count_ascending_prefers_contained_neighborhoods(self, dvs_catalog):
         # s1's whole closed neighborhood is already present once s1 is in the
         # history; d1 brings three new nodes
         sg = induce_profile_subgraph(dvs_catalog, {"t1", "t2", "s1"}, user="u")
         recs = RecommendationList(user="u", items=(("d1", 0.9), ("s2", 0.1)))
-        ranked = rerank(dvs_catalog, sg, recs, cfg(metric=MetricKind.NODE_COUNT))
-        assert [r.item for r in ranked] == ["s2", "d1"]
+        result = ranked(dvs_catalog, sg, recs, MetricKind.NODE_COUNT)
+        assert [e.item for e in result] == ["s2", "d1"]
 
     def test_invalid_candidate_named_in_error(self, dvs_catalog, dvs_profile):
         recs = RecommendationList(user="u1", items=(("g1", 1.0),))
         with pytest.raises(RerankError, match="g1"):
-            rerank(dvs_catalog, dvs_profile, recs, cfg())
+            ranked(dvs_catalog, dvs_profile, recs)
 
     def test_input_subgraph_unchanged(self, dvs_catalog, dvs_profile, dvs_recs):
         before = dvs_profile.graph.structural_signature()
-        rerank(dvs_catalog, dvs_profile, dvs_recs, cfg())
+        ranked(dvs_catalog, dvs_profile, dvs_recs)
         assert dvs_profile.graph.structural_signature() == before
 
 
+ALL_KINDS = sorted(MetricKind, key=lambda k: k.value)
+
+
 class TestRerankProperties:
-    @pytest.mark.parametrize("kind", sorted(MetricKind, key=lambda k: k.value),
-                             ids=lambda k: k.value)
-    def test_evaluation_equals_materialized(self, kind):
+    @pytest.mark.parametrize("mode", list(NeighborhoodMode), ids=lambda m: m.value)
+    def test_evaluation_equals_materialized(self, mode):
         rng = random.Random(31)
         for _ in range(8):
             catalog, history, recs = random_catalog_with_profile(rng)
             sg = induce_profile_subgraph(catalog, history, user="u")
-            ranked = rerank(catalog, sg, recs, cfg(metric=kind))
-            expected = {
-                item: compute_metric(extend_subgraph(sg, catalog, item).graph, kind)
-                for item in recs.item_ids()
-            }
-            for r in ranked:
-                assert r.metric_value == expected[r.item]
+            result = rerank(catalog, sg, recs, ALL_KINDS, [ASC, DESC], mode=mode)
             scores = dict(recs.items)
-            assert [r.item for r in ranked] == sorted(
-                expected, key=lambda i: (expected[i].value, -scores[i], i)
-            )
-
-    def test_order_by_update_equals_order_by_delta(self):
-        rng = random.Random(32)
-        for _ in range(15):
-            catalog, history, recs = random_catalog_with_profile(rng)
-            sg = induce_profile_subgraph(catalog, history, user="u")
-            ranked = rerank(catalog, sg, recs, cfg())
-            by_value = sorted(ranked, key=lambda r: (r.metric_value.value, -dict(recs.items)[r.item], r.item))
-            by_delta = sorted(ranked, key=lambda r: (r.delta, -dict(recs.items)[r.item], r.item))
-            assert [r.item for r in by_value] == [r.item for r in by_delta]
+            for kind in ALL_KINDS:
+                expected = {
+                    item: compute_metric(
+                        extend_subgraph(sg, catalog, item, mode).graph, kind
+                    )
+                    for item in recs.item_ids()
+                }
+                for order, sign in ((ASC, 1), (DESC, -1)):
+                    listed = result[kind, order]
+                    for e in listed:
+                        assert e.metric_value == expected[e.item]
+                    assert [e.item for e in listed] == sorted(
+                        expected, key=lambda i: (sign * expected[i].value, -scores[i], i)
+                    )
 
     def test_output_is_permutation_of_input(self):
         rng = random.Random(33)
         for _ in range(15):
             catalog, history, recs = random_catalog_with_profile(rng)
             sg = induce_profile_subgraph(catalog, history, user="u")
-            ranked = rerank(catalog, sg, recs, cfg())
-            assert sorted(r.item for r in ranked) == sorted(recs.item_ids())
-            assert sorted(r.new_rank for r in ranked) == list(
-                range(1, len(recs) + 1)
-            )
+            result = ranked(catalog, sg, recs)
+            assert sorted(e.item for e in result) == sorted(recs.item_ids())
 
     def test_reversing_order_reverses_up_to_ties(self):
         rng = random.Random(34)
         for _ in range(15):
             catalog, history, recs = random_catalog_with_profile(rng)
             sg = induce_profile_subgraph(catalog, history, user="u")
-            up = rerank(catalog, sg, recs, cfg(order=ASC))
-            down = rerank(catalog, sg, recs, cfg(order=DESC))
-            assert [r.metric_value.value for r in down] == sorted(
-                (r.metric_value.value for r in up), reverse=True
+            result = rerank(catalog, sg, recs, [BETW], [ASC, DESC])
+            up, down = result[BETW, ASC], result[BETW, DESC]
+            assert [e.metric_value.value for e in down] == sorted(
+                (e.metric_value.value for e in up), reverse=True
             )
 
     def test_processing_order_does_not_affect_metric_values(self):
@@ -203,40 +186,22 @@ class TestRerankProperties:
             }
             assert reference == permuted
             # the final orderings agree as well (ties resolve on item ids)
-            a = rerank(catalog, sg, recs, cfg())
-            b = rerank(catalog, sg, shuffled, cfg())
-            assert [r.item for r in a] == [r.item for r in b]
+            a = ranked(catalog, sg, recs)
+            b = ranked(catalog, sg, shuffled)
+            assert [e.item for e in a] == [e.item for e in b]
 
     def test_candidates_evaluated_in_isolation(self, dvs_catalog, dvs_profile, dvs_recs):
         full = {
-            r.item: r.metric_value.value
-            for r in rerank(dvs_catalog, dvs_profile, dvs_recs, cfg())
+            e.item: e.metric_value.value
+            for e in ranked(dvs_catalog, dvs_profile, dvs_recs)
         }
         for item, score in dvs_recs.items:
-            alone = rerank(
+            alone = ranked(
                 dvs_catalog,
                 dvs_profile,
                 RecommendationList(user="u1", items=((item, score),)),
-                cfg(),
             )
             assert alone[0].metric_value.value == full[item]
-
-
-class TestBaselineMetric:
-    def test_empty_history_node_count(self, dvs_catalog):
-        sg = induce_profile_subgraph(dvs_catalog, set(), user="u")
-        assert baseline_metric(sg, MetricKind.NODE_COUNT).value == 0.0
-
-    def test_profile_node_count(self, dvs_profile):
-        assert baseline_metric(dvs_profile, MetricKind.NODE_COUNT).value == 4.0
-
-    def test_unnamed_profiles_get_their_own_baseline(self, dvs_catalog):
-        # both profiles carry the default user name ""
-        one = induce_profile_subgraph(dvs_catalog, {"t1"})
-        other = induce_profile_subgraph(dvs_catalog, {"s1"})
-        assert one.user == other.user == ""
-        assert baseline_metric(one, MetricKind.NODE_COUNT).value == 3.0
-        assert baseline_metric(other, MetricKind.NODE_COUNT).value == 2.0
 
 
 NON_PATH_KINDS = sorted(set(MetricKind) - {BETW, CLOSE}, key=lambda k: k.value)
