@@ -121,29 +121,39 @@ class TestRerankOnFixture:
 ALL_KINDS = sorted(MetricKind, key=lambda k: k.value)
 
 
+@pytest.fixture(scope="module", params=list(NeighborhoodMode), ids=lambda m: m.value)
+def multi_metric_runs(request):
+    """One all-metrics, both-orders rerank call per random profile, in one mode."""
+    mode = request.param
+    rng = random.Random(31)
+    runs = []
+    for _ in range(8):
+        catalog, history, recs = random_catalog_with_profile(rng)
+        sg = induce_profile_subgraph(catalog, history, user="u")
+        result = rerank(catalog, sg, recs, ALL_KINDS, [ASC, DESC], mode=mode)
+        runs.append((catalog, sg, recs, result))
+    return mode, runs
+
+
 class TestRerankProperties:
-    @pytest.mark.parametrize("mode", list(NeighborhoodMode), ids=lambda m: m.value)
-    def test_evaluation_equals_materialized(self, mode):
-        rng = random.Random(31)
-        for _ in range(8):
-            catalog, history, recs = random_catalog_with_profile(rng)
-            sg = induce_profile_subgraph(catalog, history, user="u")
-            result = rerank(catalog, sg, recs, ALL_KINDS, [ASC, DESC], mode=mode)
+    @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
+    def test_evaluation_equals_materialized(self, multi_metric_runs, kind):
+        mode, runs = multi_metric_runs
+        for catalog, sg, recs, result in runs:
             scores = dict(recs.items)
-            for kind in ALL_KINDS:
-                expected = {
-                    item: compute_metric(
-                        extend_subgraph(sg, catalog, item, mode).graph, kind
-                    )
-                    for item in recs.item_ids()
-                }
-                for order, sign in ((ASC, 1), (DESC, -1)):
-                    listed = result[kind, order]
-                    for e in listed:
-                        assert e.metric_value == expected[e.item]
-                    assert [e.item for e in listed] == sorted(
-                        expected, key=lambda i: (sign * expected[i].value, -scores[i], i)
-                    )
+            expected = {
+                item: compute_metric(
+                    extend_subgraph(sg, catalog, item, mode).graph, kind
+                )
+                for item in recs.item_ids()
+            }
+            for order, sign in ((ASC, 1), (DESC, -1)):
+                listed = result[kind, order]
+                for e in listed:
+                    assert e.metric_value == expected[e.item]
+                assert [e.item for e in listed] == sorted(
+                    expected, key=lambda i: (sign * expected[i].value, -scores[i], i)
+                )
 
     def test_output_is_permutation_of_input(self):
         rng = random.Random(33)
