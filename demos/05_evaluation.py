@@ -1,7 +1,7 @@
 """Beyond-accuracy measures: diversity, unexpectedness, and rank agreement.
 
-Tracks are 8-dimensional acoustic feature vectors in [0, 1]; cosine distance
-between them drives intra-list diversity (how varied is one list) and
+Tracks are 8-dimensional acoustic feature rows in [0, 1], built and checked
+by ``feature_vector``; cosine distance between them drives intra-list diversity (how varied is one list) and
 unexpectedness (how far do recommendations sit from the user's history).
 nDCG@k measures how much a re-ranked list still agrees with its base list.
 """
@@ -11,19 +11,19 @@ from pathlib import Path
 
 from kgrerank import (
     EvalRow,
-    FeatureVector,
     RecommendationList,
     cosine_distance,
     emit_report,
+    feature_vector,
     ild,
     ndcg_at_k,
     unexpectedness,
 )
 
-mellow = FeatureVector(0.2, 0.1, 0.05, 0.9, 0.8, 0.1, 0.3, 0.2)
-mellow2 = FeatureVector(0.25, 0.15, 0.05, 0.85, 0.75, 0.1, 0.35, 0.25)
-club = FeatureVector(0.95, 0.9, 0.1, 0.05, 0.1, 0.3, 0.8, 0.9)
-club2 = FeatureVector(0.9, 0.85, 0.15, 0.1, 0.05, 0.25, 0.85, 0.85)
+mellow = feature_vector([0.2, 0.1, 0.05, 0.9, 0.8, 0.1, 0.3, 0.2])
+mellow2 = feature_vector([0.25, 0.15, 0.05, 0.85, 0.75, 0.1, 0.35, 0.25])
+club = feature_vector([0.95, 0.9, 0.1, 0.05, 0.1, 0.3, 0.8, 0.9])
+club2 = feature_vector([0.9, 0.85, 0.15, 0.1, 0.05, 0.25, 0.85, 0.85])
 
 print("distance(mellow, mellow2):", round(cosine_distance(mellow, mellow2), 4))
 print("distance(mellow, club):   ", round(cosine_distance(mellow, club), 4))

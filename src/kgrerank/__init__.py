@@ -66,9 +66,9 @@ from .recsys import (
 )
 from .evaluation import (
     EvalRow,
-    FeatureVector,
     cosine_distance,
     emit_report,
+    feature_vector,
     ild,
     lookup_features,
     ndcg_at_k,
@@ -108,7 +108,7 @@ __all__ = [
     "RatingMatrix", "RunFileError", "anti_testset",
     "load_external_recommendations", "scale_ratings", "write_recommendations",
     # evaluation
-    "EvalRow", "FeatureVector", "cosine_distance", "emit_report", "ild",
+    "EvalRow", "cosine_distance", "emit_report", "feature_vector", "ild",
     "lookup_features", "ndcg_at_k", "unexpectedness", "write_qrels",
     "write_trec_run",
     # ingest

@@ -19,12 +19,14 @@ import sys
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .evaluation import (
     EvalRow,
     FEATURE_NAMES,
-    FeatureVector,
     emit_report,
+    feature_vector,
     ild,
     lookup_features,
     ndcg_at_k,
@@ -411,20 +413,20 @@ def _read_profiles(path) -> dict[str, dict[str, list[str]]]:
     return json.loads(Path(path).read_text(encoding="utf-8"))["users"]
 
 
-def _write_features(features: dict[str, FeatureVector], path) -> None:
+def _write_features(features: dict[str, np.ndarray], path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["item", *FEATURE_NAMES])
         for item in sorted(features):
-            vector = features[item]
-            writer.writerow(
-                [item, *(repr(getattr(vector, name)) for name in FEATURE_NAMES)]
-            )
+            # repr of Python floats: numpy 2 reprs np.float64 with its type name
+            writer.writerow([item, *map(repr, features[item].tolist())])
 
 
-def _read_features(path) -> dict[str, FeatureVector]:
-    """Read a workspace features file; a bad row is named by line and item."""
+def _read_features(path) -> dict[str, np.ndarray]:
+    """Read a workspace features file; a bad or repeated row is named by line
+    and item."""
     out = {}
+    first_line: dict[str, int] = {}
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
         header = reader.fieldnames or []
@@ -432,16 +434,20 @@ def _read_features(path) -> dict[str, FeatureVector]:
         if missing:
             raise ValueError(f"{path}: missing column(s) {', '.join(missing)}")
         for row in reader:
-            item = row["item"]
-            try:
-                values = [float(row[name]) for name in FEATURE_NAMES]
-                if not any(values):
-                    raise ValueError("all-zero vector has no cosine distance")
-                out[item] = FeatureVector.from_iterable(values)
-            except (TypeError, ValueError) as exc:
+            item, line = row["item"], reader.line_num
+            if item in first_line:
                 raise ValueError(
-                    f"{path}:{reader.line_num}: item {item!r}: {exc}"
-                ) from None
+                    f"{path}:{line}: repeated item {item!r}, "
+                    f"first on line {first_line[item]}"
+                )
+            first_line[item] = line
+            try:
+                vector = feature_vector(row[name] for name in FEATURE_NAMES)
+                if not vector.any():
+                    raise ValueError("all-zero vector has no cosine distance")
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"{path}:{line}: item {item!r}: {exc}") from None
+            out[item] = vector
     return out
 
 

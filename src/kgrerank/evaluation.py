@@ -1,10 +1,15 @@
 """Beyond-accuracy evaluation of re-ranked recommendation lists.
 
-Intra-list diversity and unexpectedness are measured over 8-dimensional
-acoustic feature vectors with cosine distance; agreement between a re-ranked
-list and its base list is measured with nDCG@k where the base ranking itself
-provides the relevance grades. Report emission is deterministic so output
-files can be compared byte for byte.
+Intra-list diversity and unexpectedness are measured with cosine distance
+over acoustic feature rows: a track's row is the read-only float64 array of
+shape (8,), in ``FEATURE_NAMES`` order, that ``feature_vector`` builds and
+checks (8 components, each in [0, 1], no NaN). A feature store maps item ids
+to rows; ``lookup_features`` stacks a list's rows into one (n x 8) array, and
+the distance functions take such arrays. The readers that fill a store reject
+a repeated id with its file, line and first line. Agreement between a
+re-ranked list and its base list is measured with nDCG@k where the base
+ranking itself provides the relevance grades. Report emission is
+deterministic so output files can be compared byte for byte.
 
 Float contract: each distance is an entry of one product
 (``_distance_matrix``) and equals the per-pair formula
@@ -32,6 +37,7 @@ from functools import reduce
 from operator import add
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 from .rerank import RecommendationList
 
@@ -47,43 +53,25 @@ FEATURE_NAMES = (
 )
 
 
-@dataclass(frozen=True)
-class FeatureVector:
-    """Acoustic description of one track; every component lies in [0, 1]."""
-
-    danceability: float
-    energy: float
-    speechiness: float
-    acousticness: float
-    instrumentalness: float
-    liveness: float
-    valence: float
-    tempo: float
-
-    def __post_init__(self) -> None:
-        for name in FEATURE_NAMES:
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"feature {name} = {value!r} outside [0, 1]")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([getattr(self, name) for name in FEATURE_NAMES])
-
-    @classmethod
-    def from_iterable(cls, values: Iterable[float]) -> "FeatureVector":
-        values = tuple(float(v) for v in values)
-        if len(values) != len(FEATURE_NAMES):
-            raise ValueError(
-                f"expected {len(FEATURE_NAMES)} components, got {len(values)}"
-            )
-        return cls(*values)
+def feature_vector(values: Iterable[float]) -> np.ndarray:
+    """One track's acoustic row: read-only float64, shape (8,), in
+    ``FEATURE_NAMES`` order, every component in [0, 1] (NaN is rejected)."""
+    row = np.array([float(v) for v in values])
+    if len(row) != len(FEATURE_NAMES):
+        raise ValueError(f"expected {len(FEATURE_NAMES)} components, got {len(row)}")
+    for name, value in zip(FEATURE_NAMES, row.tolist()):
+        if not 0.0 <= value <= 1.0:
+            raise ValueError(f"feature {name} = {value!r} outside [0, 1]")
+    row.flags.writeable = False
+    return row
 
 
-def _distance_matrix(vectors: Sequence[FeatureVector]) -> np.ndarray:
-    """Clipped cosine distances of all pairs; padded as the float contract says."""
+def _distance_matrix(vectors: ArrayLike) -> np.ndarray:
+    """Clipped cosine distances of all pairs of (n x 8) rows; padded as the
+    float contract says."""
     n = len(vectors)
     rows = np.zeros((-(-n // 8) * 8, len(FEATURE_NAMES)))
-    rows[:n] = [v.as_array() for v in vectors]
+    rows[:n] = vectors
     dots = (rows @ rows.T.copy())[:n, :n]
     norms = np.sqrt(dots.diagonal())
     scale = np.multiply.outer(norms, norms)
@@ -92,13 +80,14 @@ def _distance_matrix(vectors: Sequence[FeatureVector]) -> np.ndarray:
     return np.clip(1.0 - dots / scale, 0.0, 1.0)
 
 
-def cosine_distance(a: FeatureVector, b: FeatureVector) -> float:
+def cosine_distance(a: ArrayLike, b: ArrayLike) -> float:
     """1 - cosine similarity; in [0, 1] for the non-negative vectors used here."""
     return float(_distance_matrix([a, b])[0, 1])
 
 
-def ild(items: Sequence[FeatureVector]) -> float:
-    """Intra-list diversity: mean pairwise distance over ordered pairs.
+def ild(items: ArrayLike) -> float:
+    """Intra-list diversity of (n x 8) rows: mean pairwise distance over
+    ordered pairs.
 
     Lists with fewer than two items have no pairs and yield 0.
     """
@@ -109,30 +98,28 @@ def ild(items: Sequence[FeatureVector]) -> float:
     return float(np.cumsum(distances)[-1]) / (n * (n - 1))
 
 
-def unexpectedness(
-    history: Sequence[FeatureVector], recs: Sequence[FeatureVector]
-) -> float:
-    """Mean distance of each recommended item to each item in the history."""
-    if not history:
+def unexpectedness(history: ArrayLike, recs: ArrayLike) -> float:
+    """Mean distance of each recommended row to each history row."""
+    if len(history) == 0:
         raise ValueError("unexpectedness requires a non-empty history")
-    if not recs:
+    if len(recs) == 0:
         raise ValueError("unexpectedness requires a non-empty recommendation list")
     r = len(recs)
-    block = _distance_matrix([*recs, *history])[:r, r:]
+    block = _distance_matrix(np.concatenate([recs, history]))[:r, r:]
     return float(np.cumsum(block.ravel())[-1]) / (r * len(history))
 
 
 def lookup_features(
-    items: Iterable[str], features: Mapping[str, FeatureVector]
-) -> list[FeatureVector]:
-    """Resolve items to feature vectors, failing loudly on the missing one."""
-    out = []
+    items: Iterable[str], features: Mapping[str, np.ndarray]
+) -> np.ndarray:
+    """The (n x 8) rows of ``items``, failing loudly on the missing one."""
+    rows = []
     for item in items:
         try:
-            out.append(features[item])
+            rows.append(features[item])
         except KeyError:
             raise KeyError(f"no feature vector for item {item!r}") from None
-    return out
+    return np.array(rows).reshape(-1, len(FEATURE_NAMES))
 
 
 def ndcg_at_k(base: RecommendationList, reranked: Sequence[str], k: int = 10) -> float:

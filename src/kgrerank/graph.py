@@ -443,9 +443,10 @@ def read_graph(triples_path, nodes_path) -> CatalogGraph:
     """Load a graph previously written by :func:`export_graph`.
 
     Only the label attribute survives the round trip; other node attributes
-    are not part of the flat format.
+    are not part of the flat format. A node id may appear on one line only.
     """
     catalog = CatalogGraph()
+    first_line: dict[str, int] = {}
     with open(nodes_path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
@@ -455,6 +456,12 @@ def read_graph(triples_path, nodes_path) -> CatalogGraph:
             if len(parts) != 3:
                 raise GraphError(f"{nodes_path}:{lineno}: expected 3 fields")
             node_id, kind, label = parts
+            if node_id in first_line:
+                raise GraphError(
+                    f"{nodes_path}:{lineno}: repeated node {node_id!r}, "
+                    f"first on line {first_line[node_id]}"
+                )
+            first_line[node_id] = lineno
             attrs = {"label": label} if label else {}
             catalog.add_node(Node(node_id, kind, attrs))
     with open(triples_path, encoding="utf-8") as fh:

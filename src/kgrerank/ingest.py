@@ -19,7 +19,9 @@ import random
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 
-from .evaluation import FEATURE_NAMES, FeatureVector
+import numpy as np
+
+from .evaluation import FEATURE_NAMES, feature_vector
 from .graph import CatalogGraph, EntityKind, Node, Triple
 from .recsys import Interaction
 
@@ -70,7 +72,7 @@ class MergeResult:
 
     interactions: list[Interaction]
     triples: list[Triple]
-    features: dict[str, FeatureVector]
+    features: dict[str, np.ndarray]
     stats: MergeStats
     dropped_events: int = 0
     summary: list[dict] = field(default_factory=list)
@@ -113,6 +115,7 @@ def _require_columns(path, fieldnames, required: Sequence[str]) -> None:
 def _read_features_csv(path) -> dict[str, list[float]]:
     """Track id -> raw feature values in FEATURE_NAMES order (tempo unscaled)."""
     out: dict[str, list[float]] = {}
+    first_line: dict[str, int] = {}
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
         _require_columns(path, reader.fieldnames, ["track_id", *FEATURE_NAMES])
@@ -120,6 +123,12 @@ def _read_features_csv(path) -> dict[str, list[float]]:
             track = row["track_id"].strip()
             if not track:
                 raise IngestError(f"{path}:{lineno}: empty track_id")
+            if track in first_line:
+                raise IngestError(
+                    f"{path}:{lineno}: repeated track_id {track!r}, "
+                    f"first on line {first_line[track]}"
+                )
+            first_line[track] = lineno
             try:
                 out[track] = [float(row[name]) for name in FEATURE_NAMES]
             except ValueError:
@@ -173,7 +182,7 @@ def merge_lastfm(events_path, features_path, genres_path=None) -> MergeResult:
 
     # tempo min-max over the joined tracks
     survivors: list[str] = []
-    features: dict[str, FeatureVector] = {}
+    features: dict[str, np.ndarray] = {}
     zero_norm = 0
     if candidates:
         tempos = [raw_features[t][FEATURE_NAMES.index("tempo")] for t in candidates]
@@ -186,10 +195,10 @@ def merge_lastfm(events_path, features_path, genres_path=None) -> MergeResult:
                 (tempo - t_low) / span if span > 0 else 0.0
             )
             try:
-                vector = FeatureVector.from_iterable(values)
+                vector = feature_vector(values)
             except ValueError as exc:
                 raise IngestError(f"track {track!r}: {exc}") from None
-            if all(v == 0.0 for v in values):
+            if not vector.any():
                 zero_norm += 1
                 continue
             survivors.append(track)
@@ -447,7 +456,7 @@ def make_synthetic_dataset(cfg: SyntheticConfig) -> MergeResult:
     cluster_a = set(track_ids[:half])
 
     triples: list[Triple] = []
-    features: dict[str, FeatureVector] = {}
+    features: dict[str, np.ndarray] = {}
     for track in track_ids:
         in_a = track in cluster_a
         artist = "art_" + track[2:]
@@ -462,7 +471,7 @@ def make_synthetic_dataset(cfg: SyntheticConfig) -> MergeResult:
         values = [
             min(0.99, max(0.01, p + rng.uniform(-0.05, 0.05))) for p in prototype
         ]
-        features[track] = FeatureVector.from_iterable(values)
+        features[track] = feature_vector(values)
 
     a_tracks = sorted(cluster_a)
     b_tracks = sorted(set(track_ids) - cluster_a)

@@ -182,25 +182,22 @@ def test_c4_candidate_evaluation_independence():
 
 def test_c5_surprise_measure_oracles():
     with criterion(5, "surprise measure oracles"):
-        from kgrerank import FeatureVector
+        from kgrerank import feature_vector
 
         rng = random.Random(505)
 
         def vectors(n):
             return [
-                FeatureVector.from_iterable(
-                    rng.uniform(0.05, 1.0) for _ in range(8)
-                )
+                feature_vector(rng.uniform(0.05, 1.0) for _ in range(8))
                 for _ in range(n)
             ]
 
         for _ in range(500):
             vs = vectors(rng.randint(2, 8))
-            arrays = [v.as_array() for v in vs]
-            assert ild(vs) == pytest.approx(brute_ild(arrays), abs=1e-12)
+            assert ild(vs) == pytest.approx(brute_ild(vs), abs=1e-12)
             split = rng.randint(1, len(vs) - 1)
             assert unexpectedness(vs[:split], vs[split:]) == pytest.approx(
-                brute_unexpectedness(arrays[:split], arrays[split:]), abs=1e-12
+                brute_unexpectedness(vs[:split], vs[split:]), abs=1e-12
             )
             n_items = rng.randint(1, 15)
             ids = [f"i{j}" for j in range(n_items)]

@@ -1,0 +1,69 @@
+"""The benchmark's worker runs against the package in ``src/``.
+
+``perfbench/worker.py`` imports names from ``kgrerank`` and reads the files of
+a finished run directory, so a rename in ``src/`` can turn every benchmark run
+into a failure without any other test noticing. This runs a small synthetic
+pipeline and then the worker's ``setup`` and ``oracle`` steps on it, each in
+a fresh interpreter, as the benchmark starts them.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from kgrerank.cli import main
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _worker(*args):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    result = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "worker.py"), *args],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
+    return json.loads(result.stdout)
+
+
+@pytest.fixture(scope="module")
+def finished_run(tmp_path_factory):
+    work = tmp_path_factory.mktemp("bench")
+    config = work / "config.json"
+    config.write_text(json.dumps({
+        "dataset": {
+            "kind": "synthetic",
+            "synthetic": {"tracks": 40, "users": 4, "history": 8},
+        },
+        "recommender": "baseline",
+        "rerank": {
+            "metrics": ["betweenness", "closeness", "pagerank"],
+            "orders": ["asc", "desc"],
+            "mode": "closed",
+            "top_n": 15,
+        },
+        "evaluation": {"k": 5},
+        "seed": 1,
+        "parallelism": 1,
+        "output_dir": str(work / "out"),
+    }))
+    assert main(["run", "--config", str(config)]) == 0
+    return config, work / "out"
+
+
+def test_setup_loads_and_validates_the_config(finished_run):
+    config, _ = finished_run
+    result = _worker("setup", str(config))
+    assert result["setup_s"] > 0
+    assert result["reference_s"] > 0
+
+
+def test_oracle_agrees_with_every_sampled_candidate(finished_run):
+    _, run_dir = finished_run
+    result = _worker("oracle", str(run_dir))
+    assert result["attempted"] > 0
+    assert result["failed"] == 0, result["mismatches"]

@@ -582,6 +582,21 @@ class TestExitCodes:
             f"stage evaluate failed: {features}:4: item {found['item']!r}: {reason}\n"
         ) in err
 
+    def test_repeated_feature_item_names_both_lines(self, tmp_path, capsys):
+        found = {}
+
+        def repeat_first_row(lines):
+            found["item"], found["line"] = lines[1].split(",")[0], len(lines) + 1
+            return [*lines, lines[1]]
+
+        code, err = self._evaluate_with_features(tmp_path, capsys, repeat_first_row)
+        features = tmp_path / "out" / "features.csv"
+        assert code == 2
+        assert (
+            f"stage evaluate failed: {features}:{found['line']}: "
+            f"repeated item {found['item']!r}, first on line 2\n"
+        ) in err
+
     def test_missing_feature_column_names_path_and_column(self, tmp_path, capsys):
         def drop_tempo(lines):
             header = lines[0].rstrip("\n").split(",")

@@ -1,3 +1,4 @@
+import math
 import random
 
 import numpy as np
@@ -7,10 +8,10 @@ from hypothesis import strategies as st
 
 from kgrerank import (
     EvalRow,
-    FeatureVector,
     RecommendationList,
     cosine_distance,
     emit_report,
+    feature_vector,
     ild,
     lookup_features,
     ndcg_at_k,
@@ -19,12 +20,12 @@ from kgrerank import (
     write_trec_run,
 )
 
-from kgrerank.evaluation import _distance_matrix
+from kgrerank.evaluation import FEATURE_NAMES, _distance_matrix
 from oracles import brute_ild, brute_ndcg, brute_unexpectedness
 
 
 def fv(*values):
-    return FeatureVector.from_iterable(values)
+    return feature_vector(values)
 
 
 ONE_HOT_A = fv(1, 0, 0, 0, 0, 0, 0, 0)
@@ -54,8 +55,7 @@ def fresh_distance(xa, xb):
     return min(1.0, max(0.0, 1.0 - float(xa @ xb) / norm))
 
 
-def fresh_ild(items):
-    arrays = [v.as_array() for v in items]
+def fresh_ild(arrays):
     n = len(arrays)
     if n <= 1:
         return 0.0
@@ -68,9 +68,7 @@ def fresh_ild(items):
 
 
 def fresh_unexpectedness(history, recs):
-    h_arrays = [v.as_array() for v in history]
-    r_arrays = [v.as_array() for v in recs]
-    total = sum(fresh_distance(r, h) for r in r_arrays for h in h_arrays)
+    total = sum(fresh_distance(r, h) for r in recs for h in history)
     return total / (len(recs) * len(history))
 
 
@@ -96,17 +94,43 @@ feature_or_zero = st.one_of(st.just(0.0), st.floats(0.01, 1.0))
 nonzero_vectors = st.lists(feature_or_zero, min_size=8, max_size=8).filter(any)
 
 
-class TestFeatureVector:
-    def test_bounds_validated(self):
-        with pytest.raises(ValueError, match="tempo"):
-            fv(0, 0, 0, 0, 0, 0, 0, 1.5)
+def with_component(index, value):
+    values = [0.5] * 8
+    values[index] = value
+    return values
 
-    def test_wrong_arity(self):
-        with pytest.raises(ValueError, match="8 components"):
-            FeatureVector.from_iterable([0.5, 0.5])
 
-    def test_array_round_trip(self):
-        assert np.allclose(V1.as_array(), [0.9, 0.1, 0.0, 0.2, 0.1, 0.3, 0.5, 0.4])
+class TestFeatureValidator:
+    @pytest.mark.parametrize(
+        "values, message",
+        [
+            (with_component(0, math.nan), "feature danceability = nan outside [0, 1]"),
+            (with_component(3, -0.1), "feature acousticness = -0.1 outside [0, 1]"),
+            (with_component(7, 1.5), "feature tempo = 1.5 outside [0, 1]"),
+            ([0.5] * 7, "expected 8 components, got 7"),
+            ([0.5] * 9, "expected 8 components, got 9"),
+        ],
+        ids=["nan", "negative", "above-one", "seven", "nine"],
+    )
+    def test_rejected(self, values, message):
+        with pytest.raises(ValueError) as info:
+            feature_vector(values)
+        assert str(info.value) == message
+
+    def test_read_only_float64_row(self):
+        row = feature_vector([0, 1, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5])
+        assert row.dtype == np.float64
+        assert row.shape == (8,)
+        assert not row.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            row[0] = 0.25
+
+    def test_components_follow_feature_names(self):
+        assert dict(zip(FEATURE_NAMES, V1.tolist())) == {
+            "danceability": 0.9, "energy": 0.1, "speechiness": 0.0,
+            "acousticness": 0.2, "instrumentalness": 0.1, "liveness": 0.3,
+            "valence": 0.5, "tempo": 0.4,
+        }
 
 
 class TestCosineDistance:
@@ -140,7 +164,7 @@ class TestCosineDistance:
     @settings(max_examples=100, deadline=None)
     def test_equals_fresh_array_formula(self, a, b):
         va, vb = fv(*a), fv(*b)
-        assert cosine_distance(va, vb) == fresh_distance(va.as_array(), vb.as_array())
+        assert cosine_distance(va, vb) == fresh_distance(va, vb)
 
 
 class TestIld:
@@ -262,11 +286,10 @@ class TestBruteForceAgreement:
         rng = random.Random(55)
         for _ in range(60):
             vectors = random_vectors(rng, rng.randint(2, 9))
-            arrays = [v.as_array() for v in vectors]
-            assert ild(vectors) == pytest.approx(brute_ild(arrays), abs=1e-12)
+            assert ild(vectors) == pytest.approx(brute_ild(vectors), abs=1e-12)
             split = rng.randint(1, len(vectors) - 1)
             value = unexpectedness(vectors[:split], vectors[split:])
-            expected = brute_unexpectedness(arrays[:split], arrays[split:])
+            expected = brute_unexpectedness(vectors[:split], vectors[split:])
             assert value == pytest.approx(expected, abs=1e-12)
 
     def test_ndcg_matches_oracle(self):
@@ -302,13 +325,23 @@ class TestExactAgainstPerPairSums:
     def test_every_matrix_entry(self, n):
         # the sums above can absorb a one-ulp change in a single distance
         vectors = feature_like_vectors(random.Random(2000 + n), n)
-        arrays = [v.as_array() for v in vectors]
         matrix = _distance_matrix(vectors)
         mismatched = [
             (i, j) for i in range(n) for j in range(n)
-            if i != j and matrix[i, j] != fresh_distance(arrays[i], arrays[j])
+            if i != j and matrix[i, j] != fresh_distance(vectors[i], vectors[j])
         ]
         assert mismatched == []
+
+    @pytest.mark.parametrize("n", [n for n in EXACT_SIZES if n > 1])
+    def test_stacked_rows_equal_row_lists(self, n):
+        # the pipeline passes lookup_features' (n x 8) arrays
+        vectors = feature_like_vectors(random.Random(3000 + n), n)
+        stacked = np.array(vectors)
+        assert ild(stacked) == ild(vectors)
+        r = min(10, n - 1)
+        assert unexpectedness(stacked[r:], stacked[:r]) == unexpectedness(
+            vectors[r:], vectors[:r]
+        )
 
     @given(
         st.lists(nonzero_vectors, min_size=1, max_size=4),
@@ -334,7 +367,12 @@ class TestLookupFeatures:
 
     def test_resolves_in_order(self):
         store = {"a": V1, "b": V2}
-        assert lookup_features(["b", "a"], store) == [V2, V1]
+        rows = lookup_features(["b", "a"], store)
+        assert rows.shape == (2, 8)
+        assert np.array_equal(rows, [V2, V1])
+
+    def test_no_items_is_zero_rows(self):
+        assert lookup_features([], {"a": V1}).shape == (0, 8)
 
 
 class TestReports:

@@ -410,6 +410,18 @@ class TestExport:
         assert loaded.node("m1").attrs["label"] == "Alpha"
 
 
+    @pytest.mark.parametrize("kind", ["track", "artist"])
+    def test_repeated_node_names_file_and_lines(self, tmp_path, kind):
+        nodes, triples = tmp_path / "n.tsv", tmp_path / "t.tsv"
+        nodes.write_text(
+            f"a\ttrack\t\nb\tgenre\t\na\t{kind}\tAlpha\n", encoding="utf-8"
+        )
+        triples.write_text("", encoding="utf-8")
+        with pytest.raises(GraphError) as info:
+            read_graph(triples, nodes)
+        assert str(info.value) == f"{nodes}:3: repeated node 'a', first on line 1"
+
+
 class TestMultigraphBasics:
     def test_add_edge_requires_nodes(self):
         g = Multigraph()

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from kgrerank import (
@@ -17,6 +18,7 @@ from kgrerank import (
     split_interactions,
 )
 from kgrerank.cli import CATALOG_NODES, RunConfig, stage_ingest
+from kgrerank.evaluation import FEATURE_NAMES
 from kgrerank.ingest import write_summary
 
 
@@ -43,7 +45,8 @@ class TestMergeLastfm:
     def test_tempo_min_max_scaled(self, lastfm_files):
         events, features, genres = lastfm_files
         result = merge_lastfm(events, features, genres)
-        tempos = {t: result.features[t].tempo for t in result.features}
+        tempo = FEATURE_NAMES.index("tempo")
+        tempos = {t: result.features[t][tempo] for t in result.features}
         assert tempos == {"t_tr1": 0.0, "t_tr2": 0.5, "t_tr3": 1.0}
 
     def test_stats_shape(self, lastfm_files):
@@ -73,6 +76,16 @@ class TestMergeLastfm:
         bad.write_text("track_id,danceability\ntr1,0.5\n", encoding="utf-8")
         with pytest.raises(IngestError, match="missing required columns"):
             merge_lastfm(events, bad)
+
+    def test_repeated_track_id_rejected(self, lastfm_files):
+        events, features, _ = lastfm_files
+        with open(features, "a", encoding="utf-8") as fh:
+            fh.write("tr1,0.9,0.9,0.9,0.9,0.9,0.9,0.9,90\n")
+        with pytest.raises(IngestError) as info:
+            merge_lastfm(events, features)
+        assert str(info.value) == (
+            f"{features}:5: repeated track_id 'tr1', first on line 2"
+        )
 
     def test_malformed_event_line_reports_position(self, tmp_path, lastfm_files):
         _, features, _ = lastfm_files
@@ -332,7 +345,9 @@ class TestSyntheticDataset:
         b = make_synthetic_dataset(SyntheticConfig(seed=2))
         assert a.interactions == b.interactions
         assert a.triples == b.triples
-        assert a.features == b.features
+        assert a.features.keys() == b.features.keys()
+        for track in a.features:
+            assert np.array_equal(a.features[track], b.features[track])
 
     def test_shapes_and_stats(self):
         cfg = SyntheticConfig(n_tracks=40, n_users=5, history_size=8, seed=3)
@@ -359,4 +374,4 @@ class TestSyntheticDataset:
     def test_features_stay_in_bounds(self):
         data = make_synthetic_dataset(SyntheticConfig(seed=5))
         for vector in data.features.values():
-            assert all(0.0 < v < 1.0 for v in vector.as_array())
+            assert all(0.0 < v < 1.0 for v in vector)
