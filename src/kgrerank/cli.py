@@ -442,6 +442,10 @@ def _read_features(path) -> dict[str, np.ndarray]:
                 )
             first_line[item] = line
             try:
+                # a short row leaves its last columns None
+                missing = [name for name in FEATURE_NAMES if row[name] is None]
+                if missing:
+                    raise ValueError(f"missing value(s) for {', '.join(missing)}")
                 vector = feature_vector(row[name] for name in FEATURE_NAMES)
                 if not vector.any():
                     raise ValueError("all-zero vector has no cosine distance")

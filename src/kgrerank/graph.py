@@ -443,7 +443,8 @@ def read_graph(triples_path, nodes_path) -> CatalogGraph:
     """Load a graph previously written by :func:`export_graph`.
 
     Only the label attribute survives the round trip; other node attributes
-    are not part of the flat format. A node id may appear on one line only.
+    are not part of the flat format. A node id, and an edge, may appear on one
+    line only.
     """
     catalog = CatalogGraph()
     first_line: dict[str, int] = {}
@@ -474,7 +475,19 @@ def read_graph(triples_path, nodes_path) -> CatalogGraph:
                 raise GraphError(f"{triples_path}:{lineno}: expected 3 fields")
             source, predicate, target = parts
             try:
-                catalog.add_edge(source, predicate, target)
+                added = catalog.add_edge(source, predicate, target)
             except GraphError as exc:
                 raise GraphError(f"{triples_path}:{lineno}: {exc}") from None
+            if not added:
+                # found again only on this error path, so reading keeps no
+                # table of line numbers
+                with open(triples_path, encoding="utf-8") as again:
+                    first = next(
+                        n for n, text in enumerate(again, start=1)
+                        if text.rstrip("\n") == line
+                    )
+                raise GraphError(
+                    f"{triples_path}:{lineno}: repeated edge {tuple(parts)!r}, "
+                    f"first on line {first}"
+                )
     return catalog

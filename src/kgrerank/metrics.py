@@ -33,6 +33,16 @@ backward ``coef @ A`` products in another order and betweenness bits change.
 Every distribution is then collapsed to its HHI row by row, in sorted-label
 order (:attr:`CompiledGraph.label_order`).
 
+The kernels (PageRank, betweenness, closeness) run once per distinct graph of
+a batch. Graphs with the same node count and the same ``src``, ``dst`` and
+``mult`` arrays are one group: the kernels run on its first graph, and every
+row of the group takes those per-node scores. Candidates that attach the same
+shape to the same nodes differ only in the labels of their added nodes, and
+no kernel reads a label. Degrees, scalars and the collapse stay per row, each
+in the row's own label order. No bit changes: a kernel's output depends only
+on those arrays, and by the float contract below a row's value does not
+depend on its batch.
+
 Float contract: a row's value does not depend on the other rows of its batch,
 and equals a per-node Python loop over that graph alone. Padding is zero and
 adds nothing. PageRank adds each pair's contribution with ``np.add.at`` over
@@ -514,6 +524,25 @@ def _scalar(kind: MetricKind, g: CompiledGraph) -> float:
     raise MetricError(f"unknown metric kind {kind!r}")  # pragma: no cover
 
 
+def _distinct(graphs: Sequence[CompiledGraph]) -> tuple[list[int], list[int]]:
+    """The first row of each distinct graph, in first-occurrence order, and
+    each row's index into that list.
+
+    Graphs are the same when their node count and ``src``, ``dst`` and
+    ``mult`` arrays are; labels do not count, because no kernel reads them.
+    """
+    firsts: list[int] = []
+    index: dict[tuple, int] = {}
+    group = []
+    for row, g in enumerate(graphs):
+        key = (len(g.nodes), g.src.tobytes(), g.dst.tobytes(), g.mult.tobytes())
+        if key not in index:
+            index[key] = len(firsts)
+            firsts.append(row)
+        group.append(index[key])
+    return firsts, group
+
+
 def compute_metrics(
     graphs: Sequence, kinds: Sequence[MetricKind]
 ) -> dict[MetricKind, list[MetricValue]]:
@@ -522,9 +551,11 @@ def compute_metrics(
     Scalar metrics follow their definitions directly (density uses the
     directed formula |E| / (|V| (|V|-1)), average degree counts each directed
     edge once). Distributional metrics are collapsed via the normalized HHI of
-    the per-node shares and therefore land in [0, 1]. Betweenness and
-    closeness share one BFS pass per graph. A failure that concerns one graph
-    raises :class:`MetricError` with ``row`` set to that graph's index.
+    the per-node shares and therefore land in [0, 1]. PageRank, betweenness
+    and closeness run once per distinct graph (see :func:`_distinct`), and
+    betweenness and closeness share one BFS pass. A failure that concerns one
+    graph raises :class:`MetricError` with ``row`` set to that graph's index;
+    for a graph that occurs more than once, the index of its first row.
     """
     graphs = [compile_graph(g) for g in graphs]
     if not graphs:
@@ -539,21 +570,35 @@ def compute_metrics(
         if path_kinds:
             _check_dense_size(len(g.nodes), row)
     stack = _Stack(graphs) if distributional else None
-    paths = [_path_scores(g.adjacency, path_kinds) for g in graphs] if path_kinds else []
+    # grouping costs about a microsecond per graph; only the kernels need it
+    kernels = path_kinds or MetricKind.PAGERANK in kinds
+    firsts, group = _distinct(graphs) if kernels else ([], [])
+    paths = []
+    if path_kinds:
+        paths = [_path_scores(graphs[row].adjacency, path_kinds) for row in firsts]
     values = {}
     for kind in kinds:
         if kind in SCALAR_KINDS:
             column = [_scalar(kind, g) for g in graphs]
         else:
             if kind is MetricKind.PAGERANK:
-                block = _pagerank_batch(stack)
+                # the widest graph is among firsts, so the block keeps the
+                # stack's width
+                try:
+                    block = _pagerank_batch(_Stack([graphs[row] for row in firsts]))[group]
+                except MetricError as exc:
+                    # the first row of the failing graph is the one whose
+                    # labels the error carries
+                    if exc.row is not None:
+                        exc.row = firsts[exc.row]
+                    raise
             elif kind is MetricKind.IN_DEGREE:
                 block = stack.degrees(stack.dst)
             elif kind is MetricKind.OUT_DEGREE:
                 block = stack.degrees(stack.src)
             else:
                 block = np.zeros(stack.shape)
-                block[stack.valid] = np.concatenate([scores[kind] for scores in paths])
+                block[stack.valid] = np.concatenate([paths[i][kind] for i in group])
             column = stack.collapse(block).tolist()
         values[kind] = [MetricValue(value, kind) for value in column]
     return values

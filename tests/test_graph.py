@@ -421,6 +421,18 @@ class TestExport:
             read_graph(triples, nodes)
         assert str(info.value) == f"{nodes}:3: repeated node 'a', first on line 1"
 
+    def test_repeated_edge_names_file_and_lines(self, tmp_path):
+        nodes, triples = tmp_path / "n.tsv", tmp_path / "t.tsv"
+        nodes.write_text("a\ttrack\t\nb\tgenre\t\n", encoding="utf-8")
+        triples.write_text(
+            "a\tgenre\tb\na\tother\tb\n\na\tgenre\tb\n", encoding="utf-8"
+        )
+        with pytest.raises(GraphError) as info:
+            read_graph(triples, nodes)
+        assert str(info.value) == (
+            f"{triples}:4: repeated edge ('a', 'genre', 'b'), first on line 1"
+        )
+
 
 class TestMultigraphBasics:
     def test_add_edge_requires_nodes(self):

@@ -588,3 +588,88 @@ class TestBatch:
         base = CompiledGraph(labels[:split], empty, empty, empty)
         for graph in (base, base.extend(labels[split:], [])):
             assert [graph.nodes[i] for i in graph.label_order] == sorted(graph.nodes)
+
+
+def _kernel_calls(monkeypatch):
+    """Record the size of every `_source_blocks` call and the rows of every
+    `_pagerank_batch` stack."""
+    calls = {"source_blocks": [], "pagerank_rows": []}
+    source_blocks, pagerank_batch = metrics_module._source_blocks, metrics_module._pagerank_batch
+
+    def counting_blocks(adj):
+        calls["source_blocks"].append(adj.shape[0])
+        return source_blocks(adj)
+
+    def counting_pagerank(stack, *args, **kwargs):
+        calls["pagerank_rows"].append(len(stack.graphs))
+        return pagerank_batch(stack, *args, **kwargs)
+
+    monkeypatch.setattr(metrics_module, "_source_blocks", counting_blocks)
+    monkeypatch.setattr(metrics_module, "_pagerank_batch", counting_pagerank)
+    return calls
+
+
+def _attached(base: CompiledGraph, labels, anchor):
+    """``base`` plus one node per label, each alone and tied to ``anchor`` by
+    one edge each way: one shape under different labels."""
+    return [base.extend([label], [(anchor, label), (label, anchor)]) for label in labels]
+
+
+class TestRepeatedGraphs:
+    """The kernels run once per distinct graph; every row is still collapsed
+    in its own label order and equals its graph scored alone."""
+
+    # an added label sorts first, among the others, or last
+    LABELS = ["0", "n1z", "~", "n"]
+
+    @given(multigraphs(max_nodes=20), st.permutations(LABELS), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_copies_of_one_shape_share_one_kernel_pass(self, g, labels, data):
+        base = compile_graph(g)
+        anchor = data.draw(st.sampled_from(base.nodes))
+        graphs = _attached(base, labels[: data.draw(st.integers(2, 4))], anchor)
+        kinds = list(MetricKind)
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            calls = _kernel_calls(monkeypatch)
+            values = compute_metrics(graphs, kinds)
+        assert calls == {"source_blocks": [len(base.nodes) + 1], "pagerank_rows": [1]}
+        for kind in kinds:
+            assert values[kind] == [compute_metric(graph, kind) for graph in graphs]
+
+    def test_other_multiplicity_or_an_isolated_node_is_not_merged(self, monkeypatch):
+        base = compile_graph(path_graph("a", "b", "c"))
+        graphs = [
+            base.extend(["x"], [("a", "x")]),
+            base.extend(["y"], [("a", "y"), ("a", "y")]),
+            base.extend(["z", "w"], [("a", "z")]),
+        ]
+        # the same pairs each time, so only the multiplicity or the node count
+        # tells the graphs apart
+        assert len({(g.src.tobytes(), g.dst.tobytes()) for g in graphs}) == 1
+        calls = _kernel_calls(monkeypatch)
+        values = compute_metrics(graphs, list(MetricKind))
+        assert calls == {"source_blocks": [4, 4, 5], "pagerank_rows": [3]}
+        monkeypatch.undo()
+        for kind in MetricKind:
+            assert values[kind] == [compute_metric(g, kind) for g in graphs]
+
+    def test_error_for_a_shared_shape_names_its_first_row(self, monkeypatch):
+        base = compile_graph(cycle_graph(4))
+        # two shapes, each under two labels: rows 0-1 and rows 2-3
+        graphs = [*_attached(base, ["p", "q"], "c0"), *_attached(base, ["x", "y"], "c1")]
+        expected = pagerank(graphs[2])
+        real = metrics_module._pagerank_batch
+
+        def failing(stack, *args, **kwargs):
+            # the stack's last row holds the second shape
+            ranks = real(stack, *args, **kwargs)
+            row = len(stack.graphs) - 1
+            graph = stack.graphs[row]
+            raise ConvergenceError("injected", graph.by_node(ranks[row]), row)
+
+        monkeypatch.setattr(metrics_module, "_pagerank_batch", failing)
+        with pytest.raises(ConvergenceError, match="injected") as info:
+            compute_metrics(graphs, [MetricKind.PAGERANK])
+        assert info.value.row == 2
+        assert info.value.last_scores == expected
+        assert "x" in expected

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -279,7 +280,9 @@ class TestSharedEvaluation:
             for kind in kinds:
                 assert alone[kind][0].metric_value == together[kind][position].metric_value
 
-    def test_one_pass_per_candidate(self, monkeypatch, dvs_catalog, dvs_profile, dvs_recs):
+    def test_one_pass_per_distinct_extension(
+        self, monkeypatch, dvs_catalog, dvs_profile, dvs_recs
+    ):
         sizes = []
         real = metrics_module._source_blocks
 
@@ -289,7 +292,17 @@ class TestSharedEvaluation:
 
         monkeypatch.setattr(metrics_module, "_source_blocks", counting)
         evaluate_metrics(dvs_catalog, dvs_profile, dvs_recs, [BETW, PAGERANK, CLOSE])
-        assert len(sizes) == len(dvs_recs)
+        # counted on the materialized extensions: node count and each
+        # directed (source, target) index pair with its multiplicity
+        shapes = set()
+        for item in dvs_recs.item_ids():
+            g = extend_subgraph(dvs_profile, dvs_catalog, item).graph
+            index = {v: i for i, v in enumerate(g.node_ids())}
+            pairs = Counter((index[s], index[t]) for s, _, t in g.edges())
+            shapes.add((len(index), frozenset(pairs.items())))
+        # s1 and s2 attach the same way, so the fixture shares a shape
+        assert len(shapes) < len(dvs_recs)
+        assert len(sizes) == len(shapes)
         sizes.clear()
         evaluate_metrics(
             dvs_catalog, dvs_profile, dvs_recs,
