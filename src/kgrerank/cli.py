@@ -442,10 +442,15 @@ def _read_features(path) -> dict[str, np.ndarray]:
                 )
             first_line[item] = line
             try:
-                # a short row leaves its last columns None
+                # a short row leaves its last columns None, and a long one
+                # files its extra values under the key None
                 missing = [name for name in FEATURE_NAMES if row[name] is None]
                 if missing:
                     raise ValueError(f"missing value(s) for {', '.join(missing)}")
+                if None in row:
+                    raise ValueError(
+                        f"{len(row[None])} value(s) beyond the {len(header)} columns"
+                    )
                 vector = feature_vector(row[name] for name in FEATURE_NAMES)
                 if not vector.any():
                     raise ValueError("all-zero vector has no cosine distance")

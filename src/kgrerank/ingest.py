@@ -129,6 +129,12 @@ def _read_features_csv(path) -> dict[str, list[float]]:
                     f"first on line {first_line[track]}"
                 )
             first_line[track] = lineno
+            # a short row leaves its last columns None
+            missing = [name for name in FEATURE_NAMES if row[name] is None]
+            if missing:
+                raise IngestError(
+                    f"{path}:{lineno}: missing value(s) for {', '.join(missing)}"
+                )
             try:
                 out[track] = [float(row[name]) for name in FEATURE_NAMES]
             except ValueError:

@@ -43,6 +43,23 @@ in the row's own label order. No bit changes: a kernel's output depends only
 on those arrays, and by the float contract below a row's value does not
 depend on its batch.
 
+When betweenness or closeness meets two or more distinct extensions of one
+base whose added pairs all touch an added node
+(:attr:`CompiledGraph.touches_added`), the forward pass runs once per base,
+not once per extension. The base's all-pairs distances (int16) and path
+counts come from one BFS from every base node and are kept on the base. Each
+extension runs the BFS from its k added nodes only and then updates the
+base's rows source block by source block (:func:`_updated_blocks`): the
+per-source distance and path-count bookkeeping of streaming betweenness
+(Green, McColl & Bader, "A Fast Algorithm for Streaming Betweenness
+Centrality", SocialCom 2012) on top of Brandes (2001). Every source's
+dependency pass still runs. No bit changes: below 2**53 the forward pass is
+exact integer arithmetic, so the update yields the BFS's 32-row blocks
+exactly, and the backward products see those same blocks. A graph compiled
+alone, a base with one distinct extension, an extension that adds a pair
+between two base nodes and an extension whose counts reach 2**53 run the
+BFS from every node.
+
 Float contract: a row's value does not depend on the other rows of its batch,
 and equals a per-node Python loop over that graph alone. Padding is zero and
 adds nothing. PageRank adds each pair's contribution with ``np.add.at`` over
@@ -56,12 +73,18 @@ Degrees are exact integers. Closeness equals a per-source queue BFS bit for
 bit, and so does betweenness on trees. On graphs with cycles betweenness may
 differ from it by a few ulps (up to about 4e-12 per node on 200-node
 profiles), because the matrix products sum in another order; exact ties
-between candidates can then break differently.
+between candidates can then break differently. Betweenness bits also depend
+on the number of OpenBLAS threads: on the 72 extensions (216-228 nodes) of
+the rich-h100 benchmark workload at seeds 1-3, ``OPENBLAS_NUM_THREADS=1``
+against the default two threads of a 2-CPU host (OpenBLAS 0.3.31) changed 5
+of them, by up to 1.1e-13 per node. Closeness never changed, and no ranking
+moved.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from enum import Enum
@@ -222,7 +245,11 @@ class CompiledGraph:
     Node ``i`` is ``nodes[i]``, in ``g.node_ids()`` order. ``src``, ``dst`` and
     ``mult`` hold each directed (source, target) pair once with its number of
     parallel edges, sorted by source and then target index. Build one with
-    :func:`compile_graph` or :meth:`extend`.
+    :func:`compile_graph` or :meth:`extend`. A graph built by :meth:`extend`
+    records the graph it extends as ``base``, and :attr:`touches_added`
+    tells whether every added non-loop pair has an added end: then the
+    undirected view of its first ``len(base.nodes)`` nodes is that of
+    ``base``.
     """
 
     def __init__(
@@ -233,6 +260,9 @@ class CompiledGraph:
         self.dst = dst
         self.mult = mult
         self.num_edges = int(mult.sum())
+        self.base: CompiledGraph | None = None
+        # the delta's (source, target) index pairs, flattened
+        self._delta_ends = _NO_PAIRS
 
     @cached_property
     def _index(self) -> dict[str, int]:
@@ -244,6 +274,19 @@ class CompiledGraph:
         in which every distribution is collapsed."""
         order = sorted(range(len(self.nodes)), key=self.nodes.__getitem__)
         return np.array(order, dtype=np.intp)
+
+    @cached_property
+    def _all_pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """Hop distances (int16, -1 where unreachable) and shortest-path
+        counts between every two nodes of the undirected view, from one BFS
+        per node; kept for the extensions of this graph."""
+        n = len(self.nodes)
+        dist = np.empty((n, n), dtype=np.int16)
+        sigma = np.empty((n, n))
+        for block, d, s in _source_blocks(self.adjacency, range(n)):
+            dist[block.start : block.stop] = d
+            sigma[block.start : block.stop] = s
+        return dist, sigma
 
     @property
     def adjacency(self) -> np.ndarray:
@@ -279,7 +322,21 @@ class CompiledGraph:
             (np.repeat(self.src * size + self.dst, self.mult), ends[::2] * size + ends[1::2])
         )
         pairs, mult = np.unique(keys, return_counts=True)
-        return CompiledGraph(self.nodes + list(added), pairs // size, pairs % size, mult)
+        graph = CompiledGraph(self.nodes + list(added), pairs // size, pairs % size, mult)
+        graph.base = self
+        graph._delta_ends = ends
+        return graph
+
+    @cached_property
+    def touches_added(self) -> bool:
+        """Whether this graph extends ``base`` and every added non-loop pair
+        has an added end; built on first access, as only the path kernels
+        ask."""
+        if self.base is None:
+            return False
+        sources, targets = self._delta_ends[::2], self._delta_ends[1::2]
+        added = np.maximum(sources, targets) >= len(self.base.nodes)
+        return bool((added | (sources == targets)).all())
 
 
 _NO_PAIRS = np.zeros(0, dtype=np.intp)
@@ -347,22 +404,22 @@ def _check_dense_size(n: int, row: int | None = None) -> None:
 
 
 def _source_blocks(
-    adj: np.ndarray,
+    adj: np.ndarray, sources: range
 ) -> Iterator[tuple[range, np.ndarray, np.ndarray]]:
-    """Level-synchronous BFS from consecutive blocks of sources.
+    """Level-synchronous BFS from consecutive blocks of ``sources``.
 
-    Yields (sources, dist, sigma) with one row per source: hop distances (-1
-    where unreachable) and the number of shortest paths, held exactly as
-    integer-valued float64.
+    Yields (block, dist, sigma) with one row per source of the block: hop
+    distances (-1 where unreachable) and the number of shortest paths, held
+    exactly as integer-valued float64.
     """
     n = adj.shape[0]
-    for start in range(0, n, _SOURCE_BLOCK):
-        sources = range(start, min(start + _SOURCE_BLOCK, n))
-        rows = np.arange(len(sources))
-        dist = np.full((len(sources), n), -1, dtype=np.int16)
+    for start in range(sources.start, sources.stop, _SOURCE_BLOCK):
+        block = range(start, min(start + _SOURCE_BLOCK, sources.stop))
+        rows = np.arange(len(block))
+        dist = np.full((len(block), n), -1, dtype=np.int16)
         sigma = np.zeros(dist.shape)
-        dist[rows, sources] = 0
-        sigma[rows, sources] = 1.0
+        dist[rows, block] = 0
+        sigma[rows, block] = 1.0
         frontier = sigma.copy()
         level = 0
         while True:
@@ -375,7 +432,82 @@ def _source_blocks(
             np.copyto(dist, level, where=new)
             frontier = np.where(new, reached, 0.0)
             sigma += frontier
-        yield sources, dist, sigma
+        yield block, dist, sigma
+
+
+# float64 holds every integer below this; a count that reaches it may have
+# been rounded, and the update may round otherwise than the BFS
+_EXACT_COUNT = 2.0**53
+# stands for "no path" in int32 distance sums: above any int16 distance, and
+# the sum of two stays far below the int32 range
+_FAR = 2**16
+
+
+def _far_where_unreachable(dist: np.ndarray) -> np.ndarray:
+    """``dist`` as int32, with ``_FAR`` in place of -1."""
+    out = dist.astype(np.int32)
+    out[dist < 0] = _FAR
+    return out
+
+
+class _Inexact(Exception):
+    """A path count reached 2**53, so the update may differ from the BFS."""
+
+
+def _updated_blocks(
+    graph: CompiledGraph, adj: np.ndarray
+) -> Iterator[tuple[range, np.ndarray, np.ndarray]]:
+    """The blocks of ``_source_blocks(adj, range(n))`` for an extension whose
+    added pairs all touch an added node, built from its base's all-pairs
+    arrays one block at a time.
+
+    The BFS from the k added nodes gives their own rows and, by symmetry,
+    d'(s, x) and sigma'(s, x) for every source s and added node x. A
+    shortest s-v path either avoids the added nodes or has a first one, x,
+    entered from a base neighbour u with d(s, u) = d'(s, x) - 1. So for a
+    base source s, with alpha(s, x) the sum of sigma(s, u) over those u:
+
+        d'(s, v) = min(d(s, v), min_x d'(s, x) + d'(x, v))
+        sigma'(s, v) = sigma(s, v) [d(s, v) = d'(s, v)] + sum_x
+                       alpha(s, x) sigma'(x, v) [d'(s, x) + d'(x, v) = d'(s, v)]
+
+    Every term is an integer no larger than sigma'(s, v), so below 2**53 the
+    blocks equal the BFS's bit for bit; a block whose counts reach it raises
+    :class:`_Inexact`.
+    """
+    dist0, sigma0 = graph.base._all_pairs
+    n0, n = len(dist0), adj.shape[0]
+    own_dist = np.empty((n - n0, n), dtype=np.int16)
+    own_sigma = np.empty(own_dist.shape)
+    for block, dist, sigma in _source_blocks(adj, range(n0, n)):
+        own_dist[block.start - n0 : block.stop - n0] = dist
+        own_sigma[block.start - n0 : block.stop - n0] = sigma
+    reach = _far_where_unreachable(own_dist)
+    links = [np.flatnonzero(row) for row in adj[n0:, :n0]]
+    for start in range(0, n, _SOURCE_BLOCK):
+        block = range(start, min(start + _SOURCE_BLOCK, n))
+        # sources from split on are added nodes
+        split = min(max(block.start, n0), block.stop)
+        d0, s0 = dist0[block.start : split], sigma0[block.start : split]
+        to_added = reach[:, block.start : split]
+        dist = np.full((len(d0), n), _FAR, dtype=np.int32)
+        dist[:, :n0] = _far_where_unreachable(d0)
+        for x_to_s, x_to_v in zip(to_added, reach):
+            np.minimum(dist, x_to_s[:, None] + x_to_v, out=dist)
+        sigma = np.zeros(dist.shape)
+        # -1 in d0 never equals dist, and unreachable pairs keep sigma 0
+        np.copyto(sigma[:, :n0], s0, where=d0 == dist[:, :n0])
+        for x_to_s, x_to_v, x_sigma, u in zip(to_added, reach, own_sigma, links):
+            alpha = np.where(d0[:, u] == x_to_s[:, None] - 1, s0[:, u], 0.0).sum(axis=1)
+            through = x_to_s[:, None] + x_to_v == dist
+            np.add(sigma, alpha[:, None] * x_sigma, out=sigma, where=through)
+        dist = np.where(dist < _FAR, dist, -1).astype(np.int16)
+        if split < block.stop:
+            dist = np.concatenate((dist, own_dist[split - n0 : block.stop - n0]))
+            sigma = np.concatenate((sigma, own_sigma[split - n0 : block.stop - n0]))
+        if sigma.max() >= _EXACT_COUNT:
+            raise _Inexact
+        yield block, dist, sigma
 
 
 def _add_dependencies(
@@ -409,20 +541,25 @@ def _harmonic_rows(dist: np.ndarray) -> np.ndarray:
     return _running_total(inv)
 
 
-def _path_scores(adj: np.ndarray, kinds) -> dict[MetricKind, np.ndarray]:
+def _path_scores(
+    adj: np.ndarray, kinds, blocks: Iterable | None = None
+) -> dict[MetricKind, np.ndarray]:
     """Per-row betweenness and/or closeness of ``adj`` from one shared pass.
 
-    Every source block's distances and path counts feed both metrics, so
-    asking for both costs one forward BFS, not two.
+    ``blocks`` are the forward blocks of ``adj``, by default the BFS from
+    every node. Each block's distances and path counts feed both metrics, so
+    asking for both costs one forward pass, not two.
     """
     n = adj.shape[0]
+    if blocks is None:
+        blocks = _source_blocks(adj, range(n))
     bc = np.zeros(n) if MetricKind.BETWEENNESS in kinds else None
     cl = np.empty(n) if MetricKind.CLOSENESS in kinds else None
-    for sources, dist, sigma in _source_blocks(adj):
+    for block, dist, sigma in blocks:
         if bc is not None:
             _add_dependencies(adj, dist, sigma, bc)
         if cl is not None:
-            cl[sources.start : sources.stop] = _harmonic_rows(dist)
+            cl[block.start : block.stop] = _harmonic_rows(dist)
     out = {}
     if bc is not None:
         # each unordered pair was counted from both endpoints
@@ -430,6 +567,20 @@ def _path_scores(adj: np.ndarray, kinds) -> dict[MetricKind, np.ndarray]:
     if cl is not None:
         out[MetricKind.CLOSENESS] = cl
     return out
+
+
+def _graph_path_scores(
+    graph: CompiledGraph, kinds, update: bool
+) -> dict[MetricKind, np.ndarray]:
+    """:func:`_path_scores` of ``graph``; with ``update``, from the blocks of
+    :func:`_updated_blocks` unless a count reaches 2**53."""
+    adj = graph.adjacency
+    if update:
+        try:
+            return _path_scores(adj, kinds, _updated_blocks(graph, adj))
+        except _Inexact:
+            pass
+    return _path_scores(adj, kinds)
 
 
 def betweenness(g) -> dict[str, float]:
@@ -575,7 +726,13 @@ def compute_metrics(
     firsts, group = _distinct(graphs) if kernels else ([], [])
     paths = []
     if path_kinds:
-        paths = [_path_scores(graphs[row].adjacency, path_kinds) for row in firsts]
+        distinct = [graphs[row] for row in firsts]
+        # the base's all-pairs pass pays off from its second extension on
+        shared = Counter(g.base for g in distinct if g.touches_added)
+        paths = [
+            _graph_path_scores(g, path_kinds, g.touches_added and shared[g.base] > 1)
+            for g in distinct
+        ]
     values = {}
     for kind in kinds:
         if kind in SCALAR_KINDS:

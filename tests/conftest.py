@@ -6,8 +6,29 @@ from kgrerank import (
     build_catalog,
     induce_profile_subgraph,
 )
+from kgrerank import metrics as metrics_module
 
 T, A, G = "track", "artist", "genre"
+
+
+def record_bfs_calls(monkeypatch) -> list[tuple[int, int]]:
+    """Record every BFS pass, ``metrics._source_blocks(adj, sources)``, as
+    (graph size, source rows)."""
+    calls = []
+    real = metrics_module._source_blocks
+
+    def counting(adj, sources):
+        calls.append((adj.shape[0], len(sources)))
+        return real(adj, sources)
+
+    monkeypatch.setattr(metrics_module, "_source_blocks", counting)
+    return calls
+
+
+@pytest.fixture()
+def bfs_calls(monkeypatch):
+    return record_bfs_calls(monkeypatch)
+
 
 # Catalog where a two-track profile (t1, t2 by artist a1, genre g1) can be
 # extended either by "similar" candidates (s1, s2: more tracks by a1) or by

@@ -33,7 +33,6 @@ from kgrerank.cli import (
     _add_common_arguments,
     _build_config,
 )
-from kgrerank import metrics as metrics_module
 from kgrerank.evaluation import FEATURE_NAMES
 from kgrerank.rerank import RecommendationList
 
@@ -280,24 +279,20 @@ class TestPipeline:
         assert manifest["config_hash"] == config_hash(cfg)
         assert manifest["version"]
 
-    def test_synthetic_candidates_share_path_kernels(self, tmp_path, monkeypatch):
+    def test_synthetic_candidates_share_path_kernels(self, tmp_path, bfs_calls):
         # a synthetic track brings its own artist and links to one of two
-        # genres, so its extension is fixed by its genre: the path kernels
-        # run at most twice per user, not once per candidate
-        sizes = []
-        real = metrics_module._source_blocks
-
-        def counting(adj):
-            sizes.append(adj.shape[0])
-            return real(adj)
-
-        monkeypatch.setattr(metrics_module, "_source_blocks", counting)
+        # genres, so its extension is fixed by its genre. Per user, one BFS
+        # from every node (of the lone extension, or of the profile shared
+        # by two), plus at most two passes from added nodes only
         cfg = synth_config(tmp_path, metrics=["betweenness"])
         run_pipeline(cfg)
         lines = (tmp_path / "out" / BASE_RUN).read_text(encoding="utf-8").splitlines()
         users = {line.split()[0] for line in lines}
         assert len(lines) > 2 * len(users)
-        assert 0 < len(sizes) <= 2 * len(users)
+        full = [size for size, rows in bfs_calls if rows == size]
+        added = [rows for size, rows in bfs_calls if rows < size]
+        assert len(full) == len(users)
+        assert len(added) <= 2 * len(users)
 
     def test_staged_invocation_matches_run(self, tmp_path):
         doc = {
@@ -588,6 +583,7 @@ class TestExitCodes:
             ("0.0," * 7 + "0.0", "all-zero vector has no cosine distance"),
             ("nan," + "0.5," * 6 + "0.5", "feature danceability = nan outside [0, 1]"),
             ("0.5", "missing value(s) for " + ", ".join(FEATURE_NAMES[1:])),
+            ("0.5," * 9 + "0.5", "2 value(s) beyond the 9 columns"),
         ],
     )
     def test_bad_feature_row_names_line_and_item(self, tmp_path, capsys, values, reason):

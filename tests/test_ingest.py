@@ -87,6 +87,16 @@ class TestMergeLastfm:
             f"{features}:5: repeated track_id 'tr1', first on line 2"
         )
 
+    def test_short_feature_row_names_missing_columns(self, lastfm_files):
+        events, features, _ = lastfm_files
+        with open(features, "a", encoding="utf-8") as fh:
+            fh.write("tr5,0.5\n")
+        with pytest.raises(IngestError) as info:
+            merge_lastfm(events, features)
+        assert str(info.value) == (
+            f"{features}:5: missing value(s) for " + ", ".join(FEATURE_NAMES[1:])
+        )
+
     def test_malformed_event_line_reports_position(self, tmp_path, lastfm_files):
         _, features, _ = lastfm_files
         bad = tmp_path / "bad_events.tsv"

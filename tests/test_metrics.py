@@ -24,6 +24,7 @@ from kgrerank import (
 from kgrerank import metrics as metrics_module
 from kgrerank.metrics import _SOURCE_BLOCK, CompiledGraph, compile_graph, compute_metrics
 
+from conftest import record_bfs_calls
 from oracles import (
     INF,
     brute_betweenness,
@@ -591,20 +592,15 @@ class TestBatch:
 
 
 def _kernel_calls(monkeypatch):
-    """Record the size of every `_source_blocks` call and the rows of every
-    `_pagerank_batch` stack."""
-    calls = {"source_blocks": [], "pagerank_rows": []}
-    source_blocks, pagerank_batch = metrics_module._source_blocks, metrics_module._pagerank_batch
-
-    def counting_blocks(adj):
-        calls["source_blocks"].append(adj.shape[0])
-        return source_blocks(adj)
+    """Record every BFS pass as (graph size, source rows) and the rows of
+    every `_pagerank_batch` stack."""
+    calls = {"bfs": record_bfs_calls(monkeypatch), "pagerank_rows": []}
+    pagerank_batch = metrics_module._pagerank_batch
 
     def counting_pagerank(stack, *args, **kwargs):
         calls["pagerank_rows"].append(len(stack.graphs))
         return pagerank_batch(stack, *args, **kwargs)
 
-    monkeypatch.setattr(metrics_module, "_source_blocks", counting_blocks)
     monkeypatch.setattr(metrics_module, "_pagerank_batch", counting_pagerank)
     return calls
 
@@ -632,7 +628,9 @@ class TestRepeatedGraphs:
         with pytest.MonkeyPatch.context() as monkeypatch:
             calls = _kernel_calls(monkeypatch)
             values = compute_metrics(graphs, kinds)
-        assert calls == {"source_blocks": [len(base.nodes) + 1], "pagerank_rows": [1]}
+        # one distinct extension: the BFS from each of its nodes
+        size = len(base.nodes) + 1
+        assert calls == {"bfs": [(size, size)], "pagerank_rows": [1]}
         for kind in kinds:
             assert values[kind] == [compute_metric(graph, kind) for graph in graphs]
 
@@ -648,7 +646,9 @@ class TestRepeatedGraphs:
         assert len({(g.src.tobytes(), g.dst.tobytes()) for g in graphs}) == 1
         calls = _kernel_calls(monkeypatch)
         values = compute_metrics(graphs, list(MetricKind))
-        assert calls == {"source_blocks": [4, 4, 5], "pagerank_rows": [3]}
+        # three distinct extensions of one base: the base's 3 rows once,
+        # then each extension's added rows
+        assert calls == {"bfs": [(3, 3), (4, 1), (4, 1), (5, 2)], "pagerank_rows": [3]}
         monkeypatch.undo()
         for kind in MetricKind:
             assert values[kind] == [compute_metric(g, kind) for g in graphs]

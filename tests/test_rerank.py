@@ -281,34 +281,30 @@ class TestSharedEvaluation:
                 assert alone[kind][0].metric_value == together[kind][position].metric_value
 
     def test_one_pass_per_distinct_extension(
-        self, monkeypatch, dvs_catalog, dvs_profile, dvs_recs
+        self, bfs_calls, dvs_catalog, dvs_profile, dvs_recs
     ):
-        sizes = []
-        real = metrics_module._source_blocks
-
-        def counting(adj):
-            sizes.append(adj.shape[0])
-            return real(adj)
-
-        monkeypatch.setattr(metrics_module, "_source_blocks", counting)
         evaluate_metrics(dvs_catalog, dvs_profile, dvs_recs, [BETW, PAGERANK, CLOSE])
         # counted on the materialized extensions: node count and each
-        # directed (source, target) index pair with its multiplicity
-        shapes = set()
+        # directed (source, target) index pair with its multiplicity, in
+        # first-seen order
+        shapes = {}
         for item in dvs_recs.item_ids():
             g = extend_subgraph(dvs_profile, dvs_catalog, item).graph
             index = {v: i for i, v in enumerate(g.node_ids())}
             pairs = Counter((index[s], index[t]) for s, _, t in g.edges())
-            shapes.add((len(index), frozenset(pairs.items())))
+            shapes.setdefault((len(index), frozenset(pairs.items())))
         # s1 and s2 attach the same way, so the fixture shares a shape
         assert len(shapes) < len(dvs_recs)
-        assert len(sizes) == len(shapes)
-        sizes.clear()
+        # two or more distinct extensions of one profile: the BFS from each
+        # profile node once, then one pass from each extension's added nodes
+        n0 = len(dvs_profile.graph)
+        assert bfs_calls == [(n0, n0)] + [(size, size - n0) for size, _ in shapes]
+        bfs_calls.clear()
         evaluate_metrics(
             dvs_catalog, dvs_profile, dvs_recs,
             [PAGERANK, MetricKind.IN_DEGREE, MetricKind.NODE_COUNT],
         )
-        assert sizes == []
+        assert bfs_calls == []
 
     def test_duplicate_metrics_evaluated_once(self, dvs_catalog, dvs_profile, dvs_recs):
         evaluations = evaluate_metrics(dvs_catalog, dvs_profile, dvs_recs, [BETW, BETW])
