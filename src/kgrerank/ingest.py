@@ -119,7 +119,10 @@ def _read_features_csv(path) -> dict[str, list[float]]:
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
         _require_columns(path, reader.fieldnames, ["track_id", *FEATURE_NAMES])
-        for lineno, row in enumerate(reader, start=2):
+        for row in reader:
+            # the physical line the record ends on, which a quoted field
+            # spanning lines puts past the record count
+            lineno = reader.line_num
             track = row["track_id"].strip()
             if not track:
                 raise IngestError(f"{path}:{lineno}: empty track_id")
@@ -129,11 +132,17 @@ def _read_features_csv(path) -> dict[str, list[float]]:
                     f"first on line {first_line[track]}"
                 )
             first_line[track] = lineno
-            # a short row leaves its last columns None
+            # a short row leaves its last columns None, and a long one files
+            # its extra values under the key None
             missing = [name for name in FEATURE_NAMES if row[name] is None]
             if missing:
                 raise IngestError(
                     f"{path}:{lineno}: missing value(s) for {', '.join(missing)}"
+                )
+            if None in row:
+                raise IngestError(
+                    f"{path}:{lineno}: {len(row[None])} value(s) beyond the "
+                    f"{len(reader.fieldnames)} columns"
                 )
             try:
                 out[track] = [float(row[name]) for name in FEATURE_NAMES]

@@ -515,21 +515,25 @@ def _add_dependencies(
 ) -> None:
     """Brandes' dependency pass for one source block, added into ``bc``."""
     delta = np.zeros(dist.shape)
-    coef = np.empty(dist.shape)
+    # unreachable nodes (sigma 0) divide by 1, so no 0 * inf makes a NaN;
+    # the level masks then zero them, as x * 0 = +0 for finite x >= 0 and
+    # x * 1 = x, which keeps every bit of the masked division and sum
+    safe = np.where(sigma == 0.0, 1.0, sigma)
     top = int(dist.max())
     upper = dist == top
     # level 1 would only feed the sources, which score nothing
     for level in range(top, 1, -1):
         lower = dist == level - 1
-        # where= keeps unreachable nodes (sigma 0) out: 0 * inf is NaN
-        coef.fill(0.0)
-        np.divide(1.0 + delta, sigma, out=coef, where=upper)
-        np.add(delta, sigma * (coef @ adj), out=delta, where=lower)
+        coef = (1.0 + delta) / safe
+        coef *= upper
+        prod = coef @ adj
+        prod *= sigma
+        prod *= lower
+        delta += prod
         upper = lower
     # row by row in source order: the summation order of a per-source
     # loop, which the float contract in the module docstring relies on
-    for row in delta:
-        bc += row
+    bc[:] = np.cumsum(np.vstack((bc, delta)), axis=0)[-1]
 
 
 def _harmonic_rows(dist: np.ndarray) -> np.ndarray:

@@ -5,8 +5,23 @@ Play counts (or watch flags) are scaled per user into explicit ratings in
 global-mean-plus-biases baseline and item-based kNN with cosine similarity.
 Recommendation lists from any external system can be loaded from a flat run
 file instead, since the re-ranking layer treats the recommender as a black box.
-Float sums add left to right (``reduce(add, ...)``), because built-in ``sum``
-compensates from Python 3.12 on and would change the written scores.
+
+The baseline is an array program. :class:`RatingMatrix` keeps users and items
+in sorted order and its ratings as flat index arrays in (user, item) order;
+the bias fit and the scoring run over those arrays. One ``recommend`` orders
+for both models: the anti-testset is a boolean mask over the sorted item
+index, the model scores it as one vector, and a stable ``np.argsort`` of the
+negated scores orders it by (-score, item id).
+
+Float contract: every value equals the scalar loop it replaces, bit for bit.
+Sums add left to right, because built-in ``sum`` compensates from Python 3.12
+on and numpy's ``sum`` adds pairwise, and either would change the written
+scores. The bias fit sums each row of a zero-padded block with a leading 0.0
+column through ``np.cumsum(..., axis=1)[:, -1]``, which is
+``reduce(add, row, 0.0)``: an item's raters in user order, a user's items in
+item order. The padding adds +0.0, which changes no sum. A prediction adds
+``(mu + b_user) + b_item`` in that order and then clamps; item-kNN's sums
+use ``reduce(add, ...)``.
 """
 
 from __future__ import annotations
@@ -16,6 +31,8 @@ from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from functools import reduce
 from operator import add
+
+import numpy as np
 
 from .rerank import RecommendationList
 
@@ -45,7 +62,12 @@ class Interaction:
 
 
 class RatingMatrix:
-    """Sparse user-item rating matrix with values in [1, 1000]."""
+    """Sparse user-item rating matrix with values in [1, 1000].
+
+    Users and items are kept in sorted order. Next to the per-user and
+    per-item maps, the ratings are three flat arrays in (user, item) order:
+    each rating's user position, its item position and its value.
+    """
 
     def __init__(self, ratings: Mapping[str, Mapping[str, float]]):
         self._by_user: dict[str, dict[str, float]] = {}
@@ -63,12 +85,26 @@ class RatingMatrix:
                     )
                 self._by_user.setdefault(user, {})[item] = value
                 self._by_item.setdefault(item, {})[user] = value
+        self._items = sorted(self._by_item)
+        self._user_pos = {user: u for u, user in enumerate(self._by_user)}
+        self._item_pos = {item: i for i, item in enumerate(self._items)}
+        counts = [len(row) for row in self._by_user.values()]
+        self._rows = np.repeat(np.arange(len(counts)), counts)
+        self._cols = np.array(
+            [self._item_pos[i] for row in self._by_user.values() for i in row],
+            dtype=np.intp,
+        )
+        self._values = np.array(
+            [v for row in self._by_user.values() for v in row.values()],
+            dtype=float,
+        )
+        self._starts = np.cumsum([0, *counts])
 
     def users(self) -> list[str]:
         return list(self._by_user)
 
     def items(self) -> list[str]:
-        return sorted(self._by_item)
+        return list(self._items)
 
     def has_user(self, user: str) -> bool:
         return user in self._by_user
@@ -91,6 +127,15 @@ class RatingMatrix:
     def rated_items(self) -> set[str]:
         """Items carrying at least one rating from anyone."""
         return set(self._by_item)
+
+    def _unrated(self, user: str) -> np.ndarray:
+        """Boolean mask over the sorted items: True where ``user`` has no
+        rating. An unknown user has rated nothing."""
+        mask = np.ones(len(self._items), dtype=bool)
+        u = self._user_pos.get(user)
+        if u is not None:
+            mask[self._cols[self._starts[u] : self._starts[u + 1]]] = False
+        return mask
 
 
 def scale_ratings(interactions: Iterable[Interaction]) -> RatingMatrix:
@@ -127,18 +172,32 @@ def anti_testset(matrix: RatingMatrix, user: str) -> set[str]:
 
     Unknown users get the full rated-item set (they have rated nothing).
     """
-    rated_by_user = (
-        set(matrix.user_ratings(user)) if matrix.has_user(user) else set()
-    )
-    return matrix.rated_items() - rated_by_user
+    return {matrix._items[i] for i in np.flatnonzero(matrix._unrated(user))}
 
 
-def _clamp(value: float) -> float:
-    return min(RATING_MAX, max(RATING_MIN, value))
+class _RowSums:
+    """Left-to-right sums of ragged rows, one ``np.cumsum`` per call.
+
+    ``rows`` gives each value's row. Within a row the values are added in the
+    order they are given, through a zero-padded block whose first column is
+    0.0, so each sum is ``reduce(add, row, 0.0)`` bit for bit.
+    """
+
+    def __init__(self, rows: np.ndarray, n_rows: int):
+        self._order = np.argsort(rows, kind="stable")
+        self.counts = np.bincount(rows, minlength=n_rows)
+        self._rows = rows[self._order]
+        starts = np.cumsum(self.counts) - self.counts
+        self._cols = np.arange(len(rows)) - starts[self._rows] + 1
+        self._block = np.zeros((n_rows, int(self.counts.max(initial=0)) + 1))
+
+    def __call__(self, values: np.ndarray) -> np.ndarray:
+        self._block[self._rows, self._cols] = values[self._order]
+        return np.cumsum(self._block, axis=1)[:, -1]
 
 
 class _RatingRecommender:
-    """Shared recommend() logic for models exposing predict(user, item)."""
+    """Shared recommend() logic for models that score a user's candidates."""
 
     _matrix: RatingMatrix | None = None
 
@@ -150,22 +209,27 @@ class _RatingRecommender:
     def predict(self, user: str, item: str) -> float:  # pragma: no cover
         raise NotImplementedError
 
+    def _scores(self, user: str, candidates: np.ndarray) -> np.ndarray:
+        """Predictions for a known user on item positions ``candidates``."""
+        items = self._matrix._items
+        return np.array([self.predict(user, items[c]) for c in candidates])
+
     def recommend(self, user: str, n: int = 100) -> RecommendationList:
         """Top-n predictions on the user's anti-testset, best first.
 
         Ties on the predicted rating break on the item id so the output is
-        stable across runs. Items the user has already rated never appear.
+        stable across runs: the candidates are in sorted id order and the
+        sort is stable. Items the user has already rated never appear.
         """
         matrix = self._require_fitted()
         if not matrix.has_user(user):
             raise ValueError(f"unknown user {user!r}")
-        candidates = sorted(anti_testset(matrix, user))
-        scored = sorted(
-            ((self.predict(user, item), item) for item in candidates),
-            key=lambda pair: (-pair[0], pair[1]),
-        )
+        candidates = np.flatnonzero(matrix._unrated(user))
+        scores = self._scores(user, candidates)
+        top = np.argsort(-scores, kind="stable")[:n]
+        ids = [matrix._items[c] for c in candidates[top]]
         return RecommendationList(
-            user=user, items=tuple((item, score) for score, item in scored[:n])
+            user=user, items=tuple(zip(ids, scores[top].tolist()))
         )
 
 
@@ -183,50 +247,44 @@ class BaselineRecommender(_RatingRecommender):
         self.damping = damping
         self._matrix: RatingMatrix | None = None
         self._mu = 0.0
-        self._user_bias: dict[str, float] = {}
-        self._item_bias: dict[str, float] = {}
+        self._user_bias = np.zeros(0)
+        self._item_bias = np.zeros(0)
 
     def fit(self, matrix: RatingMatrix) -> "BaselineRecommender":
         self._matrix = matrix
-        users = sorted(matrix.users())
-        items = matrix.items()
-        total = 0.0
-        count = 0
-        for user in users:
-            for item in sorted(matrix.user_ratings(user)):
-                total += matrix.user_ratings(user)[item]
-                count += 1
-        self._mu = total / count if count else 0.0
-        bu = dict.fromkeys(users, 0.0)
-        bi = dict.fromkeys(items, 0.0)
+        rows, cols, values = matrix._rows, matrix._cols, matrix._values
+        # left to right in (user, item) order, as a running total
+        self._mu = float(np.cumsum(values)[-1] / len(values)) if len(values) else 0.0
+        by_item = _RowSums(cols, len(matrix._items))
+        by_user = _RowSums(rows, len(matrix._user_pos))
+        centred = values - self._mu
+        bu = np.zeros(len(by_user.counts))
+        bi = np.zeros(len(by_item.counts))
         for _ in range(self.epochs):
-            for item in items:
-                raters = matrix.item_ratings(item)
-                residual = reduce(add, (
-                    raters[u] - self._mu - bu[u] for u in sorted(raters)
-                ), 0.0)
-                bi[item] = residual / (self.damping + len(raters))
-            for user in users:
-                rated = matrix.user_ratings(user)
-                residual = reduce(add, (
-                    rated[i] - self._mu - bi[i] for i in sorted(rated)
-                ), 0.0)
-                bu[user] = residual / (self.damping + len(rated))
+            bi = by_item(centred - bu[rows]) / (self.damping + by_item.counts)
+            bu = by_user(centred - bi[cols]) / (self.damping + by_user.counts)
         self._user_bias = bu
         self._item_bias = bi
         return self
+
+    def _scores(self, user: str, candidates: np.ndarray) -> np.ndarray:
+        base = self._mu + self._user_bias[self._matrix._user_pos[user]]
+        return np.minimum(
+            np.maximum(base + self._item_bias[candidates], RATING_MIN), RATING_MAX
+        )
 
     def predict(self, user: str, item: str) -> float:
         """mu + b_user + b_item, clamped to the rating range.
 
         Unknown users or items contribute a zero bias.
         """
-        self._require_fitted()
-        return _clamp(
-            self._mu
-            + self._user_bias.get(user, 0.0)
-            + self._item_bias.get(item, 0.0)
-        )
+        matrix = self._require_fitted()
+        u = matrix._user_pos.get(user)
+        i = matrix._item_pos.get(item)
+        user_bias = 0.0 if u is None else self._user_bias[u]
+        item_bias = 0.0 if i is None else self._item_bias[i]
+        value = float(self._mu + user_bias + item_bias)
+        return min(RATING_MAX, max(RATING_MIN, value))
 
 
 class ItemKnnRecommender(_RatingRecommender):

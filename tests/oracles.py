@@ -6,7 +6,8 @@ shortest path with exact Fraction accounting instead of Brandes accumulation,
 and PageRank from a dense linear solve instead of power iteration.
 ``reference_pagerank`` is the exception: the same power iteration as the
 library, written as plain Python loops over dicts, so that the library's
-array form can be held to it bit for bit. Float sums add left to right
+array form can be held to it bit for bit; so are ``reference_baseline`` and
+``reference_recommend``, the scalar form of the base recommender. Float sums add left to right
 (``reduce(add, ...)``), because built-in ``sum`` compensates from Python 3.12
 on.
 """
@@ -194,6 +195,57 @@ def brute_extension(graph, catalog, item: str, closed: bool):
         and (s, p, t) not in have
     }
     return sorted(added), sorted(edges)
+
+
+def reference_baseline(matrix, epochs: int = 10, damping: float = 10.0):
+    """(mu, user biases, item biases) of the bias baseline, fitted with dicts
+    and per-item and per-user loops over a ``RatingMatrix``."""
+    users = sorted(matrix.users())
+    items = sorted(matrix.items())
+    total = 0.0
+    count = 0
+    for user in users:
+        rated = matrix.user_ratings(user)
+        for item in sorted(rated):
+            total += rated[item]
+            count += 1
+    mu = total / count if count else 0.0
+    bu = dict.fromkeys(users, 0.0)
+    bi = dict.fromkeys(items, 0.0)
+    for _ in range(epochs):
+        for item in items:
+            raters = matrix.item_ratings(item)
+            residual = reduce(
+                add, (raters[u] - mu - bu[u] for u in sorted(raters)), 0.0
+            )
+            bi[item] = residual / (damping + len(raters))
+        for user in users:
+            rated = matrix.user_ratings(user)
+            residual = reduce(
+                add, (rated[i] - mu - bi[i] for i in sorted(rated)), 0.0
+            )
+            bu[user] = residual / (damping + len(rated))
+    return mu, bu, bi
+
+
+def reference_predict(fit, user: str, item: str) -> float:
+    """``mu + b_user + b_item`` of a :func:`reference_baseline` fit, clamped
+    to [1, 1000]; an unknown user or item adds a zero bias."""
+    mu, bu, bi = fit
+    return min(1000.0, max(1.0, mu + bu.get(user, 0.0) + bi.get(item, 0.0)))
+
+
+def reference_recommend(matrix, predict, user: str, n: int):
+    """Top-n (item, score) pairs: ``predict(user, item)`` for each item that
+    someone rated and ``user`` did not, sorted by (-score, item id)."""
+    if not matrix.has_user(user):
+        raise ValueError(f"unknown user {user!r}")
+    candidates = sorted(matrix.rated_items() - set(matrix.user_ratings(user)))
+    scored = sorted(
+        ((predict(user, item), item) for item in candidates),
+        key=lambda pair: (-pair[0], pair[1]),
+    )
+    return [(item, score) for score, item in scored[:n]]
 
 
 def brute_cosine_distance(a: np.ndarray, b: np.ndarray) -> float:

@@ -97,6 +97,26 @@ class TestMergeLastfm:
             f"{features}:5: missing value(s) for " + ", ".join(FEATURE_NAMES[1:])
         )
 
+    def test_long_feature_row_names_extra_values(self, lastfm_files):
+        events, features, _ = lastfm_files
+        with open(features, "a", encoding="utf-8") as fh:
+            fh.write("tr5,0.1,0.2,0.3,0.4,0.5,0.6,0.7,80,0.9,0.9\n")
+        with pytest.raises(IngestError) as info:
+            merge_lastfm(events, features)
+        assert str(info.value) == f"{features}:5: 2 value(s) beyond the 9 columns"
+
+    def test_error_names_physical_line_after_multiline_field(self, lastfm_files):
+        # the quoted track id spans lines 5-6, so the short row is on line 7,
+        # though it is the fifth record
+        events, features, _ = lastfm_files
+        with open(features, "a", encoding="utf-8") as fh:
+            fh.write('"tr\n5",0.1,0.2,0.3,0.4,0.5,0.6,0.7,80\ntr6,0.5\n')
+        with pytest.raises(IngestError) as info:
+            merge_lastfm(events, features)
+        assert str(info.value) == (
+            f"{features}:7: missing value(s) for " + ", ".join(FEATURE_NAMES[1:])
+        )
+
     def test_malformed_event_line_reports_position(self, tmp_path, lastfm_files):
         _, features, _ = lastfm_files
         bad = tmp_path / "bad_events.tsv"

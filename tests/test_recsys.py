@@ -1,6 +1,9 @@
 import random
+from functools import partial
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from kgrerank import (
     BaselineRecommender,
@@ -14,6 +17,7 @@ from kgrerank import (
     scale_ratings,
     write_recommendations,
 )
+from oracles import reference_baseline, reference_predict, reference_recommend
 
 
 def interactions(*rows):
@@ -248,6 +252,90 @@ class TestRecommend:
         model = BaselineRecommender().fit(matrix_from({"u": {"a": 500.0}}))
         with pytest.raises(ValueError, match="unknown user"):
             model.recommend("nobody")
+
+
+USERS = [f"u{k}" for k in range(5)]
+ITEMS = [f"i{k}" for k in range(7)]
+# few distinct values, so that biases and scores often tie exactly
+ratings = st.one_of(
+    st.sampled_from([1.0, 250.0, 500.0, 1000.0]),
+    st.floats(min_value=1.0, max_value=1000.0),
+)
+rating_rows = st.dictionaries(
+    st.sampled_from(USERS),
+    st.dictionaries(st.sampled_from(ITEMS), ratings, max_size=len(ITEMS)),
+    max_size=len(USERS),
+)
+# (epochs, damping): the default, and light damping, under which
+# predictions leave [1, 1000] and clamp
+fits = st.sampled_from([(10, 10.0), (3, 1.0), (1, 0.5)])
+
+# two items with the same single rater and rating tie for u1; u0 rated
+# every item
+TIED = {"u0": {"a": 500.0, "b": 500.0, "c": 300.0}, "u1": {"c": 700.0}}
+# under damping 1, u1's prediction for i1 is about 1143 and u2's for i1
+# about -142
+CLAMP_HIGH = {"u0": {"i1": 1000.0, "i2": 1.0}, "u1": {"i2": 1000.0}}
+CLAMP_LOW = {"u1": {"i0": 1000.0, "i1": 1.0}, "u2": {"i0": 1.0}}
+
+
+def check_against_reference(rows, epochs=10, damping=10.0, n=10):
+    """The array fit, predict and recommend equal the scalar reference."""
+    matrix = RatingMatrix(rows)
+    model = BaselineRecommender(epochs=epochs, damping=damping).fit(matrix)
+    knn = ItemKnnRecommender(k=2, epochs=epochs, damping=damping).fit(matrix)
+    fit = reference_baseline(matrix, epochs, damping)
+    mu, user_bias, item_bias = fit
+    assert model._mu == mu
+    assert dict(zip(matrix.users(), model._user_bias.tolist())) == user_bias
+    assert dict(zip(matrix.items(), model._item_bias.tolist())) == item_bias
+    for user in [*matrix.users(), "ghost"]:
+        for item in [*matrix.items(), "phantom"]:
+            assert model.predict(user, item) == reference_predict(fit, user, item)
+    for recommender, predict in (
+        (model, partial(reference_predict, fit)),
+        (knn, knn.predict),
+    ):
+        for user in matrix.users():
+            expected = reference_recommend(matrix, predict, user, n)
+            assert list(recommender.recommend(user, n).items) == expected
+        with pytest.raises(ValueError) as reference_error:
+            reference_recommend(matrix, predict, "ghost", n)
+        with pytest.raises(ValueError) as error:
+            recommender.recommend("ghost", n)
+        assert str(error.value) == str(reference_error.value)
+    return model
+
+
+class TestAgainstReference:
+    @given(rating_rows, fits, st.sampled_from([1, 3, 10]))
+    @example({}, (10, 10.0), 10)
+    @settings(max_examples=300, deadline=None)
+    def test_fit_predict_and_lists_equal_the_reference(self, rows, fit, n):
+        epochs, damping = fit
+        check_against_reference(rows, epochs, damping, n)
+
+    def test_ties_break_on_item_id(self):
+        model = check_against_reference(TIED)
+        (a, score_a), (b, score_b), *_ = model.recommend("u1").items
+        assert (a, b) == ("a", "b") and score_a == score_b
+
+    def test_user_who_rated_every_item_gets_an_empty_list(self):
+        model = check_against_reference(TIED)
+        assert model.recommend("u0").items == ()
+
+    @pytest.mark.parametrize(
+        "rows, user, item, bound",
+        [(CLAMP_HIGH, "u1", "i1", 1000.0), (CLAMP_LOW, "u2", "i1", 1.0)],
+        ids=["at_1000", "at_1"],
+    )
+    def test_clamped_prediction(self, rows, user, item, bound):
+        model = check_against_reference(rows, damping=1.0)
+        mu, user_bias, item_bias = reference_baseline(RatingMatrix(rows), 10, 1.0)
+        raw = mu + user_bias[user] + item_bias[item]
+        assert raw > 1000.0 if bound == 1000.0 else raw < 1.0
+        assert model.predict(user, item) == bound
+        assert (item, bound) in model.recommend(user).items
 
 
 class TestRunFiles:
