@@ -20,18 +20,42 @@ re-ranker passes all of a user's candidate extensions at once, and a single
 graph is a batch of one. The rows are stacked into one zero-padded (graphs x
 largest graph) block whose pairs are numbered ``row * width + node``. The
 degrees are one ``np.bincount`` over those pairs and PageRank is one power
-iteration over the whole block; both use edge directions. Betweenness and
-closeness run per graph on ``A``. Sources are processed in blocks of
-``_SOURCE_BLOCK`` rows: a level-synchronous BFS (``frontier @ A``) yields hop
-distances and shortest-path counts (integer valued float64, exact below
-2**53). Betweenness runs Brandes' dependency pass level by level as
-``delta += sigma * (((1 + delta) / sigma) @ A)`` and adds each source's
-dependencies in source order; closeness adds 1/d per source in non-decreasing
-distance order. Both read the same blocks, so asking for both costs one
-forward BFS. The block stays at 32 rows: from 64 rows on, OpenBLAS sums the
-backward ``coef @ A`` products in another order and betweenness bits change.
-Every distribution is then collapsed to its HHI row by row, in sorted-label
-order (:attr:`CompiledGraph.label_order`).
+iteration over the whole block; both use edge directions. Every distribution
+is then collapsed to its HHI row by row, in sorted-label order
+(:attr:`CompiledGraph.label_order`).
+
+Betweenness and closeness run per graph on ``A``, peeled to its 2-core first
+(:func:`_peel`): nodes of degree 0 or 1 (self-loops and parallel edges do not
+count) are removed round after round until none is left, the exact reduction
+of Baglioni, Geraci, Pellegrini & Lastres ("Fast exact computation of
+betweenness centrality in social networks", ASONAM 2012) and of Sariyuce,
+Saule, Kaya & Catalyurek ("Shattering and compressing networks for
+betweenness centrality", SDM 2013). Each removed node hangs from the one
+neighbour it still had, so every node lies in a tree below a root: a core
+node, or the last node of a component that is a whole tree. A core node
+weighs 1 plus the size of the forest hanging from it. Only the core is
+searched, and a forest is not searched at all:
+
+- the forward pass is a level-synchronous BFS (``frontier @ A``) from blocks
+  of ``_SOURCE_BLOCK`` core nodes, giving hop distances and shortest-path
+  counts (integer valued float64, exact below 2**53);
+- betweenness runs Brandes' dependency pass on the core, level by level, as
+  ``delta += sigma * (((weight + delta) / sigma) @ A)``, scales each source's
+  row by its weight and adds the rows in source order. That counts every
+  pair of nodes whose shortest paths cross the core between two roots. Every
+  other pair has all its shortest paths through a node that separates it:
+  removing a node splits its component into its subtrees and the rest, and
+  the pairs between two parts, ``sum_{i<j} c_i c_j`` over the part sizes,
+  are added as exact integers. For a core node these are the pairs between
+  its own subtrees and those between its forest and the rest;
+- closeness builds each node's exact integer distance row: the distance
+  between the two roots, plus both depths, less twice the depth at which
+  the two meet when they share a root. The rows go to ``_harmonic_rows``,
+  which adds 1/d in non-decreasing distance order, 32 rows at a time.
+
+Both metrics read one forward pass. The backward block stays at 32 rows:
+from 64 rows on, OpenBLAS sums the ``coef @ A`` products in another order
+and betweenness bits change.
 
 The kernels (PageRank, betweenness, closeness) run once per distinct graph of
 a batch. Graphs with the same node count and the same ``src``, ``dst`` and
@@ -43,23 +67,6 @@ in the row's own label order. No bit changes: a kernel's output depends only
 on those arrays, and by the float contract below a row's value does not
 depend on its batch.
 
-When betweenness or closeness meets two or more distinct extensions of one
-base whose added pairs all touch an added node
-(:attr:`CompiledGraph.touches_added`), the forward pass runs once per base,
-not once per extension. The base's all-pairs distances (int16) and path
-counts come from one BFS from every base node and are kept on the base. Each
-extension runs the BFS from its k added nodes only and then updates the
-base's rows source block by source block (:func:`_updated_blocks`): the
-per-source distance and path-count bookkeeping of streaming betweenness
-(Green, McColl & Bader, "A Fast Algorithm for Streaming Betweenness
-Centrality", SocialCom 2012) on top of Brandes (2001). Every source's
-dependency pass still runs. No bit changes: below 2**53 the forward pass is
-exact integer arithmetic, so the update yields the BFS's 32-row blocks
-exactly, and the backward products see those same blocks. A graph compiled
-alone, a base with one distinct extension, an extension that adds a pair
-between two base nodes and an extension whose counts reach 2**53 run the
-BFS from every node.
-
 Float contract: a row's value does not depend on the other rows of its batch,
 and equals a per-node Python loop over that graph alone. Padding is zero and
 adds nothing. PageRank adds each pair's contribution with ``np.add.at`` over
@@ -70,21 +77,22 @@ mass, the L1 change, the shares' total, the squared shares) is
 ``np.cumsum(..., axis=1)[:, -1]``: strictly left to right, unlike numpy's
 pairwise ``sum`` and the compensated builtin ``sum`` of Python 3.12 and later.
 Degrees are exact integers. Closeness equals a per-source queue BFS bit for
-bit, and so does betweenness on trees. On graphs with cycles betweenness may
-differ from it by a few ulps (up to about 4e-12 per node on 200-node
-profiles), because the matrix products sum in another order; exact ties
-between candidates can then break differently. Betweenness bits also depend
-on the number of OpenBLAS threads: on the 72 extensions (216-228 nodes) of
-the rich-h100 benchmark workload at seeds 1-3, ``OPENBLAS_NUM_THREADS=1``
-against the default two threads of a 2-CPU host (OpenBLAS 0.3.31) changed 5
-of them, by up to 1.1e-13 per node. Closeness never changed, and no ranking
-moved.
+bit, since its distances are exact and its sums keep their order. On a
+forest betweenness is the exact pair count. On a graph with cycles it is the
+core's float sum plus an exact integer, and may differ from exact path
+counting by a few ulps, because the matrix products sum in their own order;
+exact ties between candidates can then break differently. Against the
+whole-graph pass it replaced, the values on the 72 extensions (216-228
+nodes, 2-cores of 107-137) of the rich-h100 benchmark workload at seeds 1-3
+moved by at most 2.4e-15 relative per node. Betweenness bits may also depend
+on the number of OpenBLAS threads on larger cores; on those 72 extensions
+``OPENBLAS_NUM_THREADS=1`` and the default two threads of a 2-CPU host gave
+the same bits.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from enum import Enum
@@ -203,15 +211,20 @@ def _normalize_hhi(raw: np.ndarray, sizes: np.ndarray) -> np.ndarray:
 def hhi(shares: Sequence[float]) -> float:
     """Herfindahl-Hirschman index: sum of squared shares.
 
-    ``shares`` must be non-negative and sum to 1 (within 1e-9). The result
-    lies in [1/N, 1]: 1/N for a uniform split, 1 for a single monopoly. Both
-    sums run left to right.
+    ``shares`` must be finite, non-negative and sum to 1 (within 1e-9). The
+    result lies in [1/N, 1]: 1/N for a uniform split, 1 for a single
+    monopoly. Both sums run left to right.
     """
     if len(shares) == 0:
         raise MetricError("hhi requires at least one share")
-    if any(s < 0 for s in shares):
+    values = np.asarray(shares, dtype=float)
+    bad = ~np.isfinite(values)
+    if bad.any():
+        index = int(np.argmax(bad))
+        raise MetricError(f"share {index} is not finite: {values[index].item()!r}")
+    if (values < 0).any():
         raise MetricError("shares must be non-negative")
-    return _hhi_rows(np.asarray(shares, dtype=float)[None, :])[0].item()
+    return _hhi_rows(values[None, :])[0].item()
 
 
 def hhi_normalized(shares: Sequence[float]) -> float:
@@ -245,11 +258,7 @@ class CompiledGraph:
     Node ``i`` is ``nodes[i]``, in ``g.node_ids()`` order. ``src``, ``dst`` and
     ``mult`` hold each directed (source, target) pair once with its number of
     parallel edges, sorted by source and then target index. Build one with
-    :func:`compile_graph` or :meth:`extend`. A graph built by :meth:`extend`
-    records the graph it extends as ``base``, and :attr:`touches_added`
-    tells whether every added non-loop pair has an added end: then the
-    undirected view of its first ``len(base.nodes)`` nodes is that of
-    ``base``.
+    :func:`compile_graph` or :meth:`extend`.
     """
 
     def __init__(
@@ -260,9 +269,6 @@ class CompiledGraph:
         self.dst = dst
         self.mult = mult
         self.num_edges = int(mult.sum())
-        self.base: CompiledGraph | None = None
-        # the delta's (source, target) index pairs, flattened
-        self._delta_ends = _NO_PAIRS
 
     @cached_property
     def _index(self) -> dict[str, int]:
@@ -274,19 +280,6 @@ class CompiledGraph:
         in which every distribution is collapsed."""
         order = sorted(range(len(self.nodes)), key=self.nodes.__getitem__)
         return np.array(order, dtype=np.intp)
-
-    @cached_property
-    def _all_pairs(self) -> tuple[np.ndarray, np.ndarray]:
-        """Hop distances (int16, -1 where unreachable) and shortest-path
-        counts between every two nodes of the undirected view, from one BFS
-        per node; kept for the extensions of this graph."""
-        n = len(self.nodes)
-        dist = np.empty((n, n), dtype=np.int16)
-        sigma = np.empty((n, n))
-        for block, d, s in _source_blocks(self.adjacency, range(n)):
-            dist[block.start : block.stop] = d
-            sigma[block.start : block.stop] = s
-        return dist, sigma
 
     @property
     def adjacency(self) -> np.ndarray:
@@ -322,21 +315,7 @@ class CompiledGraph:
             (np.repeat(self.src * size + self.dst, self.mult), ends[::2] * size + ends[1::2])
         )
         pairs, mult = np.unique(keys, return_counts=True)
-        graph = CompiledGraph(self.nodes + list(added), pairs // size, pairs % size, mult)
-        graph.base = self
-        graph._delta_ends = ends
-        return graph
-
-    @cached_property
-    def touches_added(self) -> bool:
-        """Whether this graph extends ``base`` and every added non-loop pair
-        has an added end; built on first access, as only the path kernels
-        ask."""
-        if self.base is None:
-            return False
-        sources, targets = self._delta_ends[::2], self._delta_ends[1::2]
-        added = np.maximum(sources, targets) >= len(self.base.nodes)
-        return bool((added | (sources == targets)).all())
+        return CompiledGraph(self.nodes + list(added), pairs // size, pairs % size, mult)
 
 
 _NO_PAIRS = np.zeros(0, dtype=np.intp)
@@ -389,9 +368,10 @@ class _Stack:
         return _normalize_hhi(_hhi_rows(shares), self.sizes)
 
 
-# Sources per forward/backward pass; bounds the (block x n) work arrays. Keep
-# it at 32: from 64 rows on, OpenBLAS sums the backward ``coef @ adj``
-# products in another order and betweenness values change in their last bits.
+# Sources per forward/backward pass, and closeness rows per block; bounds the
+# (block x n) work arrays. Keep it at 32: from 64 rows on, OpenBLAS sums the
+# backward ``coef @ adj`` products in another order and betweenness values
+# change in their last bits.
 _SOURCE_BLOCK = 32
 
 PATH_KINDS = frozenset({MetricKind.BETWEENNESS, MetricKind.CLOSENESS})
@@ -435,85 +415,19 @@ def _source_blocks(
         yield block, dist, sigma
 
 
-# float64 holds every integer below this; a count that reaches it may have
-# been rounded, and the update may round otherwise than the BFS
-_EXACT_COUNT = 2.0**53
-# stands for "no path" in int32 distance sums: above any int16 distance, and
-# the sum of two stays far below the int32 range
-_FAR = 2**16
-
-
-def _far_where_unreachable(dist: np.ndarray) -> np.ndarray:
-    """``dist`` as int32, with ``_FAR`` in place of -1."""
-    out = dist.astype(np.int32)
-    out[dist < 0] = _FAR
-    return out
-
-
-class _Inexact(Exception):
-    """A path count reached 2**53, so the update may differ from the BFS."""
-
-
-def _updated_blocks(
-    graph: CompiledGraph, adj: np.ndarray
-) -> Iterator[tuple[range, np.ndarray, np.ndarray]]:
-    """The blocks of ``_source_blocks(adj, range(n))`` for an extension whose
-    added pairs all touch an added node, built from its base's all-pairs
-    arrays one block at a time.
-
-    The BFS from the k added nodes gives their own rows and, by symmetry,
-    d'(s, x) and sigma'(s, x) for every source s and added node x. A
-    shortest s-v path either avoids the added nodes or has a first one, x,
-    entered from a base neighbour u with d(s, u) = d'(s, x) - 1. So for a
-    base source s, with alpha(s, x) the sum of sigma(s, u) over those u:
-
-        d'(s, v) = min(d(s, v), min_x d'(s, x) + d'(x, v))
-        sigma'(s, v) = sigma(s, v) [d(s, v) = d'(s, v)] + sum_x
-                       alpha(s, x) sigma'(x, v) [d'(s, x) + d'(x, v) = d'(s, v)]
-
-    Every term is an integer no larger than sigma'(s, v), so below 2**53 the
-    blocks equal the BFS's bit for bit; a block whose counts reach it raises
-    :class:`_Inexact`.
-    """
-    dist0, sigma0 = graph.base._all_pairs
-    n0, n = len(dist0), adj.shape[0]
-    own_dist = np.empty((n - n0, n), dtype=np.int16)
-    own_sigma = np.empty(own_dist.shape)
-    for block, dist, sigma in _source_blocks(adj, range(n0, n)):
-        own_dist[block.start - n0 : block.stop - n0] = dist
-        own_sigma[block.start - n0 : block.stop - n0] = sigma
-    reach = _far_where_unreachable(own_dist)
-    links = [np.flatnonzero(row) for row in adj[n0:, :n0]]
-    for start in range(0, n, _SOURCE_BLOCK):
-        block = range(start, min(start + _SOURCE_BLOCK, n))
-        # sources from split on are added nodes
-        split = min(max(block.start, n0), block.stop)
-        d0, s0 = dist0[block.start : split], sigma0[block.start : split]
-        to_added = reach[:, block.start : split]
-        dist = np.full((len(d0), n), _FAR, dtype=np.int32)
-        dist[:, :n0] = _far_where_unreachable(d0)
-        for x_to_s, x_to_v in zip(to_added, reach):
-            np.minimum(dist, x_to_s[:, None] + x_to_v, out=dist)
-        sigma = np.zeros(dist.shape)
-        # -1 in d0 never equals dist, and unreachable pairs keep sigma 0
-        np.copyto(sigma[:, :n0], s0, where=d0 == dist[:, :n0])
-        for x_to_s, x_to_v, x_sigma, u in zip(to_added, reach, own_sigma, links):
-            alpha = np.where(d0[:, u] == x_to_s[:, None] - 1, s0[:, u], 0.0).sum(axis=1)
-            through = x_to_s[:, None] + x_to_v == dist
-            np.add(sigma, alpha[:, None] * x_sigma, out=sigma, where=through)
-        dist = np.where(dist < _FAR, dist, -1).astype(np.int16)
-        if split < block.stop:
-            dist = np.concatenate((dist, own_dist[split - n0 : block.stop - n0]))
-            sigma = np.concatenate((sigma, own_sigma[split - n0 : block.stop - n0]))
-        if sigma.max() >= _EXACT_COUNT:
-            raise _Inexact
-        yield block, dist, sigma
-
-
 def _add_dependencies(
-    adj: np.ndarray, dist: np.ndarray, sigma: np.ndarray, bc: np.ndarray
+    adj: np.ndarray,
+    dist: np.ndarray,
+    sigma: np.ndarray,
+    weight: np.ndarray,
+    source_weight: np.ndarray,
+    bc: np.ndarray,
 ) -> None:
-    """Brandes' dependency pass for one source block, added into ``bc``."""
+    """Brandes' dependency pass for one source block, added into ``bc``.
+
+    As a target, node ``v`` stands for ``weight[v]`` nodes; each source row
+    is scaled by its source's weight, ``source_weight``.
+    """
     delta = np.zeros(dist.shape)
     # unreachable nodes (sigma 0) divide by 1, so no 0 * inf makes a NaN;
     # the level masks then zero them, as x * 0 = +0 for finite x >= 0 and
@@ -524,13 +438,14 @@ def _add_dependencies(
     # level 1 would only feed the sources, which score nothing
     for level in range(top, 1, -1):
         lower = dist == level - 1
-        coef = (1.0 + delta) / safe
+        coef = (weight + delta) / safe
         coef *= upper
         prod = coef @ adj
         prod *= sigma
         prod *= lower
         delta += prod
         upper = lower
+    delta *= source_weight[:, None]
     # row by row in source order: the summation order of a per-source
     # loop, which the float contract in the module docstring relies on
     bc[:] = np.cumsum(np.vstack((bc, delta)), axis=0)[-1]
@@ -545,46 +460,114 @@ def _harmonic_rows(dist: np.ndarray) -> np.ndarray:
     return _running_total(inv)
 
 
-def _path_scores(
-    adj: np.ndarray, kinds, blocks: Iterable | None = None
-) -> dict[MetricKind, np.ndarray]:
-    """Per-row betweenness and/or closeness of ``adj`` from one shared pass.
+def _peel(adj: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+    """Remove the nodes of degree 0 or 1 of the undirected view ``adj`` until
+    none is left.
 
-    ``blocks`` are the forward blocks of ``adj``, by default the BFS from
-    every node. Each block's distances and path counts feed both metrics, so
-    asking for both costs one forward pass, not two.
+    Returns the 2-core (the nodes left, ascending), each node's parent and
+    the nodes removed in each round. A removed node's parent is the one
+    neighbour it still had, removed in a later round or left in the core;
+    a node removed with none roots a tree component, and it and every core
+    node have parent -1.
     """
     n = adj.shape[0]
-    if blocks is None:
-        blocks = _source_blocks(adj, range(n))
-    bc = np.zeros(n) if MetricKind.BETWEENNESS in kinds else None
-    cl = np.empty(n) if MetricKind.CLOSENESS in kinds else None
+    degree = adj.sum(axis=1)
+    alive = np.ones(n, dtype=bool)
+    parent = np.full(n, -1)
+    rounds = []
+    while True:
+        leaves = alive & (degree <= 1)
+        if not leaves.any():
+            return np.flatnonzero(alive), parent, rounds
+        linked = np.flatnonzero(leaves & (degree == 1))
+        # each one's live neighbour
+        neighbour = np.argmax(adj[linked] * alive, axis=1)
+        # of two leaves joined to each other, the smaller stays one more
+        # round and then goes as its tree's root
+        stays = leaves[neighbour] & (degree[neighbour] == 1) & (linked < neighbour)
+        leaves[linked[stays]] = False
+        parent[linked[~stays]] = neighbour[~stays]
+        gone = np.flatnonzero(leaves)
+        alive[gone] = False
+        degree -= adj[gone].sum(axis=0)
+        rounds.append(gone)
+
+
+def _path_scores(graph: CompiledGraph, kinds) -> dict[MetricKind, np.ndarray]:
+    """Per-node betweenness and/or closeness of ``graph``'s undirected view,
+    with one BFS pass on its 2-core shared by both; see the module
+    docstring."""
+    adj = graph.adjacency
+    n = adj.shape[0]
+    core, parent, rounds = _peel(adj)
+    # each node's root (a core node, or the root of a tree component), its
+    # depth below the root, and ``size``: itself and everything hanging
+    # below it
+    root = np.arange(n)
+    depth = np.zeros(n, dtype=np.int64)
+    size = np.ones(n, dtype=np.int64)
+    squares_below = np.zeros(n, dtype=np.int64)
+    for gone in rounds:
+        hung = gone[parent[gone] >= 0]
+        np.add.at(size, parent[hung], size[hung])
+        np.add.at(squares_below, parent[hung], size[hung] ** 2)
+    # ``above[v, u]``: u is v or lies between v and its root
+    above = np.identity(n, dtype=bool) if MetricKind.CLOSENESS in kinds else None
+    for gone in reversed(rounds):
+        hung = gone[parent[gone] >= 0]
+        root[hung] = root[parent[hung]]
+        depth[hung] = depth[parent[hung]] + 1
+        if above is not None:
+            above[hung] |= above[parent[hung]]
+
+    k = len(core)
+    core_adj = adj[np.ix_(core, core)]
+    weight = size[core]
+    # a core node's component counts the weights of the core nodes it
+    # reaches; a tree component, its root's size
+    component = size.copy()
+    if above is not None:
+        # hop distances between roots: the core's, and 0 from a root to itself
+        between_roots = np.full((n, n), -1, dtype=np.int16)
+        np.fill_diagonal(between_roots, 0)
+    bc_core = np.zeros(k)
+    float_weight = weight.astype(float)
+    # a forest needs no search at all
+    blocks = _source_blocks(core_adj, range(k)) if k else ()
     for block, dist, sigma in blocks:
-        if bc is not None:
-            _add_dependencies(adj, dist, sigma, bc)
-        if cl is not None:
-            cl[block.start : block.stop] = _harmonic_rows(dist)
+        sources = core[block.start : block.stop]
+        component[sources] = np.where(dist >= 0, weight, 0).sum(axis=1)
+        if above is not None:
+            between_roots[np.ix_(sources, core)] = dist
+        if MetricKind.BETWEENNESS in kinds:
+            source_weight = float_weight[block.start : block.stop]
+            _add_dependencies(core_adj, dist, sigma, float_weight, source_weight, bc_core)
+
     out = {}
-    if bc is not None:
-        # each unordered pair was counted from both endpoints
-        out[MetricKind.BETWEENNESS] = bc / 2.0
-    if cl is not None:
+    if MetricKind.BETWEENNESS in kinds:
+        # the pairs split by removing a node, between its subtrees and the
+        # rest of its component: all their shortest paths run through it
+        total = component[root]
+        pairs = ((total - 1) ** 2 - squares_below - (total - size) ** 2) // 2
+        bc = pairs.astype(float)
+        # the core pass counted each pair from both ends
+        bc[core] = bc_core / 2.0 + bc[core]
+        out[MetricKind.BETWEENNESS] = bc
+    if above is not None:
+        # two nodes below one root meet at the depth of their lowest common
+        # node: the count of the nodes at depth 1 or more above both
+        hanging = above[:, depth > 0].astype(float)
+        cl = np.empty(n)
+        # in row blocks: (block x n) temporaries, and faster than one pass
+        for start in range(0, n, _SOURCE_BLOCK):
+            rows = slice(start, start + _SOURCE_BLOCK)
+            via = between_roots[root[rows]][:, root]
+            meet = (hanging[rows] @ hanging.T).astype(np.int64)
+            dist = depth[rows, None] + depth[None, :] + via - 2 * meet
+            dist[via < 0] = -1
+            cl[rows] = _harmonic_rows(dist)
         out[MetricKind.CLOSENESS] = cl
     return out
-
-
-def _graph_path_scores(
-    graph: CompiledGraph, kinds, update: bool
-) -> dict[MetricKind, np.ndarray]:
-    """:func:`_path_scores` of ``graph``; with ``update``, from the blocks of
-    :func:`_updated_blocks` unless a count reaches 2**53."""
-    adj = graph.adjacency
-    if update:
-        try:
-            return _path_scores(adj, kinds, _updated_blocks(graph, adj))
-        except _Inexact:
-            pass
-    return _path_scores(adj, kinds)
 
 
 def betweenness(g) -> dict[str, float]:
@@ -594,8 +577,7 @@ def betweenness(g) -> dict[str, float]:
     edges collapse into a single adjacency.
     """
     cg = compile_graph(g)
-    scores = _path_scores(cg.adjacency, (MetricKind.BETWEENNESS,))
-    return cg.by_node(scores[MetricKind.BETWEENNESS])
+    return cg.by_node(_path_scores(cg, (MetricKind.BETWEENNESS,))[MetricKind.BETWEENNESS])
 
 
 def closeness(g) -> dict[str, float]:
@@ -605,8 +587,7 @@ def closeness(g) -> dict[str, float]:
     without special cases.
     """
     cg = compile_graph(g)
-    scores = _path_scores(cg.adjacency, (MetricKind.CLOSENESS,))
-    return cg.by_node(scores[MetricKind.CLOSENESS])
+    return cg.by_node(_path_scores(cg, (MetricKind.CLOSENESS,))[MetricKind.CLOSENESS])
 
 
 def _pagerank_batch(
@@ -728,15 +709,7 @@ def compute_metrics(
     # grouping costs about a microsecond per graph; only the kernels need it
     kernels = path_kinds or MetricKind.PAGERANK in kinds
     firsts, group = _distinct(graphs) if kernels else ([], [])
-    paths = []
-    if path_kinds:
-        distinct = [graphs[row] for row in firsts]
-        # the base's all-pairs pass pays off from its second extension on
-        shared = Counter(g.base for g in distinct if g.touches_added)
-        paths = [
-            _graph_path_scores(g, path_kinds, g.touches_added and shared[g.base] > 1)
-            for g in distinct
-        ]
+    paths = [_path_scores(graphs[row], path_kinds) for row in firsts] if path_kinds else []
     values = {}
     for kind in kinds:
         if kind in SCALAR_KINDS:

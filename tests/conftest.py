@@ -1,6 +1,13 @@
+import importlib.util
+import json
+import sys
+from pathlib import Path
+
 import pytest
 
 from kgrerank import (
+    Multigraph,
+    Node,
     RecommendationList,
     Triple,
     build_catalog,
@@ -8,7 +15,10 @@ from kgrerank import (
 )
 from kgrerank import metrics as metrics_module
 
+from oracles import two_core
+
 T, A, G = "track", "artist", "genre"
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def record_bfs_calls(monkeypatch) -> list[tuple[int, int]]:
@@ -23,6 +33,25 @@ def record_bfs_calls(monkeypatch) -> list[tuple[int, int]]:
 
     monkeypatch.setattr(metrics_module, "_source_blocks", counting)
     return calls
+
+
+def core_passes(graphs) -> list[tuple[int, int]]:
+    """The BFS passes of the path kernels on each of ``graphs`` (compiled or
+    not), as :func:`record_bfs_calls` records them: one from every node of
+    the graph's 2-core, and none where the 2-core is empty."""
+    passes = []
+    for graph in graphs:
+        if isinstance(graph, metrics_module.CompiledGraph):
+            g = Multigraph()
+            for v in graph.nodes:
+                g.add_node(Node(v, "other"))
+            for source, target in zip(graph.src, graph.dst):
+                g.add_edge(graph.nodes[source], "rel", graph.nodes[target])
+            graph = g
+        size = len(two_core(graph))
+        if size:
+            passes.append((size, size))
+    return passes
 
 
 @pytest.fixture()
@@ -143,4 +172,64 @@ def netflix_csv(tmp_path):
         "s5,TV Show,Epsilon,,,,2021-05-01,2022,TV-PG,1 Season,,Quiet village\n",
         encoding="utf-8",
     )
+    return path
+
+
+def _corpus_module():
+    """The benchmark's corpus generator, ``perfbench/corpus.py``."""
+    name = "perfbench_corpus"
+    if name not in sys.modules:
+        spec = importlib.util.spec_from_file_location(name, ROOT / "perfbench" / "corpus.py")
+        module = importlib.util.module_from_spec(spec)
+        # dataclasses look their module up while the class body runs
+        sys.modules[name] = module
+        spec.loader.exec_module(module)
+    return sys.modules[name]
+
+
+@pytest.fixture(scope="session")
+def lastfm_corpus(tmp_path_factory):
+    """A small Last.fm-format corpus from the benchmark's generator: four
+    users with 10-14 tracks and twelve shorter histories, over 20 artists and
+    8 genres, so that profiles share artists and genres and have cycles."""
+    corpus = _corpus_module()
+    spec = corpus.CorpusSpec(
+        groups=(corpus.UserGroup(4, 10, 14), corpus.UserGroup(12, 4, 8)),
+        n_tracks=120,
+        n_artists=20,
+        n_genres=8,
+    )
+    inputs = tmp_path_factory.mktemp("lastfm_corpus")
+    corpus.generate_corpus(spec, seed=3, out_dir=inputs)
+    return inputs
+
+
+def lastfm_run_config(inputs, out_dir, metrics, top_n=6) -> dict:
+    """A ``kgrerank run`` config over :func:`lastfm_corpus` files: three
+    sampled users, closed mode, both orders."""
+    return {
+        "dataset": {
+            "kind": "lastfm",
+            "events": str(inputs / "events.tsv"),
+            "features": str(inputs / "features.csv"),
+            "genres": str(inputs / "genres.csv"),
+            "sample_users": 3,
+            "min_unique_tracks": 10,
+        },
+        "recommender": "baseline",
+        "rerank": {
+            "metrics": list(metrics),
+            "orders": ["asc", "desc"],
+            "mode": "closed",
+            "top_n": top_n,
+        },
+        "evaluation": {"k": 5},
+        "seed": 1,
+        "parallelism": 1,
+        "output_dir": str(out_dir),
+    }
+
+
+def write_config(path, doc: dict):
+    path.write_text(json.dumps(doc), encoding="utf-8")
     return path

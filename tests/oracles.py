@@ -7,22 +7,35 @@ and PageRank from a dense linear solve instead of power iteration.
 ``reference_pagerank`` is the exception: the same power iteration as the
 library, written as plain Python loops over dicts, so that the library's
 array form can be held to it bit for bit; so are ``reference_baseline`` and
-``reference_recommend``, the scalar form of the base recommender. Float sums add left to right
-(``reduce(add, ...)``), because built-in ``sum`` compensates from Python 3.12
-on.
+``reference_recommend``, the scalar form of the base recommender; and
+``reference_harmonic_closeness``, a queue BFS per source that fixes the order
+in which closeness adds its terms. ``reference_rerank`` is the paper's method
+end to end on these oracles, with no code shared with the library's engine.
+Float sums add left to right (``reduce(add, ...)``), because built-in ``sum``
+compensates from Python 3.12 on.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from collections import deque
 from fractions import Fraction
 from functools import reduce
 from operator import add
 
 import numpy as np
 
-from kgrerank import CatalogGraph, ConvergenceError, Multigraph, Node, RecommendationList
+from kgrerank import (
+    CatalogGraph,
+    ConvergenceError,
+    MetricKind,
+    Multigraph,
+    NeighborhoodMode,
+    Node,
+    RecommendationList,
+    SortOrder,
+)
 
 INF = float("inf")
 
@@ -35,6 +48,18 @@ def undirected_adjacency(g) -> dict[str, set[str]]:
             adj[s].add(t)
             adj[t].add(s)
     return adj
+
+
+def two_core(g) -> set[str]:
+    """The nodes left after removing nodes of degree 0 or 1 again and again,
+    degrees counted on the undirected view without self-loops."""
+    adj = undirected_adjacency(g)
+    left = set(adj)
+    while True:
+        low = {v for v in left if len(adj[v] & left) <= 1}
+        if not low:
+            return left
+        left -= low
 
 
 def floyd_warshall(adj: dict[str, set[str]]) -> dict[str, dict[str, float]]:
@@ -104,6 +129,27 @@ def brute_harmonic_closeness(g) -> dict[str, float]:
         ), 0.0)
         for v in adj
     }
+
+
+def reference_harmonic_closeness(g) -> dict[str, float]:
+    """Harmonic closeness from a queue BFS per source: the terms 1/d are
+    added left to right in the order the BFS reaches their nodes, which is
+    non-decreasing distance order."""
+    adj = undirected_adjacency(g)
+    scores = {}
+    for source in g.node_ids():
+        dist = {source: 0}
+        queue = deque([source])
+        terms = []
+        while queue:
+            v = queue.popleft()
+            for w in sorted(adj[v]):
+                if w not in dist:
+                    dist[w] = dist[v] + 1
+                    terms.append(1.0 / dist[w])
+                    queue.append(w)
+        scores[source] = reduce(add, terms, 0.0)
+    return scores
 
 
 def dense_pagerank(g, damping: float = 0.85) -> dict[str, float]:
@@ -195,6 +241,119 @@ def brute_extension(graph, catalog, item: str, closed: bool):
         and (s, p, t) not in have
     }
     return sorted(added), sorted(edges)
+
+
+def plain_hhi(scores) -> float:
+    """Normalized HHI of a per-node score map, in sorted-label order: 0 for
+    a uniform split, 1 for a monopoly; zero total mass counts as uniform."""
+    values = [float(scores[k]) for k in sorted(scores)]
+    n = len(values)
+    if n == 1:
+        return 1.0
+    total = reduce(add, values, 0.0)
+    shares = [v / total for v in values] if total else [1.0 / n] * n
+    raw = reduce(add, (s * s for s in shares), 0.0)
+    return min(1.0, max(0.0, (raw - 1.0 / n) / (1.0 - 1.0 / n)))
+
+
+def induced_profile(catalog, history) -> Multigraph:
+    """The history items, their catalog neighbours and every catalog edge
+    between two of those nodes, by one loop over the catalog's edges."""
+    nodes = set(history)
+    for s, _, t in catalog.edges():
+        if s in history:
+            nodes.add(t)
+        if t in history:
+            nodes.add(s)
+    g = Multigraph()
+    for v in sorted(nodes):
+        g.add_node(catalog.node(v))
+    for s, p, t in catalog.edges():
+        if s in nodes and t in nodes:
+            g.add_edge(s, p, t)
+    return g
+
+
+def reference_metric(g, metric: MetricKind) -> float:
+    """One metric of ``g`` from the brute-force oracles; distributions are
+    collapsed with :func:`plain_hhi`."""
+    nodes = list(g.node_ids())
+    edges = list(g.edges())
+    n, m = len(nodes), len(edges)
+    if metric is MetricKind.NODE_COUNT:
+        return float(n)
+    if metric is MetricKind.EDGE_COUNT:
+        return float(m)
+    if metric is MetricKind.DENSITY:
+        return 0.0 if n <= 1 else m / (n * (n - 1))
+    if metric is MetricKind.AVERAGE_DEGREE:
+        return 0.0 if n == 0 else m / n
+    if metric in (MetricKind.IN_DEGREE, MetricKind.OUT_DEGREE):
+        end = 2 if metric is MetricKind.IN_DEGREE else 0
+        degree = dict.fromkeys(nodes, 0)
+        for edge in edges:
+            degree[edge[end]] += 1
+        return plain_hhi(degree)
+    scores = {
+        MetricKind.PAGERANK: dense_pagerank,
+        MetricKind.BETWEENNESS: brute_betweenness,
+        MetricKind.CLOSENESS: brute_harmonic_closeness,
+    }[metric](g)
+    return plain_hhi(scores)
+
+
+def reference_values(catalog, history, recs, metric, mode) -> dict[str, float]:
+    """Each candidate's metric value on its extension of the profile."""
+    profile = induced_profile(catalog, set(history))
+    closed = mode is NeighborhoodMode.CLOSED_NEIGHBORHOOD
+    values = {}
+    for item, _ in recs.items:
+        added, edges = brute_extension(profile, catalog, item, closed)
+        extended = profile.copy()
+        for v in added:
+            extended.add_node(catalog.node(v))
+        for s, p, t in edges:
+            extended.add_edge(s, p, t)
+        values[item] = reference_metric(extended, metric)
+    return values
+
+
+def reference_rerank(catalog, history, recs, metric, order, mode, top_n):
+    """The paper's re-ranking from the oracles: (item, value) pairs ordered
+    by metric value (ascending or descending), then by descending base score,
+    then by item id, and cut to ``top_n``."""
+    values = reference_values(catalog, history, recs, metric, mode)
+    sign = 1.0 if order is SortOrder.ASCENDING else -1.0
+    ordered = sorted(recs.items, key=lambda e: (sign * values[e[0]], -e[1], e[0]))
+    return [(item, values[item]) for item, _ in ordered[:top_n]]
+
+
+# PageRank stops at an L1 change of 1e-9, so its values match the dense solve
+# only to about 1e-8; every other metric is exact up to float rounding
+REFERENCE_TOLERANCE = {MetricKind.PAGERANK: 1e-7}
+
+
+def assert_matches_reference(got, expected, values, metric) -> None:
+    """``got`` holds the library's (item, value, base score) triples in its
+    order. Its items are the ``expected`` order up to swaps of candidates
+    whose oracle ``values`` agree within the metric's tolerance (1e-9 unless
+    :data:`REFERENCE_TOLERANCE` says otherwise), and where the library's own
+    values tie exactly, the tie-break holds: descending base score, then
+    item id."""
+    tolerance = REFERENCE_TOLERANCE.get(metric, 1e-9)
+    items = [item for item, _, _ in got]
+    assert len(items) == len(set(items)) == len(expected), (items, expected)
+    for position, (item, (want, value)) in enumerate(zip(items, expected)):
+        assert item == want or abs(values[item] - value) <= tolerance, (
+            f"{metric.value} position {position + 1}: {item!r} "
+            f"({values[item]!r}) in place of {want!r} ({value!r})"
+        )
+    for (a, value_a, score_a), (b, value_b, score_b) in zip(got, got[1:]):
+        if value_a == value_b:
+            assert (-score_a, a) < (-score_b, b), (
+                f"{metric.value}: the tie of {a!r} and {b!r} is not broken by "
+                "descending base score, then item id"
+            )
 
 
 def reference_baseline(matrix, epochs: int = 10, damping: float = 10.0):
@@ -313,8 +472,14 @@ def random_catalog_with_profile(
     n_artists: int = 4,
     n_genres: int = 3,
     equal_scores: bool = False,
+    entity_links: float = 0.0,
 ):
-    """A random track/artist/genre catalog plus a history and candidate list."""
+    """A random track/artist/genre catalog plus a history and candidate list.
+
+    With ``entity_links`` > 0, each artist also links to each other artist
+    and each genre with that probability, so that a candidate's new
+    neighbours can bring edges to the profile of their own.
+    """
     catalog = CatalogGraph()
     tracks = [f"t{i}" for i in range(n_tracks)]
     artists = [f"a{i}" for i in range(n_artists)]
@@ -338,4 +503,9 @@ def random_catalog_with_profile(
         scores = sorted((round(rng.uniform(0, 10), 3) for _ in candidates), reverse=True)
         items = tuple(zip(candidates, scores))
     recs = RecommendationList(user="u", items=items)
+    if entity_links:
+        for a in artists:
+            for other in artists + genres:
+                if other != a and rng.random() < entity_links:
+                    catalog.add_edge(a, "genre" if other in genres else "influenced_by", other)
     return catalog, history, recs

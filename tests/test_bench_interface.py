@@ -4,7 +4,10 @@
 a finished run directory, so a rename in ``src/`` can turn every benchmark run
 into a failure without any other test noticing. This runs a small synthetic
 pipeline and then the worker's ``setup`` and ``oracle`` steps on it, each in
-a fresh interpreter, as the benchmark starts them.
+a fresh interpreter, as the benchmark starts them. Synthetic profiles are
+forests, so a second run on a small Last.fm-format corpus, whose profiles
+have cycles, goes through the worker's traced ``run`` step (which also
+probes the metrics the config leaves out) and its ``oracle`` step.
 """
 
 import json
@@ -15,7 +18,11 @@ from pathlib import Path
 
 import pytest
 
+from kgrerank import induce_profile_subgraph, read_graph
 from kgrerank.cli import main
+
+from conftest import lastfm_run_config, write_config
+from oracles import two_core
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -64,6 +71,37 @@ def test_setup_loads_and_validates_the_config(finished_run):
 
 def test_oracle_agrees_with_every_sampled_candidate(finished_run):
     _, run_dir = finished_run
+    result = _worker("oracle", str(run_dir))
+    assert result["attempted"] > 0
+    assert result["failed"] == 0, result["mismatches"]
+
+
+@pytest.fixture(scope="module")
+def traced_lastfm_run(tmp_path_factory, lastfm_corpus):
+    work = tmp_path_factory.mktemp("bench_lastfm")
+    doc = lastfm_run_config(lastfm_corpus, work / "out", ["betweenness", "closeness"])
+    config = write_config(work / "config.json", doc)
+    spans = work / "spans.jsonl"
+    return _worker("run", str(config), str(spans)), spans, work / "out"
+
+
+def test_traced_run_probes_the_metrics_left_out(traced_lastfm_run):
+    result, spans, _ = traced_lastfm_run
+    assert result["exit_code"] == 0
+    assert result["run_s"] > 0
+    header, *lines = spans.read_text(encoding="utf-8").splitlines()
+    probe = [json.loads(line)[0] for line in lines[json.loads(header)["probe_from"]:]]
+    # the probe scores pagerank, in_degree and node_count through the
+    # wrapped cli.evaluate_candidates
+    assert probe.count("rerank.evaluate") >= 3
+
+
+def test_oracle_agrees_on_profiles_with_cycles(traced_lastfm_run):
+    _, _, run_dir = traced_lastfm_run
+    catalog = read_graph(run_dir / "catalog_triples.tsv", run_dir / "catalog_nodes.tsv")
+    profiles = json.loads((run_dir / "profiles.json").read_text(encoding="utf-8"))["users"]
+    for profile in profiles.values():
+        assert two_core(induce_profile_subgraph(catalog, profile["history"]).graph)
     result = _worker("oracle", str(run_dir))
     assert result["attempted"] > 0
     assert result["failed"] == 0, result["mismatches"]

@@ -5,7 +5,11 @@ from dataclasses import fields
 import pytest
 
 from kgrerank import (
+    MetricKind,
+    NeighborhoodMode,
+    SortOrder,
     build_catalog,
+    induce_profile_subgraph,
     load_external_recommendations,
     load_netflix,
     read_graph,
@@ -34,7 +38,15 @@ from kgrerank.cli import (
     _build_config,
 )
 from kgrerank.evaluation import FEATURE_NAMES
-from kgrerank.rerank import RecommendationList
+from kgrerank.rerank import RecommendationList, evaluate_metrics
+
+from conftest import lastfm_run_config, write_config
+from oracles import (
+    assert_matches_reference,
+    reference_rerank,
+    reference_values,
+    two_core,
+)
 
 
 def synth_config(tmp_path, **overrides) -> RunConfig:
@@ -280,19 +292,47 @@ class TestPipeline:
         assert manifest["version"]
 
     def test_synthetic_candidates_share_path_kernels(self, tmp_path, bfs_calls):
-        # a synthetic track brings its own artist and links to one of two
-        # genres, so its extension is fixed by its genre. Per user, one BFS
-        # from every node (of the lone extension, or of the profile shared
-        # by two), plus at most two passes from added nodes only
-        cfg = synth_config(tmp_path, metrics=["betweenness"])
+        # a synthetic track brings its own artist and links to one genre, so
+        # every extension of a synthetic profile is a forest: its 2-core is
+        # empty, and betweenness and closeness run no BFS at all
+        cfg = synth_config(tmp_path, metrics=["betweenness", "closeness"])
         run_pipeline(cfg)
         lines = (tmp_path / "out" / BASE_RUN).read_text(encoding="utf-8").splitlines()
         users = {line.split()[0] for line in lines}
         assert len(lines) > 2 * len(users)
-        full = [size for size, rows in bfs_calls if rows == size]
-        added = [rows for size, rows in bfs_calls if rows < size]
-        assert len(full) == len(users)
-        assert len(added) <= 2 * len(users)
+        for metric in cfg.metrics:
+            assert (tmp_path / "out" / rerank_run_name(metric, "asc")).exists()
+        assert bfs_calls == []
+
+    def test_lastfm_rankings_equal_the_reference(self, tmp_path, lastfm_corpus):
+        # every metric and order of a run on profiles with cycles, against
+        # the paper's method on the brute-force oracles
+        metrics = [kind.value for kind in MetricKind]
+        out = tmp_path / "out"
+        doc = lastfm_run_config(lastfm_corpus, out, metrics)
+        assert main(["run", "--config", str(write_config(tmp_path / "c.json", doc))]) == 0
+        catalog = read_graph(out / CATALOG_TRIPLES, out / CATALOG_NODES)
+        profiles = json.loads((out / PROFILES).read_text(encoding="utf-8"))["users"]
+        base = load_external_recommendations(out / BASE_RUN)
+        assert len(base) == 3
+        mode = NeighborhoodMode.CLOSED_NEIGHBORHOOD
+        for user, recs in base.items():
+            history = profiles[user]["history"]
+            sg = induce_profile_subgraph(catalog, history, user=user)
+            assert two_core(sg.graph)
+            # the library's own values, for the check of its tie-break
+            evaluated = evaluate_metrics(catalog, sg, recs, list(MetricKind), mode)
+            for kind in MetricKind:
+                values = reference_values(catalog, history, recs, kind, mode)
+                own = {e.item: (e.metric_value.value, e.base_score) for e in evaluated[kind]}
+                for order in SortOrder:
+                    path = out / rerank_run_name(kind.value, order.value)
+                    got = load_external_recommendations(path)[user].item_ids()
+                    expected = reference_rerank(
+                        catalog, history, recs, kind, order, mode, len(recs)
+                    )
+                    triples = [(item, *own[item]) for item in got]
+                    assert_matches_reference(triples, expected, values, kind)
 
     def test_staged_invocation_matches_run(self, tmp_path):
         doc = {

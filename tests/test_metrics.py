@@ -24,7 +24,7 @@ from kgrerank import (
 from kgrerank import metrics as metrics_module
 from kgrerank.metrics import _SOURCE_BLOCK, CompiledGraph, compile_graph, compute_metrics
 
-from conftest import record_bfs_calls
+from conftest import core_passes, record_bfs_calls
 from oracles import (
     INF,
     brute_betweenness,
@@ -32,6 +32,7 @@ from oracles import (
     dense_pagerank,
     floyd_warshall,
     random_multigraph,
+    reference_harmonic_closeness,
     reference_pagerank,
     undirected_adjacency,
 )
@@ -146,6 +147,14 @@ class TestHhi:
     def test_rejects_empty(self):
         with pytest.raises(MetricError):
             hhi([])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("function", [hhi, hhi_normalized])
+    def test_rejects_non_finite_shares_naming_the_first(self, function, bad):
+        for shares in ([bad, 1.0], [0.5, bad, 0.5], [bad, 0.5, bad]):
+            index = next(i for i, share in enumerate(shares) if not math.isfinite(share))
+            with pytest.raises(MetricError, match=f"share {index} is not finite: {bad!r}"):
+                function(shares)
 
 
 class TestHhiNormalized:
@@ -324,6 +333,17 @@ class TestCloseness:
             for d in sorted(d for u, d in row.items() if u != v and d != INF):
                 total += 1.0 / d
             assert mine[v] == total
+
+
+class TestFloatContract:
+    """Closeness equals a queue BFS per source that adds 1/d in the order it
+    reaches the nodes, bit for bit; betweenness on forests is the exact pair
+    count (``TestBetweenness.test_property_exact_on_forests``)."""
+
+    @given(multigraphs() | forests())
+    @settings(max_examples=100, deadline=None)
+    def test_closeness_equals_the_queue_bfs(self, g):
+        assert closeness(g) == reference_harmonic_closeness(g)
 
 
 class TestPagerank:
@@ -628,27 +648,25 @@ class TestRepeatedGraphs:
         with pytest.MonkeyPatch.context() as monkeypatch:
             calls = _kernel_calls(monkeypatch)
             values = compute_metrics(graphs, kinds)
-        # one distinct extension: the BFS from each of its nodes
-        size = len(base.nodes) + 1
-        assert calls == {"bfs": [(size, size)], "pagerank_rows": [1]}
+        # one distinct extension: the BFS from each node of its 2-core, if any
+        assert calls == {"bfs": core_passes(graphs[:1]), "pagerank_rows": [1]}
         for kind in kinds:
             assert values[kind] == [compute_metric(graph, kind) for graph in graphs]
 
     def test_other_multiplicity_or_an_isolated_node_is_not_merged(self, monkeypatch):
-        base = compile_graph(path_graph("a", "b", "c"))
+        base = compile_graph(cycle_graph(3))
         graphs = [
-            base.extend(["x"], [("a", "x")]),
-            base.extend(["y"], [("a", "y"), ("a", "y")]),
-            base.extend(["z", "w"], [("a", "z")]),
+            base.extend(["x"], [("c0", "x")]),
+            base.extend(["y"], [("c0", "y"), ("c0", "y")]),
+            base.extend(["z", "w"], [("c0", "z")]),
         ]
         # the same pairs each time, so only the multiplicity or the node count
         # tells the graphs apart
         assert len({(g.src.tobytes(), g.dst.tobytes()) for g in graphs}) == 1
         calls = _kernel_calls(monkeypatch)
         values = compute_metrics(graphs, list(MetricKind))
-        # three distinct extensions of one base: the base's 3 rows once,
-        # then each extension's added rows
-        assert calls == {"bfs": [(3, 3), (4, 1), (4, 1), (5, 2)], "pagerank_rows": [3]}
+        # three distinct graphs: one BFS on each one's 2-core, the triangle
+        assert calls == {"bfs": [(3, 3)] * 3, "pagerank_rows": [3]}
         monkeypatch.undo()
         for kind in MetricKind:
             assert values[kind] == [compute_metric(g, kind) for g in graphs]

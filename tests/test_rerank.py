@@ -23,8 +23,13 @@ from kgrerank import metrics as metrics_module
 from kgrerank.graph import Node
 from kgrerank.rerank import evaluate_metrics
 
-from conftest import DVS_EXPECTED
-from oracles import random_catalog_with_profile
+from conftest import DVS_EXPECTED, core_passes
+from oracles import (
+    assert_matches_reference,
+    random_catalog_with_profile,
+    reference_rerank,
+    reference_values,
+)
 
 ASC = SortOrder.ASCENDING
 DESC = SortOrder.DESCENDING
@@ -62,6 +67,32 @@ class TestRecommendationList:
     def test_top_n_validated(self, dvs_catalog, dvs_profile, dvs_recs):
         with pytest.raises(ValueError, match="top_n"):
             rerank(dvs_catalog, dvs_profile, dvs_recs, [BETW], [ASC], top_n=0)
+
+
+class TestReferenceRerank:
+    """``rerank`` against the paper's method on the brute-force oracles."""
+
+    @given(st.randoms(use_true_random=False), st.sampled_from(list(NeighborhoodMode)))
+    @settings(max_examples=40, deadline=None)
+    def test_every_metric_and_order_equals_the_reference(self, rng, mode):
+        catalog, history, recs = random_catalog_with_profile(
+            rng,
+            n_tracks=rng.randint(2, 14),
+            n_artists=rng.randint(1, 5),
+            n_genres=rng.randint(1, 4),
+            equal_scores=rng.random() < 0.3,
+            entity_links=rng.choice([0.0, 0.3]),
+        )
+        sg = induce_profile_subgraph(catalog, history, user="u")
+        top_n = rng.randint(1, len(recs))
+        kinds = list(MetricKind)
+        result = rerank(catalog, sg, recs, kinds, [ASC, DESC], mode, top_n)
+        for kind in kinds:
+            values = reference_values(catalog, history, recs, kind, mode)
+            for order in (ASC, DESC):
+                expected = reference_rerank(catalog, history, recs, kind, order, mode, top_n)
+                got = [(e.item, e.metric_value.value, e.base_score) for e in result[kind, order]]
+                assert_matches_reference(got, expected, values, kind)
 
 
 class TestRerankOnFixture:
@@ -292,13 +323,13 @@ class TestSharedEvaluation:
             g = extend_subgraph(dvs_profile, dvs_catalog, item).graph
             index = {v: i for i, v in enumerate(g.node_ids())}
             pairs = Counter((index[s], index[t]) for s, _, t in g.edges())
-            shapes.setdefault((len(index), frozenset(pairs.items())))
+            shapes.setdefault((len(index), frozenset(pairs.items())), g)
         # s1 and s2 attach the same way, so the fixture shares a shape
         assert len(shapes) < len(dvs_recs)
-        # two or more distinct extensions of one profile: the BFS from each
-        # profile node once, then one pass from each extension's added nodes
-        n0 = len(dvs_profile.graph)
-        assert bfs_calls == [(n0, n0)] + [(size, size - n0) for size, _ in shapes]
+        # one BFS per distinct extension, from each node of its 2-core only:
+        # the profile's 4-cycle t1-a1-t2-g1, which d1 and d2 grow
+        assert bfs_calls == core_passes(shapes.values())
+        assert [size for size, _ in bfs_calls] == [4, 6, 6]
         bfs_calls.clear()
         evaluate_metrics(
             dvs_catalog, dvs_profile, dvs_recs,
