@@ -1,7 +1,7 @@
-"""Base recommenders: implicit counts to ratings, biases, item-kNN, run files.
+"""Base recommender: implicit counts to ratings, biases, run files.
 
 The re-ranking layer treats the recommender as a black box, so any system
-that can emit a flat run file plugs in. Two simple built-ins keep the
+that can emit a flat run file plugs in. One simple built-in keeps the
 pipeline self-contained.
 """
 
@@ -11,7 +11,6 @@ from pathlib import Path
 from kgrerank import (
     BaselineRecommender,
     Interaction,
-    ItemKnnRecommender,
     anti_testset,
     load_external_recommendations,
     scale_ratings,
@@ -41,13 +40,6 @@ baseline = BaselineRecommender().fit(matrix)
 print("\nbaseline predictions for ana:")
 for item in sorted(anti_testset(matrix, "ana")):
     print(f"  {item}: {baseline.predict('ana', item):7.1f}")
-
-# Item-kNN with cosine similarity over co-rating users; falls back to the
-# baseline when no neighbor overlaps.
-knn = ItemKnnRecommender(k=10).fit(matrix)
-print("sim(t2, t3) =", round(knn.similarity("t2", "t3"), 4))
-print("knn predictions for ana:",
-      {i: round(knn.predict('ana', i), 1) for i in sorted(anti_testset(matrix, 'ana'))})
 
 # Recommendation lists are sorted, truncated, and re-loadable from disk.
 lists = {user: baseline.recommend(user, n=3) for user in matrix.users()}

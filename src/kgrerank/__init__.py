@@ -5,8 +5,8 @@ knowledge graphs, scores every recommendation candidate by the change it
 induces in a complex-network metric of the user's profile subgraph, and
 reorders the list accordingly. Distribution-valued metrics (degree, PageRank,
 betweenness, closeness) are collapsed to a concentration scalar via the
-normalized Herfindahl-Hirschman index. Ingestion, two baseline recommenders
-and a beyond-accuracy evaluation suite round out the pipeline.
+normalized Herfindahl-Hirschman index. Ingestion, a bias baseline
+recommender and a beyond-accuracy evaluation suite round out the pipeline.
 """
 
 __version__ = "0.1.0"
@@ -55,7 +55,6 @@ from .rerank import (
 from .recsys import (
     BaselineRecommender,
     Interaction,
-    ItemKnnRecommender,
     NotFittedError,
     RatingMatrix,
     RunFileError,
@@ -104,8 +103,8 @@ __all__ = [
     "CandidateEvaluation", "RecommendationList", "RerankError", "SortOrder",
     "evaluate_candidates", "evaluate_metrics", "rerank",
     # recsys
-    "BaselineRecommender", "Interaction", "ItemKnnRecommender", "NotFittedError",
-    "RatingMatrix", "RunFileError", "anti_testset",
+    "BaselineRecommender", "Interaction", "NotFittedError", "RatingMatrix",
+    "RunFileError", "anti_testset",
     "load_external_recommendations", "scale_ratings", "write_recommendations",
     # evaluation
     "EvalRow", "cosine_distance", "emit_report", "feature_vector", "ild",

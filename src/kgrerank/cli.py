@@ -57,7 +57,6 @@ from .metrics import MetricKind
 from .recsys import (
     BaselineRecommender,
     Interaction,
-    ItemKnnRecommender,
     load_external_recommendations,
     scale_ratings,
     write_recommendations,
@@ -72,7 +71,7 @@ from .rerank import (
 log = logging.getLogger(__name__)
 
 DATASETS = ("lastfm", "netflix", "synthetic")
-RECOMMENDERS = ("external", "baseline", "itemknn")
+RECOMMENDERS = ("external", "baseline")
 METRICS = tuple(kind.value for kind in MetricKind)
 ORDERS = tuple(order.value for order in SortOrder)
 MODES = tuple(sorted(mode.value for mode in NeighborhoodMode))
@@ -177,7 +176,6 @@ class RunConfig:
     external_recs_path: str | None = _setting(
         None, "recommender.external_path", "--external-recs"
     )
-    knn_k: int = _setting(40, "recommender.knn_k", "--knn-k", minimum=1)
 
     # rerank and evaluation
     metrics: list[str] = _setting(
@@ -410,7 +408,25 @@ def _write_profiles(profiles: dict[str, dict[str, list[str]]], path) -> None:
 
 
 def _read_profiles(path) -> dict[str, dict[str, list[str]]]:
-    return json.loads(Path(path).read_text(encoding="utf-8"))["users"]
+    """Read the workspace profiles file; a bad document or entry is named by
+    path and user."""
+    try:
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:  # malformed JSON or not UTF-8
+        raise ValueError(f"{path}: {exc}") from None
+    if not isinstance(data, dict):
+        raise ValueError(f"{path}: expected a JSON object, got {type(data).__name__}")
+    if "users" not in data:
+        raise ValueError(f"{path}: missing key 'users'")
+    if not isinstance(data["users"], dict):
+        raise ValueError(f"{path}: users must be an object")
+    for user, profile in data["users"].items():
+        if not isinstance(profile, dict) or "history" not in profile:
+            raise ValueError(f"{path}: user {user!r}: missing key 'history'")
+        history = profile["history"]
+        if not isinstance(history, list) or not all(isinstance(i, str) for i in history):
+            raise ValueError(f"{path}: user {user!r}: history must be a list of strings")
+    return data["users"]
 
 
 def _write_features(features: dict[str, np.ndarray], path) -> None:
@@ -573,10 +589,7 @@ def stage_recommend(cfg: RunConfig) -> None:
     else:
         interactions = _read_interactions(out / INTERACTIONS)
         matrix = scale_ratings(interactions)
-        if cfg.recommender == "itemknn":
-            model = ItemKnnRecommender(k=cfg.knn_k).fit(matrix)
-        else:
-            model = BaselineRecommender().fit(matrix)
+        model = BaselineRecommender().fit(matrix)
         selected = {
             user: model.recommend(user, n=cfg.top_n_candidates)
             for user in sorted(profiles)

@@ -1,17 +1,17 @@
-"""Base recommenders over implicit feedback, plus the external-list adapter.
+"""Base recommender over implicit feedback, plus the external-list adapter.
 
 Play counts (or watch flags) are scaled per user into explicit ratings in
-[1, 1000] by min-max normalization. Two simple rating models are provided: a
-global-mean-plus-biases baseline and item-based kNN with cosine similarity.
-Recommendation lists from any external system can be loaded from a flat run
-file instead, since the re-ranking layer treats the recommender as a black box.
+[1, 1000] by min-max normalization. One simple rating model is built in: a
+global-mean-plus-biases baseline. Recommendation lists from any other system
+can be loaded from a flat run file instead, since the re-ranking layer treats
+the recommender as a black box.
 
 The baseline is an array program. :class:`RatingMatrix` keeps users and items
 in sorted order and its ratings as flat index arrays in (user, item) order;
-the bias fit and the scoring run over those arrays. One ``recommend`` orders
-for both models: the anti-testset is a boolean mask over the sorted item
-index, the model scores it as one vector, and a stable ``np.argsort`` of the
-negated scores orders it by (-score, item id).
+the bias fit and the scoring run over those arrays. In ``recommend`` the
+anti-testset is a boolean mask over the sorted item index, the model scores
+it as one vector, and a stable ``np.argsort`` of the negated scores orders it
+by (-score, item id).
 
 Float contract: every value equals the scalar loop it replaces, bit for bit.
 Sums add left to right, because built-in ``sum`` compensates from Python 3.12
@@ -20,8 +20,7 @@ scores. The bias fit sums each row of a zero-padded block with a leading 0.0
 column through ``np.cumsum(..., axis=1)[:, -1]``, which is
 ``reduce(add, row, 0.0)``: an item's raters in user order, a user's items in
 item order. The padding adds +0.0, which changes no sum. A prediction adds
-``(mu + b_user) + b_item`` in that order and then clamps; item-kNN's sums
-use ``reduce(add, ...)``.
+``(mu + b_user) + b_item`` in that order and then clamps.
 """
 
 from __future__ import annotations
@@ -29,8 +28,6 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
-from functools import reduce
-from operator import add
 
 import numpy as np
 
@@ -196,44 +193,7 @@ class _RowSums:
         return np.cumsum(self._block, axis=1)[:, -1]
 
 
-class _RatingRecommender:
-    """Shared recommend() logic for models that score a user's candidates."""
-
-    _matrix: RatingMatrix | None = None
-
-    def _require_fitted(self) -> RatingMatrix:
-        if self._matrix is None:
-            raise NotFittedError(f"{type(self).__name__} is not fitted")
-        return self._matrix
-
-    def predict(self, user: str, item: str) -> float:  # pragma: no cover
-        raise NotImplementedError
-
-    def _scores(self, user: str, candidates: np.ndarray) -> np.ndarray:
-        """Predictions for a known user on item positions ``candidates``."""
-        items = self._matrix._items
-        return np.array([self.predict(user, items[c]) for c in candidates])
-
-    def recommend(self, user: str, n: int = 100) -> RecommendationList:
-        """Top-n predictions on the user's anti-testset, best first.
-
-        Ties on the predicted rating break on the item id so the output is
-        stable across runs: the candidates are in sorted id order and the
-        sort is stable. Items the user has already rated never appear.
-        """
-        matrix = self._require_fitted()
-        if not matrix.has_user(user):
-            raise ValueError(f"unknown user {user!r}")
-        candidates = np.flatnonzero(matrix._unrated(user))
-        scores = self._scores(user, candidates)
-        top = np.argsort(-scores, kind="stable")[:n]
-        ids = [matrix._items[c] for c in candidates[top]]
-        return RecommendationList(
-            user=user, items=tuple(zip(ids, scores[top].tolist()))
-        )
-
-
-class BaselineRecommender(_RatingRecommender):
+class BaselineRecommender:
     """Rating baseline: global mean plus user and item bias terms.
 
     Biases are fitted by alternating regularized averages: each pass solves
@@ -249,6 +209,11 @@ class BaselineRecommender(_RatingRecommender):
         self._mu = 0.0
         self._user_bias = np.zeros(0)
         self._item_bias = np.zeros(0)
+
+    def _require_fitted(self) -> RatingMatrix:
+        if self._matrix is None:
+            raise NotFittedError(f"{type(self).__name__} is not fitted")
+        return self._matrix
 
     def fit(self, matrix: RatingMatrix) -> "BaselineRecommender":
         self._matrix = matrix
@@ -267,12 +232,6 @@ class BaselineRecommender(_RatingRecommender):
         self._item_bias = bi
         return self
 
-    def _scores(self, user: str, candidates: np.ndarray) -> np.ndarray:
-        base = self._mu + self._user_bias[self._matrix._user_pos[user]]
-        return np.minimum(
-            np.maximum(base + self._item_bias[candidates], RATING_MIN), RATING_MAX
-        )
-
     def predict(self, user: str, item: str) -> float:
         """mu + b_user + b_item, clamped to the rating range.
 
@@ -286,78 +245,27 @@ class BaselineRecommender(_RatingRecommender):
         value = float(self._mu + user_bias + item_bias)
         return min(RATING_MAX, max(RATING_MIN, value))
 
+    def recommend(self, user: str, n: int = 100) -> RecommendationList:
+        """Top-n predictions on the user's anti-testset, best first.
 
-class ItemKnnRecommender(_RatingRecommender):
-    """Item-based kNN over cosine similarity of co-rating users.
-
-    Similarity between two items uses only the users who rated both, in both
-    the numerator and the norms, which makes the similarity matrix symmetric
-    with a unit diagonal for any item having at least one rater. Prediction is
-    the similarity-weighted mean of the user's ratings on the k most similar
-    items; with no usable neighbor it falls back to the bias baseline.
-    """
-
-    def __init__(self, k: int = 40, epochs: int = 10, damping: float = 10.0):
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
-        self.k = k
-        self._matrix: RatingMatrix | None = None
-        self._sims: dict[str, dict[str, float]] = {}
-        self._fallback = BaselineRecommender(epochs=epochs, damping=damping)
-
-    def fit(self, matrix: RatingMatrix) -> "ItemKnnRecommender":
-        self._matrix = matrix
-        self._fallback.fit(matrix)
-        dot: dict[tuple[str, str], float] = {}
-        left: dict[tuple[str, str], float] = {}
-        right: dict[tuple[str, str], float] = {}
-        for user in sorted(matrix.users()):
-            rated = matrix.user_ratings(user)
-            items = sorted(rated)
-            for a in range(len(items)):
-                ia = items[a]
-                ra = rated[ia]
-                for b in range(a + 1, len(items)):
-                    ib = items[b]
-                    rb = rated[ib]
-                    key = (ia, ib)
-                    dot[key] = dot.get(key, 0.0) + ra * rb
-                    left[key] = left.get(key, 0.0) + ra * ra
-                    right[key] = right.get(key, 0.0) + rb * rb
-        sims: dict[str, dict[str, float]] = {item: {} for item in matrix.items()}
-        for item in matrix.items():
-            if matrix.item_ratings(item):
-                sims[item][item] = 1.0
-        for (ia, ib), numerator in dot.items():
-            denominator = math.sqrt(left[(ia, ib)] * right[(ia, ib)])
-            if denominator > 0:
-                value = numerator / denominator
-                sims[ia][ib] = value
-                sims[ib][ia] = value
-        self._sims = sims
-        return self
-
-    def similarity(self, a: str, b: str) -> float:
-        """Cosine similarity over co-rating users; 0 without common raters."""
-        if self._matrix is None:
-            raise NotFittedError(f"{type(self).__name__} is not fitted")
-        return self._sims.get(a, {}).get(b, 0.0)
-
-    def predict(self, user: str, item: str) -> float:
+        Ties on the predicted rating break on the item id so the output is
+        stable across runs: the candidates are in sorted id order and the
+        sort is stable. Items the user has already rated never appear.
+        """
         matrix = self._require_fitted()
-        ratings = matrix.user_ratings(user) if matrix.has_user(user) else {}
-        item_sims = self._sims.get(item, {})
-        neighbors = [
-            (item_sims[other], other, rating)
-            for other, rating in sorted(ratings.items())
-            if other != item and item_sims.get(other, 0.0) > 0
-        ]
-        if not neighbors:
-            return self._fallback.predict(user, item)
-        neighbors.sort(key=lambda t: (-t[0], t[1]))
-        top = neighbors[: self.k]
-        weight = reduce(add, (sim for sim, _, _ in top), 0.0)
-        return reduce(add, (sim * rating for sim, _, rating in top), 0.0) / weight
+        u = matrix._user_pos.get(user)
+        if u is None:
+            raise ValueError(f"unknown user {user!r}")
+        candidates = np.flatnonzero(matrix._unrated(user))
+        base = self._mu + self._user_bias[u]
+        scores = np.minimum(
+            np.maximum(base + self._item_bias[candidates], RATING_MIN), RATING_MAX
+        )
+        top = np.argsort(-scores, kind="stable")[:n]
+        ids = [matrix._items[c] for c in candidates[top]]
+        return RecommendationList(
+            user=user, items=tuple(zip(ids, scores[top].tolist()))
+        )
 
 
 def write_recommendations(

@@ -1,9 +1,12 @@
 import argparse
 import json
+import re
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
+import kgrerank
 from kgrerank import (
     MetricKind,
     NeighborhoodMode,
@@ -123,7 +126,7 @@ class TestRunConfigParsing:
                 "split_ratio": 0.8,
                 "prune": {"degree_one": False},
             },
-            "recommender": {"kind": "itemknn", "knn_k": 7},
+            "recommender": {"kind": "external", "external_path": "recs.run"},
             "rerank": {
                 "metrics": ["betweenness", "node_count"],
                 "orders": ["asc", "desc"],
@@ -143,8 +146,8 @@ class TestRunConfigParsing:
         assert cfg.profile_count == 12
         assert cfg.split_ratio == 0.8
         assert cfg.prune_degree_one is False
-        assert cfg.recommender == "itemknn"
-        assert cfg.knn_k == 7
+        assert cfg.recommender == "external"
+        assert cfg.external_recs_path == "recs.run"
         assert cfg.metrics == ["betweenness", "node_count"]
         assert cfg.orders == ["asc", "desc"]
         assert cfg.mode == "edges"
@@ -157,8 +160,8 @@ class TestRunConfigParsing:
     def test_flat_kind_spellings(self):
         cfg = RunConfig.from_dict({"dataset": "synthetic", "recommender": "baseline"})
         assert (cfg.dataset, cfg.recommender) == ("synthetic", "baseline")
-        cfg = RunConfig.from_dict({"dataset": "netflix", "recommender": "itemknn"})
-        assert (cfg.dataset, cfg.recommender) == ("netflix", "itemknn")
+        cfg = RunConfig.from_dict({"dataset": "netflix", "recommender": "external"})
+        assert (cfg.dataset, cfg.recommender) == ("netflix", "external")
 
     def test_every_field_round_trips_through_its_path(self):
         doc = {
@@ -177,7 +180,7 @@ class TestRunConfigParsing:
                     "tracks": 30, "users": 5, "history": 6, "minority_share": 0.3,
                 },
             },
-            "recommender": {"kind": "external", "external_path": "x.run", "knn_k": 8},
+            "recommender": {"kind": "external", "external_path": "x.run"},
             "rerank": {
                 "metrics": ["pagerank"],
                 "orders": ["desc"],
@@ -208,7 +211,6 @@ class TestRunConfigParsing:
             "synth_minority_share": 0.3,
             "recommender": "external",
             "external_recs_path": "x.run",
-            "knn_k": 8,
             "metrics": ["pagerank"],
             "orders": ["desc"],
             "mode": "edges",
@@ -232,7 +234,7 @@ class TestRunConfigParsing:
             "--metric", "pagerank", "--metric", "closeness", "--order", "desc",
             "--mode", "edges", "--top-n", "11", "--k", "4",
             "--events", "e.tsv", "--features", "f.csv", "--genres", "g.csv",
-            "--titles", "t.csv", "--external-recs", "x.run", "--knn-k", "8",
+            "--titles", "t.csv", "--external-recs", "x.run",
         ])
         flags = {
             "dataset": "lastfm",
@@ -250,7 +252,6 @@ class TestRunConfigParsing:
             "genres_path": "g.csv",
             "titles_path": "t.csv",
             "external_recs_path": "x.run",
-            "knn_k": 8,
         }
         assert vars(args) == {"config": None, **flags}
         # flags win over the config file; fields without a flag keep its value
@@ -706,6 +707,38 @@ class TestExitCodes:
         ) in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "stage, edit, reason",
+        [
+            ("rerank", lambda doc, user: json.dumps({"people": doc["users"]}),
+             "missing key 'users'"),
+            ("rerank", lambda doc, user: json.dumps(
+                {"users": {**doc["users"], user: {"test": []}}}),
+             "user {user!r}: missing key 'history'"),
+            ("evaluate", lambda doc, user: "[1, 2]", "expected a JSON object, got list"),
+            ("recommend", lambda doc, user: '{"users": ',
+             "Expecting value: line 1 column 11 (char 10)"),
+        ],
+        ids=["no-users-key", "user-without-history", "list-document", "malformed-json"],
+    )
+    def test_bad_profiles_file_names_path(self, tmp_path, capsys, stage, edit, reason):
+        cfg = synth_config(tmp_path)
+        run_pipeline(cfg)
+        path = tmp_path / "out" / PROFILES
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        user = sorted(doc["users"])[0]
+        path.write_text(edit(doc, user), encoding="utf-8")
+        capsys.readouterr()
+        code = main(
+            [stage, "--dataset", "synthetic", "--out", str(tmp_path / "out"),
+             "--metric", "node_count", "--order", "asc", "--parallelism", "1"]
+        )
+        assert code == 2
+        assert (
+            f"stage {stage} failed: {path}: {reason.format(user=user)}\n"
+            in capsys.readouterr().err
+        )
+
+    @pytest.mark.parametrize(
         "row, reason",
         [
             ("u000\tt_a0001", "not enough values to unpack (expected 3, got 2)"),
@@ -753,8 +786,10 @@ class TestDeclaredBounds:
         ("sample_users", 0, "sample_users must be >= 1, got 0"),
         ("profile_count", 0, "profile_count must be >= 1, got 0"),
         ("recommender", "svd",
-         "recommender must be one of ('external', 'baseline', 'itemknn'), got 'svd'"),
-        ("knn_k", 0, "knn_k must be >= 1, got 0"),
+         "recommender must be one of ('external', 'baseline'), got 'svd'"),
+        # the removed item-kNN choice fails like any unknown one
+        ("recommender", "itemknn",
+         "recommender must be one of ('external', 'baseline'), got 'itemknn'"),
         ("metrics", ["betweenness", "bogus"],
          "metrics must be one of ('node_count', 'edge_count', 'density', "
          "'average_degree', 'in_degree', 'out_degree', 'pagerank', "
@@ -771,10 +806,22 @@ class TestDeclaredBounds:
             f.name for f in fields(RunConfig)
             if f.metadata["choices"] is not None or f.metadata["minimum"] is not None
         ]
-        assert declared == [name for name, _, _ in self.OUT_OF_RANGE]
+        assert declared == list(dict.fromkeys(name for name, _, _ in self.OUT_OF_RANGE))
+
+    def test_every_field_is_read_by_the_package(self):
+        # a setting that no code reads loads and validates but changes nothing
+        package = Path(kgrerank.__file__).parent
+        source = "\n".join(p.read_text(encoding="utf-8") for p in package.glob("*.py"))
+        unread = [
+            f.name for f in fields(RunConfig)
+            if not re.search(rf"\bcfg\.{f.name}\b", source)
+        ]
+        assert unread == []
 
     @pytest.mark.parametrize(
-        "name, value, finding", OUT_OF_RANGE, ids=[row[0] for row in OUT_OF_RANGE]
+        "name, value, finding", OUT_OF_RANGE,
+        ids=[f"{name}-{value}" if value == "itemknn" else name
+             for name, value, _ in OUT_OF_RANGE],
     )
     def test_out_of_range_config_value_is_one(self, tmp_path, capsys, name, value, finding):
         # the synthetic default dataset: sample_users and profile_count are
@@ -794,14 +841,16 @@ class TestDeclaredBounds:
             if f.metadata["flag"]:
                 assert by_dest[f.name].choices == f.metadata["choices"], f.name
 
-    @pytest.mark.parametrize("key", ["label_entities", "schema"])
+    @pytest.mark.parametrize(
+        "key",
+        ["dataset.prune.label_entities", "dataset.prune.schema", "recommender.knn_k"],
+        ids=lambda key: key.rsplit(".", 1)[-1],
+    )
     def test_removed_prune_keys_are_unknown(self, tmp_path, capsys, key):
         config = tmp_path / "cfg.json"
-        config.write_text(json.dumps({"dataset": {"prune": {key: True}}}), encoding="utf-8")
+        config.write_text(json.dumps(_nested(key, True)), encoding="utf-8")
         assert main(["run", "--config", str(config), "--out", str(tmp_path / "x")]) == 1
-        assert capsys.readouterr().err == (
-            f"config error: unknown config key dataset.prune.{key}\n"
-        )
+        assert capsys.readouterr().err == f"config error: unknown config key {key}\n"
 
     @pytest.mark.parametrize("degree_one", [False, True])
     def test_netflix_ingest_prunes_degree_one_nodes_only_when_set(

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from kgrerank import (
     BaselineRecommender,
     Interaction,
-    ItemKnnRecommender,
     NotFittedError,
     RatingMatrix,
     RunFileError,
@@ -125,67 +124,6 @@ class TestBaselineRecommender:
             BaselineRecommender().recommend("u")
 
 
-class TestItemKnn:
-    def test_identical_item_dominates(self):
-        # i2's rating vector over the co-raters matches i1 exactly, so its
-        # only neighbor has similarity 1 and the prediction is the user's
-        # rating on i1
-        rows = {
-            "u1": {"i1": 800.0},
-            "u2": {"i1": 300.0, "i2": 300.0},
-            "u3": {"i1": 600.0, "i2": 600.0},
-        }
-        model = ItemKnnRecommender(k=5).fit(matrix_from(rows))
-        assert model.similarity("i1", "i2") == pytest.approx(1.0)
-        assert model.predict("u1", "i2") == pytest.approx(800.0)
-
-    def test_no_overlap_falls_back_to_baseline(self):
-        rows = {"u1": {"i1": 900.0}, "u2": {"i2": 100.0}}
-        model = ItemKnnRecommender(k=5).fit(matrix_from(rows))
-        baseline = BaselineRecommender().fit(matrix_from(rows))
-        assert model.predict("u1", "i2") == pytest.approx(baseline.predict("u1", "i2"))
-
-    def test_four_user_fixture_weighted_mean(self):
-        rows = {
-            "u1": {"i1": 1000.0, "i2": 600.0},
-            "u2": {"i1": 400.0, "i2": 800.0, "i3": 1000.0},
-            "u3": {"i2": 500.0, "i3": 700.0, "i4": 900.0},
-            "u4": {"i1": 900.0, "i4": 1000.0},
-        }
-        model = ItemKnnRecommender(k=2).fit(matrix_from(rows))
-        # sims and the weighted mean frozen from a by-hand computation:
-        # sim(i1,i3) = 1.0 (single co-rater), sim(i2,i3) = 0.99864171383128
-        assert model.similarity("i1", "i3") == pytest.approx(1.0, abs=1e-12)
-        assert model.similarity("i2", "i3") == pytest.approx(
-            0.99864171383128, abs=1e-10
-        )
-        assert model.predict("u1", "i3") == pytest.approx(
-            800.1359209266293, abs=1e-8
-        )
-
-    def test_similarity_symmetric_unit_diagonal(self):
-        rng = random.Random(42)
-        rows = {}
-        for u in range(6):
-            rows[f"u{u}"] = {
-                f"i{i}": float(rng.randint(1, 1000))
-                for i in rng.sample(range(8), rng.randint(2, 5))
-            }
-        matrix = matrix_from(rows)
-        model = ItemKnnRecommender().fit(matrix)
-        items = matrix.items()
-        for a in items:
-            assert model.similarity(a, a) == pytest.approx(1.0)
-            for b in items:
-                assert model.similarity(a, b) == pytest.approx(
-                    model.similarity(b, a), abs=1e-12
-                )
-
-    def test_unfitted_raises(self):
-        with pytest.raises(NotFittedError):
-            ItemKnnRecommender().predict("u", "i")
-
-
 class TestAntiTestset:
     def test_user_rated_everything(self):
         m = matrix_from({"u1": {"a": 10.0, "b": 20.0}, "u2": {"a": 30.0}})
@@ -243,10 +181,10 @@ class TestRecommend:
                 for i in rng.sample(range(12), rng.randint(2, 6))
             }
         m = matrix_from(rows)
-        for model in (BaselineRecommender().fit(m), ItemKnnRecommender(k=3).fit(m)):
-            for user in m.users():
-                recommended = set(model.recommend(user, 50).item_ids())
-                assert recommended.isdisjoint(m.user_ratings(user))
+        model = BaselineRecommender().fit(m)
+        for user in m.users():
+            recommended = set(model.recommend(user, 50).item_ids())
+            assert recommended.isdisjoint(m.user_ratings(user))
 
     def test_unknown_user_rejected(self):
         model = BaselineRecommender().fit(matrix_from({"u": {"a": 500.0}}))
@@ -283,7 +221,6 @@ def check_against_reference(rows, epochs=10, damping=10.0, n=10):
     """The array fit, predict and recommend equal the scalar reference."""
     matrix = RatingMatrix(rows)
     model = BaselineRecommender(epochs=epochs, damping=damping).fit(matrix)
-    knn = ItemKnnRecommender(k=2, epochs=epochs, damping=damping).fit(matrix)
     fit = reference_baseline(matrix, epochs, damping)
     mu, user_bias, item_bias = fit
     assert model._mu == mu
@@ -292,18 +229,15 @@ def check_against_reference(rows, epochs=10, damping=10.0, n=10):
     for user in [*matrix.users(), "ghost"]:
         for item in [*matrix.items(), "phantom"]:
             assert model.predict(user, item) == reference_predict(fit, user, item)
-    for recommender, predict in (
-        (model, partial(reference_predict, fit)),
-        (knn, knn.predict),
-    ):
-        for user in matrix.users():
-            expected = reference_recommend(matrix, predict, user, n)
-            assert list(recommender.recommend(user, n).items) == expected
-        with pytest.raises(ValueError) as reference_error:
-            reference_recommend(matrix, predict, "ghost", n)
-        with pytest.raises(ValueError) as error:
-            recommender.recommend("ghost", n)
-        assert str(error.value) == str(reference_error.value)
+    predict = partial(reference_predict, fit)
+    for user in matrix.users():
+        expected = reference_recommend(matrix, predict, user, n)
+        assert list(model.recommend(user, n).items) == expected
+    with pytest.raises(ValueError) as reference_error:
+        reference_recommend(matrix, predict, "ghost", n)
+    with pytest.raises(ValueError) as error:
+        model.recommend("ghost", n)
+    assert str(error.value) == str(reference_error.value)
     return model
 
 
