@@ -10,7 +10,6 @@ from kgrerank import (
     NeighborhoodMode,
     Triple,
     build_catalog,
-    closed_neighborhood,
     extend_subgraph,
     induce_profile_subgraph,
     prune_graph,
@@ -28,22 +27,17 @@ catalog = build_catalog(triples)
 print(f"catalog: {catalog.num_nodes} nodes, {catalog.num_edges} edges")
 print(f"recommendable items: {sorted(catalog.recommendable)}")
 
-# The closed neighborhood of a track is the track, its adjacent entities and
-# the edges that touch it.
-nodes, edges = closed_neighborhood(catalog, "t_100")
-print(f"\nclosed neighborhood of t_100: nodes={sorted(nodes)}")
-for edge in sorted(edges):
-    print("  ", " -> ".join(edge))
-
 # A user who listened to t_100 gets a profile with the track, its artist and
 # its genre.
 profile = induce_profile_subgraph(catalog, {"t_100"}, user="demo_user")
 print(f"\nprofile subgraph: {profile.graph.num_nodes} nodes, "
       f"{profile.graph.num_edges} edges")
 
-# Extending with a candidate never mutates the original profile. The default
-# mode pulls in the candidate's whole closed neighborhood; EDGES_TO_EXISTING
-# adds only the candidate and its links to nodes the user already has.
+# Extending with a candidate never mutates the original profile. The mode
+# picks the nodes the candidate adds: the default adds the candidate and its
+# catalog neighbors, EDGES_TO_EXISTING only the candidate. The extension is
+# the catalog subgraph those nodes induce together with the profile's, so in
+# edges mode the candidate brings only its links to nodes the user has.
 for mode in (NeighborhoodMode.CLOSED_NEIGHBORHOOD, NeighborhoodMode.EDGES_TO_EXISTING):
     extended = extend_subgraph(profile, catalog, "t_300", mode)
     print(f"extend with t_300 [{mode.value:>6}]: "

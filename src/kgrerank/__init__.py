@@ -14,7 +14,6 @@ __version__ = "0.1.0"
 from .graph import (
     CatalogGraph,
     EntityKind,
-    ExtensionDelta,
     GraphError,
     Multigraph,
     NeighborhoodMode,
@@ -22,10 +21,8 @@ from .graph import (
     ProfileSubgraph,
     Triple,
     build_catalog,
-    closed_neighborhood,
     export_graph,
     extend_subgraph,
-    extension_delta,
     induce_profile_subgraph,
     prune_graph,
     read_graph,
@@ -91,10 +88,10 @@ from .ingest import (
 __all__ = [
     "__version__",
     # graph
-    "CatalogGraph", "EntityKind", "ExtensionDelta", "GraphError", "Multigraph",
+    "CatalogGraph", "EntityKind", "GraphError", "Multigraph",
     "NeighborhoodMode", "Node", "ProfileSubgraph", "Triple",
-    "build_catalog", "closed_neighborhood", "export_graph", "extend_subgraph",
-    "extension_delta", "induce_profile_subgraph", "prune_graph", "read_graph",
+    "build_catalog", "export_graph", "extend_subgraph",
+    "induce_profile_subgraph", "prune_graph", "read_graph",
     # metrics
     "ConvergenceError", "MetricError", "MetricKind", "MetricValue",
     "betweenness", "centrality_to_shares", "closeness", "compute_metric",

@@ -503,8 +503,9 @@ def stage_ingest(cfg: RunConfig) -> None:
         interactions = []
         for i, history in enumerate(histories):
             user = f"p{i:03d}"
-            train, test = split_interactions(history, cfg.split_ratio, cfg.seed + i)
-            profiles[user] = {"history": sorted(train), "test": sorted(test)}
+            # the held-out part is not used: nDCG is graded against the base list
+            train, _ = split_interactions(history, cfg.split_ratio, cfg.seed + i)
+            profiles[user] = {"history": sorted(train)}
             for item in sorted(train):
                 interactions.append(Interaction(user, item, 1))
         features = {}
@@ -555,7 +556,7 @@ def _profiles_from_interactions(
     for interaction in interactions:
         histories.setdefault(interaction.user, set()).add(interaction.item)
     return {
-        user: {"history": sorted(items), "test": []}
+        user: {"history": sorted(items)}
         for user, items in sorted(histories.items())
     }
 

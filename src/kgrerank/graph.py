@@ -2,15 +2,16 @@
 
 The catalog graph holds every recommendable item (tracks, movies, TV shows)
 plus the entities that enrich them (artists, genres, directors, ...). A user's
-profile subgraph is induced from the catalog and can be extended with a
-candidate item, either by wiring the candidate to nodes the user already knows
-or by pulling in the candidate's full closed neighborhood. Extension never
-mutates the original subgraph, so per-candidate evaluations are independent.
+profile subgraph is the catalog subgraph induced by the user's items and their
+neighbours. Extending it with a candidate item gives the subgraph induced by
+the profile's nodes and the nodes the candidate adds (see
+:class:`NeighborhoodMode`). Extension never mutates the original subgraph, so
+per-candidate evaluations are independent.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Container, Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -42,16 +43,12 @@ RECOMMENDABLE_KINDS = frozenset(
 class NeighborhoodMode(Enum):
     """How a candidate item is merged into a profile subgraph.
 
-    Both modes follow one rule. Every catalog edge touching the candidate or
-    an added node is added if its other endpoint is already in the subgraph
-    or counts as an endpoint, and the subgraph does not already have it. The
-    mode decides two things:
-
-    - which nodes are added: CLOSED_NEIGHBORHOOD (the default elsewhere) adds
-      the candidate and its catalog neighbors not yet in the subgraph;
-      EDGES_TO_EXISTING adds the candidate if it is absent;
-    - whether an added node counts as an endpoint: it does in closed mode
-      and does not in edges mode, so a new candidate's self-loop stays out.
+    The mode picks the nodes the candidate adds: CLOSED_NEIGHBORHOOD (the
+    default elsewhere) adds the candidate and its catalog neighbors not yet in
+    the subgraph; EDGES_TO_EXISTING adds the candidate if it is absent. The
+    extension is the catalog subgraph that the added nodes induce together
+    with the profile's, less a new candidate's self-loops in edges mode, so
+    that such a candidate brings only its edges to nodes the profile has.
     """
 
     EDGES_TO_EXISTING = "edges"
@@ -160,48 +157,17 @@ class Multigraph:
                 for predicate in sorted(preds):
                     yield (source, predicate, target)
 
-    def has_edge(self, source: str, predicate: str, target: str) -> bool:
-        targets = self._out.get(source)
-        if not targets:
-            return False
-        return predicate in targets.get(target, ())
-
     def successors(self, node_id: str) -> Mapping[str, set[str]]:
         """Target -> predicate set. Treat the returned mapping as read-only."""
         if node_id not in self._nodes:
             raise GraphError(f"unknown node {node_id!r}")
         return self._out[node_id]
 
-    def predecessors(self, node_id: str) -> Mapping[str, set[str]]:
-        if node_id not in self._nodes:
-            raise GraphError(f"unknown node {node_id!r}")
-        return self._in[node_id]
-
     def neighbors(self, node_id: str) -> set[str]:
         """Adjacent node ids in either direction (the undirected view)."""
         if node_id not in self._nodes:
             raise GraphError(f"unknown node {node_id!r}")
         return set(self._out[node_id]) | set(self._in[node_id])
-
-    def out_degree(self, node_id: str) -> int:
-        return sum(len(p) for p in self.successors(node_id).values())
-
-    def in_degree(self, node_id: str) -> int:
-        return sum(len(p) for p in self.predecessors(node_id).values())
-
-    def degree(self, node_id: str) -> int:
-        return self.out_degree(node_id) + self.in_degree(node_id)
-
-    def incident_edges(self, node_id: str) -> Iterator[EdgeTriple]:
-        """All edges touching the node, each reported once."""
-        for target, preds in self.successors(node_id).items():
-            for predicate in sorted(preds):
-                yield (node_id, predicate, target)
-        for source, preds in self.predecessors(node_id).items():
-            if source == node_id:
-                continue  # self-loops already reported above
-            for predicate in sorted(preds):
-                yield (source, predicate, node_id)
 
     def copy(self) -> "Multigraph":
         g = self.__class__()
@@ -213,13 +179,6 @@ class Multigraph:
                 g._in[target][source] = set(preds)
         g._num_edges = self._num_edges
         return g
-
-    def structural_signature(self) -> tuple[frozenset, frozenset]:
-        """Hashable (nodes, edges) snapshot, used to assert non-mutation."""
-        return (
-            frozenset((n.id, n.kind) for n in self._nodes.values()),
-            frozenset(self.edges()),
-        )
 
 
 class CatalogGraph(Multigraph):
@@ -296,7 +255,7 @@ def induce_profile_subgraph(
 
     The subgraph contains every history item, every catalog node adjacent to a
     history item (the enriching entities), and every catalog edge with both
-    endpoints included.
+    endpoints included. Nodes are in sorted order.
     """
     history_set = frozenset(history)
     owner = f"user {user!r}: " if user else ""
@@ -308,70 +267,42 @@ def induce_profile_subgraph(
             raise GraphError(f"{owner}history item {item!r} is not recommendable")
         node_set.add(item)
         node_set.update(catalog.neighbors(item))
-
-    graph = Multigraph()
-    for node_id in sorted(node_set):
-        graph.add_node(catalog.node(node_id))
-    for source in sorted(node_set):
-        for target, preds in catalog.successors(source).items():
-            if target in node_set:
-                for predicate in sorted(preds):
-                    graph.add_edge(source, predicate, target)
+    graph = _induced(catalog, sorted(node_set))
     return ProfileSubgraph(user=user, graph=graph, history=history_set)
 
 
-def closed_neighborhood(
-    catalog: Multigraph, item: str
-) -> tuple[set[str], set[EdgeTriple]]:
-    """The item, all adjacent nodes (either direction), and all incident edges."""
-    if item not in catalog:
-        raise GraphError(f"unknown item {item!r}")
-    node_set = {item} | catalog.neighbors(item)
-    edge_set = set(catalog.incident_edges(item))
-    return node_set, edge_set
+def _induced(
+    catalog: CatalogGraph, nodes: list[str], loopless: Container[str] = ()
+) -> Multigraph:
+    """The catalog subgraph on ``nodes``, added in that order; the nodes in
+    ``loopless`` keep no self-loop."""
+    members = set(nodes)
+    graph = Multigraph()
+    for node_id in nodes:
+        graph.add_node(catalog.node(node_id))
+    for source in nodes:
+        for target, preds in catalog.successors(source).items():
+            if target in members and not (target == source and source in loopless):
+                for predicate in sorted(preds):
+                    graph.add_edge(source, predicate, target)
+    return graph
 
 
-@dataclass(frozen=True)
-class ExtensionDelta:
-    """Nodes and edges a candidate adds to a profile subgraph (both sorted)."""
-
-    nodes: tuple[Node, ...]
-    edges: tuple[EdgeTriple, ...]
-
-
-def extension_delta(
-    graph: Multigraph,
+def added_nodes(
+    present: Container[str],
     catalog: CatalogGraph,
     item: str,
     mode: NeighborhoodMode = NeighborhoodMode.CLOSED_NEIGHBORHOOD,
-) -> ExtensionDelta:
-    """Compute what adding ``item`` to ``graph`` contributes, without applying it.
-
-    The delta contains only nodes absent from ``graph`` and edges not already
-    present, so applying it yields the extended subgraph exactly. The rule is
-    stated on :class:`NeighborhoodMode`.
-    """
+) -> list[str]:
+    """The nodes, sorted, that extending a subgraph on the nodes ``present``
+    by ``item`` adds (see :class:`NeighborhoodMode`)."""
     if item not in catalog:
         raise GraphError(f"unknown item {item!r}")
     if not catalog.is_recommendable(item):
         raise GraphError(f"item {item!r} is not recommendable")
-
     closed = mode is NeighborhoodMode.CLOSED_NEIGHBORHOOD
     reach = catalog.neighbors(item) | {item} if closed else {item}
-    added = {n for n in reach if n not in graph}
-    endpoints = added if closed else set()
-    new_edges: set[EdgeTriple] = set()
-    for node_id in added | {item}:
-        for source, predicate, target in catalog.incident_edges(node_id):
-            other = target if source == node_id else source
-            if (other in graph or other in endpoints) and not graph.has_edge(
-                source, predicate, target
-            ):
-                new_edges.add((source, predicate, target))
-    return ExtensionDelta(
-        nodes=tuple(catalog.node(n) for n in sorted(added)),
-        edges=tuple(sorted(new_edges)),
-    )
+    return sorted(v for v in reach if v not in present)
 
 
 def extend_subgraph(
@@ -382,15 +313,14 @@ def extend_subgraph(
 ) -> ProfileSubgraph:
     """Return a new profile subgraph with the candidate item merged in.
 
-    The input subgraph is never modified. Extending with an item already in
-    the subgraph only adds whatever incident edges are still missing.
+    ``sg`` must be an induced subgraph of ``catalog``, as
+    :func:`induce_profile_subgraph` and closed-mode extensions are. The
+    result keeps ``sg``'s nodes in order, with the added ones after them; the
+    input subgraph is never modified.
     """
-    delta = extension_delta(sg.graph, catalog, item, mode)
-    graph = sg.graph.copy()
-    for node in delta.nodes:
-        graph.add_node(node)
-    for source, predicate, target in delta.edges:
-        graph.add_edge(source, predicate, target)
+    added = added_nodes(sg.graph, catalog, item, mode)
+    loopless = added if mode is NeighborhoodMode.EDGES_TO_EXISTING else ()
+    graph = _induced(catalog, [*sg.graph.node_ids(), *added], loopless)
     return ProfileSubgraph(user=sg.user, graph=graph, history=sg.history)
 
 

@@ -335,6 +335,7 @@ def load_netflix(path) -> tuple[list[Triple], list[Node]]:
     are trimmed and empty ones are skipped silently. A title node's kind
     follows the ``type`` column (movie or TV show); it has no ``title``
     attribute when the name is empty. A ``show_id`` may appear on one row only.
+    Errors name the physical line a record ends on.
     """
     triples: list[Triple] = []
     titles: list[Node] = []
@@ -342,7 +343,8 @@ def load_netflix(path) -> tuple[list[Triple], list[Node]]:
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
         _require_columns(path, reader.fieldnames, _NETFLIX_COLUMNS)
-        for lineno, row in enumerate(reader, start=2):
+        for row in reader:
+            lineno = reader.line_num
             show_id = row["show_id"].strip()
             type_ = row["type"].strip()
             if not show_id:

@@ -11,9 +11,10 @@ the linear-algebra style of Kepner & Gilbert, *Graph Algorithms in the
 Language of Linear Algebra*, 2011): the node ids in ``g.node_ids()`` order,
 each directed (source, target) pair once with its number of parallel edges,
 sorted by source, and, built only when a path metric asks for it, the dense
-0/1 adjacency ``A`` of the undirected view. The re-ranker compiles each user
-profile once and extends it by one candidate's delta at a time, added nodes
-last (:meth:`CompiledGraph.extend`).
+0/1 adjacency ``A`` of the undirected view. The re-ranker compiles, once per
+user, the catalog subgraph on the profile's nodes and every node a candidate
+adds, and takes each candidate's extension from it as the subgraph its nodes
+induce (:meth:`CompiledGraph.induced`).
 
 :func:`compute_metrics` scores a batch of graphs, one row per graph: the
 re-ranker passes all of a user's candidate extensions at once, and a single
@@ -93,7 +94,7 @@ the same bits.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Iterator, Mapping, Sequence
+from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -258,7 +259,7 @@ class CompiledGraph:
     Node ``i`` is ``nodes[i]``, in ``g.node_ids()`` order. ``src``, ``dst`` and
     ``mult`` hold each directed (source, target) pair once with its number of
     parallel edges, sorted by source and then target index. Build one with
-    :func:`compile_graph` or :meth:`extend`.
+    :func:`compile_graph`, :meth:`from_edges` or :meth:`induced`.
     """
 
     def __init__(
@@ -270,9 +271,17 @@ class CompiledGraph:
         self.mult = mult
         self.num_edges = int(mult.sum())
 
-    @cached_property
-    def _index(self) -> dict[str, int]:
-        return {v: i for i, v in enumerate(self.nodes)}
+    @classmethod
+    def from_edges(
+        cls, nodes: list[str], edges: Sequence[tuple[int, int]]
+    ) -> "CompiledGraph":
+        """The graph on ``nodes`` with one edge per (source index, target
+        index) pair of ``edges``, which may come in any order."""
+        ends = np.array(edges, dtype=np.intp).reshape(-1, 2)
+        size = len(nodes)
+        # one key per edge; sorted unique keys are sorted pairs
+        pairs, mult = np.unique(ends[:, 0] * size + ends[:, 1], return_counts=True)
+        return cls(nodes, pairs // size, pairs % size, mult)
 
     @cached_property
     def label_order(self) -> np.ndarray:
@@ -297,36 +306,30 @@ class CompiledGraph:
     def by_node(self, values: np.ndarray) -> dict[str, float]:
         return dict(zip(self.nodes, values.tolist()))
 
-    def extend(
-        self, added: Sequence[str], edges: Iterable[tuple[str, str]]
-    ) -> "CompiledGraph":
-        """This graph plus the ``added`` nodes, last and in the given order, and
-        one more parallel edge per (source, target) in ``edges``; every endpoint
-        is a node of this graph or an added one."""
-        index = self._index
-        extra = {v: len(index) + k for k, v in enumerate(added)}
-        size = len(index) + len(extra)
-        ends = np.array(
-            [index[v] if v in index else extra[v] for edge in edges for v in edge],
-            dtype=np.intp,
-        )
-        # one key per parallel edge; sorted unique keys are sorted pairs
-        keys = np.concatenate(
-            (np.repeat(self.src * size + self.dst, self.mult), ends[::2] * size + ends[1::2])
-        )
-        pairs, mult = np.unique(keys, return_counts=True)
-        return CompiledGraph(self.nodes + list(added), pairs // size, pairs % size, mult)
-
-
-_NO_PAIRS = np.zeros(0, dtype=np.intp)
+    def induced(self, order: Sequence[int]) -> "CompiledGraph":
+        """The subgraph the nodes at positions ``order`` induce: its node ``k``
+        is ``nodes[order[k]]``, and it keeps every pair between two of them,
+        with its multiplicity."""
+        order = np.asarray(order, dtype=np.intp)
+        size = len(order)
+        position = np.full(len(self.nodes), -1, dtype=np.intp)
+        position[order] = np.arange(size)
+        src, dst = position[self.src], position[self.dst]
+        keep = (src >= 0) & (dst >= 0)
+        keys = src[keep] * size + dst[keep]
+        sort = np.argsort(keys)
+        keys = keys[sort]
+        nodes = [self.nodes[i] for i in order.tolist()]
+        return CompiledGraph(nodes, keys // size, keys % size, self.mult[keep][sort])
 
 
 def compile_graph(g) -> CompiledGraph:
     """The array form of a graph; a :class:`CompiledGraph` is returned as is."""
     if isinstance(g, CompiledGraph):
         return g
-    empty = CompiledGraph([], _NO_PAIRS, _NO_PAIRS, _NO_PAIRS)
-    return empty.extend(list(g.node_ids()), [(s, t) for s, _, t in g.edges()])
+    nodes = list(g.node_ids())
+    index = {v: i for i, v in enumerate(nodes)}
+    return CompiledGraph.from_edges(nodes, [(index[s], index[t]) for s, _, t in g.edges()])
 
 
 class _Stack:

@@ -10,18 +10,12 @@ profile graph balanced; descending favors candidates that centralize it.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Container, Sequence
 from dataclasses import dataclass
 from enum import Enum
 
-from .graph import CatalogGraph, NeighborhoodMode, ProfileSubgraph, extension_delta
-from .metrics import (
-    PATH_KINDS,
-    MetricKind,
-    MetricValue,
-    compile_graph,
-    compute_metrics,
-)
+from .graph import CatalogGraph, NeighborhoodMode, ProfileSubgraph, added_nodes
+from .metrics import PATH_KINDS, CompiledGraph, MetricKind, MetricValue, compute_metrics
 
 
 class RerankError(RuntimeError):
@@ -97,30 +91,37 @@ def evaluate_metrics(
     """Evaluate every metric on the extension of ``sg`` by each candidate.
 
     Each candidate is applied to the original subgraph independently, so the
-    outcome does not depend on list order. The profile is compiled once
-    (:func:`~kgrerank.metrics.compile_graph`) and every candidate's delta
-    extends it once. With all extensions built, each metric group scores them
-    in one batch (:func:`~kgrerank.metrics.compute_metrics`), which gives the
-    values of ``compute_metric`` on each materialized extension.
+    outcome does not depend on list order. ``sg`` must be an induced subgraph
+    of ``catalog``, as :func:`~kgrerank.graph.induce_profile_subgraph` builds
+    it. The catalog subgraph on the profile's nodes and every node a
+    candidate adds is compiled once (:func:`_compile_induced`); each
+    candidate's extension is the subgraph induced by the profile's nodes,
+    then the candidate's added nodes in sorted order
+    (:meth:`~kgrerank.metrics.CompiledGraph.induced`). With all extensions
+    built, each metric group scores them in one batch
+    (:func:`~kgrerank.metrics.compute_metrics`), which gives the values of
+    ``compute_metric`` on each materialized extension.
     """
     kinds = list(dict.fromkeys(metrics))
     # betweenness and closeness share one BFS pass, so they are computed, and
     # named in errors, together; every other metric on its own
     paths = [k for k in kinds if k in PATH_KINDS]
     groups = ([paths] if paths else []) + [[k] for k in kinds if k not in PATH_KINDS]
-    profile = compile_graph(sg.graph)
-    graphs = []
+    adds = []
     for item, _ in recs.items:
         try:
-            delta = extension_delta(sg.graph, catalog, item, mode)
-            graphs.append(
-                profile.extend(
-                    [node.id for node in delta.nodes],
-                    [(source, target) for source, _, target in delta.edges],
-                )
-            )
+            adds.append(added_nodes(sg.graph, catalog, item, mode))
         except Exception as exc:
             raise _failure(kinds, sg.user, item, exc) from exc
+    profile = list(sg.graph.node_ids())
+    extra = sorted(set().union(*adds))
+    # in edges mode every extra node is a new candidate, whose self-loops
+    # stay out of its extension
+    closed = mode is NeighborhoodMode.CLOSED_NEIGHBORHOOD
+    union = _compile_induced(catalog, profile + extra, () if closed else set(extra))
+    at = {v: i for i, v in enumerate(extra, start=len(profile))}
+    kept = list(range(len(profile)))
+    graphs = [union.induced(kept + [at[v] for v in added]) for added in adds]
     values: dict[MetricKind, list[MetricValue]] = {}
     for group in groups:
         try:
@@ -136,6 +137,23 @@ def evaluate_metrics(
         ]
         for kind in kinds
     }
+
+
+def _compile_induced(
+    catalog: CatalogGraph, nodes: list[str], loopless: Container[str]
+) -> CompiledGraph:
+    """The catalog subgraph on ``nodes``, compiled in that order straight
+    from the catalog's adjacency; the nodes in ``loopless`` keep no
+    self-loop."""
+    index = {v: i for i, v in enumerate(nodes)}
+    edges = [
+        (i, j)
+        for i, source in enumerate(nodes)
+        for target, preds in catalog.successors(source).items()
+        if (j := index.get(target)) is not None and (i != j or source not in loopless)
+        for _ in preds
+    ]
+    return CompiledGraph.from_edges(nodes, edges)
 
 
 def _failure(kinds, user: str, item: str | None, exc: Exception) -> RerankError:

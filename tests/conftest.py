@@ -6,11 +6,13 @@ from pathlib import Path
 import pytest
 
 from kgrerank import (
+    MetricKind,
     Multigraph,
     Node,
     RecommendationList,
     Triple,
     build_catalog,
+    evaluate_metrics,
     induce_profile_subgraph,
 )
 from kgrerank import metrics as metrics_module
@@ -57,6 +59,33 @@ def core_passes(graphs) -> list[tuple[int, int]]:
 @pytest.fixture()
 def bfs_calls(monkeypatch):
     return record_bfs_calls(monkeypatch)
+
+
+def compiled_extensions(catalog, sg, items, mode) -> list:
+    """The compiled extension of ``sg`` by each of ``items`` that
+    ``rerank.evaluate_metrics`` builds, taken from its call to
+    ``compute_metrics``."""
+    # ``kgrerank.rerank`` is also the name of the exported function, so the
+    # module is reached through sys.modules
+    module = sys.modules["kgrerank.rerank"]
+    real = module.compute_metrics
+    captured = []
+
+    def capture(graphs, kinds):
+        captured.append(graphs)
+        return real(graphs, kinds)
+
+    recs = RecommendationList(user=sg.user, items=tuple((item, 0.0) for item in items))
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(module, "compute_metrics", capture)
+        evaluate_metrics(catalog, sg, recs, [MetricKind.NODE_COUNT], mode)
+    (graphs,) = captured
+    return graphs
+
+
+def signature(g) -> tuple[frozenset, frozenset]:
+    """Hashable (nodes with their kinds, edges) snapshot of a graph."""
+    return frozenset((n.id, n.kind) for n in g.nodes()), frozenset(g.edges())
 
 
 # Catalog where a two-track profile (t1, t2 by artist a1, genre g1) can be

@@ -243,6 +243,18 @@ def brute_extension(graph, catalog, item: str, closed: bool):
     return sorted(added), sorted(edges)
 
 
+def materialized_extension(graph, catalog, item: str, closed: bool) -> Multigraph:
+    """A copy of ``graph`` with :func:`brute_extension`'s nodes added after
+    its own, in sorted order, and its edges added."""
+    added, edges = brute_extension(graph, catalog, item, closed)
+    extended = graph.copy()
+    for v in added:
+        extended.add_node(catalog.node(v))
+    for s, p, t in edges:
+        extended.add_edge(s, p, t)
+    return extended
+
+
 def plain_hhi(scores) -> float:
     """Normalized HHI of a per-node score map, in sorted-label order: 0 for
     a uniform split, 1 for a monopoly; zero total mass counts as uniform."""
@@ -306,16 +318,10 @@ def reference_values(catalog, history, recs, metric, mode) -> dict[str, float]:
     """Each candidate's metric value on its extension of the profile."""
     profile = induced_profile(catalog, set(history))
     closed = mode is NeighborhoodMode.CLOSED_NEIGHBORHOOD
-    values = {}
-    for item, _ in recs.items:
-        added, edges = brute_extension(profile, catalog, item, closed)
-        extended = profile.copy()
-        for v in added:
-            extended.add_node(catalog.node(v))
-        for s, p, t in edges:
-            extended.add_edge(s, p, t)
-        values[item] = reference_metric(extended, metric)
-    return values
+    return {
+        item: reference_metric(materialized_extension(profile, catalog, item, closed), metric)
+        for item, _ in recs.items
+    }
 
 
 def reference_rerank(catalog, history, recs, metric, order, mode, top_n):

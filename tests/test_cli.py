@@ -1,5 +1,6 @@
 import argparse
 import json
+import random
 import re
 from dataclasses import fields
 from pathlib import Path
@@ -291,6 +292,8 @@ class TestPipeline:
         manifest = json.loads((out / MANIFEST).read_text(encoding="utf-8"))
         assert manifest["config_hash"] == config_hash(cfg)
         assert manifest["version"]
+        profiles = json.loads((out / PROFILES).read_text(encoding="utf-8"))["users"]
+        assert [list(profile) for profile in profiles.values()] == [["history"]] * 4
 
     def test_synthetic_candidates_share_path_kernels(self, tmp_path, bfs_calls):
         # a synthetic track brings its own artist and links to one genre, so
@@ -485,6 +488,41 @@ class TestPipeline:
         # no features for this dataset: ild and unexpectedness cells are empty
         assert all(",,," in line or line.startswith("user,") for line in report[:2])
         assert (out / rerank_run_name("node_count", "asc")).exists()
+        # the 90/10 split of 2-4 items keeps all but one as the history, and
+        # profiles.json holds nothing else
+        profiles = json.loads((out / PROFILES).read_text(encoding="utf-8"))["users"]
+        assert len(profiles) == 5
+        for profile in profiles.values():
+            assert list(profile) == ["history"]
+            assert 1 <= len(profile["history"]) <= 3
+
+
+class TestMetamorphicRelations:
+    """Relations between two runs, where no oracle gives the expected output."""
+
+    def test_shuffled_input_rows_change_no_ranking_or_report(self, tmp_path, lastfm_corpus):
+        shuffled = tmp_path / "shuffled"
+        shuffled.mkdir()
+        rng = random.Random(7)
+        # events.tsv has no header row
+        for name, header in (("events.tsv", 0), ("features.csv", 1), ("genres.csv", 1)):
+            lines = (lastfm_corpus / name).read_text(encoding="utf-8").splitlines(keepends=True)
+            rows = lines[header:]
+            rng.shuffle(rows)
+            assert rows != lines[header:], name
+            (shuffled / name).write_text("".join(lines[:header] + rows), encoding="utf-8")
+        metrics = [kind.value for kind in MetricKind]
+        outs = []
+        for inputs, label in ((lastfm_corpus, "original"), (shuffled, "shuffled")):
+            doc = lastfm_run_config(inputs, tmp_path / label, metrics)
+            config = write_config(tmp_path / f"{label}.json", doc)
+            assert main(["run", "--config", str(config)]) == 0
+            outs.append(tmp_path / label)
+        reranked = sorted(path.name for path in outs[0].glob("rerank_*.txt"))
+        assert len(reranked) == 2 * len(metrics)
+        assert sorted(path.name for path in outs[1].glob("rerank_*.txt")) == reranked
+        for name in [BASE_RUN, REPORT, *reranked]:
+            assert (outs[1] / name).read_bytes() == (outs[0] / name).read_bytes(), name
 
 
 class TestExitCodes:

@@ -13,10 +13,8 @@ from kgrerank import (
     Node,
     Triple,
     build_catalog,
-    closed_neighborhood,
     export_graph,
     extend_subgraph,
-    extension_delta,
     induce_profile_subgraph,
     prune_graph,
     read_graph,
@@ -24,7 +22,8 @@ from kgrerank import (
 
 from kgrerank.metrics import compile_graph
 
-from oracles import brute_extension, random_catalog_with_profile
+from conftest import compiled_extensions, signature
+from oracles import induced_profile, materialized_extension, random_catalog_with_profile
 
 CLOSED = NeighborhoodMode.CLOSED_NEIGHBORHOOD
 EDGES = NeighborhoodMode.EDGES_TO_EXISTING
@@ -145,30 +144,6 @@ class TestInduceProfileSubgraph:
             assert set(sg.graph.edges()) <= catalog_edges
 
 
-class TestClosedNeighborhood:
-    def test_track_neighborhood(self, track_catalog):
-        nodes, edges = closed_neighborhood(track_catalog, "t_4471632")
-        assert nodes == {"t_4471632", "disco", "15160"}
-        assert len(edges) == 2
-
-    def test_isolated_node(self):
-        catalog = build_catalog([], nodes=[Node("alone", EntityKind.TRACK)])
-        nodes, edges = closed_neighborhood(catalog, "alone")
-        assert nodes == {"alone"}
-        assert edges == set()
-
-    def test_star_hub(self):
-        triples = [triple("hub", "p", f"leaf{i}") for i in range(4)]
-        catalog = build_catalog(triples)
-        nodes, edges = closed_neighborhood(catalog, "hub")
-        assert len(nodes) == 5
-        assert len(edges) == 4
-
-    def test_unknown_item(self, track_catalog):
-        with pytest.raises(GraphError, match="nope"):
-            closed_neighborhood(track_catalog, "nope")
-
-
 class TestExtendSubgraph:
     def test_diverse_pair_adds_four_nodes_seven_edges(self, dvs_catalog, dvs_profile):
         step1 = extend_subgraph(dvs_profile, dvs_catalog, "d1", CLOSED)
@@ -189,7 +164,7 @@ class TestExtendSubgraph:
         ba = extend_subgraph(
             extend_subgraph(dvs_profile, dvs_catalog, "d2"), dvs_catalog, "d1"
         )
-        assert ab.graph.structural_signature() == ba.graph.structural_signature()
+        assert signature(ab.graph) == signature(ba.graph)
 
     def test_edges_to_existing_ignores_new_enrichers(self, dvs_catalog, dvs_profile):
         ext = extend_subgraph(dvs_profile, dvs_catalog, "d1", EDGES)
@@ -208,24 +183,16 @@ class TestExtendSubgraph:
         assert ext.graph.num_edges == sg.graph.num_edges
 
     def test_input_subgraph_never_mutated(self, dvs_catalog, dvs_profile):
-        before = dvs_profile.graph.structural_signature()
+        before = signature(dvs_profile.graph)
         for mode in (CLOSED, EDGES):
             for item in ("d1", "d2", "s1", "s2"):
                 extend_subgraph(dvs_profile, dvs_catalog, item, mode)
-        assert dvs_profile.graph.structural_signature() == before
+        assert signature(dvs_profile.graph) == before
 
     def test_extension_is_idempotent_for_contained_item(self, dvs_catalog, dvs_profile):
         once = extend_subgraph(dvs_profile, dvs_catalog, "d1", CLOSED)
         twice = extend_subgraph(once, dvs_catalog, "d1", CLOSED)
-        assert once.graph.structural_signature() == twice.graph.structural_signature()
-
-    def test_contained_item_delta_is_empty_under_edges_mode(
-        self, dvs_catalog, dvs_profile
-    ):
-        ext = extend_subgraph(dvs_profile, dvs_catalog, "s1", EDGES)
-        delta = extension_delta(ext.graph, dvs_catalog, "s1", EDGES)
-        assert delta.nodes == ()
-        assert delta.edges == ()
+        assert signature(once.graph) == signature(twice.graph)
 
     def test_non_recommendable_item_rejected(self, dvs_catalog, dvs_profile):
         with pytest.raises(GraphError, match="g1"):
@@ -251,93 +218,53 @@ class TestExtendSubgraph:
                 ext = extend_subgraph(sg, catalog, item, EDGES)
                 grew = ext.graph.num_nodes - sg.graph.num_nodes
                 assert grew in (0, 1)
-                incident = sum(1 for _ in catalog.incident_edges(item))
+                incident = sum(1 for edge in catalog.edges() if item in (edge[0], edge[2]))
                 assert ext.graph.num_edges - sg.graph.num_edges <= incident
 
 
 @st.composite
 def catalog_subgraphs(draw, max_nodes=10):
     """A catalog with self-loops and parallel edges (same direction with
-    another predicate, or reversed), any subgraph of it (a node subset and
-    any subset of the catalog edges among those nodes, so not necessarily
-    induced) and a recommendable candidate inside or outside that subgraph."""
+    another predicate, or reversed), a history of its tracks and distinct
+    candidate tracks, inside or outside the profile the history induces.
+
+    Nodes are inserted in a drawn order, so the catalog's order need not be
+    the sorted one."""
     n = draw(st.integers(1, max_nodes))
     kinds = draw(st.lists(st.sampled_from(["track", "artist"]), min_size=n, max_size=n))
     kinds[0] = "track"
     catalog = CatalogGraph()
-    for i, kind in enumerate(kinds):
-        catalog.add_node(Node(f"n{i}", kind))
+    for i in draw(st.permutations(range(n))):
+        catalog.add_node(Node(f"n{i}", kinds[i]))
     ends = st.integers(0, n - 1)
     for a, predicate, b in draw(
         st.lists(st.tuples(ends, st.sampled_from(["rel", "alt"]), ends), max_size=3 * n)
     ):
         catalog.add_edge(f"n{a}", predicate, f"n{b}")
-    graph = Multigraph()
-    for node in catalog.nodes():
-        if draw(st.booleans()):
-            graph.add_node(node)
-    for source, predicate, target in catalog.edges():
-        if source in graph and target in graph and draw(st.booleans()):
-            graph.add_edge(source, predicate, target)
-    item = draw(st.sampled_from(sorted(catalog.recommendable)))
-    return catalog, graph, item
+    tracks = st.sampled_from(sorted(catalog.recommendable))
+    history = draw(st.sets(tracks))
+    items = draw(st.lists(tracks, min_size=1, unique=True))
+    return catalog, history, items
 
 
-class TestExtensionDeltaOracle:
+class TestInducedExtensions:
     @given(catalog_subgraphs(), st.sampled_from([CLOSED, EDGES]))
     @settings(max_examples=400, deadline=None)
-    def test_delta_equals_brute_extension(self, drawn, mode):
-        catalog, graph, item = drawn
-        nodes, edges = brute_extension(graph, catalog, item, closed=mode is CLOSED)
-        delta = extension_delta(graph, catalog, item, mode)
-        assert delta.nodes == tuple(catalog.node(n) for n in nodes)
-        assert list(delta.edges) == edges
-
-
-def _edge_pairs(g):
-    """(source index, target index, multiplicity), counted from ``g.edges()``."""
-    index = {v: i for i, v in enumerate(g.node_ids())}
-    counts = {}
-    for source, _, target in g.edges():
-        pair = (index[source], index[target])
-        counts[pair] = counts.get(pair, 0) + 1
-    return sorted((i, j, m) for (i, j), m in counts.items())
-
-
-class TestCompiledExtension:
-    def test_extension_matches_compiled_materialized_extension(self):
-        rng = random.Random(11)
-        for _ in range(20):
-            catalog, history, recs = random_catalog_with_profile(rng)
-            # parallel edges (same way round or reversed) and self-loops
-            for source, _, target in list(catalog.edges()):
-                if rng.random() < 0.3:
-                    catalog.add_edge(source, "alt", target)
-                if rng.random() < 0.2:
-                    catalog.add_edge(target, "rev", source)
-                if rng.random() < 0.1:
-                    catalog.add_edge(source, "self", source)
-            sg = induce_profile_subgraph(catalog, history)
-            profile = compile_graph(sg.graph)
-            for item, _ in recs.items:
-                for mode in (CLOSED, EDGES):
-                    delta = extension_delta(sg.graph, catalog, item, mode)
-                    extended = profile.extend(
-                        [node.id for node in delta.nodes],
-                        [(source, target) for source, _, target in delta.edges],
-                    )
-                    solid = extend_subgraph(sg, catalog, item, mode).graph
-                    compiled = compile_graph(solid)
-                    assert extended.nodes == compiled.nodes == list(solid.node_ids())
-                    assert extended.src.tolist() == compiled.src.tolist()
-                    assert extended.dst.tolist() == compiled.dst.tolist()
-                    assert extended.mult.tolist() == compiled.mult.tolist()
-                    pairs = list(zip(*(a.tolist() for a in (compiled.src, compiled.dst, compiled.mult))))
-                    assert pairs == _edge_pairs(solid)
-                    assert extended.num_edges == compiled.num_edges == solid.num_edges
-                    assert (extended.adjacency == compiled.adjacency).all()
-            # extending never touches the compiled profile
-            assert compile_graph(sg.graph).mult.tolist() == profile.mult.tolist()
+    def test_compiled_extensions_equal_the_oracle(self, drawn, mode):
+        """Every extension the re-ranker compiles equals the compiled
+        extension that the oracles materialize."""
+        catalog, history, items = drawn
+        sg = induce_profile_subgraph(catalog, history, user="u")
+        profile = induced_profile(catalog, history)
+        graphs = compiled_extensions(catalog, sg, items, mode)
+        assert len(graphs) == len(items)
+        for item, got in zip(items, graphs):
+            want = compile_graph(materialized_extension(profile, catalog, item, mode is CLOSED))
+            assert got.nodes == want.nodes, item
+            for name in ("src", "dst", "mult"):
+                got_array, want_array = getattr(got, name), getattr(want, name)
+                assert got_array.dtype == want_array.dtype, (item, name)
+                assert got_array.tolist() == want_array.tolist(), (item, name)
 
 
 class TestPruneGraph:
@@ -361,7 +288,7 @@ class TestPruneGraph:
             ]
         )
         pruned = prune_graph(catalog)
-        assert pruned.structural_signature() == catalog.structural_signature()
+        assert signature(pruned) == signature(catalog)
 
     def test_isolated_nodes_survive_degree_rule(self):
         catalog = build_catalog(
@@ -392,7 +319,7 @@ class TestExport:
         assert t1.read_bytes() == t2.read_bytes()
         assert n1.read_bytes() == n2.read_bytes()
         loaded = read_graph(t1, n1)
-        assert loaded.structural_signature() == dvs_catalog.structural_signature()
+        assert signature(loaded) == signature(dvs_catalog)
         assert loaded.recommendable == dvs_catalog.recommendable
 
     def test_export_is_sorted(self, tmp_path, dvs_catalog):
@@ -443,16 +370,16 @@ class TestMultigraphBasics:
         with pytest.raises(GraphError, match="source"):
             g.add_edge("missing", "p", "a")
 
-    def test_degrees_count_parallel_edges(self):
+    def test_parallel_edges_count_once_as_neighbors(self):
         g = Multigraph()
         g.add_node(Node("a", "track"))
         g.add_node(Node("b", "artist"))
         g.add_edge("a", "p", "b")
         g.add_edge("a", "q", "b")
-        assert g.out_degree("a") == 2
-        assert g.in_degree("b") == 2
-        assert g.degree("a") == 2
+        assert g.num_edges == 2
+        assert g.successors("a") == {"b": {"p", "q"}}
         assert g.neighbors("a") == {"b"}
+        assert g.neighbors("b") == {"a"}
 
     def test_edges_between_both_directions(self):
         g = Multigraph()
@@ -460,7 +387,8 @@ class TestMultigraphBasics:
         g.add_node(Node("b", "artist"))
         g.add_edge("a", "p", "b")
         g.add_edge("b", "q", "a")
-        assert sorted(g.incident_edges("a")) == [("a", "p", "b"), ("b", "q", "a")]
+        assert sorted(g.edges()) == [("a", "p", "b"), ("b", "q", "a")]
+        assert g.neighbors("a") == {"b"}
 
     def test_copy_is_independent(self):
         g = Multigraph()

@@ -278,6 +278,22 @@ class TestLoadNetflix:
             load_netflix(path)
         assert str(info.value) == f"{path}:3: repeated show_id 's1', first on line 2"
 
+    def test_errors_name_physical_lines_after_multiline_field(self, tmp_path):
+        # the first record's quoted description spans lines 2-3, so the
+        # repeated s1 is on line 4, though it is the second record
+        path = tmp_path / "nf.csv"
+        path.write_text(
+            "show_id,type,title,director,cast,country,date_added,"
+            "release_year,rating,duration,listed_in,description\n"
+            's1,Movie,Alpha,,,India,2021-01-01,2020,PG,90 min,Dramas,"Two\n'
+            'lines"\n'
+            "s1,Movie,Other,,,France,2021-02-01,2021,R,80 min,Comedies,Second\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(IngestError) as info:
+            load_netflix(path)
+        assert str(info.value) == f"{path}:4: repeated show_id 's1', first on line 3"
+
 
 class TestGenerateProfiles:
     def test_sizes_within_range(self, netflix_csv):

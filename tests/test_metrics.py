@@ -604,10 +604,12 @@ class TestBatch:
     @given(st.lists(st.text(max_size=3), max_size=12, unique=True), st.data())
     @settings(max_examples=100, deadline=None)
     def test_label_order_is_sorted_labels(self, labels, data):
-        split = data.draw(st.integers(0, len(labels)))
         empty = np.zeros(0, dtype=np.intp)
-        base = CompiledGraph(labels[:split], empty, empty, empty)
-        for graph in (base, base.extend(labels[split:], [])):
+        base = CompiledGraph(labels, empty, empty, empty)
+        # some of the nodes, in a drawn order
+        order = data.draw(st.permutations(range(len(labels))))
+        order = order[: data.draw(st.integers(0, len(labels)))]
+        for graph in (base, base.induced(order)):
             assert [graph.nodes[i] for i in graph.label_order] == sorted(graph.nodes)
 
 
@@ -625,10 +627,20 @@ def _kernel_calls(monkeypatch):
     return calls
 
 
+def _plus(base: CompiledGraph, added, edges) -> CompiledGraph:
+    """``base`` plus the ``added`` nodes, last, and one more edge per
+    (source, target) label pair of ``edges``."""
+    nodes = base.nodes + list(added)
+    index = {v: i for i, v in enumerate(nodes)}
+    pairs = zip(base.src.tolist(), base.dst.tolist(), base.mult.tolist())
+    ends = [(i, j) for i, j, mult in pairs for _ in range(mult)]
+    return CompiledGraph.from_edges(nodes, ends + [(index[s], index[t]) for s, t in edges])
+
+
 def _attached(base: CompiledGraph, labels, anchor):
     """``base`` plus one node per label, each alone and tied to ``anchor`` by
     one edge each way: one shape under different labels."""
-    return [base.extend([label], [(anchor, label), (label, anchor)]) for label in labels]
+    return [_plus(base, [label], [(anchor, label), (label, anchor)]) for label in labels]
 
 
 class TestRepeatedGraphs:
@@ -656,9 +668,9 @@ class TestRepeatedGraphs:
     def test_other_multiplicity_or_an_isolated_node_is_not_merged(self, monkeypatch):
         base = compile_graph(cycle_graph(3))
         graphs = [
-            base.extend(["x"], [("c0", "x")]),
-            base.extend(["y"], [("c0", "y"), ("c0", "y")]),
-            base.extend(["z", "w"], [("c0", "z")]),
+            _plus(base, ["x"], [("c0", "x")]),
+            _plus(base, ["y"], [("c0", "y"), ("c0", "y")]),
+            _plus(base, ["z", "w"], [("c0", "z")]),
         ]
         # the same pairs each time, so only the multiplicity or the node count
         # tells the graphs apart

@@ -18,13 +18,12 @@ from kgrerank import (
     closeness,
     compute_metric,
     extend_subgraph,
-    extension_delta,
     induce_profile_subgraph,
 )
 from kgrerank.graph import Node
-from kgrerank.metrics import PATH_KINDS, _distinct, compile_graph, compute_metrics
+from kgrerank.metrics import PATH_KINDS, _distinct, compute_metrics
 
-from conftest import core_passes, record_bfs_calls
+from conftest import compiled_extensions, core_passes, record_bfs_calls
 from oracles import (
     INF,
     brute_betweenness,
@@ -149,23 +148,8 @@ class TestPeeledGraphs:
         assert_path_metrics_equal_oracles(g)
 
 
-def extensions(sg, catalog, items, mode):
-    """The compiled profile's extension by each item, as the re-ranker builds it."""
-    profile = compile_graph(sg.graph)
-    out = []
-    for item in items:
-        delta = extension_delta(sg.graph, catalog, item, mode)
-        out.append(
-            profile.extend(
-                [node.id for node in delta.nodes],
-                [(source, target) for source, _, target in delta.edges],
-            )
-        )
-    return out
-
-
 def assert_metrics_equal_materialized(sg, catalog, items, mode):
-    values = compute_metrics(extensions(sg, catalog, items, mode), KINDS)
+    values = compute_metrics(compiled_extensions(catalog, sg, items, mode), KINDS)
     for position, item in enumerate(items):
         extended = extend_subgraph(sg, catalog, item, mode).graph
         for kind in KINDS:
@@ -273,7 +257,7 @@ class TestFixedExtensions:
             assert floyd_warshall(undirected_adjacency(joined))["t4"]["t1"] != INF
         assert floyd_warshall(undirected_adjacency(sg.graph))["t4"]["t1"] == INF
 
-        graphs = extensions(sg, catalog, self.ITEMS, mode)
+        graphs = compiled_extensions(catalog, sg, self.ITEMS, mode)
         values = compute_metrics(graphs, KINDS)
         # one pass per distinct extension, on its core; in edges mode join
         # and bridge each add one node linked to a4 and g1

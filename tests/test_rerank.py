@@ -23,7 +23,7 @@ from kgrerank import metrics as metrics_module
 from kgrerank.graph import Node
 from kgrerank.rerank import evaluate_metrics
 
-from conftest import DVS_EXPECTED, core_passes
+from conftest import DVS_EXPECTED, core_passes, signature
 from oracles import (
     assert_matches_reference,
     random_catalog_with_profile,
@@ -145,9 +145,9 @@ class TestRerankOnFixture:
             ranked(dvs_catalog, dvs_profile, recs)
 
     def test_input_subgraph_unchanged(self, dvs_catalog, dvs_profile, dvs_recs):
-        before = dvs_profile.graph.structural_signature()
+        before = signature(dvs_profile.graph)
         ranked(dvs_catalog, dvs_profile, dvs_recs)
-        assert dvs_profile.graph.structural_signature() == before
+        assert signature(dvs_profile.graph) == before
 
 
 ALL_KINDS = sorted(MetricKind, key=lambda k: k.value)
