@@ -20,10 +20,16 @@ from kgrerank import (
     read_graph,
 )
 
+from kgrerank.graph import added_nodes
 from kgrerank.metrics import compile_graph
 
 from conftest import compiled_extensions, signature
-from oracles import induced_profile, materialized_extension, random_catalog_with_profile
+from oracles import (
+    brute_extension,
+    induced_profile,
+    materialized_extension,
+    random_catalog_with_profile,
+)
 
 CLOSED = NeighborhoodMode.CLOSED_NEIGHBORHOOD
 EDGES = NeighborhoodMode.EDGES_TO_EXISTING
@@ -144,6 +150,44 @@ class TestInduceProfileSubgraph:
             assert set(sg.graph.edges()) <= catalog_edges
 
 
+class TestClosedNeighborhood:
+    """What a candidate adds in closed mode to an empty profile: itself, its
+    neighbours and the edges among them."""
+
+    def _extend_empty(self, catalog, item):
+        empty = induce_profile_subgraph(catalog, [])
+        return extend_subgraph(empty, catalog, item, CLOSED).graph
+
+    def test_track_neighborhood(self, track_catalog):
+        assert added_nodes((), track_catalog, "t_4471632", CLOSED) == [
+            "15160",
+            "disco",
+            "t_4471632",
+        ]
+        graph = self._extend_empty(track_catalog, "t_4471632")
+        assert set(graph.node_ids()) == {"t_4471632", "disco", "15160"}
+        assert graph.num_edges == 2
+
+    def test_isolated_node(self):
+        catalog = build_catalog([], nodes=[Node("alone", EntityKind.TRACK)])
+        assert added_nodes((), catalog, "alone", CLOSED) == ["alone"]
+        graph = self._extend_empty(catalog, "alone")
+        assert list(graph.node_ids()) == ["alone"]
+        assert list(graph.edges()) == []
+
+    def test_star_hub(self):
+        triples = [triple("hub", "p", f"leaf{i}") for i in range(4)]
+        catalog = build_catalog(triples)
+        assert len(added_nodes((), catalog, "hub", CLOSED)) == 5
+        graph = self._extend_empty(catalog, "hub")
+        assert graph.num_nodes == 5
+        assert graph.num_edges == 4
+
+    def test_unknown_item(self, track_catalog):
+        with pytest.raises(GraphError, match="nope"):
+            added_nodes((), track_catalog, "nope", CLOSED)
+
+
 class TestExtendSubgraph:
     def test_diverse_pair_adds_four_nodes_seven_edges(self, dvs_catalog, dvs_profile):
         step1 = extend_subgraph(dvs_profile, dvs_catalog, "d1", CLOSED)
@@ -193,6 +237,15 @@ class TestExtendSubgraph:
         once = extend_subgraph(dvs_profile, dvs_catalog, "d1", CLOSED)
         twice = extend_subgraph(once, dvs_catalog, "d1", CLOSED)
         assert signature(once.graph) == signature(twice.graph)
+
+    def test_contained_item_delta_is_empty_under_edges_mode(
+        self, dvs_catalog, dvs_profile
+    ):
+        ext = extend_subgraph(dvs_profile, dvs_catalog, "s1", EDGES)
+        assert added_nodes(ext.graph, dvs_catalog, "s1", EDGES) == []
+        again = extend_subgraph(ext, dvs_catalog, "s1", EDGES)
+        assert list(again.graph.node_ids()) == list(ext.graph.node_ids())
+        assert signature(again.graph) == signature(ext.graph)
 
     def test_non_recommendable_item_rejected(self, dvs_catalog, dvs_profile):
         with pytest.raises(GraphError, match="g1"):
@@ -247,6 +300,23 @@ def catalog_subgraphs(draw, max_nodes=10):
     return catalog, history, items
 
 
+class TestExtensionDeltaOracle:
+    @given(catalog_subgraphs(), st.sampled_from([CLOSED, EDGES]))
+    @settings(max_examples=400, deadline=None)
+    def test_delta_equals_brute_extension(self, drawn, mode):
+        """What ``extend_subgraph`` adds to an induced profile, nodes and
+        edges, is what the rule over the whole catalog edge list adds."""
+        catalog, history, items = drawn
+        sg = induce_profile_subgraph(catalog, history)
+        for item in items:
+            nodes, edges = brute_extension(sg.graph, catalog, item, closed=mode is CLOSED)
+            assert added_nodes(sg.graph, catalog, item, mode) == nodes, item
+            ext = extend_subgraph(sg, catalog, item, mode).graph
+            assert list(ext.node_ids()) == [*sg.graph.node_ids(), *nodes], item
+            assert sorted(set(ext.edges()) - set(sg.graph.edges())) == edges, item
+            assert ext.num_edges == sg.graph.num_edges + len(edges), item
+
+
 class TestInducedExtensions:
     @given(catalog_subgraphs(), st.sampled_from([CLOSED, EDGES]))
     @settings(max_examples=400, deadline=None)
@@ -265,6 +335,48 @@ class TestInducedExtensions:
                 got_array, want_array = getattr(got, name), getattr(want, name)
                 assert got_array.dtype == want_array.dtype, (item, name)
                 assert got_array.tolist() == want_array.tolist(), (item, name)
+
+
+def _edge_pairs(g):
+    """(source index, target index, multiplicity), counted from ``g.edges()``."""
+    index = {v: i for i, v in enumerate(g.node_ids())}
+    counts = {}
+    for source, _, target in g.edges():
+        pair = (index[source], index[target])
+        counts[pair] = counts.get(pair, 0) + 1
+    return sorted((i, j, m) for (i, j), m in counts.items())
+
+
+class TestCompiledExtension:
+    def test_extension_matches_compiled_materialized_extension(self):
+        """Every extension the re-ranker compiles equals the compiled
+        ``extend_subgraph`` result, on catalogs with parallel edges (same way
+        round or reversed) and self-loops."""
+        rng = random.Random(11)
+        for _ in range(20):
+            catalog, history, recs = random_catalog_with_profile(rng)
+            for source, _, target in list(catalog.edges()):
+                if rng.random() < 0.3:
+                    catalog.add_edge(source, "alt", target)
+                if rng.random() < 0.2:
+                    catalog.add_edge(target, "rev", source)
+                if rng.random() < 0.1:
+                    catalog.add_edge(source, "self", source)
+            sg = induce_profile_subgraph(catalog, history)
+            items = [item for item, _ in recs.items]
+            for mode in (CLOSED, EDGES):
+                graphs = compiled_extensions(catalog, sg, items, mode)
+                for item, extended in zip(items, graphs):
+                    solid = extend_subgraph(sg, catalog, item, mode).graph
+                    compiled = compile_graph(solid)
+                    assert extended.nodes == compiled.nodes == list(solid.node_ids())
+                    assert extended.src.tolist() == compiled.src.tolist()
+                    assert extended.dst.tolist() == compiled.dst.tolist()
+                    assert extended.mult.tolist() == compiled.mult.tolist()
+                    pairs = list(zip(*(a.tolist() for a in (compiled.src, compiled.dst, compiled.mult))))
+                    assert pairs == _edge_pairs(solid)
+                    assert extended.num_edges == compiled.num_edges == solid.num_edges
+                    assert (extended.adjacency == compiled.adjacency).all()
 
 
 class TestPruneGraph:
