@@ -17,7 +17,9 @@ import logging
 import os
 import sys
 from dataclasses import asdict, dataclass, field, fields
+from operator import itemgetter
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 
@@ -49,6 +51,7 @@ from .ingest import (
     load_netflix,
     make_synthetic_dataset,
     merge_lastfm,
+    row_width_problem,
     sample_users,
     split_interactions,
     write_summary,
@@ -438,19 +441,70 @@ def _write_features(features: dict[str, np.ndarray], path) -> None:
             writer.writerow([item, *map(repr, features[item].tolist())])
 
 
+# the columns of a workspace features file
+_FEATURE_COLUMNS = ("item", *FEATURE_NAMES)
+
+
+def _feature_columns(reader, path) -> tuple[list[int], int]:
+    """Read a features file's header; return the position of each of
+    ``_FEATURE_COLUMNS`` (a repeated name stands for its last column, as in
+    ``csv.DictReader``) and the header's width."""
+    header = next(reader, [])
+    missing = [name for name in _FEATURE_COLUMNS if name not in header]
+    if missing:
+        raise ValueError(f"{path}: missing column(s) {', '.join(missing)}")
+    position = {name: i for i, name in enumerate(header)}
+    return [position[name] for name in _FEATURE_COLUMNS], len(header)
+
+
 def _read_features(path) -> dict[str, np.ndarray]:
     """Read a workspace features file; a bad or repeated row is named by line
-    and item."""
-    out = {}
+    and item.
+
+    The values fill one (items x 8) array, checked at once; its read-only rows
+    are the feature rows. The file is read a second time only to name the
+    line of an error.
+    """
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        columns, width = _feature_columns(reader, path)
+        item_column, values_of = columns[0], itemgetter(*columns[1:])
+        needed = max(columns) + 1
+        items, cells = [], []
+        for row in reader:
+            if not needed <= len(row) <= width:
+                if row:
+                    _raise_feature_row_error(path)
+                continue
+            items.append(row[item_column])
+            cells += values_of(row)
+    try:
+        rows = np.array([float(v) for v in cells]).reshape(-1, len(FEATURE_NAMES))
+    except ValueError:
+        _raise_feature_row_error(path)
+    if (
+        len(set(items)) < len(items)
+        or not ((rows >= 0.0) & (rows <= 1.0)).all()
+        or not rows.any(axis=1).all()
+    ):
+        _raise_feature_row_error(path)
+    rows.flags.writeable = False
+    return dict(zip(items, rows))
+
+
+def _raise_feature_row_error(path) -> NoReturn:
+    """Raise the error of the first bad row of a features file whose header
+    is sound: a repeated item, a missing or extra value, a value that is not a
+    number in [0, 1], or an all-zero row."""
     first_line: dict[str, int] = {}
     with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
-        missing = [name for name in ("item", *FEATURE_NAMES) if name not in header]
-        if missing:
-            raise ValueError(f"{path}: missing column(s) {', '.join(missing)}")
+        reader = csv.reader(fh)
+        columns, width = _feature_columns(reader, path)
         for row in reader:
-            item, line = row["item"], reader.line_num
+            if not row:
+                continue
+            item = row[columns[0]] if columns[0] < len(row) else None
+            line = reader.line_num
             if item in first_line:
                 raise ValueError(
                     f"{path}:{line}: repeated item {item!r}, "
@@ -458,22 +512,15 @@ def _read_features(path) -> dict[str, np.ndarray]:
                 )
             first_line[item] = line
             try:
-                # a short row leaves its last columns None, and a long one
-                # files its extra values under the key None
-                missing = [name for name in FEATURE_NAMES if row[name] is None]
-                if missing:
-                    raise ValueError(f"missing value(s) for {', '.join(missing)}")
-                if None in row:
-                    raise ValueError(
-                        f"{len(row[None])} value(s) beyond the {len(header)} columns"
-                    )
-                vector = feature_vector(row[name] for name in FEATURE_NAMES)
+                problem = row_width_problem(row, _FEATURE_COLUMNS, columns, width)
+                if problem:
+                    raise ValueError(problem)
+                vector = feature_vector(row[i] for i in columns[1:])
                 if not vector.any():
                     raise ValueError("all-zero vector has no cosine distance")
-            except (TypeError, ValueError) as exc:
+            except ValueError as exc:
                 raise ValueError(f"{path}:{line}: item {item!r}: {exc}") from None
-            out[item] = vector
-    return out
+    raise AssertionError(f"{path}: no bad row found on reading it again")
 
 
 # ---------------------------------------------------------------------------

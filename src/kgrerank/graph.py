@@ -7,6 +7,14 @@ neighbours. Extending it with a candidate item gives the subgraph induced by
 the profile's nodes and the nodes the candidate adds (see
 :class:`NeighborhoodMode`). Extension never mutates the original subgraph, so
 per-candidate evaluations are independent.
+
+A catalog travels between pipeline stages as two flat files
+(:func:`export_graph`, :func:`read_graph`). Export cleans each distinct id and
+predicate once, tabs and line breaks becoming spaces, and refuses two that clean
+alike, since the reader would take them for one node or a repeated edge.
+:func:`build_catalog` and :func:`read_graph` fill the catalog's dicts with one
+node per new id; the reader keeps file order and reads a file a second time
+only to name the first line of a repeated node or edge.
 """
 
 from __future__ import annotations
@@ -216,6 +224,9 @@ class ProfileSubgraph:
     history: frozenset[str]
 
 
+_TRIPLE_FIELDS = ("source", "predicate", "target", "source_kind", "target_kind")
+
+
 def build_catalog(
     triples: Iterable[Triple], nodes: Iterable[Node] = ()
 ) -> CatalogGraph:
@@ -223,26 +234,26 @@ def build_catalog(
 
     Nodes are deduplicated by id; a kind conflict is an error. ``nodes`` are
     added first, so they keep their attributes, and entities that carry no
-    relations still appear.
-    Malformed triples are rejected with their 1-based record index.
+    relations still appear. A triple's endpoint becomes a node only when its id
+    is new. Malformed triples are rejected with their 1-based record index.
     """
     catalog = CatalogGraph()
     for node in nodes:
         catalog.add_node(node)
+    known = catalog._nodes
     for i, triple in enumerate(triples, start=1):
-        for name, value in (
-            ("source", triple.source),
-            ("predicate", triple.predicate),
-            ("target", triple.target),
-            ("source_kind", triple.source_kind),
-            ("target_kind", triple.target_kind),
-        ):
-            if not value:
-                raise GraphError(f"triple #{i}: missing {name}")
+        source, predicate, target = triple.source, triple.predicate, triple.target
+        source_kind, target_kind = triple.source_kind, triple.target_kind
+        if not (source and predicate and target and source_kind and target_kind):
+            name = next(name for name in _TRIPLE_FIELDS if not getattr(triple, name))
+            raise GraphError(f"triple #{i}: missing {name}")
         try:
-            catalog.add_node(Node(triple.source, triple.source_kind))
-            catalog.add_node(Node(triple.target, triple.target_kind))
-            catalog.add_edge(triple.source, triple.predicate, triple.target)
+            for node_id, kind in ((source, source_kind), (target, target_kind)):
+                node = known.get(node_id)
+                if node is None or node.kind != kind:
+                    # adds the new id, or raises the kind conflict
+                    catalog.add_node(Node(node_id, kind))
+            catalog.add_edge(source, predicate, target)
         except GraphError as exc:
             raise GraphError(f"triple #{i}: {exc}") from None
     return catalog
@@ -347,26 +358,51 @@ def prune_graph(g: Multigraph) -> Multigraph:
     return pruned
 
 
+def _clean(text: str) -> str:
+    # a reader in text mode ends a line at "\r" as well as at "\n"
+    return text.replace("\t", " ").replace("\n", " ").replace("\r", " ")
+
+
+def _cleaned(texts: Iterable[str], what: str) -> dict[str, str]:
+    """Each distinct text -> its flat-file form; two that clean alike raise."""
+    cleaned: dict[str, str] = {}
+    owner: dict[str, str] = {}
+    for text in sorted(set(texts)):
+        flat = cleaned[text] = _clean(text)
+        other = owner.setdefault(flat, text)
+        if other != text:
+            raise GraphError(
+                f"{what} {other!r} and {text!r} both export as {flat!r}"
+            )
+    return cleaned
+
+
 def export_graph(g: Multigraph, triples_path, nodes_path) -> None:
     """Write the graph as flat files: an edge list and a node manifest.
 
     Edges: ``<source>\\t<predicate>\\t<target>``, sorted lexicographically.
     Nodes: ``<id>\\t<kind>\\t<label>`` where the label falls back from the
-    ``label`` attribute to ``title`` to the empty string. Deterministic output
-    suitable for golden-file comparison.
+    ``label`` attribute to ``title`` to the empty string. Tabs, newlines and
+    carriage returns in a field are written as spaces; two node ids, or two
+    predicates, that this would make equal raise :class:`GraphError` naming
+    both, before either file is written. Deterministic output suitable for
+    golden-file comparison.
     """
-
-    def clean(text: str) -> str:
-        return text.replace("\t", " ").replace("\n", " ")
-
+    edges = sorted(g.edges())
+    ids = _cleaned(g.node_ids(), "node ids")
+    predicates = _cleaned((p for _, p, _ in edges), "predicates")
     with open(triples_path, "w", encoding="utf-8", newline="\n") as fh:
-        for source, predicate, target in sorted(g.edges()):
-            fh.write(f"{clean(source)}\t{clean(predicate)}\t{clean(target)}\n")
+        fh.write("".join(
+            f"{ids[source]}\t{predicates[predicate]}\t{ids[target]}\n"
+            for source, predicate, target in edges
+        ))
+    rows = []
+    for node_id, flat in ids.items():
+        node = g.node(node_id)
+        label = str(node.attrs.get("label") or node.attrs.get("title") or "")
+        rows.append(f"{flat}\t{_clean(node.kind)}\t{_clean(label)}\n")
     with open(nodes_path, "w", encoding="utf-8", newline="\n") as fh:
-        for node_id in sorted(g.node_ids()):
-            node = g.node(node_id)
-            label = str(node.attrs.get("label") or node.attrs.get("title") or "")
-            fh.write(f"{clean(node_id)}\t{clean(node.kind)}\t{clean(label)}\n")
+        fh.write("".join(rows))
 
 
 def read_graph(triples_path, nodes_path) -> CatalogGraph:
@@ -374,50 +410,73 @@ def read_graph(triples_path, nodes_path) -> CatalogGraph:
 
     Only the label attribute survives the round trip; other node attributes
     are not part of the flat format. A node id, and an edge, may appear on one
-    line only.
+    line only. Nodes and edges are filled straight into the catalog in file
+    order; a file is read a second time only to find the first line of a
+    repeated node or edge.
     """
     catalog = CatalogGraph()
-    first_line: dict[str, int] = {}
+    nodes, succ, pred = catalog._nodes, catalog._out, catalog._in
+    recommendable = catalog._recommendable
     with open(nodes_path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
+            parts = line.rstrip("\n").split("\t")
             if len(parts) != 3:
+                if parts == [""]:
+                    continue
                 raise GraphError(f"{nodes_path}:{lineno}: expected 3 fields")
             node_id, kind, label = parts
-            if node_id in first_line:
+            if node_id in nodes:
+                first = _first_line(nodes_path, lambda p: p[0] == node_id)
                 raise GraphError(
                     f"{nodes_path}:{lineno}: repeated node {node_id!r}, "
-                    f"first on line {first_line[node_id]}"
+                    f"first on line {first}"
                 )
-            first_line[node_id] = lineno
-            attrs = {"label": label} if label else {}
-            catalog.add_node(Node(node_id, kind, attrs))
+            nodes[node_id] = Node(node_id, kind, {"label": label} if label else {})
+            succ[node_id] = {}
+            pred[node_id] = {}
+            if kind in RECOMMENDABLE_KINDS:
+                recommendable.add(node_id)
+    num_edges = 0
     with open(triples_path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
+            parts = line.rstrip("\n").split("\t")
             if len(parts) != 3:
+                if parts == [""]:
+                    continue
                 raise GraphError(f"{triples_path}:{lineno}: expected 3 fields")
             source, predicate, target = parts
-            try:
-                added = catalog.add_edge(source, predicate, target)
-            except GraphError as exc:
-                raise GraphError(f"{triples_path}:{lineno}: {exc}") from None
-            if not added:
-                # found again only on this error path, so reading keeps no
-                # table of line numbers
-                with open(triples_path, encoding="utf-8") as again:
-                    first = next(
-                        n for n, text in enumerate(again, start=1)
-                        if text.rstrip("\n") == line
-                    )
+            targets = succ.get(source)
+            if targets is None or target not in nodes:
+                end, node_id = (
+                    ("source", source) if targets is None else ("target", target)
+                )
+                raise GraphError(
+                    f"{triples_path}:{lineno}: edge {end} {node_id!r} is not a node"
+                )
+            predicates = targets.get(target)
+            if predicates is None:
+                targets[target] = {predicate}
+                pred[target][source] = {predicate}
+            elif predicate in predicates:
+                first = _first_line(triples_path, parts.__eq__)
                 raise GraphError(
                     f"{triples_path}:{lineno}: repeated edge {tuple(parts)!r}, "
                     f"first on line {first}"
                 )
+            else:
+                predicates.add(predicate)
+                pred[target][source].add(predicate)
+            num_edges += 1
+    catalog._num_edges = num_edges
     return catalog
+
+
+def _first_line(path, match) -> int:
+    """The number of the first line of a flat file whose tab-separated fields
+    ``match`` accepts; read only on an error path, so that reading keeps no
+    table of line numbers."""
+    with open(path, encoding="utf-8") as fh:
+        return next(
+            lineno for lineno, line in enumerate(fh, start=1)
+            if match(line.rstrip("\n").split("\t"))
+        )

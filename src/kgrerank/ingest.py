@@ -7,6 +7,14 @@ triples and one catalog node per title. Synthetic generation covers both user
 profiles over an existing catalog and a fully self-contained two-cluster
 dataset used by the bundled experiments. All sampling is seeded and
 reproducible bit for bit.
+
+The readers build their results without an object per input record: events
+are counted straight into (user, track) play counts, the CSVs are read with
+``csv.reader`` by column position, and the joined tracks' features are scaled
+and checked as one (tracks x 8) array whose read-only rows become the feature
+rows. Every error names the file and the physical line; a CSV row too short
+for a required column, or longer than its header, is one
+(``missing value(s) for ...``, ``N value(s) beyond the M columns``).
 """
 
 from __future__ import annotations
@@ -18,6 +26,7 @@ import math
 import random
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
+from typing import NoReturn
 
 import numpy as np
 
@@ -82,70 +91,66 @@ def track_node_id(raw_track_id: str) -> str:
     return f"t_{raw_track_id}"
 
 
-def _read_tsv_events(path) -> Iterable[ListeningEvent]:
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 4:
-                raise IngestError(
-                    f"{path}:{lineno}: expected 4 tab-separated fields, "
-                    f"got {len(parts)}"
-                )
-            user, artist, track, ts = parts
-            if not user or not artist or not track:
-                raise IngestError(f"{path}:{lineno}: empty id field")
-            try:
-                timestamp = int(ts)
-            except ValueError:
-                raise IngestError(
-                    f"{path}:{lineno}: timestamp {ts!r} is not an integer"
-                ) from None
-            yield ListeningEvent(user, artist, track, timestamp)
+def _csv_columns(reader, path, required: Sequence[str]) -> tuple[list[int], int]:
+    """Read the header row of a ``csv.reader``; return the position of each
+    required column and the header's width.
 
-
-def _require_columns(path, fieldnames, required: Sequence[str]) -> None:
-    missing = [c for c in required if c not in (fieldnames or [])]
+    A name repeated in the header stands for its last column, as in
+    ``csv.DictReader``.
+    """
+    header = next(reader, [])
+    missing = [c for c in required if c not in header]
     if missing:
         raise IngestError(f"{path}: missing required columns: {missing}")
+    position = {name: i for i, name in enumerate(header)}
+    return [position[name] for name in required], len(header)
+
+
+def row_width_problem(
+    row: Sequence[str], names: Sequence[str], columns: Sequence[int], width: int
+) -> str | None:
+    """Why a CSV record cannot be read, if it is too short to hold one of the
+    ``names`` (at ``columns``) or longer than the header's ``width``."""
+    missing = [name for name, i in zip(names, columns) if i >= len(row)]
+    if missing:
+        return f"missing value(s) for {', '.join(missing)}"
+    if len(row) > width:
+        return f"{len(row) - width} value(s) beyond the {width} columns"
+    return None
 
 
 def _read_features_csv(path) -> dict[str, list[float]]:
     """Track id -> raw feature values in FEATURE_NAMES order (tempo unscaled)."""
     out: dict[str, list[float]] = {}
     first_line: dict[str, int] = {}
+    names = ("track_id", *FEATURE_NAMES)
     with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        _require_columns(path, reader.fieldnames, ["track_id", *FEATURE_NAMES])
+        reader = csv.reader(fh)
+        columns, width = _csv_columns(reader, path, names)
+        track_column, value_columns = columns[0], columns[1:]
         for row in reader:
+            if not row:
+                continue
             # the physical line the record ends on, which a quoted field
             # spanning lines puts past the record count
             lineno = reader.line_num
-            track = row["track_id"].strip()
-            if not track:
-                raise IngestError(f"{path}:{lineno}: empty track_id")
-            if track in first_line:
-                raise IngestError(
-                    f"{path}:{lineno}: repeated track_id {track!r}, "
-                    f"first on line {first_line[track]}"
-                )
-            first_line[track] = lineno
-            # a short row leaves its last columns None, and a long one files
-            # its extra values under the key None
-            missing = [name for name in FEATURE_NAMES if row[name] is None]
-            if missing:
-                raise IngestError(
-                    f"{path}:{lineno}: missing value(s) for {', '.join(missing)}"
-                )
-            if None in row:
-                raise IngestError(
-                    f"{path}:{lineno}: {len(row[None])} value(s) beyond the "
-                    f"{len(reader.fieldnames)} columns"
-                )
+            # a row too short to hold its track_id fails the width check
+            if track_column < len(row):
+                track = row[track_column].strip()
+                if not track:
+                    raise IngestError(f"{path}:{lineno}: empty track_id")
+                if track in first_line:
+                    raise IngestError(
+                        f"{path}:{lineno}: repeated track_id {track!r}, "
+                        f"first on line {first_line[track]}"
+                    )
+                first_line[track] = lineno
+            if len(row) != width:
+                problem = row_width_problem(row, names, columns, width)
+                if problem:
+                    raise IngestError(f"{path}:{lineno}: {problem}")
             try:
-                out[track] = [float(row[name]) for name in FEATURE_NAMES]
+                out[track] = [float(row[i]) for i in value_columns]
             except ValueError:
                 raise IngestError(
                     f"{path}:{lineno}: non-numeric feature value"
@@ -155,17 +160,73 @@ def _read_features_csv(path) -> dict[str, list[float]]:
 
 def _read_genres_csv(path) -> dict[str, list[str]]:
     out: dict[str, list[str]] = {}
+    names = ("track_id", "genre")
     with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        _require_columns(path, reader.fieldnames, ["track_id", "genre"])
+        reader = csv.reader(fh)
+        columns, width = _csv_columns(reader, path, names)
+        track_column, genre_column = columns
         for row in reader:
-            track = row["track_id"].strip()
-            genre = row["genre"].strip()
+            if not row:
+                continue
+            if len(row) != width:
+                problem = row_width_problem(row, names, columns, width)
+                if problem:
+                    raise IngestError(f"{path}:{reader.line_num}: {problem}")
+            track = row[track_column].strip()
+            genre = row[genre_column].strip()
             if track and genre:
                 genres = out.setdefault(track, [])
                 if genre not in genres:
                     genres.append(genre)
     return out
+
+
+def _count_events(path) -> tuple[dict[tuple[str, str], int], dict[str, str], int]:
+    """Play counts per (user, track), each track's first artist, and the number
+    of events in a listening-events TSV; blank lines are skipped."""
+    counts: dict[tuple[str, str], int] = {}
+    track_artist: dict[str, str] = {}
+    with open(path, encoding="utf-8") as fh:
+        for line in fh:
+            try:
+                # int() ignores the newline that ends the timestamp
+                user, artist, track, timestamp = line.split("\t")
+                int(timestamp)
+            except ValueError:
+                if line == "\n":
+                    continue
+                _raise_event_error(path)
+            if not (user and artist and track):
+                _raise_event_error(path)
+            key = (user, track)
+            counts[key] = counts.get(key, 0) + 1
+            if track not in track_artist:
+                track_artist[track] = artist
+    return counts, track_artist, sum(counts.values())
+
+
+def _raise_event_error(path) -> NoReturn:
+    """Raise the error of the first bad line of an events file: its field
+    count, then an empty id, then the timestamp."""
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            parts = line.rstrip("\n").split("\t")
+            if parts == [""]:
+                continue
+            if len(parts) != 4:
+                raise IngestError(
+                    f"{path}:{lineno}: expected 4 tab-separated fields, "
+                    f"got {len(parts)}"
+                )
+            if not all(parts[:3]):
+                raise IngestError(f"{path}:{lineno}: empty id field")
+            try:
+                int(parts[3])
+            except ValueError:
+                raise IngestError(
+                    f"{path}:{lineno}: timestamp {parts[3]!r} is not an integer"
+                ) from None
+    raise AssertionError(f"{path}: no bad line found on reading it again")
 
 
 def merge_lastfm(events_path, features_path, genres_path=None) -> MergeResult:
@@ -176,63 +237,61 @@ def merge_lastfm(events_path, features_path, genres_path=None) -> MergeResult:
     tracks are counted, not silently discarded. Tempo arrives on its raw scale
     and is min-max normalized over the surviving tracks; a track whose scaled
     vector is all-zero is rejected here so distance measures stay defined.
+
+    The events are counted straight into (user, track) play counts, and the
+    joined tracks' features are scaled and checked as one (tracks x 8) array,
+    whose read-only rows are the feature rows.
     """
     raw_features = _read_features_csv(features_path)
     genres = _read_genres_csv(genres_path) if genres_path else {}
+    counts, track_artist, events_read = _count_events(events_path)
 
-    counts: dict[tuple[str, str], int] = {}
-    track_artist: dict[str, str] = {}
-    events_read = 0
-    for event in _read_tsv_events(events_path):
-        events_read += 1
-        counts[(event.user, event.track)] = (
-            counts.get((event.user, event.track), 0) + 1
-        )
-        track_artist.setdefault(event.track, event.artist)
-
-    candidates = sorted(set(track_artist) & set(raw_features))
+    candidates = sorted(track_artist.keys() & raw_features.keys())
     summary: list[dict] = [
         {"stage": "merge", "count": events_read, "reason": "events read"}
     ]
 
     # tempo min-max over the joined tracks
-    survivors: list[str] = []
-    features: dict[str, np.ndarray] = {}
-    zero_norm = 0
+    rows = np.array([raw_features[t] for t in candidates], dtype=float).reshape(
+        len(candidates), len(FEATURE_NAMES)
+    )
     if candidates:
-        tempos = [raw_features[t][FEATURE_NAMES.index("tempo")] for t in candidates]
+        tempo = FEATURE_NAMES.index("tempo")
+        # builtin bounds over the list: where a NaN comes first, it is both
+        # bounds, the span is NaN and every tempo scales to 0.0
+        tempos = rows[:, tempo].tolist()
         t_low, t_high = min(tempos), max(tempos)
         span = t_high - t_low
-        for track in candidates:
-            values = list(raw_features[track])
-            tempo = values[FEATURE_NAMES.index("tempo")]
-            values[FEATURE_NAMES.index("tempo")] = (
-                (tempo - t_low) / span if span > 0 else 0.0
-            )
+        # an infinite bound scales to NaN, without a warning, as floats do
+        with np.errstate(invalid="ignore"):
+            rows[:, tempo] = (rows[:, tempo] - t_low) / span if span > 0 else 0.0
+        in_range = ((rows >= 0.0) & (rows <= 1.0)).all(axis=1)
+        if not in_range.all():
+            first = int(np.argmin(in_range))
             try:
-                vector = feature_vector(values)
+                feature_vector(rows[first])
             except ValueError as exc:
-                raise IngestError(f"track {track!r}: {exc}") from None
-            if not vector.any():
-                zero_norm += 1
-                continue
-            survivors.append(track)
-            features[track_node_id(track)] = vector
+                raise IngestError(f"track {candidates[first]!r}: {exc}") from None
+    rows.flags.writeable = False
+    nonzero = rows.any(axis=1).tolist()
+    zero_norm = nonzero.count(False)
+    # the surviving tracks, in sorted order, and their node ids
+    node_of = {t: track_node_id(t) for t, keep in zip(candidates, nonzero) if keep}
+    features = {node_of[t]: row for t, row in zip(candidates, rows) if t in node_of}
 
-    surviving = set(survivors)
     interactions: list[Interaction] = []
     kept_events = 0
     for (user, track), count in sorted(counts.items()):
-        if track in surviving:
-            interactions.append(Interaction(user, track_node_id(track), count))
+        node = node_of.get(track)
+        if node is not None:
+            interactions.append(Interaction(user, node, count))
             kept_events += count
     dropped_events = events_read - kept_events
 
     triples: list[Triple] = []
     genre_names: set[str] = set()
     artist_ids: set[str] = set()
-    for track in survivors:
-        node = track_node_id(track)
+    for track, node in node_of.items():
         artist = track_artist[track]
         artist_ids.add(artist)
         triples.append(
@@ -248,7 +307,7 @@ def merge_lastfm(events_path, features_path, genres_path=None) -> MergeResult:
         events=kept_events,
         users=len({i.user for i in interactions}),
         artists=len(artist_ids),
-        tracks=len(survivors),
+        tracks=len(node_of),
         genres=len(genre_names),
     )
     summary.extend(
@@ -264,7 +323,7 @@ def merge_lastfm(events_path, features_path, genres_path=None) -> MergeResult:
                 "count": zero_norm,
                 "reason": "tracks dropped (zero-norm feature vector)",
             },
-            {"stage": "merge", "count": len(survivors), "reason": "tracks kept"},
+            {"stage": "merge", "count": len(node_of), "reason": "tracks kept"},
         ]
     )
     return MergeResult(
@@ -334,17 +393,24 @@ def load_netflix(path) -> tuple[list[Triple], list[Node]]:
     title. Multi-valued cells are comma-split, the rating is one label, values
     are trimmed and empty ones are skipped silently. A title node's kind
     follows the ``type`` column (movie or TV show); it has no ``title``
-    attribute when the name is empty. A ``show_id`` may appear on one row only.
-    Errors name the physical line a record ends on.
+    attribute when the name is empty. A ``show_id`` may appear on one row only,
+    and a row must hold every required column and no more values than the
+    header names. Errors name the physical line a record ends on.
     """
     triples: list[Triple] = []
     titles: list[Node] = []
     first_line: dict[str, int] = {}
     with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        _require_columns(path, reader.fieldnames, _NETFLIX_COLUMNS)
-        for row in reader:
+        reader = csv.reader(fh)
+        columns, width = _csv_columns(reader, path, _NETFLIX_COLUMNS)
+        for cells in reader:
+            if not cells:
+                continue
             lineno = reader.line_num
+            problem = row_width_problem(cells, _NETFLIX_COLUMNS, columns, width)
+            if problem:
+                raise IngestError(f"{path}:{lineno}: {problem}")
+            row = {name: cells[i] for name, i in zip(_NETFLIX_COLUMNS, columns)}
             show_id = row["show_id"].strip()
             type_ = row["type"].strip()
             if not show_id:

@@ -16,6 +16,7 @@ from kgrerank import (
     induce_profile_subgraph,
     load_external_recommendations,
     load_netflix,
+    make_synthetic_dataset,
     read_graph,
     write_recommendations,
 )
@@ -40,6 +41,8 @@ from kgrerank.cli import (
     validate_config,
     _add_common_arguments,
     _build_config,
+    _read_features,
+    _synthetic_config,
 )
 from kgrerank.evaluation import FEATURE_NAMES
 from kgrerank.rerank import RecommendationList, evaluate_metrics
@@ -663,6 +666,12 @@ class TestExitCodes:
             ("nan," + "0.5," * 6 + "0.5", "feature danceability = nan outside [0, 1]"),
             ("0.5", "missing value(s) for " + ", ".join(FEATURE_NAMES[1:])),
             ("0.5," * 9 + "0.5", "2 value(s) beyond the 9 columns"),
+            (
+                "0.5,loud," + "0.5," * 5 + "0.5",
+                "could not convert string to float: 'loud'",
+            ),
+            ("0.5,1.5," + "0.5," * 5 + "0.5", "feature energy = 1.5 outside [0, 1]"),
+            ("0.5," * 7 + "-0.25", "feature tempo = -0.25 outside [0, 1]"),
         ],
     )
     def test_bad_feature_row_names_line_and_item(self, tmp_path, capsys, values, reason):
@@ -678,6 +687,35 @@ class TestExitCodes:
         assert (
             f"stage evaluate failed: {features}:4: item {found['item']!r}: {reason}\n"
         ) in err
+
+    def test_first_bad_feature_line_is_named(self, tmp_path, capsys):
+        found = {}
+
+        def break_two_rows(lines):
+            # a range error on line 5 comes before a repeat and a short row
+            found["item"] = lines[4].split(",")[0]
+            return [
+                *lines[:4], f"{found['item']},{'0.5,' * 7}2.0\n", *lines[5:],
+                lines[1], "x,0.5\n",
+            ]
+
+        code, err = self._evaluate_with_features(tmp_path, capsys, break_two_rows)
+        features = tmp_path / "out" / "features.csv"
+        assert code == 2
+        assert (
+            f"stage evaluate failed: {features}:5: item {found['item']!r}: "
+            "feature tempo = 2.0 outside [0, 1]\n"
+        ) in err
+
+    def test_features_read_back_as_written(self, tmp_path):
+        cfg = synth_config(tmp_path)
+        stage_ingest(cfg)
+        merged = make_synthetic_dataset(_synthetic_config(cfg))
+        features = _read_features(tmp_path / "out" / "features.csv")
+        assert list(features) == sorted(merged.features)
+        for item, row in features.items():
+            assert row.tobytes() == merged.features[item].tobytes()
+            assert row.shape == (len(FEATURE_NAMES),) and not row.flags.writeable
 
     def test_repeated_feature_item_names_both_lines(self, tmp_path, capsys):
         found = {}

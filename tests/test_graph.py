@@ -74,15 +74,45 @@ class TestBuildCatalog:
         assert catalog.num_edges == 2
         assert sorted(catalog.edges()) == [("a", "p", "b"), ("a", "q", "b")]
 
-    def test_malformed_triple_reports_record(self):
-        triples = [triple("a", "p", "b"), Triple("c", "p", "", "track", "artist")]
-        with pytest.raises(GraphError, match="triple #2"):
-            build_catalog(triples)
+    @pytest.mark.parametrize(
+        "bad, name",
+        [
+            (Triple("", "p", "d", "track", "artist"), "source"),
+            (Triple("c", "", "d", "track", "artist"), "predicate"),
+            (Triple("c", "p", "", "track", "artist"), "target"),
+            (Triple("c", "p", "d", "", "artist"), "source_kind"),
+            (Triple("c", "p", "d", "track", ""), "target_kind"),
+            # the first missing field is named
+            (Triple("c", "", "", "", ""), "predicate"),
+        ],
+    )
+    def test_malformed_triple_reports_record(self, bad, name):
+        with pytest.raises(GraphError) as info:
+            build_catalog([triple("a", "p", "b"), bad])
+        assert str(info.value) == f"triple #2: missing {name}"
 
     def test_kind_conflict_rejected(self):
         triples = [triple("a", "p", "b"), triple("b", "p", "c", sk="genre")]
-        with pytest.raises(GraphError, match="triple #2"):
+        with pytest.raises(GraphError) as info:
             build_catalog(triples)
+        assert str(info.value) == (
+            "triple #2: node 'b' redeclared with kind 'genre', already 'artist'"
+        )
+
+    def test_kind_conflict_with_a_seed_node_rejected(self):
+        with pytest.raises(GraphError) as info:
+            build_catalog([triple("a", "p", "m")], nodes=[Node("m", EntityKind.MOVIE)])
+        assert str(info.value) == (
+            "triple #1: node 'm' redeclared with kind 'artist', already 'movie'"
+        )
+
+    def test_first_declaration_keeps_its_attributes(self):
+        seed = Node("m", EntityKind.MOVIE, {"title": "Alpha"})
+        catalog = build_catalog(
+            [triple("p", "directs", "m", sk="person", tk="movie")], nodes=[seed]
+        )
+        assert catalog.node("m") is seed
+        assert list(catalog.node_ids()) == ["m", "p"]
 
     def test_seed_nodes_survive_without_relations(self):
         catalog = build_catalog([], nodes=[Node("lonely", EntityKind.MOVIE)])
@@ -471,6 +501,108 @@ class TestExport:
         assert str(info.value) == (
             f"{triples}:4: repeated edge ('a', 'genre', 'b'), first on line 1"
         )
+
+
+    @pytest.mark.parametrize("which", ["nodes", "triples"])
+    def test_wrong_field_count_names_file_and_line(self, tmp_path, which):
+        nodes, triples = tmp_path / "n.tsv", tmp_path / "t.tsv"
+        node_lines = "a\ttrack\t\n\nb\tgenre\t\n"
+        edge_lines = "a\tgenre\tb\n\nb\tof\ta\n"
+        if which == "nodes":
+            node_lines += "c\tgenre\n"
+        else:
+            edge_lines += "a\tgenre\tb\textra\n"
+        nodes.write_text(node_lines, encoding="utf-8")
+        triples.write_text(edge_lines, encoding="utf-8")
+        path = nodes if which == "nodes" else triples
+        with pytest.raises(GraphError) as info:
+            read_graph(triples, nodes)
+        assert str(info.value) == f"{path}:4: expected 3 fields"
+
+    @pytest.mark.parametrize(
+        "edge, reason",
+        [
+            ("x\tgenre\tb", "edge source 'x' is not a node"),
+            ("a\tgenre\tx", "edge target 'x' is not a node"),
+            ("x\tgenre\ty", "edge source 'x' is not a node"),
+        ],
+    )
+    def test_unknown_endpoint_names_file_and_line(self, tmp_path, edge, reason):
+        nodes, triples = tmp_path / "n.tsv", tmp_path / "t.tsv"
+        nodes.write_text("a\ttrack\t\nb\tgenre\t\n", encoding="utf-8")
+        triples.write_text(f"a\tgenre\tb\n{edge}\na\tgenre\tb\n", encoding="utf-8")
+        with pytest.raises(GraphError) as info:
+            read_graph(triples, nodes)
+        assert str(info.value) == f"{triples}:2: {reason}"
+
+    def test_read_keeps_node_order_successor_order_and_edge_count(
+        self, tmp_path, lastfm_corpus
+    ):
+        from kgrerank import merge_lastfm
+
+        merged = merge_lastfm(
+            lastfm_corpus / "events.tsv",
+            lastfm_corpus / "features.csv",
+            lastfm_corpus / "genres.csv",
+        )
+        catalog = build_catalog(merged.triples)
+        export_graph(catalog, tmp_path / "t.tsv", tmp_path / "n.tsv")
+        loaded = read_graph(tmp_path / "t.tsv", tmp_path / "n.tsv")
+        # nodes in file order; a node's successors in the order its edges
+        # first name them in the file
+        rows = (tmp_path / "t.tsv").read_text(encoding="utf-8").splitlines()
+        edges = [row.split("\t") for row in rows]
+        file_nodes = (tmp_path / "n.tsv").read_text(encoding="utf-8").splitlines()
+        assert list(loaded.node_ids()) == [row.split("\t")[0] for row in file_nodes]
+        assert list(loaded.node_ids()) == sorted(catalog.node_ids())
+        assert loaded.num_edges == catalog.num_edges == len(edges) > 0
+        assert loaded.recommendable == catalog.recommendable
+        for node_id in loaded.node_ids():
+            expected = list(dict.fromkeys(t for s, _, t in edges if s == node_id))
+            assert list(loaded.successors(node_id)) == expected
+            assert loaded.successors(node_id) == catalog.successors(node_id)
+            assert loaded.neighbors(node_id) == catalog.neighbors(node_id)
+            assert loaded.node(node_id).kind == catalog.node(node_id).kind
+        assert sorted(loaded.edges()) == sorted(catalog.edges())
+
+    @pytest.mark.parametrize(
+        "first, second",
+        [
+            ("rock\tpop", "rock pop"),
+            ("rock\npop", "rock\tpop"),
+            ("rock\rpop", "rock pop"),
+        ],
+    )
+    def test_ids_that_export_alike_are_rejected(self, tmp_path, first, second):
+        catalog = build_catalog(
+            [triple("t1", "genre", first, tk="genre"),
+             triple("t2", "genre", second, tk="genre")]
+        )
+        with pytest.raises(GraphError) as info:
+            export_graph(catalog, tmp_path / "t.tsv", tmp_path / "n.tsv")
+        a, b = sorted([first, second])
+        assert str(info.value) == (
+            f"node ids {a!r} and {b!r} both export as 'rock pop'"
+        )
+
+    def test_predicates_that_export_alike_are_rejected(self, tmp_path):
+        catalog = build_catalog(
+            [triple("t1", "made\tby", "a1"), triple("t1", "made by", "a1")]
+        )
+        with pytest.raises(GraphError) as info:
+            export_graph(catalog, tmp_path / "t.tsv", tmp_path / "n.tsv")
+        assert str(info.value) == (
+            "predicates 'made\\tby' and 'made by' both export as 'made by'"
+        )
+
+    @pytest.mark.parametrize("genre", ["rock\tpop", "rock\npop", "rock\rpop"])
+    def test_cleaned_ids_are_written_and_read_back(self, tmp_path, genre):
+        catalog = build_catalog([triple("t1", "genre", genre, tk="genre")])
+        export_graph(catalog, tmp_path / "t.tsv", tmp_path / "n.tsv")
+        assert (tmp_path / "t.tsv").read_bytes() == b"t1\tgenre\trock pop\n"
+        assert (tmp_path / "n.tsv").read_bytes() == b"rock pop\tgenre\t\nt1\ttrack\t\n"
+        loaded = read_graph(tmp_path / "t.tsv", tmp_path / "n.tsv")
+        assert sorted(loaded.edges()) == [("t1", "genre", "rock pop")]
 
 
 class TestMultigraphBasics:

@@ -117,12 +117,123 @@ class TestMergeLastfm:
             f"{features}:7: missing value(s) for " + ", ".join(FEATURE_NAMES[1:])
         )
 
-    def test_malformed_event_line_reports_position(self, tmp_path, lastfm_files):
+    @pytest.mark.parametrize(
+        "line, reason",
+        [
+            ("u1\ta1\ttr2\n", "expected 4 tab-separated fields, got 3"),
+            ("u1\ta1\ttr2\t200\t9\n", "expected 4 tab-separated fields, got 5"),
+            ("u1\t\ttr2\t200\n", "empty id field"),
+            ("\ta1\ttr2\tlater\n", "empty id field"),
+            ("u1\ta1\ttr2\tlater\n", "timestamp 'later' is not an integer"),
+        ],
+    )
+    def test_malformed_event_line_names_path_line_and_reason(
+        self, tmp_path, lastfm_files, line, reason
+    ):
+        # the blank line 2 is skipped but counted
         _, features, _ = lastfm_files
         bad = tmp_path / "bad_events.tsv"
-        bad.write_text("u1\ta1\ttr1\t100\nu1\ta1\ttr2\n", encoding="utf-8")
-        with pytest.raises(IngestError, match=":2"):
+        bad.write_text("u1\ta1\ttr1\t100\n\n" + line + "u2\t\t\tx\n", encoding="utf-8")
+        with pytest.raises(IngestError) as info:
             merge_lastfm(bad, features)
+        assert str(info.value) == f"{bad}:3: {reason}"
+
+    def test_events_first_artist_of_a_track_wins(self, tmp_path, lastfm_files):
+        _, features, _ = lastfm_files
+        events = tmp_path / "events.tsv"
+        events.write_text(
+            "u1\ta1\ttr1\t100\nu2\ta2\ttr1\t200\nu1\ta1\ttr1\t300\n",
+            encoding="utf-8",
+        )
+        result = merge_lastfm(events, features)
+        assert [(t.source, t.target) for t in result.triples] == [("t_tr1", "a1")]
+        assert [(i.user, i.item, i.count) for i in result.interactions] == [
+            ("u1", "t_tr1", 2),
+            ("u2", "t_tr1", 1),
+        ]
+
+    @pytest.mark.parametrize(
+        "row, reason",
+        [
+            (" ,0.1,0.2,0.3,0.4,0.5,0.6,0.7,80", "empty track_id"),
+            ("tr4,0.1,0.2,high,0.4,0.5,0.6,0.7,80", "non-numeric feature value"),
+        ],
+    )
+    def test_bad_feature_row_names_line(self, lastfm_files, row, reason):
+        events, features, _ = lastfm_files
+        with open(features, "a", encoding="utf-8") as fh:
+            fh.write(row + "\n")
+        with pytest.raises(IngestError) as info:
+            merge_lastfm(events, features)
+        assert str(info.value) == f"{features}:5: {reason}"
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            # checked after tempo scaling, in sorted track order
+            ("tr4,0.1,1.5,0.3,0.4,0.5,0.6,0.7,80",
+             "track 'tr4': feature energy = 1.5 outside [0, 1]"),
+            ("tr4,0.1,0.5,0.3,0.4,0.5,0.6,nan,80",
+             "track 'tr4': feature valence = nan outside [0, 1]"),
+            # an infinite tempo spans the scale, and scales itself to inf/inf
+            ("tr4,0.1,0.2,0.3,0.4,0.5,0.6,0.7,inf",
+             "track 'tr4': feature tempo = nan outside [0, 1]"),
+            ("tr4,0.1,0.2,0.3,0.4,0.5,0.6,0.7,-inf",
+             "track 'tr1': feature tempo = nan outside [0, 1]"),
+            # a NaN tempo after the first leaves the bounds finite
+            ("tr4,0.1,0.2,0.3,0.4,0.5,0.6,0.7,nan",
+             "track 'tr4': feature tempo = nan outside [0, 1]"),
+        ],
+    )
+    def test_out_of_range_feature_names_track(
+        self, tmp_path, lastfm_files, row, message
+    ):
+        events, features, _ = lastfm_files
+        with open(events, "a", encoding="utf-8") as fh:
+            fh.write("u4\ta4\ttr4\t600\n")
+        with open(features, "a", encoding="utf-8") as fh:
+            fh.write(row + "\n")
+        with pytest.raises(IngestError) as info:
+            merge_lastfm(events, features)
+        assert str(info.value) == message
+
+    def test_nan_tempo_first_in_track_order_zeroes_every_tempo(
+        self, tmp_path, lastfm_files
+    ):
+        # the builtin bounds over the list start from the NaN, so the span is
+        # NaN and every scaled tempo is 0.0
+        events, features, _ = lastfm_files
+        with open(events, "a", encoding="utf-8") as fh:
+            fh.write("u4\ta4\ttr0\t600\n")
+        with open(features, "a", encoding="utf-8") as fh:
+            fh.write("tr0,0.1,0.2,0.3,0.4,0.5,0.6,0.7,nan\n")
+        result = merge_lastfm(events, features)
+        tempo = FEATURE_NAMES.index("tempo")
+        assert {t: v[tempo] for t, v in result.features.items()} == {
+            "t_tr0": 0.0, "t_tr1": 0.0, "t_tr2": 0.0, "t_tr3": 0.0,
+        }
+
+    def test_feature_rows_are_read_only(self, lastfm_files):
+        events, features, genres = lastfm_files
+        result = merge_lastfm(events, features, genres)
+        for row in result.features.values():
+            assert row.dtype == np.float64 and row.shape == (len(FEATURE_NAMES),)
+            assert not row.flags.writeable
+
+    @pytest.mark.parametrize(
+        "row, reason",
+        [
+            ("tr2", "missing value(s) for genre"),
+            ("tr2,pop,extra", "1 value(s) beyond the 2 columns"),
+        ],
+    )
+    def test_bad_genre_row_names_line(self, lastfm_files, row, reason):
+        events, features, genres = lastfm_files
+        with open(genres, "a", encoding="utf-8") as fh:
+            fh.write(row + "\n")
+        with pytest.raises(IngestError) as info:
+            merge_lastfm(events, features, genres)
+        assert str(info.value) == f"{genres}:4: {reason}"
 
     def test_summary_records_drop_reason(self, lastfm_files, tmp_path):
         events, features, genres = lastfm_files
@@ -278,6 +389,36 @@ class TestLoadNetflix:
             load_netflix(path)
         assert str(info.value) == f"{path}:3: repeated show_id 's1', first on line 2"
 
+    @pytest.mark.parametrize(
+        "cut, reason",
+        [
+            # s2's row cut after its rating
+            (9, "missing value(s) for duration, listed_in, description"),
+            (2, "missing value(s) for title, director, cast, country, "
+                "release_year, rating, duration, listed_in, description"),
+        ],
+    )
+    def test_short_row_names_line_and_columns(self, tmp_path, netflix_csv, cut, reason):
+        lines = netflix_csv.read_text(encoding="utf-8").splitlines()
+        short = ",".join(lines[2].split(",")[:cut])
+        path = tmp_path / "short.csv"
+        text = "\n".join([*lines[:2], short, *lines[3:]]) + "\n"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(IngestError) as info:
+            load_netflix(path)
+        assert str(info.value) == f"{path}:3: {reason}"
+
+    def test_long_row_names_line_and_extra_values(self, tmp_path, netflix_csv):
+        path = tmp_path / "long.csv"
+        path.write_text(
+            netflix_csv.read_text(encoding="utf-8")
+            + "s6,Movie,Zeta,,,,2021-06-01,2017,R,80 min,Comedies,Plain,x,y\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(IngestError) as info:
+            load_netflix(path)
+        assert str(info.value) == f"{path}:7: 2 value(s) beyond the 12 columns"
+
     def test_errors_name_physical_lines_after_multiline_field(self, tmp_path):
         # the first record's quoted description spans lines 2-3, so the
         # repeated s1 is on line 4, though it is the second record
@@ -421,3 +562,144 @@ class TestSyntheticDataset:
         data = make_synthetic_dataset(SyntheticConfig(seed=5))
         for vector in data.features.values():
             assert all(0.0 < v < 1.0 for v in vector)
+
+
+def _ingest_case(case, tmp_path, lastfm_files, netflix_csv, corpus) -> dict:
+    """The ``kgrerank ingest`` config of one artifact-digest case."""
+    events, features, genres = lastfm_files
+    if case == "lastfm-corpus":
+        events, features, genres = (
+            corpus / name for name in ("events.tsv", "features.csv", "genres.csv")
+        )
+    doc = {"output_dir": str(tmp_path / "out"), "seed": 5}
+    if case == "lastfm-corpus":
+        doc["dataset"] = {
+            "kind": "lastfm", "events": str(events), "features": str(features),
+            "genres": str(genres), "sample_users": 3, "min_unique_tracks": 10,
+        }
+    elif case.startswith("lastfm"):
+        doc["dataset"] = {
+            "kind": "lastfm", "events": str(events), "features": str(features)
+        }
+        if case == "lastfm-genres":
+            doc["dataset"]["genres"] = str(genres)
+    elif case.startswith("netflix"):
+        doc["dataset"] = {
+            "kind": "netflix",
+            "titles": str(netflix_csv),
+            "profiles": {"count": 4, "min_items": 1, "max_items": 3},
+            "prune": {"degree_one": case == "netflix-pruned"},
+        }
+    else:
+        doc["dataset"] = {"kind": "synthetic", "synthetic": {"users": 6}}
+    return doc
+
+
+# sha256 of each ingest artifact, recorded before ingest was rewritten for
+# speed; manifest.json is left out because it records the temporary paths
+INGEST_DIGESTS = {
+    "lastfm-corpus": {
+        "catalog_nodes.tsv":
+            "ba5628f959673d6d7a0bd7142c3dc3d399b2ff31b065831f9dd7997f91d84ee4",
+        "catalog_triples.tsv":
+            "35f8354b976a7a164071865c905ad9d3a9e47bec5a2ed0aeec6768153c8369ba",
+        "features.csv":
+            "fbb46c636c802333e77caa5b5a7fee62b95ae5523f1121c2a48318209669669a",
+        "ingest_summary.jsonl":
+            "5ff252b3536e79bb26b23c699dc33a0911951e8360ce8d6e6228ce991e480709",
+        "interactions.tsv":
+            "ee96acd26dc69ae6b0b6226cdb8ea5fc8f459304633a7785add1c8677b2ae52e",
+        "profiles.json":
+            "ebe3a5ae11f98de27ce31f894761eb05937b5e61366f7c45861f1364dae1eeb8",
+    },
+    "lastfm-genres": {
+        "catalog_nodes.tsv":
+            "fd91fc23bb26e486b79a7a567cebce9e6b9325b5471d7b3c1083f30a5a822939",
+        "catalog_triples.tsv":
+            "5c325c0a87eca6c2f47739b5f3698f35e0a8d7b9a549b0298631434067f551a8",
+        "features.csv":
+            "7693becabd5241ea80321afe4133183626ef9f961c350e0f05f4b8d79694903c",
+        "ingest_summary.jsonl":
+            "e5a418d0b0e2c7f752915dcd4072b7826619076d8f0b047bf96883e269461b62",
+        "interactions.tsv":
+            "822034715ba7b56f394c74944794b3eef34fef1df19d6efaf6c7ebb9a686bc17",
+        "profiles.json":
+            "a8848dff5851be4633a4a5c8d0b1d7bbeaf11d739bb61f42fb892c5ade3795e2",
+    },
+    "lastfm-no-genres": {
+        "catalog_nodes.tsv":
+            "8cdb8c4050eac64a38471da7f1d32784443ae86f18d47f271b9284008bd93a59",
+        "catalog_triples.tsv":
+            "8ae45bcfe9c7a17b0d7e9da4cb64fb18a26e18f5e4f33b4aadcc383ae9a2805e",
+        "features.csv":
+            "7693becabd5241ea80321afe4133183626ef9f961c350e0f05f4b8d79694903c",
+        "ingest_summary.jsonl":
+            "e5a418d0b0e2c7f752915dcd4072b7826619076d8f0b047bf96883e269461b62",
+        "interactions.tsv":
+            "822034715ba7b56f394c74944794b3eef34fef1df19d6efaf6c7ebb9a686bc17",
+        "profiles.json":
+            "a8848dff5851be4633a4a5c8d0b1d7bbeaf11d739bb61f42fb892c5ade3795e2",
+    },
+    "netflix-pruned": {
+        "catalog_nodes.tsv":
+            "320098d4c5c1c88fbb2397116186c4693fd68ffab2ec65f089983462dbb84780",
+        "catalog_triples.tsv":
+            "ac2c199c67bd1b4cfe2e223dfd685d2a0e48a9edcc2849fff68666a3af97c6d4",
+        "ingest_summary.jsonl":
+            "63554a6f4a1947eaa57ff950d3f9c888207ce4f4e59216ce64380fd2039fbdd4",
+        "interactions.tsv":
+            "09196d392c824fa4b5186eb1b624b421bcf9a1a57359ffd173b5cb97b2ef588c",
+        "profiles.json":
+            "1e66472c0bc43ecd9993f3ef4aa4cbc617d75b012fc298ca8a10ed869dfbe0dc",
+    },
+    "netflix-unpruned": {
+        "catalog_nodes.tsv":
+            "037b3c82b4f089373c97a0414dd3c0763c72b6f52ddefb2fc508d77671f618f2",
+        "catalog_triples.tsv":
+            "ff639ad3844ddc7abc95f849303a87fe02032b4a779c56ad6be4ad843567f2a0",
+        "ingest_summary.jsonl":
+            "4d863053ccc809118f30b69ce0fd66bed9079cf263967c9e242a24b9c12b8b94",
+        "interactions.tsv":
+            "1476f398666f27413de8ad91c3c32e1de00e4533c91713515c425b278dc25fd9",
+        "profiles.json":
+            "c10aa2db45b56b389ba1026f74b35c451f09c82496c8e94260b24a25de64fd74",
+    },
+    "synthetic": {
+        "catalog_nodes.tsv":
+            "30c72a23becaf71ae90de0c1b5633909838986f2c6a769ff58054b523a89c828",
+        "catalog_triples.tsv":
+            "f49da3e8ba96b9215a8b69f646e6ae2e8d344b9d866518612e8a8a81b8264e94",
+        "features.csv":
+            "02f33bb64bd7393e9489558da6fce49d122b5a805b5785ccd3e4e5d2438f1f4f",
+        "ingest_summary.jsonl":
+            "e0a4271f155196b2382963982ba92c10677e61ed257d165b0f716e8ee94a482b",
+        "interactions.tsv":
+            "28077a61b2d752b4fd2e38187c3e80ea43a53f2e35f554001490115ac8af76e0",
+        "profiles.json":
+            "cca3c7eb8685a1120da5b2d00e7b94da30ee6775f2d3d941279a5a325c7f83c6",
+    },
+}
+
+
+class TestIngestArtifactDigests:
+    @pytest.mark.parametrize("case", sorted(INGEST_DIGESTS))
+    def test_artifacts_are_byte_identical(
+        self, tmp_path, lastfm_files, netflix_csv, lastfm_corpus, case
+    ):
+        import hashlib
+
+        from kgrerank.cli import main
+
+        from conftest import write_config
+
+        config = write_config(
+            tmp_path / "config.json",
+            _ingest_case(case, tmp_path, lastfm_files, netflix_csv, lastfm_corpus),
+        )
+        assert main(["ingest", "--config", str(config)]) == 0
+        digests = {
+            path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in sorted((tmp_path / "out").iterdir())
+            if path.name != "manifest.json"
+        }
+        assert digests == INGEST_DIGESTS[case]
