@@ -12,9 +12,9 @@ A catalog travels between pipeline stages as two flat files
 (:func:`export_graph`, :func:`read_graph`). Export cleans each distinct id and
 predicate once, tabs and line breaks becoming spaces, and refuses two that clean
 alike, since the reader would take them for one node or a repeated edge.
-:func:`build_catalog` and :func:`read_graph` fill the catalog's dicts with one
-node per new id; the reader keeps file order and reads a file a second time
-only to name the first line of a repeated node or edge.
+:func:`build_catalog` makes a node only for a new id; :func:`read_graph` keeps
+file order and reads a file a second time only to name the first line of a
+repeated node or edge.
 """
 
 from __future__ import annotations
@@ -410,13 +410,10 @@ def read_graph(triples_path, nodes_path) -> CatalogGraph:
 
     Only the label attribute survives the round trip; other node attributes
     are not part of the flat format. A node id, and an edge, may appear on one
-    line only. Nodes and edges are filled straight into the catalog in file
-    order; a file is read a second time only to find the first line of a
-    repeated node or edge.
+    line only. Nodes and edges are added in file order; a file is read a
+    second time only to find the first line of a repeated node or edge.
     """
     catalog = CatalogGraph()
-    nodes, succ, pred = catalog._nodes, catalog._out, catalog._in
-    recommendable = catalog._recommendable
     with open(nodes_path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             parts = line.rstrip("\n").split("\t")
@@ -425,18 +422,13 @@ def read_graph(triples_path, nodes_path) -> CatalogGraph:
                     continue
                 raise GraphError(f"{nodes_path}:{lineno}: expected 3 fields")
             node_id, kind, label = parts
-            if node_id in nodes:
+            if node_id in catalog:
                 first = _first_line(nodes_path, lambda p: p[0] == node_id)
                 raise GraphError(
                     f"{nodes_path}:{lineno}: repeated node {node_id!r}, "
                     f"first on line {first}"
                 )
-            nodes[node_id] = Node(node_id, kind, {"label": label} if label else {})
-            succ[node_id] = {}
-            pred[node_id] = {}
-            if kind in RECOMMENDABLE_KINDS:
-                recommendable.add(node_id)
-    num_edges = 0
+            catalog.add_node(Node(node_id, kind, {"label": label} if label else {}))
     with open(triples_path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             parts = line.rstrip("\n").split("\t")
@@ -444,39 +436,27 @@ def read_graph(triples_path, nodes_path) -> CatalogGraph:
                 if parts == [""]:
                     continue
                 raise GraphError(f"{triples_path}:{lineno}: expected 3 fields")
-            source, predicate, target = parts
-            targets = succ.get(source)
-            if targets is None or target not in nodes:
-                end, node_id = (
-                    ("source", source) if targets is None else ("target", target)
-                )
-                raise GraphError(
-                    f"{triples_path}:{lineno}: edge {end} {node_id!r} is not a node"
-                )
-            predicates = targets.get(target)
-            if predicates is None:
-                targets[target] = {predicate}
-                pred[target][source] = {predicate}
-            elif predicate in predicates:
+            try:
+                added = catalog.add_edge(*parts)
+            except GraphError as exc:
+                raise GraphError(f"{triples_path}:{lineno}: {exc}") from None
+            if not added:
                 first = _first_line(triples_path, parts.__eq__)
                 raise GraphError(
                     f"{triples_path}:{lineno}: repeated edge {tuple(parts)!r}, "
                     f"first on line {first}"
                 )
-            else:
-                predicates.add(predicate)
-                pred[target][source].add(predicate)
-            num_edges += 1
-    catalog._num_edges = num_edges
     return catalog
 
 
 def _first_line(path, match) -> int:
-    """The number of the first line of a flat file whose tab-separated fields
-    ``match`` accepts; read only on an error path, so that reading keeps no
-    table of line numbers."""
+    """The number of the first non-blank line of a flat file whose
+    tab-separated fields ``match`` accepts; read only on an error path, so that
+    reading keeps no table of line numbers."""
     with open(path, encoding="utf-8") as fh:
         return next(
-            lineno for lineno, line in enumerate(fh, start=1)
-            if match(line.rstrip("\n").split("\t"))
+            lineno for lineno, parts in enumerate(
+                (line.rstrip("\n").split("\t") for line in fh), start=1
+            )
+            if parts != [""] and match(parts)
         )

@@ -26,7 +26,6 @@ import math
 import random
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
-from typing import NoReturn
 
 import numpy as np
 
@@ -39,14 +38,6 @@ log = logging.getLogger(__name__)
 
 class IngestError(ValueError):
     """Raised for malformed or inconsistent input data."""
-
-
-@dataclass(frozen=True)
-class ListeningEvent:
-    user: str
-    artist: str
-    track: str
-    timestamp: int
 
 
 @dataclass(frozen=True)
@@ -187,46 +178,31 @@ def _count_events(path) -> tuple[dict[tuple[str, str], int], dict[str, str], int
     counts: dict[tuple[str, str], int] = {}
     track_artist: dict[str, str] = {}
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            try:
-                # int() ignores the newline that ends the timestamp
-                user, artist, track, timestamp = line.split("\t")
-                int(timestamp)
-            except ValueError:
+        for lineno, line in enumerate(fh, start=1):
+            parts = line.split("\t")
+            if len(parts) != 4:
                 if line == "\n":
                     continue
-                _raise_event_error(path)
+                raise IngestError(
+                    f"{path}:{lineno}: expected 4 tab-separated fields, "
+                    f"got {len(parts)}"
+                )
+            user, artist, track, timestamp = parts
             if not (user and artist and track):
-                _raise_event_error(path)
+                raise IngestError(f"{path}:{lineno}: empty id field")
+            try:
+                # int() ignores the newline that ends the timestamp
+                int(timestamp)
+            except ValueError:
+                value = timestamp.rstrip("\n")
+                raise IngestError(
+                    f"{path}:{lineno}: timestamp {value!r} is not an integer"
+                ) from None
             key = (user, track)
             counts[key] = counts.get(key, 0) + 1
             if track not in track_artist:
                 track_artist[track] = artist
     return counts, track_artist, sum(counts.values())
-
-
-def _raise_event_error(path) -> NoReturn:
-    """Raise the error of the first bad line of an events file: its field
-    count, then an empty id, then the timestamp."""
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            parts = line.rstrip("\n").split("\t")
-            if parts == [""]:
-                continue
-            if len(parts) != 4:
-                raise IngestError(
-                    f"{path}:{lineno}: expected 4 tab-separated fields, "
-                    f"got {len(parts)}"
-                )
-            if not all(parts[:3]):
-                raise IngestError(f"{path}:{lineno}: empty id field")
-            try:
-                int(parts[3])
-            except ValueError:
-                raise IngestError(
-                    f"{path}:{lineno}: timestamp {parts[3]!r} is not an integer"
-                ) from None
-    raise AssertionError(f"{path}: no bad line found on reading it again")
 
 
 def merge_lastfm(events_path, features_path, genres_path=None) -> MergeResult:

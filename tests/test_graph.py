@@ -490,6 +490,15 @@ class TestExport:
             read_graph(triples, nodes)
         assert str(info.value) == f"{nodes}:3: repeated node 'a', first on line 1"
 
+    def test_repeated_empty_node_id_skips_blank_lines(self, tmp_path):
+        # a blank line splits to one empty field; it is no node with id ''
+        nodes, triples = tmp_path / "n.tsv", tmp_path / "t.tsv"
+        nodes.write_text("a\ttrack\t\n\n\tgenre\t\n\tgenre\tB\n", encoding="utf-8")
+        triples.write_text("", encoding="utf-8")
+        with pytest.raises(GraphError) as info:
+            read_graph(triples, nodes)
+        assert str(info.value) == f"{nodes}:4: repeated node '', first on line 3"
+
     def test_repeated_edge_names_file_and_lines(self, tmp_path):
         nodes, triples = tmp_path / "n.tsv", tmp_path / "t.tsv"
         nodes.write_text("a\ttrack\t\nb\tgenre\t\n", encoding="utf-8")
