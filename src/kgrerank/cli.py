@@ -19,7 +19,6 @@ import sys
 from dataclasses import asdict, dataclass, field, fields
 from operator import itemgetter
 from pathlib import Path
-from typing import NoReturn
 
 import numpy as np
 
@@ -28,7 +27,7 @@ from .evaluation import (
     EvalRow,
     FEATURE_NAMES,
     emit_report,
-    feature_vector,
+    first_bad_feature_row,
     ild,
     lookup_features,
     ndcg_at_k,
@@ -458,69 +457,59 @@ def _feature_columns(reader, path) -> tuple[list[int], int]:
 
 
 def _read_features(path) -> dict[str, np.ndarray]:
-    """Read a workspace features file; a bad or repeated row is named by line
-    and item.
+    """Read a workspace features file in one pass, naming the first bad line
+    and its item. A row's shape is checked as it is read, the values of the
+    rows read so far in bulk: at the end, and before a shape error is raised,
+    so that a bad value on an earlier line wins."""
+    first_line: dict[str, int] = {}
+    cells: list[str] = []
 
-    The values fill one (items x 8) array, checked at once; its read-only rows
-    are the feature rows. The file is read a second time only to name the
-    line of an error.
-    """
+    def checked_rows() -> np.ndarray:
+        # the first row with a value that is not a number, out of range or
+        # all zero raises; no two of these can name the same row
+        n = len(FEATURE_NAMES)
+        values: list[float] = []
+        problems = []
+        try:
+            values += map(float, cells)
+        except ValueError as exc:
+            # += stops at the bad cell: the rows before its row are numbers
+            problems.append((len(values) // n, str(exc)))
+        rows = np.array(values[: len(values) // n * n]).reshape(-1, n)
+        zero = ~rows.any(axis=1)
+        if zero.any():
+            zero_row = int(np.argmax(zero))
+            problems.append((zero_row, "all-zero vector has no cosine distance"))
+        problems = [p for p in (*problems, first_bad_feature_row(rows)) if p]
+        if not problems:
+            return rows
+        index, reason = min(problems)
+        item, line = list(first_line.items())[index]
+        raise ValueError(f"{path}:{line}: item {item!r}: {reason}")
+
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         columns, width = _feature_columns(reader, path)
         item_column, values_of = columns[0], itemgetter(*columns[1:])
         needed = max(columns) + 1
-        items, cells = [], []
-        for row in reader:
-            if not needed <= len(row) <= width:
-                if row:
-                    _raise_feature_row_error(path)
-                continue
-            items.append(row[item_column])
-            cells += values_of(row)
-    try:
-        rows = np.array([float(v) for v in cells]).reshape(-1, len(FEATURE_NAMES))
-    except ValueError:
-        _raise_feature_row_error(path)
-    if (
-        len(set(items)) < len(items)
-        or not ((rows >= 0.0) & (rows <= 1.0)).all()
-        or not rows.any(axis=1).all()
-    ):
-        _raise_feature_row_error(path)
-    rows.flags.writeable = False
-    return dict(zip(items, rows))
-
-
-def _raise_feature_row_error(path) -> NoReturn:
-    """Raise the error of the first bad row of a features file whose header
-    is sound: a repeated item, a missing or extra value, a value that is not a
-    number in [0, 1], or an all-zero row."""
-    first_line: dict[str, int] = {}
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        columns, width = _feature_columns(reader, path)
         for row in reader:
             if not row:
                 continue
-            item = row[columns[0]] if columns[0] < len(row) else None
-            line = reader.line_num
+            item = row[item_column] if item_column < len(row) else None
             if item in first_line:
-                raise ValueError(
-                    f"{path}:{line}: repeated item {item!r}, "
-                    f"first on line {first_line[item]}"
-                )
-            first_line[item] = line
-            try:
-                problem = row_width_problem(row, _FEATURE_COLUMNS, columns, width)
-                if problem:
-                    raise ValueError(problem)
-                vector = feature_vector(row[i] for i in columns[1:])
-                if not vector.any():
-                    raise ValueError("all-zero vector has no cosine distance")
-            except ValueError as exc:
-                raise ValueError(f"{path}:{line}: item {item!r}: {exc}") from None
-    raise AssertionError(f"{path}: no bad row found on reading it again")
+                problem = f"repeated item {item!r}, first on line {first_line[item]}"
+            elif not needed <= len(row) <= width:
+                shape = row_width_problem(row, _FEATURE_COLUMNS, columns, width)
+                problem = f"item {item!r}: {shape}"
+            else:
+                first_line[item] = reader.line_num
+                cells += values_of(row)
+                continue
+            checked_rows()
+            raise ValueError(f"{path}:{reader.line_num}: {problem}")
+    rows = checked_rows()
+    rows.flags.writeable = False
+    return dict(zip(first_line, rows))
 
 
 # ---------------------------------------------------------------------------

@@ -2,14 +2,16 @@
 
 Intra-list diversity and unexpectedness are measured with cosine distance
 over acoustic feature rows: a track's row is the read-only float64 array of
-shape (8,), in ``FEATURE_NAMES`` order, that ``feature_vector`` builds and
-checks (8 components, each in [0, 1], no NaN). A feature store maps item ids
-to rows; ``lookup_features`` stacks a list's rows into one (n x 8) array, and
-the distance functions take such arrays. The readers that fill a store reject
-a repeated id with its file, line and first line. Agreement between a
-re-ranked list and its base list is measured with nDCG@k where the base
-ranking itself provides the relevance grades. Report emission is
-deterministic so output files can be compared byte for byte.
+shape (8,), in ``FEATURE_NAMES`` order, that ``feature_vector`` builds. Its
+rule (each component in [0, 1], no NaN) lives here alone: ``feature_vector``,
+``ingest.merge_lastfm`` and ``cli._read_features`` call
+``first_bad_feature_row``, and each decides what an all-zero row is. A feature
+store maps item ids to rows; ``lookup_features`` stacks a list's rows into one
+(n x 8) array, and the distance functions take such arrays. The readers that
+fill a store reject a repeated id with its file, line and first line.
+Agreement between a re-ranked list and its base list is measured with nDCG@k
+where the base ranking itself provides the relevance grades. Report emission
+is deterministic so output files can be compared byte for byte.
 
 Float contract: each distance is an entry of one product
 (``_distance_matrix``) and equals the per-pair formula
@@ -53,15 +55,27 @@ FEATURE_NAMES = (
 )
 
 
+def first_bad_feature_row(rows: np.ndarray) -> tuple[int, str] | None:
+    """(index, reason) of the first of (n x 8) rows with a component outside
+    [0, 1], NaN included; the reason names its first such component."""
+    in_range = (rows >= 0.0) & (rows <= 1.0)
+    if in_range.all():
+        return None
+    # row-major: the first False is in the first bad row, at its first bad column
+    first, column = divmod(int(np.argmin(in_range)), len(FEATURE_NAMES))
+    value = rows[first, column].item()
+    return first, f"feature {FEATURE_NAMES[column]} = {value!r} outside [0, 1]"
+
+
 def feature_vector(values: Iterable[float]) -> np.ndarray:
     """One track's acoustic row: read-only float64, shape (8,), in
-    ``FEATURE_NAMES`` order, every component in [0, 1] (NaN is rejected)."""
+    ``FEATURE_NAMES`` order, checked by ``first_bad_feature_row``."""
     row = np.array([float(v) for v in values])
     if len(row) != len(FEATURE_NAMES):
         raise ValueError(f"expected {len(FEATURE_NAMES)} components, got {len(row)}")
-    for name, value in zip(FEATURE_NAMES, row.tolist()):
-        if not 0.0 <= value <= 1.0:
-            raise ValueError(f"feature {name} = {value!r} outside [0, 1]")
+    bad = first_bad_feature_row(row[np.newaxis])
+    if bad:
+        raise ValueError(bad[1])
     row.flags.writeable = False
     return row
 

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .evaluation import FEATURE_NAMES, feature_vector
+from .evaluation import FEATURE_NAMES, feature_vector, first_bad_feature_row
 from .graph import CatalogGraph, EntityKind, Node, Triple
 from .recsys import Interaction
 
@@ -111,7 +111,8 @@ def row_width_problem(
 
 
 def _read_features_csv(path) -> dict[str, list[float]]:
-    """Track id -> raw feature values in FEATURE_NAMES order (tempo unscaled)."""
+    """Track id -> raw feature values in FEATURE_NAMES order; tempo unscaled,
+    and finite, since its bounds set the scale of every track."""
     out: dict[str, list[float]] = {}
     first_line: dict[str, int] = {}
     names = ("track_id", *FEATURE_NAMES)
@@ -141,11 +142,14 @@ def _read_features_csv(path) -> dict[str, list[float]]:
                 if problem:
                     raise IngestError(f"{path}:{lineno}: {problem}")
             try:
-                out[track] = [float(row[i]) for i in value_columns]
+                values = [float(row[i]) for i in value_columns]
             except ValueError:
                 raise IngestError(
                     f"{path}:{lineno}: non-numeric feature value"
                 ) from None
+            if not math.isfinite(values[-1]):
+                raise IngestError(f"{path}:{lineno}: tempo {values[-1]!r} is not finite")
+            out[track] = values
     return out
 
 
@@ -211,12 +215,14 @@ def merge_lastfm(events_path, features_path, genres_path=None) -> MergeResult:
     Only tracks present in both the events and the features survive; genre
     annotations are optional per track (a left join). Events for dropped
     tracks are counted, not silently discarded. Tempo arrives on its raw scale
-    and is min-max normalized over the surviving tracks; a track whose scaled
-    vector is all-zero is rejected here so distance measures stay defined.
+    (a non-finite one is an error on its line) and is min-max normalized over
+    the surviving tracks; a track whose scaled vector is all-zero is dropped
+    and counted, so distance measures stay defined.
 
     The events are counted straight into (user, track) play counts, and the
-    joined tracks' features are scaled and checked as one (tracks x 8) array,
-    whose read-only rows are the feature rows.
+    joined tracks' features are scaled and checked as one (tracks x 8) array
+    (``evaluation.first_bad_feature_row``), whose read-only rows are the
+    feature rows.
     """
     raw_features = _read_features_csv(features_path)
     genres = _read_genres_csv(genres_path) if genres_path else {}
@@ -232,22 +238,14 @@ def merge_lastfm(events_path, features_path, genres_path=None) -> MergeResult:
         len(candidates), len(FEATURE_NAMES)
     )
     if candidates:
-        tempo = FEATURE_NAMES.index("tempo")
-        # builtin bounds over the list: where a NaN comes first, it is both
-        # bounds, the span is NaN and every tempo scales to 0.0
-        tempos = rows[:, tempo].tolist()
-        t_low, t_high = min(tempos), max(tempos)
+        # every raw tempo is finite (_read_features_csv)
+        tempos = rows[:, FEATURE_NAMES.index("tempo")]
+        t_low, t_high = tempos.min(), tempos.max()
         span = t_high - t_low
-        # an infinite bound scales to NaN, without a warning, as floats do
-        with np.errstate(invalid="ignore"):
-            rows[:, tempo] = (rows[:, tempo] - t_low) / span if span > 0 else 0.0
-        in_range = ((rows >= 0.0) & (rows <= 1.0)).all(axis=1)
-        if not in_range.all():
-            first = int(np.argmin(in_range))
-            try:
-                feature_vector(rows[first])
-            except ValueError as exc:
-                raise IngestError(f"track {candidates[first]!r}: {exc}") from None
+        tempos[:] = (tempos - t_low) / span if span > 0 else 0.0
+        bad = first_bad_feature_row(rows)
+        if bad:
+            raise IngestError(f"track {candidates[bad[0]]!r}: {bad[1]}")
     rows.flags.writeable = False
     nonzero = rows.any(axis=1).tolist()
     zero_norm = nonzero.count(False)

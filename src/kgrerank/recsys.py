@@ -275,12 +275,22 @@ def write_recommendations(
 
     One line per item: ``<user_id> <rank> <item_id> <score>``, rank 1-based,
     scores non-increasing per user, users in sorted order. UTF-8 with LF line
-    endings; scores are written with full round-trip precision.
+    endings; scores are written with full round-trip precision. An id that
+    is empty or holds whitespace, which the reader splits on, raises
+    :class:`RunFileError` before anything is written.
     """
+    lines = []
+    for user in sorted(lists):
+        user_ok = user.split() == [user]
+        for rank, (item, score) in enumerate(lists[user].items, start=1):
+            if not (user_ok and item.split() == [item]):
+                raise RunFileError(
+                    f"{path}: user {user!r}, item {item!r}: "
+                    "an id must be non-empty and hold no whitespace"
+                )
+            lines.append(f"{user} {rank} {item} {score!r}\n")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for user in sorted(lists):
-            for rank, (item, score) in enumerate(lists[user].items, start=1):
-                fh.write(f"{user} {rank} {item} {score!r}\n")
+        fh.writelines(lines)
 
 
 def load_external_recommendations(path) -> dict[str, RecommendationList]:

@@ -216,11 +216,11 @@ def _corpus_module():
     return sys.modules[name]
 
 
-@pytest.fixture(scope="session")
-def lastfm_corpus(tmp_path_factory):
-    """A small Last.fm-format corpus from the benchmark's generator: four
-    users with 10-14 tracks and twelve shorter histories, over 20 artists and
-    8 genres, so that profiles share artists and genres and have cycles."""
+def make_lastfm_corpus(out_dir, seed: int):
+    """Write a small Last.fm-format corpus from the benchmark's generator into
+    ``out_dir``: four users with 10-14 tracks and twelve shorter histories,
+    over 20 artists and 8 genres, so that profiles share artists and genres
+    and have cycles."""
     corpus = _corpus_module()
     spec = corpus.CorpusSpec(
         groups=(corpus.UserGroup(4, 10, 14), corpus.UserGroup(12, 4, 8)),
@@ -228,9 +228,14 @@ def lastfm_corpus(tmp_path_factory):
         n_artists=20,
         n_genres=8,
     )
-    inputs = tmp_path_factory.mktemp("lastfm_corpus")
-    corpus.generate_corpus(spec, seed=3, out_dir=inputs)
-    return inputs
+    corpus.generate_corpus(spec, seed=seed, out_dir=out_dir)
+    return out_dir
+
+
+@pytest.fixture(scope="session")
+def lastfm_corpus(tmp_path_factory):
+    """The :func:`make_lastfm_corpus` corpus at seed 3."""
+    return make_lastfm_corpus(tmp_path_factory.mktemp("lastfm_corpus"), seed=3)
 
 
 def lastfm_run_config(inputs, out_dir, metrics, top_n=6) -> dict:

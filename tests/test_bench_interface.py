@@ -105,3 +105,30 @@ def test_oracle_agrees_on_profiles_with_cycles(traced_lastfm_run):
     result = _worker("oracle", str(run_dir))
     assert result["attempted"] > 0
     assert result["failed"] == 0, result["mismatches"]
+
+
+# the tracer's targets that no longer exist in src/; a change that refreshes
+# perfbench/tracer.py updates this list with it
+STALE_TRACER_TARGETS = {
+    "kgrerank.rerank.extension_delta",
+    "kgrerank.rerank.OverlayView",
+    "kgrerank.rerank.compute_metric",
+    "kgrerank.cli.baseline_metric",
+    "kgrerank.cli.rank_candidates",
+}
+
+
+def test_tracer_still_sees_the_shapes_it_reads(traced_lastfm_run):
+    # a refactor of src/ that moves a traced function or a field the
+    # tracer's hooks read (ProfileSubgraph.graph.num_nodes, MergeResult.stats,
+    # CandidateEvaluation.metric_value.value) would silently blind the
+    # per-layer telemetry; these two checks make it fail here instead
+    _, spans, _ = traced_lastfm_run
+    header, *lines = spans.read_text(encoding="utf-8").splitlines()
+    installed = json.loads(header)["installed"]
+    assert {key for key, reason in installed.items() if reason} == STALE_TRACER_TARGETS
+    spans = [json.loads(line) for line in lines]
+    assert [span for span in spans if span[5] and "attrs_error" in span[5]] == []
+    # the hooks ran, so the check above is not empty
+    hooked = {span[0] for span in spans if span[5]}
+    assert {"ingest.load", "graph.induce", "rerank.evaluate"} <= hooked

@@ -47,7 +47,7 @@ from kgrerank.cli import (
 from kgrerank.evaluation import FEATURE_NAMES
 from kgrerank.rerank import RecommendationList, evaluate_metrics
 
-from conftest import lastfm_run_config, write_config
+from conftest import lastfm_run_config, make_lastfm_corpus, write_config
 from oracles import (
     assert_matches_reference,
     reference_rerank,
@@ -501,31 +501,90 @@ class TestPipeline:
 
 
 class TestMetamorphicRelations:
-    """Relations between two runs, where no oracle gives the expected output."""
+    """Relations between two runs, where no oracle gives the expected output.
+
+    Each compares ``base_run.txt``, ``report.csv`` and all 18 ``rerank_*.txt``
+    of a run of every metric on the original inputs with those of a run on
+    transformed ones.
+    """
+
+    @staticmethod
+    def _outputs(inputs, out) -> dict[str, bytes]:
+        metrics = [kind.value for kind in MetricKind]
+        config = write_config(
+            out.with_suffix(".json"), lastfm_run_config(inputs, out, metrics)
+        )
+        assert main(["run", "--config", str(config)]) == 0
+        names = [BASE_RUN, REPORT, *sorted(p.name for p in out.glob("rerank_*.txt"))]
+        assert len(names) == 2 + 2 * len(metrics)
+        return {name: (out / name).read_bytes() for name in names}
+
+    @staticmethod
+    def _transform(inputs, out_dir, edit):
+        """Write each input file through ``edit(name, lines)``."""
+        out_dir.mkdir()
+        for name in ("events.tsv", "features.csv", "genres.csv"):
+            lines = (inputs / name).read_text(encoding="utf-8").splitlines(keepends=True)
+            (out_dir / name).write_text("".join(edit(name, lines)), encoding="utf-8")
+        return out_dir
 
     def test_shuffled_input_rows_change_no_ranking_or_report(self, tmp_path, lastfm_corpus):
-        shuffled = tmp_path / "shuffled"
-        shuffled.mkdir()
         rng = random.Random(7)
-        # events.tsv has no header row
-        for name, header in (("events.tsv", 0), ("features.csv", 1), ("genres.csv", 1)):
-            lines = (lastfm_corpus / name).read_text(encoding="utf-8").splitlines(keepends=True)
+
+        def shuffle(name, lines):
+            # events.tsv has no header row
+            header = 0 if name == "events.tsv" else 1
             rows = lines[header:]
             rng.shuffle(rows)
             assert rows != lines[header:], name
-            (shuffled / name).write_text("".join(lines[:header] + rows), encoding="utf-8")
-        metrics = [kind.value for kind in MetricKind]
-        outs = []
-        for inputs, label in ((lastfm_corpus, "original"), (shuffled, "shuffled")):
-            doc = lastfm_run_config(inputs, tmp_path / label, metrics)
-            config = write_config(tmp_path / f"{label}.json", doc)
-            assert main(["run", "--config", str(config)]) == 0
-            outs.append(tmp_path / label)
-        reranked = sorted(path.name for path in outs[0].glob("rerank_*.txt"))
-        assert len(reranked) == 2 * len(metrics)
-        assert sorted(path.name for path in outs[1].glob("rerank_*.txt")) == reranked
-        for name in [BASE_RUN, REPORT, *reranked]:
-            assert (outs[1] / name).read_bytes() == (outs[0] / name).read_bytes(), name
+            return lines[:header] + rows
+
+        shuffled = self._transform(lastfm_corpus, tmp_path / "shuffled", shuffle)
+        assert self._outputs(shuffled, tmp_path / "b") == self._outputs(
+            lastfm_corpus, tmp_path / "a"
+        )
+
+    def test_order_preserving_track_rename_changes_no_ranking_or_report(
+        self, tmp_path, lastfm_corpus
+    ):
+        # trkNNNNN -> trkxNNNNN keeps the order of track ids, the last
+        # tie-break, so mapping the ids back gives the same files
+        def rename(name, lines):
+            return [line.replace("trk", "trkx") for line in lines]
+
+        renamed = self._transform(lastfm_corpus, tmp_path / "renamed", rename)
+        got = {
+            name: data.replace(b"t_trkx", b"t_trk")
+            for name, data in self._outputs(renamed, tmp_path / "b").items()
+        }
+        assert got == self._outputs(lastfm_corpus, tmp_path / "a")
+
+    @pytest.mark.parametrize(
+        "seed",
+        [
+            3,
+            pytest.param(2, marks=pytest.mark.xfail(strict=True, reason="ROADMAP item 2")),
+        ],
+    )
+    def test_artist_and_genre_relabel_changes_no_ranking_or_report(self, tmp_path, seed):
+        # at seed 2 the relabelling moves betweenness and closeness lists
+        def relabel(name, lines):
+            # the artist is field 2 of an event, the genre field 2 of genres.csv
+            if name == "features.csv":
+                return lines
+            sep, header = ("\t", 0) if name == "events.tsv" else (",", 1)
+            relabelled = []
+            for line in lines[header:]:
+                fields = line.split(sep)
+                fields[1] = "zz" + fields[1]
+                relabelled.append(sep.join(fields))
+            return lines[:header] + relabelled
+
+        inputs = make_lastfm_corpus(tmp_path / "inputs", seed)
+        relabelled = self._transform(inputs, tmp_path / "relabelled", relabel)
+        assert self._outputs(relabelled, tmp_path / "b") == self._outputs(
+            inputs, tmp_path / "a"
+        )
 
 
 class TestExitCodes:
@@ -613,6 +672,28 @@ class TestExitCodes:
         )
         assert code == 2
         assert "stage ingest failed" in capsys.readouterr().err
+
+    def test_track_id_with_a_space_fails_recommend_by_name(
+        self, tmp_path, capsys, lastfm_corpus
+    ):
+        # ids are tab- or comma-separated in the inputs, but the run format
+        # splits on whitespace: the base run must not be written at all
+        inputs = tmp_path / "inputs"
+        inputs.mkdir()
+        for name in ("events.tsv", "features.csv", "genres.csv"):
+            text = (lastfm_corpus / name).read_text(encoding="utf-8")
+            (inputs / name).write_text(text.replace("trk", "my trk"), encoding="utf-8")
+        out = tmp_path / "out"
+        doc = lastfm_run_config(inputs, out, ["node_count"])
+        config = write_config(tmp_path / "config.json", doc)
+        assert main(["run", "--config", str(config)]) == 2
+        assert re.search(
+            rf"stage recommend failed: {re.escape(str(out / BASE_RUN))}: "
+            r"user 'user\d{4}', item 't_my trk\d{5}': "
+            r"an id must be non-empty and hold no whitespace\n",
+            capsys.readouterr().err,
+        )
+        assert not (out / BASE_RUN).exists()
 
     def test_stale_flag_left_behind_on_failure(self, tmp_path):
         events = tmp_path / "events.tsv"
@@ -705,6 +786,30 @@ class TestExitCodes:
         assert (
             f"stage evaluate failed: {features}:5: item {found['item']!r}: "
             "feature tempo = 2.0 outside [0, 1]\n"
+        ) in err
+
+    @pytest.mark.parametrize(
+        "later", ["0.5," * 7 + "1.5", "0.5", "0.5,loud," + "0.5," * 5 + "0.5"],
+        ids=["range", "short", "non-numeric"],
+    )
+    def test_earlier_all_zero_row_is_named_first(self, tmp_path, capsys, later):
+        found = {}
+
+        def break_two_rows(lines):
+            # an all-zero row on line 3 comes before an error on line 6
+            found["item"] = lines[2].split(",")[0]
+            other = lines[5].split(",")[0]
+            return [
+                *lines[:2], f"{found['item']},{'0.0,' * 7}0.0\n", *lines[3:5],
+                f"{other},{later}\n", *lines[6:],
+            ]
+
+        code, err = self._evaluate_with_features(tmp_path, capsys, break_two_rows)
+        features = tmp_path / "out" / "features.csv"
+        assert code == 2
+        assert (
+            f"stage evaluate failed: {features}:3: item {found['item']!r}: "
+            "all-zero vector has no cosine distance\n"
         ) in err
 
     def test_features_read_back_as_written(self, tmp_path):

@@ -175,14 +175,6 @@ class TestMergeLastfm:
              "track 'tr4': feature energy = 1.5 outside [0, 1]"),
             ("tr4,0.1,0.5,0.3,0.4,0.5,0.6,nan,80",
              "track 'tr4': feature valence = nan outside [0, 1]"),
-            # an infinite tempo spans the scale, and scales itself to inf/inf
-            ("tr4,0.1,0.2,0.3,0.4,0.5,0.6,0.7,inf",
-             "track 'tr4': feature tempo = nan outside [0, 1]"),
-            ("tr4,0.1,0.2,0.3,0.4,0.5,0.6,0.7,-inf",
-             "track 'tr1': feature tempo = nan outside [0, 1]"),
-            # a NaN tempo after the first leaves the bounds finite
-            ("tr4,0.1,0.2,0.3,0.4,0.5,0.6,0.7,nan",
-             "track 'tr4': feature tempo = nan outside [0, 1]"),
         ],
     )
     def test_out_of_range_feature_names_track(
@@ -197,21 +189,21 @@ class TestMergeLastfm:
             merge_lastfm(events, features)
         assert str(info.value) == message
 
-    def test_nan_tempo_first_in_track_order_zeroes_every_tempo(
-        self, tmp_path, lastfm_files
-    ):
-        # the builtin bounds over the list start from the NaN, so the span is
-        # NaN and every scaled tempo is 0.0
+    @pytest.mark.parametrize(
+        "track, tempo",
+        [("tr4", "inf"), ("tr4", "-inf"), ("tr4", "nan"), ("tr0", "nan")],
+    )
+    def test_non_finite_tempo_names_line(self, lastfm_files, track, tempo):
+        # the tempo bounds scale every track, so a raw tempo that is not
+        # finite is rejected on its line, wherever it falls in track order
         events, features, _ = lastfm_files
         with open(events, "a", encoding="utf-8") as fh:
-            fh.write("u4\ta4\ttr0\t600\n")
+            fh.write(f"u4\ta4\t{track}\t600\n")
         with open(features, "a", encoding="utf-8") as fh:
-            fh.write("tr0,0.1,0.2,0.3,0.4,0.5,0.6,0.7,nan\n")
-        result = merge_lastfm(events, features)
-        tempo = FEATURE_NAMES.index("tempo")
-        assert {t: v[tempo] for t, v in result.features.items()} == {
-            "t_tr0": 0.0, "t_tr1": 0.0, "t_tr2": 0.0, "t_tr3": 0.0,
-        }
+            fh.write(f"{track},0.1,0.2,0.3,0.4,0.5,0.6,0.7,{tempo}\n")
+        with pytest.raises(IngestError) as info:
+            merge_lastfm(events, features)
+        assert str(info.value) == f"{features}:5: tempo {tempo} is not finite"
 
     def test_feature_rows_are_read_only(self, lastfm_files):
         events, features, genres = lastfm_files

@@ -10,6 +10,7 @@ from kgrerank import (
     Interaction,
     NotFittedError,
     RatingMatrix,
+    RecommendationList,
     RunFileError,
     anti_testset,
     load_external_recommendations,
@@ -288,6 +289,31 @@ class TestRunFiles:
         assert set(loaded) == set(lists)
         for user in lists:
             assert loaded[user].items == lists[user].items
+
+    @pytest.mark.parametrize(
+        "user, item",
+        [("u1", "my track"), ("u1", "b\tc"), ("u1", ""), ("my user", "b"),
+         ("u1", "b\u00a0c")],
+        ids=["space", "tab", "empty-item", "user-space", "no-break-space"],
+    )
+    def test_id_the_format_cannot_hold_is_rejected_before_writing(
+        self, tmp_path, user, item
+    ):
+        # the run format splits its lines on whitespace, so such an id would
+        # be written and then fail to read back
+        path = tmp_path / "run.txt"
+        path.write_text("kept\n", encoding="utf-8")
+        lists = {
+            "u0": RecommendationList(user="u0", items=(("a", 1.0),)),
+            user: RecommendationList(user=user, items=((item, 0.9), ("z", 0.5))),
+        }
+        with pytest.raises(RunFileError) as info:
+            write_recommendations(lists, path)
+        assert str(info.value) == (
+            f"{path}: user {user!r}, item {item!r}: "
+            "an id must be non-empty and hold no whitespace"
+        )
+        assert path.read_text(encoding="utf-8") == "kept\n"
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.txt"
