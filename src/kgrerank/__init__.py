@@ -82,7 +82,6 @@ from .ingest import (
     make_synthetic_dataset,
     merge_lastfm,
     sample_users,
-    split_interactions,
 )
 
 __all__ = [
@@ -110,5 +109,5 @@ __all__ = [
     # ingest
     "IngestError", "MergeResult", "SyntheticConfig", "SyntheticProfileConfig",
     "generate_profiles", "load_netflix", "make_synthetic_dataset", "merge_lastfm",
-    "sample_users", "split_interactions",
+    "sample_users",
 ]

@@ -46,13 +46,13 @@ from .graph import (
 from .ingest import (
     SyntheticConfig,
     SyntheticProfileConfig,
+    csv_columns,
     generate_profiles,
     load_netflix,
     make_synthetic_dataset,
     merge_lastfm,
     row_width_problem,
     sample_users,
-    split_interactions,
     write_summary,
 )
 from .metrics import MetricKind
@@ -158,11 +158,10 @@ class RunConfig:
     sample_users: int | None = _setting(None, "dataset.sample_users", minimum=1)
     min_unique_tracks: int = _setting(100, "dataset.min_unique_tracks")
 
-    # netflix synthetic profiles and split
+    # netflix synthetic profiles
     profile_count: int = _setting(88, "dataset.profiles.count", minimum=1)
     profile_min_items: int = _setting(5, "dataset.profiles.min_items")
     profile_max_items: int = _setting(55, "dataset.profiles.max_items")
-    split_ratio: float = _setting(0.9, "dataset.split_ratio")
     prune_degree_one: bool = _setting(True, "dataset.prune.degree_one")
 
     # self-contained synthetic dataset
@@ -330,8 +329,6 @@ def validate_config(cfg: RunConfig) -> list[str]:
                 "need 1 <= profile_min_items <= profile_max_items, got "
                 f"[{cfg.profile_min_items}, {cfg.profile_max_items}]"
             )
-        if not 0.0 < cfg.split_ratio < 1.0:
-            findings.append(f"split_ratio must lie in (0, 1), got {cfg.split_ratio}")
     if cfg.dataset == "synthetic":
         try:
             _synthetic_config(cfg)
@@ -444,18 +441,6 @@ def _write_features(features: dict[str, np.ndarray], path) -> None:
 _FEATURE_COLUMNS = ("item", *FEATURE_NAMES)
 
 
-def _feature_columns(reader, path) -> tuple[list[int], int]:
-    """Read a features file's header; return the position of each of
-    ``_FEATURE_COLUMNS`` (a repeated name stands for its last column, as in
-    ``csv.DictReader``) and the header's width."""
-    header = next(reader, [])
-    missing = [name for name in _FEATURE_COLUMNS if name not in header]
-    if missing:
-        raise ValueError(f"{path}: missing column(s) {', '.join(missing)}")
-    position = {name: i for i, name in enumerate(header)}
-    return [position[name] for name in _FEATURE_COLUMNS], len(header)
-
-
 def _read_features(path) -> dict[str, np.ndarray]:
     """Read a workspace features file in one pass, naming the first bad line
     and its item. A row's shape is checked as it is read, the values of the
@@ -489,7 +474,7 @@ def _read_features(path) -> dict[str, np.ndarray]:
 
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        columns, width = _feature_columns(reader, path)
+        columns, width = csv_columns(reader, path, _FEATURE_COLUMNS)
         item_column, values_of = columns[0], itemgetter(*columns[1:])
         needed = max(columns) + 1
         for row in reader:
@@ -517,6 +502,13 @@ def _read_features(path) -> dict[str, np.ndarray]:
 
 
 def stage_ingest(cfg: RunConfig) -> None:
+    """Write the workspace: the catalog, the interactions, the profiles, the
+    features (Last.fm and synthetic) and the ingest summary.
+
+    A Netflix user is one generated history over the (pruned) catalog, each
+    item played once. Every dataset's profiles come from its interactions by
+    one rule: a user's history is the sorted set of items they played.
+    """
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -535,15 +527,11 @@ def stage_ingest(cfg: RunConfig) -> None:
                 seed=cfg.seed,
             ),
         )
-        profiles = {}
-        interactions = []
-        for i, history in enumerate(histories):
-            user = f"p{i:03d}"
-            # the held-out part is not used: nDCG is graded against the base list
-            train, _ = split_interactions(history, cfg.split_ratio, cfg.seed + i)
-            profiles[user] = {"history": sorted(train)}
-            for item in sorted(train):
-                interactions.append(Interaction(user, item, 1))
+        interactions = [
+            Interaction(f"p{i:03d}", item, 1)
+            for i, history in enumerate(histories)
+            for item in sorted(history)
+        ]
         features = {}
         summary = [
             {"stage": "load", "count": len(titles), "reason": "titles read"},
@@ -574,12 +562,11 @@ def stage_ingest(cfg: RunConfig) -> None:
                 {"stage": "sample", "count": len(kept), "reason": "users sampled"}
             )
         catalog = build_catalog(merged.triples)
-        profiles = _profiles_from_interactions(interactions)
         features = merged.features
 
     export_graph(catalog, out / CATALOG_TRIPLES, out / CATALOG_NODES)
     _write_interactions(interactions, out / INTERACTIONS)
-    _write_profiles(profiles, out / PROFILES)
+    _write_profiles(_profiles_from_interactions(interactions), out / PROFILES)
     if features:
         _write_features(features, out / FEATURES)
     write_summary(summary, out / INGEST_SUMMARY)

@@ -4,9 +4,9 @@ The music pipeline merges three tabular sources (listening events, acoustic
 features, genre annotations) into aggregated interactions, catalog triples and
 a per-track feature store. The movie/TV pipeline reads a titles CSV into
 triples and one catalog node per title. Synthetic generation covers both user
-profiles over an existing catalog and a fully self-contained two-cluster
-dataset used by the bundled experiments. All sampling is seeded and
-reproducible bit for bit.
+histories over an existing catalog, which are the movie/TV profiles whole, and
+a fully self-contained two-cluster dataset used by the bundled experiments.
+All sampling is seeded and reproducible bit for bit.
 
 The readers build their results without an object per input record: events
 are counted straight into (user, track) play counts, the CSVs are read with
@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import csv
 import json
-import logging
 import math
 import random
 from collections.abc import Iterable, Sequence
@@ -32,8 +31,6 @@ import numpy as np
 from .evaluation import FEATURE_NAMES, feature_vector, first_bad_feature_row
 from .graph import CatalogGraph, EntityKind, Node, Triple
 from .recsys import Interaction
-
-log = logging.getLogger(__name__)
 
 
 class IngestError(ValueError):
@@ -82,7 +79,7 @@ def track_node_id(raw_track_id: str) -> str:
     return f"t_{raw_track_id}"
 
 
-def _csv_columns(reader, path, required: Sequence[str]) -> tuple[list[int], int]:
+def csv_columns(reader, path, required: Sequence[str]) -> tuple[list[int], int]:
     """Read the header row of a ``csv.reader``; return the position of each
     required column and the header's width.
 
@@ -118,7 +115,7 @@ def _read_features_csv(path) -> dict[str, list[float]]:
     names = ("track_id", *FEATURE_NAMES)
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        columns, width = _csv_columns(reader, path, names)
+        columns, width = csv_columns(reader, path, names)
         track_column, value_columns = columns[0], columns[1:]
         for row in reader:
             if not row:
@@ -158,7 +155,7 @@ def _read_genres_csv(path) -> dict[str, list[str]]:
     names = ("track_id", "genre")
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        columns, width = _csv_columns(reader, path, names)
+        columns, width = csv_columns(reader, path, names)
         track_column, genre_column = columns
         for row in reader:
             if not row:
@@ -216,8 +213,9 @@ def merge_lastfm(events_path, features_path, genres_path=None) -> MergeResult:
     annotations are optional per track (a left join). Events for dropped
     tracks are counted, not silently discarded. Tempo arrives on its raw scale
     (a non-finite one is an error on its line) and is min-max normalized over
-    the surviving tracks; a track whose scaled vector is all-zero is dropped
-    and counted, so distance measures stay defined.
+    the joined tracks (a span beyond the float range is an error naming the
+    lowest and highest tracks); a track whose scaled vector is all-zero is
+    dropped and counted, so distance measures stay defined.
 
     The events are counted straight into (user, track) play counts, and the
     joined tracks' features are scaled and checked as one (tracks x 8) array
@@ -238,10 +236,18 @@ def merge_lastfm(events_path, features_path, genres_path=None) -> MergeResult:
         len(candidates), len(FEATURE_NAMES)
     )
     if candidates:
-        # every raw tempo is finite (_read_features_csv)
+        # every raw tempo is finite (_read_features_csv), but their span may
+        # not be; Python floats overflow to inf without a numpy warning
         tempos = rows[:, FEATURE_NAMES.index("tempo")]
-        t_low, t_high = tempos.min(), tempos.max()
+        low, high = int(tempos.argmin()), int(tempos.argmax())
+        t_low, t_high = float(tempos[low]), float(tempos[high])
         span = t_high - t_low
+        if not math.isfinite(span):
+            raise IngestError(
+                f"{features_path}: tempos from {t_low!r} (track "
+                f"{candidates[low]!r}) to {t_high!r} (track "
+                f"{candidates[high]!r}) span more than the float range"
+            )
         tempos[:] = (tempos - t_low) / span if span > 0 else 0.0
         bad = first_bad_feature_row(rows)
         if bad:
@@ -376,7 +382,7 @@ def load_netflix(path) -> tuple[list[Triple], list[Node]]:
     first_line: dict[str, int] = {}
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        columns, width = _csv_columns(reader, path, _NETFLIX_COLUMNS)
+        columns, width = csv_columns(reader, path, _NETFLIX_COLUMNS)
         for cells in reader:
             if not cells:
                 continue
@@ -437,31 +443,6 @@ def generate_profiles(
         size = rng.randint(cfg.min_items, cfg.max_items)
         profiles.append(set(rng.sample(pool, size)))
     return profiles
-
-
-def split_interactions(
-    history: Iterable[str], ratio: float, seed: int
-) -> tuple[list[str], list[str]]:
-    """Shuffle a history under the seed and split it train/test by the ratio.
-
-    The train size is the ratio rounded half-up, then adjusted so that both
-    sides are non-empty whenever the history has at least two items. A
-    single-item history goes entirely to train with a warning.
-    """
-    if not 0.0 < ratio < 1.0:
-        raise IngestError(f"split ratio must lie in (0, 1), got {ratio!r}")
-    items = sorted(set(history))
-    n = len(items)
-    if n == 0:
-        return [], []
-    if n == 1:
-        log.warning("history of size 1: placing the item in train, test is empty")
-        return items, []
-    rng = random.Random(seed)
-    rng.shuffle(items)
-    n_train = math.floor(ratio * n + 0.5)
-    n_train = max(1, min(n - 1, n_train))
-    return items[:n_train], items[n_train:]
 
 
 def write_summary(rows: Iterable[dict], path) -> None:

@@ -36,7 +36,6 @@ from kgrerank import (
     pagerank,
     rerank,
     scale_ratings,
-    split_interactions,
     unexpectedness,
 )
 from kgrerank.cli import BASE_RUN, REPORT, REPORT_SUMMARY, rerank_run_name, main
@@ -307,13 +306,6 @@ def test_c8_ingestion_conservation(lastfm_files, netflix_csv):
             "genre": 5,
             "rated": 5,
         }
-
-        for n, expected_train in ((10, 9), (5, 4), (2, 1), (20, 18)):
-            train, test = split_interactions(
-                [f"i{j}" for j in range(n)], 0.9, seed=n
-            )
-            assert len(train) == expected_train
-            assert len(test) == n - expected_train
 
 
 def test_c9_pipeline_determinism(tmp_path):

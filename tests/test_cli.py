@@ -12,7 +12,9 @@ from kgrerank import (
     MetricKind,
     NeighborhoodMode,
     SortOrder,
+    SyntheticProfileConfig,
     build_catalog,
+    generate_profiles,
     induce_profile_subgraph,
     load_external_recommendations,
     load_netflix,
@@ -127,7 +129,6 @@ class TestRunConfigParsing:
                 "kind": "netflix",
                 "titles": "titles.csv",
                 "profiles": {"count": 12, "min_items": 2, "max_items": 6},
-                "split_ratio": 0.8,
                 "prune": {"degree_one": False},
             },
             "recommender": {"kind": "external", "external_path": "recs.run"},
@@ -148,7 +149,6 @@ class TestRunConfigParsing:
         assert cfg.dataset == "netflix"
         assert cfg.titles_path == "titles.csv"
         assert cfg.profile_count == 12
-        assert cfg.split_ratio == 0.8
         assert cfg.prune_degree_one is False
         assert cfg.recommender == "external"
         assert cfg.external_recs_path == "recs.run"
@@ -178,7 +178,6 @@ class TestRunConfigParsing:
                 "sample_users": 7,
                 "min_unique_tracks": 3,
                 "profiles": {"count": 9, "min_items": 2, "max_items": 4},
-                "split_ratio": 0.5,
                 "prune": {"degree_one": False},
                 "synthetic": {
                     "tracks": 30, "users": 5, "history": 6, "minority_share": 0.3,
@@ -207,7 +206,6 @@ class TestRunConfigParsing:
             "profile_count": 9,
             "profile_min_items": 2,
             "profile_max_items": 4,
-            "split_ratio": 0.5,
             "prune_degree_one": False,
             "synth_tracks": 30,
             "synth_users": 5,
@@ -491,13 +489,17 @@ class TestPipeline:
         # no features for this dataset: ild and unexpectedness cells are empty
         assert all(",,," in line or line.startswith("user,") for line in report[:2])
         assert (out / rerank_run_name("node_count", "asc")).exists()
-        # the 90/10 split of 2-4 items keeps all but one as the history, and
-        # profiles.json holds nothing else
+        # each profile is one generated history, whole, and nothing else
+        triples, titles = load_netflix(netflix_csv)
+        histories = generate_profiles(
+            build_catalog(triples, nodes=titles),
+            SyntheticProfileConfig(n_profiles=5, min_items=2, max_items=4, seed=3),
+        )
         profiles = json.loads((out / PROFILES).read_text(encoding="utf-8"))["users"]
-        assert len(profiles) == 5
-        for profile in profiles.values():
-            assert list(profile) == ["history"]
-            assert 1 <= len(profile["history"]) <= 3
+        assert profiles == {
+            f"p{i:03d}": {"history": sorted(history)}
+            for i, history in enumerate(histories)
+        }
 
 
 class TestMetamorphicRelations:
@@ -505,7 +507,8 @@ class TestMetamorphicRelations:
 
     Each compares ``base_run.txt``, ``report.csv`` and all 18 ``rerank_*.txt``
     of a run of every metric on the original inputs with those of a run on
-    transformed ones.
+    transformed ones; the disjoint user's relation compares the qrels and
+    TREC runs too, line by line for every other user.
     """
 
     @staticmethod
@@ -585,6 +588,59 @@ class TestMetamorphicRelations:
         assert self._outputs(relabelled, tmp_path / "b") == self._outputs(
             inputs, tmp_path / "a"
         )
+
+    def test_disjoint_user_changes_no_other_users_lines(self, tmp_path, lastfm_corpus):
+        # the new user's tracks, artist and genre join the catalog as a
+        # component of their own, and its tempos lie inside the corpus's
+        # range, so no other track's scaled features move; every user runs,
+        # so the sample cannot move
+        new_user, tracks = "user0007b", ("newtrk1", "newtrk2", "newtrk3")
+
+        def add_user(name, lines):
+            if name == "events.tsv":
+                added = [f"{new_user}\tnewartist\t{t}\t1600000000\n" for t in tracks]
+            elif name == "features.csv":
+                added = [
+                    f"{t},0.3,0.4,0.5,0.6,0.7,0.2,0.1,{tempo}\n"
+                    for t, tempo in zip(tracks, (100, 120, 140))
+                ]
+            else:
+                added = [f"{t},newgenre\n" for t in tracks]
+            return lines + added
+
+        def run(inputs, out, recommender):
+            doc = lastfm_run_config(inputs, out, [kind.value for kind in MetricKind])
+            doc["dataset"]["sample_users"] = None
+            doc["recommender"] = recommender
+            config = write_config(out.with_suffix(".json"), doc)
+            assert main(["run", "--config", str(config)]) == 0
+            names = [
+                BASE_RUN, REPORT, QRELS,
+                *sorted(p.name for p in out.glob("rerank_*.txt")),
+                *sorted(p.name for p in out.glob("trec_*.run")),
+            ]
+            return {
+                name: (out / name).read_text(encoding="utf-8").splitlines(keepends=True)
+                for name in names
+            }
+
+        # both runs read the baseline's lists on the original inputs, whose
+        # biases a new user would move; the new user gets user0000's list
+        base = run(lastfm_corpus, tmp_path / "base", "baseline")[BASE_RUN]
+        external = tmp_path / "external.txt"
+        external.write_text("".join(
+            base + [line.replace("user0000", new_user)
+                    for line in base if line.startswith("user0000 ")]
+        ), encoding="utf-8")
+        recommender = {"kind": "external", "external_path": str(external)}
+        extended = self._transform(lastfm_corpus, tmp_path / "extended", add_user)
+        a = run(lastfm_corpus, tmp_path / "a", recommender)
+        b = run(extended, tmp_path / "b", recommender)
+        assert len(a) == 3 + 4 * len(MetricKind)
+        for name, lines in b.items():
+            others = [line for line in lines if not line.startswith(new_user)]
+            assert len(others) < len(lines), name
+            assert others == a[name], name
 
 
 class TestExitCodes:
@@ -849,7 +905,36 @@ class TestExitCodes:
         code, err = self._evaluate_with_features(tmp_path, capsys, drop_tempo)
         features = tmp_path / "out" / "features.csv"
         assert code == 2
-        assert f"stage evaluate failed: {features}: missing column(s) tempo\n" in err
+        assert (
+            f"stage evaluate failed: {features}: missing required columns: ['tempo']\n"
+        ) in err
+
+    @pytest.mark.parametrize("first", [True, False], ids=["before", "after"])
+    def test_repeated_feature_column_reads_its_last_column(
+        self, tmp_path, capsys, first
+    ):
+        # evaluate reads the header as ingest does: a repeated name stands
+        # for its last column, so a stray tempo of 7 matters only when last
+        found = {}
+
+        def repeat_tempo(lines):
+            found["item"] = lines[1].split(",")[0]
+            rows = [line.rstrip("\n").split(",") for line in lines]
+            for row in rows:
+                value = "tempo" if row is rows[0] else "7"
+                row.insert(1 if first else len(row), value)
+            return [",".join(row) + "\n" for row in rows]
+
+        code, err = self._evaluate_with_features(tmp_path, capsys, repeat_tempo)
+        features = tmp_path / "out" / "features.csv"
+        if first:
+            assert (code, err) == (0, "")
+        else:
+            assert code == 2
+            assert (
+                f"stage evaluate failed: {features}:2: item {found['item']!r}: "
+                "feature tempo = 7.0 outside [0, 1]\n"
+            ) in err
 
     def test_base_run_user_without_profile_fails_rerank(self, tmp_path, capsys):
         cfg = synth_config(tmp_path)
@@ -1024,7 +1109,10 @@ class TestDeclaredBounds:
 
     @pytest.mark.parametrize(
         "key",
-        ["dataset.prune.label_entities", "dataset.prune.schema", "recommender.knn_k"],
+        [
+            "dataset.prune.label_entities", "dataset.prune.schema",
+            "recommender.knn_k", "dataset.split_ratio",
+        ],
         ids=lambda key: key.rsplit(".", 1)[-1],
     )
     def test_removed_prune_keys_are_unknown(self, tmp_path, capsys, key):

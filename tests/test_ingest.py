@@ -15,9 +15,10 @@ from kgrerank import (
     make_synthetic_dataset,
     merge_lastfm,
     sample_users,
-    split_interactions,
 )
-from kgrerank.cli import CATALOG_NODES, RunConfig, stage_ingest
+from kgrerank.cli import (
+    CATALOG_NODES, INTERACTIONS, PROFILES, RunConfig, stage_ingest,
+)
 from kgrerank.evaluation import FEATURE_NAMES
 from kgrerank.ingest import write_summary
 
@@ -205,6 +206,41 @@ class TestMergeLastfm:
             merge_lastfm(events, features)
         assert str(info.value) == f"{features}:5: tempo {tempo} is not finite"
 
+    def test_tempo_span_beyond_float_range_names_lowest_and_highest(
+        self, lastfm_files
+    ):
+        # each raw tempo is finite, but 1e308 - -1e308 is not
+        events, features, _ = lastfm_files
+        with open(events, "a", encoding="utf-8") as fh:
+            fh.write("u4\ta4\ttr4\t600\nu4\ta4\ttr5\t700\n")
+        with open(features, "a", encoding="utf-8") as fh:
+            fh.write("tr4,0.1,0.2,0.3,0.4,0.5,0.6,0.7,1e308\n")
+            fh.write("tr5,0.1,0.2,0.3,0.4,0.5,0.6,0.7,-1e308\n")
+        with pytest.raises(IngestError) as info:
+            merge_lastfm(events, features)
+        assert str(info.value) == (
+            f"{features}: tempos from -1e+308 (track 'tr5') to 1e+308 "
+            "(track 'tr4') span more than the float range"
+        )
+
+    def test_tempo_span_inside_float_range_scales_from_zero_to_one(
+        self, lastfm_files
+    ):
+        # 8e307 - -8e307 is finite: the extremes scale to 0 and 1, and the
+        # tempos between them, far smaller, to the midpoint
+        events, features, _ = lastfm_files
+        with open(events, "a", encoding="utf-8") as fh:
+            fh.write("u4\ta4\ttr4\t600\nu4\ta4\ttr5\t700\n")
+        with open(features, "a", encoding="utf-8") as fh:
+            fh.write("tr4,0.1,0.2,0.3,0.4,0.5,0.6,0.7,8e307\n")
+            fh.write("tr5,0.1,0.2,0.3,0.4,0.5,0.6,0.7,-8e307\n")
+        result = merge_lastfm(events, features)
+        tempo = FEATURE_NAMES.index("tempo")
+        tempos = {t: result.features[t][tempo] for t in result.features}
+        assert tempos == {
+            "t_tr1": 0.5, "t_tr2": 0.5, "t_tr3": 0.5, "t_tr4": 1.0, "t_tr5": 0.0
+        }
+
     def test_feature_rows_are_read_only(self, lastfm_files):
         events, features, genres = lastfm_files
         result = merge_lastfm(events, features, genres)
@@ -345,6 +381,24 @@ class TestLoadNetflix:
         assert "s1\tmovie\tAlpha" in rows
         assert "s6\tmovie\t" in rows
 
+    def test_profiles_are_the_interactions_by_user(self, tmp_path, netflix_csv):
+        # one generated history per user, each item played once, and
+        # profiles.json is interactions.tsv grouped by user
+        out = tmp_path / "out"
+        stage_ingest(RunConfig(
+            dataset="netflix", titles_path=str(netflix_csv), output_dir=str(out),
+            profile_count=6, profile_min_items=2, profile_max_items=4,
+        ))
+        played: dict[str, list[str]] = {}
+        for line in (out / INTERACTIONS).read_text(encoding="utf-8").splitlines():
+            user, item, count = line.split("\t")
+            assert count == "1"
+            played.setdefault(user, []).append(item)
+        profiles = json.loads((out / PROFILES).read_text(encoding="utf-8"))["users"]
+        assert list(played) == [f"p{i:03d}" for i in range(6)]
+        assert profiles == {user: {"history": items} for user, items in played.items()}
+        assert all(2 <= len(items) <= 4 for items in played.values())
+
     def test_catalog_has_all_titles(self, netflix_csv):
         triples, titles = load_netflix(netflix_csv)
         catalog = build_catalog(triples, nodes=titles)
@@ -460,62 +514,30 @@ class TestGenerateProfiles:
             SyntheticProfileConfig(n_profiles=1, min_items=3, max_items=2, seed=1)
 
 
-class TestSplitInteractions:
-    def test_ten_items_ninety_ten(self):
-        train, test = split_interactions([f"i{k}" for k in range(10)], 0.9, 7)
-        assert (len(train), len(test)) == (9, 1)
-
-    def test_five_items_rounding_keeps_test_non_empty(self):
-        # round-half-up would give 5/0; the test side is forced non-empty
-        train, test = split_interactions([f"i{k}" for k in range(5)], 0.9, 7)
-        assert (len(train), len(test)) == (4, 1)
-
-    def test_deterministic_under_seed(self):
-        items = [f"i{k}" for k in range(12)]
-        assert split_interactions(items, 0.75, 3) == split_interactions(
-            items, 0.75, 3
-        )
-
-    def test_partition_is_lossless(self):
-        items = {f"i{k}" for k in range(9)}
-        train, test = split_interactions(items, 0.5, 1)
-        assert set(train) | set(test) == items
-        assert set(train).isdisjoint(test)
-
-    def test_single_item_goes_to_train(self, caplog):
-        with caplog.at_level("WARNING"):
-            train, test = split_interactions(["only"], 0.9, 1)
-        assert (train, test) == (["only"], [])
-        assert any("size 1" in r.message for r in caplog.records)
-
-    def test_invalid_ratio(self):
-        with pytest.raises(IngestError, match="ratio"):
-            split_interactions(["a", "b"], 1.5, 1)
-
-
 class TestNoLeakageComposition:
-    def test_recommendations_exclude_train_but_reach_test(self):
+    def test_recommendations_exclude_history_but_reach_held_out(self):
         from kgrerank import BaselineRecommender, scale_ratings
 
         histories = {
             f"u{k}": {f"i{j}" for j in range(k, k + 6)} for k in range(4)
         }
-        train_rows, test_sets = [], {}
-        for k, (user, history) in enumerate(sorted(histories.items())):
-            train, test = split_interactions(history, 0.8, 100 + k)
-            test_sets[user] = set(test)
-            train_rows += [Interaction(user, item, 1) for item in train]
-        matrix = scale_ratings(train_rows)
-        for user, test in test_sets.items():
+        # each user's last item is held out; only u3's is rated by no one else
+        held_out = {f"u{k}": f"i{k + 5}" for k in range(4)}
+        matrix = scale_ratings(
+            Interaction(user, item, 1)
+            for user, history in sorted(histories.items())
+            for item in sorted(history - {held_out[user]})
+        )
+        for user, item in held_out.items():
             # held-out ratings never reach the matrix
-            for item in test:
-                assert matrix.rating(user, item) is None
+            assert matrix.rating(user, item) is None
         model = BaselineRecommender().fit(matrix)
         for user in histories:
             recommended = set(model.recommend(user, 50).item_ids())
             assert recommended.isdisjoint(matrix.user_ratings(user))
-            reachable_test = test_sets[user] & matrix.rated_items()
-            assert reachable_test <= recommended
+            reachable_held_out = {held_out[user]} & matrix.rated_items()
+            assert reachable_held_out <= recommended
+        assert "i8" not in matrix.rated_items()
 
 
 class TestSyntheticDataset:
@@ -588,7 +610,9 @@ def _ingest_case(case, tmp_path, lastfm_files, netflix_csv, corpus) -> dict:
 
 
 # sha256 of each ingest artifact, recorded before ingest was rewritten for
-# speed; manifest.json is left out because it records the temporary paths
+# speed, except the Netflix interactions and profiles, recorded once the
+# generated histories became the profiles whole; manifest.json is left out
+# because it records the temporary paths
 INGEST_DIGESTS = {
     "lastfm-corpus": {
         "catalog_nodes.tsv":
@@ -640,9 +664,9 @@ INGEST_DIGESTS = {
         "ingest_summary.jsonl":
             "63554a6f4a1947eaa57ff950d3f9c888207ce4f4e59216ce64380fd2039fbdd4",
         "interactions.tsv":
-            "09196d392c824fa4b5186eb1b624b421bcf9a1a57359ffd173b5cb97b2ef588c",
+            "064bd31984d5094261458eb8561af31ee4a275265e71aac5f96011740ac88807",
         "profiles.json":
-            "1e66472c0bc43ecd9993f3ef4aa4cbc617d75b012fc298ca8a10ed869dfbe0dc",
+            "b1e47703ef2a367ea96c788953b966f2b71129d2983b1e80fd1fdb1139c07d92",
     },
     "netflix-unpruned": {
         "catalog_nodes.tsv":
@@ -652,9 +676,9 @@ INGEST_DIGESTS = {
         "ingest_summary.jsonl":
             "4d863053ccc809118f30b69ce0fd66bed9079cf263967c9e242a24b9c12b8b94",
         "interactions.tsv":
-            "1476f398666f27413de8ad91c3c32e1de00e4533c91713515c425b278dc25fd9",
+            "94d2431a20b438bc3e8bbbb8bf9061c6e6aa0aa960aec3ffa48bb124e88f7633",
         "profiles.json":
-            "c10aa2db45b56b389ba1026f74b35c451f09c82496c8e94260b24a25de64fd74",
+            "9e9b2016e96af2b76a1a6dc363dedbb7f93d9f8929afa383de4f59ce2ef95be1",
     },
     "synthetic": {
         "catalog_nodes.tsv":
