@@ -1,9 +1,11 @@
 """Command-line pipeline: ingest -> recommend -> rerank -> evaluate.
 
-Each stage reads and writes flat files in the output directory, so stages can
-be run separately or all at once with ``run``. Given identical inputs, config
-and seed, every produced artifact is byte-identical across runs. Exit codes:
-0 on success, 1 for validation errors, 2 for runtime failures.
+Each stage writes flat files in the output directory. A stage run alone
+reads its inputs from those files; ``run`` hands each stage's artifacts to
+the next in memory (:class:`Workspace`) and reads back none of the files it
+writes. Given identical inputs, config and seed, every produced artifact is
+byte-identical across runs, and across a run and its stages run one by one.
+Exit codes: 0 on success, 1 for validation errors, 2 for runtime failures.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import logging
 import os
 import sys
 from dataclasses import asdict, dataclass, field, fields
+from functools import cached_property
 from operator import itemgetter
 from pathlib import Path
 
@@ -357,12 +360,7 @@ def _sha256_file(path) -> str:
     return digest.hexdigest()
 
 
-def write_manifest(cfg: RunConfig) -> None:
-    inputs = {}
-    paths = (getattr(cfg, f.name) for f in fields(cfg) if f.name.endswith("_path"))
-    for path in paths:
-        if path and Path(path).exists():
-            inputs[str(path)] = _sha256_file(path)
+def write_manifest(cfg: RunConfig, inputs: dict[str, str]) -> None:
     manifest = {
         "version": __version__,
         "config_hash": config_hash(cfg),
@@ -376,13 +374,67 @@ def write_manifest(cfg: RunConfig) -> None:
 
 
 # ---------------------------------------------------------------------------
-# workspace file helpers
+# workspace files
 
 
-def _write_interactions(interactions: list[Interaction], path) -> None:
+class Workspace:
+    """The artifacts of one run directory, as files and as held values.
+
+    Every artifact writer returns the value its reader parses from the file
+    it wrote: the same order, the same float bits, read-only feature rows.
+    :meth:`write` holds that value, and :meth:`read` returns it, or parses
+    the file when nothing is held. ``run_pipeline`` passes one workspace
+    through the four stages; a stage run alone starts with an empty one and
+    reads the files.
+
+    A held value skips only the reader checks that cannot fail on what the
+    run wrote:
+
+    - field counts: ``export_graph`` refuses node ids and predicates with a
+      tab or line break, ``write_recommendations`` ids with whitespace, and
+      no other id holds one (every item is a catalog id, Last.fm users come
+      from the lines and tab-separated fields of the events file, and the
+      other users are generated);
+    - repeated nodes, edges, items and feature rows: each comes from one
+      graph or dict; and the profiles document, which ``json.dumps`` writes
+      from histories of strings;
+    - interaction counts, which ``Interaction`` keeps at 1 or more, and the
+      run files' ranks, order, unique items and NaN scores, which
+      ``RecommendationList`` enforces;
+    - feature values: ``merge_lastfm`` range-checks them and drops all-zero
+      rows, and ``make_synthetic_dataset`` draws them from [0.01, 0.99].
+
+    Checks across artifacts, such as a base-run user without a profile, run
+    on held values too.
+    """
+
+    def __init__(self, cfg: RunConfig):
+        self.cfg = cfg
+        self.out = Path(cfg.output_dir)
+        self._held: dict[tuple[str, ...], object] = {}
+
+    def write(self, writer, value, *names: str) -> None:
+        self._held[names] = writer(value, *(self.out / name for name in names))
+
+    def read(self, reader, *names: str):
+        if names in self._held:
+            return self._held[names]
+        return reader(*(self.out / name for name in names))
+
+    @cached_property
+    def inputs(self) -> dict[str, str]:
+        """The sha256 of every ``*_path`` input that exists, by path; taken
+        once, for every manifest the workspace writes."""
+        cfg = self.cfg
+        paths = (getattr(cfg, f.name) for f in fields(cfg) if f.name.endswith("_path"))
+        return {str(p): _sha256_file(p) for p in paths if p and Path(p).exists()}
+
+
+def _write_interactions(interactions: list[Interaction], path) -> list[Interaction]:
+    rows = sorted(interactions, key=lambda i: (i.user, i.item))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for row in sorted(interactions, key=lambda i: (i.user, i.item)):
-            fh.write(f"{row.user}\t{row.item}\t{row.count}\n")
+        fh.writelines(f"{row.user}\t{row.item}\t{row.count}\n" for row in rows)
+    return rows
 
 
 def _read_interactions(path) -> list[Interaction]:
@@ -399,11 +451,14 @@ def _read_interactions(path) -> list[Interaction]:
     return out
 
 
-def _write_profiles(profiles: dict[str, dict[str, list[str]]], path) -> None:
+def _write_profiles(
+    profiles: dict[str, dict[str, list[str]]], path
+) -> dict[str, dict[str, list[str]]]:
     payload = {"users": profiles}
     Path(path).write_text(
         json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8"
     )
+    return dict(sorted(profiles.items()))
 
 
 def _read_profiles(path) -> dict[str, dict[str, list[str]]]:
@@ -428,13 +483,20 @@ def _read_profiles(path) -> dict[str, dict[str, list[str]]]:
     return data["users"]
 
 
-def _write_features(features: dict[str, np.ndarray], path) -> None:
+def _write_features(
+    features: dict[str, np.ndarray], path
+) -> dict[str, np.ndarray]:
+    items = sorted(features)
+    rows = np.array([features[item] for item in items], dtype=float)
+    rows.flags.writeable = False
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["item", *FEATURE_NAMES])
-        for item in sorted(features):
-            # repr of Python floats: numpy 2 reprs np.float64 with its type name
-            writer.writerow([item, *map(repr, features[item].tolist())])
+        # repr of Python floats: numpy 2 reprs np.float64 with its type name
+        writer.writerows(
+            [item, *map(repr, row)] for item, row in zip(items, rows.tolist())
+        )
+    return dict(zip(items, rows))
 
 
 # the columns of a workspace features file
@@ -501,7 +563,7 @@ def _read_features(path) -> dict[str, np.ndarray]:
 # stages
 
 
-def stage_ingest(cfg: RunConfig) -> None:
+def stage_ingest(cfg: RunConfig, ws: Workspace | None = None) -> None:
     """Write the workspace: the catalog, the interactions, the profiles, the
     features (Last.fm and synthetic) and the ingest summary.
 
@@ -509,8 +571,8 @@ def stage_ingest(cfg: RunConfig) -> None:
     item played once. Every dataset's profiles come from its interactions by
     one rule: a user's history is the sorted set of items they played.
     """
-    out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    ws = ws or Workspace(cfg)
+    ws.out.mkdir(parents=True, exist_ok=True)
 
     if cfg.dataset == "netflix":
         triples, titles = load_netflix(cfg.titles_path)
@@ -563,13 +625,16 @@ def stage_ingest(cfg: RunConfig) -> None:
             )
         catalog = build_catalog(merged.triples)
         features = merged.features
+        # the triples are in the catalog now; free them before export
+        # builds the catalog the workspace holds
+        del merged
 
-    export_graph(catalog, out / CATALOG_TRIPLES, out / CATALOG_NODES)
-    _write_interactions(interactions, out / INTERACTIONS)
-    _write_profiles(_profiles_from_interactions(interactions), out / PROFILES)
+    ws.write(export_graph, catalog, CATALOG_TRIPLES, CATALOG_NODES)
+    ws.write(_write_interactions, interactions, INTERACTIONS)
+    ws.write(_write_profiles, _profiles_from_interactions(interactions), PROFILES)
     if features:
-        _write_features(features, out / FEATURES)
-    write_summary(summary, out / INGEST_SUMMARY)
+        ws.write(_write_features, features, FEATURES)
+    write_summary(summary, ws.out / INGEST_SUMMARY)
 
 
 def _profiles_from_interactions(
@@ -588,9 +653,9 @@ def _profiles_from_interactions(
 _SKIPPED_SHOWN = 5
 
 
-def stage_recommend(cfg: RunConfig) -> None:
-    out = Path(cfg.output_dir)
-    profiles = _read_profiles(out / PROFILES)
+def stage_recommend(cfg: RunConfig, ws: Workspace | None = None) -> None:
+    ws = ws or Workspace(cfg)
+    profiles = ws.read(_read_profiles, PROFILES)
     if cfg.recommender == "external":
         lists = load_external_recommendations(cfg.external_recs_path)
         selected = {}
@@ -611,15 +676,14 @@ def stage_recommend(cfg: RunConfig) -> None:
                 len(skipped), shown, f" and {more} more" if more > 0 else "",
             )
     else:
-        interactions = _read_interactions(out / INTERACTIONS)
-        matrix = scale_ratings(interactions)
+        matrix = scale_ratings(ws.read(_read_interactions, INTERACTIONS))
         model = BaselineRecommender().fit(matrix)
         selected = {
             user: model.recommend(user, n=cfg.top_n_candidates)
             for user in sorted(profiles)
             if matrix.has_user(user)
         }
-    write_recommendations(selected, out / BASE_RUN)
+    ws.write(write_recommendations, selected, BASE_RUN)
 
 
 def _rerank_user(catalog, cfg: RunConfig, user, history, recs):
@@ -651,24 +715,24 @@ def _rerank_task(task):
     return _rerank_user(*_WORKER_STATE, *task)
 
 
-def _base_run_users(out: Path) -> list[tuple[str, list[str], RecommendationList]]:
+def _base_run_users(ws: Workspace) -> list[tuple[str, list[str], RecommendationList]]:
     """(user, history, base list) for every base-run user, in user order."""
-    profiles = _read_profiles(out / PROFILES)
-    base_lists = load_external_recommendations(out / BASE_RUN)
+    profiles = ws.read(_read_profiles, PROFILES)
+    base_lists = ws.read(load_external_recommendations, BASE_RUN)
     users = []
     for user in sorted(base_lists):
         if user not in profiles:
             raise ValueError(
-                f"{out / BASE_RUN}: user {user!r} has no profile in {PROFILES}"
+                f"{ws.out / BASE_RUN}: user {user!r} has no profile in {PROFILES}"
             )
         users.append((user, profiles[user]["history"], base_lists[user]))
     return users
 
 
-def stage_rerank(cfg: RunConfig) -> None:
-    out = Path(cfg.output_dir)
-    catalog = read_graph(out / CATALOG_TRIPLES, out / CATALOG_NODES)
-    tasks = _base_run_users(out)
+def stage_rerank(cfg: RunConfig, ws: Workspace | None = None) -> None:
+    ws = ws or Workspace(cfg)
+    catalog = ws.read(read_graph, CATALOG_TRIPLES, CATALOG_NODES)
+    tasks = _base_run_users(ws)
 
     degree = cfg.parallelism if cfg.parallelism is not None else (os.cpu_count() or 1)
     degree = max(1, min(degree, len(tasks)))
@@ -694,21 +758,22 @@ def stage_rerank(cfg: RunConfig) -> None:
                         (item, float(n - i)) for i, item in enumerate(items)
                     ),
                 )
-            write_recommendations(
-                lists, out / rerank_run_name(metric_name, order_name)
+            ws.write(
+                write_recommendations, lists, rerank_run_name(metric_name, order_name)
             )
 
 
-def stage_evaluate(cfg: RunConfig) -> None:
-    out = Path(cfg.output_dir)
-    users = _base_run_users(out)
+def stage_evaluate(cfg: RunConfig, ws: Workspace | None = None) -> None:
+    ws = ws or Workspace(cfg)
+    out = ws.out
+    users = _base_run_users(ws)
     features = (
-        _read_features(out / FEATURES) if (out / FEATURES).exists() else None
+        ws.read(_read_features, FEATURES) if (out / FEATURES).exists() else None
     )
     k = cfg.eval_k
     reranked = {
-        (metric_name, order_name): load_external_recommendations(
-            out / rerank_run_name(metric_name, order_name)
+        (metric_name, order_name): ws.read(
+            load_external_recommendations, rerank_run_name(metric_name, order_name)
         )
         for metric_name in cfg.metrics
         for order_name in cfg.orders
@@ -756,23 +821,25 @@ _STAGES = (
 )
 
 
-def _run_stage(name: str, cfg: RunConfig) -> None:
-    out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    flag = out / STALE_FLAG
+def _run_stage(name: str, cfg: RunConfig, ws: Workspace | None = None) -> None:
+    ws = ws or Workspace(cfg)
+    ws.out.mkdir(parents=True, exist_ok=True)
+    flag = ws.out / STALE_FLAG
     flag.write_text(f"stage {name} in progress; outputs may be partial\n")
     try:
-        dict(_STAGES)[name](cfg)
+        dict(_STAGES)[name](cfg, ws)
     except Exception as exc:
         raise PipelineError(f"stage {name} failed: {exc}") from exc
     flag.unlink()
-    write_manifest(cfg)
+    write_manifest(cfg, ws.inputs)
 
 
 def run_pipeline(cfg: RunConfig) -> None:
-    """Execute all stages in order; artifacts land in cfg.output_dir."""
+    """Execute all stages in order, handing each stage's artifacts to the
+    next in one :class:`Workspace`; artifacts land in cfg.output_dir."""
+    ws = Workspace(cfg)
     for name, _ in _STAGES:
-        _run_stage(name, cfg)
+        _run_stage(name, cfg, ws)
 
 
 # ---------------------------------------------------------------------------

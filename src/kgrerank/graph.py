@@ -9,9 +9,9 @@ the profile's nodes and the nodes the candidate adds (see
 per-candidate evaluations are independent.
 
 A catalog travels between pipeline stages as two flat files
-(:func:`export_graph`, :func:`read_graph`). Export cleans each distinct id and
-predicate once, tabs and line breaks becoming spaces, and refuses two that clean
-alike, since the reader would take them for one node or a repeated edge.
+(:func:`export_graph`, :func:`read_graph`). Export refuses a node id or
+predicate that holds a tab or line break, which the reader splits on, and
+returns the catalog the reader reads back from its files.
 :func:`build_catalog` makes a node only for a new id; :func:`read_graph` keeps
 file order and reads a file a second time only to name the first line of a
 repeated node or edge.
@@ -19,7 +19,7 @@ repeated node or edge.
 
 from __future__ import annotations
 
-from collections.abc import Container, Iterable, Iterator, Mapping
+from collections.abc import Collection, Container, Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -363,46 +363,55 @@ def _clean(text: str) -> str:
     return text.replace("\t", " ").replace("\n", " ").replace("\r", " ")
 
 
-def _cleaned(texts: Iterable[str], what: str) -> dict[str, str]:
-    """Each distinct text -> its flat-file form; two that clean alike raise."""
-    cleaned: dict[str, str] = {}
-    owner: dict[str, str] = {}
-    for text in sorted(set(texts)):
-        flat = cleaned[text] = _clean(text)
-        other = owner.setdefault(flat, text)
-        if other != text:
-            raise GraphError(
-                f"{what} {other!r} and {text!r} both export as {flat!r}"
-            )
-    return cleaned
+def _refuse_breaks(texts: Collection[str], what: str) -> None:
+    """Raise naming the least of ``texts`` that holds a tab, carriage return
+    or line feed, which the reader would split on."""
+    joined = "".join(texts)
+    if "\t" in joined or "\r" in joined or "\n" in joined:
+        text = min(t for t in texts if _clean(t) != t)
+        raise GraphError(f"{what} {text!r} holds a tab or line break")
 
 
-def export_graph(g: Multigraph, triples_path, nodes_path) -> None:
+def export_graph(g: Multigraph, triples_path, nodes_path) -> CatalogGraph:
     """Write the graph as flat files: an edge list and a node manifest.
 
     Edges: ``<source>\\t<predicate>\\t<target>``, sorted lexicographically.
-    Nodes: ``<id>\\t<kind>\\t<label>`` where the label falls back from the
-    ``label`` attribute to ``title`` to the empty string. Tabs, newlines and
-    carriage returns in a field are written as spaces; two node ids, or two
-    predicates, that this would make equal raise :class:`GraphError` naming
-    both, before either file is written. Deterministic output suitable for
-    golden-file comparison.
+    Nodes: ``<id>\\t<kind>\\t<label>``, sorted by id, where the label falls
+    back from the ``label`` attribute to ``title`` to the empty string. A node
+    id or predicate that holds a tab, carriage return or line feed raises
+    :class:`GraphError` naming it, before either file is written; in a kind
+    or label such a character is written as a space. Deterministic output
+    suitable for golden-file comparison.
+
+    Returns the catalog that :func:`read_graph` reads from the two files: the
+    same nodes, kinds and labels, added in the same order, and the same
+    edges, so that a caller holding it need not read the files back. It
+    shares its nodes and predicate sets with ``g``: treat both as read-only.
     """
+    ids = sorted(g.node_ids())
     edges = sorted(g.edges())
-    ids = _cleaned(g.node_ids(), "node ids")
-    predicates = _cleaned((p for _, p, _ in edges), "predicates")
-    with open(triples_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("".join(
-            f"{ids[source]}\t{predicates[predicate]}\t{ids[target]}\n"
-            for source, predicate, target in edges
-        ))
+    _refuse_breaks(ids, "node id")
+    _refuse_breaks({p for _, p, _ in edges}, "predicate")
+    flat = CatalogGraph()
     rows = []
-    for node_id, flat in ids.items():
+    for node_id in ids:
         node = g.node(node_id)
-        label = str(node.attrs.get("label") or node.attrs.get("title") or "")
-        rows.append(f"{flat}\t{_clean(node.kind)}\t{_clean(label)}\n")
+        kind = _clean(node.kind)
+        label = _clean(str(node.attrs.get("label") or node.attrs.get("title") or ""))
+        attrs = {"label": label} if label else {}
+        same = (node.kind, node.attrs) == (kind, attrs)
+        flat.add_node(node if same else Node(node_id, kind, attrs))
+        rows.append(f"{node_id}\t{kind}\t{label}\n")
+    # read_graph's add_edge calls, in file order, on g's predicate sets
+    for source, _, target in edges:
+        flat._out[source].setdefault(target, g._out[source][target])
+        flat._in[target].setdefault(source, g._in[target][source])
+    flat._num_edges = len(edges)
+    with open(triples_path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("".join(f"{s}\t{p}\t{t}\n" for s, p, t in edges))
     with open(nodes_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("".join(rows))
+    return flat
 
 
 def read_graph(triples_path, nodes_path) -> CatalogGraph:

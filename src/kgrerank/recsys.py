@@ -270,7 +270,7 @@ class BaselineRecommender:
 
 def write_recommendations(
     lists: Mapping[str, RecommendationList], path
-) -> None:
+) -> dict[str, RecommendationList]:
     """Write per-user recommendation lists in the flat run format.
 
     One line per item: ``<user_id> <rank> <item_id> <score>``, rank 1-based,
@@ -278,9 +278,14 @@ def write_recommendations(
     endings; scores are written with full round-trip precision. An id that
     is empty or holds whitespace, which the reader splits on, raises
     :class:`RunFileError` before anything is written.
+
+    Returns what :func:`load_external_recommendations` reads from the file:
+    the non-empty lists in user order. Each list must be filed under its own
+    user.
     """
     lines = []
-    for user in sorted(lists):
+    users = sorted(lists)
+    for user in users:
         user_ok = user.split() == [user]
         for rank, (item, score) in enumerate(lists[user].items, start=1):
             if not (user_ok and item.split() == [item]):
@@ -291,6 +296,7 @@ def write_recommendations(
             lines.append(f"{user} {rank} {item} {score!r}\n")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.writelines(lines)
+    return {user: lists[user] for user in users if lists[user].items}
 
 
 def load_external_recommendations(path) -> dict[str, RecommendationList]:

@@ -83,6 +83,19 @@ def compiled_extensions(catalog, sg, items, mode) -> list:
     return graphs
 
 
+def catalog_layout(g) -> tuple:
+    """What a catalog shows, in its orders: its nodes with their kinds and
+    attributes, each node's successors with their predicates, its edges,
+    its recommendable set and its edge count."""
+    return (
+        list(g.nodes()),
+        [list(g.successors(v).items()) for v in g.node_ids()],
+        list(g.edges()),
+        g.recommendable,
+        g.num_edges,
+    )
+
+
 def signature(g) -> tuple[frozenset, frozenset]:
     """Hashable (nodes with their kinds, edges) snapshot of a graph."""
     return frozenset((n.id, n.kind) for n in g.nodes()), frozenset(g.edges())

@@ -22,10 +22,12 @@ from kgrerank import (
     read_graph,
     write_recommendations,
 )
+from kgrerank import cli
 from kgrerank.cli import (
     BASE_RUN,
     CATALOG_NODES,
     CATALOG_TRIPLES,
+    FEATURES,
     INGEST_SUMMARY,
     INTERACTIONS,
     MANIFEST,
@@ -44,18 +46,76 @@ from kgrerank.cli import (
     _add_common_arguments,
     _build_config,
     _read_features,
+    _read_interactions,
+    _read_profiles,
     _synthetic_config,
 )
 from kgrerank.evaluation import FEATURE_NAMES
 from kgrerank.rerank import RecommendationList, evaluate_metrics
 
-from conftest import lastfm_run_config, make_lastfm_corpus, write_config
+from conftest import catalog_layout, lastfm_run_config, make_lastfm_corpus, write_config
 from oracles import (
     assert_matches_reference,
     reference_rerank,
     reference_values,
     two_core,
 )
+
+
+DATASET_KINDS = ("synthetic", "lastfm", "netflix")
+
+
+def pipeline_doc(request, dataset: str) -> dict:
+    """A small ``kgrerank run`` config document for each dataset kind: Last.fm
+    with all nine metrics and both orders."""
+    if dataset == "lastfm":
+        corpus = request.getfixturevalue("lastfm_corpus")
+        return lastfm_run_config(corpus, "runs/out", [kind.value for kind in MetricKind])
+    doc = {
+        "rerank": {"metrics": ["node_count"], "orders": ["asc"], "top_n": 15},
+        "evaluation": {"k": 5},
+        "seed": 13,
+        "parallelism": 1,
+    }
+    if dataset == "synthetic":
+        synthetic = {"tracks": 40, "users": 4, "history": 8}
+        return {**doc, "dataset": {"kind": "synthetic", "synthetic": synthetic}}
+    return {
+        **doc,
+        "dataset": {
+            "kind": "netflix",
+            "titles": str(request.getfixturevalue("netflix_csv")),
+            "profiles": {"count": 5, "min_items": 2, "max_items": 4},
+            "prune": {"degree_one": False},
+        },
+    }
+
+
+# the readers of a run's own files, as cli calls them
+_RUN_READERS = (
+    "read_graph", "_read_profiles", "_read_interactions", "_read_features",
+    "load_external_recommendations",
+)
+
+
+def record_run_reads(monkeypatch):
+    """([every Workspace made], [(reader name, path arguments) of every call
+    of a workspace reader]), both filled while the patches last."""
+    workspaces, reads = [], []
+    for name in _RUN_READERS:
+        def recording(*paths, _name=name, _real=getattr(cli, name)):
+            reads.append((_name, tuple(map(str, paths))))
+            return _real(*paths)
+
+        monkeypatch.setattr(cli, name, recording)
+
+    class RecordedWorkspace(cli.Workspace):
+        def __init__(self, cfg):
+            super().__init__(cfg)
+            workspaces.append(self)
+
+    monkeypatch.setattr(cli, "Workspace", RecordedWorkspace)
+    return workspaces, reads
 
 
 def synth_config(tmp_path, **overrides) -> RunConfig:
@@ -339,28 +399,80 @@ class TestPipeline:
                     triples = [(item, *own[item]) for item in got]
                     assert_matches_reference(triples, expected, values, kind)
 
-    def test_staged_invocation_matches_run(self, tmp_path):
-        doc = {
-            "dataset": {
-                "kind": "synthetic",
-                "synthetic": {"tracks": 40, "users": 4, "history": 8},
-            },
-            "rerank": {"metrics": ["node_count"], "orders": ["asc"], "top_n": 15},
-            "evaluation": {"k": 5},
-            "seed": 13,
-            "parallelism": 1,
-        }
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps(doc), encoding="utf-8")
+    @pytest.mark.parametrize("dataset", DATASET_KINDS)
+    def test_staged_invocation_matches_run(self, tmp_path, request, dataset):
+        # a run hands its artifacts on in memory, the stages alone read them
+        # from files: every file of the two run directories must agree
+        cfg_path = write_config(tmp_path / "cfg.json", pipeline_doc(request, dataset))
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         assert main(["run", "--config", str(cfg_path), "--out", str(out_a)]) == 0
         for command in ("ingest", "recommend", "rerank", "evaluate"):
             assert main(
                 [command, "--config", str(cfg_path), "--out", str(out_b)]
             ) == 0
-        for name in (BASE_RUN, rerank_run_name("node_count", "asc"),
-                     REPORT, REPORT_SUMMARY, QRELS):
-            assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
+        names = sorted(path.name for path in out_a.iterdir())
+        assert names == sorted(path.name for path in out_b.iterdir())
+        assert REPORT in names and (FEATURES in names) == (dataset != "netflix")
+        for name in names:
+            a, b = (out / name for out in (out_a, out_b))
+            if name == MANIFEST:
+                a, b = (json.loads(m.read_text(encoding="utf-8")) for m in (a, b))
+                for manifest in (a, b):
+                    del manifest["config_hash"], manifest["config"]["output_dir"]
+                assert a == b
+            else:
+                assert a.read_bytes() == b.read_bytes(), name
+
+    @pytest.mark.parametrize("dataset", DATASET_KINDS)
+    def test_run_reads_none_of_its_own_files(self, tmp_path, request, monkeypatch, dataset):
+        cfg = RunConfig.from_dict(pipeline_doc(request, dataset))
+        cfg.output_dir = str(tmp_path / "out")
+        workspaces, reads = record_run_reads(monkeypatch)
+        run_pipeline(cfg)
+        assert reads == []
+        (ws,) = workspaces
+        out = Path(cfg.output_dir)
+        monkeypatch.undo()
+
+        def held(*names):
+            return ws.read(lambda *paths: pytest.fail(f"{names} not held"), *names)
+
+        catalog = held(CATALOG_TRIPLES, CATALOG_NODES)
+        loaded = read_graph(out / CATALOG_TRIPLES, out / CATALOG_NODES)
+        assert catalog_layout(catalog) == catalog_layout(loaded)
+        assert held(INTERACTIONS) == _read_interactions(out / INTERACTIONS)
+        profiles = _read_profiles(out / PROFILES)
+        assert list(held(PROFILES).items()) == list(profiles.items())
+        if dataset == "netflix":
+            assert not (out / FEATURES).exists()
+        else:
+            features, rows = _read_features(out / FEATURES), held(FEATURES)
+            assert list(rows) == list(features)
+            for item, row in rows.items():
+                assert row.tobytes() == features[item].tobytes()
+                assert row.dtype == features[item].dtype and not row.flags.writeable
+        runs = [BASE_RUN] + [
+            rerank_run_name(metric, order) for metric in cfg.metrics for order in cfg.orders
+        ]
+        for name in runs:
+            lists = load_external_recommendations(out / name)
+            assert list(held(name).items()) == list(lists.items()), name
+
+    def test_external_run_reads_the_external_file_once(self, tmp_path, monkeypatch):
+        cfg = synth_config(tmp_path, recommender="external")
+        stage_ingest(cfg)
+        profiles = json.loads((tmp_path / "out" / PROFILES).read_text(encoding="utf-8"))
+        external = tmp_path / "external_run.txt"
+        write_recommendations(
+            {user: RecommendationList(user=user, items=(("t_b0001", 1.0),))
+             for user in profiles["users"]},
+            external,
+        )
+        cfg.external_recs_path = str(external)
+        cfg.output_dir = str(tmp_path / "run")
+        _, reads = record_run_reads(monkeypatch)
+        run_pipeline(cfg)
+        assert reads == [("load_external_recommendations", (str(external),))]
 
     def test_rerank_files_are_valid_run_files(self, tmp_path):
         cfg = synth_config(tmp_path, metrics=["node_count", "edge_count"],
@@ -500,6 +612,35 @@ class TestPipeline:
             f"p{i:03d}": {"history": sorted(history)}
             for i, history in enumerate(histories)
         }
+
+
+class TestWorkspace:
+    def test_writers_return_what_their_readers_read(self, tmp_path):
+        # inputs out of order, and an empty list, which the run file omits
+        merged = make_synthetic_dataset(_synthetic_config(synth_config(tmp_path)))
+        interactions = merged.interactions[::-1]
+        features = dict(reversed(merged.features.items()))
+        profiles = {"u2": {"history": ["b", "c"]}, "u1": {"history": ["a"]}}
+        lists = {
+            "u2": RecommendationList(user="u2", items=(("b", 2.0), ("a", -0.0))),
+            "u3": RecommendationList(user="u3", items=()),
+            "u1": RecommendationList(user="u1", items=(("c", float("inf")),)),
+        }
+        cases = [
+            (cli._write_interactions, _read_interactions, interactions),
+            (cli._write_profiles, _read_profiles, profiles),
+            (write_recommendations, load_external_recommendations, lists),
+        ]
+        for writer, reader, value in cases:
+            path = tmp_path / writer.__name__
+            held, read = writer(value, path), reader(path)
+            assert held == read and list(held) == list(read), writer.__name__
+        held = cli._write_features(features, tmp_path / "features.csv")
+        read = _read_features(tmp_path / "features.csv")
+        assert list(held) == list(read) == sorted(features)
+        for item, row in held.items():
+            assert row.tobytes() == read[item].tobytes() == features[item].tobytes()
+            assert row.dtype == read[item].dtype and not row.flags.writeable
 
 
 class TestMetamorphicRelations:
