@@ -569,7 +569,9 @@ def stage_ingest(cfg: RunConfig, ws: Workspace | None = None) -> None:
 
     A Netflix user is one generated history over the (pruned) catalog, each
     item played once. Every dataset's profiles come from its interactions by
-    one rule: a user's history is the sorted set of items they played.
+    one rule: a user's history is the sorted set of items they played. A
+    dataset without features (Netflix) removes a features file left in the
+    output directory by an earlier run.
     """
     ws = ws or Workspace(cfg)
     ws.out.mkdir(parents=True, exist_ok=True)
@@ -634,6 +636,9 @@ def stage_ingest(cfg: RunConfig, ws: Workspace | None = None) -> None:
     ws.write(_write_profiles, _profiles_from_interactions(interactions), PROFILES)
     if features:
         ws.write(_write_features, features, FEATURES)
+    else:
+        # evaluate reads features whenever the file exists
+        (ws.out / FEATURES).unlink(missing_ok=True)
     write_summary(summary, ws.out / INGEST_SUMMARY)
 
 

@@ -11,19 +11,28 @@ the linear-algebra style of Kepner & Gilbert, *Graph Algorithms in the
 Language of Linear Algebra*, 2011): the node ids in ``g.node_ids()`` order,
 each directed (source, target) pair once with its number of parallel edges,
 sorted by source, and, built only when a path metric asks for it, the dense
-0/1 adjacency ``A`` of the undirected view. The re-ranker compiles, once per
-user, the catalog subgraph on the profile's nodes and every node a candidate
-adds, and takes each candidate's extension from it as the subgraph its nodes
-induce (:meth:`CompiledGraph.induced`).
+0/1 adjacency ``A`` of the undirected view.
 
-:func:`compute_metrics` scores a batch of graphs, one row per graph: the
-re-ranker passes all of a user's candidate extensions at once, and a single
-graph is a batch of one. The rows are stacked into one zero-padded (graphs x
-largest graph) block whose pairs are numbered ``row * width + node``. The
-degrees are one ``np.bincount`` over those pairs and PageRank is one power
-iteration over the whole block; both use edge directions. Every distribution
-is then collapsed to its HHI row by row, in sorted-label order
-(:attr:`CompiledGraph.label_order`).
+Metrics score a batch (:class:`_Stack`): one zero-padded (rows x widest row)
+block whose pairs are numbered ``row * width + node``, row-major and each
+row's sorted by source. There are two ways to build one, and one core
+(:func:`score_stack`) scores both. :func:`compute_metrics` stacks a list of
+graphs, one row each; a single graph is a batch of one. The re-ranker
+compiles, once per user, the catalog subgraph on the profile's nodes and
+every node a candidate adds, and cuts the whole batch from it at once with a
+(candidates x union nodes) membership mask (:meth:`_Stack.cut`): row
+``r`` is the subgraph that candidate ``r``'s nodes induce, the profile's
+first, then its added nodes in union order. That order is monotone in the
+union's, so the union's sorted pairs, masked and relabelled, stay
+row-major and source-sorted with no sort per row. No graph object is built
+per candidate. The row sizes and pair bounds, the distinct rows (below) and
+each row's label order (one sort of all labels, then one argsort of the rank
+matrix) are computed once per batch and shared by every metric; a
+:class:`CompiledGraph` is built only for each distinct row that the path
+kernels run on. The degrees are one ``np.bincount`` over the pairs and
+PageRank is one power iteration over the distinct rows' block; both use edge
+directions. Every distribution is then collapsed to its HHI row by row, in
+sorted-label order (:attr:`_Stack.label_order`).
 
 Betweenness and closeness run per graph on ``A``, peeled to its 2-core first
 (:func:`_peel`): nodes of degree 0 or 1 (self-loops and parallel edges do not
@@ -58,9 +67,9 @@ Both metrics read one forward pass. The backward block stays at 32 rows:
 from 64 rows on, OpenBLAS sums the ``coef @ A`` products in another order
 and betweenness bits change.
 
-The kernels (PageRank, betweenness, closeness) run once per distinct graph of
-a batch. Graphs with the same node count and the same ``src``, ``dst`` and
-``mult`` arrays are one group: the kernels run on its first graph, and every
+The kernels (PageRank, betweenness, closeness) run once per distinct row of
+a batch. Rows with the same node count and the same ``src``, ``dst`` and
+``mult`` slices are one group: the kernels run on its first row, and every
 row of the group takes those per-node scores. Candidates that attach the same
 shape to the same nodes differ only in the labels of their added nodes, and
 no kernel reads a label. Degrees, scalars and the collapse stay per row, each
@@ -86,9 +95,11 @@ exact ties between candidates can then break differently. Against the
 whole-graph pass it replaced, the values on the 72 extensions (216-228
 nodes, 2-cores of 107-137) of the rich-h100 benchmark workload at seeds 1-3
 moved by at most 2.4e-15 relative per node. Betweenness bits may also depend
-on the number of OpenBLAS threads on larger cores; on those 72 extensions
-``OPENBLAS_NUM_THREADS=1`` and the default two threads of a 2-CPU host gave
-the same bits.
+on the number of OpenBLAS threads on larger cores. On those 72 extensions
+(24 per seed), scored in two processes and compared with ``np.array_equal``,
+``OPENBLAS_NUM_THREADS=1`` and the default two threads of a 2-CPU host
+(OpenBLAS 0.3.31) gave the same betweenness and closeness bits on all 72;
+with the whole-graph pass before the 2-core kernels, 5 of the 72 changed.
 """
 
 from __future__ import annotations
@@ -259,7 +270,7 @@ class CompiledGraph:
     Node ``i`` is ``nodes[i]``, in ``g.node_ids()`` order. ``src``, ``dst`` and
     ``mult`` hold each directed (source, target) pair once with its number of
     parallel edges, sorted by source and then target index. Build one with
-    :func:`compile_graph`, :meth:`from_edges` or :meth:`induced`.
+    :func:`compile_graph` or :meth:`from_edges`.
     """
 
     def __init__(
@@ -283,13 +294,6 @@ class CompiledGraph:
         pairs, mult = np.unique(ends[:, 0] * size + ends[:, 1], return_counts=True)
         return cls(nodes, pairs // size, pairs % size, mult)
 
-    @cached_property
-    def label_order(self) -> np.ndarray:
-        """Node indices in sorted-label order, ``sorted(nodes)``: the order
-        in which every distribution is collapsed."""
-        order = sorted(range(len(self.nodes)), key=self.nodes.__getitem__)
-        return np.array(order, dtype=np.intp)
-
     @property
     def adjacency(self) -> np.ndarray:
         """The 0/1 float64 adjacency of the undirected view; self-loops are
@@ -306,22 +310,6 @@ class CompiledGraph:
     def by_node(self, values: np.ndarray) -> dict[str, float]:
         return dict(zip(self.nodes, values.tolist()))
 
-    def induced(self, order: Sequence[int]) -> "CompiledGraph":
-        """The subgraph the nodes at positions ``order`` induce: its node ``k``
-        is ``nodes[order[k]]``, and it keeps every pair between two of them,
-        with its multiplicity."""
-        order = np.asarray(order, dtype=np.intp)
-        size = len(order)
-        position = np.full(len(self.nodes), -1, dtype=np.intp)
-        position[order] = np.arange(size)
-        src, dst = position[self.src], position[self.dst]
-        keep = (src >= 0) & (dst >= 0)
-        keys = src[keep] * size + dst[keep]
-        sort = np.argsort(keys)
-        keys = keys[sort]
-        nodes = [self.nodes[i] for i in order.tolist()]
-        return CompiledGraph(nodes, keys // size, keys % size, self.mult[keep][sort])
-
 
 def compile_graph(g) -> CompiledGraph:
     """The array form of a graph; a :class:`CompiledGraph` is returned as is."""
@@ -333,23 +321,156 @@ def compile_graph(g) -> CompiledGraph:
 
 
 class _Stack:
-    """A non-empty batch of non-empty graphs as one zero-padded block.
+    """A batch of graphs as one zero-padded (rows x width) block.
 
-    Row ``r`` holds graph ``r``'s nodes in columns ``0 .. sizes[r] - 1``. The
-    pairs of all graphs follow one another, row by row and each in its own
-    order, as flat indices ``r * width + node``.
+    Row ``r`` holds ``sizes[r]`` nodes in columns ``0 .. sizes[r] - 1``; the
+    node in column ``c`` is ``labels[members[node_starts[r] + c]]``. Its
+    pairs are ``row_src``, ``row_dst`` and ``mult`` from ``bounds[r]`` to
+    ``bounds[r + 1]``, sorted by source and then target; ``src`` and ``dst``
+    hold them as flat indices ``r * width + node``, so all pairs are
+    row-major and each row's sorted by source. Build one from a list of
+    graphs (:meth:`of`) or from the subgraphs of one graph that the rows of
+    a membership mask induce (:meth:`cut`).
     """
 
-    def __init__(self, graphs: Sequence[CompiledGraph]) -> None:
-        self.graphs = graphs
-        self.sizes = np.array([len(g.nodes) for g in graphs])
-        self.shape = (len(graphs), int(self.sizes.max()))
-        self.valid = np.arange(self.shape[1]) < self.sizes[:, None]
-        starts = np.arange(len(graphs)) * self.shape[1]
-        offsets = np.repeat(starts, [len(g.src) for g in graphs])
-        self.src = np.concatenate([g.src for g in graphs]) + offsets
-        self.dst = np.concatenate([g.dst for g in graphs]) + offsets
-        self.mult = np.concatenate([g.mult for g in graphs])
+    def __init__(
+        self,
+        labels: Sequence[str],
+        members: np.ndarray,
+        sizes: np.ndarray,
+        row_src: np.ndarray,
+        row_dst: np.ndarray,
+        mult: np.ndarray,
+        pairs: np.ndarray,
+    ) -> None:
+        self.labels = labels
+        self.members = members
+        self.sizes = sizes
+        self.row_src = row_src
+        self.row_dst = row_dst
+        self.mult = mult
+        self.node_starts = np.concatenate(([0], np.cumsum(sizes)))
+        self.bounds = np.concatenate(([0], np.cumsum(pairs)))
+        self.shape = (len(sizes), int(sizes.max(initial=0)))
+        self.valid = np.arange(self.shape[1]) < sizes[:, None]
+        offsets = np.repeat(np.arange(len(sizes)) * self.shape[1], pairs)
+        self.src = row_src + offsets
+        self.dst = row_dst + offsets
+
+    @classmethod
+    def of(cls, graphs: Sequence[CompiledGraph]) -> "_Stack":
+        """Graph ``r`` as row ``r``; at least one graph."""
+        labels = [v for g in graphs for v in g.nodes]
+        return cls(
+            labels,
+            np.arange(len(labels)),
+            np.array([len(g.nodes) for g in graphs]),
+            np.concatenate([g.src for g in graphs]),
+            np.concatenate([g.dst for g in graphs]),
+            np.concatenate([g.mult for g in graphs]),
+            np.array([len(g.src) for g in graphs]),
+        )
+
+    @classmethod
+    def cut(cls, graph: CompiledGraph, mask: np.ndarray) -> "_Stack":
+        """Row ``r``: the subgraph of ``graph`` that the nodes where
+        ``mask[r]`` is true induce, in ``graph``'s node order.
+
+        A row keeps ``graph``'s order, so its positions rise with ``graph``'s
+        indices and its pairs, taken in ``graph``'s order, stay sorted."""
+        position = np.cumsum(mask, axis=1, dtype=np.intp) - 1
+        keep = mask[:, graph.src] & mask[:, graph.dst]
+        rows, pairs = np.nonzero(keep)
+        return cls(
+            graph.nodes,
+            np.nonzero(mask)[1],
+            np.count_nonzero(mask, axis=1),
+            position[rows, graph.src[pairs]],
+            position[rows, graph.dst[pairs]],
+            graph.mult[pairs],
+            np.count_nonzero(keep, axis=1),
+        )
+
+    def __len__(self) -> int:
+        return len(self.sizes)
+
+    def rows(self, selected: Sequence[int]) -> "_Stack":
+        """The stack of the rows ``selected``, which must be ascending."""
+        chosen = np.zeros(len(self), dtype=bool)
+        chosen[selected] = True
+        pairs = np.diff(self.bounds)
+        on_pair = np.repeat(chosen, pairs)
+        return _Stack(
+            self.labels,
+            self.members[np.repeat(chosen, self.sizes)],
+            self.sizes[chosen],
+            self.row_src[on_pair],
+            self.row_dst[on_pair],
+            self.mult[on_pair],
+            pairs[chosen],
+        )
+
+    def nodes(self, row: int) -> list[str]:
+        """The labels of row ``row``, in column order."""
+        members = self.members[self.node_starts[row] : self.node_starts[row + 1]]
+        return [self.labels[i] for i in members.tolist()]
+
+    def graph(self, row: int) -> CompiledGraph:
+        """Row ``row`` as a graph of its own."""
+        lo, hi = self.bounds[row], self.bounds[row + 1]
+        return CompiledGraph(
+            self.nodes(row), self.row_src[lo:hi], self.row_dst[lo:hi], self.mult[lo:hi]
+        )
+
+    def by_node(self, row: int, values: np.ndarray) -> dict[str, float]:
+        return dict(zip(self.nodes(row), values.tolist()))
+
+    @cached_property
+    def edge_counts(self) -> np.ndarray:
+        """Each row's number of edges, parallel ones included."""
+        total = np.concatenate(([0], np.cumsum(self.mult)))
+        return total[self.bounds[1:]] - total[self.bounds[:-1]]
+
+    @cached_property
+    def distinct(self) -> tuple[list[int], list[int]]:
+        """The first row of each distinct graph, in first-occurrence order,
+        and each row's index into that list.
+
+        Rows are the same graph when their node count and their ``row_src``,
+        ``row_dst`` and ``mult`` slices are; labels do not count, because no
+        kernel reads them.
+        """
+        firsts: list[int] = []
+        index: dict[tuple, int] = {}
+        group = []
+        bounds = self.bounds.tolist()
+        for row, (size, lo, hi) in enumerate(zip(self.sizes.tolist(), bounds, bounds[1:])):
+            key = (
+                size,
+                self.row_src[lo:hi].tobytes(),
+                self.row_dst[lo:hi].tobytes(),
+                self.mult[lo:hi].tobytes(),
+            )
+            if key not in index:
+                index[key] = len(firsts)
+                firsts.append(row)
+            group.append(index[key])
+        return firsts, group
+
+    @cached_property
+    def label_order(self) -> np.ndarray:
+        """Each row's columns in sorted-label order, then its padding: the
+        order in which every distribution is collapsed.
+
+        One sort of all labels ranks them; a row's labels are distinct, so
+        sorting its ranks sorts its labels."""
+        rank = np.empty(len(self.labels), dtype=np.intp)
+        rank[sorted(range(len(self.labels)), key=self.labels.__getitem__)] = np.arange(
+            len(self.labels)
+        )
+        ranks = np.full(self.shape, len(self.labels))
+        ranks[self.valid] = rank[self.members]
+        return np.argsort(ranks, axis=1, kind="stable")
 
     def degrees(self, ends: np.ndarray) -> np.ndarray:
         """Per-node sums of the multiplicities, by ``self.src`` or ``self.dst``."""
@@ -359,13 +480,12 @@ class _Stack:
     def collapse(self, block: np.ndarray) -> np.ndarray:
         """The normalized HHI of each row's distribution (see
         :func:`hhi_normalized`), summed in sorted-label order."""
-        orders = [g.label_order for g in self.graphs]
-        rows = np.repeat(np.arange(len(orders)), self.sizes)
+        order = self.label_order
         ordered = np.zeros(self.shape)
-        ordered[self.valid] = block[rows, np.concatenate(orders)]
+        ordered[self.valid] = np.take_along_axis(block, order, axis=1)[self.valid]
 
         def label(row: int, col: int) -> str:
-            return self.graphs[row].nodes[orders[row][col]]
+            return self.nodes(row)[order[row, col]]
 
         shares = _to_shares(ordered, self.sizes, label)
         return _normalize_hhi(_hhi_rows(shares), self.sizes)
@@ -610,7 +730,7 @@ def _pagerank_batch(
     weight = stack.mult / out.reshape(-1)[stack.src]
     base = valid * ((1.0 - damping) / n)
     ranks = valid * (1.0 / n)
-    moving = np.ones(len(stack.graphs), dtype=bool)
+    moving = np.ones(len(stack), dtype=bool)
     for _ in range(max_iter):
         mass = _running_total(ranks * dangling)[:, None]
         nxt = base + (damping * mass / n) * valid
@@ -624,10 +744,9 @@ def _pagerank_batch(
         if not moving.any():
             return ranks
     row = int(np.argmax(moving))
-    graph = stack.graphs[row]
     raise ConvergenceError(
         f"pagerank did not converge within {max_iter} iterations",
-        graph.by_node(ranks[row, : len(graph.nodes)]),
+        stack.by_node(row, ranks[row]),
         row,
     )
 
@@ -647,11 +766,11 @@ def pagerank(
     cg = compile_graph(g)
     if not cg.nodes:
         raise MetricError("pagerank is undefined on an empty graph")
-    return cg.by_node(_pagerank_batch(_Stack([cg]), damping, tol, max_iter)[0])
+    return cg.by_node(_pagerank_batch(_Stack.of([cg]), damping, tol, max_iter)[0])
 
 
-def _scalar(kind: MetricKind, g: CompiledGraph) -> float:
-    n, m = len(g.nodes), g.num_edges
+def _scalar(kind: MetricKind, n: int, m: int) -> float:
+    """A scalar metric of a graph with ``n`` nodes and ``m`` edges."""
     if kind is MetricKind.NODE_COUNT:
         return float(n)
     if kind is MetricKind.EDGE_COUNT:
@@ -663,25 +782,6 @@ def _scalar(kind: MetricKind, g: CompiledGraph) -> float:
     raise MetricError(f"unknown metric kind {kind!r}")  # pragma: no cover
 
 
-def _distinct(graphs: Sequence[CompiledGraph]) -> tuple[list[int], list[int]]:
-    """The first row of each distinct graph, in first-occurrence order, and
-    each row's index into that list.
-
-    Graphs are the same when their node count and ``src``, ``dst`` and
-    ``mult`` arrays are; labels do not count, because no kernel reads them.
-    """
-    firsts: list[int] = []
-    index: dict[tuple, int] = {}
-    group = []
-    for row, g in enumerate(graphs):
-        key = (len(g.nodes), g.src.tobytes(), g.dst.tobytes(), g.mult.tobytes())
-        if key not in index:
-            index[key] = len(firsts)
-            firsts.append(row)
-        group.append(index[key])
-    return firsts, group
-
-
 def compute_metrics(
     graphs: Sequence, kinds: Sequence[MetricKind]
 ) -> dict[MetricKind, list[MetricValue]]:
@@ -690,39 +790,51 @@ def compute_metrics(
     Scalar metrics follow their definitions directly (density uses the
     directed formula |E| / (|V| (|V|-1)), average degree counts each directed
     edge once). Distributional metrics are collapsed via the normalized HHI of
-    the per-node shares and therefore land in [0, 1]. PageRank, betweenness
-    and closeness run once per distinct graph (see :func:`_distinct`), and
-    betweenness and closeness share one BFS pass. A failure that concerns one
-    graph raises :class:`MetricError` with ``row`` set to that graph's index;
-    for a graph that occurs more than once, the index of its first row.
+    the per-node shares and therefore land in [0, 1]. The graphs are stacked
+    into one batch and scored by :func:`score_stack`.
     """
     graphs = [compile_graph(g) for g in graphs]
     if not graphs:
         return {kind: [] for kind in kinds}
+    return score_stack(_Stack.of(graphs), kinds)
+
+
+def score_stack(stack: _Stack, kinds: Sequence[MetricKind]) -> dict[MetricKind, list[MetricValue]]:
+    """Evaluate several metrics on every row of a batch, one value per row
+    (see :func:`compute_metrics`).
+
+    PageRank, betweenness and closeness run once per distinct row (see
+    :attr:`_Stack.distinct`), and betweenness and closeness share one BFS
+    pass. A failure that concerns one row raises :class:`MetricError` with
+    ``row`` set to that row's index; for a graph that occurs more than once,
+    the index of its first row.
+    """
+    if not len(stack):
+        return {kind: [] for kind in kinds}
     distributional = [k for k in kinds if k in DISTRIBUTIONAL_KINDS]
     path_kinds = [k for k in kinds if k in PATH_KINDS]
-    for row, g in enumerate(graphs):
-        if not g.nodes and distributional:
+    for row, size in enumerate(stack.sizes.tolist()):
+        if not size and distributional:
             raise MetricError(
                 f"{distributional[0].value} is undefined on an empty graph", row
             )
         if path_kinds:
-            _check_dense_size(len(g.nodes), row)
-    stack = _Stack(graphs) if distributional else None
-    # grouping costs about a microsecond per graph; only the kernels need it
+            _check_dense_size(size, row)
+    # grouping costs about a microsecond per row; only the kernels need it
     kernels = path_kinds or MetricKind.PAGERANK in kinds
-    firsts, group = _distinct(graphs) if kernels else ([], [])
-    paths = [_path_scores(graphs[row], path_kinds) for row in firsts] if path_kinds else []
+    firsts, group = stack.distinct if kernels else ([], [])
+    paths = [_path_scores(stack.graph(row), path_kinds) for row in firsts] if path_kinds else []
     values = {}
     for kind in kinds:
         if kind in SCALAR_KINDS:
-            column = [_scalar(kind, g) for g in graphs]
+            counts = zip(stack.sizes.tolist(), stack.edge_counts.tolist())
+            column = [_scalar(kind, n, m) for n, m in counts]
         else:
             if kind is MetricKind.PAGERANK:
-                # the widest graph is among firsts, so the block keeps the
+                # the widest row is among firsts, so the block keeps the
                 # stack's width
                 try:
-                    block = _pagerank_batch(_Stack([graphs[row] for row in firsts]))[group]
+                    block = _pagerank_batch(stack.rows(firsts))[group]
                 except MetricError as exc:
                     # the first row of the failing graph is the one whose
                     # labels the error carries

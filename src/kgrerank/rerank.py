@@ -14,8 +14,10 @@ from collections.abc import Container, Sequence
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 from .graph import CatalogGraph, NeighborhoodMode, ProfileSubgraph, added_nodes
-from .metrics import PATH_KINDS, CompiledGraph, MetricKind, MetricValue, compute_metrics
+from .metrics import PATH_KINDS, CompiledGraph, MetricKind, MetricValue, _Stack, score_stack
 
 
 class RerankError(RuntimeError):
@@ -94,12 +96,12 @@ def evaluate_metrics(
     outcome does not depend on list order. ``sg`` must be an induced subgraph
     of ``catalog``, as :func:`~kgrerank.graph.induce_profile_subgraph` builds
     it. The catalog subgraph on the profile's nodes and every node a
-    candidate adds is compiled once (:func:`_compile_induced`); each
-    candidate's extension is the subgraph induced by the profile's nodes,
-    then the candidate's added nodes in sorted order
-    (:meth:`~kgrerank.metrics.CompiledGraph.induced`). With all extensions
-    built, each metric group scores them in one batch
-    (:func:`~kgrerank.metrics.compute_metrics`), which gives the values of
+    candidate adds, those in sorted order, is compiled once
+    (:func:`_compile_induced`). Candidate ``r``'s extension is row ``r`` of
+    one batch cut from it (:meth:`~kgrerank.metrics._Stack.cut`): the
+    subgraph induced by the profile's nodes, then the candidate's added nodes
+    in sorted order. Every metric group scores that one batch
+    (:func:`~kgrerank.metrics.score_stack`), which gives the values of
     ``compute_metric`` on each materialized extension.
     """
     kinds = list(dict.fromkeys(metrics))
@@ -119,13 +121,19 @@ def evaluate_metrics(
     # stay out of its extension
     closed = mode is NeighborhoodMode.CLOSED_NEIGHBORHOOD
     union = _compile_induced(catalog, profile + extra, () if closed else set(extra))
+    # row r: the profile's nodes, then candidate r's added nodes, in union order
     at = {v: i for i, v in enumerate(extra, start=len(profile))}
-    kept = list(range(len(profile)))
-    graphs = [union.induced(kept + [at[v] for v in added]) for added in adds]
+    mask = np.zeros((len(adds), len(union.nodes)), dtype=bool)
+    mask[:, : len(profile)] = True
+    mask[
+        [row for row, added in enumerate(adds) for _ in added],
+        [at[v] for added in adds for v in added],
+    ] = True
+    stack = _Stack.cut(union, mask)
     values: dict[MetricKind, list[MetricValue]] = {}
     for group in groups:
         try:
-            values.update(compute_metrics(graphs, group))
+            values.update(score_stack(stack, group))
         except Exception as exc:
             row = getattr(exc, "row", None)
             item = None if row is None else recs.items[row][0]

@@ -61,26 +61,32 @@ def bfs_calls(monkeypatch):
     return record_bfs_calls(monkeypatch)
 
 
-def compiled_extensions(catalog, sg, items, mode) -> list:
-    """The compiled extension of ``sg`` by each of ``items`` that
-    ``rerank.evaluate_metrics`` builds, taken from its call to
-    ``compute_metrics``."""
+def extension_batch(catalog, sg, items, mode):
+    """The batch (``metrics._Stack``) of the extensions of ``sg`` by each of
+    ``items`` that ``rerank.evaluate_metrics`` builds, taken from its call to
+    ``score_stack``."""
     # ``kgrerank.rerank`` is also the name of the exported function, so the
     # module is reached through sys.modules
     module = sys.modules["kgrerank.rerank"]
-    real = module.compute_metrics
+    real = module.score_stack
     captured = []
 
-    def capture(graphs, kinds):
-        captured.append(graphs)
-        return real(graphs, kinds)
+    def capture(stack, kinds):
+        captured.append(stack)
+        return real(stack, kinds)
 
     recs = RecommendationList(user=sg.user, items=tuple((item, 0.0) for item in items))
     with pytest.MonkeyPatch.context() as monkeypatch:
-        monkeypatch.setattr(module, "compute_metrics", capture)
+        monkeypatch.setattr(module, "score_stack", capture)
         evaluate_metrics(catalog, sg, recs, [MetricKind.NODE_COUNT], mode)
-    (graphs,) = captured
-    return graphs
+    (stack,) = captured
+    return stack
+
+
+def compiled_extensions(catalog, sg, items, mode) -> list:
+    """The rows of :func:`extension_batch`, each as a compiled graph."""
+    stack = extension_batch(catalog, sg, items, mode)
+    return [stack.graph(row) for row in range(len(stack))]
 
 
 def catalog_layout(g) -> tuple:

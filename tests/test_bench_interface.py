@@ -7,9 +7,13 @@ pipeline and then the worker's ``setup`` and ``oracle`` steps on it, each in
 a fresh interpreter, as the benchmark starts them. Synthetic profiles are
 forests, so a second run on a small Last.fm-format corpus, whose profiles
 have cycles, goes through the worker's traced ``run`` step (which also
-probes the metrics the config leaves out) and its ``oracle`` step.
+probes the metrics the config leaves out) and its ``oracle`` step. Last,
+each named workload's seed-1 run must reproduce the digests the benchmark
+checks its runs against.
 """
 
+import hashlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -132,3 +136,35 @@ def test_tracer_still_sees_the_shapes_it_reads(traced_lastfm_run):
     # the hooks ran, so the check above is not empty
     hooked = {span[0] for span in spans if span[5]}
     assert {"ingest.load", "graph.induce", "rerank.evaluate"} <= hooked
+
+
+RECORDED = json.loads((ROOT / "perfbench" / "digests.json").read_text(encoding="utf-8"))
+
+
+def _bench_module():
+    """``perfbench/run.py``, imported without running it; it imports its
+    sibling modules by their plain names."""
+    name = "perfbench_run"
+    if name not in sys.modules:
+        here = str(ROOT / "perfbench")
+        sys.path.insert(0, here)
+        try:
+            spec = importlib.util.spec_from_file_location(name, ROOT / "perfbench" / "run.py")
+            module = importlib.util.module_from_spec(spec)
+            # dataclasses look their module up while the class body runs
+            sys.modules[name] = module
+            spec.loader.exec_module(module)
+        finally:
+            sys.path.remove(here)
+    return sys.modules[name]
+
+
+@pytest.mark.parametrize("workload", sorted(RECORDED["workloads"]))
+def test_seed_one_run_matches_the_recorded_digests(tmp_path, workload):
+    bench = _bench_module()
+    configs, _ = bench.prepare(bench.WORKLOADS[workload], RECORDED["seed"], tmp_path / "work")
+    assert main(["run", "--config", str(configs["run"])]) == 0
+    out = tmp_path / "work" / "out"
+    expected = RECORDED["workloads"][workload]
+    got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in expected}
+    assert got == expected

@@ -399,6 +399,18 @@ class TestPipeline:
                     triples = [(item, *own[item]) for item in got]
                     assert_matches_reference(triples, expected, values, kind)
 
+    def test_netflix_run_over_a_lastfm_run_drops_its_features(self, tmp_path, request):
+        # the Last.fm run leaves a features.csv that names none of the titles
+        lastfm = write_config(tmp_path / "lastfm.json", pipeline_doc(request, "lastfm"))
+        netflix = write_config(tmp_path / "netflix.json", pipeline_doc(request, "netflix"))
+        reused, fresh = tmp_path / "reused", tmp_path / "fresh"
+        assert main(["run", "--config", str(lastfm), "--out", str(reused)]) == 0
+        assert (reused / FEATURES).exists()
+        assert main(["run", "--config", str(netflix), "--out", str(reused)]) == 0
+        assert main(["run", "--config", str(netflix), "--out", str(fresh)]) == 0
+        assert not (reused / FEATURES).exists()
+        assert (reused / REPORT).read_bytes() == (fresh / REPORT).read_bytes()
+
     @pytest.mark.parametrize("dataset", DATASET_KINDS)
     def test_staged_invocation_matches_run(self, tmp_path, request, dataset):
         # a run hands its artifacts on in memory, the stages alone read them

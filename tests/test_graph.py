@@ -21,9 +21,9 @@ from kgrerank import (
 )
 
 from kgrerank.graph import added_nodes
-from kgrerank.metrics import compile_graph
+from kgrerank.metrics import MetricKind, compile_graph, compute_metric, score_stack
 
-from conftest import catalog_layout, compiled_extensions, signature
+from conftest import catalog_layout, compiled_extensions, extension_batch, signature
 from oracles import (
     brute_extension,
     induced_profile,
@@ -365,6 +365,52 @@ class TestInducedExtensions:
                 got_array, want_array = getattr(got, name), getattr(want, name)
                 assert got_array.dtype == want_array.dtype, (item, name)
                 assert got_array.tolist() == want_array.tolist(), (item, name)
+
+
+class TestExtensionBatch:
+    @given(catalog_subgraphs(), st.sampled_from([CLOSED, EDGES]), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_batch_rows_and_metrics_equal_the_materialized_extensions(
+        self, drawn, mode, data
+    ):
+        """Every row of the batch the re-ranker cuts from its union graph,
+        and every metric on it, equals the materialized extension compiled
+        and scored alone; among the candidates, one adds no node and two
+        attach one shape under other labels."""
+        catalog, history, items = drawn
+        # two new tracks tied the same way to one node: a repeated shape
+        anchor = data.draw(st.sampled_from(sorted(catalog.node_ids())))
+        for twin in ("x0", "x1"):
+            catalog.add_node(Node(twin, "track"))
+            catalog.add_edge(twin, "rel", anchor)
+        items = [*items, "x1", "x0"]
+        # a history item and its neighbours are all in the profile
+        unlisted = sorted(history - set(items))
+        if unlisted:
+            items.append(data.draw(st.sampled_from(unlisted)))
+        sg = induce_profile_subgraph(catalog, history, user="u")
+        profile = induced_profile(catalog, history)
+        stack = extension_batch(catalog, sg, items, mode)
+        assert len(stack) == len(items)
+        _, group = stack.distinct
+        assert group[items.index("x0")] == group[items.index("x1")]
+        values = score_stack(stack, list(MetricKind))
+        for row, item in enumerate(items):
+            extended = materialized_extension(profile, catalog, item, mode is CLOSED)
+            want = compile_graph(extended)
+            got = stack.graph(row)
+            assert got.nodes == want.nodes, item
+            for name in ("src", "dst", "mult"):
+                got_array, want_array = getattr(got, name), getattr(want, name)
+                assert got_array.dtype == want_array.dtype, (item, name)
+                assert got_array.tolist() == want_array.tolist(), (item, name)
+            order = stack.label_order[row, : stack.sizes[row]].tolist()
+            assert order == sorted(range(len(want.nodes)), key=want.nodes.__getitem__), item
+            for kind in MetricKind:
+                assert values[kind][row] == compute_metric(extended, kind), (item, kind)
+        listed = [items.index(item) for item in history if item in items]
+        assert all(stack.sizes[row] == profile.num_nodes for row in listed)
+        assert bool(listed) == bool(history)
 
 
 def _edge_pairs(g):

@@ -507,7 +507,7 @@ class TestComputeMetric:
 def _pagerank_rows(graphs, **kwargs):
     """Each graph's PageRank from one batched run."""
     compiled = [compile_graph(g) for g in graphs]
-    stack = metrics_module._Stack(compiled)
+    stack = metrics_module._Stack.of(compiled)
     ranks = metrics_module._pagerank_batch(stack, **kwargs)
     return [cg.by_node(row[: len(cg.nodes)]) for cg, row in zip(compiled, ranks)]
 
@@ -604,13 +604,22 @@ class TestBatch:
     @given(st.lists(st.text(max_size=3), max_size=12, unique=True), st.data())
     @settings(max_examples=100, deadline=None)
     def test_label_order_is_sorted_labels(self, labels, data):
+        """Each batch row's label order sorts its labels, in a batch cut from
+        one graph by a membership mask and in one stacked from a list."""
         empty = np.zeros(0, dtype=np.intp)
         base = CompiledGraph(labels, empty, empty, empty)
-        # some of the nodes, in a drawn order
-        order = data.draw(st.permutations(range(len(labels))))
-        order = order[: data.draw(st.integers(0, len(labels)))]
-        for graph in (base, base.induced(order)):
-            assert [graph.nodes[i] for i in graph.label_order] == sorted(graph.nodes)
+        row_masks = st.lists(st.booleans(), min_size=len(labels), max_size=len(labels))
+        mask = data.draw(st.lists(row_masks, min_size=1, max_size=4))
+        mask = np.array(mask, dtype=bool).reshape(len(mask), len(labels))
+        # some of the nodes, each row in a drawn order
+        orders = data.draw(st.lists(st.permutations(labels), min_size=1, max_size=4))
+        rows = [order[: data.draw(st.integers(0, len(labels)))] for order in orders]
+        graphs = [CompiledGraph(row, empty, empty, empty) for row in rows]
+        for stack in (metrics_module._Stack.cut(base, mask), metrics_module._Stack.of(graphs)):
+            for row in range(len(stack)):
+                nodes = stack.nodes(row)
+                order = stack.label_order[row, : stack.sizes[row]]
+                assert [nodes[i] for i in order] == sorted(nodes)
 
 
 def _kernel_calls(monkeypatch):
@@ -620,7 +629,7 @@ def _kernel_calls(monkeypatch):
     pagerank_batch = metrics_module._pagerank_batch
 
     def counting_pagerank(stack, *args, **kwargs):
-        calls["pagerank_rows"].append(len(stack.graphs))
+        calls["pagerank_rows"].append(len(stack))
         return pagerank_batch(stack, *args, **kwargs)
 
     monkeypatch.setattr(metrics_module, "_pagerank_batch", counting_pagerank)
@@ -693,9 +702,8 @@ class TestRepeatedGraphs:
         def failing(stack, *args, **kwargs):
             # the stack's last row holds the second shape
             ranks = real(stack, *args, **kwargs)
-            row = len(stack.graphs) - 1
-            graph = stack.graphs[row]
-            raise ConvergenceError("injected", graph.by_node(ranks[row]), row)
+            row = len(stack) - 1
+            raise ConvergenceError("injected", stack.by_node(row, ranks[row]), row)
 
         monkeypatch.setattr(metrics_module, "_pagerank_batch", failing)
         with pytest.raises(ConvergenceError, match="injected") as info:

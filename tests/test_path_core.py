@@ -21,7 +21,7 @@ from kgrerank import (
     induce_profile_subgraph,
 )
 from kgrerank.graph import Node
-from kgrerank.metrics import PATH_KINDS, _distinct, compute_metrics
+from kgrerank.metrics import PATH_KINDS, _Stack, compute_metrics
 
 from conftest import compiled_extensions, core_passes, record_bfs_calls
 from oracles import (
@@ -261,7 +261,7 @@ class TestFixedExtensions:
         values = compute_metrics(graphs, KINDS)
         # one pass per distinct extension, on its core; in edges mode join
         # and bridge each add one node linked to a4 and g1
-        firsts, _ = _distinct(graphs)
+        firsts, _ = _Stack.of(graphs).distinct
         assert len(firsts) == (5 if mode is NeighborhoodMode.CLOSED_NEIGHBORHOOD else 4)
         assert bfs_calls == core_passes([graphs[row] for row in firsts])
         for position, extended in enumerate(materialized):

@@ -358,8 +358,8 @@ class TestSharedEvaluation:
         real = metrics_module._pagerank_batch
 
         def failing(stack, *args, **kwargs):
-            for row, graph in enumerate(stack.graphs):
-                if "d1" in graph.nodes:
+            for row in range(len(stack)):
+                if "d1" in stack.nodes(row):
                     raise ConvergenceError("injected failure", {}, row)
             return real(stack, *args, **kwargs)
 
@@ -389,6 +389,49 @@ class TestSharedEvaluation:
         self._fail_on_d1(monkeypatch)
         with pytest.raises(RerankError, match="item 'd1': injected failure"):
             evaluate_metrics(dvs_catalog, dvs_profile, recs, [BETW, PAGERANK])
+
+    # s1 and s2 attach one shape, the only one with five nodes; s2 is listed
+    # first, so its row is the one the shape's kernels run on
+    SHARED_SHAPE_RECS = RecommendationList(
+        user="u1", items=(("d1", 0.9), ("s2", 0.8), ("d2", 0.7), ("s1", 0.6))
+    )
+
+    def test_pagerank_failure_on_a_repeated_shape_names_its_first_item(
+        self, monkeypatch, dvs_catalog, dvs_profile
+    ):
+        real = metrics_module._pagerank_batch
+
+        def failing(stack, *args, **kwargs):
+            ranks = real(stack, *args, **kwargs)
+            row = stack.sizes.tolist().index(5)
+            raise ConvergenceError("injected failure", stack.by_node(row, ranks[row]), row)
+
+        monkeypatch.setattr(metrics_module, "_pagerank_batch", failing)
+        with pytest.raises(
+            RerankError,
+            match="^pagerank evaluation failed for user 'u1', item 's2': injected failure$",
+        ) as info:
+            evaluate_metrics(dvs_catalog, dvs_profile, self.SHARED_SHAPE_RECS, [PAGERANK])
+        assert "s2" in info.value.__cause__.last_scores
+
+    def test_path_failure_on_a_repeated_shape_names_its_first_item(
+        self, monkeypatch, dvs_catalog, dvs_profile
+    ):
+        real = metrics_module._path_scores
+
+        def failing(graph, kinds):
+            scores = real(graph, kinds)
+            if len(graph.nodes) == 5:
+                scores[BETW][graph.nodes.index("a1")] = float("nan")
+            return scores
+
+        monkeypatch.setattr(metrics_module, "_path_scores", failing)
+        with pytest.raises(
+            RerankError,
+            match="^betweenness, closeness evaluation failed for user 'u1', item 's2': "
+            "centrality score of 'a1' is not finite: nan$",
+        ):
+            evaluate_metrics(dvs_catalog, dvs_profile, self.SHARED_SHAPE_RECS, [BETW, CLOSE])
 
     def test_failure_of_the_whole_batch_names_user_and_metric(
         self, monkeypatch, dvs_catalog, dvs_profile, dvs_recs
