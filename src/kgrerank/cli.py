@@ -480,6 +480,9 @@ def _read_profiles(path) -> dict[str, dict[str, list[str]]]:
         history = profile["history"]
         if not isinstance(history, list) or not all(isinstance(i, str) for i in history):
             raise ValueError(f"{path}: user {user!r}: history must be a list of strings")
+        if len(set(history)) < len(history):
+            item = next(i for n, i in enumerate(history) if i in history[:n])
+            raise ValueError(f"{path}: user {user!r}: repeated history item {item!r}")
     return data["users"]
 
 
@@ -734,12 +737,20 @@ def _base_run_users(ws: Workspace) -> list[tuple[str, list[str], RecommendationL
     return users
 
 
+def _available_cpus() -> int:
+    """The CPUs this process may run on, where the platform tells; else the
+    host's."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def stage_rerank(cfg: RunConfig, ws: Workspace | None = None) -> None:
     ws = ws or Workspace(cfg)
     catalog = ws.read(read_graph, CATALOG_TRIPLES, CATALOG_NODES)
     tasks = _base_run_users(ws)
 
-    degree = cfg.parallelism if cfg.parallelism is not None else (os.cpu_count() or 1)
+    degree = cfg.parallelism if cfg.parallelism is not None else _available_cpus()
     degree = max(1, min(degree, len(tasks)))
     if degree > 1:
         with concurrent.futures.ProcessPoolExecutor(

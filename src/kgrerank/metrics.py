@@ -6,35 +6,35 @@ produce a score per node; those distributions are collapsed to a single
 concentration value with the normalized Herfindahl-Hirschman index, so every
 metric ends up as one number in a comparable range.
 
-Every metric reads one array form of the graph, :class:`CompiledGraph` (in
-the linear-algebra style of Kepner & Gilbert, *Graph Algorithms in the
-Language of Linear Algebra*, 2011): the node ids in ``g.node_ids()`` order,
-each directed (source, target) pair once with its number of parallel edges,
-sorted by source, and, built only when a path metric asks for it, the dense
-0/1 adjacency ``A`` of the undirected view.
-
-Metrics score a batch (:class:`_Stack`): one zero-padded (rows x widest row)
-block whose pairs are numbered ``row * width + node``, row-major and each
-row's sorted by source. There are two ways to build one, and one core
-(:func:`score_stack`) scores both. :func:`compute_metrics` stacks a list of
-graphs, one row each; a single graph is a batch of one. The re-ranker
-compiles, once per user, the catalog subgraph on the profile's nodes and
-every node a candidate adds, and cuts the whole batch from it at once with a
-(candidates x union nodes) membership mask (:meth:`_Stack.cut`): row
-``r`` is the subgraph that candidate ``r``'s nodes induce, the profile's
+Every metric reads one array form of the graph, a batch (:class:`_Stack`),
+in the linear-algebra style of Kepner & Gilbert (*Graph Algorithms in the
+Language of Linear Algebra*, 2011); a single graph is a batch of one row. A
+batch is one zero-padded (rows x widest row) block. It holds each row's node
+ids and each directed (source, target) pair once with its number of parallel
+edges, sorted by source and numbered ``row * width + node``, so all pairs are
+row-major and each row's sorted by source; a row's dense 0/1 adjacency ``A``
+of the undirected view is built only when a path metric asks for it.
+:func:`compile_graph` is the one builder: it compiles the subgraph of a graph
+on given nodes (by default all of them, in ``g.node_ids()`` order) as a batch
+of one. One core (:func:`score_stack`) scores every batch.
+:func:`compute_metrics` stacks one batch per graph (:meth:`_Stack.of`). The
+re-ranker compiles, once per user, the catalog subgraph on the profile's
+nodes and every node a candidate adds, and cuts the whole batch from it at
+once with a (candidates x union nodes) membership mask (:meth:`_Stack.cut`):
+row ``r`` is the subgraph that candidate ``r``'s nodes induce, the profile's
 first, then its added nodes in union order. That order is monotone in the
-union's, so the union's sorted pairs, masked and relabelled, stay
-row-major and source-sorted with no sort per row. No graph object is built
-per candidate. The row sizes and pair bounds, the distinct rows (below) and
-each row's label order (one sort of all labels, then one argsort of the rank
-matrix) are computed once per batch and shared by every metric; a
-:class:`CompiledGraph` is built only for each distinct row that the path
-kernels run on. The degrees are one ``np.bincount`` over the pairs and
-PageRank is one power iteration over the distinct rows' block; both use edge
-directions. Every distribution is then collapsed to its HHI row by row, in
-sorted-label order (:attr:`_Stack.label_order`).
+union's, so the union's sorted pairs, masked and relabelled, stay row-major
+and source-sorted with no sort per row. No graph object is built per
+candidate. The row sizes and pair bounds, the distinct rows (below) and each
+row's label order (one sort of all labels, then one argsort of the rank
+matrix) are computed once per batch and shared by every metric; the path
+kernels read only the adjacency of each distinct row. The degrees are one
+``np.bincount`` over the pairs and PageRank is one power iteration over the
+distinct rows' block; both use edge directions. Every distribution is then
+collapsed to its HHI row by row, in sorted-label order
+(:attr:`_Stack.label_order`).
 
-Betweenness and closeness run per graph on ``A``, peeled to its 2-core first
+Betweenness and closeness run per row on ``A``, peeled to its 2-core first
 (:func:`_peel`): nodes of degree 0 or 1 (self-loops and parallel edges do not
 count) are removed round after round until none is left, the exact reduction
 of Baglioni, Geraci, Pellegrini & Lastres ("Fast exact computation of
@@ -105,7 +105,7 @@ with the whole-graph pass before the 2-core kernels, 5 of the 72 changed.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator, Mapping, Sequence
+from collections.abc import Container, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -264,73 +264,20 @@ def centrality_to_shares(scores: Mapping[str, float]) -> list[float]:
     return shares[0].tolist()
 
 
-class CompiledGraph:
-    """A graph as arrays, in one fixed node order.
-
-    Node ``i`` is ``nodes[i]``, in ``g.node_ids()`` order. ``src``, ``dst`` and
-    ``mult`` hold each directed (source, target) pair once with its number of
-    parallel edges, sorted by source and then target index. Build one with
-    :func:`compile_graph` or :meth:`from_edges`.
-    """
-
-    def __init__(
-        self, nodes: list[str], src: np.ndarray, dst: np.ndarray, mult: np.ndarray
-    ) -> None:
-        self.nodes = nodes
-        self.src = src
-        self.dst = dst
-        self.mult = mult
-        self.num_edges = int(mult.sum())
-
-    @classmethod
-    def from_edges(
-        cls, nodes: list[str], edges: Sequence[tuple[int, int]]
-    ) -> "CompiledGraph":
-        """The graph on ``nodes`` with one edge per (source index, target
-        index) pair of ``edges``, which may come in any order."""
-        ends = np.array(edges, dtype=np.intp).reshape(-1, 2)
-        size = len(nodes)
-        # one key per edge; sorted unique keys are sorted pairs
-        pairs, mult = np.unique(ends[:, 0] * size + ends[:, 1], return_counts=True)
-        return cls(nodes, pairs // size, pairs % size, mult)
-
-    @property
-    def adjacency(self) -> np.ndarray:
-        """The 0/1 float64 adjacency of the undirected view; self-loops are
-        dropped and parallel edges collapse into one entry. Built on each
-        access, so that a batch does not keep one per graph."""
-        n = len(self.nodes)
-        _check_dense_size(n)
-        adj = np.zeros((n, n))
-        adj[self.src, self.dst] = 1.0
-        adj[self.dst, self.src] = 1.0
-        np.fill_diagonal(adj, 0.0)
-        return adj
-
-    def by_node(self, values: np.ndarray) -> dict[str, float]:
-        return dict(zip(self.nodes, values.tolist()))
-
-
-def compile_graph(g) -> CompiledGraph:
-    """The array form of a graph; a :class:`CompiledGraph` is returned as is."""
-    if isinstance(g, CompiledGraph):
-        return g
-    nodes = list(g.node_ids())
-    index = {v: i for i, v in enumerate(nodes)}
-    return CompiledGraph.from_edges(nodes, [(index[s], index[t]) for s, _, t in g.edges()])
-
-
 class _Stack:
-    """A batch of graphs as one zero-padded (rows x width) block.
+    """A batch of graphs as one zero-padded (rows x width) block; a single
+    graph is a batch of one row.
 
     Row ``r`` holds ``sizes[r]`` nodes in columns ``0 .. sizes[r] - 1``; the
     node in column ``c`` is ``labels[members[node_starts[r] + c]]``. Its
     pairs are ``row_src``, ``row_dst`` and ``mult`` from ``bounds[r]`` to
-    ``bounds[r + 1]``, sorted by source and then target; ``src`` and ``dst``
-    hold them as flat indices ``r * width + node``, so all pairs are
-    row-major and each row's sorted by source. Build one from a list of
-    graphs (:meth:`of`) or from the subgraphs of one graph that the rows of
-    a membership mask induce (:meth:`cut`).
+    ``bounds[r + 1]``: each directed (source, target) pair once with its
+    number of parallel edges, sorted by source and then target. ``src`` and
+    ``dst`` hold them as flat indices ``r * width + node``, so all pairs are
+    row-major and each row's sorted by source. Build a graph with
+    :func:`compile_graph` or :meth:`from_edges`, stack batches with
+    :meth:`of`, and cut the subgraphs that the rows of a membership mask
+    induce from one graph with :meth:`cut`.
     """
 
     def __init__(
@@ -358,35 +305,51 @@ class _Stack:
         self.dst = row_dst + offsets
 
     @classmethod
-    def of(cls, graphs: Sequence[CompiledGraph]) -> "_Stack":
-        """Graph ``r`` as row ``r``; at least one graph."""
-        labels = [v for g in graphs for v in g.nodes]
+    def from_edges(cls, nodes: list[str], edges: Sequence[tuple[int, int]]) -> "_Stack":
+        """The graph on ``nodes``, as a batch of one row, with one edge per
+        (source index, target index) pair of ``edges``, which may come in
+        any order."""
+        ends = np.array(edges, dtype=np.intp).reshape(-1, 2)
+        size = len(nodes)
+        # one key per edge; sorted unique keys are sorted pairs
+        pairs, mult = np.unique(ends[:, 0] * size + ends[:, 1], return_counts=True)
         return cls(
-            labels,
-            np.arange(len(labels)),
-            np.array([len(g.nodes) for g in graphs]),
-            np.concatenate([g.src for g in graphs]),
-            np.concatenate([g.dst for g in graphs]),
-            np.concatenate([g.mult for g in graphs]),
-            np.array([len(g.src) for g in graphs]),
+            nodes, np.arange(size), np.array([size]),
+            pairs // size, pairs % size, mult, np.array([len(pairs)]),
         )
 
     @classmethod
-    def cut(cls, graph: CompiledGraph, mask: np.ndarray) -> "_Stack":
-        """Row ``r``: the subgraph of ``graph`` that the nodes where
-        ``mask[r]`` is true induce, in ``graph``'s node order.
+    def of(cls, stacks: Sequence["_Stack"]) -> "_Stack":
+        """The rows of ``stacks``, one batch after another; at least one
+        batch."""
+        # each batch's members index its own labels
+        offsets = np.cumsum([0, *(len(s.labels) for s in stacks[:-1])])
+        return cls(
+            [v for s in stacks for v in s.labels],
+            np.concatenate([s.members + offset for s, offset in zip(stacks, offsets)]),
+            np.concatenate([s.sizes for s in stacks]),
+            np.concatenate([s.row_src for s in stacks]),
+            np.concatenate([s.row_dst for s in stacks]),
+            np.concatenate([s.mult for s in stacks]),
+            np.concatenate([np.diff(s.bounds) for s in stacks]),
+        )
+
+    @classmethod
+    def cut(cls, graph: "_Stack", mask: np.ndarray) -> "_Stack":
+        """Row ``r``: the subgraph of the one-row batch ``graph`` that the
+        nodes where ``mask[r]`` is true induce, in ``graph``'s node order.
 
         A row keeps ``graph``'s order, so its positions rise with ``graph``'s
         indices and its pairs, taken in ``graph``'s order, stay sorted."""
         position = np.cumsum(mask, axis=1, dtype=np.intp) - 1
-        keep = mask[:, graph.src] & mask[:, graph.dst]
+        keep = mask[:, graph.row_src] & mask[:, graph.row_dst]
         rows, pairs = np.nonzero(keep)
         return cls(
-            graph.nodes,
-            np.nonzero(mask)[1],
+            graph.labels,
+            graph.members[np.nonzero(mask)[1]],
             np.count_nonzero(mask, axis=1),
-            position[rows, graph.src[pairs]],
-            position[rows, graph.dst[pairs]],
+            position[rows, graph.row_src[pairs]],
+            position[rows, graph.row_dst[pairs]],
             graph.mult[pairs],
             np.count_nonzero(keep, axis=1),
         )
@@ -415,12 +378,19 @@ class _Stack:
         members = self.members[self.node_starts[row] : self.node_starts[row + 1]]
         return [self.labels[i] for i in members.tolist()]
 
-    def graph(self, row: int) -> CompiledGraph:
-        """Row ``row`` as a graph of its own."""
+    def adjacency(self, row: int) -> np.ndarray:
+        """The 0/1 float64 adjacency of row ``row``'s undirected view;
+        self-loops are dropped and parallel edges collapse into one entry.
+        Built on each call, so that a batch does not keep one per row."""
+        n = int(self.sizes[row])
+        _check_dense_size(n)
         lo, hi = self.bounds[row], self.bounds[row + 1]
-        return CompiledGraph(
-            self.nodes(row), self.row_src[lo:hi], self.row_dst[lo:hi], self.mult[lo:hi]
-        )
+        src, dst = self.row_src[lo:hi], self.row_dst[lo:hi]
+        adj = np.zeros((n, n))
+        adj[src, dst] = 1.0
+        adj[dst, src] = 1.0
+        np.fill_diagonal(adj, 0.0)
+        return adj
 
     def by_node(self, row: int, values: np.ndarray) -> dict[str, float]:
         return dict(zip(self.nodes(row), values.tolist()))
@@ -489,6 +459,29 @@ class _Stack:
 
         shares = _to_shares(ordered, self.sizes, label)
         return _normalize_hhi(_hhi_rows(shares), self.sizes)
+
+
+def compile_graph(
+    g, nodes: Sequence[str] | None = None, loopless: Container[str] = ()
+) -> _Stack:
+    """The subgraph of ``g`` on ``nodes`` as a batch of one row, compiled
+    straight from ``g.successors``; a :class:`_Stack` is returned as is.
+
+    Node ``i`` is ``nodes[i]``; by default every node of ``g``, in
+    ``g.node_ids()`` order. The nodes in ``loopless`` keep no self-loop.
+    """
+    if isinstance(g, _Stack):
+        return g
+    nodes = list(g.node_ids() if nodes is None else nodes)
+    index = {v: i for i, v in enumerate(nodes)}
+    edges = [
+        (i, j)
+        for i, source in enumerate(nodes)
+        for target, preds in g.successors(source).items()
+        if (j := index.get(target)) is not None and (i != j or source not in loopless)
+        for _ in preds
+    ]
+    return _Stack.from_edges(nodes, edges)
 
 
 # Sources per forward/backward pass, and closeness rows per block; bounds the
@@ -616,11 +609,10 @@ def _peel(adj: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
         rounds.append(gone)
 
 
-def _path_scores(graph: CompiledGraph, kinds) -> dict[MetricKind, np.ndarray]:
-    """Per-node betweenness and/or closeness of ``graph``'s undirected view,
-    with one BFS pass on its 2-core shared by both; see the module
-    docstring."""
-    adj = graph.adjacency
+def _path_scores(adj: np.ndarray, kinds) -> dict[MetricKind, np.ndarray]:
+    """Per-node betweenness and/or closeness of the undirected view whose
+    adjacency is ``adj``, with one BFS pass on its 2-core shared by both; see
+    the module docstring."""
     n = adj.shape[0]
     core, parent, rounds = _peel(adj)
     # each node's root (a core node, or the root of a tree component), its
@@ -699,8 +691,9 @@ def betweenness(g) -> dict[str, float]:
     Returns raw, unnormalized scores counting unordered node pairs; parallel
     edges collapse into a single adjacency.
     """
-    cg = compile_graph(g)
-    return cg.by_node(_path_scores(cg, (MetricKind.BETWEENNESS,))[MetricKind.BETWEENNESS])
+    graph = compile_graph(g)
+    scores = _path_scores(graph.adjacency(0), (MetricKind.BETWEENNESS,))
+    return graph.by_node(0, scores[MetricKind.BETWEENNESS])
 
 
 def closeness(g) -> dict[str, float]:
@@ -709,8 +702,9 @@ def closeness(g) -> dict[str, float]:
     Unreachable nodes contribute 0, so disconnected graphs are handled
     without special cases.
     """
-    cg = compile_graph(g)
-    return cg.by_node(_path_scores(cg, (MetricKind.CLOSENESS,))[MetricKind.CLOSENESS])
+    graph = compile_graph(g)
+    scores = _path_scores(graph.adjacency(0), (MetricKind.CLOSENESS,))
+    return graph.by_node(0, scores[MetricKind.CLOSENESS])
 
 
 def _pagerank_batch(
@@ -763,10 +757,10 @@ def pagerank(
     """
     if not 0.0 < damping < 1.0:
         raise MetricError(f"damping must lie in (0, 1), got {damping!r}")
-    cg = compile_graph(g)
-    if not cg.nodes:
+    graph = compile_graph(g)
+    if not graph.sizes[0]:
         raise MetricError("pagerank is undefined on an empty graph")
-    return cg.by_node(_pagerank_batch(_Stack.of([cg]), damping, tol, max_iter)[0])
+    return graph.by_node(0, _pagerank_batch(graph, damping, tol, max_iter)[0])
 
 
 def _scalar(kind: MetricKind, n: int, m: int) -> float:
@@ -823,7 +817,7 @@ def score_stack(stack: _Stack, kinds: Sequence[MetricKind]) -> dict[MetricKind, 
     # grouping costs about a microsecond per row; only the kernels need it
     kernels = path_kinds or MetricKind.PAGERANK in kinds
     firsts, group = stack.distinct if kernels else ([], [])
-    paths = [_path_scores(stack.graph(row), path_kinds) for row in firsts] if path_kinds else []
+    paths = [_path_scores(stack.adjacency(row), path_kinds) for row in firsts] if path_kinds else []
     values = {}
     for kind in kinds:
         if kind in SCALAR_KINDS:
@@ -856,4 +850,4 @@ def score_stack(stack: _Stack, kinds: Sequence[MetricKind]) -> dict[MetricKind, 
 def compute_metric(g, kind: MetricKind) -> MetricValue:
     """Evaluate one metric on a graph, as a batch of one; see
     :func:`compute_metrics`."""
-    return compute_metrics([g], (kind,))[kind][0]
+    return score_stack(compile_graph(g), (kind,))[kind][0]

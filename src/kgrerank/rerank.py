@@ -10,14 +10,14 @@ profile graph balanced; descending favors candidates that centralize it.
 from __future__ import annotations
 
 import math
-from collections.abc import Container, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from .graph import CatalogGraph, NeighborhoodMode, ProfileSubgraph, added_nodes
-from .metrics import PATH_KINDS, CompiledGraph, MetricKind, MetricValue, _Stack, score_stack
+from .metrics import PATH_KINDS, MetricKind, MetricValue, _Stack, compile_graph, score_stack
 
 
 class RerankError(RuntimeError):
@@ -96,11 +96,13 @@ def evaluate_metrics(
     outcome does not depend on list order. ``sg`` must be an induced subgraph
     of ``catalog``, as :func:`~kgrerank.graph.induce_profile_subgraph` builds
     it. The catalog subgraph on the profile's nodes and every node a
-    candidate adds, those in sorted order, is compiled once
-    (:func:`_compile_induced`). Candidate ``r``'s extension is row ``r`` of
-    one batch cut from it (:meth:`~kgrerank.metrics._Stack.cut`): the
-    subgraph induced by the profile's nodes, then the candidate's added nodes
-    in sorted order. Every metric group scores that one batch
+    candidate adds, those in sorted order, is compiled once, straight from
+    the catalog's adjacency, by the one builder
+    (:func:`~kgrerank.metrics.compile_graph`). Candidate ``r``'s extension
+    is row ``r`` of one batch cut from it
+    (:meth:`~kgrerank.metrics._Stack.cut`): the subgraph induced by the
+    profile's nodes, then the candidate's added nodes in sorted order. Every
+    metric group scores that one batch
     (:func:`~kgrerank.metrics.score_stack`), which gives the values of
     ``compute_metric`` on each materialized extension.
     """
@@ -120,10 +122,10 @@ def evaluate_metrics(
     # in edges mode every extra node is a new candidate, whose self-loops
     # stay out of its extension
     closed = mode is NeighborhoodMode.CLOSED_NEIGHBORHOOD
-    union = _compile_induced(catalog, profile + extra, () if closed else set(extra))
+    union = compile_graph(catalog, profile + extra, () if closed else set(extra))
     # row r: the profile's nodes, then candidate r's added nodes, in union order
     at = {v: i for i, v in enumerate(extra, start=len(profile))}
-    mask = np.zeros((len(adds), len(union.nodes)), dtype=bool)
+    mask = np.zeros((len(adds), len(profile) + len(extra)), dtype=bool)
     mask[:, : len(profile)] = True
     mask[
         [row for row, added in enumerate(adds) for _ in added],
@@ -145,23 +147,6 @@ def evaluate_metrics(
         ]
         for kind in kinds
     }
-
-
-def _compile_induced(
-    catalog: CatalogGraph, nodes: list[str], loopless: Container[str]
-) -> CompiledGraph:
-    """The catalog subgraph on ``nodes``, compiled in that order straight
-    from the catalog's adjacency; the nodes in ``loopless`` keep no
-    self-loop."""
-    index = {v: i for i, v in enumerate(nodes)}
-    edges = [
-        (i, j)
-        for i, source in enumerate(nodes)
-        for target, preds in catalog.successors(source).items()
-        if (j := index.get(target)) is not None and (i != j or source not in loopless)
-        for _ in preds
-    ]
-    return CompiledGraph.from_edges(nodes, edges)
 
 
 def _failure(kinds, user: str, item: str | None, exc: Exception) -> RerankError:

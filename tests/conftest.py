@@ -38,17 +38,18 @@ def record_bfs_calls(monkeypatch) -> list[tuple[int, int]]:
 
 
 def core_passes(graphs) -> list[tuple[int, int]]:
-    """The BFS passes of the path kernels on each of ``graphs`` (compiled or
-    not), as :func:`record_bfs_calls` records them: one from every node of
-    the graph's 2-core, and none where the 2-core is empty."""
+    """The BFS passes of the path kernels on each of ``graphs`` (graphs, or
+    one-row batches), as :func:`record_bfs_calls` records them: one from
+    every node of the graph's 2-core, and none where the 2-core is empty."""
     passes = []
     for graph in graphs:
-        if isinstance(graph, metrics_module.CompiledGraph):
+        if isinstance(graph, metrics_module._Stack):
+            nodes = graph.nodes(0)
             g = Multigraph()
-            for v in graph.nodes:
+            for v in nodes:
                 g.add_node(Node(v, "other"))
-            for source, target in zip(graph.src, graph.dst):
-                g.add_edge(graph.nodes[source], "rel", graph.nodes[target])
+            for source, target in zip(graph.row_src.tolist(), graph.row_dst.tolist()):
+                g.add_edge(nodes[source], "rel", nodes[target])
             graph = g
         size = len(two_core(graph))
         if size:
@@ -84,9 +85,19 @@ def extension_batch(catalog, sg, items, mode):
 
 
 def compiled_extensions(catalog, sg, items, mode) -> list:
-    """The rows of :func:`extension_batch`, each as a compiled graph."""
+    """The rows of :func:`extension_batch`, each as a batch of one row."""
     stack = extension_batch(catalog, sg, items, mode)
-    return [stack.graph(row) for row in range(len(stack))]
+    return [stack.rows([row]) for row in range(len(stack))]
+
+
+def assert_same_graph(got, want, context=None) -> None:
+    """The one-row batches ``got`` and ``want`` hold the same nodes, in one
+    order, and the same pair arrays, dtypes included."""
+    assert got.nodes(0) == want.nodes(0), context
+    for name in ("row_src", "row_dst", "mult"):
+        got_array, want_array = getattr(got, name), getattr(want, name)
+        assert got_array.dtype == want_array.dtype, (context, name)
+        assert got_array.tolist() == want_array.tolist(), (context, name)
 
 
 def catalog_layout(g) -> tuple:

@@ -1,5 +1,7 @@
 import argparse
+import concurrent.futures
 import json
+import os
 import random
 import re
 from dataclasses import fields
@@ -41,6 +43,7 @@ from kgrerank.cli import (
     rerank_run_name,
     run_pipeline,
     stage_ingest,
+    stage_rerank,
     trec_run_name,
     validate_config,
     _add_common_arguments,
@@ -519,6 +522,25 @@ class TestPipeline:
             assert (tmp_path / "serial" / "out" / name).read_bytes() == (
                 tmp_path / "parallel" / "out" / name
             ).read_bytes(), name
+
+    def test_default_parallelism_counts_the_cpus_the_process_may_use(
+        self, tmp_path, monkeypatch
+    ):
+        """With ``parallelism`` unset, a process bound to one CPU of a larger
+        host reranks serially."""
+        cfg = synth_config(tmp_path)
+        run_pipeline(cfg)
+        expected = (tmp_path / "out" / rerank_run_name("node_count", "asc")).read_bytes()
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a worker pool was started")
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        cfg.parallelism = None
+        stage_rerank(cfg)
+        assert (tmp_path / "out" / rerank_run_name("node_count", "asc")).read_bytes() == expected
 
     def test_external_recommender_flow(self, tmp_path):
         # seed a workspace from the synthetic ingest, then feed external lists
@@ -1156,6 +1178,27 @@ class TestExitCodes:
             f"stage {stage} failed: {path}: {reason.format(user=user)}\n"
             in capsys.readouterr().err
         )
+
+    @pytest.mark.parametrize("stage", ["rerank", "evaluate"])
+    def test_repeated_history_item_names_path_user_and_item(self, tmp_path, capsys, stage):
+        cfg = synth_config(tmp_path)
+        run_pipeline(cfg)
+        path = tmp_path / "out" / PROFILES
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        user = sorted(doc["users"])[0]
+        history = doc["users"][user]["history"]
+        history.append(history[0])
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        capsys.readouterr()
+        code = main(
+            [stage, "--dataset", "synthetic", "--out", str(tmp_path / "out"),
+             "--metric", "node_count", "--order", "asc", "--parallelism", "1"]
+        )
+        assert code == 2
+        assert (
+            f"stage {stage} failed: {path}: user {user!r}: "
+            f"repeated history item {history[0]!r}\n"
+        ) in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "row, reason",

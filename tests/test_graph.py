@@ -20,10 +20,16 @@ from kgrerank import (
     read_graph,
 )
 
-from kgrerank.graph import added_nodes
+from kgrerank.graph import _induced, added_nodes
 from kgrerank.metrics import MetricKind, compile_graph, compute_metric, score_stack
 
-from conftest import catalog_layout, compiled_extensions, extension_batch, signature
+from conftest import (
+    assert_same_graph,
+    catalog_layout,
+    compiled_extensions,
+    extension_batch,
+    signature,
+)
 from oracles import (
     brute_extension,
     induced_profile,
@@ -360,11 +366,25 @@ class TestInducedExtensions:
         assert len(graphs) == len(items)
         for item, got in zip(items, graphs):
             want = compile_graph(materialized_extension(profile, catalog, item, mode is CLOSED))
-            assert got.nodes == want.nodes, item
-            for name in ("src", "dst", "mult"):
-                got_array, want_array = getattr(got, name), getattr(want, name)
-                assert got_array.dtype == want_array.dtype, (item, name)
-                assert got_array.tolist() == want_array.tolist(), (item, name)
+            assert_same_graph(got, want, item)
+
+
+class TestCompileGraph:
+    @given(catalog_subgraphs(), st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_subgraph_on_nodes_equals_the_induced_graph_compiled(self, drawn, data):
+        """``compile_graph(catalog, nodes, loopless)`` equals the compiled
+        catalog subgraph that ``graph._induced`` builds on those nodes, in
+        their order: some of the nodes in a drawn order, with and without
+        nodes that keep no self-loop."""
+        catalog, _, _ = drawn
+        order = data.draw(st.permutations(sorted(catalog.node_ids())))
+        nodes = order[: data.draw(st.integers(0, len(order)))]
+        loopless = data.draw(st.sets(st.sampled_from(nodes))) if nodes else set()
+        assert_same_graph(compile_graph(catalog, nodes), compile_graph(_induced(catalog, nodes)))
+        got = compile_graph(catalog, nodes, loopless)
+        assert_same_graph(got, compile_graph(_induced(catalog, nodes, loopless)))
+        assert got.nodes(0) == nodes
 
 
 class TestExtensionBatch:
@@ -398,14 +418,10 @@ class TestExtensionBatch:
         for row, item in enumerate(items):
             extended = materialized_extension(profile, catalog, item, mode is CLOSED)
             want = compile_graph(extended)
-            got = stack.graph(row)
-            assert got.nodes == want.nodes, item
-            for name in ("src", "dst", "mult"):
-                got_array, want_array = getattr(got, name), getattr(want, name)
-                assert got_array.dtype == want_array.dtype, (item, name)
-                assert got_array.tolist() == want_array.tolist(), (item, name)
+            assert_same_graph(stack.rows([row]), want, item)
+            nodes = want.nodes(0)
             order = stack.label_order[row, : stack.sizes[row]].tolist()
-            assert order == sorted(range(len(want.nodes)), key=want.nodes.__getitem__), item
+            assert order == sorted(range(len(nodes)), key=nodes.__getitem__), item
             for kind in MetricKind:
                 assert values[kind][row] == compute_metric(extended, kind), (item, kind)
         listed = [items.index(item) for item in history if item in items]
@@ -445,14 +461,13 @@ class TestCompiledExtension:
                 for item, extended in zip(items, graphs):
                     solid = extend_subgraph(sg, catalog, item, mode).graph
                     compiled = compile_graph(solid)
-                    assert extended.nodes == compiled.nodes == list(solid.node_ids())
-                    assert extended.src.tolist() == compiled.src.tolist()
-                    assert extended.dst.tolist() == compiled.dst.tolist()
-                    assert extended.mult.tolist() == compiled.mult.tolist()
-                    pairs = list(zip(*(a.tolist() for a in (compiled.src, compiled.dst, compiled.mult))))
+                    assert_same_graph(extended, compiled, item)
+                    assert compiled.nodes(0) == list(solid.node_ids())
+                    arrays = (compiled.row_src, compiled.row_dst, compiled.mult)
+                    pairs = list(zip(*(a.tolist() for a in arrays)))
                     assert pairs == _edge_pairs(solid)
-                    assert extended.num_edges == compiled.num_edges == solid.num_edges
-                    assert (extended.adjacency == compiled.adjacency).all()
+                    assert extended.edge_counts[0] == compiled.edge_counts[0] == solid.num_edges
+                    assert (extended.adjacency(0) == compiled.adjacency(0)).all()
 
 
 class TestPruneGraph:

@@ -22,7 +22,7 @@ from kgrerank import (
 )
 
 from kgrerank import metrics as metrics_module
-from kgrerank.metrics import _SOURCE_BLOCK, CompiledGraph, compile_graph, compute_metrics
+from kgrerank.metrics import _SOURCE_BLOCK, _Stack, compile_graph, compute_metrics
 
 from conftest import core_passes, record_bfs_calls
 from oracles import (
@@ -506,10 +506,9 @@ class TestComputeMetric:
 
 def _pagerank_rows(graphs, **kwargs):
     """Each graph's PageRank from one batched run."""
-    compiled = [compile_graph(g) for g in graphs]
-    stack = metrics_module._Stack.of(compiled)
+    stack = _Stack.of([compile_graph(g) for g in graphs])
     ranks = metrics_module._pagerank_batch(stack, **kwargs)
-    return [cg.by_node(row[: len(cg.nodes)]) for cg, row in zip(compiled, ranks)]
+    return [stack.by_node(row, ranks[row]) for row in range(len(stack))]
 
 
 def _outcome(fn, g, **kwargs):
@@ -604,22 +603,38 @@ class TestBatch:
     @given(st.lists(st.text(max_size=3), max_size=12, unique=True), st.data())
     @settings(max_examples=100, deadline=None)
     def test_label_order_is_sorted_labels(self, labels, data):
-        """Each batch row's label order sorts its labels, in a batch cut from
-        one graph by a membership mask and in one stacked from a list."""
-        empty = np.zeros(0, dtype=np.intp)
-        base = CompiledGraph(labels, empty, empty, empty)
+        """Each batch row's label order sorts its labels: in a batch cut from
+        one graph by a membership mask, in one stacked from one-row batches,
+        and in one stacked from both kinds of rows, where each row keeps its
+        input's nodes and pairs."""
+
+        def edges(size):
+            ends = st.integers(0, size - 1)
+            return data.draw(st.lists(st.tuples(ends, ends), max_size=3 * size)) if size else []
+
+        base = _Stack.from_edges(labels, edges(len(labels)))
         row_masks = st.lists(st.booleans(), min_size=len(labels), max_size=len(labels))
         mask = data.draw(st.lists(row_masks, min_size=1, max_size=4))
         mask = np.array(mask, dtype=bool).reshape(len(mask), len(labels))
+        cut = _Stack.cut(base, mask)
         # some of the nodes, each row in a drawn order
         orders = data.draw(st.lists(st.permutations(labels), min_size=1, max_size=4))
         rows = [order[: data.draw(st.integers(0, len(labels)))] for order in orders]
-        graphs = [CompiledGraph(row, empty, empty, empty) for row in rows]
-        for stack in (metrics_module._Stack.cut(base, mask), metrics_module._Stack.of(graphs)):
+        graphs = [_Stack.from_edges(row, edges(len(row))) for row in rows]
+        # the cut's rows and the one-row batches, in a drawn order
+        inputs = data.draw(st.permutations([cut.rows([r]) for r in range(len(cut))] + graphs))
+        mixed = _Stack.of(inputs)
+        for stack in (cut, _Stack.of(graphs), mixed):
             for row in range(len(stack)):
                 nodes = stack.nodes(row)
                 order = stack.label_order[row, : stack.sizes[row]]
                 assert [nodes[i] for i in order] == sorted(nodes)
+        assert len(mixed) == len(inputs)
+        for row, graph in enumerate(inputs):
+            assert mixed.nodes(row) == graph.nodes(0)
+            alone = mixed.rows([row])
+            for name in ("row_src", "row_dst", "mult"):
+                assert getattr(alone, name).tolist() == getattr(graph, name).tolist(), name
 
 
 def _kernel_calls(monkeypatch):
@@ -636,17 +651,17 @@ def _kernel_calls(monkeypatch):
     return calls
 
 
-def _plus(base: CompiledGraph, added, edges) -> CompiledGraph:
-    """``base`` plus the ``added`` nodes, last, and one more edge per
-    (source, target) label pair of ``edges``."""
-    nodes = base.nodes + list(added)
+def _plus(base: _Stack, added, edges) -> _Stack:
+    """The one-row batch ``base`` plus the ``added`` nodes, last, and one
+    more edge per (source, target) label pair of ``edges``."""
+    nodes = base.nodes(0) + list(added)
     index = {v: i for i, v in enumerate(nodes)}
-    pairs = zip(base.src.tolist(), base.dst.tolist(), base.mult.tolist())
+    pairs = zip(base.row_src.tolist(), base.row_dst.tolist(), base.mult.tolist())
     ends = [(i, j) for i, j, mult in pairs for _ in range(mult)]
-    return CompiledGraph.from_edges(nodes, ends + [(index[s], index[t]) for s, t in edges])
+    return _Stack.from_edges(nodes, ends + [(index[s], index[t]) for s, t in edges])
 
 
-def _attached(base: CompiledGraph, labels, anchor):
+def _attached(base: _Stack, labels, anchor):
     """``base`` plus one node per label, each alone and tied to ``anchor`` by
     one edge each way: one shape under different labels."""
     return [_plus(base, [label], [(anchor, label), (label, anchor)]) for label in labels]
@@ -663,7 +678,7 @@ class TestRepeatedGraphs:
     @settings(max_examples=60, deadline=None)
     def test_copies_of_one_shape_share_one_kernel_pass(self, g, labels, data):
         base = compile_graph(g)
-        anchor = data.draw(st.sampled_from(base.nodes))
+        anchor = data.draw(st.sampled_from(base.nodes(0)))
         graphs = _attached(base, labels[: data.draw(st.integers(2, 4))], anchor)
         kinds = list(MetricKind)
         with pytest.MonkeyPatch.context() as monkeypatch:

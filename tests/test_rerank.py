@@ -418,11 +418,13 @@ class TestSharedEvaluation:
         self, monkeypatch, dvs_catalog, dvs_profile
     ):
         real = metrics_module._path_scores
+        # a row's first columns are the profile's nodes, in its order
+        a1 = list(dvs_profile.graph.node_ids()).index("a1")
 
-        def failing(graph, kinds):
-            scores = real(graph, kinds)
-            if len(graph.nodes) == 5:
-                scores[BETW][graph.nodes.index("a1")] = float("nan")
+        def failing(adj, kinds):
+            scores = real(adj, kinds)
+            if adj.shape[0] == 5:
+                scores[BETW][a1] = float("nan")
             return scores
 
         monkeypatch.setattr(metrics_module, "_path_scores", failing)
