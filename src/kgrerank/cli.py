@@ -360,12 +360,13 @@ def _sha256_file(path) -> str:
     return digest.hexdigest()
 
 
-def write_manifest(cfg: RunConfig, inputs: dict[str, str]) -> None:
+def write_manifest(cfg: RunConfig, inputs: dict[str, str], numeric: dict) -> None:
     manifest = {
         "version": __version__,
         "config_hash": config_hash(cfg),
         "config": cfg.to_dict(),
         "inputs": inputs,
+        "numeric": numeric,
     }
     out = Path(cfg.output_dir) / MANIFEST
     out.write_text(
@@ -428,6 +429,20 @@ class Workspace:
         cfg = self.cfg
         paths = (getattr(cfg, f.name) for f in fields(cfg) if f.name.endswith("_path"))
         return {str(p): _sha256_file(p) for p in paths if p and Path(p).exists()}
+
+    @cached_property
+    def numeric(self) -> dict:
+        """The numpy version, the BLAS library it was built against (null
+        where ``numpy.show_config`` cannot report it) and the BLAS thread
+        settings (null where unset), on which a metric's last bits may
+        depend; taken once, like :attr:`inputs`."""
+        try:
+            blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+            library = {"name": blas.get("name"), "version": blas.get("version")}
+        except (TypeError, KeyError):
+            library = None
+        threads = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+        return {"numpy": np.__version__, "blas": library, **{v: os.environ.get(v) for v in threads}}
 
 
 def _write_interactions(interactions: list[Interaction], path) -> list[Interaction]:
@@ -847,7 +862,7 @@ def _run_stage(name: str, cfg: RunConfig, ws: Workspace | None = None) -> None:
     except Exception as exc:
         raise PipelineError(f"stage {name} failed: {exc}") from exc
     flag.unlink()
-    write_manifest(cfg, ws.inputs)
+    write_manifest(cfg, ws.inputs, ws.numeric)
 
 
 def run_pipeline(cfg: RunConfig) -> None:

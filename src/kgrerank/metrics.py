@@ -48,7 +48,13 @@ searched, and a forest is not searched at all:
 
 - the forward pass is a level-synchronous BFS (``frontier @ A``) from blocks
   of ``_SOURCE_BLOCK`` core nodes, giving hop distances and shortest-path
-  counts (integer valued float64, exact below 2**53);
+  counts. A block counts in float32 first: each count, and each partial sum
+  of a product with the 0/1 ``A``, is a sum of non-negative integers no larger
+  than its result, so all of them are exact while the block's largest count
+  stays below 2**24. A block that reaches 2**24, or overflows, runs again in
+  float64 (exact below 2**53). The counts are handed on as float64. A pair's
+  distance is the number of levels at which it was still unseen, and each
+  level is masked by multiplying with a bool array, not by masked copies;
 - betweenness runs Brandes' dependency pass on the core, level by level, as
   ``delta += sigma * (((weight + delta) / sigma) @ A)``, scales each source's
   row by its weight and adds the rows in source order. That counts every
@@ -60,8 +66,13 @@ searched, and a forest is not searched at all:
   its own subtrees and those between its forest and the rest;
 - closeness builds each node's exact integer distance row: the distance
   between the two roots, plus both depths, less twice the depth at which
-  the two meet when they share a root. The rows go to ``_harmonic_rows``,
-  which adds 1/d in non-decreasing distance order, 32 rows at a time.
+  the two meet when they share a root (a float32 product of 0/1 rows, exact
+  as it counts at most n <= 2**15 nodes). The distances are int32 keys; self
+  and unreachable pairs take the key n, which sorts after every distance.
+  32 rows at a time, each row's keys are sorted and 1/d is looked up in a
+  table (``1.0 / np.arange(1, n)``, the same IEEE division as ``1.0 / d``),
+  then added left to right: in non-decreasing distance order, as a queue
+  BFS adds them.
 
 Both metrics read one forward pass. The backward block stays at 32 rows:
 from 64 rows on, OpenBLAS sums the ``coef @ A`` products in another order
@@ -98,8 +109,12 @@ moved by at most 2.4e-15 relative per node. Betweenness bits may also depend
 on the number of OpenBLAS threads on larger cores. On those 72 extensions
 (24 per seed), scored in two processes and compared with ``np.array_equal``,
 ``OPENBLAS_NUM_THREADS=1`` and the default two threads of a 2-CPU host
-(OpenBLAS 0.3.31) gave the same betweenness and closeness bits on all 72;
-with the whole-graph pass before the 2-core kernels, 5 of the 72 changed.
+(OpenBLAS 0.3.31) gave the same betweenness and closeness bits on all 72,
+before and after the forward pass moved to float32; with the whole-graph
+pass before the 2-core kernels, 5 of the 72 changed. On 12 random graphs of
+317-962 nodes (2-cores of 243-845), betweenness changed with the thread
+count on the 9 with cores of 523 nodes or more, in 2-12 nodes each and by at
+most 3.1e-16 relative; closeness was equal on all 12.
 """
 
 from __future__ import annotations
@@ -499,6 +514,10 @@ def _check_dense_size(n: int, row: int | None = None) -> None:
         raise MetricError(f"graph too large for the dense engine: {n} nodes", row)
 
 
+# Path counts below this are exact in float32: see :func:`_source_blocks`.
+_EXACT_FLOAT32 = 2**24
+
+
 def _source_blocks(
     adj: np.ndarray, sources: range
 ) -> Iterator[tuple[range, np.ndarray, np.ndarray]]:
@@ -507,28 +526,51 @@ def _source_blocks(
     Yields (block, dist, sigma) with one row per source of the block: hop
     distances (-1 where unreachable) and the number of shortest paths, held
     exactly as integer-valued float64.
+
+    Each block runs in float32 first. Every count, and every product of the
+    0/1 ``adj``, is a sum of non-negative integers, so no partial sum exceeds
+    its result: while every count stays below 2**24, each one is exact in
+    float32. A block whose largest count reaches 2**24 (or overflows) runs
+    again in float64, exact below 2**53.
     """
-    n = adj.shape[0]
+    single = adj.astype(np.float32)
     for start in range(sources.start, sources.stop, _SOURCE_BLOCK):
         block = range(start, min(start + _SOURCE_BLOCK, sources.stop))
-        rows = np.arange(len(block))
-        dist = np.full((len(block), n), -1, dtype=np.int16)
-        sigma = np.zeros(dist.shape)
-        dist[rows, block] = 0
-        sigma[rows, block] = 1.0
-        frontier = sigma.copy()
-        level = 0
-        while True:
-            reached = frontier @ adj
-            new = reached > 0
-            new &= dist < 0
-            if not new.any():
-                break
-            level += 1
-            np.copyto(dist, level, where=new)
-            frontier = np.where(new, reached, 0.0)
-            sigma += frontier
-        yield block, dist, sigma
+        # a count past float32's range overflows to inf, and a masked inf to
+        # NaN; both send the block to float64
+        with np.errstate(over="ignore", invalid="ignore"):
+            dist, sigma = _bfs(single, block)
+        if not sigma.max() < _EXACT_FLOAT32:
+            dist, sigma = _bfs(adj, block)
+        yield block, dist, sigma.astype(float)
+
+
+def _bfs(adj: np.ndarray, block: range) -> tuple[np.ndarray, np.ndarray]:
+    """Hop distances and shortest-path counts from the sources ``block``, the
+    counts in ``adj``'s dtype.
+
+    Each level adds the pairs still unseen to ``dist``, so a pair's count of
+    unseen levels is its distance; the pairs never reached become -1 at the
+    end. Masks multiply, as a finite count times False is +0."""
+    rows = np.arange(len(block))
+    unseen = np.ones((len(block), adj.shape[0]), dtype=bool)
+    unseen[rows, block] = False
+    dist = np.zeros(unseen.shape, dtype=np.int16)
+    frontier = np.zeros(unseen.shape, dtype=adj.dtype)
+    frontier[rows, block] = 1
+    sigma = frontier.copy()
+    while True:
+        reached = frontier @ adj
+        new = reached > 0
+        new &= unseen
+        if not new.any():
+            break
+        dist += unseen
+        unseen ^= new
+        frontier = reached * new
+        sigma += frontier
+    dist[unseen] = -1
+    return dist, sigma
 
 
 def _add_dependencies(
@@ -565,15 +607,6 @@ def _add_dependencies(
     # row by row in source order: the summation order of a per-source
     # loop, which the float contract in the module docstring relies on
     bc[:] = np.cumsum(np.vstack((bc, delta)), axis=0)[-1]
-
-
-def _harmonic_rows(dist: np.ndarray) -> np.ndarray:
-    """Sum of 1/d over each source row; unreachable nodes add nothing."""
-    inv = np.zeros(dist.shape)
-    np.divide(1.0, dist, out=inv, where=dist > 0)
-    # sequential sum in non-decreasing distance, i.e. BFS, order
-    inv = np.sort(inv, axis=1)[:, ::-1]
-    return _running_total(inv)
 
 
 def _peel(adj: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
@@ -671,16 +704,24 @@ def _path_scores(adj: np.ndarray, kinds) -> dict[MetricKind, np.ndarray]:
     if above is not None:
         # two nodes below one root meet at the depth of their lowest common
         # node: the count of the nodes at depth 1 or more above both
-        hanging = above[:, depth > 0].astype(float)
+        # counts of at most n <= 2**15 nodes: exact in float32
+        hanging = above[:, depth > 0].astype(np.float32)
+        depth = depth.astype(np.int32)
+        # 1/d by distance d < n; self and unreachable pairs take the key n,
+        # which sorts after every distance and adds 0
+        inverse = np.zeros(n + 1)
+        inverse[1:n] = 1.0 / np.arange(1, n)
         cl = np.empty(n)
         # in row blocks: (block x n) temporaries, and faster than one pass
         for start in range(0, n, _SOURCE_BLOCK):
             rows = slice(start, start + _SOURCE_BLOCK)
             via = between_roots[root[rows]][:, root]
-            meet = (hanging[rows] @ hanging.T).astype(np.int64)
-            dist = depth[rows, None] + depth[None, :] + via - 2 * meet
-            dist[via < 0] = -1
-            cl[rows] = _harmonic_rows(dist)
+            meet = (hanging[rows] @ hanging.T).astype(np.int32)
+            dist = depth[rows, None] + depth + via - 2 * meet
+            dist[(via < 0) | (dist == 0)] = n
+            # each row's 1/d in non-decreasing distance, i.e. BFS, order
+            dist.sort(axis=1)
+            cl[rows] = _running_total(inverse[dist])
         out[MetricKind.CLOSENESS] = cl
     return out
 

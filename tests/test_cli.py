@@ -7,6 +7,7 @@ import re
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import kgrerank
@@ -356,6 +357,13 @@ class TestPipeline:
         manifest = json.loads((out / MANIFEST).read_text(encoding="utf-8"))
         assert manifest["config_hash"] == config_hash(cfg)
         assert manifest["version"]
+        # the numeric environment, on which a metric's last bits may depend
+        numeric = manifest["numeric"]
+        threads = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+        assert set(numeric) == {"numpy", "blas", *threads}
+        assert numeric["numpy"] == np.__version__
+        assert numeric["blas"] is None or set(numeric["blas"]) == {"name", "version"}
+        assert [numeric[name] for name in threads] == [os.environ.get(name) for name in threads]
         profiles = json.loads((out / PROFILES).read_text(encoding="utf-8"))["users"]
         assert [list(profile) for profile in profiles.values()] == [["history"]] * 4
 

@@ -5,6 +5,9 @@ Every case is held to the brute-force oracles: betweenness to the exact
 path enumeration within 1e-9, closeness to the queue BFS bit for bit.
 """
 
+from collections import deque
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,7 +24,8 @@ from kgrerank import (
     induce_profile_subgraph,
 )
 from kgrerank.graph import Node
-from kgrerank.metrics import PATH_KINDS, _Stack, compute_metrics
+from kgrerank import metrics as metrics_module
+from kgrerank.metrics import PATH_KINDS, _path_scores, _source_blocks, _Stack, compute_metrics
 
 from conftest import compiled_extensions, core_passes, record_bfs_calls
 from oracles import (
@@ -268,3 +272,105 @@ class TestFixedExtensions:
             for kind in KINDS:
                 assert values[kind][position] == compute_metric(extended, kind)
             assert_path_metrics_equal_oracles(extended)
+
+
+def layered_adjacency(width: int, layers: int) -> np.ndarray:
+    """Two hubs, nodes 0 and 1, joined through ``layers`` layers of ``width``
+    nodes, each layer fully joined to the next: a 2-core with ``width **
+    layers`` shortest paths between the hubs."""
+    n = 2 + width * layers
+    levels = [[0], *(range(2 + width * i, 2 + width * (i + 1)) for i in range(layers)), [1]]
+    adj = np.zeros((n, n))
+    for upper, lower in zip(levels, levels[1:]):
+        adj[np.ix_(upper, lower)] = adj[np.ix_(lower, upper)] = 1.0
+    return adj
+
+
+def counted_bfs(adj: np.ndarray, source: int) -> tuple[list[int], list[int]]:
+    """Hop distances (-1 where unreachable) and shortest-path counts from
+    ``source``, as Python ints, from a queue BFS."""
+    neighbours = [np.flatnonzero(row).tolist() for row in adj]
+    dist = [-1] * len(adj)
+    count = [0] * len(adj)
+    dist[source], count[source] = 0, 1
+    queue = deque([source])
+    while queue:
+        v = queue.popleft()
+        for w in neighbours[v]:
+            if dist[w] < 0:
+                dist[w] = dist[v] + 1
+                queue.append(w)
+            if dist[w] == dist[v] + 1:
+                count[w] += count[v]
+    return dist, count
+
+
+class TestFloat32Counts:
+    """The forward pass counts in float32 while every count of a source
+    block stays below 2**24, and runs the block again in float64 otherwise.
+    Between the hubs of a layered core, 4**11 paths are below the bound;
+    4**12 = 2**24 and 4**13 are not. 5**12 is not a float32 value, 2**40 is
+    one far past the bound, and 2**130 overflows float32."""
+
+    CASES = [(4, 11), (4, 12), (4, 13), (5, 12), (2, 40), (2, 130)]
+
+    @pytest.mark.parametrize("width, layers", CASES)
+    def test_counts_equal_a_python_int_bfs(self, width, layers):
+        adj = layered_adjacency(width, layers)
+        n = len(adj)
+        blocks = list(_source_blocks(adj, range(n)))
+        assert [b for b, _, _ in blocks] == [
+            range(start, min(start + 32, n)) for start in range(0, n, 32)
+        ]
+        dist = np.vstack([d for _, d, _ in blocks])
+        sigma = np.vstack([s for _, _, s in blocks])
+        assert sigma.dtype == np.float64
+        expected = [counted_bfs(adj, source) for source in range(n)]
+        assert dist.tolist() == [d for d, _ in expected]
+        assert sigma.tolist() == [c for _, c in expected]
+        assert sigma[0, 1] == width**layers
+
+    @pytest.mark.parametrize("width, layers", CASES)
+    def test_scores_equal_a_float64_pass(self, width, layers, monkeypatch):
+        adj = layered_adjacency(width, layers)
+        got = _path_scores(adj, PATH_KINDS)
+        monkeypatch.setattr(metrics_module, "_EXACT_FLOAT32", 0)
+        expected = _path_scores(adj, PATH_KINDS)
+        for kind in PATH_KINDS:
+            assert got[kind].tolist() == expected[kind].tolist(), kind
+
+
+def cycle_with_trees(core: int, second: str) -> Multigraph:
+    """A graph whose 2-core has ``core`` nodes, with a pendant tree and a
+    second component: a cycle of ``core`` nodes and a 3-node path, or a
+    cycle of ``core - 3`` nodes and a triangle with a leaf, whose core
+    nodes the first's cannot reach."""
+    ring = core - 3 if second == "triangle" else core
+    cycle = [f"c{i:02d}" for i in range(ring)]
+    edges = [(a, "rel", b) for a, b in zip(cycle, cycle[1:] + cycle[:1])]
+    # a pendant tree: a chain of two below c00, branching below its top
+    edges += [("c00", "rel", "p0"), ("p0", "rel", "p1"), ("p2", "rel", "p0")]
+    if second == "triangle":
+        edges += [("x0", "rel", "x1"), ("x1", "rel", "x2"), ("x2", "rel", "x0"), ("x2", "rel", "x3")]
+        others = ["x0", "x1", "x2", "x3"]
+    else:
+        edges += [("x0", "rel", "x1"), ("x1", "rel", "x2")]
+        others = ["x0", "x1", "x2"]
+    # the trees and the second component among the cycle's nodes, so that
+    # they fall inside closeness's row blocks too
+    nodes = cycle[:20] + ["p0", "p1", "p2"] + others + cycle[20:]
+    return graph_of(nodes, edges)
+
+
+class TestSourceBlockBoundaries:
+    """Cores of 32 and 64 nodes fill whole source blocks; cores of 33 and 65
+    leave one row over."""
+
+    @pytest.mark.parametrize("second", ["path", "triangle"])
+    @pytest.mark.parametrize("core", [32, 33, 64, 65])
+    def test_metrics_equal_the_oracles(self, core, second, bfs_calls):
+        g = cycle_with_trees(core, second)
+        assert len(two_core(g)) == core
+        compute_metrics([g], PATH_KINDS)
+        assert bfs_calls == [(core, core)]
+        assert_path_metrics_equal_oracles(g)
