@@ -64,6 +64,7 @@ from .evaluation import (
     EvalRow,
     cosine_distance,
     emit_report,
+    evaluate_user,
     feature_vector,
     ild,
     lookup_features,
@@ -103,9 +104,9 @@ __all__ = [
     "RunFileError", "anti_testset",
     "load_external_recommendations", "scale_ratings", "write_recommendations",
     # evaluation
-    "EvalRow", "cosine_distance", "emit_report", "feature_vector", "ild",
-    "lookup_features", "ndcg_at_k", "unexpectedness", "write_qrels",
-    "write_trec_run",
+    "EvalRow", "cosine_distance", "emit_report", "evaluate_user",
+    "feature_vector", "ild", "lookup_features", "ndcg_at_k", "unexpectedness",
+    "write_qrels", "write_trec_run",
     # ingest
     "IngestError", "MergeResult", "SyntheticConfig", "SyntheticProfileConfig",
     "generate_profiles", "load_netflix", "make_synthetic_dataset", "merge_lastfm",

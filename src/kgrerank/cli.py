@@ -30,13 +30,15 @@ from .evaluation import (
     EvalRow,
     FEATURE_NAMES,
     emit_report,
+    evaluate_user,
     first_bad_feature_row,
-    ild,
-    lookup_features,
-    ndcg_at_k,
-    unexpectedness,
     write_qrels,
     write_trec_run,
+)
+from .evaluation import (  # noqa: F401 - perfbench/tracer.py wraps these names
+    ild,
+    ndcg_at_k,
+    unexpectedness,
 )
 from .graph import (
     NeighborhoodMode,
@@ -811,26 +813,13 @@ def stage_evaluate(cfg: RunConfig, ws: Workspace | None = None) -> None:
     }
 
     rows: list[EvalRow] = []
-    for user, history_ids, base in users:
+    for user, history, base in users:
         lists = [("base", "-", base)] + [
             (*combo, by_user[user]) for combo, by_user in reranked.items()
             if user in by_user
         ]
         try:
-            history = None
-            if features is not None:
-                history = lookup_features(history_ids, features)
-                rows.append(EvalRow(user, "profile", "-", ild(history), None, None))
-            for metric_name, order_name, ranked in lists:
-                ranked_ids = list(ranked.item_ids())
-                ild_value = unexp_value = None
-                if history is not None:
-                    top = lookup_features(ranked_ids[:k], features)
-                    ild_value, unexp_value = ild(top), unexpectedness(history, top)
-                rows.append(EvalRow(
-                    user, metric_name, order_name, ild_value, unexp_value,
-                    ndcg_at_k(base, ranked_ids, k),
-                ))
+            rows += evaluate_user(user, history, lists, features, k)
         except (KeyError, ValueError) as exc:
             raise ValueError(f"user {user!r}: {exc.args[0]}") from exc
 
@@ -838,7 +827,7 @@ def stage_evaluate(cfg: RunConfig, ws: Workspace | None = None) -> None:
     write_qrels({user: base for user, _, base in users}, k, out / QRELS)
     for (metric_name, order_name), by_user in sorted(reranked.items()):
         write_trec_run(
-            {user: list(lst.item_ids()) for user, lst in by_user.items()},
+            {user: lst.item_ids() for user, lst in by_user.items()},
             tag=f"{metric_name}_{order_name}",
             path=out / trec_run_name(metric_name, order_name),
         )

@@ -16,11 +16,17 @@ is deterministic so output files can be compared byte for byte.
 Float contract: each distance is an entry of one product
 (``_distance_matrix``) and equals the per-pair formula
 ``1 - (a @ b) / (norm(a) * norm(b))`` on fresh 1-D arrays, clipped to [0, 1],
-bit for bit. ILD adds the off-diagonal entries and unexpectedness its
-(recommendation, history) block in row-major order, left to right
-(``np.cumsum``; ``np.sum`` adds pairwise), as the per-pair loops did. Every
-other float sum here (DCG, the summary means) also adds left to right, with
-``reduce(add, ...)``: built-in ``sum`` compensates from Python 3.12 on.
+bit for bit, whatever matrix it sits in. ILD adds the off-diagonal entries and
+unexpectedness its (recommendation, history) block in row-major order, left
+to right (``np.cumsum``; ``np.sum`` adds pairwise), as the per-pair loops did.
+``evaluate_user`` takes all of a user's lists from one matrix over the
+history and the lists' distinct items: it gathers each list's blocks, padded
+to the longest list, with the diagonal and the padding multiplied to +0.
+Every distance is at least +0, so a +0 term leaves a left-to-right sum's bits
+as they were, and each list's sums equal ``ild`` and ``unexpectedness`` on
+that list alone. Every other float sum here (DCG, the summary means) also
+adds left to right, with ``np.cumsum`` or ``reduce(add, ...)``: built-in
+``sum`` compensates from Python 3.12 on.
 
 With OpenBLAS 0.3.31 (Haswell kernels), ``X @ X.T`` (syrk) and one row at a
 time (gemv) differ from the per-pair dot on about 3% and 43% of pairs, and
@@ -36,6 +42,7 @@ import math
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from functools import reduce
+from itertools import chain
 from operator import add
 
 import numpy as np
@@ -99,25 +106,41 @@ def cosine_distance(a: ArrayLike, b: ArrayLike) -> float:
     return float(_distance_matrix([a, b])[0, 1])
 
 
+def _off_diagonal_mean(distances: np.ndarray) -> float:
+    """Mean of an (n x n) distance matrix's off-diagonal entries, n >= 2,
+    added in row-major order."""
+    n = len(distances)
+    return float(np.cumsum(distances[~np.eye(n, dtype=bool)])[-1]) / (n * (n - 1))
+
+
+def _row_sums(blocks: np.ndarray) -> np.ndarray:
+    """Each block's entries added left to right in row-major order."""
+    return np.cumsum(blocks.reshape(len(blocks), -1), axis=1)[:, -1]
+
+
+def _require_rows(history: int, recs: int) -> None:
+    """Unexpectedness needs a history and a recommendation: fail on an empty
+    one, the history first."""
+    if history == 0:
+        raise ValueError("unexpectedness requires a non-empty history")
+    if recs == 0:
+        raise ValueError("unexpectedness requires a non-empty recommendation list")
+
+
 def ild(items: ArrayLike) -> float:
     """Intra-list diversity of (n x 8) rows: mean pairwise distance over
     ordered pairs.
 
     Lists with fewer than two items have no pairs and yield 0.
     """
-    n = len(items)
-    if n <= 1:
+    if len(items) <= 1:
         return 0.0
-    distances = _distance_matrix(items)[~np.eye(n, dtype=bool)]
-    return float(np.cumsum(distances)[-1]) / (n * (n - 1))
+    return _off_diagonal_mean(_distance_matrix(items))
 
 
 def unexpectedness(history: ArrayLike, recs: ArrayLike) -> float:
     """Mean distance of each recommended row to each history row."""
-    if len(history) == 0:
-        raise ValueError("unexpectedness requires a non-empty history")
-    if len(recs) == 0:
-        raise ValueError("unexpectedness requires a non-empty recommendation list")
+    _require_rows(len(history), len(recs))
     r = len(recs)
     block = _distance_matrix(np.concatenate([recs, history]))[:r, r:]
     return float(np.cumsum(block.ravel())[-1]) / (r * len(history))
@@ -180,6 +203,72 @@ class EvalRow:
     ild: float | None
     unexpectedness: float | None
     ndcg10: float | None
+
+
+def evaluate_user(
+    user: str,
+    history: Sequence[str],
+    lists: Sequence[tuple[str, str, RecommendationList]],
+    features: Mapping[str, np.ndarray] | None,
+    k: int,
+) -> list[EvalRow]:
+    """One user's report rows, from one distance matrix.
+
+    ``lists`` holds (metric, order, list) triples, the base list first: its
+    order grades nDCG. With ``features``, the rows are the history's
+    ``profile`` row, then one row per list with the ILD and unexpectedness
+    of its top k; without, one row per list with nDCG alone. Each value
+    equals ``ild``, ``unexpectedness`` and ``ndcg_at_k`` on that list alone,
+    bit for bit, and each error is the one those raise first, list by list:
+    a missing feature (history, then each list's top k), then an empty
+    history or list. Every item is looked up before any distance is taken,
+    so a missing item is named ahead of a zero-norm row.
+
+    The matrix's rows are the history, then the lists' distinct top-k items
+    in first-occurrence order. A list item that is also in the history gets
+    a row of its own, so that every distance used is off the diagonal, as in
+    the one-list functions' matrices.
+    """
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    tops = [lst.top(k) for _, _, lst in lists]
+    lengths = np.array([len(top) for top in tops])
+    width = max(1, lengths.max())
+    real = np.arange(width) < lengths[:, None]
+    # nDCG: the base top k's grades, over log2 discounts of positions 1, 2, ...
+    grades = {item: k - rank for rank, item in enumerate(tops[0])}
+    gains = np.zeros(real.shape)
+    gains[real] = [grades.get(item, 0) for top in tops for item in top]
+    discounts = np.array([math.log2(position + 1) for position in range(1, width + 1)])
+    dcgs = _row_sums(gains / discounts)
+    # an empty base list leaves nothing to disagree about
+    ndcgs = [1.0] * len(tops) if dcgs[0] == 0.0 else (dcgs / dcgs[0]).tolist()
+    if features is None:
+        return [EvalRow(user, m, o, None, None, g) for (m, o, _), g in zip(lists, ndcgs)]
+
+    h = len(history)
+    # the first list with no history to compare with, or no items, fails
+    # once its own items are looked up
+    stop = next((i for i, top in enumerate(tops) if not (h and top)), len(tops) - 1)
+    items = dict.fromkeys(chain.from_iterable(tops[: stop + 1]))
+    matrix_rows = lookup_features([*history, *items], features)
+    _require_rows(h, len(tops[stop]))
+    distances = _distance_matrix(matrix_rows)
+    at = {item: row for row, item in enumerate(items, start=h)}
+    index = np.zeros(real.shape, dtype=np.intp)
+    index[real] = [at[item] for top in tops for item in top]
+    pairs = real[:, :, None] & real[:, None, :] & ~np.eye(width, dtype=bool)
+    ild_sums = _row_sums(distances[index[:, :, None], index[:, None, :]] * pairs)
+    unexp_sums = _row_sums(distances[index, :h] * real[:, :, None])
+
+    profile = _off_diagonal_mean(distances[:h, :h]) if h > 1 else 0.0
+    rows = [EvalRow(user, "profile", "-", profile, None, None)]
+    for (metric, order, _), r, ild_sum, unexp_sum, ndcg in zip(
+        lists, lengths.tolist(), ild_sums.tolist(), unexp_sums.tolist(), ndcgs
+    ):
+        ild_value = ild_sum / (r * (r - 1)) if r > 1 else 0.0
+        rows.append(EvalRow(user, metric, order, ild_value, unexp_sum / (r * h), ndcg))
+    return rows
 
 
 _REPORT_HEADER = "user,metric,order,ild,unexpectedness,ndcg10"
@@ -251,9 +340,14 @@ def write_trec_run(
     position (list length - rank + 1) so it decreases with rank regardless of
     the metric direction that produced the ordering.
     """
+    # per list length, each rank's " <rank> <score> <tag>\n"
+    tails: dict[int, list[str]] = {}
+    lines = []
+    for user in sorted(rankings):
+        items = rankings[user]
+        n = len(items)
+        if n not in tails:
+            tails[n] = [f" {rank} {float(n - rank + 1)!r} {tag}\n" for rank in range(1, n + 1)]
+        lines += [f"{user} Q0 {item}{tail}" for item, tail in zip(items, tails[n])]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for user in sorted(rankings):
-            items = list(rankings[user])
-            n = len(items)
-            for rank, item in enumerate(items, start=1):
-                fh.write(f"{user} Q0 {item} {rank} {float(n - rank + 1)!r} {tag}\n")
+        fh.write("".join(lines))

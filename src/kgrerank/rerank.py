@@ -35,7 +35,7 @@ class RecommendationList:
 
     Items must be unique and ordered by non-increasing score, and no score may
     be NaN (every comparison with NaN is false, so it would hide an increase);
-    construction validates all three.
+    construction validates all three and builds the id tuple once.
     """
 
     user: str
@@ -45,12 +45,12 @@ class RecommendationList:
         object.__setattr__(
             self, "items", tuple((str(i), float(s)) for i, s in self.items)
         )
-        seen: set[str] = set()
+        seen: dict[str, None] = {}  # in list order: the id tuple
         previous = None
         for item, score in self.items:
             if item in seen:
                 raise ValueError(f"duplicate item {item!r} in recommendation list")
-            seen.add(item)
+            seen[item] = None
             if math.isnan(score):
                 raise ValueError(f"score of item {item!r} is not a number")
             if previous is not None and score > previous:
@@ -58,6 +58,7 @@ class RecommendationList:
                     f"scores must be non-increasing; item {item!r} breaks the order"
                 )
             previous = score
+        object.__setattr__(self, "_ids", tuple(seen))
 
     def __len__(self) -> int:
         return len(self.items)
@@ -66,10 +67,10 @@ class RecommendationList:
         return iter(self.items)
 
     def item_ids(self) -> tuple[str, ...]:
-        return tuple(item for item, _ in self.items)
+        return self._ids
 
     def top(self, k: int) -> tuple[str, ...]:
-        return self.item_ids()[:k]
+        return self._ids[:k]
 
 
 @dataclass(frozen=True)

@@ -948,10 +948,10 @@ class TestExitCodes:
         assert (out / "_STALE").exists()
 
     @staticmethod
-    def _evaluate_with_features(tmp_path, capsys, edit):
+    def _evaluate_with_features(tmp_path, capsys, edit, metric="node_count"):
         """Run the pipeline, pass features.csv's lines through ``edit``, then
         run evaluate again; returns its exit code and standard error."""
-        cfg = synth_config(tmp_path)
+        cfg = synth_config(tmp_path, metrics=[metric])
         run_pipeline(cfg)
         out = tmp_path / "out"
         path = out / "features.csv"
@@ -960,7 +960,7 @@ class TestExitCodes:
         capsys.readouterr()
         code = main(
             ["evaluate", "--dataset", "synthetic", "--out", str(out),
-             "--metric", "node_count", "--order", "asc", "--k", "5"]
+             "--metric", metric, "--order", "asc", "--k", "5"]
         )
         return code, capsys.readouterr().err
 
@@ -978,6 +978,56 @@ class TestExitCodes:
             f"stage evaluate failed: user {found['user']!r}: "
             f"no feature vector for item {found['item']!r}\n"
         ) in err
+
+    def test_of_two_missing_items_the_base_list_item_is_named(self, tmp_path, capsys):
+        # the first user looks up its history, then its base top 5, then its
+        # pagerank list's top 5; the base's fifth item is named ahead of an
+        # item that leads the pagerank list but sits below the base's top 5
+        found = {}
+
+        def drop_two(lines):
+            out = tmp_path / "out"
+            user = min(load_external_recommendations(out / BASE_RUN))
+            base = load_external_recommendations(out / BASE_RUN)[user].top(5)
+            ranked = load_external_recommendations(
+                out / rerank_run_name("pagerank", "asc")
+            )[user].top(5)
+            lead = next(item for item in ranked if item not in base)
+            assert ranked.index(lead) < 4
+            history = _read_profiles(out / PROFILES)[user]["history"]
+            assert {base[-1], lead}.isdisjoint(history)
+            found.update(user=user, item=base[-1])
+            dropped = (f"{base[-1]},", f"{lead},")
+            return [line for line in lines if not line.startswith(dropped)]
+
+        code, err = self._evaluate_with_features(tmp_path, capsys, drop_two, "pagerank")
+        assert code == 2
+        assert err.endswith(
+            f"stage evaluate failed: user {found['user']!r}: "
+            f"no feature vector for item {found['item']!r}\n"
+        )
+
+    def test_item_below_k_in_every_list_needs_no_features(self, tmp_path, capsys):
+        # an item without a feature row at the bottom of one user's base and
+        # reranked lists changes no report cell
+        run_pipeline(synth_config(tmp_path))
+        out = tmp_path / "out"
+        report = (out / REPORT).read_bytes()
+        user = min(load_external_recommendations(out / BASE_RUN))
+        for name in (BASE_RUN, rerank_run_name("node_count", "asc")):
+            lists = load_external_recommendations(out / name)
+            items = lists[user].items
+            lists[user] = RecommendationList(
+                user=user, items=(*items, ("t_unfeatured", items[-1][1]))
+            )
+            write_recommendations(lists, out / name)
+        assert "t_unfeatured" not in _read_features(out / FEATURES)
+        code = main(
+            ["evaluate", "--dataset", "synthetic", "--out", str(out),
+             "--metric", "node_count", "--order", "asc", "--k", "5"]
+        )
+        assert code == 0, capsys.readouterr().err
+        assert (out / REPORT).read_bytes() == report
 
     @pytest.mark.parametrize(
         "values, reason",

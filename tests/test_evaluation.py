@@ -11,6 +11,7 @@ from kgrerank import (
     RecommendationList,
     cosine_distance,
     emit_report,
+    evaluate_user,
     feature_vector,
     ild,
     lookup_features,
@@ -358,6 +359,126 @@ class TestExactAgainstPerPairSums:
         if split < len(vectors):
             recs, history = vectors[:split], vectors[split:]
             assert unexpectedness(history, recs) == fresh_unexpectedness(history, recs)
+
+
+def reference_rows(user, history, lists, features, k):
+    """A user's rows from the one-list functions, list by list."""
+    base = lists[0][2]
+    rows = []
+    if features is not None:
+        history_rows = lookup_features(history, features)
+        rows.append(EvalRow(user, "profile", "-", ild(history_rows), None, None))
+    for metric, order, lst in lists:
+        ids = list(lst.item_ids())
+        ild_value = unexp_value = None
+        if features is not None:
+            top = lookup_features(ids[:k], features)
+            ild_value, unexp_value = ild(top), unexpectedness(history_rows, top)
+        rows.append(EvalRow(user, metric, order, ild_value, unexp_value, ndcg_at_k(base, ids, k)))
+    return rows
+
+
+def outcome(function, *args):
+    """The rows, or the type and message of the error raised."""
+    try:
+        return function(*args)
+    except (KeyError, ValueError) as exc:
+        return type(exc), exc.args[0]
+
+
+@st.composite
+def user_cases(draw, faults=False):
+    """(history, lists, store, k): a history and a base list over a pool of
+    items, and up to four lists drawn from the base list, any of them left
+    out as for a user missing from that rerank file. With ``faults``, items
+    may lack features, and the history and any list may be empty."""
+    pool = [f"i{n}" for n in range(draw(st.integers(2, 40)))]
+    vectors = feature_like_vectors(random.Random(draw(st.integers(0, 2**16))), len(pool))
+    store = dict(zip(pool, vectors))
+    least = 0 if faults else 1
+    history = draw(st.lists(st.sampled_from(pool), min_size=least, max_size=30, unique=True))
+    base = draw(st.permutations(pool))[: draw(st.integers(least, len(pool)))]
+    lists = [("base", "-", base)]
+    for metric in ("pagerank", "in_degree"):
+        for order in ("asc", "desc"):
+            if draw(st.booleans()):
+                picked = draw(st.permutations(base))
+                lists.append((metric, order, picked[: draw(st.integers(least, len(base)))]))
+    if faults:
+        for item in draw(st.lists(st.sampled_from(pool), max_size=6)):
+            store.pop(item, None)
+    lists = [(m, o, base_list(*ids)) for m, o, ids in lists]
+    return history, lists, store, draw(st.integers(1, 12))
+
+
+class TestEvaluateUser:
+    @given(user_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_rows_equal_the_one_list_functions(self, case):
+        # unequal lengths, lists shorter than k, list items in the history,
+        # one-item histories and lists, items shared between lists
+        history, lists, store, k = case
+        assert evaluate_user("u", history, lists, store, k) == reference_rows(
+            "u", history, lists, store, k
+        )
+        assert evaluate_user("u", history, lists, None, k) == reference_rows(
+            "u", history, lists, None, k
+        )
+
+    @given(user_cases(faults=True))
+    @settings(max_examples=200, deadline=None)
+    def test_errors_equal_the_one_list_functions(self, case):
+        history, lists, store, k = case
+        assert outcome(evaluate_user, "u", history, lists, store, k) == outcome(
+            reference_rows, "u", history, lists, store, k
+        )
+
+    def test_history_item_in_a_list_keeps_its_own_distance(self):
+        # V3's distance to itself is not 0, and it counts in unexpectedness
+        assert fresh_distance(V3, V3) > 0.0
+        store = {"a": V1, "b": V2, "c": V3}
+        lists = [("base", "-", base_list("c", "b")), ("m", "asc", base_list("b", "c"))]
+        rows = evaluate_user("u", ["c", "a"], lists, store, 10)
+        assert rows == reference_rows("u", ["c", "a"], lists, store, 10)
+        assert rows[1].unexpectedness == fresh_unexpectedness([V3, V1], [V3, V2])
+
+    @pytest.mark.parametrize("missing, named", [
+        ({"z", "a"}, "z"),  # the base's top 2 before the other list's
+        ({"z", "h2"}, "h2"),  # the history first
+    ])
+    def test_first_missing_item_in_lookup_order_is_named(self, missing, named):
+        store = {i: v for i, v in zip(["a", "y", "z", "h1", "h2"], [V1, V2, V3, V4, V1])}
+        for item in missing:
+            del store[item]
+        lists = [("base", "-", base_list("y", "z", "a")), ("m", "asc", base_list("a", "y"))]
+        with pytest.raises(KeyError, match=f"no feature vector for item '{named}'"):
+            evaluate_user("u", ["h1", "h2"], lists, store, 2)
+        assert outcome(evaluate_user, "u", ["h1", "h2"], lists, store, 2) == outcome(
+            reference_rows, "u", ["h1", "h2"], lists, store, 2
+        )
+
+    def test_item_below_k_in_every_list_needs_no_features(self):
+        store = {"a": V1, "b": V2, "h": V3}
+        lists = [("base", "-", base_list("a", "b", "x")), ("m", "asc", base_list("b", "a", "x"))]
+        assert evaluate_user("u", ["h"], lists, store, 2) == reference_rows(
+            "u", ["h"], lists, store, 2
+        )
+        with pytest.raises(KeyError, match="'x'"):
+            evaluate_user("u", ["h"], lists, store, 3)
+
+    @pytest.mark.parametrize("history, second, message", [
+        ([], ("a",), "non-empty history"),
+        (["h"], (), "non-empty recommendation list"),
+    ])
+    def test_empty_history_or_list_rejected(self, history, second, message):
+        store = {"a": V1, "h": V3}
+        lists = [("base", "-", base_list("a")), ("m", "asc", base_list(*second))]
+        with pytest.raises(ValueError, match=message):
+            evaluate_user("u", history, lists, store, 5)
+
+    def test_invalid_k(self):
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            evaluate_user("u", ["h"], [("base", "-", base_list("a"))], None, 0)
 
 
 class TestLookupFeatures:

@@ -14,7 +14,9 @@ import pytest
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "kgrerank"
 
 
-@pytest.mark.parametrize("module", ["evaluation.py", "recsys.py", "metrics.py"])
+@pytest.mark.parametrize(
+    "module", ["evaluation.py", "recsys.py", "metrics.py", "cli.py", "rerank.py"]
+)
 def test_no_builtin_sum_call(module):
     path = PACKAGE / module
     calls = [

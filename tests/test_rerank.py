@@ -13,6 +13,8 @@ from kgrerank import (
     RecommendationList,
     RerankError,
     SortOrder,
+    Triple,
+    build_catalog,
     compute_metric,
     evaluate_candidates,
     extend_subgraph,
@@ -23,7 +25,7 @@ from kgrerank import metrics as metrics_module
 from kgrerank.graph import Node
 from kgrerank.rerank import evaluate_metrics
 
-from conftest import DVS_EXPECTED, core_passes, signature
+from conftest import A, DVS_EXPECTED, DVS_TRIPLES, T, core_passes, signature
 from oracles import (
     assert_matches_reference,
     random_catalog_with_profile,
@@ -121,6 +123,18 @@ class TestRerankOnFixture:
     def test_truncation(self, dvs_catalog, dvs_profile, dvs_recs):
         result = ranked(dvs_catalog, dvs_profile, dvs_recs, top_n=2)
         assert [e.item for e in result] == ["d2", "d1"]
+
+    def test_default_keeps_the_first_hundred(self):
+        # 101 more tracks by a1: each adds one node, so all tie, and the
+        # descending base score orders them
+        extra = [f"x{i:03d}" for i in range(101)]
+        catalog = build_catalog(DVS_TRIPLES + [Triple(x, "maker", "a1", T, A) for x in extra])
+        profile = induce_profile_subgraph(catalog, {"t1", "t2"}, user="u1")
+        recs = RecommendationList(
+            user="u1", items=tuple((x, 101.0 - i) for i, x in enumerate(extra))
+        )
+        result = ranked(catalog, profile, recs, MetricKind.NODE_COUNT)
+        assert [e.item for e in result] == extra[:100]
 
     def test_empty_list(self, dvs_catalog, dvs_profile):
         empty = RecommendationList(user="u1", items=())
