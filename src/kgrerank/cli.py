@@ -6,12 +6,16 @@ the next in memory (:class:`Workspace`) and reads back none of the files it
 writes. Given identical inputs, config and seed, every produced artifact is
 byte-identical across runs, and across a run and its stages run one by one.
 Exit codes: 0 on success, 1 for validation errors, 2 for runtime failures.
+
+One argument parser reads the command (a stage name, or ``run``) and every
+``RunConfig`` flag, in any order. An invocation builds that parser and makes
+the manifest text once each, and imports the process-pool modules only when
+it starts a pool.
 """
 
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import csv
 import hashlib
 import json
@@ -362,20 +366,6 @@ def _sha256_file(path) -> str:
     return digest.hexdigest()
 
 
-def write_manifest(cfg: RunConfig, inputs: dict[str, str], numeric: dict) -> None:
-    manifest = {
-        "version": __version__,
-        "config_hash": config_hash(cfg),
-        "config": cfg.to_dict(),
-        "inputs": inputs,
-        "numeric": numeric,
-    }
-    out = Path(cfg.output_dir) / MANIFEST
-    out.write_text(
-        json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
-
-
 # ---------------------------------------------------------------------------
 # workspace files
 
@@ -388,7 +378,8 @@ class Workspace:
     :meth:`write` holds that value, and :meth:`read` returns it, or parses
     the file when nothing is held. ``run_pipeline`` passes one workspace
     through the four stages; a stage run alone starts with an empty one and
-    reads the files.
+    reads the files. The manifest text, with the input hashes and the
+    numeric environment, is also made once per workspace (:attr:`manifest`).
 
     A held value skips only the reader checks that cannot fail on what the
     run wrote:
@@ -405,7 +396,8 @@ class Workspace:
       run files' ranks, order, unique items and NaN scores, which
       ``RecommendationList`` enforces;
     - feature values: ``merge_lastfm`` range-checks them and drops all-zero
-      rows, and ``make_synthetic_dataset`` draws them from [0.01, 0.99].
+      rows, and ``make_synthetic_dataset`` draws them from [0.01, 0.99]
+      and range-checks them as one array.
 
     Checks across artifacts, such as a base-run user without a profile, run
     on held values too.
@@ -445,6 +437,20 @@ class Workspace:
             library = None
         threads = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
         return {"numpy": np.__version__, "blas": library, **{v: os.environ.get(v) for v in threads}}
+
+    @cached_property
+    def manifest(self) -> str:
+        """The text of ``manifest.json``: the version, the config and its
+        hash, :attr:`inputs` and :attr:`numeric`. Made once; written after
+        every stage that completes."""
+        manifest = {
+            "version": __version__,
+            "config_hash": config_hash(self.cfg),
+            "config": self.cfg.to_dict(),
+            "inputs": self.inputs,
+            "numeric": self.numeric,
+        }
+        return json.dumps(manifest, sort_keys=True, indent=2) + "\n"
 
 
 def _write_interactions(interactions: list[Interaction], path) -> list[Interaction]:
@@ -770,6 +776,10 @@ def stage_rerank(cfg: RunConfig, ws: Workspace | None = None) -> None:
     degree = cfg.parallelism if cfg.parallelism is not None else _available_cpus()
     degree = max(1, min(degree, len(tasks)))
     if degree > 1:
+        # imported here: a serial run, and ``import kgrerank.cli``, pay no
+        # process-pool imports
+        import concurrent.futures
+
         with concurrent.futures.ProcessPoolExecutor(
             max_workers=degree, initializer=_init_worker, initargs=(catalog, cfg)
         ) as pool:
@@ -851,7 +861,7 @@ def _run_stage(name: str, cfg: RunConfig, ws: Workspace | None = None) -> None:
     except Exception as exc:
         raise PipelineError(f"stage {name} failed: {exc}") from exc
     flag.unlink()
-    write_manifest(cfg, ws.inputs, ws.numeric)
+    (ws.out / MANIFEST).write_text(ws.manifest, encoding="utf-8")
 
 
 def run_pipeline(cfg: RunConfig) -> None:
@@ -898,10 +908,11 @@ def main(argv=None) -> int:
         description="Re-rank recommendation lists by their impact on "
         "network metrics of user profile subgraphs.",
     )
-    subparsers = parser.add_subparsers(dest="command", required=True)
-    for name, _ in _STAGES:
-        _add_common_arguments(subparsers.add_parser(name))
-    _add_common_arguments(subparsers.add_parser("run", help="all stages in order"))
+    parser.add_argument(
+        "command", choices=[*dict(_STAGES), "run"],
+        help="one stage, or run for all stages in order",
+    )
+    _add_common_arguments(parser)
 
     args = parser.parse_args(argv)
     try:

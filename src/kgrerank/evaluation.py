@@ -44,11 +44,15 @@ from dataclasses import dataclass
 from functools import reduce
 from itertools import chain
 from operator import add
+from typing import TYPE_CHECKING
 
 import numpy as np
-from numpy.typing import ArrayLike
 
 from .rerank import RecommendationList
+
+if TYPE_CHECKING:  # annotations only: a run need not import numpy.typing
+    from numpy.typing import ArrayLike
+
 
 FEATURE_NAMES = (
     "danceability",

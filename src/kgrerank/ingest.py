@@ -12,9 +12,10 @@ The readers build their results without an object per input record: events
 are counted straight into (user, track) play counts, the CSVs are read with
 ``csv.reader`` by column position, and the joined tracks' features are scaled
 and checked as one (tracks x 8) array whose read-only rows become the feature
-rows. Every error names the file and the physical line; a CSV row too short
-for a required column, or longer than its header, is one
-(``missing value(s) for ...``, ``N value(s) beyond the M columns``).
+rows; the synthetic dataset's features are drawn into such an array too.
+Every error names the file and the physical line; a CSV row too short for a
+required column, or longer than its header, is one (``missing value(s) for
+...``, ``N value(s) beyond the M columns``).
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .evaluation import FEATURE_NAMES, feature_vector, first_bad_feature_row
+from .evaluation import FEATURE_NAMES, first_bad_feature_row
 from .graph import CatalogGraph, EntityKind, Node, Triple
 from .recsys import Interaction
 
@@ -485,7 +486,12 @@ _CLUSTER_B_PROTOTYPE = (0.15, 0.10, 0.20, 0.10, 0.85, 0.80, 0.90, 0.75)
 
 
 def make_synthetic_dataset(cfg: SyntheticConfig) -> MergeResult:
-    """Generate the two-cluster dataset in the same shape as a merged corpus."""
+    """Generate the two-cluster dataset in the same shape as a merged corpus.
+
+    Each track's values are its cluster prototype plus uniform noise, clamped
+    to [0.01, 0.99]. They are drawn in track order, and the rows are checked
+    as one read-only (tracks x 8) array, as ``merge_lastfm`` checks its own.
+    """
     rng = random.Random(cfg.seed)
     half = cfg.n_tracks // 2
     track_ids = [f"t_a{i:04d}" for i in range(half)] + [
@@ -494,22 +500,25 @@ def make_synthetic_dataset(cfg: SyntheticConfig) -> MergeResult:
     cluster_a = set(track_ids[:half])
 
     triples: list[Triple] = []
-    features: dict[str, np.ndarray] = {}
     for track in track_ids:
-        in_a = track in cluster_a
         artist = "art_" + track[2:]
-        genre = "g_alpha" if in_a else "g_beta"
+        genre = "g_alpha" if track in cluster_a else "g_beta"
         triples.append(
             Triple(track, "maker", artist, EntityKind.TRACK, EntityKind.ARTIST)
         )
         triples.append(
             Triple(track, "genre", genre, EntityKind.TRACK, EntityKind.GENRE)
         )
-        prototype = _CLUSTER_A_PROTOTYPE if in_a else _CLUSTER_B_PROTOTYPE
-        values = [
-            min(0.99, max(0.01, p + rng.uniform(-0.05, 0.05))) for p in prototype
-        ]
-        features[track] = feature_vector(values)
+    rows = np.array([
+        min(0.99, max(0.01, p + rng.uniform(-0.05, 0.05)))
+        for track in track_ids
+        for p in (_CLUSTER_A_PROTOTYPE if track in cluster_a else _CLUSTER_B_PROTOTYPE)
+    ]).reshape(len(track_ids), len(FEATURE_NAMES))
+    bad = first_bad_feature_row(rows)
+    if bad:
+        raise IngestError(f"track {track_ids[bad[0]]!r}: {bad[1]}")
+    rows.flags.writeable = False
+    features = dict(zip(track_ids, rows))
 
     a_tracks = sorted(cluster_a)
     b_tracks = sorted(set(track_ids) - cluster_a)

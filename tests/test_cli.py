@@ -4,6 +4,8 @@ import json
 import os
 import random
 import re
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -38,6 +40,7 @@ from kgrerank.cli import (
     QRELS,
     REPORT,
     REPORT_SUMMARY,
+    STALE_FLAG,
     RunConfig,
     config_hash,
     main,
@@ -67,6 +70,18 @@ from oracles import (
 
 
 DATASET_KINDS = ("synthetic", "lastfm", "netflix")
+
+COMMANDS = ("ingest", "recommend", "rerank", "evaluate", "run")
+
+# every flag, each set away from its default
+ALL_FLAGS = [
+    "--dataset", "lastfm", "--out", "elsewhere", "--seed", "5",
+    "--parallelism", "3", "--recommender", "external",
+    "--metric", "pagerank", "--metric", "closeness", "--order", "desc",
+    "--mode", "edges", "--top-n", "11", "--k", "4",
+    "--events", "e.tsv", "--features", "f.csv", "--genres", "g.csv",
+    "--titles", "t.csv", "--external-recs", "x.run",
+]
 
 
 def pipeline_doc(request, dataset: str) -> dict:
@@ -294,14 +309,7 @@ class TestRunConfigParsing:
     def test_every_flag_sets_its_field(self, tmp_path):
         parser = argparse.ArgumentParser()
         _add_common_arguments(parser)
-        args = parser.parse_args([
-            "--dataset", "lastfm", "--out", "elsewhere", "--seed", "5",
-            "--parallelism", "3", "--recommender", "external",
-            "--metric", "pagerank", "--metric", "closeness", "--order", "desc",
-            "--mode", "edges", "--top-n", "11", "--k", "4",
-            "--events", "e.tsv", "--features", "f.csv", "--genres", "g.csv",
-            "--titles", "t.csv", "--external-recs", "x.run",
-        ])
+        args = parser.parse_args(ALL_FLAGS)
         flags = {
             "dataset": "lastfm",
             "output_dir": "elsewhere",
@@ -894,10 +902,16 @@ class TestExitCodes:
         )
         assert not (tmp_path / "x").exists()
 
-    def test_usage_error_is_one(self):
+    def test_usage_error_is_one(self, capsys):
         with pytest.raises(SystemExit) as info:
-            main(["not-a-command"])
+            main(["not-a-command", "--metric", "pagerank"])
         assert info.value.code == 1
+        # the one parser's error names the command and lists every choice
+        error = capsys.readouterr().err.splitlines()[-1]
+        assert error.startswith(
+            "kgrerank: error: argument command: invalid choice: 'not-a-command'"
+        )
+        assert all(f"'{command}'" in error for command in COMMANDS)
 
     def test_runtime_failure_is_two(self, tmp_path, capsys):
         events = tmp_path / "events.tsv"
@@ -946,6 +960,30 @@ class TestExitCodes:
              "--out", str(out), "--metric", "node_count"]
         )
         assert (out / "_STALE").exists()
+
+    def test_rerank_failure_leaves_the_finished_runs_manifest(
+        self, tmp_path, request, monkeypatch
+    ):
+        """The manifest is written after every stage that completes: a run
+        that fails in rerank leaves the manifest a finished run writes."""
+        config = write_config(tmp_path / "cfg.json", pipeline_doc(request, "synthetic"))
+        out = tmp_path / "out"
+        argv = ["run", "--config", str(config), "--out", str(out)]
+        assert main(argv) == 0
+        finished = (out / MANIFEST).read_bytes()
+        (out / MANIFEST).unlink()
+
+        def with_unknown_item(catalog, sg, recs, *args):
+            # the external-run case: a base list names an item the catalog lacks
+            top = recs.items[0][1] if recs.items else 1.0
+            recs = RecommendationList(recs.user, (("no_such_item", top), *recs.items))
+            return real_rerank(catalog, sg, recs, *args)
+
+        real_rerank = cli.rerank
+        monkeypatch.setattr(cli, "rerank", with_unknown_item)
+        assert main(argv) == 2
+        assert "stage rerank" in (out / STALE_FLAG).read_text(encoding="utf-8")
+        assert (out / MANIFEST).read_bytes() == finished
 
     @staticmethod
     def _evaluate_with_features(tmp_path, capsys, edit, metric="node_count"):
@@ -1287,6 +1325,57 @@ class TestExitCodes:
              "--k", "5", "--seed", "1", "--parallelism", "1"]
         )
         assert code == 0
+
+
+class TestParser:
+    """One parser reads a command and every flag, in either order."""
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_every_command_parses_every_flag(self, tmp_path, capsys, command):
+        missing = str(tmp_path / "missing.json")
+        assert main([command, "--config", missing, *ALL_FLAGS]) == 1
+        assert capsys.readouterr().err.startswith(f"config error: cannot read {missing}")
+        assert main([command, "--config", missing, "--metric", "pagerank"]) == 1
+        assert capsys.readouterr().err.startswith(f"config error: cannot read {missing}")
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_flags_may_come_before_the_command(self, monkeypatch, command):
+        calls = []
+        monkeypatch.setattr(cli, "validate_config", lambda cfg: [])
+        monkeypatch.setattr(cli, "run_pipeline", lambda cfg: calls.append(("run", cfg)))
+        monkeypatch.setattr(
+            cli, "_run_stage", lambda name, cfg: calls.append((name, cfg))
+        )
+        half = len(ALL_FLAGS) // 2
+        for argv in (
+            [command, *ALL_FLAGS],
+            [*ALL_FLAGS, command],
+            [*ALL_FLAGS[:half], command, *ALL_FLAGS[half:]],
+        ):
+            assert main(argv) == 0
+        assert [name for name, _ in calls] == [command] * 3
+        first = calls[0][1].to_dict()
+        assert first["top_n_candidates"] == 11 and first["metrics"] == ["pagerank", "closeness"]
+        assert all(cfg.to_dict() == first for _, cfg in calls)
+
+    def test_help_names_every_command(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["--help"])
+        assert info.value.code == 0
+        assert "{" + ",".join(COMMANDS) + "}" in capsys.readouterr().out
+
+
+def test_importing_the_cli_loads_no_pool_or_typing_module():
+    # in a fresh interpreter: this one has imported them for other tests
+    modules = ("numpy.typing", "concurrent.futures", "multiprocessing")
+    loaded = f"import sys, kgrerank.cli; print([m for m in {modules!r} if m in sys.modules])"
+    result = subprocess.run(
+        [sys.executable, "-c", loaded],
+        env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"
 
 
 def _nested(path: str, value) -> dict:

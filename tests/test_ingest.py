@@ -1,4 +1,5 @@
 import json
+import random
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from kgrerank import (
     SyntheticConfig,
     SyntheticProfileConfig,
     build_catalog,
+    feature_vector,
     generate_profiles,
     load_netflix,
     make_synthetic_dataset,
@@ -20,7 +22,7 @@ from kgrerank.cli import (
     CATALOG_NODES, INTERACTIONS, PROFILES, RunConfig, stage_ingest,
 )
 from kgrerank.evaluation import FEATURE_NAMES
-from kgrerank.ingest import write_summary
+from kgrerank.ingest import _CLUSTER_A_PROTOTYPE, _CLUSTER_B_PROTOTYPE, write_summary
 
 
 class TestMergeLastfm:
@@ -576,6 +578,30 @@ class TestSyntheticDataset:
         data = make_synthetic_dataset(SyntheticConfig(seed=5))
         for vector in data.features.values():
             assert all(0.0 < v < 1.0 for v in vector)
+
+    @pytest.mark.parametrize("seed", range(1, 6))
+    @pytest.mark.parametrize("n_tracks", [5, 200])
+    def test_rows_equal_per_track_draws(self, seed, n_tracks):
+        """The rows are those of one ``feature_vector`` per track, drawn in
+        track order from the same ``random.Random(seed)``."""
+        rng = random.Random(seed)
+        half = n_tracks // 2
+        expected = {}
+        for i in range(n_tracks):
+            in_a = i < half
+            track = f"t_a{i:04d}" if in_a else f"t_b{i - half:04d}"
+            prototype = _CLUSTER_A_PROTOTYPE if in_a else _CLUSTER_B_PROTOTYPE
+            expected[track] = feature_vector(
+                min(0.99, max(0.01, p + rng.uniform(-0.05, 0.05))) for p in prototype
+            )
+        features = make_synthetic_dataset(
+            SyntheticConfig(n_tracks=n_tracks, history_size=4, seed=seed)
+        ).features
+        assert list(features) == list(expected)
+        for track, row in features.items():
+            assert row.dtype == np.float64 and row.shape == (len(FEATURE_NAMES),)
+            assert (row == expected[track]).all(), track
+            assert not row.flags.writeable, track
 
 
 def _ingest_case(case, tmp_path, lastfm_files, netflix_csv, corpus) -> dict:
