@@ -11,7 +11,6 @@ from pathlib import Path
 from kgrerank import (
     BaselineRecommender,
     Interaction,
-    anti_testset,
     load_external_recommendations,
     scale_ratings,
     write_recommendations,
@@ -27,22 +26,22 @@ interactions = [
     Interaction("cat", "t1", 3), Interaction("cat", "t4", 9),
     Interaction("cat", "t5", 27),
 ]
+# ana played t1 40 times, t2 10 times and t3 once, so ana's ratings are
+# 1000, 1 + 999 * 9 / 39 = 231.5 and 1. The matrix holds them only as arrays
+# for the model to read.
 matrix = scale_ratings(interactions)
-print("ana's scaled ratings:",
-      {i: round(matrix.rating('ana', i), 1) for i in sorted(matrix.user_ratings('ana'))})
 
-# The candidate pool for a user is everything rated by anyone that the user
-# has not rated themselves.
-print("ana's anti-testset:", sorted(anti_testset(matrix, "ana")))
-
-# Bias baseline: global mean plus user and item deviations.
+# Bias baseline: global mean plus user and item deviations. The candidate
+# pool for a user is everything rated by anyone that the user has not rated
+# themselves, and the model scores all of it.
 baseline = BaselineRecommender().fit(matrix)
-print("\nbaseline predictions for ana:")
-for item in sorted(anti_testset(matrix, "ana")):
-    print(f"  {item}: {baseline.predict('ana', item):7.1f}")
+print("baseline scores for ana's candidates:")
+for item, score in baseline.recommend("ana").items:
+    print(f"  {item}: {score:7.1f}")
 
 # Recommendation lists are sorted, truncated, and re-loadable from disk.
-lists = {user: baseline.recommend(user, n=3) for user in matrix.users()}
+users = sorted({interaction.user for interaction in interactions})
+lists = {user: baseline.recommend(user, n=3) for user in users}
 print("\ntop-3 lists from the baseline model:")
 for user, lst in lists.items():
     print(f"  {user}: {', '.join(lst.item_ids())}")

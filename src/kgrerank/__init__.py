@@ -32,13 +32,10 @@ from .metrics import (
     MetricError,
     MetricKind,
     MetricValue,
-    betweenness,
     centrality_to_shares,
-    closeness,
     compute_metric,
     hhi,
     hhi_normalized,
-    pagerank,
 )
 from .rerank import (
     CandidateEvaluation,
@@ -55,7 +52,6 @@ from .recsys import (
     NotFittedError,
     RatingMatrix,
     RunFileError,
-    anti_testset,
     load_external_recommendations,
     scale_ratings,
     write_recommendations,
@@ -94,15 +90,14 @@ __all__ = [
     "induce_profile_subgraph", "prune_graph", "read_graph",
     # metrics
     "ConvergenceError", "MetricError", "MetricKind", "MetricValue",
-    "betweenness", "centrality_to_shares", "closeness", "compute_metric",
-    "hhi", "hhi_normalized", "pagerank",
+    "centrality_to_shares", "compute_metric", "hhi", "hhi_normalized",
     # rerank
     "CandidateEvaluation", "RecommendationList", "RerankError", "SortOrder",
     "evaluate_candidates", "evaluate_metrics", "rerank",
     # recsys
     "BaselineRecommender", "Interaction", "NotFittedError", "RatingMatrix",
-    "RunFileError", "anti_testset",
-    "load_external_recommendations", "scale_ratings", "write_recommendations",
+    "RunFileError", "load_external_recommendations", "scale_ratings",
+    "write_recommendations",
     # evaluation
     "EvalRow", "cosine_distance", "emit_report", "evaluate_user",
     "feature_vector", "ild", "lookup_features", "ndcg_at_k", "unexpectedness",

@@ -177,17 +177,6 @@ class Multigraph:
             raise GraphError(f"unknown node {node_id!r}")
         return set(self._out[node_id]) | set(self._in[node_id])
 
-    def copy(self) -> "Multigraph":
-        g = self.__class__()
-        for node in self._nodes.values():
-            g.add_node(node)
-        for source, targets in self._out.items():
-            for target, preds in targets.items():
-                g._out[source][target] = set(preds)
-                g._in[target][source] = set(preds)
-        g._num_edges = self._num_edges
-        return g
-
 
 class CatalogGraph(Multigraph):
     """Full catalog knowledge graph; treated as immutable once built.

@@ -447,7 +447,10 @@ def generate_profiles(
 
 
 def write_summary(rows: Iterable[dict], path) -> None:
-    """Append-style machine-readable ingest summary, one JSON object per line."""
+    """Write the machine-readable ingest summary, one JSON object per line.
+
+    The file is opened with ``"w"``: it replaces any summary already at
+    ``path``, and is not appended to."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for row in rows:
             fh.write(json.dumps(row, sort_keys=True) + "\n")

@@ -14,17 +14,18 @@ ids and each directed (source, target) pair once with its number of parallel
 edges, sorted by source and numbered ``row * width + node``, so all pairs are
 row-major and each row's sorted by source; a row's dense 0/1 adjacency ``A``
 of the undirected view is built only when a path metric asks for it.
-:func:`compile_graph` is the one builder: it compiles the subgraph of a graph
-on given nodes (by default all of them, in ``g.node_ids()`` order) as a batch
-of one. One core (:func:`score_stack`) scores every batch.
-:func:`compute_metrics` stacks one batch per graph (:meth:`_Stack.of`). The
-re-ranker compiles, once per user, the catalog subgraph on the profile's
-nodes and every node a candidate adds, and cuts the whole batch from it at
-once with a (candidates x union nodes) membership mask (:meth:`_Stack.cut`):
-row ``r`` is the subgraph that candidate ``r``'s nodes induce, the profile's
-first, then its added nodes in union order. That order is monotone in the
-union's, so the union's sorted pairs, masked and relabelled, stay row-major
-and source-sorted with no sort per row. No graph object is built per
+:func:`compile_graph` is the one builder of a graph: it compiles the subgraph
+of a graph on given nodes (by default all of them, in ``g.node_ids()`` order)
+as a batch of one. :meth:`_Stack.cut` is the one builder of a batch of many.
+One core (:func:`score_stack`) scores every batch, and :func:`compute_metric`
+scores one graph as a batch of one. The re-ranker compiles, once per user,
+the catalog subgraph on the profile's nodes and every node a candidate adds,
+and cuts the whole batch from it at once with a (candidates x union nodes)
+membership mask (:meth:`_Stack.cut`): row ``r`` is the subgraph that
+candidate ``r``'s nodes induce, the profile's first, then its added nodes in
+union order. That order is monotone in the union's, so the union's sorted
+pairs, masked and relabelled, stay row-major and source-sorted with no sort
+per row. No graph object is built per
 candidate. The row sizes and pair bounds, the distinct rows (below) and each
 row's label order (one sort of all labels, then one argsort of the rank
 matrix) are computed once per batch and shared by every metric; the path
@@ -290,9 +291,9 @@ class _Stack:
     number of parallel edges, sorted by source and then target. ``src`` and
     ``dst`` hold them as flat indices ``r * width + node``, so all pairs are
     row-major and each row's sorted by source. Build a graph with
-    :func:`compile_graph` or :meth:`from_edges`, stack batches with
-    :meth:`of`, and cut the subgraphs that the rows of a membership mask
-    induce from one graph with :meth:`cut`.
+    :func:`compile_graph` or :meth:`from_edges`, and cut the subgraphs that
+    the rows of a membership mask induce from one graph with :meth:`cut`, the
+    one builder of a batch of many rows.
     """
 
     def __init__(
@@ -331,22 +332,6 @@ class _Stack:
         return cls(
             nodes, np.arange(size), np.array([size]),
             pairs // size, pairs % size, mult, np.array([len(pairs)]),
-        )
-
-    @classmethod
-    def of(cls, stacks: Sequence["_Stack"]) -> "_Stack":
-        """The rows of ``stacks``, one batch after another; at least one
-        batch."""
-        # each batch's members index its own labels
-        offsets = np.cumsum([0, *(len(s.labels) for s in stacks[:-1])])
-        return cls(
-            [v for s in stacks for v in s.labels],
-            np.concatenate([s.members + offset for s, offset in zip(stacks, offsets)]),
-            np.concatenate([s.sizes for s in stacks]),
-            np.concatenate([s.row_src for s in stacks]),
-            np.concatenate([s.row_dst for s in stacks]),
-            np.concatenate([s.mult for s in stacks]),
-            np.concatenate([np.diff(s.bounds) for s in stacks]),
         )
 
     @classmethod
@@ -480,13 +465,11 @@ def compile_graph(
     g, nodes: Sequence[str] | None = None, loopless: Container[str] = ()
 ) -> _Stack:
     """The subgraph of ``g`` on ``nodes`` as a batch of one row, compiled
-    straight from ``g.successors``; a :class:`_Stack` is returned as is.
+    straight from ``g.successors``.
 
     Node ``i`` is ``nodes[i]``; by default every node of ``g``, in
     ``g.node_ids()`` order. The nodes in ``loopless`` keep no self-loop.
     """
-    if isinstance(g, _Stack):
-        return g
     nodes = list(g.node_ids() if nodes is None else nodes)
     index = {v: i for i, v in enumerate(nodes)}
     edges = [
@@ -726,36 +709,17 @@ def _path_scores(adj: np.ndarray, kinds) -> dict[MetricKind, np.ndarray]:
     return out
 
 
-def betweenness(g) -> dict[str, float]:
-    """Shortest-path betweenness on the undirected view (Brandes accumulation).
-
-    Returns raw, unnormalized scores counting unordered node pairs; parallel
-    edges collapse into a single adjacency.
-    """
-    graph = compile_graph(g)
-    scores = _path_scores(graph.adjacency(0), (MetricKind.BETWEENNESS,))
-    return graph.by_node(0, scores[MetricKind.BETWEENNESS])
-
-
-def closeness(g) -> dict[str, float]:
-    """Harmonic closeness on the undirected view: sum of 1/distance.
-
-    Unreachable nodes contribute 0, so disconnected graphs are handled
-    without special cases.
-    """
-    graph = compile_graph(g)
-    scores = _path_scores(graph.adjacency(0), (MetricKind.CLOSENESS,))
-    return graph.by_node(0, scores[MetricKind.CLOSENESS])
-
-
 def _pagerank_batch(
     stack: _Stack, damping: float = 0.85, tol: float = 1e-9, max_iter: int = 200
 ) -> np.ndarray:
-    """PageRank of every graph of a batch, one row each (see :func:`pagerank`).
+    """PageRank of every graph of a batch, one row each, by power iteration on
+    the directed graph.
 
-    All rows step together. A row whose L1 change falls below ``tol`` keeps
-    that iterate from then on; the first row still moving after ``max_iter``
-    steps raises :class:`ConvergenceError` with its last iterate.
+    Teleport is uniform, dangling-node mass is redistributed uniformly, and
+    parallel edges weight the transition proportionally. All rows step
+    together. A row whose L1 change falls below ``tol`` keeps that iterate
+    from then on; the first row still moving after ``max_iter`` steps raises
+    :class:`ConvergenceError` with its last iterate.
     """
     n = stack.sizes[:, None].astype(float)
     # 0/1 masks as floats: multiplying by them is exact and cheaper than where
@@ -786,24 +750,6 @@ def _pagerank_batch(
     )
 
 
-def pagerank(
-    g, damping: float = 0.85, tol: float = 1e-9, max_iter: int = 200
-) -> dict[str, float]:
-    """PageRank by power iteration on the directed graph.
-
-    Teleport is uniform, dangling-node mass is redistributed uniformly, and
-    parallel edges weight the transition proportionally. Convergence is an L1
-    change below ``tol``; exceeding ``max_iter`` raises
-    :class:`ConvergenceError` carrying the last iterate.
-    """
-    if not 0.0 < damping < 1.0:
-        raise MetricError(f"damping must lie in (0, 1), got {damping!r}")
-    graph = compile_graph(g)
-    if not graph.sizes[0]:
-        raise MetricError("pagerank is undefined on an empty graph")
-    return graph.by_node(0, _pagerank_batch(graph, damping, tol, max_iter)[0])
-
-
 def _scalar(kind: MetricKind, n: int, m: int) -> float:
     """A scalar metric of a graph with ``n`` nodes and ``m`` edges."""
     if kind is MetricKind.NODE_COUNT:
@@ -817,26 +763,16 @@ def _scalar(kind: MetricKind, n: int, m: int) -> float:
     raise MetricError(f"unknown metric kind {kind!r}")  # pragma: no cover
 
 
-def compute_metrics(
-    graphs: Sequence, kinds: Sequence[MetricKind]
-) -> dict[MetricKind, list[MetricValue]]:
-    """Evaluate several metrics on a batch of graphs, one value per graph.
+def score_stack(stack: _Stack, kinds: Sequence[MetricKind]) -> dict[MetricKind, list[MetricValue]]:
+    """Evaluate several metrics on every row of a batch, one value per row.
 
     Scalar metrics follow their definitions directly (density uses the
     directed formula |E| / (|V| (|V|-1)), average degree counts each directed
     edge once). Distributional metrics are collapsed via the normalized HHI of
-    the per-node shares and therefore land in [0, 1]. The graphs are stacked
-    into one batch and scored by :func:`score_stack`.
-    """
-    graphs = [compile_graph(g) for g in graphs]
-    if not graphs:
-        return {kind: [] for kind in kinds}
-    return score_stack(_Stack.of(graphs), kinds)
-
-
-def score_stack(stack: _Stack, kinds: Sequence[MetricKind]) -> dict[MetricKind, list[MetricValue]]:
-    """Evaluate several metrics on every row of a batch, one value per row
-    (see :func:`compute_metrics`).
+    the per-node shares and therefore land in [0, 1]. Betweenness counts the
+    shortest paths between unordered node pairs on the undirected view, and
+    closeness is harmonic (a sum of 1/distance, to which an unreachable node
+    adds 0); both collapse parallel edges into one adjacency.
 
     PageRank, betweenness and closeness run once per distinct row (see
     :attr:`_Stack.distinct`), and betweenness and closeness share one BFS
@@ -890,5 +826,5 @@ def score_stack(stack: _Stack, kinds: Sequence[MetricKind]) -> dict[MetricKind, 
 
 def compute_metric(g, kind: MetricKind) -> MetricValue:
     """Evaluate one metric on a graph, as a batch of one; see
-    :func:`compute_metrics`."""
+    :func:`score_stack`."""
     return score_stack(compile_graph(g), (kind,))[kind][0]

@@ -6,12 +6,13 @@ global-mean-plus-biases baseline. Recommendation lists from any other system
 can be loaded from a flat run file instead, since the re-ranking layer treats
 the recommender as a black box.
 
-The baseline is an array program. :class:`RatingMatrix` keeps users and items
-in sorted order and its ratings as flat index arrays in (user, item) order;
-the bias fit and the scoring run over those arrays. In ``recommend`` the
-anti-testset is a boolean mask over the sorted item index, the model scores
-it as one vector, and a stable ``np.argsort`` of the negated scores orders it
-by (-score, item id).
+The baseline is an array program over one form of the ratings:
+:class:`RatingMatrix` keeps users and items in sorted order and the ratings
+only as flat index arrays in (user, item) order, and the bias fit and the
+scoring run over those arrays. In ``recommend`` the anti-testset is a
+boolean mask over the sorted item index, the model scores it as one vector,
+and a stable ``np.argsort`` of the negated scores orders it by (-score, item
+id).
 
 Float contract: every value equals the scalar loop it replaces, bit for bit.
 Sums add left to right, because built-in ``sum`` compensates from Python 3.12
@@ -19,7 +20,7 @@ on and numpy's ``sum`` adds pairwise, and either would change the written
 scores. The bias fit sums each row of a zero-padded block with a leading 0.0
 column through ``np.cumsum(..., axis=1)[:, -1]``, which is
 ``reduce(add, row, 0.0)``: an item's raters in user order, a user's items in
-item order. The padding adds +0.0, which changes no sum. A prediction adds
+item order. The padding adds +0.0, which changes no sum. A score adds
 ``(mu + b_user) + b_item`` in that order and then clamps.
 """
 
@@ -59,71 +60,45 @@ class Interaction:
 
 
 class RatingMatrix:
-    """Sparse user-item rating matrix with values in [1, 1000].
+    """Sparse user-item rating matrix with values in [1, 1000], as arrays.
 
-    Users and items are kept in sorted order. Next to the per-user and
-    per-item maps, the ratings are three flat arrays in (user, item) order:
-    each rating's user position, its item position and its value.
+    Users and items are kept in sorted order, a user with no ratings is left
+    out, and the ratings are three flat arrays in (user, item) order: each
+    rating's user position, its item position and its value. ``_starts``
+    bounds each user's slice of them.
     """
 
     def __init__(self, ratings: Mapping[str, Mapping[str, float]]):
-        self._by_user: dict[str, dict[str, float]] = {}
-        self._by_item: dict[str, dict[str, float]] = {}
+        users: list[str] = []
+        rated: list[str] = []
+        values: list[float] = []
+        counts: list[int] = []
         for user in sorted(ratings):
             row = ratings[user]
             if not row:
                 continue
-            for item in sorted(row):
+            items = sorted(row)
+            for item in items:
                 value = float(row[item])
                 if not RATING_MIN <= value <= RATING_MAX:
                     raise ValueError(
                         f"rating {value!r} for ({user!r}, {item!r}) outside "
                         f"[{RATING_MIN}, {RATING_MAX}]"
                     )
-                self._by_user.setdefault(user, {})[item] = value
-                self._by_item.setdefault(item, {})[user] = value
-        self._items = sorted(self._by_item)
-        self._user_pos = {user: u for u, user in enumerate(self._by_user)}
+                values.append(value)
+            users.append(user)
+            rated += items
+            counts.append(len(items))
+        self._items = sorted(set(rated))
+        self._user_pos = {user: u for u, user in enumerate(users)}
         self._item_pos = {item: i for i, item in enumerate(self._items)}
-        counts = [len(row) for row in self._by_user.values()]
         self._rows = np.repeat(np.arange(len(counts)), counts)
-        self._cols = np.array(
-            [self._item_pos[i] for row in self._by_user.values() for i in row],
-            dtype=np.intp,
-        )
-        self._values = np.array(
-            [v for row in self._by_user.values() for v in row.values()],
-            dtype=float,
-        )
+        self._cols = np.array([self._item_pos[i] for i in rated], dtype=np.intp)
+        self._values = np.array(values, dtype=float)
         self._starts = np.cumsum([0, *counts])
 
-    def users(self) -> list[str]:
-        return list(self._by_user)
-
-    def items(self) -> list[str]:
-        return list(self._items)
-
     def has_user(self, user: str) -> bool:
-        return user in self._by_user
-
-    def rating(self, user: str, item: str) -> float | None:
-        return self._by_user.get(user, {}).get(item)
-
-    def user_ratings(self, user: str) -> Mapping[str, float]:
-        try:
-            return self._by_user[user]
-        except KeyError:
-            raise KeyError(f"unknown user {user!r}") from None
-
-    def item_ratings(self, item: str) -> Mapping[str, float]:
-        try:
-            return self._by_item[item]
-        except KeyError:
-            raise KeyError(f"unknown item {item!r}") from None
-
-    def rated_items(self) -> set[str]:
-        """Items carrying at least one rating from anyone."""
-        return set(self._by_item)
+        return user in self._user_pos
 
     def _unrated(self, user: str) -> np.ndarray:
         """Boolean mask over the sorted items: True where ``user`` has no
@@ -162,14 +137,6 @@ def scale_ratings(interactions: Iterable[Interaction]) -> RatingMatrix:
                 for item, c in row.items()
             }
     return RatingMatrix(ratings)
-
-
-def anti_testset(matrix: RatingMatrix, user: str) -> set[str]:
-    """All items rated by anyone, minus the items this user has rated.
-
-    Unknown users get the full rated-item set (they have rated nothing).
-    """
-    return {matrix._items[i] for i in np.flatnonzero(matrix._unrated(user))}
 
 
 class _RowSums:
@@ -232,26 +199,16 @@ class BaselineRecommender:
         self._item_bias = bi
         return self
 
-    def predict(self, user: str, item: str) -> float:
-        """mu + b_user + b_item, clamped to the rating range.
-
-        Unknown users or items contribute a zero bias.
-        """
-        matrix = self._require_fitted()
-        u = matrix._user_pos.get(user)
-        i = matrix._item_pos.get(item)
-        user_bias = 0.0 if u is None else self._user_bias[u]
-        item_bias = 0.0 if i is None else self._item_bias[i]
-        value = float(self._mu + user_bias + item_bias)
-        return min(RATING_MAX, max(RATING_MIN, value))
-
     def recommend(self, user: str, n: int = 100) -> RecommendationList:
         """Top-n predictions on the user's anti-testset, best first.
 
         Ties on the predicted rating break on the item id so the output is
         stable across runs: the candidates are in sorted id order and the
-        sort is stable. Items the user has already rated never appear.
+        sort is stable. Items the user has already rated never appear. An
+        ``n`` below 1 raises :class:`ValueError`.
         """
+        if n < 1:
+            raise ValueError(f"n must be >= 1, got {n}")
         matrix = self._require_fitted()
         u = matrix._user_pos.get(user)
         if u is None:

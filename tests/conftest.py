@@ -3,9 +3,11 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from kgrerank import (
+    ConvergenceError,
     MetricKind,
     Multigraph,
     Node,
@@ -16,6 +18,7 @@ from kgrerank import (
     induce_profile_subgraph,
 )
 from kgrerank import metrics as metrics_module
+from kgrerank.metrics import _Stack, compile_graph
 
 from oracles import two_core
 
@@ -60,6 +63,79 @@ def core_passes(graphs) -> list[tuple[int, int]]:
 @pytest.fixture()
 def bfs_calls(monkeypatch):
     return record_bfs_calls(monkeypatch)
+
+
+def disjoint_batch(graphs) -> _Stack:
+    """The batch whose row ``r`` is ``graphs[r]`` (a graph, or a one-row
+    batch), cut with ``_Stack.cut`` from the disjoint union of the graphs.
+
+    In the union, node ``v`` of graph ``r`` is ``f"{r}/{v}"``. A row's
+    labels share that prefix, so they sort as the graph's own do, and the
+    row holds the graph's nodes in the graph's order and the graph's pairs:
+    every value a kernel or a collapse computes on it is the graph's alone.
+    """
+    parts = [g if isinstance(g, _Stack) else compile_graph(g) for g in graphs]
+    labels, edges, owner = [], [], []
+    for r, part in enumerate(parts):
+        start = len(labels)
+        labels += [f"{r}/{v}" for v in part.nodes(0)]
+        owner += [r] * int(part.sizes[0])
+        pairs = zip(part.row_src.tolist(), part.row_dst.tolist(), part.mult.tolist())
+        edges += [(start + i, start + j) for i, j, mult in pairs for _ in range(mult)]
+    mask = np.arange(len(parts))[:, None] == np.array(owner, dtype=np.intp)
+    return _Stack.cut(_Stack.from_edges(labels, edges), mask)
+
+
+def unprefixed(scores: dict) -> dict:
+    """``scores`` keyed by the graph's own node ids, without the prefix
+    :func:`disjoint_batch` gave them."""
+    return {label.split("/", 1)[1]: value for label, value in scores.items()}
+
+
+def node_scores(graphs, kind: MetricKind, **pagerank_args) -> list[dict[str, float]]:
+    """Each graph's per-node betweenness, closeness or PageRank (``kind``),
+    from the kernel on one :func:`disjoint_batch` of ``graphs``, keyed by
+    the graph's own node ids. ``pagerank_args`` go to the PageRank kernel,
+    whose :class:`ConvergenceError` carries its last iterate keyed so too."""
+    stack = disjoint_batch(graphs)
+    if kind is MetricKind.PAGERANK:
+        try:
+            block = metrics_module._pagerank_batch(stack, **pagerank_args)
+        except ConvergenceError as exc:
+            exc.last_scores = unprefixed(exc.last_scores)
+            raise
+    else:
+        block = [
+            metrics_module._path_scores(stack.adjacency(row), (kind,))[kind]
+            for row in range(len(stack))
+        ]
+    return [unprefixed(stack.by_node(row, block[row])) for row in range(len(stack))]
+
+
+def betweenness(g) -> dict[str, float]:
+    """Per-node betweenness of ``g`` alone; see :func:`node_scores`."""
+    return node_scores([g], MetricKind.BETWEENNESS)[0]
+
+
+def closeness(g) -> dict[str, float]:
+    """Per-node harmonic closeness of ``g`` alone; see :func:`node_scores`."""
+    return node_scores([g], MetricKind.CLOSENESS)[0]
+
+
+def pagerank(g, **pagerank_args) -> dict[str, float]:
+    """Per-node PageRank of ``g`` alone; see :func:`node_scores`."""
+    return node_scores([g], MetricKind.PAGERANK, **pagerank_args)[0]
+
+
+def matrix_ratings(matrix) -> dict[str, dict[str, float]]:
+    """The ratings a ``RatingMatrix`` holds, read from its arrays, as {user:
+    {item: rating}} in the matrix's (user, item) order."""
+    users, items = list(matrix._user_pos), matrix._items
+    ratings: dict[str, dict[str, float]] = {}
+    triples = zip(matrix._rows.tolist(), matrix._cols.tolist(), matrix._values.tolist())
+    for u, i, value in triples:
+        ratings.setdefault(users[u], {})[items[i]] = value
+    return ratings
 
 
 def extension_batch(catalog, sg, items, mode):
@@ -291,6 +367,35 @@ def lastfm_run_config(inputs, out_dir, metrics, top_n=6) -> dict:
         "seed": 1,
         "parallelism": 1,
         "output_dir": str(out_dir),
+    }
+
+
+DATASET_KINDS = ("synthetic", "lastfm", "netflix")
+
+
+def pipeline_doc(request, dataset: str) -> dict:
+    """A small ``kgrerank run`` config document for each dataset kind: Last.fm
+    with all nine metrics and both orders."""
+    if dataset == "lastfm":
+        corpus = request.getfixturevalue("lastfm_corpus")
+        return lastfm_run_config(corpus, "runs/out", [kind.value for kind in MetricKind])
+    doc = {
+        "rerank": {"metrics": ["node_count"], "orders": ["asc"], "top_n": 15},
+        "evaluation": {"k": 5},
+        "seed": 13,
+        "parallelism": 1,
+    }
+    if dataset == "synthetic":
+        synthetic = {"tracks": 40, "users": 4, "history": 8}
+        return {**doc, "dataset": {"kind": "synthetic", "synthetic": synthetic}}
+    return {
+        **doc,
+        "dataset": {
+            "kind": "netflix",
+            "titles": str(request.getfixturevalue("netflix_csv")),
+            "profiles": {"count": 5, "min_items": 2, "max_items": 4},
+            "prune": {"degree_one": False},
+        },
     }
 
 

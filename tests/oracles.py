@@ -244,13 +244,15 @@ def brute_extension(graph, catalog, item: str, closed: bool):
 
 
 def materialized_extension(graph, catalog, item: str, closed: bool) -> Multigraph:
-    """A copy of ``graph`` with :func:`brute_extension`'s nodes added after
-    its own, in sorted order, and its edges added."""
+    """A new graph of ``graph``'s nodes, then :func:`brute_extension`'s added
+    in sorted order, and of ``graph``'s edges and its added edges."""
     added, edges = brute_extension(graph, catalog, item, closed)
-    extended = graph.copy()
+    extended = type(graph)()
+    for node in graph.nodes():
+        extended.add_node(node)
     for v in added:
         extended.add_node(catalog.node(v))
-    for s, p, t in edges:
+    for s, p, t in [*graph.edges(), *edges]:
         extended.add_edge(s, p, t)
     return extended
 
@@ -362,15 +364,28 @@ def assert_matches_reference(got, expected, values, metric) -> None:
             )
 
 
-def reference_baseline(matrix, epochs: int = 10, damping: float = 10.0):
+def _by_user_and_item(ratings):
+    """``ratings`` ({user: {item: rating}}) without its users who rated
+    nothing, and the same ratings by item."""
+    by_user = {user: dict(row) for user, row in ratings.items() if row}
+    by_item = {}
+    for user, row in by_user.items():
+        for item, value in row.items():
+            by_item.setdefault(item, {})[user] = value
+    return by_user, by_item
+
+
+def reference_baseline(ratings, epochs: int = 10, damping: float = 10.0):
     """(mu, user biases, item biases) of the bias baseline, fitted with dicts
-    and per-item and per-user loops over a ``RatingMatrix``."""
-    users = sorted(matrix.users())
-    items = sorted(matrix.items())
+    and per-item and per-user loops over ``ratings``, the mapping a
+    ``RatingMatrix`` is made from."""
+    by_user, by_item = _by_user_and_item(ratings)
+    users = sorted(by_user)
+    items = sorted(by_item)
     total = 0.0
     count = 0
     for user in users:
-        rated = matrix.user_ratings(user)
+        rated = by_user[user]
         for item in sorted(rated):
             total += rated[item]
             count += 1
@@ -379,13 +394,13 @@ def reference_baseline(matrix, epochs: int = 10, damping: float = 10.0):
     bi = dict.fromkeys(items, 0.0)
     for _ in range(epochs):
         for item in items:
-            raters = matrix.item_ratings(item)
+            raters = by_item[item]
             residual = reduce(
                 add, (raters[u] - mu - bu[u] for u in sorted(raters)), 0.0
             )
             bi[item] = residual / (damping + len(raters))
         for user in users:
-            rated = matrix.user_ratings(user)
+            rated = by_user[user]
             residual = reduce(
                 add, (rated[i] - mu - bi[i] for i in sorted(rated)), 0.0
             )
@@ -400,12 +415,14 @@ def reference_predict(fit, user: str, item: str) -> float:
     return min(1000.0, max(1.0, mu + bu.get(user, 0.0) + bi.get(item, 0.0)))
 
 
-def reference_recommend(matrix, predict, user: str, n: int):
+def reference_recommend(ratings, predict, user: str, n: int):
     """Top-n (item, score) pairs: ``predict(user, item)`` for each item that
-    someone rated and ``user`` did not, sorted by (-score, item id)."""
-    if not matrix.has_user(user):
+    someone rated in ``ratings`` and ``user`` did not, sorted by (-score,
+    item id)."""
+    by_user, by_item = _by_user_and_item(ratings)
+    if user not in by_user:
         raise ValueError(f"unknown user {user!r}")
-    candidates = sorted(matrix.rated_items() - set(matrix.user_ratings(user)))
+    candidates = sorted(set(by_item) - set(by_user[user]))
     scored = sorted(
         ((predict(user, item), item) for item in candidates),
         key=lambda pair: (-pair[0], pair[1]),

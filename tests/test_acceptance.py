@@ -19,9 +19,7 @@ from kgrerank import (
     RecommendationList,
     SortOrder,
     SyntheticConfig,
-    betweenness,
     build_catalog,
-    closeness,
     compute_metric,
     evaluate_candidates,
     extend_subgraph,
@@ -33,14 +31,13 @@ from kgrerank import (
     make_synthetic_dataset,
     merge_lastfm,
     ndcg_at_k,
-    pagerank,
     rerank,
     scale_ratings,
     unexpectedness,
 )
 from kgrerank.cli import BASE_RUN, REPORT, REPORT_SUMMARY, rerank_run_name, main
 
-from conftest import DVS_EXPECTED
+from conftest import DVS_EXPECTED, betweenness, closeness, pagerank
 from oracles import (
     brute_betweenness,
     brute_harmonic_closeness,

@@ -60,7 +60,14 @@ from kgrerank.cli import (
 from kgrerank.evaluation import FEATURE_NAMES
 from kgrerank.rerank import RecommendationList, evaluate_metrics
 
-from conftest import catalog_layout, lastfm_run_config, make_lastfm_corpus, write_config
+from conftest import (
+    DATASET_KINDS,
+    catalog_layout,
+    lastfm_run_config,
+    make_lastfm_corpus,
+    pipeline_doc,
+    write_config,
+)
 from oracles import (
     assert_matches_reference,
     reference_rerank,
@@ -68,8 +75,6 @@ from oracles import (
     two_core,
 )
 
-
-DATASET_KINDS = ("synthetic", "lastfm", "netflix")
 
 COMMANDS = ("ingest", "recommend", "rerank", "evaluate", "run")
 
@@ -82,32 +87,6 @@ ALL_FLAGS = [
     "--events", "e.tsv", "--features", "f.csv", "--genres", "g.csv",
     "--titles", "t.csv", "--external-recs", "x.run",
 ]
-
-
-def pipeline_doc(request, dataset: str) -> dict:
-    """A small ``kgrerank run`` config document for each dataset kind: Last.fm
-    with all nine metrics and both orders."""
-    if dataset == "lastfm":
-        corpus = request.getfixturevalue("lastfm_corpus")
-        return lastfm_run_config(corpus, "runs/out", [kind.value for kind in MetricKind])
-    doc = {
-        "rerank": {"metrics": ["node_count"], "orders": ["asc"], "top_n": 15},
-        "evaluation": {"k": 5},
-        "seed": 13,
-        "parallelism": 1,
-    }
-    if dataset == "synthetic":
-        synthetic = {"tracks": 40, "users": 4, "history": 8}
-        return {**doc, "dataset": {"kind": "synthetic", "synthetic": synthetic}}
-    return {
-        **doc,
-        "dataset": {
-            "kind": "netflix",
-            "titles": str(request.getfixturevalue("netflix_csv")),
-            "profiles": {"count": 5, "min_items": 2, "max_items": 4},
-            "prune": {"degree_one": False},
-        },
-    }
 
 
 # the readers of a run's own files, as cli calls them

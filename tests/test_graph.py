@@ -708,14 +708,3 @@ class TestMultigraphBasics:
         g.add_edge("b", "q", "a")
         assert sorted(g.edges()) == [("a", "p", "b"), ("b", "q", "a")]
         assert g.neighbors("a") == {"b"}
-
-    def test_copy_is_independent(self):
-        g = Multigraph()
-        g.add_node(Node("a", "track"))
-        g.add_node(Node("b", "artist"))
-        g.add_edge("a", "p", "b")
-        clone = g.copy()
-        clone.add_node(Node("c", "genre"))
-        clone.add_edge("a", "x", "c")
-        assert g.num_nodes == 2
-        assert g.num_edges == 1

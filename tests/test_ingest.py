@@ -24,6 +24,8 @@ from kgrerank.cli import (
 from kgrerank.evaluation import FEATURE_NAMES
 from kgrerank.ingest import _CLUSTER_A_PROTOTYPE, _CLUSTER_B_PROTOTYPE, write_summary
 
+from conftest import matrix_ratings
+
 
 class TestMergeLastfm:
     def test_join_drops_featureless_tracks(self, lastfm_files):
@@ -269,6 +271,8 @@ class TestMergeLastfm:
         events, features, genres = lastfm_files
         result = merge_lastfm(events, features, genres)
         out = tmp_path / "summary.jsonl"
+        # the summary replaces what the file held
+        out.write_text("not json\n", encoding="utf-8")
         write_summary(result.summary, out)
         rows = [json.loads(line) for line in out.read_text().splitlines()]
         assert all({"stage", "count", "reason"} <= set(r) for r in rows)
@@ -530,16 +534,18 @@ class TestNoLeakageComposition:
             for user, history in sorted(histories.items())
             for item in sorted(history - {held_out[user]})
         )
+        ratings = matrix_ratings(matrix)
+        rated_items = set().union(*ratings.values())
         for user, item in held_out.items():
             # held-out ratings never reach the matrix
-            assert matrix.rating(user, item) is None
+            assert item not in ratings[user]
         model = BaselineRecommender().fit(matrix)
         for user in histories:
             recommended = set(model.recommend(user, 50).item_ids())
-            assert recommended.isdisjoint(matrix.user_ratings(user))
-            reachable_held_out = {held_out[user]} & matrix.rated_items()
+            assert recommended.isdisjoint(ratings[user])
+            reachable_held_out = {held_out[user]} & rated_items
             assert reachable_held_out <= recommended
-        assert "i8" not in matrix.rated_items()
+        assert "i8" not in rated_items
 
 
 class TestSyntheticDataset:

@@ -12,19 +12,25 @@ from kgrerank import (
     MetricKind,
     Multigraph,
     Node,
-    betweenness,
     centrality_to_shares,
-    closeness,
     compute_metric,
     hhi,
     hhi_normalized,
-    pagerank,
 )
 
 from kgrerank import metrics as metrics_module
-from kgrerank.metrics import _SOURCE_BLOCK, _Stack, compile_graph, compute_metrics
+from kgrerank.metrics import _SOURCE_BLOCK, _Stack, compile_graph, score_stack
 
-from conftest import core_passes, record_bfs_calls
+from conftest import (
+    betweenness,
+    closeness,
+    core_passes,
+    disjoint_batch,
+    node_scores,
+    pagerank,
+    record_bfs_calls,
+    unprefixed,
+)
 from oracles import (
     INF,
     brute_betweenness,
@@ -291,9 +297,9 @@ class TestEngineLimits:
         g = Multigraph()
         for i in range(2**15 + 1):
             g.add_node(Node(f"v{i}", "other"))
-        for metric in (betweenness, closeness):
+        for kind in (MetricKind.BETWEENNESS, MetricKind.CLOSENESS):
             with pytest.raises(MetricError, match="too large"):
-                metric(g)
+                compute_metric(g, kind)
 
 
 class TestCloseness:
@@ -394,11 +400,6 @@ class TestPagerank:
         with pytest.raises(ConvergenceError) as info:
             pagerank(g, tol=0.0, max_iter=3)
         assert sum(info.value.last_scores.values()) == pytest.approx(1.0, abs=1e-6)
-
-    def test_invalid_damping(self):
-        g = complete_graph(3)
-        with pytest.raises(MetricError, match="damping"):
-            pagerank(g, damping=1.0)
 
     @given(multigraphs(), st.floats(0.05, 0.95))
     @settings(max_examples=150, deadline=None)
@@ -506,9 +507,7 @@ class TestComputeMetric:
 
 def _pagerank_rows(graphs, **kwargs):
     """Each graph's PageRank from one batched run."""
-    stack = _Stack.of([compile_graph(g) for g in graphs])
-    ranks = metrics_module._pagerank_batch(stack, **kwargs)
-    return [stack.by_node(row, ranks[row]) for row in range(len(stack))]
+    return node_scores(graphs, MetricKind.PAGERANK, **kwargs)
 
 
 def _outcome(fn, g, **kwargs):
@@ -586,27 +585,28 @@ class TestBatch:
     @settings(max_examples=60, deadline=None)
     def test_every_metric_row_equals_the_graph_alone(self, graphs):
         kinds = list(MetricKind)
-        values = compute_metrics(graphs, kinds)
+        values = score_stack(disjoint_batch(graphs), kinds)
         assert list(values) == kinds
         for kind in kinds:
             assert values[kind] == [compute_metric(g, kind) for g in graphs]
 
     def test_empty_batch(self):
-        assert compute_metrics([], [MetricKind.PAGERANK]) == {MetricKind.PAGERANK: []}
+        empty = score_stack(disjoint_batch([]), [MetricKind.PAGERANK])
+        assert empty == {MetricKind.PAGERANK: []}
 
     def test_error_names_its_row(self):
         graphs = [*_fixed_graphs(), Multigraph()]
         with pytest.raises(MetricError, match="pagerank is undefined") as info:
-            compute_metrics(graphs, [MetricKind.NODE_COUNT, MetricKind.PAGERANK])
+            score_stack(disjoint_batch(graphs), [MetricKind.NODE_COUNT, MetricKind.PAGERANK])
         assert info.value.row == 2
 
     @given(st.lists(st.text(max_size=3), max_size=12, unique=True), st.data())
     @settings(max_examples=100, deadline=None)
     def test_label_order_is_sorted_labels(self, labels, data):
         """Each batch row's label order sorts its labels: in a batch cut from
-        one graph by a membership mask, in one stacked from one-row batches,
-        and in one stacked from both kinds of rows, where each row keeps its
-        input's nodes and pairs."""
+        one graph by a membership mask, in one cut from the disjoint union of
+        one-row batches, and in one cut from the union of both kinds of rows,
+        where each row keeps its input's nodes and pairs."""
 
         def edges(size):
             ends = st.integers(0, size - 1)
@@ -623,15 +623,15 @@ class TestBatch:
         graphs = [_Stack.from_edges(row, edges(len(row))) for row in rows]
         # the cut's rows and the one-row batches, in a drawn order
         inputs = data.draw(st.permutations([cut.rows([r]) for r in range(len(cut))] + graphs))
-        mixed = _Stack.of(inputs)
-        for stack in (cut, _Stack.of(graphs), mixed):
+        mixed = disjoint_batch(inputs)
+        for stack in (cut, disjoint_batch(graphs), mixed):
             for row in range(len(stack)):
                 nodes = stack.nodes(row)
                 order = stack.label_order[row, : stack.sizes[row]]
                 assert [nodes[i] for i in order] == sorted(nodes)
         assert len(mixed) == len(inputs)
         for row, graph in enumerate(inputs):
-            assert mixed.nodes(row) == graph.nodes(0)
+            assert [label.split("/", 1)[1] for label in mixed.nodes(row)] == graph.nodes(0)
             alone = mixed.rows([row])
             for name in ("row_src", "row_dst", "mult"):
                 assert getattr(alone, name).tolist() == getattr(graph, name).tolist(), name
@@ -667,6 +667,13 @@ def _attached(base: _Stack, labels, anchor):
     return [_plus(base, [label], [(anchor, label), (label, anchor)]) for label in labels]
 
 
+def _alone(graphs, kinds):
+    """Each metric of ``kinds`` on each one-row batch of ``graphs`` scored
+    alone, as :func:`score_stack` gives them for the batch of all."""
+    alone = [score_stack(graph, kinds) for graph in graphs]
+    return {kind: [values[kind][0] for values in alone] for kind in kinds}
+
+
 class TestRepeatedGraphs:
     """The kernels run once per distinct graph; every row is still collapsed
     in its own label order and equals its graph scored alone."""
@@ -683,11 +690,10 @@ class TestRepeatedGraphs:
         kinds = list(MetricKind)
         with pytest.MonkeyPatch.context() as monkeypatch:
             calls = _kernel_calls(monkeypatch)
-            values = compute_metrics(graphs, kinds)
+            values = score_stack(disjoint_batch(graphs), kinds)
         # one distinct extension: the BFS from each node of its 2-core, if any
         assert calls == {"bfs": core_passes(graphs[:1]), "pagerank_rows": [1]}
-        for kind in kinds:
-            assert values[kind] == [compute_metric(graph, kind) for graph in graphs]
+        assert values == _alone(graphs, kinds)
 
     def test_other_multiplicity_or_an_isolated_node_is_not_merged(self, monkeypatch):
         base = compile_graph(cycle_graph(3))
@@ -700,12 +706,11 @@ class TestRepeatedGraphs:
         # tells the graphs apart
         assert len({(g.src.tobytes(), g.dst.tobytes()) for g in graphs}) == 1
         calls = _kernel_calls(monkeypatch)
-        values = compute_metrics(graphs, list(MetricKind))
+        values = score_stack(disjoint_batch(graphs), list(MetricKind))
         # three distinct graphs: one BFS on each one's 2-core, the triangle
         assert calls == {"bfs": [(3, 3)] * 3, "pagerank_rows": [3]}
         monkeypatch.undo()
-        for kind in MetricKind:
-            assert values[kind] == [compute_metric(g, kind) for g in graphs]
+        assert values == _alone(graphs, list(MetricKind))
 
     def test_error_for_a_shared_shape_names_its_first_row(self, monkeypatch):
         base = compile_graph(cycle_graph(4))
@@ -722,7 +727,7 @@ class TestRepeatedGraphs:
 
         monkeypatch.setattr(metrics_module, "_pagerank_batch", failing)
         with pytest.raises(ConvergenceError, match="injected") as info:
-            compute_metrics(graphs, [MetricKind.PAGERANK])
+            score_stack(disjoint_batch(graphs), [MetricKind.PAGERANK])
         assert info.value.row == 2
-        assert info.value.last_scores == expected
+        assert unprefixed(info.value.last_scores) == expected
         assert "x" in expected

@@ -17,17 +17,22 @@ from kgrerank import (
     MetricKind,
     Multigraph,
     NeighborhoodMode,
-    betweenness,
-    closeness,
     compute_metric,
     extend_subgraph,
     induce_profile_subgraph,
 )
 from kgrerank.graph import Node
 from kgrerank import metrics as metrics_module
-from kgrerank.metrics import PATH_KINDS, _path_scores, _source_blocks, _Stack, compute_metrics
+from kgrerank.metrics import PATH_KINDS, _path_scores, _source_blocks, compile_graph, score_stack
 
-from conftest import compiled_extensions, core_passes, record_bfs_calls
+from conftest import (
+    betweenness,
+    closeness,
+    compiled_extensions,
+    core_passes,
+    disjoint_batch,
+    record_bfs_calls,
+)
 from oracles import (
     INF,
     brute_betweenness,
@@ -94,7 +99,7 @@ class TestPeeledGraphs:
     def test_metrics_equal_the_oracles_from_one_core_pass(self, g):
         with pytest.MonkeyPatch.context() as monkeypatch:
             calls = record_bfs_calls(monkeypatch)
-            compute_metrics([g], PATH_KINDS)
+            score_stack(compile_graph(g), PATH_KINDS)
         assert calls == core_passes([g])
         assert_path_metrics_equal_oracles(g)
 
@@ -147,13 +152,13 @@ class TestPeeledGraphs:
 
     def test_a_forest_runs_no_bfs(self, bfs_calls):
         g = graph_of(["a", "b", "c", "d"], [("a", "rel", "b"), ("b", "rel", "c")])
-        compute_metrics([g], PATH_KINDS)
+        score_stack(compile_graph(g), PATH_KINDS)
         assert bfs_calls == []
         assert_path_metrics_equal_oracles(g)
 
 
 def assert_metrics_equal_materialized(sg, catalog, items, mode):
-    values = compute_metrics(compiled_extensions(catalog, sg, items, mode), KINDS)
+    values = score_stack(disjoint_batch(compiled_extensions(catalog, sg, items, mode)), KINDS)
     for position, item in enumerate(items):
         extended = extend_subgraph(sg, catalog, item, mode).graph
         for kind in KINDS:
@@ -262,10 +267,11 @@ class TestFixedExtensions:
         assert floyd_warshall(undirected_adjacency(sg.graph))["t4"]["t1"] == INF
 
         graphs = compiled_extensions(catalog, sg, self.ITEMS, mode)
-        values = compute_metrics(graphs, KINDS)
+        stack = disjoint_batch(graphs)
+        values = score_stack(stack, KINDS)
         # one pass per distinct extension, on its core; in edges mode join
         # and bridge each add one node linked to a4 and g1
-        firsts, _ = _Stack.of(graphs).distinct
+        firsts, _ = stack.distinct
         assert len(firsts) == (5 if mode is NeighborhoodMode.CLOSED_NEIGHBORHOOD else 4)
         assert bfs_calls == core_passes([graphs[row] for row in firsts])
         for position, extended in enumerate(materialized):
@@ -371,6 +377,6 @@ class TestSourceBlockBoundaries:
     def test_metrics_equal_the_oracles(self, core, second, bfs_calls):
         g = cycle_with_trees(core, second)
         assert len(two_core(g)) == core
-        compute_metrics([g], PATH_KINDS)
+        score_stack(compile_graph(g), PATH_KINDS)
         assert bfs_calls == [(core, core)]
         assert_path_metrics_equal_oracles(g)

@@ -12,11 +12,12 @@ from kgrerank import (
     RatingMatrix,
     RecommendationList,
     RunFileError,
-    anti_testset,
     load_external_recommendations,
     scale_ratings,
     write_recommendations,
 )
+
+from conftest import matrix_ratings
 from oracles import reference_baseline, reference_predict, reference_recommend
 
 
@@ -31,26 +32,25 @@ def matrix_from(rows):
 class TestScaleRatings:
     def test_endpoints(self):
         m = scale_ratings(interactions(("u", "a", 10), ("u", "b", 1)))
-        assert m.rating("u", "a") == 1000.0
-        assert m.rating("u", "b") == 1.0
+        assert matrix_ratings(m) == {"u": {"a": 1000.0, "b": 1.0}}
 
     def test_constant_counts_all_max(self):
         m = scale_ratings(interactions(("u", "a", 5), ("u", "b", 5)))
-        assert m.rating("u", "a") == 1000.0
-        assert m.rating("u", "b") == 1000.0
+        assert matrix_ratings(m) == {"u": {"a": 1000.0, "b": 1000.0}}
 
     def test_three_point_scale(self):
         m = scale_ratings(interactions(("u", "a", 1), ("u", "b", 2), ("u", "c", 3)))
-        assert m.rating("u", "a") == 1.0
-        assert m.rating("u", "b") == pytest.approx(500.5)
-        assert m.rating("u", "c") == 1000.0
+        row = matrix_ratings(m)["u"]
+        assert row["a"] == 1.0
+        assert row["b"] == pytest.approx(500.5)
+        assert row["c"] == 1000.0
 
     def test_duplicate_pairs_aggregate(self):
         m = scale_ratings(
             interactions(("u", "a", 1), ("u", "a", 2), ("u", "b", 1))
         )
-        assert m.rating("u", "a") == 1000.0  # aggregated count 3
-        assert m.rating("u", "b") == 1.0
+        # a's aggregated count is 3
+        assert matrix_ratings(m) == {"u": {"a": 1000.0, "b": 1.0}}
 
     def test_per_user_max_is_always_1000(self):
         rng = random.Random(41)
@@ -60,10 +60,17 @@ class TestScaleRatings:
             for _ in range(rng.randint(1, 12))
         ]
         m = scale_ratings(rows)
-        for user in m.users():
-            values = [m.rating(user, i) for i in m.user_ratings(user)]
+        for row in matrix_ratings(m).values():
+            values = list(row.values())
             assert max(values) == 1000.0
             assert all(1.0 <= v <= 1000.0 for v in values)
+
+    def test_matrix_holds_the_ratings_given_without_empty_users(self):
+        rows = {"u2": {"b": 3.0, "a": 1000.0}, "u0": {}, "u1": {"c": 1.0}}
+        assert list(matrix_ratings(RatingMatrix(rows)).items()) == [
+            ("u1", {"c": 1.0}),
+            ("u2", {"a": 1000.0, "b": 3.0}),
+        ]
 
     def test_rating_bounds_enforced(self):
         with pytest.raises(ValueError, match="outside"):
@@ -74,21 +81,33 @@ class TestScaleRatings:
             Interaction("u", "a", 0)
 
 
+def fitted_score(model, user, item):
+    """The clamped ``(mu + b_user) + b_item`` of a fitted model for a user
+    and an item it has seen, read from the fitted arrays as ``recommend``
+    reads them, so a rated pair can be scored too."""
+    matrix = model._matrix
+    u, i = matrix._user_pos[user], matrix._item_pos[item]
+    score = (model._mu + model._user_bias[u]) + model._item_bias[i]
+    return min(1000.0, max(1.0, float(score)))
+
+
 class TestBaselineRecommender:
     def test_single_rating_predicts_itself(self):
         model = BaselineRecommender().fit(matrix_from({"u": {"a": 500.0}}))
-        assert model.predict("u", "a") == pytest.approx(500.0)
-
-    def test_unknown_pair_predicts_global_mean(self):
-        model = BaselineRecommender().fit(matrix_from({"u": {"a": 500.0}}))
-        assert model.predict("ghost", "phantom") == pytest.approx(500.0)
+        assert fitted_score(model, "u", "a") == pytest.approx(500.0)
 
     def test_identical_ratings_reproduced_everywhere(self):
         rows = {u: {i: 700.0 for i in ("a", "b", "c")} for u in ("u1", "u2")}
         model = BaselineRecommender().fit(matrix_from(rows))
-        for u in ("u1", "u2", "stranger"):
-            for i in ("a", "b", "c", "new"):
-                assert model.predict(u, i) == pytest.approx(700.0)
+        for u in ("u1", "u2"):
+            for i in ("a", "b", "c"):
+                assert fitted_score(model, u, i) == pytest.approx(700.0)
+        # and where a user has unrated items, ``recommend`` scores them alike
+        rows = {"u1": {"a": 700.0, "b": 700.0}, "u2": {"b": 700.0, "c": 700.0}}
+        model = BaselineRecommender().fit(matrix_from(rows))
+        for u in rows:
+            (item, score), = model.recommend(u).items
+            assert score == pytest.approx(700.0)
 
     def test_toy_matrix_matches_ridge_solve(self):
         # predictions frozen from the damped least-squares bias solve
@@ -111,28 +130,36 @@ class TestBaselineRecommender:
             ("u3", "i3"): 574.009324009324,
         }
         for (user, item), value in expected.items():
-            assert model.predict(user, item) == pytest.approx(value, abs=1e-6)
+            assert fitted_score(model, user, item) == pytest.approx(value, abs=1e-6)
+        # each user has one unrated item, and ``recommend`` scores it alike
+        for user, row in rows.items():
+            (item, score), = model.recommend(user).items
+            assert item not in row
+            assert score == pytest.approx(expected[user, item], abs=1e-6)
 
     def test_prediction_clamped(self):
         rows = {"u1": {"a": 1000.0, "b": 1000.0}, "u2": {"a": 1000.0}}
         model = BaselineRecommender().fit(matrix_from(rows))
-        assert model.predict("u1", "a") <= 1000.0
+        assert fitted_score(model, "u1", "a") <= 1000.0
+        (item, score), = model.recommend("u2").items
+        assert item == "b" and score <= 1000.0
 
     def test_unfitted_raises(self):
-        with pytest.raises(NotFittedError):
-            BaselineRecommender().predict("u", "i")
         with pytest.raises(NotFittedError):
             BaselineRecommender().recommend("u")
 
 
 class TestAntiTestset:
+    """The candidates ``recommend`` scores: every item someone rated that the
+    user did not (``RatingMatrix._unrated``)."""
+
     def test_user_rated_everything(self):
         m = matrix_from({"u1": {"a": 10.0, "b": 20.0}, "u2": {"a": 30.0}})
-        assert anti_testset(m, "u1") == set()
+        assert BaselineRecommender().fit(m).recommend("u1").items == ()
 
     def test_unknown_user_gets_all_rated_items(self):
         m = matrix_from({"u1": {"a": 10.0, "b": 20.0}})
-        assert anti_testset(m, "nobody") == {"a", "b"}
+        assert m._unrated("nobody").tolist() == [True, True]
 
     def test_set_difference(self):
         m = matrix_from(
@@ -141,7 +168,8 @@ class TestAntiTestset:
                 "u2": {"c": 5.0, "d": 5.0, "e": 5.0},
             }
         )
-        assert anti_testset(m, "u1") == {"c", "d", "e"}
+        model = BaselineRecommender().fit(m)
+        assert set(model.recommend("u1").item_ids()) == {"c", "d", "e"}
 
 
 class TestRecommend:
@@ -166,11 +194,9 @@ class TestRecommend:
             "u2": {"b": 950.0, "c": 100.0},
             "u3": {"b": 990.0, "d": 500.0},
         }
-        m = matrix_from(rows)
-        model = BaselineRecommender().fit(m)
-        best = max(
-            sorted(anti_testset(m, "u1")), key=lambda i: model.predict("u1", i)
-        )
+        model = BaselineRecommender().fit(matrix_from(rows))
+        predict = partial(reference_predict, reference_baseline(rows), "u1")
+        best = max(["b", "c", "d"], key=predict)
         assert model.recommend("u1", 10).items[0][0] == best
 
     def test_never_returns_rated_items(self):
@@ -181,16 +207,25 @@ class TestRecommend:
                 f"i{i}": float(rng.randint(1, 1000))
                 for i in rng.sample(range(12), rng.randint(2, 6))
             }
-        m = matrix_from(rows)
-        model = BaselineRecommender().fit(m)
-        for user in m.users():
+        model = BaselineRecommender().fit(matrix_from(rows))
+        for user, row in rows.items():
             recommended = set(model.recommend(user, 50).item_ids())
-            assert recommended.isdisjoint(m.user_ratings(user))
+            assert recommended.isdisjoint(row)
 
     def test_unknown_user_rejected(self):
         model = BaselineRecommender().fit(matrix_from({"u": {"a": 500.0}}))
         with pytest.raises(ValueError, match="unknown user"):
             model.recommend("nobody")
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_list_length_below_one_rejected(self, n):
+        # three candidates: a negative n used to slice off the last ones
+        rows = {"u1": {"a": 500.0}, "u2": {"b": 600.0, "c": 700.0, "d": 800.0}}
+        model = BaselineRecommender().fit(matrix_from(rows))
+        assert len(model.recommend("u1", 3)) == 3
+        with pytest.raises(ValueError) as info:
+            model.recommend("u1", n)
+        assert str(info.value) == f"n must be >= 1, got {n}"
 
 
 USERS = [f"u{k}" for k in range(5)]
@@ -219,23 +254,21 @@ CLAMP_LOW = {"u1": {"i0": 1000.0, "i1": 1.0}, "u2": {"i0": 1.0}}
 
 
 def check_against_reference(rows, epochs=10, damping=10.0, n=10):
-    """The array fit, predict and recommend equal the scalar reference."""
+    """The array matrix, fit and recommend equal the scalar reference."""
     matrix = RatingMatrix(rows)
+    assert matrix_ratings(matrix) == {user: row for user, row in rows.items() if row}
     model = BaselineRecommender(epochs=epochs, damping=damping).fit(matrix)
-    fit = reference_baseline(matrix, epochs, damping)
+    fit = reference_baseline(rows, epochs, damping)
     mu, user_bias, item_bias = fit
     assert model._mu == mu
-    assert dict(zip(matrix.users(), model._user_bias.tolist())) == user_bias
-    assert dict(zip(matrix.items(), model._item_bias.tolist())) == item_bias
-    for user in [*matrix.users(), "ghost"]:
-        for item in [*matrix.items(), "phantom"]:
-            assert model.predict(user, item) == reference_predict(fit, user, item)
+    assert dict(zip(matrix._user_pos, model._user_bias.tolist())) == user_bias
+    assert dict(zip(matrix._items, model._item_bias.tolist())) == item_bias
     predict = partial(reference_predict, fit)
-    for user in matrix.users():
-        expected = reference_recommend(matrix, predict, user, n)
+    for user in user_bias:
+        expected = reference_recommend(rows, predict, user, n)
         assert list(model.recommend(user, n).items) == expected
     with pytest.raises(ValueError) as reference_error:
-        reference_recommend(matrix, predict, "ghost", n)
+        reference_recommend(rows, predict, "ghost", n)
     with pytest.raises(ValueError) as error:
         model.recommend("ghost", n)
     assert str(error.value) == str(reference_error.value)
@@ -246,7 +279,7 @@ class TestAgainstReference:
     @given(rating_rows, fits, st.sampled_from([1, 3, 10]))
     @example({}, (10, 10.0), 10)
     @settings(max_examples=300, deadline=None)
-    def test_fit_predict_and_lists_equal_the_reference(self, rows, fit, n):
+    def test_fit_and_lists_equal_the_reference(self, rows, fit, n):
         epochs, damping = fit
         check_against_reference(rows, epochs, damping, n)
 
@@ -266,23 +299,20 @@ class TestAgainstReference:
     )
     def test_clamped_prediction(self, rows, user, item, bound):
         model = check_against_reference(rows, damping=1.0)
-        mu, user_bias, item_bias = reference_baseline(RatingMatrix(rows), 10, 1.0)
+        mu, user_bias, item_bias = reference_baseline(rows, 10, 1.0)
         raw = mu + user_bias[user] + item_bias[item]
         assert raw > 1000.0 if bound == 1000.0 else raw < 1.0
-        assert model.predict(user, item) == bound
         assert (item, bound) in model.recommend(user).items
 
 
 class TestRunFiles:
     def test_round_trip(self, tmp_path):
-        m = matrix_from(
-            {
-                "u1": {"a": 900.0, "b": 100.0},
-                "u2": {"c": 500.0, "a": 700.0},
-            }
-        )
-        model = BaselineRecommender().fit(m)
-        lists = {u: model.recommend(u, 3) for u in m.users()}
+        rows = {
+            "u1": {"a": 900.0, "b": 100.0},
+            "u2": {"c": 500.0, "a": 700.0},
+        }
+        model = BaselineRecommender().fit(matrix_from(rows))
+        lists = {u: model.recommend(u, 3) for u in rows}
         path = tmp_path / "run.txt"
         write_recommendations(lists, path)
         loaded = load_external_recommendations(path)
