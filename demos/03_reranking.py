@@ -49,8 +49,9 @@ print("base order:", ", ".join(recs.item_ids()))
 BETW, NODES = MetricKind.BETWEENNESS, MetricKind.NODE_COUNT
 ASC, DESC = SortOrder.ASCENDING, SortOrder.DESCENDING
 # One call evaluates every candidate once for all metrics, then orders the
-# evaluations once per (metric, order) pair.
-ranked = rerank(catalog, profile, recs, [BETW, NODES], [ASC, DESC])
+# evaluations once per (metric, order) pair. It takes (profile, list) pairs,
+# one per user, and returns one result per user: here, a user of one.
+(ranked,) = rerank(catalog, [(profile, recs)], [BETW, NODES], [ASC, DESC])
 
 print("\nre-ranked (ascending betweenness concentration):")
 for rank, e in enumerate(ranked[BETW, ASC], start=1):

@@ -43,18 +43,27 @@ for interaction in data.interactions:
 
 K = 10
 BETW, ASC = MetricKind.BETWEENNESS, SortOrder.ASCENDING
+users = sorted(histories)
+lists = {user: model.recommend(user, n=100) for user in users}
+# One call reranks every user; it scores them in groups, so candidates of
+# different users that attach the same shape share one kernel run.
+all_ranked = rerank(
+    catalog,
+    ((induce_profile_subgraph(catalog, histories[user], user=user), lists[user])
+     for user in users),
+    [BETW], [ASC], top_n=100,
+)
+
 base_unexp, rr_unexp, base_ild, rr_ild, agreements = [], [], [], [], []
-for user in sorted(histories):
-    recs = model.recommend(user, n=100)
-    profile = induce_profile_subgraph(catalog, histories[user], user=user)
+for user, ranked in zip(users, all_ranked):
+    recs = lists[user]
     history_vectors = lookup_features(sorted(histories[user]), data.features)
 
     base_top = lookup_features(recs.top(K), data.features)
     base_unexp.append(unexpectedness(history_vectors, base_top))
     base_ild.append(ild(base_top))
 
-    ranked = rerank(catalog, profile, recs, [BETW], [ASC], top_n=100)[BETW, ASC]
-    reranked = [e.item for e in ranked]
+    reranked = [e.item for e in ranked[BETW, ASC]]
     rr_top = lookup_features(reranked[:K], data.features)
     rr_unexp.append(unexpectedness(history_vectors, rr_top))
     rr_ild.append(ild(rr_top))

@@ -717,20 +717,28 @@ def stage_recommend(cfg: RunConfig, ws: Workspace | None = None) -> None:
     ws.write(write_recommendations, selected, BASE_RUN)
 
 
-def _rerank_user(catalog, cfg: RunConfig, user, history, recs):
-    """One user's rerankings: {(metric, order): ordered item ids}."""
-    sg = induce_profile_subgraph(catalog, history, user=user)
+def _rerank_users(catalog, cfg: RunConfig, tasks):
+    """Each (user, history, base list) task's rerankings, in task order:
+    {(metric, order): ordered item ids}. One ``rerank`` call scores them all;
+    each profile is induced only when ``rerank`` reaches its user."""
+    users = (
+        (induce_profile_subgraph(catalog, history, user=user), recs)
+        for user, history, recs in tasks
+    )
     ranked = rerank(
-        catalog, sg, recs,
+        catalog, users,
         [MetricKind(name) for name in cfg.metrics],
         [SortOrder(order) for order in cfg.orders],
         NeighborhoodMode(cfg.mode),
         cfg.top_n_candidates,
     )
-    return {
-        (kind.value, order.value): [e.item for e in evaluations]
-        for (kind, order), evaluations in ranked.items()
-    }
+    return [
+        {
+            (kind.value, order.value): [e.item for e in evaluations]
+            for (kind, order), evaluations in lists.items()
+        }
+        for lists in ranked
+    ]
 
 
 # (catalog, cfg), set once in each pool worker
@@ -742,8 +750,8 @@ def _init_worker(catalog, cfg: RunConfig) -> None:
     _WORKER_STATE = (catalog, cfg)
 
 
-def _rerank_task(task):
-    return _rerank_user(*_WORKER_STATE, *task)
+def _rerank_task(tasks):
+    return _rerank_users(*_WORKER_STATE, tasks)
 
 
 def _base_run_users(ws: Workspace) -> list[tuple[str, list[str], RecommendationList]]:
@@ -769,6 +777,16 @@ def _available_cpus() -> int:
 
 
 def stage_rerank(cfg: RunConfig, ws: Workspace | None = None) -> None:
+    """Rerank every base-run user's list and write one run file per
+    (metric, order).
+
+    A serial run scores all users in one :func:`~kgrerank.rerank.rerank`
+    call, which cuts them into memory-bounded groups. With ``degree``
+    workers, the pool maps ``degree`` interleaved user lists
+    (``tasks[i::degree]``), one task per worker, and each worker makes that
+    one call over its list. Either way every value, and so every byte, is
+    the same.
+    """
     ws = ws or Workspace(cfg)
     catalog = ws.read(read_graph, CATALOG_TRIPLES, CATALOG_NODES)
     tasks = _base_run_users(ws)
@@ -780,12 +798,17 @@ def stage_rerank(cfg: RunConfig, ws: Workspace | None = None) -> None:
         # process-pool imports
         import concurrent.futures
 
+        # one interleaved list of users per worker, so each worker scores
+        # its users in groups as a serial run does
+        shares = [tasks[i::degree] for i in range(degree)]
         with concurrent.futures.ProcessPoolExecutor(
             max_workers=degree, initializer=_init_worker, initargs=(catalog, cfg)
         ) as pool:
-            results = list(pool.map(_rerank_task, tasks))
+            done = list(pool.map(_rerank_task, shares))
+        tasks = [task for share in shares for task in share]
+        results = [result for share in done for result in share]
     else:
-        results = [_rerank_user(catalog, cfg, *task) for task in tasks]
+        results = _rerank_users(catalog, cfg, tasks)
     per_user = {task[0]: result for task, result in zip(tasks, results)}
 
     for metric_name in cfg.metrics:

@@ -20,20 +20,20 @@ as a batch of one. :meth:`_Stack.cut` is the one builder of a batch of many.
 One core (:func:`score_stack`) scores every batch, and :func:`compute_metric`
 scores one graph as a batch of one. The re-ranker compiles, once per user,
 the catalog subgraph on the profile's nodes and every node a candidate adds,
-and cuts the whole batch from it at once with a (candidates x union nodes)
-membership mask (:meth:`_Stack.cut`): row ``r`` is the subgraph that
-candidate ``r``'s nodes induce, the profile's first, then its added nodes in
-union order. That order is monotone in the union's, so the union's sorted
-pairs, masked and relabelled, stay row-major and source-sorted with no sort
-per row. No graph object is built per
-candidate. The row sizes and pair bounds, the distinct rows (below) and each
-row's label order (one sort of all labels, then one argsort of the rank
-matrix) are computed once per batch and shared by every metric; the path
-kernels read only the adjacency of each distinct row. The degrees are one
-``np.bincount`` over the pairs and PageRank is one power iteration over the
-distinct rows' block; both use edge directions. Every distribution is then
-collapsed to its HHI row by row, in sorted-label order
-(:attr:`_Stack.label_order`).
+with a (candidates x union nodes) membership mask: row ``r`` is the subgraph
+that candidate ``r``'s nodes induce, the profile's first, then its added
+nodes in union order. That order is monotone in the union's, so the union's
+sorted pairs, masked and relabelled, stay row-major and source-sorted with no
+sort per row. It scores users in groups: :meth:`_Stack.cut` cuts the (union,
+mask) pairs of a whole group of users as one batch, one user's rows after
+another's. No graph object is built per candidate. The row sizes and pair
+bounds, the distinct rows (below) and each row's label order (one sort of
+all labels, then one argsort of the rank matrix) are computed once per batch
+and shared by every metric; the path kernels read only the adjacency of each
+distinct row. The degrees are one ``np.bincount`` over the pairs and
+PageRank is one power iteration over the distinct rows' block; both use edge
+directions. Every distribution is then collapsed to its HHI row by row, in
+sorted-label order (:attr:`_Stack.label_order`).
 
 Betweenness and closeness run per row on ``A``, peeled to its 2-core first
 (:func:`_peel`): nodes of degree 0 or 1 (self-loops and parallel edges do not
@@ -84,10 +84,11 @@ a batch. Rows with the same node count and the same ``src``, ``dst`` and
 ``mult`` slices are one group: the kernels run on its first row, and every
 row of the group takes those per-node scores. Candidates that attach the same
 shape to the same nodes differ only in the labels of their added nodes, and
-no kernel reads a label. Degrees, scalars and the collapse stay per row, each
-in the row's own label order. No bit changes: a kernel's output depends only
-on those arrays, and by the float contract below a row's value does not
-depend on its batch.
+no kernel reads a label; so do the candidates of two users whose extensions
+are the same graphs under other labels, when they share a batch. Degrees,
+scalars and the collapse stay per row, each in the row's own label order. No
+bit changes: a kernel's output depends only on those arrays, and by the float
+contract below a row's value does not depend on its batch.
 
 Float contract: a row's value does not depend on the other rows of its batch,
 and equals a per-node Python loop over that graph alone. Padding is zero and
@@ -292,8 +293,8 @@ class _Stack:
     ``dst`` hold them as flat indices ``r * width + node``, so all pairs are
     row-major and each row's sorted by source. Build a graph with
     :func:`compile_graph` or :meth:`from_edges`, and cut the subgraphs that
-    the rows of a membership mask induce from one graph with :meth:`cut`, the
-    one builder of a batch of many rows.
+    the rows of membership masks induce from one or more graphs with
+    :meth:`cut`, the one builder of a batch of many rows.
     """
 
     def __init__(
@@ -335,24 +336,31 @@ class _Stack:
         )
 
     @classmethod
-    def cut(cls, graph: "_Stack", mask: np.ndarray) -> "_Stack":
-        """Row ``r``: the subgraph of the one-row batch ``graph`` that the
-        nodes where ``mask[r]`` is true induce, in ``graph``'s node order.
+    def cut(cls, parts: Sequence[tuple["_Stack", np.ndarray]]) -> "_Stack":
+        """The rows of every (graph, mask) pair of ``parts``, in order, as one
+        batch: row ``r`` of a pair is the subgraph of its one-row batch
+        ``graph`` that the nodes where ``mask[r]`` is true induce, in
+        ``graph``'s node order.
 
-        A row keeps ``graph``'s order, so its positions rise with ``graph``'s
-        indices and its pairs, taken in ``graph``'s order, stay sorted."""
-        position = np.cumsum(mask, axis=1, dtype=np.intp) - 1
-        keep = mask[:, graph.row_src] & mask[:, graph.row_dst]
-        rows, pairs = np.nonzero(keep)
-        return cls(
-            graph.labels,
-            graph.members[np.nonzero(mask)[1]],
-            np.count_nonzero(mask, axis=1),
-            position[rows, graph.row_src[pairs]],
-            position[rows, graph.row_dst[pairs]],
-            graph.mult[pairs],
-            np.count_nonzero(keep, axis=1),
-        )
+        A row keeps its graph's order, so its positions rise with the graph's
+        indices and its pairs, taken in the graph's order, stay sorted. The
+        batch's labels are the graphs' labels one after the other; a row's
+        labels are its own graph's, so they stay distinct within the row."""
+        labels: list[str] = []
+        members, sizes, row_src, row_dst, mult, pairs = [], [], [], [], [], []
+        for graph, mask in parts:
+            position = np.cumsum(mask, axis=1, dtype=np.intp) - 1
+            keep = mask[:, graph.row_src] & mask[:, graph.row_dst]
+            rows, kept = np.nonzero(keep)
+            members.append(graph.members[np.nonzero(mask)[1]] + len(labels))
+            labels += graph.labels
+            sizes.append(np.count_nonzero(mask, axis=1))
+            row_src.append(position[rows, graph.row_src[kept]])
+            row_dst.append(position[rows, graph.row_dst[kept]])
+            mult.append(graph.mult[kept])
+            pairs.append(np.count_nonzero(keep, axis=1))
+        arrays = (members, sizes, row_src, row_dst, mult, pairs)
+        return cls(labels, *map(np.concatenate, arrays))
 
     def __len__(self) -> int:
         return len(self.sizes)
@@ -709,16 +717,21 @@ def _path_scores(adj: np.ndarray, kinds) -> dict[MetricKind, np.ndarray]:
     return out
 
 
-def _pagerank_batch(
-    stack: _Stack, damping: float = 0.85, tol: float = 1e-9, max_iter: int = 200
-) -> np.ndarray:
+# PageRank's damping factor, the L1 change below which a row has converged,
+# and the steps after which a row still moving fails
+_DAMPING = 0.85
+_TOL = 1e-9
+_MAX_ITER = 200
+
+
+def _pagerank_batch(stack: _Stack) -> np.ndarray:
     """PageRank of every graph of a batch, one row each, by power iteration on
     the directed graph.
 
     Teleport is uniform, dangling-node mass is redistributed uniformly, and
     parallel edges weight the transition proportionally. All rows step
-    together. A row whose L1 change falls below ``tol`` keeps that iterate
-    from then on; the first row still moving after ``max_iter`` steps raises
+    together. A row whose L1 change falls below ``_TOL`` keeps that iterate
+    from then on; the first row still moving after ``_MAX_ITER`` steps raises
     :class:`ConvergenceError` with its last iterate.
     """
     n = stack.sizes[:, None].astype(float)
@@ -727,24 +740,24 @@ def _pagerank_batch(
     out = stack.degrees(stack.src)
     dangling = valid * (out == 0)
     weight = stack.mult / out.reshape(-1)[stack.src]
-    base = valid * ((1.0 - damping) / n)
+    base = valid * ((1.0 - _DAMPING) / n)
     ranks = valid * (1.0 / n)
     moving = np.ones(len(stack), dtype=bool)
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         mass = _running_total(ranks * dangling)[:, None]
-        nxt = base + (damping * mass / n) * valid
+        nxt = base + (_DAMPING * mass / n) * valid
         # unbuffered over candidate-major, source-sorted pairs, so each
         # target adds its sources in source order
-        contributions = (damping * ranks).reshape(-1)[stack.src] * weight
+        contributions = (_DAMPING * ranks).reshape(-1)[stack.src] * weight
         np.add.at(nxt.reshape(-1), stack.dst, contributions)
         change = _running_total(np.abs(nxt - ranks))
         ranks = np.where(moving[:, None], nxt, ranks)
-        moving &= ~(change < tol)
+        moving &= ~(change < _TOL)
         if not moving.any():
             return ranks
     row = int(np.argmax(moving))
     raise ConvergenceError(
-        f"pagerank did not converge within {max_iter} iterations",
+        f"pagerank did not converge within {_MAX_ITER} iterations",
         stack.by_node(row, ranks[row]),
         row,
     )

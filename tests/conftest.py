@@ -83,7 +83,7 @@ def disjoint_batch(graphs) -> _Stack:
         pairs = zip(part.row_src.tolist(), part.row_dst.tolist(), part.mult.tolist())
         edges += [(start + i, start + j) for i, j, mult in pairs for _ in range(mult)]
     mask = np.arange(len(parts))[:, None] == np.array(owner, dtype=np.intp)
-    return _Stack.cut(_Stack.from_edges(labels, edges), mask)
+    return _Stack.cut([(_Stack.from_edges(labels, edges), mask)])
 
 
 def unprefixed(scores: dict) -> dict:
@@ -92,18 +92,23 @@ def unprefixed(scores: dict) -> dict:
     return {label.split("/", 1)[1]: value for label, value in scores.items()}
 
 
-def node_scores(graphs, kind: MetricKind, **pagerank_args) -> list[dict[str, float]]:
+def node_scores(graphs, kind: MetricKind, **pagerank_constants) -> list[dict[str, float]]:
     """Each graph's per-node betweenness, closeness or PageRank (``kind``),
     from the kernel on one :func:`disjoint_batch` of ``graphs``, keyed by
-    the graph's own node ids. ``pagerank_args`` go to the PageRank kernel,
-    whose :class:`ConvergenceError` carries its last iterate keyed so too."""
+    the graph's own node ids. ``pagerank_constants`` (``damping``, ``tol``,
+    ``max_iter``) replace the PageRank kernel's module constants
+    (``metrics._DAMPING``, ``_TOL``, ``_MAX_ITER``) for this call; its
+    :class:`ConvergenceError` carries its last iterate keyed so too."""
     stack = disjoint_batch(graphs)
     if kind is MetricKind.PAGERANK:
-        try:
-            block = metrics_module._pagerank_batch(stack, **pagerank_args)
-        except ConvergenceError as exc:
-            exc.last_scores = unprefixed(exc.last_scores)
-            raise
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            for name, value in pagerank_constants.items():
+                monkeypatch.setattr(metrics_module, f"_{name.upper()}", value)
+            try:
+                block = metrics_module._pagerank_batch(stack)
+            except ConvergenceError as exc:
+                exc.last_scores = unprefixed(exc.last_scores)
+                raise
     else:
         block = [
             metrics_module._path_scores(stack.adjacency(row), (kind,))[kind]
@@ -122,9 +127,9 @@ def closeness(g) -> dict[str, float]:
     return node_scores([g], MetricKind.CLOSENESS)[0]
 
 
-def pagerank(g, **pagerank_args) -> dict[str, float]:
+def pagerank(g, **pagerank_constants) -> dict[str, float]:
     """Per-node PageRank of ``g`` alone; see :func:`node_scores`."""
-    return node_scores([g], MetricKind.PAGERANK, **pagerank_args)[0]
+    return node_scores([g], MetricKind.PAGERANK, **pagerank_constants)[0]
 
 
 def matrix_ratings(matrix) -> dict[str, dict[str, float]]:
@@ -138,25 +143,33 @@ def matrix_ratings(matrix) -> dict[str, dict[str, float]]:
     return ratings
 
 
-def extension_batch(catalog, sg, items, mode):
-    """The batch (``metrics._Stack``) of the extensions of ``sg`` by each of
-    ``items`` that ``rerank.evaluate_metrics`` builds, taken from its call to
-    ``score_stack``."""
+def record_group_stacks(monkeypatch) -> list:
+    """Record every batch that ``rerank.evaluate_metrics`` scores, once per
+    group of users however many metric groups score it."""
     # ``kgrerank.rerank`` is also the name of the exported function, so the
     # module is reached through sys.modules
     module = sys.modules["kgrerank.rerank"]
     real = module.score_stack
-    captured = []
+    stacks = []
 
-    def capture(stack, kinds):
-        captured.append(stack)
+    def recording(stack, kinds):
+        if not any(seen is stack for seen in stacks):
+            stacks.append(stack)
         return real(stack, kinds)
 
+    monkeypatch.setattr(module, "score_stack", recording)
+    return stacks
+
+
+def extension_batch(catalog, sg, items, mode):
+    """The batch (``metrics._Stack``) of the extensions of ``sg`` by each of
+    ``items`` that ``rerank.evaluate_metrics`` builds, taken from its call to
+    ``score_stack``."""
     recs = RecommendationList(user=sg.user, items=tuple((item, 0.0) for item in items))
     with pytest.MonkeyPatch.context() as monkeypatch:
-        monkeypatch.setattr(module, "score_stack", capture)
-        evaluate_metrics(catalog, sg, recs, [MetricKind.NODE_COUNT], mode)
-    (stack,) = captured
+        stacks = record_group_stacks(monkeypatch)
+        evaluate_metrics(catalog, [(sg, recs)], [MetricKind.NODE_COUNT], mode)
+    (stack,) = stacks
     return stack
 
 

@@ -109,9 +109,9 @@ def test_c3_diverse_vs_similar_reranking(dvs_catalog, dvs_profile, dvs_recs):
     with criterion(3, "diverse-vs-similar directional reproduction"):
         betw = MetricKind.BETWEENNESS
         ranked = rerank(
-            dvs_catalog, dvs_profile, dvs_recs, [betw], [ASC],
+            dvs_catalog, [(dvs_profile, dvs_recs)], [betw], [ASC],
             mode=NeighborhoodMode.CLOSED_NEIGHBORHOOD, top_n=100,
-        )[betw, ASC]
+        )[0][betw, ASC]
         position = {e.item: rank for rank, e in enumerate(ranked, start=1)}
         values = {e.item: e.metric_value.value for e in ranked}
         for diverse in ("d1", "d2"):
@@ -170,7 +170,7 @@ def test_c4_candidate_evaluation_independence():
 
             # and the final ordering is identical after re-sorting
             first, second = (
-                [e.item for e in rerank(catalog, sg, lst, [metric], [ASC])[metric, ASC]]
+                [e.item for e in rerank(catalog, [(sg, lst)], [metric], [ASC])[0][metric, ASC]]
                 for lst in (recs, shuffled)
             )
             assert first == second
@@ -241,7 +241,7 @@ def synthetic_experiment():
                 history_vectors, lookup_features(recs.top(k), data.features)
             )
         )
-        ranked = rerank(catalog, sg, recs, [betw, nodes], [ASC, DESC])
+        (ranked,) = rerank(catalog, [(sg, recs)], [betw, nodes], [ASC, DESC])
         ranked_betw = [e.item for e in ranked[betw, ASC]]
         unexp_betw.append(
             unexpectedness(

@@ -4,6 +4,7 @@ import json
 import os
 import random
 import re
+import shutil
 import subprocess
 import sys
 from dataclasses import fields
@@ -14,6 +15,7 @@ import pytest
 
 import kgrerank
 from kgrerank import (
+    MetricError,
     MetricKind,
     NeighborhoodMode,
     SortOrder,
@@ -36,6 +38,7 @@ from kgrerank.cli import (
     INGEST_SUMMARY,
     INTERACTIONS,
     MANIFEST,
+    PipelineError,
     PROFILES,
     QRELS,
     REPORT,
@@ -66,6 +69,7 @@ from conftest import (
     lastfm_run_config,
     make_lastfm_corpus,
     pipeline_doc,
+    record_group_stacks,
     write_config,
 )
 from oracles import (
@@ -384,7 +388,7 @@ class TestPipeline:
             sg = induce_profile_subgraph(catalog, history, user=user)
             assert two_core(sg.graph)
             # the library's own values, for the check of its tie-break
-            evaluated = evaluate_metrics(catalog, sg, recs, list(MetricKind), mode)
+            (evaluated,) = evaluate_metrics(catalog, [(sg, recs)], list(MetricKind), mode)
             for kind in MetricKind:
                 values = reference_values(catalog, history, recs, kind, mode)
                 own = {e.item: (e.metric_value.value, e.base_score) for e in evaluated[kind]}
@@ -501,12 +505,28 @@ class TestPipeline:
                         base[user].item_ids()
                     )
 
-    def test_parallel_equals_serial(self, tmp_path):
+    def test_parallel_equals_serial(self, tmp_path, monkeypatch):
+        mapped = []
+
+        class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+            def map(self, fn, tasks, **kwargs):
+                tasks = list(tasks)
+                users = [[task[0] for task in share] for share in tasks]
+                mapped.append((self._max_workers, users))
+                return super().map(fn, tasks, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         rankings = dict(metrics=["pagerank", "betweenness"], orders=["asc", "desc"])
         serial = synth_config(tmp_path / "serial", parallelism=1, **rankings)
         parallel = synth_config(tmp_path / "parallel", parallelism=2, **rankings)
         run_pipeline(serial)
+        assert mapped == []
         run_pipeline(parallel)
+        # one pool, mapping one interleaved list of users to each worker,
+        # each list with two of the four users
+        users = sorted(load_external_recommendations(tmp_path / "serial" / "out" / BASE_RUN))
+        assert len(users) == 4
+        assert mapped == [(2, [users[0::2], users[1::2]])]
         names = [REPORT] + [
             namer(metric, order)
             for namer in (rerank_run_name, trec_run_name)
@@ -517,6 +537,45 @@ class TestPipeline:
             assert (tmp_path / "serial" / "out" / name).read_bytes() == (
                 tmp_path / "parallel" / "out" / name
             ).read_bytes(), name
+
+    def test_one_user_starts_no_pool(self, tmp_path, monkeypatch):
+        cfg = synth_config(tmp_path, recommender="external", parallelism=2)
+        stage_ingest(cfg)
+        user = sorted(_read_profiles(tmp_path / "out" / PROFILES))[0]
+        external = tmp_path / "external_run.txt"
+        items = (("t_a0001", 1.0), ("t_b0001", 0.5))
+        write_recommendations({user: RecommendationList(user=user, items=items)}, external)
+        cfg.external_recs_path = str(external)
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a worker pool was started")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        run_pipeline(cfg)
+        path = tmp_path / "out" / rerank_run_name("node_count", "asc")
+        reranked = load_external_recommendations(path)
+        assert list(reranked) == [user]
+        assert sorted(reranked[user].item_ids()) == ["t_a0001", "t_b0001"]
+
+    @pytest.mark.parametrize("dataset", ["synthetic", "lastfm"])
+    def test_group_bound_changes_no_file(self, tmp_path, request, monkeypatch, dataset):
+        """Every run-directory file is the same whether each user is scored
+        alone, in groups under the default cell bound, or all in one group."""
+        config = write_config(tmp_path / "cfg.json", pipeline_doc(request, dataset))
+        out = tmp_path / "out"
+        module = sys.modules["kgrerank.rerank"]
+        files, groups = [], []
+        for cells in (1, module._GROUP_CELLS, 2**40):
+            with monkeypatch.context() as patch:
+                patch.setattr(module, "_GROUP_CELLS", cells)
+                stacks = record_group_stacks(patch)
+                assert main(["run", "--config", str(config), "--out", str(out)]) == 0
+            groups.append(len(stacks))
+            files.append({path.name: path.read_bytes() for path in sorted(out.iterdir())})
+            shutil.rmtree(out)
+        assert files[0] == files[1] == files[2]
+        # every user alone, then fewer groups, then one
+        assert groups[0] > groups[2] == 1
 
     def test_default_parallelism_counts_the_cpus_the_process_may_use(
         self, tmp_path, monkeypatch
@@ -606,6 +665,36 @@ class TestPipeline:
             f"stage rerank failed: closeness evaluation failed for user {user!r}, "
             "item 'no_such_item'"
         ) in capsys.readouterr().err
+
+    def test_failing_row_of_a_groups_second_user_names_stage_user_and_item(
+        self, tmp_path, monkeypatch
+    ):
+        cfg = synth_config(tmp_path, metrics=["pagerank"])
+        run_pipeline(cfg)
+        base = load_external_recommendations(tmp_path / "out" / BASE_RUN)
+        first, second = sorted(base)[:2]
+        # the second user's third candidate, after the first user's rows
+        row = len(base[first]) + 2
+        item = base[second].item_ids()[2]
+        module = sys.modules["kgrerank.rerank"]
+        real = module.score_stack
+        groups = []
+
+        def failing(stack, kinds):
+            groups.append(len(stack))
+            if len(stack) > row:
+                raise MetricError("injected failure", row)
+            return real(stack, kinds)
+
+        monkeypatch.setattr(module, "score_stack", failing)
+        with pytest.raises(PipelineError) as info:
+            cli._run_stage("rerank", cfg)
+        assert str(info.value) == (
+            f"stage rerank failed: pagerank evaluation failed for user {second!r}, "
+            f"item {item!r}: injected failure"
+        )
+        # all four users were one group
+        assert groups == [sum(len(recs) for recs in base.values())]
 
     def test_netflix_pipeline(self, tmp_path, netflix_csv):
         cfg = RunConfig(
@@ -952,11 +1041,13 @@ class TestExitCodes:
         finished = (out / MANIFEST).read_bytes()
         (out / MANIFEST).unlink()
 
-        def with_unknown_item(catalog, sg, recs, *args):
+        def with_unknown_item(catalog, users, *args):
             # the external-run case: a base list names an item the catalog lacks
-            top = recs.items[0][1] if recs.items else 1.0
-            recs = RecommendationList(recs.user, (("no_such_item", top), *recs.items))
-            return real_rerank(catalog, sg, recs, *args)
+            def lead(recs):
+                top = recs.items[0][1] if recs.items else 1.0
+                return RecommendationList(recs.user, (("no_such_item", top), *recs.items))
+
+            return real_rerank(catalog, [(sg, lead(recs)) for sg, recs in users], *args)
 
         real_rerank = cli.rerank
         monkeypatch.setattr(cli, "rerank", with_unknown_item)

@@ -604,9 +604,11 @@ class TestBatch:
     @settings(max_examples=100, deadline=None)
     def test_label_order_is_sorted_labels(self, labels, data):
         """Each batch row's label order sorts its labels: in a batch cut from
-        one graph by a membership mask, in one cut from the disjoint union of
-        one-row batches, and in one cut from the union of both kinds of rows,
-        where each row keeps its input's nodes and pairs."""
+        one graph by a membership mask, in one cut from two such (graph,
+        mask) pairs whose graphs share every label, in one cut from the
+        disjoint union of one-row batches, and in one cut from the union of
+        both kinds of rows, where each row keeps its input's nodes and
+        pairs."""
 
         def edges(size):
             ends = st.integers(0, size - 1)
@@ -616,7 +618,19 @@ class TestBatch:
         row_masks = st.lists(st.booleans(), min_size=len(labels), max_size=len(labels))
         mask = data.draw(st.lists(row_masks, min_size=1, max_size=4))
         mask = np.array(mask, dtype=bool).reshape(len(mask), len(labels))
-        cut = _Stack.cut(base, mask)
+        cut = _Stack.cut([(base, mask)])
+        # a second graph on the same labels, cut by a second mask
+        other = _Stack.from_edges(labels, edges(len(labels)))
+        other_mask = mask[::-1]
+        twice = _Stack.cut([(base, mask), (other, other_mask)])
+        assert len(twice) == 2 * len(mask)
+        for part, (graph, part_mask) in enumerate(((base, mask), (other, other_mask))):
+            alone = _Stack.cut([(graph, part_mask)])
+            for row in range(len(alone)):
+                got, want = twice.rows([part * len(mask) + row]), alone.rows([row])
+                assert got.nodes(0) == want.nodes(0)
+                for name in ("row_src", "row_dst", "mult"):
+                    assert getattr(got, name).tolist() == getattr(want, name).tolist(), name
         # some of the nodes, each row in a drawn order
         orders = data.draw(st.lists(st.permutations(labels), min_size=1, max_size=4))
         rows = [order[: data.draw(st.integers(0, len(labels)))] for order in orders]
@@ -624,7 +638,7 @@ class TestBatch:
         # the cut's rows and the one-row batches, in a drawn order
         inputs = data.draw(st.permutations([cut.rows([r]) for r in range(len(cut))] + graphs))
         mixed = disjoint_batch(inputs)
-        for stack in (cut, disjoint_batch(graphs), mixed):
+        for stack in (cut, twice, disjoint_batch(graphs), mixed):
             for row in range(len(stack)):
                 nodes = stack.nodes(row)
                 order = stack.label_order[row, : stack.sizes[row]]

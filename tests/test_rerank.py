@@ -1,4 +1,5 @@
 import random
+import sys
 from collections import Counter
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kgrerank import (
+    BaselineRecommender,
     CatalogGraph,
     ConvergenceError,
     MetricKind,
@@ -13,19 +15,30 @@ from kgrerank import (
     RecommendationList,
     RerankError,
     SortOrder,
+    SyntheticConfig,
     Triple,
     build_catalog,
     compute_metric,
     evaluate_candidates,
     extend_subgraph,
     induce_profile_subgraph,
+    make_synthetic_dataset,
     rerank,
+    scale_ratings,
 )
 from kgrerank import metrics as metrics_module
 from kgrerank.graph import Node
 from kgrerank.rerank import evaluate_metrics
 
-from conftest import A, DVS_EXPECTED, DVS_TRIPLES, T, core_passes, signature
+from conftest import (
+    A,
+    DVS_EXPECTED,
+    DVS_TRIPLES,
+    T,
+    core_passes,
+    record_group_stacks,
+    signature,
+)
 from oracles import (
     assert_matches_reference,
     random_catalog_with_profile,
@@ -41,8 +54,9 @@ PAGERANK = MetricKind.PAGERANK
 
 
 def ranked(catalog, sg, recs, metric=BETW, order=ASC, **kwargs):
-    """The one list of a single-metric, single-order rerank call."""
-    return rerank(catalog, sg, recs, [metric], [order], **kwargs)[metric, order]
+    """The one list of a single-user, single-metric, single-order rerank call."""
+    (lists,) = rerank(catalog, [(sg, recs)], [metric], [order], **kwargs)
+    return lists[metric, order]
 
 
 class TestRecommendationList:
@@ -68,7 +82,7 @@ class TestRecommendationList:
 
     def test_top_n_validated(self, dvs_catalog, dvs_profile, dvs_recs):
         with pytest.raises(ValueError, match="top_n"):
-            rerank(dvs_catalog, dvs_profile, dvs_recs, [BETW], [ASC], top_n=0)
+            rerank(dvs_catalog, [(dvs_profile, dvs_recs)], [BETW], [ASC], top_n=0)
 
 
 class TestReferenceRerank:
@@ -88,7 +102,7 @@ class TestReferenceRerank:
         sg = induce_profile_subgraph(catalog, history, user="u")
         top_n = rng.randint(1, len(recs))
         kinds = list(MetricKind)
-        result = rerank(catalog, sg, recs, kinds, [ASC, DESC], mode, top_n)
+        (result,) = rerank(catalog, [(sg, recs)], kinds, [ASC, DESC], mode, top_n)
         for kind in kinds:
             values = reference_values(catalog, history, recs, kind, mode)
             for order in (ASC, DESC):
@@ -176,7 +190,7 @@ def multi_metric_runs(request):
     for _ in range(8):
         catalog, history, recs = random_catalog_with_profile(rng)
         sg = induce_profile_subgraph(catalog, history, user="u")
-        result = rerank(catalog, sg, recs, ALL_KINDS, [ASC, DESC], mode=mode)
+        (result,) = rerank(catalog, [(sg, recs)], ALL_KINDS, [ASC, DESC], mode=mode)
         runs.append((catalog, sg, recs, result))
     return mode, runs
 
@@ -214,7 +228,7 @@ class TestRerankProperties:
         for _ in range(15):
             catalog, history, recs = random_catalog_with_profile(rng)
             sg = induce_profile_subgraph(catalog, history, user="u")
-            result = rerank(catalog, sg, recs, [BETW], [ASC, DESC])
+            (result,) = rerank(catalog, [(sg, recs)], [BETW], [ASC, DESC])
             up, down = result[BETW, ASC], result[BETW, DESC]
             assert [e.metric_value.value for e in down] == sorted(
                 (e.metric_value.value for e in up), reverse=True
@@ -305,7 +319,7 @@ class TestSharedEvaluation:
     @settings(max_examples=150, deadline=None)
     def test_multi_metric_equals_materialized(self, case):
         catalog, sg, recs, mode, kinds = case
-        evaluations = evaluate_metrics(catalog, sg, recs, kinds, mode)
+        (evaluations,) = evaluate_metrics(catalog, [(sg, recs)], kinds, mode)
         assert list(evaluations) == kinds
         for kind in kinds:
             assert [e.item for e in evaluations[kind]] == list(recs.item_ids())
@@ -317,10 +331,10 @@ class TestSharedEvaluation:
     @settings(max_examples=100, deadline=None)
     def test_value_does_not_depend_on_its_batch(self, case):
         catalog, sg, recs, mode, kinds = case
-        together = evaluate_metrics(catalog, sg, recs, kinds, mode)
+        (together,) = evaluate_metrics(catalog, [(sg, recs)], kinds, mode)
         for position, entry in enumerate(recs.items):
-            alone = evaluate_metrics(
-                catalog, sg, RecommendationList(user="u", items=(entry,)), kinds, mode
+            (alone,) = evaluate_metrics(
+                catalog, [(sg, RecommendationList(user="u", items=(entry,)))], kinds, mode
             )
             for kind in kinds:
                 assert alone[kind][0].metric_value == together[kind][position].metric_value
@@ -328,7 +342,7 @@ class TestSharedEvaluation:
     def test_one_pass_per_distinct_extension(
         self, bfs_calls, dvs_catalog, dvs_profile, dvs_recs
     ):
-        evaluate_metrics(dvs_catalog, dvs_profile, dvs_recs, [BETW, PAGERANK, CLOSE])
+        evaluate_metrics(dvs_catalog, [(dvs_profile, dvs_recs)], [BETW, PAGERANK, CLOSE])
         # counted on the materialized extensions: node count and each
         # directed (source, target) index pair with its multiplicity, in
         # first-seen order
@@ -346,13 +360,13 @@ class TestSharedEvaluation:
         assert [size for size, _ in bfs_calls] == [4, 6, 6]
         bfs_calls.clear()
         evaluate_metrics(
-            dvs_catalog, dvs_profile, dvs_recs,
+            dvs_catalog, [(dvs_profile, dvs_recs)],
             [PAGERANK, MetricKind.IN_DEGREE, MetricKind.NODE_COUNT],
         )
         assert bfs_calls == []
 
     def test_duplicate_metrics_evaluated_once(self, dvs_catalog, dvs_profile, dvs_recs):
-        evaluations = evaluate_metrics(dvs_catalog, dvs_profile, dvs_recs, [BETW, BETW])
+        (evaluations,) = evaluate_metrics(dvs_catalog, [(dvs_profile, dvs_recs)], [BETW, BETW])
         assert list(evaluations) == [BETW]
         assert evaluations[BETW] == evaluate_candidates(
             dvs_catalog, dvs_profile, dvs_recs, BETW
@@ -364,7 +378,7 @@ class TestSharedEvaluation:
             RerankError,
             match="betweenness, closeness evaluation failed for user 'u1', item 'nope'",
         ):
-            evaluate_metrics(dvs_catalog, dvs_profile, recs, [BETW, CLOSE])
+            evaluate_metrics(dvs_catalog, [(dvs_profile, recs)], [BETW, CLOSE])
 
     @staticmethod
     def _fail_on_d1(monkeypatch):
@@ -387,7 +401,7 @@ class TestSharedEvaluation:
             RerankError,
             match="pagerank evaluation failed for user 'u1', item 'd1': injected failure",
         ) as info:
-            evaluate_metrics(dvs_catalog, dvs_profile, dvs_recs, [BETW, PAGERANK])
+            evaluate_metrics(dvs_catalog, [(dvs_profile, dvs_recs)], [BETW, PAGERANK])
         assert isinstance(info.value.__cause__, ConvergenceError)
 
     @pytest.mark.parametrize("position", [0, 3], ids=["first", "last"])
@@ -402,7 +416,7 @@ class TestSharedEvaluation:
         )
         self._fail_on_d1(monkeypatch)
         with pytest.raises(RerankError, match="item 'd1': injected failure"):
-            evaluate_metrics(dvs_catalog, dvs_profile, recs, [BETW, PAGERANK])
+            evaluate_metrics(dvs_catalog, [(dvs_profile, recs)], [BETW, PAGERANK])
 
     # s1 and s2 attach one shape, the only one with five nodes; s2 is listed
     # first, so its row is the one the shape's kernels run on
@@ -425,7 +439,7 @@ class TestSharedEvaluation:
             RerankError,
             match="^pagerank evaluation failed for user 'u1', item 's2': injected failure$",
         ) as info:
-            evaluate_metrics(dvs_catalog, dvs_profile, self.SHARED_SHAPE_RECS, [PAGERANK])
+            evaluate_metrics(dvs_catalog, [(dvs_profile, self.SHARED_SHAPE_RECS)], [PAGERANK])
         assert "s2" in info.value.__cause__.last_scores
 
     def test_path_failure_on_a_repeated_shape_names_its_first_item(
@@ -447,7 +461,9 @@ class TestSharedEvaluation:
             match="^betweenness, closeness evaluation failed for user 'u1', item 's2': "
             "centrality score of 'a1' is not finite: nan$",
         ):
-            evaluate_metrics(dvs_catalog, dvs_profile, self.SHARED_SHAPE_RECS, [BETW, CLOSE])
+            evaluate_metrics(
+                dvs_catalog, [(dvs_profile, self.SHARED_SHAPE_RECS)], [BETW, CLOSE]
+            )
 
     def test_failure_of_the_whole_batch_names_user_and_metric(
         self, monkeypatch, dvs_catalog, dvs_profile, dvs_recs
@@ -459,4 +475,135 @@ class TestSharedEvaluation:
         with pytest.raises(
             RerankError, match="^pagerank evaluation failed for user 'u1': no room$"
         ):
-            evaluate_metrics(dvs_catalog, dvs_profile, dvs_recs, [PAGERANK])
+            evaluate_metrics(dvs_catalog, [(dvs_profile, dvs_recs)], [PAGERANK])
+
+
+# ``kgrerank.rerank`` is also the name of the exported function
+rerank_module = sys.modules["kgrerank.rerank"]
+
+
+def _relabelled(triples, prefix):
+    return [
+        Triple(prefix + t.source, t.predicate, prefix + t.target, t.source_kind, t.target_kind)
+        for t in triples
+    ]
+
+
+def _dvs_users():
+    """Users of the fixture catalog and of a relabelled copy of it, side by
+    side in one catalog. u1 and u2 hold the same profile in the two copies,
+    so their extensions are the same graphs under other labels; u4's list is
+    empty."""
+    catalog = build_catalog(DVS_TRIPLES + _relabelled(DVS_TRIPLES, "z"))
+    items = ("s1", "s2", "d1", "d2")
+    lists = {
+        "u1": ({"t1", "t2"}, [(item, 0.9 - i / 10) for i, item in enumerate(items)]),
+        "u2": ({"zt1", "zt2"}, [("z" + item, 0.9 - i / 10) for i, item in enumerate(items)]),
+        "u3": ({"t1"}, [("t2", 0.5), ("d1", 0.4)]),
+        "u4": ({"d1"}, []),
+        "u5": ({"s1", "zd2"}, [("zs1", 1.0), ("t2", 0.9), ("zd1", 0.9), ("d2", 0.1)]),
+    }
+    return catalog, [
+        (
+            induce_profile_subgraph(catalog, history, user=user),
+            RecommendationList(user=user, items=tuple(recs)),
+        )
+        for user, (history, recs) in lists.items()
+    ]
+
+
+def _synthetic_users():
+    """Four users of the synthetic dataset with their baseline lists."""
+    data = make_synthetic_dataset(
+        SyntheticConfig(n_tracks=40, n_users=4, history_size=8, seed=13)
+    )
+    catalog = build_catalog(data.triples)
+    model = BaselineRecommender().fit(scale_ratings(data.interactions))
+    histories: dict[str, set[str]] = {}
+    for interaction in data.interactions:
+        histories.setdefault(interaction.user, set()).add(interaction.item)
+    return catalog, [
+        (induce_profile_subgraph(catalog, histories[user], user=user), model.recommend(user, 15))
+        for user in sorted(histories)
+    ]
+
+
+GROUP_BOUNDS = [1, rerank_module._GROUP_CELLS, 2**40]
+
+
+class TestUserGroups:
+    """Users are scored in groups, one batch per group; no value depends on
+    how they are grouped."""
+
+    @pytest.mark.parametrize("cells", GROUP_BOUNDS, ids=["one", "default", "all"])
+    @pytest.mark.parametrize("mode", list(NeighborhoodMode), ids=lambda m: m.value)
+    @pytest.mark.parametrize("users", [_dvs_users, _synthetic_users], ids=["dvs", "synthetic"])
+    def test_grouping_changes_no_value(self, monkeypatch, users, mode, cells):
+        catalog, pairs = users()
+        kinds = list(MetricKind)
+        alone = [evaluate_metrics(catalog, [pair], kinds, mode)[0] for pair in pairs]
+        monkeypatch.setattr(rerank_module, "_GROUP_CELLS", cells)
+        stacks = record_group_stacks(monkeypatch)
+        grouped = evaluate_metrics(catalog, pairs, kinds, mode)
+        assert grouped == alone
+        # a bound of one cell leaves every user alone; these users fit in one
+        # group under the default bound
+        assert len(stacks) == (len(pairs) if cells == 1 else 1)
+
+    def test_isomorphic_extensions_of_two_users_share_one_kernel_run(
+        self, monkeypatch, bfs_calls
+    ):
+        catalog, pairs = _dvs_users()
+        evaluate_metrics(catalog, pairs[:1], [BETW, PAGERANK])
+        u1_alone = list(bfs_calls)
+        bfs_calls.clear()
+        stacks = record_group_stacks(monkeypatch)
+        grouped = evaluate_metrics(catalog, pairs[:2], [BETW, PAGERANK])
+        (stack,) = stacks
+        _, group = stack.distinct
+        # u2's four rows take the kernel runs of u1's, and no BFS is added
+        assert group[4:] == group[:4]
+        assert bfs_calls == u1_alone
+        for kind in (BETW, PAGERANK):
+            assert [e.metric_value.value for e in grouped[0][kind]] == [
+                e.metric_value.value for e in grouped[1][kind]
+            ]
+
+    # the users' batches alone, (rows, widest row): u1 (4, 6), u2 (4, 6),
+    # u3 (2, 5), u4 (0, 0) and u5 (4, 8)
+    @pytest.mark.parametrize(
+        "cells, shapes",
+        [
+            # u1 and u2 just fit, (4 + 4) x 6 = 48; so do u3, u4 and u5,
+            # (2 + 0 + 4) x 8 = 48
+            (48, [(8, 6), (6, 8)]),
+            # one cell less: u2 starts a group that u3 and u4 join, 6 x 6;
+            # u5 would make it 10 x 8
+            (47, [(4, 6), (6, 6), (4, 8)]),
+        ],
+        ids=["fits", "one-over"],
+    )
+    def test_a_group_takes_users_while_its_cells_fit(self, monkeypatch, cells, shapes):
+        catalog, pairs = _dvs_users()
+        monkeypatch.setattr(rerank_module, "_GROUP_CELLS", cells)
+        stacks = record_group_stacks(monkeypatch)
+        evaluate_metrics(catalog, pairs, [MetricKind.NODE_COUNT])
+        assert [stack.shape for stack in stacks] == shapes
+
+    def test_failure_of_a_whole_group_names_its_users(self, monkeypatch):
+        catalog, pairs = _dvs_users()
+
+        def failing(stack, *args, **kwargs):
+            raise MemoryError("no room")
+
+        monkeypatch.setattr(metrics_module, "_pagerank_batch", failing)
+        with pytest.raises(
+            RerankError,
+            match="^pagerank evaluation failed for users 'u1', 'u2', 'u3', 'u4', 'u5': "
+            "no room$",
+        ):
+            evaluate_metrics(catalog, pairs, [PAGERANK])
+
+    def test_no_user_gives_no_result(self, dvs_catalog):
+        assert evaluate_metrics(dvs_catalog, [], list(MetricKind)) == []
+        assert rerank(dvs_catalog, iter(()), [BETW], [ASC]) == []
