@@ -9,8 +9,7 @@ Exit codes: 0 on success, 1 for validation errors, 2 for runtime failures.
 
 One argument parser reads the command (a stage name, or ``run``) and every
 ``RunConfig`` flag, in any order. An invocation builds that parser and makes
-the manifest text once each, and imports the process-pool modules only when
-it starts a pool.
+the manifest text once each. Every stage runs in this one process.
 """
 
 from __future__ import annotations
@@ -154,7 +153,10 @@ class RunConfig:
         "runs/out", "output_dir", "--out", help="output directory"
     )
     seed: int = _setting(42, "seed", "--seed")
-    # None: one worker per available CPU
+    # No effect: every stage runs in this process. Still validated and
+    # recorded in the manifest, because the benchmark's configs set the key.
+    # ROADMAP item 7 (benchmark change B2) deletes the field, its flag and
+    # perfbench/run.py's "parallelism" key together.
     parallelism: int | None = _setting(None, "parallelism", "--parallelism", minimum=1)
 
     # dataset inputs
@@ -717,43 +719,6 @@ def stage_recommend(cfg: RunConfig, ws: Workspace | None = None) -> None:
     ws.write(write_recommendations, selected, BASE_RUN)
 
 
-def _rerank_users(catalog, cfg: RunConfig, tasks):
-    """Each (user, history, base list) task's rerankings, in task order:
-    {(metric, order): ordered item ids}. One ``rerank`` call scores them all;
-    each profile is induced only when ``rerank`` reaches its user."""
-    users = (
-        (induce_profile_subgraph(catalog, history, user=user), recs)
-        for user, history, recs in tasks
-    )
-    ranked = rerank(
-        catalog, users,
-        [MetricKind(name) for name in cfg.metrics],
-        [SortOrder(order) for order in cfg.orders],
-        NeighborhoodMode(cfg.mode),
-        cfg.top_n_candidates,
-    )
-    return [
-        {
-            (kind.value, order.value): [e.item for e in evaluations]
-            for (kind, order), evaluations in lists.items()
-        }
-        for lists in ranked
-    ]
-
-
-# (catalog, cfg), set once in each pool worker
-_WORKER_STATE = None
-
-
-def _init_worker(catalog, cfg: RunConfig) -> None:
-    global _WORKER_STATE
-    _WORKER_STATE = (catalog, cfg)
-
-
-def _rerank_task(tasks):
-    return _rerank_users(*_WORKER_STATE, tasks)
-
-
 def _base_run_users(ws: Workspace) -> list[tuple[str, list[str], RecommendationList]]:
     """(user, history, base list) for every base-run user, in user order."""
     profiles = ws.read(_read_profiles, PROFILES)
@@ -768,54 +733,33 @@ def _base_run_users(ws: Workspace) -> list[tuple[str, list[str], RecommendationL
     return users
 
 
-def _available_cpus() -> int:
-    """The CPUs this process may run on, where the platform tells; else the
-    host's."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def stage_rerank(cfg: RunConfig, ws: Workspace | None = None) -> None:
     """Rerank every base-run user's list and write one run file per
     (metric, order).
 
-    A serial run scores all users in one :func:`~kgrerank.rerank.rerank`
-    call, which cuts them into memory-bounded groups. With ``degree``
-    workers, the pool maps ``degree`` interleaved user lists
-    (``tasks[i::degree]``), one task per worker, and each worker makes that
-    one call over its list. Either way every value, and so every byte, is
-    the same.
+    One :func:`~kgrerank.rerank.rerank` call scores all users, in user
+    order, and cuts them into memory-bounded groups; each profile is induced
+    only when ``rerank`` reaches its user.
     """
     ws = ws or Workspace(cfg)
     catalog = ws.read(read_graph, CATALOG_TRIPLES, CATALOG_NODES)
-    tasks = _base_run_users(ws)
+    users = _base_run_users(ws)
+    kinds = [MetricKind(name) for name in cfg.metrics]
+    orders = [SortOrder(order) for order in cfg.orders]
+    ranked = rerank(
+        catalog,
+        (
+            (induce_profile_subgraph(catalog, history, user=user), recs)
+            for user, history, recs in users
+        ),
+        kinds, orders, NeighborhoodMode(cfg.mode), cfg.top_n_candidates,
+    )
 
-    degree = cfg.parallelism if cfg.parallelism is not None else _available_cpus()
-    degree = max(1, min(degree, len(tasks)))
-    if degree > 1:
-        # imported here: a serial run, and ``import kgrerank.cli``, pay no
-        # process-pool imports
-        import concurrent.futures
-
-        # one interleaved list of users per worker, so each worker scores
-        # its users in groups as a serial run does
-        shares = [tasks[i::degree] for i in range(degree)]
-        with concurrent.futures.ProcessPoolExecutor(
-            max_workers=degree, initializer=_init_worker, initargs=(catalog, cfg)
-        ) as pool:
-            done = list(pool.map(_rerank_task, shares))
-        tasks = [task for share in shares for task in share]
-        results = [result for share in done for result in share]
-    else:
-        results = _rerank_users(catalog, cfg, tasks)
-    per_user = {task[0]: result for task, result in zip(tasks, results)}
-
-    for metric_name in cfg.metrics:
-        for order_name in cfg.orders:
+    for kind in kinds:
+        for order in orders:
             lists = {}
-            for user in sorted(per_user):
-                items = per_user[user][(metric_name, order_name)]
+            for (user, _, _), by_pair in zip(users, ranked):
+                items = [e.item for e in by_pair[kind, order]]
                 n = len(items)
                 # positional scores keep the run format's non-increasing invariant
                 lists[user] = RecommendationList(
@@ -825,7 +769,7 @@ def stage_rerank(cfg: RunConfig, ws: Workspace | None = None) -> None:
                     ),
                 )
             ws.write(
-                write_recommendations, lists, rerank_run_name(metric_name, order_name)
+                write_recommendations, lists, rerank_run_name(kind.value, order.value)
             )
 
 
@@ -856,7 +800,7 @@ def stage_evaluate(cfg: RunConfig, ws: Workspace | None = None) -> None:
         except (KeyError, ValueError) as exc:
             raise ValueError(f"user {user!r}: {exc.args[0]}") from exc
 
-    emit_report(rows, out / REPORT, out / REPORT_SUMMARY)
+    emit_report(rows, out / REPORT, out / REPORT_SUMMARY, k)
     write_qrels({user: base for user, _, base in users}, k, out / QRELS)
     for (metric_name, order_name), by_user in sorted(reranked.items()):
         write_trec_run(

@@ -197,8 +197,8 @@ class EvalRow:
 
     ``metric`` holds the metric name, or the pseudo-metrics ``base`` (the
     unmodified recommender output) and ``profile`` (the user history's own
-    diversity reference). Measures that do not apply are None and serialize
-    to empty CSV cells.
+    diversity reference). ``ndcg`` is nDCG at the evaluation's k. Measures
+    that do not apply are None and serialize to empty CSV cells.
     """
 
     user: str
@@ -206,7 +206,7 @@ class EvalRow:
     order: str
     ild: float | None
     unexpectedness: float | None
-    ndcg10: float | None
+    ndcg: float | None
 
 
 def evaluate_user(
@@ -275,27 +275,31 @@ def evaluate_user(
     return rows
 
 
-_REPORT_HEADER = "user,metric,order,ild,unexpectedness,ndcg10"
-_SUMMARY_HEADER = "metric,order,ild,unexpectedness,ndcg10"
+# the nDCG column is named for the k it was taken at
+_REPORT_HEADER = "user,metric,order,ild,unexpectedness,ndcg{k}"
+_SUMMARY_HEADER = "metric,order,ild,unexpectedness,ndcg{k}"
 
 
 def _cell(value: float | None) -> str:
     return "" if value is None else format(value, ".12g")
 
 
-def emit_report(rows: Iterable[EvalRow], report_path, summary_path=None) -> None:
+def emit_report(
+    rows: Iterable[EvalRow], report_path, summary_path=None, k: int = 10
+) -> None:
     """Write the per-user report CSV and, optionally, per-(metric, order) means.
 
-    Rows are sorted by (user, metric, order) and floats are formatted with a
+    The nDCG column is headed ``ndcg{k}``, for the k the rows were evaluated
+    at. Rows are sorted by (user, metric, order) and floats are formatted with a
     fixed precision, so two runs over the same data produce identical bytes.
     """
     ordered = sorted(rows, key=lambda r: (r.user, r.metric, r.order))
     with open(report_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(_REPORT_HEADER + "\n")
+        fh.write(_REPORT_HEADER.format(k=k) + "\n")
         for row in ordered:
             fh.write(
                 f"{row.user},{row.metric},{row.order},"
-                f"{_cell(row.ild)},{_cell(row.unexpectedness)},{_cell(row.ndcg10)}\n"
+                f"{_cell(row.ild)},{_cell(row.unexpectedness)},{_cell(row.ndcg)}\n"
             )
     if summary_path is None:
         return
@@ -306,14 +310,14 @@ def emit_report(rows: Iterable[EvalRow], report_path, summary_path=None) -> None
     for row in ordered:
         groups.setdefault((row.metric, row.order), []).append(row)
     with open(summary_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(_SUMMARY_HEADER + "\n")
+        fh.write(_SUMMARY_HEADER.format(k=k) + "\n")
         for metric, order in sorted(groups):
             members = groups[(metric, order)]
             mean_ild = mean_of([r.ild for r in members if r.ild is not None])
             mean_unexp = mean_of(
                 [r.unexpectedness for r in members if r.unexpectedness is not None]
             )
-            mean_ndcg = mean_of([r.ndcg10 for r in members if r.ndcg10 is not None])
+            mean_ndcg = mean_of([r.ndcg for r in members if r.ndcg is not None])
             fh.write(
                 f"{metric},{order},{_cell(mean_ild)},"
                 f"{_cell(mean_unexp)},{_cell(mean_ndcg)}\n"

@@ -531,6 +531,12 @@ class TestReports:
         n_cells = lines[2].split(",")
         assert float(n_cells[4]) == pytest.approx(0.5)
 
+    def test_ndcg_header_names_k(self, tmp_path):
+        report, summary = tmp_path / "r.csv", tmp_path / "s.csv"
+        emit_report([EvalRow("u1", "base", "-", None, None, 1.0)], report, summary, k=3)
+        assert report.read_text(encoding="utf-8").splitlines()[0].endswith(",ndcg3")
+        assert summary.read_text(encoding="utf-8").splitlines()[0].endswith(",ndcg3")
+
     def test_none_cells_serialize_empty(self, tmp_path):
         path = tmp_path / "r.csv"
         emit_report([EvalRow("u1", "base", "-", None, None, 1.0)], path)
