@@ -8,7 +8,7 @@ single node monopolizes them. ``compute_metric`` is the one entry for a
 metric: it returns that one number for a graph.
 """
 
-from kgrerank import MetricKind, Multigraph, Node, compute_metric, hhi, hhi_normalized
+from kgrerank import MetricKind, Multigraph, Node, compute_metric
 
 
 def graph_from(edges, directed=False):
@@ -22,11 +22,17 @@ def graph_from(edges, directed=False):
     return g
 
 
-# The index itself: shares of 1 summing to 1.
-print("HHI  of [0.5, 0.3, 0.2]:", hhi([0.5, 0.3, 0.2]))
-print("HHI* of [0.5, 0.3, 0.2]:", round(hhi_normalized([0.5, 0.3, 0.2]), 4))
-print("HHI* of uniform fifths: ", hhi_normalized([0.2] * 5))
-print("HHI* of a monopoly:     ", hhi_normalized([1.0, 0.0, 0.0]))
+# The index itself, on in-degrees: a node's share is its in-degree over all
+# in-degrees, HHI is the sum of the squared shares (in [1/N, 1]), and the value
+# is (HHI - 1/N) / (1 - 1/N). A directed ring gives every node the same share
+# (0); a fan-in star gives the hub all of it (1); on a, b -> c -> d the shares
+# are 0, 0, 2/3 and 1/3, so HHI = 5/9 and the value is (5/9 - 1/4) / (3/4) = 11/27.
+ring = graph_from([(f"r{i}", f"r{(i + 1) % 5}") for i in range(5)], directed=True)
+fan_in = graph_from([(f"leaf{i}", "hub") for i in range(5)], directed=True)
+mixed = graph_from([("a", "c"), ("b", "c"), ("c", "d")], directed=True)
+for name, g in (("directed 5-ring", ring), ("fan-in star", fan_in), ("a, b -> c -> d", mixed)):
+    value = compute_metric(g, MetricKind.IN_DEGREE).value
+    print(f"in-degree concentration of the {name}: {value:.4f}")
 
 # A star concentrates betweenness entirely on the hub; a cycle spreads it.
 star = graph_from([("hub", f"leaf{i}") for i in range(5)])

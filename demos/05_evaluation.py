@@ -12,7 +12,6 @@ from pathlib import Path
 from kgrerank import (
     EvalRow,
     RecommendationList,
-    cosine_distance,
     emit_report,
     feature_vector,
     ild,
@@ -25,8 +24,9 @@ mellow2 = feature_vector([0.25, 0.15, 0.05, 0.85, 0.75, 0.1, 0.35, 0.25])
 club = feature_vector([0.95, 0.9, 0.1, 0.05, 0.1, 0.3, 0.8, 0.9])
 club2 = feature_vector([0.9, 0.85, 0.15, 0.1, 0.05, 0.25, 0.85, 0.85])
 
-print("distance(mellow, mellow2):", round(cosine_distance(mellow, mellow2), 4))
-print("distance(mellow, club):   ", round(cosine_distance(mellow, club), 4))
+# A pair's cosine distance is the ILD of the pair: both ordered pairs take it.
+print("distance(mellow, mellow2):", round(ild([mellow, mellow2]), 4))
+print("distance(mellow, club):   ", round(ild([mellow, club]), 4))
 
 # A list of near-duplicates is not diverse; mixing the clusters is.
 print("\nILD of four mellow-ish tracks: ",

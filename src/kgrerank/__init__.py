@@ -32,10 +32,7 @@ from .metrics import (
     MetricError,
     MetricKind,
     MetricValue,
-    centrality_to_shares,
     compute_metric,
-    hhi,
-    hhi_normalized,
 )
 from .rerank import (
     CandidateEvaluation,
@@ -58,7 +55,6 @@ from .recsys import (
 )
 from .evaluation import (
     EvalRow,
-    cosine_distance,
     emit_report,
     evaluate_user,
     feature_vector,
@@ -90,7 +86,7 @@ __all__ = [
     "induce_profile_subgraph", "prune_graph", "read_graph",
     # metrics
     "ConvergenceError", "MetricError", "MetricKind", "MetricValue",
-    "centrality_to_shares", "compute_metric", "hhi", "hhi_normalized",
+    "compute_metric",
     # rerank
     "CandidateEvaluation", "RecommendationList", "RerankError", "SortOrder",
     "evaluate_candidates", "evaluate_metrics", "rerank",
@@ -99,7 +95,7 @@ __all__ = [
     "RunFileError", "load_external_recommendations", "scale_ratings",
     "write_recommendations",
     # evaluation
-    "EvalRow", "cosine_distance", "emit_report", "evaluate_user",
+    "EvalRow", "emit_report", "evaluate_user",
     "feature_vector", "ild", "lookup_features", "ndcg_at_k", "unexpectedness",
     "write_qrels", "write_trec_run",
     # ingest

@@ -38,11 +38,6 @@ from .evaluation import (
     write_qrels,
     write_trec_run,
 )
-from .evaluation import (  # noqa: F401 - perfbench/tracer.py wraps these names
-    ild,
-    ndcg_at_k,
-    unexpectedness,
-)
 from .graph import (
     NeighborhoodMode,
     build_catalog,

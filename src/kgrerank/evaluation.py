@@ -7,8 +7,9 @@ rule (each component in [0, 1], no NaN) lives here alone: ``feature_vector``,
 ``ingest.merge_lastfm`` and ``cli._read_features`` call
 ``first_bad_feature_row``, and each decides what an all-zero row is. A feature
 store maps item ids to rows; ``lookup_features`` stacks a list's rows into one
-(n x 8) array, and the distance functions take such arrays. The readers that
-fill a store reject a repeated id with its file, line and first line.
+(n x 8) array, and ``ild`` and ``unexpectedness`` take such arrays. The
+readers that fill a store reject a repeated id with its file, line and first
+line.
 Agreement between a re-ranked list and its base list is measured with nDCG@k
 where the base ranking itself provides the relevance grades. Report emission
 is deterministic so output files can be compared byte for byte.
@@ -16,17 +17,19 @@ is deterministic so output files can be compared byte for byte.
 Float contract: each distance is an entry of one product
 (``_distance_matrix``) and equals the per-pair formula
 ``1 - (a @ b) / (norm(a) * norm(b))`` on fresh 1-D arrays, clipped to [0, 1],
-bit for bit, whatever matrix it sits in. ILD adds the off-diagonal entries and
-unexpectedness its (recommendation, history) block in row-major order, left
-to right (``np.cumsum``; ``np.sum`` adds pairwise), as the per-pair loops did.
-``evaluate_user`` takes all of a user's lists from one matrix over the
-history and the lists' distinct items: it gathers each list's blocks, padded
-to the longest list, with the diagonal and the padding multiplied to +0.
-Every distance is at least +0, so a +0 term leaves a left-to-right sum's bits
-as they were, and each list's sums equal ``ild`` and ``unexpectedness`` on
-that list alone. Every other float sum here (DCG, the summary means) also
-adds left to right, with ``np.cumsum`` or ``reduce(add, ...)``: built-in
-``sum`` compensates from Python 3.12 on.
+bit for bit, whatever matrix it sits in. Every sum of distances adds its terms
+in ascending order, left to right (``np.sort``, then ``np.cumsum``; ``np.sum``
+adds pairwise), so ILD and unexpectedness are functions of the list's and the
+history's item sets: reordering either changes no bit. ``_pair_means`` is the
+one such sum: it takes blocks gathered from one matrix, lists padded to the
+longest, where the diagonal and the padding read +0. Every distance is at
+least +0, so those terms sort first and add nothing. ``evaluate_user`` takes
+all of a user's lists, and the history's own ILD, from one matrix over the
+history and the lists' distinct items; ``ild`` and ``unexpectedness`` sum the
+same blocks of a matrix over one list, and ``ndcg_at_k`` runs
+``evaluate_user``'s DCG (``_ndcgs``) on one list. DCG adds in position order
+and the summary means in row order, left to right (``np.cumsum`` or
+``reduce(add, ...)``): built-in ``sum`` compensates from Python 3.12 on.
 
 With OpenBLAS 0.3.31 (Haswell kernels), ``X @ X.T`` (syrk) and one row at a
 time (gemv) differ from the per-pair dot on about 3% and 43% of pairs, and
@@ -92,8 +95,10 @@ def feature_vector(values: Iterable[float]) -> np.ndarray:
 
 
 def _distance_matrix(vectors: ArrayLike) -> np.ndarray:
-    """Clipped cosine distances of all pairs of (n x 8) rows; padded as the
-    float contract says."""
+    """Clipped cosine distances of all pairs of (n x 8) rows, as an
+    (n + 1) x (n + 1) matrix whose diagonal and last row and column are +0:
+    an entry gathered on the diagonal or at the padding index -1 adds
+    nothing. The product is padded as the float contract says."""
     n = len(vectors)
     rows = np.zeros((-(-n // 8) * 8, len(FEATURE_NAMES)))
     rows[:n] = vectors
@@ -102,24 +107,46 @@ def _distance_matrix(vectors: ArrayLike) -> np.ndarray:
     scale = np.multiply.outer(norms, norms)
     if not scale.all():
         raise ValueError("cosine distance is undefined for a zero-norm vector")
-    return np.clip(1.0 - dots / scale, 0.0, 1.0)
+    distances = np.zeros((n + 1, n + 1))
+    np.clip(1.0 - dots / scale, 0.0, 1.0, out=distances[:n, :n])
+    np.fill_diagonal(distances, 0.0)
+    return distances
 
 
-def cosine_distance(a: ArrayLike, b: ArrayLike) -> float:
-    """1 - cosine similarity; in [0, 1] for the non-negative vectors used here."""
-    return float(_distance_matrix([a, b])[0, 1])
+def _row_sums(rows: np.ndarray) -> np.ndarray:
+    """Each row of a 2-D array added left to right."""
+    return np.cumsum(rows, axis=1)[:, -1]
 
 
-def _off_diagonal_mean(distances: np.ndarray) -> float:
-    """Mean of an (n x n) distance matrix's off-diagonal entries, n >= 2,
-    added in row-major order."""
-    n = len(distances)
-    return float(np.cumsum(distances[~np.eye(n, dtype=bool)])[-1]) / (n * (n - 1))
+def _pair_means(blocks: np.ndarray, pairs: Sequence[int]) -> list[float]:
+    """The mean of each block's ``pairs[i]`` distances, every other entry of
+    the block being +0; 0 for a block with no pair. The entries are added
+    left to right in ascending order."""
+    sums = _row_sums(np.sort(blocks.reshape(len(blocks), -1), axis=1))
+    return [total / n if n else 0.0 for total, n in zip(sums.tolist(), pairs)]
 
 
-def _row_sums(blocks: np.ndarray) -> np.ndarray:
-    """Each block's entries added left to right in row-major order."""
-    return np.cumsum(blocks.reshape(len(blocks), -1), axis=1)[:, -1]
+def _padded(tops: Sequence[Sequence[str]]) -> np.ndarray:
+    """The (lists x longest, at least 1) mask of each list's real entries."""
+    lengths = np.array([len(top) for top in tops])
+    return np.arange(max(1, lengths.max())) < lengths[:, None]
+
+
+def _ndcgs(tops: Sequence[Sequence[str]], k: int) -> list[float]:
+    """nDCG@k of each top k, graded by the order of the first: its item at
+    rank r is worth k - r + 1, any other item 0.
+
+    Each DCG adds its gains over log2 discounts of positions 1, 2, ... left
+    to right, in position order, and is divided by the first list's. An
+    empty first list leaves nothing to disagree about: every value is 1.
+    """
+    real = _padded(tops)
+    grades = {item: k - rank for rank, item in enumerate(tops[0])}
+    gains = np.zeros(real.shape)
+    gains[real] = [grades.get(item, 0) for top in tops for item in top]
+    discounts = np.array([math.log2(position + 1) for position in range(1, real.shape[1] + 1)])
+    dcgs = _row_sums(gains / discounts)
+    return [1.0] * len(tops) if dcgs[0] == 0.0 else (dcgs / dcgs[0]).tolist()
 
 
 def _require_rows(history: int, recs: int) -> None:
@@ -137,17 +164,18 @@ def ild(items: ArrayLike) -> float:
 
     Lists with fewer than two items have no pairs and yield 0.
     """
-    if len(items) <= 1:
+    n = len(items)
+    if n <= 1:
         return 0.0
-    return _off_diagonal_mean(_distance_matrix(items))
+    return _pair_means(_distance_matrix(items)[np.newaxis], [n * (n - 1)])[0]
 
 
 def unexpectedness(history: ArrayLike, recs: ArrayLike) -> float:
     """Mean distance of each recommended row to each history row."""
-    _require_rows(len(history), len(recs))
-    r = len(recs)
-    block = _distance_matrix(np.concatenate([recs, history]))[:r, r:]
-    return float(np.cumsum(block.ravel())[-1]) / (r * len(history))
+    h = len(history)
+    _require_rows(h, len(recs))
+    distances = _distance_matrix(np.concatenate([history, recs]))
+    return _pair_means(distances[np.newaxis, h:, :h], [len(recs) * h])[0]
 
 
 def lookup_features(
@@ -174,21 +202,7 @@ def ndcg_at_k(base: RecommendationList, reranked: Sequence[str], k: int = 10) ->
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    base_ids = base.item_ids()
-    relevance = {
-        item: k - r + 1 for r, item in enumerate(base_ids[:k], start=1)
-    }
-
-    def dcg(items: Sequence[str]) -> float:
-        return reduce(add, (
-            relevance.get(item, 0) / math.log2(position + 1)
-            for position, item in enumerate(items[:k], start=1)
-        ), 0.0)
-
-    ideal = dcg(list(base_ids))
-    if ideal == 0.0:
-        return 1.0  # empty base list: nothing to disagree about
-    return dcg(reranked) / ideal
+    return _ndcgs([base.top(k), reranked[:k]], k)[1]
 
 
 @dataclass(frozen=True)
@@ -236,17 +250,7 @@ def evaluate_user(
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     tops = [lst.top(k) for _, _, lst in lists]
-    lengths = np.array([len(top) for top in tops])
-    width = max(1, lengths.max())
-    real = np.arange(width) < lengths[:, None]
-    # nDCG: the base top k's grades, over log2 discounts of positions 1, 2, ...
-    grades = {item: k - rank for rank, item in enumerate(tops[0])}
-    gains = np.zeros(real.shape)
-    gains[real] = [grades.get(item, 0) for top in tops for item in top]
-    discounts = np.array([math.log2(position + 1) for position in range(1, width + 1)])
-    dcgs = _row_sums(gains / discounts)
-    # an empty base list leaves nothing to disagree about
-    ndcgs = [1.0] * len(tops) if dcgs[0] == 0.0 else (dcgs / dcgs[0]).tolist()
+    ndcgs = _ndcgs(tops, k)
     if features is None:
         return [EvalRow(user, m, o, None, None, g) for (m, o, _), g in zip(lists, ndcgs)]
 
@@ -259,20 +263,19 @@ def evaluate_user(
     _require_rows(h, len(tops[stop]))
     distances = _distance_matrix(matrix_rows)
     at = {item: row for row, item in enumerate(items, start=h)}
-    index = np.zeros(real.shape, dtype=np.intp)
+    real = _padded(tops)
+    index = np.full(real.shape, -1)
     index[real] = [at[item] for top in tops for item in top]
-    pairs = real[:, :, None] & real[:, None, :] & ~np.eye(width, dtype=bool)
-    ild_sums = _row_sums(distances[index[:, :, None], index[:, None, :]] * pairs)
-    unexp_sums = _row_sums(distances[index, :h] * real[:, :, None])
+    lengths = [len(top) for top in tops]
 
-    profile = _off_diagonal_mean(distances[:h, :h]) if h > 1 else 0.0
-    rows = [EvalRow(user, "profile", "-", profile, None, None)]
-    for (metric, order, _), r, ild_sum, unexp_sum, ndcg in zip(
-        lists, lengths.tolist(), ild_sums.tolist(), unexp_sums.tolist(), ndcgs
-    ):
-        ild_value = ild_sum / (r * (r - 1)) if r > 1 else 0.0
-        rows.append(EvalRow(user, metric, order, ild_value, unexp_sum / (r * h), ndcg))
-    return rows
+    profile = _pair_means(distances[np.newaxis, :h, :h], [h * (h - 1)])[0]
+    ilds = _pair_means(
+        distances[index[:, :, None], index[:, None, :]], [r * (r - 1) for r in lengths]
+    )
+    unexps = _pair_means(distances[index, :h], [r * h for r in lengths])
+    return [EvalRow(user, "profile", "-", profile, None, None)] + [
+        EvalRow(user, m, o, i, u, g) for (m, o, _), i, u, g in zip(lists, ilds, unexps, ndcgs)
+    ]
 
 
 # the nDCG column is named for the k it was taken at

@@ -122,7 +122,7 @@ most 3.1e-16 relative; closeness was equal on all 12.
 from __future__ import annotations
 
 import math
-from collections.abc import Container, Iterator, Mapping, Sequence
+from collections.abc import Container, Iterator, Sequence
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -235,50 +235,6 @@ def _normalize_hhi(raw: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     # clamp away float dust so uniform inputs land exactly on 0
     value = np.where(value > 0.0, value, 0.0)
     return np.where(value < 1.0, value, 1.0)
-
-
-def hhi(shares: Sequence[float]) -> float:
-    """Herfindahl-Hirschman index: sum of squared shares.
-
-    ``shares`` must be finite, non-negative and sum to 1 (within 1e-9). The
-    result lies in [1/N, 1]: 1/N for a uniform split, 1 for a single
-    monopoly. Both sums run left to right.
-    """
-    if len(shares) == 0:
-        raise MetricError("hhi requires at least one share")
-    values = np.asarray(shares, dtype=float)
-    bad = ~np.isfinite(values)
-    if bad.any():
-        index = int(np.argmax(bad))
-        raise MetricError(f"share {index} is not finite: {values[index].item()!r}")
-    if (values < 0).any():
-        raise MetricError("shares must be non-negative")
-    return _hhi_rows(values[None, :])[0].item()
-
-
-def hhi_normalized(shares: Sequence[float]) -> float:
-    """Normalized HHI in [0, 1]: 0 for uniform shares, 1 for a monopoly.
-
-    Computed as (HHI - 1/N) / (1 - 1/N). A single share is maximally
-    concentrated by definition, so N = 1 returns 1.0.
-    """
-    raw = np.array([hhi(shares)])
-    return _normalize_hhi(raw, np.array([len(shares)])).item()
-
-
-def centrality_to_shares(scores: Mapping[str, float]) -> list[float]:
-    """Normalize a per-node score map to shares (in sorted key order).
-
-    A distribution with zero total mass (e.g. betweenness on a single edge)
-    is treated as uniform: no node monopolizes anything. A NaN, infinite or
-    negative score raises :class:`MetricError` naming its node.
-    """
-    if not scores:
-        raise MetricError("empty centrality distribution")
-    keys = sorted(scores)
-    ordered = np.array([[scores[k] for k in keys]], dtype=float)
-    shares = _to_shares(ordered, np.array([len(keys)]), lambda row, col: keys[col])
-    return shares[0].tolist()
 
 
 class _Stack:
@@ -456,8 +412,9 @@ class _Stack:
         return flat.reshape(self.shape)
 
     def collapse(self, block: np.ndarray) -> np.ndarray:
-        """The normalized HHI of each row's distribution (see
-        :func:`hhi_normalized`), summed in sorted-label order."""
+        """The normalized HHI of each row's distribution, summed in
+        sorted-label order: (HHI - 1/N) / (1 - 1/N) of the row's shares, 0
+        for uniform shares and 1 for a monopoly or a single node."""
         order = self.label_order
         ordered = np.zeros(self.shape)
         ordered[self.valid] = np.take_along_axis(block, order, axis=1)[self.valid]

@@ -132,6 +132,17 @@ def pagerank(g, **pagerank_constants) -> dict[str, float]:
     return node_scores([g], MetricKind.PAGERANK, **pagerank_constants)[0]
 
 
+def collapse(scores) -> float:
+    """The normalized HHI of one distribution: :meth:`_Stack.collapse` over
+    a batch of one edgeless graph. ``scores`` maps node ids to scores; a
+    sequence is keyed ``n000``, ``n001``, ..., so that the collapse's
+    sorted-label order is the sequence's order."""
+    if not isinstance(scores, dict):
+        scores = {f"n{i:03d}": score for i, score in enumerate(scores)}
+    stack = _Stack.from_edges(list(scores), [])
+    return stack.collapse(np.array([list(scores.values())], dtype=float))[0].item()
+
+
 def matrix_ratings(matrix) -> dict[str, dict[str, float]]:
     """The ratings a ``RatingMatrix`` holds, read from its arrays, as {user:
     {item: rating}} in the matrix's (user, item) order."""

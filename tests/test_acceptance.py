@@ -23,7 +23,6 @@ from kgrerank import (
     compute_metric,
     evaluate_candidates,
     extend_subgraph,
-    hhi_normalized,
     ild,
     induce_profile_subgraph,
     load_netflix,
@@ -37,7 +36,7 @@ from kgrerank import (
 )
 from kgrerank.cli import BASE_RUN, REPORT, REPORT_SUMMARY, rerank_run_name, main
 
-from conftest import DVS_EXPECTED, betweenness, closeness, pagerank
+from conftest import DVS_EXPECTED, betweenness, closeness, collapse, pagerank
 from oracles import (
     brute_betweenness,
     brute_harmonic_closeness,
@@ -67,10 +66,10 @@ def test_c1_hhi_suite():
     with criterion(1, "HHI suite"):
         start = time.monotonic()
         for n in range(2, 101):
-            assert hhi_normalized([1.0 / n] * n) == pytest.approx(0.0, abs=1e-12)
+            assert collapse([1.0 / n] * n) == pytest.approx(0.0, abs=1e-12)
             one_hot = [0.0] * n
             one_hot[n // 2] = 1.0
-            assert hhi_normalized(one_hot) == 1.0
+            assert collapse(one_hot) == 1.0
         rng = random.Random(101)
         for _ in range(1000):
             n = rng.randint(2, 40)
@@ -78,7 +77,7 @@ def test_c1_hhi_suite():
             total = sum(raw)
             shares = [x / total for x in raw]
             direct = (sum(s * s for s in shares) - 1.0 / n) / (1.0 - 1.0 / n)
-            assert hhi_normalized(shares) == pytest.approx(direct, abs=1e-12)
+            assert collapse(shares) == pytest.approx(direct, abs=1e-12)
         assert time.monotonic() - start < 1.0
 
 

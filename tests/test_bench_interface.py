@@ -119,6 +119,12 @@ STALE_TRACER_TARGETS = {
     "kgrerank.rerank.compute_metric",
     "kgrerank.cli.baseline_metric",
     "kgrerank.cli.rank_candidates",
+    "kgrerank.metrics.centrality_to_shares",
+    "kgrerank.metrics.hhi_normalized",
+    "kgrerank.evaluation.cosine_distance",
+    "kgrerank.cli.ild",
+    "kgrerank.cli.unexpectedness",
+    "kgrerank.cli.ndcg_at_k",
 }
 
 

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from kgrerank import (
     EvalRow,
     RecommendationList,
-    cosine_distance,
     emit_report,
     evaluate_user,
     feature_vector,
@@ -56,21 +55,34 @@ def fresh_distance(xa, xb):
     return min(1.0, max(0.0, 1.0 - float(xa @ xb) / norm))
 
 
+def ascending_total(distances):
+    """The distances added left to right in ascending order, the one order
+    that depends on neither the list's nor the history's."""
+    total = 0.0
+    for d in sorted(distances):
+        total += d
+    return total
+
+
 def fresh_ild(arrays):
     n = len(arrays)
     if n <= 1:
         return 0.0
-    total = 0.0
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                total += fresh_distance(arrays[i], arrays[j])
+    total = ascending_total(
+        fresh_distance(arrays[i], arrays[j]) for i in range(n) for j in range(n) if i != j
+    )
     return total / (n * (n - 1))
 
 
 def fresh_unexpectedness(history, recs):
-    total = sum(fresh_distance(r, h) for r in recs for h in history)
+    total = ascending_total(fresh_distance(r, h) for r in recs for h in history)
     return total / (len(recs) * len(history))
+
+
+def distance(a, b):
+    """The distance of one pair: the ILD of the two rows, whose two ordered
+    pairs both take it."""
+    return ild([a, b])
 
 
 def feature_like_vectors(rng, n):
@@ -134,38 +146,38 @@ class TestFeatureValidator:
         }
 
 
-class TestCosineDistance:
+class TestPairDistance:
     def test_identical_is_zero(self):
-        assert cosine_distance(V1, V1) == 0.0
+        assert distance(V1, V1) == 0.0
 
     def test_orthogonal_is_one(self):
-        assert cosine_distance(ONE_HOT_A, ONE_HOT_B) == pytest.approx(1.0)
+        assert distance(ONE_HOT_A, ONE_HOT_B) == pytest.approx(1.0)
 
     def test_forty_five_degrees(self):
         a = fv(1, 1, 0, 0, 0, 0, 0, 0)
         # 1 - 1/sqrt(2)
-        assert cosine_distance(a, ONE_HOT_A) == pytest.approx(
+        assert distance(a, ONE_HOT_A) == pytest.approx(
             0.29289321881345254, abs=1e-12
         )
 
     def test_zero_norm_rejected(self):
         zero = fv(0, 0, 0, 0, 0, 0, 0, 0)
         with pytest.raises(ValueError, match="zero-norm"):
-            cosine_distance(zero, V1)
+            distance(zero, V1)
 
     @given(feature_values, feature_values)
     @settings(max_examples=100, deadline=None)
     def test_bounded_and_symmetric(self, a, b):
         va, vb = fv(*a), fv(*b)
-        d = cosine_distance(va, vb)
+        d = distance(va, vb)
         assert 0.0 <= d <= 1.0
-        assert d == pytest.approx(cosine_distance(vb, va), abs=1e-12)
+        assert d == pytest.approx(distance(vb, va), abs=1e-12)
 
     @given(nonzero_vectors, nonzero_vectors)
     @settings(max_examples=100, deadline=None)
     def test_equals_fresh_array_formula(self, a, b):
         va, vb = fv(*a), fv(*b)
-        assert cosine_distance(va, vb) == fresh_distance(va, vb)
+        assert distance(va, vb) == fresh_distance(va, vb)
 
 
 class TestIld:
@@ -183,18 +195,22 @@ class TestIld:
         assert ild([]) == 0.0
         assert ild([V1]) == 0.0
 
+    def test_one_row_takes_no_distance(self):
+        # no pair, so not even an all-zero row's undefined distance
+        assert ild([fv(0, 0, 0, 0, 0, 0, 0, 0)]) == 0.0
+
     def test_permutation_invariant(self):
         rng = random.Random(51)
         vectors = random_vectors(rng, 6)
         shuffled = list(vectors)
         rng.shuffle(shuffled)
-        assert ild(shuffled) == pytest.approx(ild(vectors), abs=1e-12)
+        assert ild(shuffled) == ild(vectors)
 
     def test_bounded_by_max_pairwise_distance(self):
         rng = random.Random(52)
         vectors = random_vectors(rng, 7)
         top = max(
-            cosine_distance(a, b) for a in vectors for b in vectors
+            distance(a, b) for a in vectors for b in vectors
         )
         assert ild(vectors) <= top + 1e-12
 
@@ -222,7 +238,7 @@ class TestUnexpectedness:
         rng = random.Random(53)
         history = random_vectors(rng, 5)
         recs = random_vectors(rng, 4)
-        distances = [cosine_distance(r, h) for r in recs for h in history]
+        distances = [distance(r, h) for r in recs for h in history]
         value = unexpectedness(history, recs)
         assert min(distances) - 1e-12 <= value <= max(distances) + 1e-12
 
@@ -233,9 +249,7 @@ class TestUnexpectedness:
         h2, r2 = list(history), list(recs)
         rng.shuffle(h2)
         rng.shuffle(r2)
-        assert unexpectedness(h2, r2) == pytest.approx(
-            unexpectedness(history, recs), abs=1e-12
-        )
+        assert unexpectedness(h2, r2) == unexpectedness(history, recs)
 
 
 def base_list(*ids):
@@ -280,6 +294,19 @@ class TestNdcg:
     def test_invalid_k(self):
         with pytest.raises(ValueError, match="k must be"):
             ndcg_at_k(base_list("a"), ["a"], 0)
+
+    def test_k_defaults_to_ten(self):
+        ids = [f"i{j}" for j in range(12)]
+        base, reranked = base_list(*ids), [*ids[10:], *ids[:10]]
+        assert ndcg_at_k(base, reranked) == ndcg_at_k(base, reranked, 10)
+        assert ndcg_at_k(base, reranked) != ndcg_at_k(base, reranked, 11)
+
+    def test_empty_base_is_exactly_one(self):
+        # an empty base list leaves nothing to disagree about
+        assert ndcg_at_k(base_list(), ["a", "b"], 3) == 1.0
+        assert ndcg_at_k(base_list(), [], 3) == 1.0
+        lists = [("base", "-", base_list()), ("m", "asc", base_list("a"))]
+        assert [row.ndcg for row in evaluate_user("u", ["h"], lists, None, 3)] == [1.0, 1.0]
 
 
 class TestBruteForceAgreement:
@@ -471,14 +498,51 @@ class TestEvaluateUser:
         (["h"], (), "non-empty recommendation list"),
     ])
     def test_empty_history_or_list_rejected(self, history, second, message):
+        # the empty one fails before a later list's item without features
         store = {"a": V1, "h": V3}
-        lists = [("base", "-", base_list("a")), ("m", "asc", base_list(*second))]
+        lists = [
+            ("base", "-", base_list("a")),
+            ("m", "asc", base_list(*second)),
+            ("m", "desc", base_list("x")),
+        ]
         with pytest.raises(ValueError, match=message):
             evaluate_user("u", history, lists, store, 5)
 
     def test_invalid_k(self):
         with pytest.raises(ValueError, match="k must be >= 1"):
             evaluate_user("u", ["h"], [("base", "-", base_list("a"))], None, 0)
+
+
+class TestOrderFree:
+    """ILD and unexpectedness are means over pairs, so they are functions of
+    the list's and the history's item sets, bit for bit."""
+
+    @given(st.integers(1, 12), st.integers(1, 12), st.integers(0, 2**16))
+    @settings(max_examples=200, deadline=None)
+    def test_one_list_functions(self, r, h, seed):
+        rng = random.Random(seed)
+        recs, history = feature_like_vectors(rng, r), feature_like_vectors(rng, h)
+        shuffled_recs = rng.sample(recs, len(recs))
+        shuffled_history = rng.sample(history, len(history))
+        assert ild(shuffled_recs) == ild(recs)
+        assert ild(shuffled_history) == ild(history)
+        assert unexpectedness(shuffled_history, shuffled_recs) == unexpectedness(history, recs)
+
+    @given(user_cases(), st.randoms(use_true_random=False))
+    @settings(max_examples=100, deadline=None)
+    def test_evaluate_user(self, case, rng):
+        # each list's top k, and the history, in another order
+        history, lists, store, k = case
+        shuffled = []
+        for metric, order, lst in lists:
+            ids = list(lst.item_ids())
+            top = rng.sample(ids[:k], len(ids[:k]))
+            shuffled.append((metric, order, base_list(*top, *ids[k:])))
+        rows = evaluate_user("u", history, lists, store, k)
+        again = evaluate_user("u", rng.sample(history, len(history)), shuffled, store, k)
+        assert [(r.ild, r.unexpectedness) for r in again] == [
+            (r.ild, r.unexpectedness) for r in rows
+        ]
 
 
 class TestLookupFeatures:

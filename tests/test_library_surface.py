@@ -33,18 +33,13 @@ README_ENTRIES = {
     "evaluation.ndcg_at_k",
     "evaluation.unexpectedness",
 }
-# names that ``perfbench/`` still calls or reads, which ROADMAP item 15b
-# removes or keeps once the benchmark stops naming them, and names that go
-# or stay with another item
+# names that ``perfbench/worker.py`` calls or a tracer hook reads, which
+# ROADMAP item 15b removes or keeps once the benchmark stops naming them, and
+# names that go or stay with another item
 LATER_ITEMS = {
     "rerank.evaluate_candidates",
     "metrics.MetricKind.from_name",
-    "metrics.centrality_to_shares",
-    "metrics.hhi_normalized",
-    "evaluation.cosine_distance",
     "graph.Multigraph.num_edges",
-    # only ``hhi_normalized`` calls it: it goes or stays with it in 15b
-    "metrics.hhi",
     # leaves with ROADMAP item 5a
     "graph.extend_subgraph",
 }

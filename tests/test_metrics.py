@@ -12,18 +12,16 @@ from kgrerank import (
     MetricKind,
     Multigraph,
     Node,
-    centrality_to_shares,
     compute_metric,
-    hhi,
-    hhi_normalized,
 )
 
 from kgrerank import metrics as metrics_module
-from kgrerank.metrics import _SOURCE_BLOCK, _Stack, compile_graph, score_stack
+from kgrerank.metrics import _SOURCE_BLOCK, _Stack, _hhi_rows, compile_graph, score_stack
 
 from conftest import (
     betweenness,
     closeness,
+    collapse,
     core_passes,
     disjoint_batch,
     node_scores,
@@ -131,7 +129,12 @@ def forests(draw, max_nodes=MAX_ENGINE_NODES):
     return _graph_from(draw, n, edges)
 
 
-class TestHhi:
+def hhi(shares):
+    """The sum of squared shares of one row, by ``_hhi_rows``."""
+    return _hhi_rows(np.array([shares], dtype=float))[0].item()
+
+
+class TestHhiRows:
     def test_monopoly(self):
         assert hhi([1.0]) == 1.0
 
@@ -146,45 +149,36 @@ class TestHhi:
         with pytest.raises(MetricError, match="sum to 1"):
             hhi([0.5, 0.4])
 
-    def test_rejects_negative(self):
-        with pytest.raises(MetricError, match="non-negative"):
-            hhi([1.5, -0.5])
-
-    def test_rejects_empty(self):
-        with pytest.raises(MetricError):
-            hhi([])
-
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    @pytest.mark.parametrize("function", [hhi, hhi_normalized])
-    def test_rejects_non_finite_shares_naming_the_first(self, function, bad):
-        for shares in ([bad, 1.0], [0.5, bad, 0.5], [bad, 0.5, bad]):
-            index = next(i for i, share in enumerate(shares) if not math.isfinite(share))
-            with pytest.raises(MetricError, match=f"share {index} is not finite: {bad!r}"):
-                function(shares)
+    def test_names_the_first_unnormalized_row(self):
+        with pytest.raises(MetricError, match="got 0.9") as info:
+            _hhi_rows(np.array([[0.5, 0.5], [0.5, 0.4], [0.25, 0.25]]))
+        assert info.value.row == 1
 
 
-class TestHhiNormalized:
+class TestCollapse:
+    """``_Stack.collapse`` of a one-row batch, whose scores are shares."""
+
     @pytest.mark.parametrize("n", [2, 3, 7, 50, 100])
     def test_uniform_is_zero(self, n):
-        assert hhi_normalized([1.0 / n] * n) == pytest.approx(0.0, abs=1e-12)
+        assert collapse([1.0 / n] * n) == pytest.approx(0.0, abs=1e-12)
 
     @pytest.mark.parametrize("n", [2, 5, 30])
     def test_one_hot_is_one(self, n):
         shares = [0.0] * n
         shares[0] = 1.0
-        assert hhi_normalized(shares) == 1.0
+        assert collapse(shares) == 1.0
 
     def test_single_share_is_one(self):
-        assert hhi_normalized([1.0]) == 1.0
+        assert collapse([1.0]) == 1.0
 
     def test_mixed_value(self):
         expected = (0.38 - 1.0 / 3.0) / (1.0 - 1.0 / 3.0)
-        assert hhi_normalized([0.5, 0.3, 0.2]) == pytest.approx(expected, abs=1e-12)
+        assert collapse([0.5, 0.3, 0.2]) == pytest.approx(expected, abs=1e-12)
 
     @given(simplex())
     @settings(max_examples=200, deadline=None)
     def test_range_property(self, shares):
-        value = hhi_normalized(shares)
+        value = collapse(shares)
         assert 0.0 <= value <= 1.0
 
     @given(simplex(min_n=2, max_n=15), st.randoms(use_true_random=False))
@@ -192,16 +186,14 @@ class TestHhiNormalized:
     def test_permutation_invariance(self, shares, rng):
         shuffled = list(shares)
         rng.shuffle(shuffled)
-        assert hhi_normalized(shuffled) == pytest.approx(
-            hhi_normalized(shares), abs=1e-12
-        )
+        assert collapse(shuffled) == pytest.approx(collapse(shares), abs=1e-12)
 
     @given(simplex(min_n=2))
     @settings(max_examples=200, deadline=None)
     def test_matches_direct_formula(self, shares):
         n = len(shares)
         direct = (sum(s * s for s in shares) - 1.0 / n) / (1.0 - 1.0 / n)
-        assert hhi_normalized(shares) == pytest.approx(direct, abs=1e-12)
+        assert collapse(shares) == pytest.approx(direct, abs=1e-12)
 
 
 class TestSequentialSums:
@@ -220,36 +212,48 @@ class TestSequentialSums:
         assert hhi(shares) == sequential
 
 
-class TestCentralityToShares:
+class TestCollapseScores:
+    """``_Stack.collapse`` of a one-row batch of per-node scores."""
+
     def test_proportional(self):
-        assert centrality_to_shares({"a": 2.0, "b": 1.0, "c": 1.0}) == [
-            0.5,
-            0.25,
-            0.25,
-        ]
+        # the scores' shares are 0.5, 0.25 and 0.25
+        assert collapse({"a": 2.0, "b": 1.0, "c": 1.0}) == collapse([0.5, 0.25, 0.25])
+        assert collapse({"a": 2.0, "b": 1.0, "c": 1.0}) == pytest.approx(
+            (0.375 - 1.0 / 3.0) / (1.0 - 1.0 / 3.0), abs=1e-12
+        )
 
     def test_zero_total_becomes_uniform(self):
-        shares = centrality_to_shares({"a": 0.0, "b": 0.0})
-        assert shares == [0.5, 0.5]
+        assert collapse({"a": 0.0, "b": 0.0}) == 0.0
 
     def test_star_center_monopolizes(self):
         scores = betweenness(star_graph(4))
-        shares = centrality_to_shares(scores)
-        assert max(shares) == 1.0
-        assert hhi_normalized(shares) == 1.0
+        assert max(scores.values()) > 0.0
+        assert collapse(scores) == 1.0
 
-    def test_rejects_negative_scores(self):
-        with pytest.raises(MetricError):
-            centrality_to_shares({"a": -1.0})
-
-    def test_rejects_empty(self):
-        with pytest.raises(MetricError):
-            centrality_to_shares({})
+    @pytest.mark.parametrize("scores, node", [
+        ({"a": -1.0}, "a"),
+        ({"a": 1.5, "b": -0.5}, "b"),
+    ])
+    def test_rejects_negative_scores_naming_the_node(self, scores, node):
+        with pytest.raises(MetricError, match=f"'{node}' is negative"):
+            collapse(scores)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     def test_rejects_non_finite_scores_naming_the_node(self, bad):
         with pytest.raises(MetricError, match="'a'.*not finite"):
-            centrality_to_shares({"a": bad, "b": 1.0})
+            collapse({"a": bad, "b": 1.0})
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_scores_naming_the_first_node(self, bad):
+        for scores in ([bad, 1.0], [0.5, bad, 0.5], [bad, 0.5, bad]):
+            index = next(i for i, score in enumerate(scores) if not math.isfinite(score))
+            with pytest.raises(MetricError, match=f"'n{index:03d}' is not finite: {bad!r}"):
+                collapse(scores)
+
+    def test_names_the_node_in_sorted_label_order(self):
+        # columns in node order b, a; the collapse checks a first
+        with pytest.raises(MetricError, match="'a' is not finite"):
+            collapse({"b": math.nan, "a": math.inf})
 
 
 class TestBetweenness:
