@@ -309,6 +309,10 @@ def validate_config(cfg: RunConfig) -> list[str]:
         for v in value if isinstance(value, list) else [value]:
             if choices is not None and v not in choices:
                 findings.append(f"{f.name} must be one of {choices}, got {v!r}")
+        if isinstance(value, list):
+            # a repeat would write its rankings twice under one name
+            for v in dict.fromkeys(v for i, v in enumerate(value) if v in value[:i]):
+                findings.append(f"{f.name} repeats {v!r}")
         if minimum is not None and value is not None and value < minimum:
             findings.append(f"{f.name} must be >= {minimum}, got {value}")
     if not cfg.metrics:

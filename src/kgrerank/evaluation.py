@@ -18,17 +18,18 @@ Float contract: each distance is an entry of one product
 (``_distance_matrix``) and equals the per-pair formula
 ``1 - (a @ b) / (norm(a) * norm(b))`` on fresh 1-D arrays, clipped to [0, 1],
 bit for bit, whatever matrix it sits in. Every sum of distances adds its terms
-in ascending order, left to right (``np.sort``, then ``np.cumsum``; ``np.sum``
-adds pairwise), so ILD and unexpectedness are functions of the list's and the
-history's item sets: reordering either changes no bit. ``_pair_means`` is the
-one such sum: it takes blocks gathered from one matrix, lists padded to the
+in ascending order, left to right (``np.sort``, then
+``metrics._running_total``; ``np.sum`` adds pairwise), so ILD and
+unexpectedness are functions of the list's and the history's item sets:
+reordering either changes no bit. ``_pair_means`` is the one such sum: it
+takes blocks gathered from one matrix, lists padded to the
 longest, where the diagonal and the padding read +0. Every distance is at
 least +0, so those terms sort first and add nothing. ``evaluate_user`` takes
 all of a user's lists, and the history's own ILD, from one matrix over the
 history and the lists' distinct items; ``ild`` and ``unexpectedness`` sum the
 same blocks of a matrix over one list, and ``ndcg_at_k`` runs
 ``evaluate_user``'s DCG (``_ndcgs``) on one list. DCG adds in position order
-and the summary means in row order, left to right (``np.cumsum`` or
+and the summary means in row order, left to right (``_running_total`` or
 ``reduce(add, ...)``): built-in ``sum`` compensates from Python 3.12 on.
 
 With OpenBLAS 0.3.31 (Haswell kernels), ``X @ X.T`` (syrk) and one row at a
@@ -51,6 +52,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .metrics import _running_total
 from .rerank import RecommendationList
 
 if TYPE_CHECKING:  # annotations only: a run need not import numpy.typing
@@ -113,16 +115,11 @@ def _distance_matrix(vectors: ArrayLike) -> np.ndarray:
     return distances
 
 
-def _row_sums(rows: np.ndarray) -> np.ndarray:
-    """Each row of a 2-D array added left to right."""
-    return np.cumsum(rows, axis=1)[:, -1]
-
-
 def _pair_means(blocks: np.ndarray, pairs: Sequence[int]) -> list[float]:
     """The mean of each block's ``pairs[i]`` distances, every other entry of
     the block being +0; 0 for a block with no pair. The entries are added
     left to right in ascending order."""
-    sums = _row_sums(np.sort(blocks.reshape(len(blocks), -1), axis=1))
+    sums = _running_total(np.sort(blocks.reshape(len(blocks), -1), axis=1))
     return [total / n if n else 0.0 for total, n in zip(sums.tolist(), pairs)]
 
 
@@ -145,7 +142,7 @@ def _ndcgs(tops: Sequence[Sequence[str]], k: int) -> list[float]:
     gains = np.zeros(real.shape)
     gains[real] = [grades.get(item, 0) for top in tops for item in top]
     discounts = np.array([math.log2(position + 1) for position in range(1, real.shape[1] + 1)])
-    dcgs = _row_sums(gains / discounts)
+    dcgs = _running_total(gains / discounts)
     return [1.0] * len(tops) if dcgs[0] == 0.0 else (dcgs / dcgs[0]).tolist()
 
 

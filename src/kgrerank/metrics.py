@@ -96,9 +96,15 @@ adds nothing. PageRank adds each pair's contribution with ``np.add.at`` over
 the stacked pairs, which are candidate-major and sorted by source, so every
 target adds its sources in source order. Each row stops at its own iteration
 and is frozen there while the others go on. Every other sum (the dangling
-mass, the L1 change, the shares' total, the squared shares) is
-``np.cumsum(..., axis=1)[:, -1]``: strictly left to right, unlike numpy's
-pairwise ``sum`` and the compensated builtin ``sum`` of Python 3.12 and later.
+mass, the L1 change, the shares' total, the squared shares, closeness's row
+sums and betweenness's sum over sources) goes through
+:func:`_running_total`: strictly left to right, unlike numpy's pairwise
+``np.sum`` and the compensated builtin ``sum`` of Python 3.12 and later.
+From ``_REDUCE_ROWS`` rows on it adds down axis 0 of a C-contiguous
+(terms x rows) block, which numpy does term after term: its ``np.sum``
+Notes say pairwise summation "is only used when the summation is along the
+fast axis in memory". That is numpy's behaviour, not its promise, so the
+contract is pinned on the numpy version that ``manifest.json`` records.
 Degrees are exact integers. Closeness equals a per-source queue BFS bit for
 bit, since its distances are exact and its sums keep their order. On a
 forest betweenness is the exact pair count. On a graph with cycles it is the
@@ -188,8 +194,25 @@ class MetricValue:
     kind: MetricKind
 
 
+# from this many rows on, the sum down the slow axis beats ``np.cumsum``
+# (2-CPU x86-64, numpy 2.4: from 2 rows on for rows of 10 terms, from 8 for
+# rows of 300)
+_REDUCE_ROWS = 8
+
+
 def _running_total(values: np.ndarray) -> np.ndarray:
-    """Left-to-right sums along the last axis."""
+    """Left-to-right sums along the last axis: each row's
+    ``functools.reduce(operator.add, row)``, bit for bit.
+
+    numpy adds pairwise only along the fast axis in memory (the Notes of
+    ``np.sum``). Down axis 0 of the C-contiguous (terms x rows) block it
+    adds each column term after term, starting from -0.0, which leaves the
+    first term as it is. From ``_REDUCE_ROWS`` rows on that is cheaper than
+    ``np.cumsum``. Fewer rows take ``np.cumsum``, and one row must: its axis
+    0 is the fast axis, which would be summed pairwise.
+    """
+    if values.ndim == 2 and len(values) >= _REDUCE_ROWS:
+        return np.add.reduce(np.ascontiguousarray(values.T), axis=0, initial=-0.0)
     return np.cumsum(values, axis=-1)[..., -1]
 
 
@@ -554,7 +577,7 @@ def _add_dependencies(
     delta *= source_weight[:, None]
     # row by row in source order: the summation order of a per-source
     # loop, which the float contract in the module docstring relies on
-    bc[:] = np.cumsum(np.vstack((bc, delta)), axis=0)[-1]
+    bc[:] = _running_total(np.vstack((bc, delta)).T)
 
 
 def _peel(adj: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:

@@ -18,7 +18,7 @@ Float contract: every value equals the scalar loop it replaces, bit for bit.
 Sums add left to right, because built-in ``sum`` compensates from Python 3.12
 on and numpy's ``sum`` adds pairwise, and either would change the written
 scores. The bias fit sums each row of a zero-padded block with a leading 0.0
-column through ``np.cumsum(..., axis=1)[:, -1]``, which is
+column through ``metrics._running_total``, which is
 ``reduce(add, row, 0.0)``: an item's raters in user order, a user's items in
 item order. The padding adds +0.0, which changes no sum. A score adds
 ``(mu + b_user) + b_item`` in that order and then clamps.
@@ -32,6 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .metrics import _running_total
 from .rerank import RecommendationList
 
 RATING_MIN = 1.0
@@ -140,11 +141,13 @@ def scale_ratings(interactions: Iterable[Interaction]) -> RatingMatrix:
 
 
 class _RowSums:
-    """Left-to-right sums of ragged rows, one ``np.cumsum`` per call.
+    """Left-to-right sums of ragged rows, one ``_running_total`` per call.
 
     ``rows`` gives each value's row. Within a row the values are added in the
     order they are given, through a zero-padded block whose first column is
-    0.0, so each sum is ``reduce(add, row, 0.0)`` bit for bit.
+    0.0, so each sum is ``reduce(add, row, 0.0)`` bit for bit. The block is
+    kept as (columns x rows), the layout ``_running_total`` sums in, so no
+    call copies it.
     """
 
     def __init__(self, rows: np.ndarray, n_rows: int):
@@ -153,11 +156,11 @@ class _RowSums:
         self._rows = rows[self._order]
         starts = np.cumsum(self.counts) - self.counts
         self._cols = np.arange(len(rows)) - starts[self._rows] + 1
-        self._block = np.zeros((n_rows, int(self.counts.max(initial=0)) + 1))
+        self._block = np.zeros((int(self.counts.max(initial=0)) + 1, n_rows))
 
     def __call__(self, values: np.ndarray) -> np.ndarray:
-        self._block[self._rows, self._cols] = values[self._order]
-        return np.cumsum(self._block, axis=1)[:, -1]
+        self._block[self._cols, self._rows] = values[self._order]
+        return _running_total(self._block.T)
 
 
 class BaselineRecommender:
@@ -186,7 +189,7 @@ class BaselineRecommender:
         self._matrix = matrix
         rows, cols, values = matrix._rows, matrix._cols, matrix._values
         # left to right in (user, item) order, as a running total
-        self._mu = float(np.cumsum(values)[-1] / len(values)) if len(values) else 0.0
+        self._mu = float(_running_total(values) / len(values)) if len(values) else 0.0
         by_item = _RowSums(cols, len(matrix._items))
         by_user = _RowSums(rows, len(matrix._user_pos))
         centred = values - self._mu

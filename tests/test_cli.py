@@ -155,6 +155,38 @@ class TestValidateConfig:
             "'betweenness', 'closeness'), got 'bogus'"
         ]
 
+    def test_repeated_metric_and_order_are_findings(self, tmp_path):
+        cfg = synth_config(
+            tmp_path,
+            metrics=["pagerank", "node_count", "pagerank", "node_count", "pagerank"],
+            orders=["asc", "desc", "asc"],
+        )
+        assert validate_config(cfg) == [
+            "metrics repeats 'pagerank'",
+            "metrics repeats 'node_count'",
+            "orders repeats 'asc'",
+        ]
+
+    def test_repeated_entries_fail_the_run_before_any_file(self, tmp_path, capsys):
+        # each (metric, order) pair names one file, so a repeat would write
+        # rerank_pagerank_asc.txt more than once
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(
+            {"rerank": {"metrics": ["pagerank", "pagerank"], "orders": ["asc", "asc"]}}
+        ), encoding="utf-8")
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "x")]) == 1
+        assert capsys.readouterr().err == (
+            "config error: metrics repeats 'pagerank'\n"
+            "config error: orders repeats 'asc'\n"
+        )
+        assert not (tmp_path / "x").exists()
+
+    def test_repeated_flag_is_a_finding(self, tmp_path, capsys):
+        argv = ["run", "--metric", "node_count", "--metric", "node_count",
+                "--out", str(tmp_path / "x")]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "config error: metrics repeats 'node_count'\n"
+
     def test_profile_bounds_finding(self, tmp_path):
         titles = tmp_path / "titles.csv"
         titles.write_text("x", encoding="utf-8")

@@ -1,4 +1,6 @@
+import functools
 import math
+import operator
 import random
 
 import numpy as np
@@ -16,7 +18,14 @@ from kgrerank import (
 )
 
 from kgrerank import metrics as metrics_module
-from kgrerank.metrics import _SOURCE_BLOCK, _Stack, _hhi_rows, compile_graph, score_stack
+from kgrerank.metrics import (
+    _SOURCE_BLOCK,
+    _Stack,
+    _hhi_rows,
+    _running_total,
+    compile_graph,
+    score_stack,
+)
 
 from conftest import (
     betweenness,
@@ -152,7 +161,8 @@ class TestHhiRows:
     def test_names_the_first_unnormalized_row(self):
         with pytest.raises(MetricError, match="got 0.9") as info:
             _hhi_rows(np.array([[0.5, 0.5], [0.5, 0.4], [0.25, 0.25]]))
-        assert info.value.row == 1
+        # a Python int, as ``MetricError.row`` is declared
+        assert (type(info.value.row), info.value.row) == (int, 1)
 
 
 class TestCollapse:
@@ -196,16 +206,51 @@ class TestCollapse:
         assert collapse(shares) == pytest.approx(direct, abs=1e-12)
 
 
+@st.composite
+def summands(draw):
+    """A (rows x width) block of signed terms of magnitude 1e-8 to 1e8, with
+    some exact zeros of either sign."""
+    rows = draw(st.integers(1, 40))
+    width = draw(st.integers(1, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (rows, width)
+    values = rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.uniform(-8.0, 8.0, shape)
+    zeros = rng.random(shape) < draw(st.sampled_from([0.0, 0.1, 0.9]))
+    values[zeros] = rng.choice([0.0, -0.0], int(zeros.sum()))
+    return values
+
+
+def left_to_right(values):
+    """Each row's terms added one after another, as a float64 array."""
+    return np.array([functools.reduce(operator.add, row) for row in values.tolist()])
+
+
 class TestSequentialSums:
-    """Sums run left to right with ``np.cumsum``, on every Python version; the
-    builtin ``sum`` of floats compensates from Python 3.12 on."""
+    """``_running_total`` adds left to right, on every Python version: numpy's
+    ``np.sum`` adds pairwise, and the builtin ``sum`` of floats compensates
+    from Python 3.12 on."""
+
+    @given(summands())
+    @settings(max_examples=200, deadline=None)
+    def test_running_total_is_reduce_add_bit_for_bit(self, values):
+        assert _running_total(values).tobytes() == left_to_right(values).tobytes()
+        # a 1-D array is one row
+        assert _running_total(values[0]).tobytes() == left_to_right(values[:1])[0].tobytes()
+
+    @pytest.mark.parametrize("rows", [1, 2, 8, 9, 40])
+    def test_rows_of_negative_zeros_keep_their_sign(self, rows):
+        values = np.full((rows, 12), -0.0)
+        values[1:, 3] = 5e-324
+        got = _running_total(values)
+        assert np.signbit(got[0]) and got[0] == 0.0
+        assert got[1:].tolist() == [5e-324] * (rows - 1)
 
     @pytest.mark.parametrize(
         "shares", [[0.1] * 10, [0.05] * 20], ids=["tenths", "twentieths"]
     )
     def test_hhi_is_the_sequential_sum_of_squares(self, shares):
         squares = np.array(shares) ** 2
-        sequential = float(np.cumsum(squares)[-1])
+        sequential = functools.reduce(operator.add, squares.tolist())
         # these shares tell a left-to-right sum from a correctly rounded one;
         # the twentieths also from numpy's pairwise sum
         assert sequential != math.fsum(squares.tolist())
@@ -235,8 +280,9 @@ class TestCollapseScores:
         ({"a": 1.5, "b": -0.5}, "b"),
     ])
     def test_rejects_negative_scores_naming_the_node(self, scores, node):
-        with pytest.raises(MetricError, match=f"'{node}' is negative"):
+        with pytest.raises(MetricError, match=f"'{node}' is negative") as info:
             collapse(scores)
+        assert (type(info.value.row), info.value.row) == (int, 0)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     def test_rejects_non_finite_scores_naming_the_node(self, bad):
@@ -580,7 +626,7 @@ class TestBatch:
         for start, g in enumerate(graphs):
             with pytest.raises(ConvergenceError) as info:
                 _pagerank_rows(graphs[start:], tol=0.0, max_iter=max_iter)
-            assert info.value.row == 0
+            assert (type(info.value.row), info.value.row) == (int, 0)
             expected = _outcome(reference_pagerank, g, tol=0.0, max_iter=max_iter)
             assert (str(info.value), info.value.last_scores) == expected
             assert _outcome(pagerank, g, tol=0.0, max_iter=max_iter) == expected
