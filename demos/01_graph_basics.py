@@ -7,10 +7,12 @@ directly adjacent entity, and all catalog edges among those nodes.
 """
 
 from kgrerank import (
+    MetricKind,
     NeighborhoodMode,
+    RecommendationList,
     Triple,
     build_catalog,
-    extend_subgraph,
+    evaluate_metrics,
     induce_profile_subgraph,
     prune_graph,
 )
@@ -33,16 +35,21 @@ profile = induce_profile_subgraph(catalog, {"t_100"}, user="demo_user")
 print(f"\nprofile subgraph: {profile.graph.num_nodes} nodes, "
       f"{profile.graph.num_edges} edges")
 
-# Extending with a candidate never mutates the original profile. The mode
-# picks the nodes the candidate adds: the default adds the candidate and its
-# catalog neighbors, EDGES_TO_EXISTING only the candidate. The extension is
-# the catalog subgraph those nodes induce together with the profile's, so in
-# edges mode the candidate brings only its links to nodes the user has.
+# The re-ranker scores each candidate on the profile extended by it, and
+# never mutates the original profile. The mode picks the nodes the candidate
+# adds: the default adds the candidate and its catalog neighbors,
+# EDGES_TO_EXISTING only the candidate. The extension is the catalog subgraph
+# those nodes induce together with the profile's, so in edges mode the
+# candidate brings only its links to nodes the user has. The node and edge
+# counts the re-ranker reports for t_300 show what it adds.
+candidate = RecommendationList(user="demo_user", items=(("t_300", 1.0),))
+counts = [MetricKind.NODE_COUNT, MetricKind.EDGE_COUNT]
 for mode in (NeighborhoodMode.CLOSED_NEIGHBORHOOD, NeighborhoodMode.EDGES_TO_EXISTING):
-    extended = extend_subgraph(profile, catalog, "t_300", mode)
+    (scores,) = evaluate_metrics(catalog, [(profile, candidate)], counts, mode)
+    nodes, edges = (int(scores[kind][0].metric_value.value) for kind in counts)
     print(f"extend with t_300 [{mode.value:>6}]: "
-          f"+{extended.graph.num_nodes - profile.graph.num_nodes} nodes, "
-          f"+{extended.graph.num_edges - profile.graph.num_edges} edges")
+          f"+{nodes - profile.graph.num_nodes} nodes, "
+          f"+{edges - profile.graph.num_edges} edges")
 print(f"original profile still has {profile.graph.num_nodes} nodes")
 
 # Cleanup for noisy catalogs: one single-pass removal of degree-1 nodes.

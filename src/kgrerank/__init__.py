@@ -22,7 +22,6 @@ from .graph import (
     Triple,
     build_catalog,
     export_graph,
-    extend_subgraph,
     induce_profile_subgraph,
     prune_graph,
     read_graph,
@@ -82,8 +81,8 @@ __all__ = [
     # graph
     "CatalogGraph", "EntityKind", "GraphError", "Multigraph",
     "NeighborhoodMode", "Node", "ProfileSubgraph", "Triple",
-    "build_catalog", "export_graph", "extend_subgraph",
-    "induce_profile_subgraph", "prune_graph", "read_graph",
+    "build_catalog", "export_graph", "induce_profile_subgraph", "prune_graph",
+    "read_graph",
     # metrics
     "ConvergenceError", "MetricError", "MetricKind", "MetricValue",
     "compute_metric",

@@ -34,7 +34,7 @@ from .evaluation import (
     FEATURE_NAMES,
     emit_report,
     evaluate_user,
-    first_bad_feature_row,
+    feature_vector,
     write_qrels,
     write_trec_run,
 )
@@ -531,36 +531,12 @@ _FEATURE_COLUMNS = ("item", *FEATURE_NAMES)
 
 
 def _read_features(path) -> dict[str, np.ndarray]:
-    """Read a workspace features file in one pass, naming the first bad line
-    and its item. A row's shape is checked as it is read, the values of the
-    rows read so far in bulk: at the end, and before a shape error is raised,
-    so that a bad value on an earlier line wins."""
+    """Read a workspace features file in one pass, checking each row as it
+    is read, so that the first bad line is named, with its item: a repeated
+    item, then the row's shape, then its values (``feature_vector``, and no
+    all-zero row)."""
+    features: dict[str, np.ndarray] = {}
     first_line: dict[str, int] = {}
-    cells: list[str] = []
-
-    def checked_rows() -> np.ndarray:
-        # the first row with a value that is not a number, out of range or
-        # all zero raises; no two of these can name the same row
-        n = len(FEATURE_NAMES)
-        values: list[float] = []
-        problems = []
-        try:
-            values += map(float, cells)
-        except ValueError as exc:
-            # += stops at the bad cell: the rows before its row are numbers
-            problems.append((len(values) // n, str(exc)))
-        rows = np.array(values[: len(values) // n * n]).reshape(-1, n)
-        zero = ~rows.any(axis=1)
-        if zero.any():
-            zero_row = int(np.argmax(zero))
-            problems.append((zero_row, "all-zero vector has no cosine distance"))
-        problems = [p for p in (*problems, first_bad_feature_row(rows)) if p]
-        if not problems:
-            return rows
-        index, reason = min(problems)
-        item, line = list(first_line.items())[index]
-        raise ValueError(f"{path}:{line}: item {item!r}: {reason}")
-
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         columns, width = csv_columns(reader, path, _FEATURE_COLUMNS)
@@ -577,13 +553,15 @@ def _read_features(path) -> dict[str, np.ndarray]:
                 problem = f"item {item!r}: {shape}"
             else:
                 first_line[item] = reader.line_num
-                cells += values_of(row)
-                continue
-            checked_rows()
+                try:
+                    features[item] = feature_vector(values_of(row))
+                    if features[item].any():
+                        continue
+                    problem = f"item {item!r}: all-zero vector has no cosine distance"
+                except ValueError as exc:
+                    problem = f"item {item!r}: {exc}"
             raise ValueError(f"{path}:{reader.line_num}: {problem}")
-    rows = checked_rows()
-    rows.flags.writeable = False
-    return dict(zip(first_line, rows))
+    return features
 
 
 # ---------------------------------------------------------------------------

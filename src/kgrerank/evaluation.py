@@ -3,13 +3,13 @@
 Intra-list diversity and unexpectedness are measured with cosine distance
 over acoustic feature rows: a track's row is the read-only float64 array of
 shape (8,), in ``FEATURE_NAMES`` order, that ``feature_vector`` builds. Its
-rule (each component in [0, 1], no NaN) lives here alone: ``feature_vector``,
-``ingest.merge_lastfm`` and ``cli._read_features`` call
-``first_bad_feature_row``, and each decides what an all-zero row is. A feature
-store maps item ids to rows; ``lookup_features`` stacks a list's rows into one
-(n x 8) array, and ``ild`` and ``unexpectedness`` take such arrays. The
-readers that fill a store reject a repeated id with its file, line and first
-line.
+rule (each component in [0, 1], no NaN) lives here alone: ``feature_vector``
+and ``ingest.merge_lastfm`` call ``first_bad_feature_row``, the workspace
+reader ``cli._read_features`` calls ``feature_vector`` on each row, and each
+reader decides what an all-zero row is. A feature store maps item ids to
+rows; ``lookup_features`` stacks a list's rows into one (n x 8) array, and
+``ild`` and ``unexpectedness`` take such arrays. The readers that fill a store
+reject a repeated id with its file, line and first line.
 Agreement between a re-ranked list and its base list is measured with nDCG@k
 where the base ranking itself provides the relevance grades. Report emission
 is deterministic so output files can be compared byte for byte.
@@ -29,8 +29,9 @@ all of a user's lists, and the history's own ILD, from one matrix over the
 history and the lists' distinct items; ``ild`` and ``unexpectedness`` sum the
 same blocks of a matrix over one list, and ``ndcg_at_k`` runs
 ``evaluate_user``'s DCG (``_ndcgs``) on one list. DCG adds in position order
-and the summary means in row order, left to right (``_running_total`` or
-``reduce(add, ...)``): built-in ``sum`` compensates from Python 3.12 on.
+and the summary means in row order, left to right: every float sum here goes
+through ``_running_total``, since built-in ``sum`` compensates from Python
+3.12 on.
 
 With OpenBLAS 0.3.31 (Haswell kernels), ``X @ X.T`` (syrk) and one row at a
 time (gemv) differ from the per-pair dot on about 3% and 43% of pairs, and
@@ -42,12 +43,11 @@ of their transpose (gemm), differ on none for any n from 1 to 419.
 
 from __future__ import annotations
 
+import csv
 import math
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
-from functools import reduce
 from itertools import chain
-from operator import add
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -275,9 +275,8 @@ def evaluate_user(
     ]
 
 
-# the nDCG column is named for the k it was taken at
-_REPORT_HEADER = "user,metric,order,ild,unexpectedness,ndcg{k}"
-_SUMMARY_HEADER = "metric,order,ild,unexpectedness,ndcg{k}"
+# the measure columns; the nDCG column is named for the k it was taken at
+_MEASURES = ("ild", "unexpectedness", "ndcg{k}")
 
 
 def _cell(value: float | None) -> str:
@@ -292,36 +291,35 @@ def emit_report(
     The nDCG column is headed ``ndcg{k}``, for the k the rows were evaluated
     at. Rows are sorted by (user, metric, order) and floats are formatted with a
     fixed precision, so two runs over the same data produce identical bytes.
+    Both files are written by ``csv.writer``, which quotes a field only where
+    it holds a comma, a quote or a line break, such as a user id with a comma.
+    Each mean adds its values left to right, in row order.
     """
+    measures = [name.format(k=k) for name in _MEASURES]
     ordered = sorted(rows, key=lambda r: (r.user, r.metric, r.order))
-    with open(report_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(_REPORT_HEADER.format(k=k) + "\n")
-        for row in ordered:
-            fh.write(
-                f"{row.user},{row.metric},{row.order},"
-                f"{_cell(row.ild)},{_cell(row.unexpectedness)},{_cell(row.ndcg)}\n"
-            )
+    with open(report_path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["user", "metric", "order", *measures])
+        writer.writerows(
+            [r.user, r.metric, r.order, _cell(r.ild), _cell(r.unexpectedness), _cell(r.ndcg)]
+            for r in ordered
+        )
     if summary_path is None:
         return
+
     def mean_of(values: list[float]) -> float | None:
-        return reduce(add, values, 0.0) / len(values) if values else None
+        return float(_running_total(np.array(values))) / len(values) if values else None
 
     groups: dict[tuple[str, str], list[EvalRow]] = {}
     for row in ordered:
         groups.setdefault((row.metric, row.order), []).append(row)
-    with open(summary_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(_SUMMARY_HEADER.format(k=k) + "\n")
-        for metric, order in sorted(groups):
-            members = groups[(metric, order)]
-            mean_ild = mean_of([r.ild for r in members if r.ild is not None])
-            mean_unexp = mean_of(
-                [r.unexpectedness for r in members if r.unexpectedness is not None]
-            )
-            mean_ndcg = mean_of([r.ndcg for r in members if r.ndcg is not None])
-            fh.write(
-                f"{metric},{order},{_cell(mean_ild)},"
-                f"{_cell(mean_unexp)},{_cell(mean_ndcg)}\n"
-            )
+    with open(summary_path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["metric", "order", *measures])
+        for (metric, order), members in sorted(groups.items()):
+            columns = zip(*((r.ild, r.unexpectedness, r.ndcg) for r in members))
+            means = [mean_of([v for v in column if v is not None]) for column in columns]
+            writer.writerow([metric, order, *map(_cell, means)])
 
 
 def write_qrels(

@@ -3,10 +3,11 @@
 The catalog graph holds every recommendable item (tracks, movies, TV shows)
 plus the entities that enrich them (artists, genres, directors, ...). A user's
 profile subgraph is the catalog subgraph induced by the user's items and their
-neighbours. Extending it with a candidate item gives the subgraph induced by
-the profile's nodes and the nodes the candidate adds (see
-:class:`NeighborhoodMode`). Extension never mutates the original subgraph, so
-per-candidate evaluations are independent.
+neighbours. :func:`added_nodes` names the nodes a candidate item adds to it
+(see :class:`NeighborhoodMode`); the extension, the subgraph induced by the
+profile's nodes and those, is built only by the re-ranker, which compiles it
+straight from the catalog (``rerank.evaluate_metrics``) and never mutates the
+profile, so per-candidate evaluations are independent.
 
 A catalog travels between pipeline stages as two flat files
 (:func:`export_graph`, :func:`read_graph`). Export refuses a node id or
@@ -271,18 +272,15 @@ def induce_profile_subgraph(
     return ProfileSubgraph(user=user, graph=graph, history=history_set)
 
 
-def _induced(
-    catalog: CatalogGraph, nodes: list[str], loopless: Container[str] = ()
-) -> Multigraph:
-    """The catalog subgraph on ``nodes``, added in that order; the nodes in
-    ``loopless`` keep no self-loop."""
+def _induced(catalog: CatalogGraph, nodes: list[str]) -> Multigraph:
+    """The catalog subgraph on ``nodes``, added in that order."""
     members = set(nodes)
     graph = Multigraph()
     for node_id in nodes:
         graph.add_node(catalog.node(node_id))
     for source in nodes:
         for target, preds in catalog.successors(source).items():
-            if target in members and not (target == source and source in loopless):
+            if target in members:
                 for predicate in sorted(preds):
                     graph.add_edge(source, predicate, target)
     return graph
@@ -303,25 +301,6 @@ def added_nodes(
     closed = mode is NeighborhoodMode.CLOSED_NEIGHBORHOOD
     reach = catalog.neighbors(item) | {item} if closed else {item}
     return sorted(v for v in reach if v not in present)
-
-
-def extend_subgraph(
-    sg: ProfileSubgraph,
-    catalog: CatalogGraph,
-    item: str,
-    mode: NeighborhoodMode = NeighborhoodMode.CLOSED_NEIGHBORHOOD,
-) -> ProfileSubgraph:
-    """Return a new profile subgraph with the candidate item merged in.
-
-    ``sg`` must be an induced subgraph of ``catalog``, as
-    :func:`induce_profile_subgraph` and closed-mode extensions are. The
-    result keeps ``sg``'s nodes in order, with the added ones after them; the
-    input subgraph is never modified.
-    """
-    added = added_nodes(sg.graph, catalog, item, mode)
-    loopless = added if mode is NeighborhoodMode.EDGES_TO_EXISTING else ()
-    graph = _induced(catalog, [*sg.graph.node_ids(), *added], loopless)
-    return ProfileSubgraph(user=sg.user, graph=graph, history=sg.history)
 
 
 def prune_graph(g: Multigraph) -> Multigraph:

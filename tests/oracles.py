@@ -279,11 +279,19 @@ def induced_profile(catalog, history) -> Multigraph:
             nodes.add(t)
         if t in history:
             nodes.add(s)
+    return induced_subgraph(catalog, sorted(nodes))
+
+
+def induced_subgraph(catalog, nodes, loopless=()) -> Multigraph:
+    """A new graph of ``nodes``, added in that order, and of every catalog
+    edge between two of them, by one loop over the catalog's edges; a node
+    in ``loopless`` keeps no self-loop."""
+    members = set(nodes)
     g = Multigraph()
-    for v in sorted(nodes):
+    for v in nodes:
         g.add_node(catalog.node(v))
     for s, p, t in catalog.edges():
-        if s in nodes and t in nodes:
+        if s in members and t in members and not (s == t and s in loopless):
             g.add_edge(s, p, t)
     return g
 

@@ -22,7 +22,6 @@ from kgrerank import (
     build_catalog,
     compute_metric,
     evaluate_candidates,
-    extend_subgraph,
     ild,
     induce_profile_subgraph,
     load_netflix,
@@ -44,6 +43,7 @@ from oracles import (
     brute_ndcg,
     brute_unexpectedness,
     dense_pagerank,
+    materialized_extension,
     random_catalog_with_profile,
     random_multigraph,
 )
@@ -121,18 +121,16 @@ def test_c3_diverse_vs_similar_reranking(dvs_catalog, dvs_profile, dvs_recs):
             assert values[item] == pytest.approx(expected, abs=1e-9)
 
         # cumulative extension arithmetic, exact
-        diverse_pair = extend_subgraph(
-            extend_subgraph(dvs_profile, dvs_catalog, "d1"), dvs_catalog, "d2"
-        )
-        similar_pair = extend_subgraph(
-            extend_subgraph(dvs_profile, dvs_catalog, "s1"), dvs_catalog, "s2"
-        )
-        base_nodes = dvs_profile.graph.num_nodes
-        base_edges = dvs_profile.graph.num_edges
-        assert diverse_pair.graph.num_nodes - base_nodes == 4
-        assert diverse_pair.graph.num_edges - base_edges == 7
-        assert similar_pair.graph.num_nodes - base_nodes == 2
-        assert similar_pair.graph.num_edges - base_edges == 2
+        def extend(graph, item):
+            return materialized_extension(graph, dvs_catalog, item, closed=True)
+
+        profile = dvs_profile.graph
+        diverse_pair = extend(extend(profile, "d1"), "d2")
+        similar_pair = extend(extend(profile, "s1"), "s2")
+        assert diverse_pair.num_nodes - profile.num_nodes == 4
+        assert diverse_pair.num_edges - profile.num_edges == 7
+        assert similar_pair.num_nodes - profile.num_nodes == 2
+        assert similar_pair.num_edges - profile.num_edges == 2
 
 
 def test_c4_candidate_evaluation_independence():
@@ -150,7 +148,7 @@ def test_c4_candidate_evaluation_independence():
             evaluations = evaluate_candidates(catalog, sg, recs, metric)
             assert [e.item for e in evaluations] == list(recs.item_ids())
             for e in evaluations:
-                extended = extend_subgraph(sg, catalog, e.item).graph
+                extended = materialized_extension(sg.graph, catalog, e.item, closed=True)
                 assert e.metric_value == compute_metric(extended, metric)
 
             # permuting the candidate list has no effect on any metric value

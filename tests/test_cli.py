@@ -1,5 +1,6 @@
 import argparse
 import concurrent.futures
+import csv
 import json
 import os
 import random
@@ -187,34 +188,72 @@ class TestValidateConfig:
         assert main(argv) == 1
         assert capsys.readouterr().err == "config error: metrics repeats 'node_count'\n"
 
-    def test_profile_bounds_finding(self, tmp_path):
-        titles = tmp_path / "titles.csv"
-        titles.write_text("x", encoding="utf-8")
-        cfg = synth_config(
-            tmp_path,
-            dataset="netflix",
-            titles_path=str(titles),
-            profile_min_items=9,
-            profile_max_items=3,
-        )
-        assert any("profile_min_items" in f for f in validate_config(cfg))
+    @pytest.mark.parametrize(
+        "dataset, values, findings",
+        [
+            ("lastfm", {"events_path": None}, ["lastfm dataset requires the events path"]),
+            ("lastfm", {"events_path": ""}, ["lastfm dataset requires the events path"]),
+            ("lastfm", {"events_path": "nope"}, ["events path does not exist: {nope}"]),
+            ("lastfm", {"features_path": None}, ["lastfm dataset requires the features path"]),
+            ("lastfm", {"features_path": "nope"}, ["features path does not exist: {nope}"]),
+            (
+                "lastfm",
+                {"events_path": "nope", "features_path": None},
+                ["events path does not exist: {nope}", "lastfm dataset requires the features path"],
+            ),
+            ("lastfm", {"genres_path": "nope"}, ["genres path does not exist: {nope}"]),
+            ("lastfm", {"genres_path": None}, []),
+            ("netflix", {"titles_path": None}, ["netflix dataset requires the titles path"]),
+            ("netflix", {"titles_path": "nope"}, ["titles path does not exist: {nope}"]),
+            (
+                "netflix",
+                {"profile_min_items": 9, "profile_max_items": 3},
+                ["need 1 <= profile_min_items <= profile_max_items, got [9, 3]"],
+            ),
+            (
+                "netflix",
+                {"profile_min_items": 0, "profile_max_items": 3},
+                ["need 1 <= profile_min_items <= profile_max_items, got [0, 3]"],
+            ),
+            ("netflix", {"profile_min_items": 1, "profile_max_items": 1}, []),
+            ("netflix", {"profile_min_items": 3, "profile_max_items": 3}, []),
+            # another dataset's paths and bounds are not checked
+            ("synthetic", {"events_path": "nope", "titles_path": "nope"}, []),
+            ("synthetic", {"profile_min_items": 9, "profile_max_items": 3}, []),
+            (
+                "synthetic",
+                {"recommender": "external", "external_recs_path": None},
+                ["external recommender requires external_recs_path"],
+            ),
+            (
+                "synthetic",
+                {"recommender": "external", "external_recs_path": "nope"},
+                ["external_recs_path does not exist: {nope}"],
+            ),
+            ("synthetic", {"external_recs_path": "nope"}, []),
+            # the synthetic settings are checked for that dataset alone
+            ("synthetic", {"synth_tracks": 3}, ["n_tracks must be >= 4"]),
+            ("lastfm", {"synth_tracks": 3}, []),
+            ("synthetic", {"output_dir": ""}, ["output_dir must be set"]),
+        ],
+    )
+    def test_each_dataset_rule_is_one_exact_finding(self, tmp_path, dataset, values, findings):
+        # every path exists unless ``values`` says otherwise; "nope" names a
+        # file that does not
+        existing, nope = tmp_path / "input.txt", tmp_path / "nope.txt"
+        existing.write_text("x", encoding="utf-8")
+        paths = ("events_path", "features_path", "genres_path", "titles_path",
+                 "external_recs_path")
+        cfg = synth_config(tmp_path, dataset=dataset, **dict.fromkeys(paths, str(existing)))
+        for name, value in values.items():
+            setattr(cfg, name, str(nope) if value == "nope" else value)
+        assert validate_config(cfg) == [f.format(nope=nope) for f in findings]
 
     def test_all_findings_reported_at_once(self, tmp_path):
         cfg = synth_config(
             tmp_path, metrics=[], orders=[], top_n_candidates=0, eval_k=0
         )
         assert len(validate_config(cfg)) >= 4
-
-    def test_missing_paths_reported(self, tmp_path):
-        cfg = synth_config(
-            tmp_path, dataset="lastfm",
-            events_path=str(tmp_path / "nope.tsv"),
-            features_path=None,
-        )
-        findings = validate_config(cfg)
-        assert any("does not exist" in f for f in findings)
-        assert any("features" in f for f in findings)
-
 
 class TestRunConfigParsing:
     def test_nested_document(self, tmp_path):
@@ -539,6 +578,31 @@ class TestPipeline:
                     assert sorted(reranked[user].item_ids()) == sorted(
                         base[user].item_ids()
                     )
+
+    def test_report_quotes_a_user_id_with_a_comma(self, tmp_path, lastfm_corpus):
+        # a Last.fm user id is any tab-free field of the events file
+        inputs = tmp_path / "inputs"
+        shutil.copytree(lastfm_corpus, inputs)
+        events = inputs / "events.tsv"
+        lines = events.read_text(encoding="utf-8").splitlines(keepends=True)
+        user = lines[0].split("\t")[0]
+        events.write_text(
+            "".join(line.replace(f"{user}\t", "a,b\t", 1) for line in lines),
+            encoding="utf-8",
+        )
+        out = tmp_path / "out"
+        doc = lastfm_run_config(inputs, out, ["node_count"])
+        doc["dataset"]["sample_users"] = None
+        assert main(["run", "--config", str(write_config(tmp_path / "c.json", doc))]) == 0
+        for name, width in ((REPORT, 6), (REPORT_SUMMARY, 5)):
+            with open(out / name, encoding="utf-8", newline="") as fh:
+                rows = list(csv.reader(fh))
+            assert {len(row) for row in rows} == {width}, name
+        with open(out / REPORT, encoding="utf-8", newline="") as fh:
+            users = [row[0] for row in csv.reader(fh)]
+        # the profile row, the base list and both orders
+        assert users.count("a,b") == 4
+        assert '\n"a,b",profile,-,' in (out / REPORT).read_text(encoding="utf-8")
 
     def test_parallelism_changes_no_file_and_starts_no_process(self, tmp_path, request):
         """``parallelism`` has no effect: runs at 1, 2 and null write the same

@@ -3,10 +3,11 @@
 From Python 3.12 on, built-in ``sum`` adds floats with compensation, so the
 same sum gives other last digits than on 3.10 and 3.11. These modules add
 left to right instead, so that their rankings, scores and reports do not
-depend on the interpreter: an array's rows through
-``metrics._running_total``, a Python list through ``reduce(add, ...)``.
-``_running_total`` alone reads a sum off ``np.cumsum``; elsewhere the
-idiom costs several times the helper's sum down the slow axis.
+depend on the interpreter, and by one idiom: ``metrics._running_total``, which
+takes an array's rows or a 1-D array built from a Python list. Only
+``_running_total`` reads a sum off ``np.cumsum`` or calls a ``reduce``;
+elsewhere ``np.cumsum`` costs several times the helper's sum down the slow
+axis, and ``functools.reduce`` is a second idiom beside it.
 """
 
 import ast
@@ -51,8 +52,17 @@ def _last_of_cumsum(node) -> bool:
     )
 
 
-@pytest.mark.parametrize("module", MODULES)
-def test_sums_off_cumsum_only_in_running_total(module):
+def _reduce_call(node) -> bool:
+    """``reduce(...)``, ``functools.reduce(...)``, ``np.add.reduce(...)`` and
+    the like."""
+    return isinstance(node, ast.Call) and (
+        (isinstance(node.func, ast.Name) and node.func.id == "reduce")
+        or (isinstance(node.func, ast.Attribute) and node.func.attr == "reduce")
+    )
+
+
+def _outside_running_total(module):
+    """Every node of the module but those of ``metrics._running_total``."""
     tree = _tree(module)
     allowed = {
         id(node)
@@ -60,10 +70,25 @@ def test_sums_off_cumsum_only_in_running_total(module):
         if module == "metrics.py" and getattr(fn, "name", None) == "_running_total"
         for node in ast.walk(fn)
     }
+    return [node for node in ast.walk(tree) if id(node) not in allowed]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_sums_off_cumsum_only_in_running_total(module):
     found = [
         f"{module}:{node.lineno}"
-        for node in ast.walk(tree)
-        if _last_of_cumsum(node) and id(node) not in allowed
+        for node in _outside_running_total(module)
+        if _last_of_cumsum(node)
+    ]
+    assert found == []
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_reduce_calls_only_in_running_total(module):
+    found = [
+        f"{module}:{node.lineno}"
+        for node in _outside_running_total(module)
+        if _reduce_call(node)
     ]
     assert found == []
 
@@ -72,3 +97,6 @@ def test_the_guard_sees_each_form():
     forms = ["np.cumsum(x)[-1]", "np.cumsum(x, axis=1)[:, -1]", "np.cumsum(x)[..., -1]"]
     assert all(_last_of_cumsum(ast.parse(form).body[0].value) for form in forms)
     assert not _last_of_cumsum(ast.parse("np.cumsum(x)[1:]").body[0].value)
+    reduces = ["reduce(add, xs, 0.0)", "functools.reduce(add, xs)", "np.add.reduce(x)"]
+    assert all(_reduce_call(ast.parse(form).body[0].value) for form in reduces)
+    assert not _reduce_call(ast.parse("reduced(x)").body[0].value)

@@ -28,20 +28,16 @@ ROOT = Path(__file__).resolve().parents[1]
 # README's named library entries: one per concept, for library users
 README_ENTRIES = {
     "metrics.compute_metric",
-    "evaluation.feature_vector",
     "evaluation.ild",
     "evaluation.ndcg_at_k",
     "evaluation.unexpectedness",
 }
 # names that ``perfbench/worker.py`` calls or a tracer hook reads, which
-# ROADMAP item 15b removes or keeps once the benchmark stops naming them, and
-# names that go or stay with another item
+# ROADMAP item 15b removes or keeps once the benchmark stops naming them
 LATER_ITEMS = {
     "rerank.evaluate_candidates",
     "metrics.MetricKind.from_name",
     "graph.Multigraph.num_edges",
-    # leaves with ROADMAP item 5a
-    "graph.extend_subgraph",
 }
 # called only on an error path: a usage error, a ConvergenceError's last
 # iterate, and the node an error names

@@ -18,7 +18,6 @@ from kgrerank import (
     Multigraph,
     NeighborhoodMode,
     compute_metric,
-    extend_subgraph,
     induce_profile_subgraph,
 )
 from kgrerank.graph import Node
@@ -37,6 +36,7 @@ from oracles import (
     INF,
     brute_betweenness,
     floyd_warshall,
+    materialized_extension,
     reference_harmonic_closeness,
     two_core,
     undirected_adjacency,
@@ -160,7 +160,8 @@ class TestPeeledGraphs:
 def assert_metrics_equal_materialized(sg, catalog, items, mode):
     values = score_stack(disjoint_batch(compiled_extensions(catalog, sg, items, mode)), KINDS)
     for position, item in enumerate(items):
-        extended = extend_subgraph(sg, catalog, item, mode).graph
+        closed = mode is NeighborhoodMode.CLOSED_NEIGHBORHOOD
+        extended = materialized_extension(sg.graph, catalog, item, closed)
         for kind in KINDS:
             assert values[kind][position] == compute_metric(extended, kind), (item, kind)
 
@@ -256,7 +257,10 @@ class TestFixedExtensions:
     def test_every_case_equals_the_oracles(self, mode, bfs_calls):
         catalog, sg = _fixed_catalog()
         assert two_core(sg.graph) == {"t1", "a1", "t2", "g1"}
-        materialized = [extend_subgraph(sg, catalog, item, mode).graph for item in self.ITEMS]
+        closed = mode is NeighborhoodMode.CLOSED_NEIGHBORHOOD
+        materialized = [
+            materialized_extension(sg.graph, catalog, item, closed) for item in self.ITEMS
+        ]
         pull, join, bridge, leaf, t1 = materialized
         assert {"t3", "a3", "g3", "pull"} <= two_core(pull)
         assert two_core(join) == two_core(leaf) == two_core(t1) == two_core(sg.graph)

@@ -20,7 +20,6 @@ from kgrerank import (
     build_catalog,
     compute_metric,
     evaluate_candidates,
-    extend_subgraph,
     induce_profile_subgraph,
     make_synthetic_dataset,
     rerank,
@@ -41,6 +40,7 @@ from conftest import (
 )
 from oracles import (
     assert_matches_reference,
+    materialized_extension,
     random_catalog_with_profile,
     reference_rerank,
     reference_values,
@@ -172,9 +172,10 @@ class TestRerankOnFixture:
         with pytest.raises(RerankError, match="g1"):
             ranked(dvs_catalog, dvs_profile, recs)
 
-    def test_input_subgraph_unchanged(self, dvs_catalog, dvs_profile, dvs_recs):
+    @pytest.mark.parametrize("mode", list(NeighborhoodMode), ids=lambda m: m.value)
+    def test_input_subgraph_unchanged(self, dvs_catalog, dvs_profile, dvs_recs, mode):
         before = signature(dvs_profile.graph)
-        ranked(dvs_catalog, dvs_profile, dvs_recs)
+        ranked(dvs_catalog, dvs_profile, dvs_recs, mode=mode)
         assert signature(dvs_profile.graph) == before
 
 
@@ -199,12 +200,11 @@ class TestRerankProperties:
     @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
     def test_evaluation_equals_materialized(self, multi_metric_runs, kind):
         mode, runs = multi_metric_runs
+        closed = mode is NeighborhoodMode.CLOSED_NEIGHBORHOOD
         for catalog, sg, recs, result in runs:
             scores = dict(recs.items)
             expected = {
-                item: compute_metric(
-                    extend_subgraph(sg, catalog, item, mode).graph, kind
-                )
+                item: compute_metric(materialized_extension(sg.graph, catalog, item, closed), kind)
                 for item in recs.item_ids()
             }
             for order, sign in ((ASC, 1), (DESC, -1)):
@@ -319,12 +319,13 @@ class TestSharedEvaluation:
     @settings(max_examples=150, deadline=None)
     def test_multi_metric_equals_materialized(self, case):
         catalog, sg, recs, mode, kinds = case
+        closed = mode is NeighborhoodMode.CLOSED_NEIGHBORHOOD
         (evaluations,) = evaluate_metrics(catalog, [(sg, recs)], kinds, mode)
         assert list(evaluations) == kinds
         for kind in kinds:
             assert [e.item for e in evaluations[kind]] == list(recs.item_ids())
             for e in evaluations[kind]:
-                extended = extend_subgraph(sg, catalog, e.item, mode).graph
+                extended = materialized_extension(sg.graph, catalog, e.item, closed)
                 assert e.metric_value == compute_metric(extended, kind)
 
     @given(profile_cases())
@@ -348,7 +349,7 @@ class TestSharedEvaluation:
         # first-seen order
         shapes = {}
         for item in dvs_recs.item_ids():
-            g = extend_subgraph(dvs_profile, dvs_catalog, item).graph
+            g = materialized_extension(dvs_profile.graph, dvs_catalog, item, closed=True)
             index = {v: i for i, v in enumerate(g.node_ids())}
             pairs = Counter((index[s], index[t]) for s, _, t in g.edges())
             shapes.setdefault((len(index), frozenset(pairs.items())), g)
