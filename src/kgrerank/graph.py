@@ -3,8 +3,10 @@
 The catalog graph holds every recommendable item (tracks, movies, TV shows)
 plus the entities that enrich them (artists, genres, directors, ...). A user's
 profile subgraph is the catalog subgraph induced by the user's items and their
-neighbours. :func:`added_nodes` names the nodes a candidate item adds to it
-(see :class:`NeighborhoodMode`); the extension, the subgraph induced by the
+neighbours; a profile (:class:`ProfileSubgraph`) holds only its node ids, as a
+sorted tuple, and builds the subgraph itself as a view when it is read.
+:func:`added_nodes` names the nodes a candidate item adds to it (see
+:class:`NeighborhoodMode`); the extension, the subgraph induced by the
 profile's nodes and those, is built only by the re-ranker, which compiles it
 straight from the catalog (``rerank.evaluate_metrics``) and never mutates the
 profile, so per-candidate evaluations are independent.
@@ -20,9 +22,10 @@ repeated node or edge.
 
 from __future__ import annotations
 
-from collections.abc import Collection, Container, Iterable, Iterator, Mapping
+from collections.abc import Collection, Container, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
 
 EntityId = str
@@ -173,10 +176,11 @@ class Multigraph:
         return self._out[node_id]
 
     def neighbors(self, node_id: str) -> set[str]:
-        """Adjacent node ids in either direction (the undirected view)."""
+        """Adjacent node ids in either direction (the undirected view), as a
+        new set."""
         if node_id not in self._nodes:
             raise GraphError(f"unknown node {node_id!r}")
-        return set(self._out[node_id]) | set(self._in[node_id])
+        return self._out[node_id].keys() | self._in[node_id].keys()
 
 
 class CatalogGraph(Multigraph):
@@ -207,11 +211,22 @@ class CatalogGraph(Multigraph):
 
 @dataclass(frozen=True)
 class ProfileSubgraph:
-    """A user's induced subgraph of the catalog plus their interaction history."""
+    """A user's profile: the nodes, sorted, of the catalog subgraph that their
+    history induces.
+
+    The profile is its node tuple; the re-ranker reads nothing else.
+    :attr:`graph` is a view of that subgraph, built from ``catalog`` the
+    first time it is read.
+    """
 
     user: str
-    graph: Multigraph
-    history: frozenset[str]
+    nodes: tuple[str, ...]
+    catalog: CatalogGraph = field(compare=False, repr=False)
+
+    @cached_property
+    def graph(self) -> Multigraph:
+        """The catalog subgraph on :attr:`nodes`, added in that order."""
+        return _induced(self.catalog, self.nodes)
 
 
 _TRIPLE_FIELDS = ("source", "predicate", "target", "source_kind", "target_kind")
@@ -256,23 +271,23 @@ def induce_profile_subgraph(
 
     The subgraph contains every history item, every catalog node adjacent to a
     history item (the enriching entities), and every catalog edge with both
-    endpoints included. Nodes are in sorted order.
+    endpoints included. Its nodes, in sorted order, are collected straight
+    from the catalog's adjacency; no graph is built (see
+    :class:`ProfileSubgraph`).
     """
-    history_set = frozenset(history)
     owner = f"user {user!r}: " if user else ""
     node_set: set[str] = set()
-    for item in sorted(history_set):
+    for item in sorted(set(history)):
         if item not in catalog:
             raise GraphError(f"{owner}history item {item!r} not in catalog")
         if not catalog.is_recommendable(item):
             raise GraphError(f"{owner}history item {item!r} is not recommendable")
         node_set.add(item)
-        node_set.update(catalog.neighbors(item))
-    graph = _induced(catalog, sorted(node_set))
-    return ProfileSubgraph(user=user, graph=graph, history=history_set)
+        node_set.update(catalog._out[item], catalog._in[item])
+    return ProfileSubgraph(user, tuple(sorted(node_set)), catalog)
 
 
-def _induced(catalog: CatalogGraph, nodes: list[str]) -> Multigraph:
+def _induced(catalog: CatalogGraph, nodes: Sequence[str]) -> Multigraph:
     """The catalog subgraph on ``nodes``, added in that order."""
     members = set(nodes)
     graph = Multigraph()
@@ -298,9 +313,11 @@ def added_nodes(
         raise GraphError(f"unknown item {item!r}")
     if not catalog.is_recommendable(item):
         raise GraphError(f"item {item!r} is not recommendable")
-    closed = mode is NeighborhoodMode.CLOSED_NEIGHBORHOOD
-    reach = catalog.neighbors(item) | {item} if closed else {item}
-    return sorted(v for v in reach if v not in present)
+    if mode is not NeighborhoodMode.CLOSED_NEIGHBORHOOD:
+        return [] if item in present else [item]
+    reach = catalog.neighbors(item)
+    reach.add(item)
+    return sorted([v for v in reach if v not in present])
 
 
 def prune_graph(g: Multigraph) -> Multigraph:

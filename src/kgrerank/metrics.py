@@ -271,9 +271,9 @@ class _Stack:
     number of parallel edges, sorted by source and then target. ``src`` and
     ``dst`` hold them as flat indices ``r * width + node``, so all pairs are
     row-major and each row's sorted by source. Build a graph with
-    :func:`compile_graph` or :meth:`from_edges`, and cut the subgraphs that
-    the rows of membership masks induce from one or more graphs with
-    :meth:`cut`, the one builder of a batch of many rows.
+    :func:`compile_graph`, and cut the subgraphs that the rows of membership
+    masks induce from one or more graphs with :meth:`cut`, the one builder of
+    a batch of many rows.
     """
 
     def __init__(
@@ -299,20 +299,6 @@ class _Stack:
         offsets = np.repeat(np.arange(len(sizes)) * self.shape[1], pairs)
         self.src = row_src + offsets
         self.dst = row_dst + offsets
-
-    @classmethod
-    def from_edges(cls, nodes: list[str], edges: Sequence[tuple[int, int]]) -> "_Stack":
-        """The graph on ``nodes``, as a batch of one row, with one edge per
-        (source index, target index) pair of ``edges``, which may come in
-        any order."""
-        ends = np.array(edges, dtype=np.intp).reshape(-1, 2)
-        size = len(nodes)
-        # one key per edge; sorted unique keys are sorted pairs
-        pairs, mult = np.unique(ends[:, 0] * size + ends[:, 1], return_counts=True)
-        return cls(
-            nodes, np.arange(size), np.array([size]),
-            pairs // size, pairs % size, mult, np.array([len(pairs)]),
-        )
 
     @classmethod
     def cut(cls, parts: Sequence[tuple["_Stack", np.ndarray]]) -> "_Stack":
@@ -453,21 +439,30 @@ def compile_graph(
     g, nodes: Sequence[str] | None = None, loopless: Container[str] = ()
 ) -> _Stack:
     """The subgraph of ``g`` on ``nodes`` as a batch of one row, compiled
-    straight from ``g.successors``.
+    straight from ``g.successors``: each (source, target) pair once, with its
+    number of predicates as its multiplicity.
 
     Node ``i`` is ``nodes[i]``; by default every node of ``g``, in
     ``g.node_ids()`` order. The nodes in ``loopless`` keep no self-loop.
     """
     nodes = list(g.node_ids() if nodes is None else nodes)
+    size = len(nodes)
     index = {v: i for i, v in enumerate(nodes)}
-    edges = [
-        (i, j)
-        for i, source in enumerate(nodes)
-        for target, preds in g.successors(source).items()
-        if (j := index.get(target)) is not None and (i != j or source not in loopless)
-        for _ in preds
-    ]
-    return _Stack.from_edges(nodes, edges)
+    keys, counts = [], []
+    for i, source in enumerate(nodes):
+        for target, preds in g.successors(source).items():
+            j = index.get(target)
+            if j is not None and (i != j or source not in loopless):
+                keys.append(i * size + j)
+                counts.append(len(preds))
+    # one key per pair; sorted keys are sorted pairs
+    found = np.array(keys, dtype=np.intp)
+    order = np.argsort(found)
+    pairs, mult = found[order], np.array(counts, dtype=np.intp)[order]
+    return _Stack(
+        nodes, np.arange(size), np.array([size]),
+        pairs // size, pairs % size, mult, np.array([len(pairs)]),
+    )
 
 
 # Sources per forward/backward pass, and closeness rows per block; bounds the

@@ -107,10 +107,11 @@ def evaluate_metrics(
     ``users``; one result per user, in input order.
 
     Each candidate is applied to the original subgraph independently, so the
-    outcome does not depend on list order. Each ``sg`` must be an induced
-    subgraph of ``catalog``, as :func:`~kgrerank.graph.induce_profile_subgraph`
-    builds it. For each user, the catalog subgraph on the profile's nodes and
-    every node a candidate adds, those in sorted order, is compiled once,
+    outcome does not depend on list order. Only a profile's node tuple is
+    read: its nodes must be catalog nodes, distinct, as
+    :func:`~kgrerank.graph.induce_profile_subgraph` returns them. For each
+    user, the catalog subgraph on the profile's nodes and every node a
+    candidate adds, those in sorted order, is compiled once,
     straight from the catalog's adjacency, by the one builder
     (:func:`~kgrerank.metrics.compile_graph`), with a (candidates x union
     nodes) mask: row ``r`` is candidate ``r``'s extension, the subgraph
@@ -165,18 +166,19 @@ def _extensions(
     """The union graph of ``sg``'s extensions by each candidate of ``recs``,
     and the (candidates x union nodes) mask whose row ``r`` picks candidate
     ``r``'s: the profile's nodes, then its added nodes, in union order."""
+    profile = sg.nodes
+    present = set(profile)
     adds = []
     for item, _ in recs.items:
         try:
-            adds.append(added_nodes(sg.graph, catalog, item, mode))
+            adds.append(added_nodes(present, catalog, item, mode))
         except Exception as exc:
             raise _failure(kinds, [sg.user], item, exc) from exc
-    profile = list(sg.graph.node_ids())
     extra = sorted(set().union(*adds))
     # in edges mode every extra node is a new candidate, whose self-loops
     # stay out of its extension
     closed = mode is NeighborhoodMode.CLOSED_NEIGHBORHOOD
-    union = compile_graph(catalog, profile + extra, () if closed else set(extra))
+    union = compile_graph(catalog, [*profile, *extra], () if closed else set(extra))
     at = {v: i for i, v in enumerate(extra, start=len(profile))}
     mask = np.zeros((len(adds), len(profile) + len(extra)), dtype=bool)
     mask[:, : len(profile)] = True

@@ -65,6 +65,19 @@ def bfs_calls(monkeypatch):
     return record_bfs_calls(monkeypatch)
 
 
+def compiled_edges(labels, edges) -> _Stack:
+    """The graph on ``labels`` with one edge per (source index, target index)
+    pair of ``edges``, compiled by :func:`compile_graph` as a batch of one
+    row; the pairs may come in any order, and a repeated pair is a parallel
+    edge."""
+    g = Multigraph()
+    for label in labels:
+        g.add_node(Node(label, "other"))
+    for k, (i, j) in enumerate(edges):
+        g.add_edge(labels[i], f"p{k}", labels[j])
+    return compile_graph(g, labels)
+
+
 def disjoint_batch(graphs) -> _Stack:
     """The batch whose row ``r`` is ``graphs[r]`` (a graph, or a one-row
     batch), cut with ``_Stack.cut`` from the disjoint union of the graphs.
@@ -83,7 +96,7 @@ def disjoint_batch(graphs) -> _Stack:
         pairs = zip(part.row_src.tolist(), part.row_dst.tolist(), part.mult.tolist())
         edges += [(start + i, start + j) for i, j, mult in pairs for _ in range(mult)]
     mask = np.arange(len(parts))[:, None] == np.array(owner, dtype=np.intp)
-    return _Stack.cut([(_Stack.from_edges(labels, edges), mask)])
+    return _Stack.cut([(compiled_edges(labels, edges), mask)])
 
 
 def unprefixed(scores: dict) -> dict:
@@ -139,7 +152,7 @@ def collapse(scores) -> float:
     sorted-label order is the sequence's order."""
     if not isinstance(scores, dict):
         scores = {f"n{i:03d}": score for i, score in enumerate(scores)}
-    stack = _Stack.from_edges(list(scores), [])
+    stack = compiled_edges(list(scores), [])
     return stack.collapse(np.array([list(scores.values())], dtype=float))[0].item()
 
 

@@ -18,6 +18,7 @@ import kgrerank
 from kgrerank import (
     MetricError,
     MetricKind,
+    Multigraph,
     NeighborhoodMode,
     SortOrder,
     SyntheticProfileConfig,
@@ -545,6 +546,38 @@ class TestPipeline:
         for name in runs:
             lists = load_external_recommendations(out / name)
             assert list(held(name).items()) == list(lists.items()), name
+
+    @pytest.mark.parametrize("dataset", DATASET_KINDS)
+    def test_rerank_stage_builds_no_multigraph(self, tmp_path, request, monkeypatch, dataset):
+        """A profile is its node tuple: while a run's rerank stage runs, no
+        ``Multigraph`` is constructed, a ``CatalogGraph`` included."""
+        cfg = RunConfig.from_dict(pipeline_doc(request, dataset))
+        cfg.output_dir = str(tmp_path / "out")
+        running, built = [None], []
+        init = Multigraph.__init__
+
+        def recording_init(graph):
+            built.append(running[0])
+            init(graph)
+
+        def entered(name, stage):
+            def run(cfg, ws=None):
+                running[0] = name
+                try:
+                    stage(cfg, ws)
+                finally:
+                    running[0] = None
+
+            return run
+
+        monkeypatch.setattr(Multigraph, "__init__", recording_init)
+        monkeypatch.setattr(
+            cli, "_STAGES", tuple((name, entered(name, stage)) for name, stage in cli._STAGES)
+        )
+        run_pipeline(cfg)
+        # the ingest stage builds the catalog, so the hook sees constructions
+        assert "ingest" in built
+        assert built.count("rerank") == 0
 
     def test_external_run_reads_the_external_file_once(self, tmp_path, monkeypatch):
         cfg = synth_config(tmp_path, recommender="external")

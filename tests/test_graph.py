@@ -158,7 +158,7 @@ class TestInduceProfileSubgraph:
         sg = induce_profile_subgraph(track_catalog, set())
         assert sg.graph.num_nodes == 0
         assert sg.graph.num_edges == 0
-        assert sg.history == frozenset()
+        assert sg.nodes == ()
 
     def test_shared_artist_appears_once(self):
         catalog = build_catalog(
@@ -197,11 +197,6 @@ class TestInduceProfileSubgraph:
         with pytest.raises(GraphError) as info:
             induce_profile_subgraph(track_catalog, history)
         assert str(info.value) == "history item 't_missing000' not in catalog"
-
-    def test_history_is_held_as_a_frozenset(self, track_catalog):
-        sg = induce_profile_subgraph(track_catalog, ["t_4471632", "t_4471632"])
-        assert type(sg.history) is frozenset
-        assert sg.history == {"t_4471632"}
 
     def test_node_set_matches_brute_force(self):
         rng = random.Random(4)
@@ -345,6 +340,30 @@ class TestCompileGraph:
         assert got.nodes(0) == nodes
         assert _pairs(got, 0) == _edge_pairs(induced)
 
+    @pytest.mark.parametrize("loopless", [set(), {"t1"}], ids=["loops", "loopless"])
+    def test_parallel_reversed_and_self_loop_edges(self, loopless):
+        """A fixed case: two predicates one way and one back, self-loops with
+        one and two predicates, and ``t1``'s two kept or dropped."""
+        catalog = build_catalog(
+            [
+                triple("t1", "maker", "a1"),
+                triple("t1", "alt", "a1"),
+                triple("a1", "rev", "t1", sk="artist", tk="track"),
+                triple("t1", "self", "t1", tk="track"),
+                triple("t1", "again", "t1", tk="track"),
+                triple("a1", "self", "a1", sk="artist", tk="artist"),
+                triple("t2", "self", "t2", tk="track"),
+                triple("t2", "maker", "a1"),
+            ]
+        )
+        nodes = ["t2", "a1", "t1"]
+        got = compile_graph(catalog, nodes, loopless)
+        induced = induced_subgraph(catalog, nodes, loopless)
+        assert_same_graph(got, compile_graph(induced))
+        t1_loops = [] if loopless else [(2, 2, 2)]
+        expected = [(0, 0, 1), (0, 1, 1), (1, 1, 1), (1, 2, 1), (2, 1, 2), *t1_loops]
+        assert _pairs(got, 0) == _edge_pairs(induced) == expected
+
 
 def _edge_pairs(g):
     """(source index, target index, multiplicity), counted from ``g.edges()``."""
@@ -375,10 +394,13 @@ class TestExtensionBatch:
         batch and the oracle's profile."""
         sg = induce_profile_subgraph(catalog, history, user="u")
         profile = induced_profile(catalog, history)
+        assert sg.nodes == tuple(profile.node_ids())
+        stack = extension_batch(catalog, sg, items, mode)
+        # the graph view is built on first read, after the batch
+        assert "graph" not in vars(sg)
         assert list(sg.graph.nodes()) == list(profile.nodes())
         assert sorted(sg.graph.edges()) == sorted(profile.edges())
         assert sg.graph.num_edges == profile.num_edges
-        stack = extension_batch(catalog, sg, items, mode)
         assert len(stack) == len(items)
         values = score_stack(stack, list(MetricKind))
         for row, item in enumerate(items):

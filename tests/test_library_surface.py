@@ -38,6 +38,7 @@ LATER_ITEMS = {
     "rerank.evaluate_candidates",
     "metrics.MetricKind.from_name",
     "graph.Multigraph.num_edges",
+    "graph.ProfileSubgraph.graph",
 }
 # called only on an error path: a usage error, a ConvergenceError's last
 # iterate, and the node an error names

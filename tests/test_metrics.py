@@ -31,6 +31,7 @@ from conftest import (
     betweenness,
     closeness,
     collapse,
+    compiled_edges,
     core_passes,
     disjoint_batch,
     node_scores,
@@ -664,13 +665,13 @@ class TestBatch:
             ends = st.integers(0, size - 1)
             return data.draw(st.lists(st.tuples(ends, ends), max_size=3 * size)) if size else []
 
-        base = _Stack.from_edges(labels, edges(len(labels)))
+        base = compiled_edges(labels, edges(len(labels)))
         row_masks = st.lists(st.booleans(), min_size=len(labels), max_size=len(labels))
         mask = data.draw(st.lists(row_masks, min_size=1, max_size=4))
         mask = np.array(mask, dtype=bool).reshape(len(mask), len(labels))
         cut = _Stack.cut([(base, mask)])
         # a second graph on the same labels, cut by a second mask
-        other = _Stack.from_edges(labels, edges(len(labels)))
+        other = compiled_edges(labels, edges(len(labels)))
         other_mask = mask[::-1]
         twice = _Stack.cut([(base, mask), (other, other_mask)])
         assert len(twice) == 2 * len(mask)
@@ -684,7 +685,7 @@ class TestBatch:
         # some of the nodes, each row in a drawn order
         orders = data.draw(st.lists(st.permutations(labels), min_size=1, max_size=4))
         rows = [order[: data.draw(st.integers(0, len(labels)))] for order in orders]
-        graphs = [_Stack.from_edges(row, edges(len(row))) for row in rows]
+        graphs = [compiled_edges(row, edges(len(row))) for row in rows]
         # the cut's rows and the one-row batches, in a drawn order
         inputs = data.draw(st.permutations([cut.rows([r]) for r in range(len(cut))] + graphs))
         mixed = disjoint_batch(inputs)
@@ -722,7 +723,7 @@ def _plus(base: _Stack, added, edges) -> _Stack:
     index = {v: i for i, v in enumerate(nodes)}
     pairs = zip(base.row_src.tolist(), base.row_dst.tolist(), base.mult.tolist())
     ends = [(i, j) for i, j, mult in pairs for _ in range(mult)]
-    return _Stack.from_edges(nodes, ends + [(index[s], index[t]) for s, t in edges])
+    return compiled_edges(nodes, ends + [(index[s], index[t]) for s, t in edges])
 
 
 def _attached(base: _Stack, labels, anchor):
