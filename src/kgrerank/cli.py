@@ -573,8 +573,11 @@ def stage_ingest(cfg: RunConfig, ws: Workspace | None = None) -> None:
     features (Last.fm and synthetic) and the ingest summary.
 
     A Netflix user is one generated history over the (pruned) catalog, each
-    item played once. Every dataset's profiles come from its interactions by
-    one rule: a user's history is the sorted set of items they played. A
+    item played once. A Last.fm sample is drawn from the merged play counts,
+    so interactions are made for the kept users alone. Every dataset's
+    profiles come from its interactions by one rule: a user's history is the
+    sorted set of items they played. The catalog is built once; export hands
+    on a Last.fm or synthetic catalog as built, and copies a Netflix one. A
     dataset without features (Netflix) removes a features file left in the
     output directory by an earlier run.
     """
@@ -620,20 +623,19 @@ def stage_ingest(cfg: RunConfig, ws: Workspace | None = None) -> None:
             merged = make_synthetic_dataset(_synthetic_config(cfg))
         else:
             merged = merge_lastfm(cfg.events_path, cfg.features_path, cfg.genres_path)
-        interactions = merged.interactions
         summary = list(merged.summary)
+        kept = None
         if cfg.dataset == "lastfm" and cfg.sample_users is not None:
             kept = sample_users(
-                interactions, cfg.sample_users, cfg.min_unique_tracks, cfg.seed
+                merged.plays, cfg.sample_users, cfg.min_unique_tracks, cfg.seed
             )
-            interactions = [i for i in interactions if i.user in kept]
             summary.append(
                 {"stage": "sample", "count": len(kept), "reason": "users sampled"}
             )
+        interactions = merged.interactions_of(kept)
         catalog = build_catalog(merged.triples)
         features = merged.features
         # the triples are in the catalog now; free them before export
-        # builds the catalog the workspace holds
         del merged
 
     ws.write(export_graph, catalog, CATALOG_TRIPLES, CATALOG_NODES)

@@ -15,9 +15,10 @@ A catalog travels between pipeline stages as two flat files
 (:func:`export_graph`, :func:`read_graph`). Export refuses a node id or
 predicate that holds a tab or line break, which the reader splits on, and
 returns the catalog the reader reads back from its files.
-:func:`build_catalog` makes a node only for a new id; :func:`read_graph` keeps
-file order and reads a file a second time only to name the first line of a
-repeated node or edge.
+:func:`build_catalog` builds a catalog once, in that file order (sorted
+node ids, then sorted edges), so export hands it on rather than copying it;
+:func:`read_graph` keeps file order and reads a file a second time only to
+name the first line of a repeated node or edge.
 """
 
 from __future__ import annotations
@@ -26,9 +27,8 @@ from collections.abc import Collection, Container, Iterable, Iterator, Mapping, 
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
+from typing import NamedTuple
 
-
-EntityId = str
 
 # (source, predicate, target)
 EdgeTriple = tuple[str, str, str]
@@ -78,8 +78,7 @@ class Node:
     attrs: Mapping[str, object] = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
-class Triple:
+class Triple(NamedTuple):
     """One labeled edge plus endpoint kinds, as emitted by ingestion."""
 
     source: str
@@ -187,18 +186,29 @@ class CatalogGraph(Multigraph):
     """Full catalog knowledge graph; treated as immutable once built.
 
     The recommendable set is derived from node kinds at insertion time.
+    A catalog is in file order when its nodes were added in sorted id order
+    and then its edges in sorted triple order, as :func:`read_graph` adds
+    them from files that :func:`export_graph` wrote; :func:`build_catalog`
+    and :func:`export_graph` return catalogs in file order, and any later
+    addition takes a catalog out of it.
     """
 
-    __slots__ = ("_recommendable",)
+    __slots__ = ("_recommendable", "_file_order")
 
     def __init__(self) -> None:
         super().__init__()
         self._recommendable: set[str] = set()
+        self._file_order = False
 
     def add_node(self, node: Node) -> None:
+        self._file_order = False
         super().add_node(node)
         if node.kind in RECOMMENDABLE_KINDS:
             self._recommendable.add(node.id)
+
+    def add_edge(self, source: str, predicate: str, target: str) -> bool:
+        self._file_order = False
+        return super().add_edge(source, predicate, target)
 
     @property
     def recommendable(self) -> set[str]:
@@ -229,38 +239,64 @@ class ProfileSubgraph:
         return _induced(self.catalog, self.nodes)
 
 
-_TRIPLE_FIELDS = ("source", "predicate", "target", "source_kind", "target_kind")
-
-
 def build_catalog(
     triples: Iterable[Triple], nodes: Iterable[Node] = ()
 ) -> CatalogGraph:
     """Build a catalog graph from a stream of typed triples.
 
-    Nodes are deduplicated by id; a kind conflict is an error. ``nodes`` are
-    added first, so they keep their attributes, and entities that carry no
-    relations still appear. A triple's endpoint becomes a node only when its id
-    is new. Malformed triples are rejected with their 1-based record index.
+    Nodes are deduplicated by id; a kind conflict is an error. ``nodes`` keep
+    their attributes, and entities that carry no relations still appear.
+    Malformed triples are rejected with their 1-based record index. The
+    catalog is built once, in file order (see :class:`CatalogGraph`).
     """
-    catalog = CatalogGraph()
+    given: dict[str, Node] = {}
     for node in nodes:
-        catalog.add_node(node)
-    known = catalog._nodes
+        first = given.setdefault(node.id, node)
+        if first.kind != node.kind:
+            raise GraphError(
+                f"node {node.id!r} redeclared with kind {node.kind!r}, "
+                f"already {first.kind!r}"
+            )
+    kinds = {node_id: node.kind for node_id, node in given.items()}
+    edges: dict[EdgeTriple, None] = {}
     for i, triple in enumerate(triples, start=1):
-        source, predicate, target = triple.source, triple.predicate, triple.target
-        source_kind, target_kind = triple.source_kind, triple.target_kind
-        if not (source and predicate and target and source_kind and target_kind):
-            name = next(name for name in _TRIPLE_FIELDS if not getattr(triple, name))
+        if not all(triple):
+            name = next(name for name in Triple._fields if not getattr(triple, name))
             raise GraphError(f"triple #{i}: missing {name}")
-        try:
-            for node_id, kind in ((source, source_kind), (target, target_kind)):
-                node = known.get(node_id)
-                if node is None or node.kind != kind:
-                    # adds the new id, or raises the kind conflict
-                    catalog.add_node(Node(node_id, kind))
-            catalog.add_edge(source, predicate, target)
-        except GraphError as exc:
-            raise GraphError(f"triple #{i}: {exc}") from None
+        source, predicate, target, source_kind, target_kind = triple
+        for node_id, kind in ((source, source_kind), (target, target_kind)):
+            known = kinds.setdefault(node_id, kind)
+            if known != kind:
+                raise GraphError(
+                    f"triple #{i}: node {node_id!r} redeclared with kind "
+                    f"{kind!r}, already {known!r}"
+                )
+        edges[source, predicate, target] = None
+    return _file_order_catalog(
+        [given.get(node_id) or Node(node_id, kinds[node_id]) for node_id in sorted(kinds)],
+        sorted(edges),
+    )
+
+
+def _file_order_catalog(
+    nodes: Iterable[Node], edges: Sequence[EdgeTriple]
+) -> CatalogGraph:
+    """A catalog in file order: ``nodes``, distinct and sorted by id, then
+    ``edges``, distinct, sorted and between those nodes."""
+    catalog = CatalogGraph()
+    known, out, into = catalog._nodes, catalog._out, catalog._in
+    for node in nodes:
+        known[node.id] = node
+        out[node.id] = {}
+        into[node.id] = {}
+    catalog._recommendable.update(
+        node.id for node in known.values() if node.kind in RECOMMENDABLE_KINDS
+    )
+    for source, predicate, target in edges:
+        out[source].setdefault(target, set()).add(predicate)
+        into[target].setdefault(source, set()).add(predicate)
+    catalog._num_edges = len(edges)
+    catalog._file_order = True
     return catalog
 
 
@@ -370,33 +406,37 @@ def export_graph(g: Multigraph, triples_path, nodes_path) -> CatalogGraph:
 
     Returns the catalog that :func:`read_graph` reads from the two files: the
     same nodes, kinds and labels, added in the same order, and the same
-    edges, so that a caller holding it need not read the files back. It
-    shares its nodes and predicate sets with ``g``: treat both as read-only.
+    edges, so that a caller holding it need not read the files back. A
+    catalog in file order (see :class:`CatalogGraph`) whose nodes the files
+    hold as they are, as :func:`build_catalog` makes from triples alone, is
+    that catalog and is returned itself; any other graph, such as one whose
+    node has a ``title``, is copied.
     """
     ids = sorted(g.node_ids())
     edges = sorted(g.edges())
     _refuse_breaks(ids, "node id")
     _refuse_breaks({p for _, p, _ in edges}, "predicate")
-    flat = CatalogGraph()
+    handed_on = getattr(g, "_file_order", False)
+    nodes = []
     rows = []
     for node_id in ids:
         node = g.node(node_id)
         kind = _clean(node.kind)
-        label = _clean(str(node.attrs.get("label") or node.attrs.get("title") or ""))
+        label = (
+            _clean(str(node.attrs.get("label") or node.attrs.get("title") or ""))
+            if node.attrs else ""
+        )
         attrs = {"label": label} if label else {}
-        same = (node.kind, node.attrs) == (kind, attrs)
-        flat.add_node(node if same else Node(node_id, kind, attrs))
+        if (node.kind, node.attrs) != (kind, attrs):
+            node = Node(node_id, kind, attrs)
+            handed_on = False
+        nodes.append(node)
         rows.append(f"{node_id}\t{kind}\t{label}\n")
-    # read_graph's add_edge calls, in file order, on g's predicate sets
-    for source, _, target in edges:
-        flat._out[source].setdefault(target, g._out[source][target])
-        flat._in[target].setdefault(source, g._in[target][source])
-    flat._num_edges = len(edges)
     with open(triples_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("".join(f"{s}\t{p}\t{t}\n" for s, p, t in edges))
     with open(nodes_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("".join(rows))
-    return flat
+    return g if handed_on else _file_order_catalog(nodes, edges)
 
 
 def read_graph(triples_path, nodes_path) -> CatalogGraph:

@@ -9,13 +9,19 @@ a fully self-contained two-cluster dataset used by the bundled experiments.
 All sampling is seeded and reproducible bit for bit.
 
 The readers build their results without an object per input record: events
-are counted straight into (user, track) play counts, the CSVs are read with
-``csv.reader`` by column position, and the joined tracks' features are scaled
-and checked as one (tracks x 8) array whose read-only rows become the feature
-rows; the synthetic dataset's features are drawn into such an array too.
-Every error names the file and the physical line; a CSV row too short for a
-required column, or longer than its header, is one (``missing value(s) for
-...``, ``N value(s) beyond the M columns``).
+are counted straight into per-user play counts (:attr:`MergeResult.plays`),
+the CSVs are read with ``csv.reader`` by column position, and the joined
+tracks' features are scaled and checked as one (tracks x 8) array whose
+read-only rows become the feature rows; the synthetic dataset's features are
+drawn into such an array too. A catalog edge is a :class:`Triple`, a named
+tuple. An :class:`~kgrerank.recsys.Interaction` is made only on request
+(:meth:`MergeResult.interactions_of`), so a pipeline run samples its users
+from the play counts (:func:`sample_users`) and makes interactions for the
+kept users alone. Every error names the file and the physical line; a CSV
+row too short for a required column, or longer than its header, is one
+(``missing value(s) for ...``, ``N value(s) beyond the M columns``), as is
+an id of two kinds: an artist that is also a genre, or either one a track's
+node id.
 """
 
 from __future__ import annotations
@@ -24,13 +30,14 @@ import csv
 import json
 import math
 import random
-from collections.abc import Iterable, Sequence
+from collections.abc import Collection, Container, Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .evaluation import FEATURE_NAMES, first_bad_feature_row
-from .graph import CatalogGraph, EntityKind, Node, Triple
+from .graph import CatalogGraph, EntityKind, Node, Triple, _first_line
 from .recsys import Interaction
 
 
@@ -66,14 +73,34 @@ class MergeStats:
 
 @dataclass
 class MergeResult:
-    """Joined dataset: interactions, catalog triples and the feature store."""
+    """Joined dataset: play counts, catalog triples and the feature store.
 
-    interactions: list[Interaction]
+    ``plays`` maps each user with at least one interaction to their items'
+    counts. An :class:`~kgrerank.recsys.Interaction` is made only when asked
+    for, by :meth:`interactions_of` or the cached :attr:`interactions`.
+    """
+
+    plays: dict[str, dict[str, int]]
     triples: list[Triple]
     features: dict[str, np.ndarray]
     stats: MergeStats
     dropped_events: int = 0
     summary: list[dict] = field(default_factory=list)
+
+    def interactions_of(self, users: Container[str] | None = None) -> list[Interaction]:
+        """The interactions of ``users``, or of every user: users in
+        :attr:`plays` order, each user's items sorted."""
+        return [
+            Interaction(user, item, count)
+            for user, row in self.plays.items()
+            if users is None or user in users
+            for item, count in sorted(row.items())
+        ]
+
+    @cached_property
+    def interactions(self) -> list[Interaction]:
+        """Every user's interactions (:meth:`interactions_of`)."""
+        return self.interactions_of()
 
 
 def track_node_id(raw_track_id: str) -> str:
@@ -174,10 +201,10 @@ def _read_genres_csv(path) -> dict[str, list[str]]:
     return out
 
 
-def _count_events(path) -> tuple[dict[tuple[str, str], int], dict[str, str], int]:
-    """Play counts per (user, track), each track's first artist, and the number
-    of events in a listening-events TSV; blank lines are skipped."""
-    counts: dict[tuple[str, str], int] = {}
+def _count_events(path) -> tuple[dict[str, dict[str, int]], dict[str, str], int]:
+    """Play counts per user and track, each track's first artist, and the
+    number of events in a listening-events TSV; blank lines are skipped."""
+    counts: dict[str, dict[str, int]] = {}
     track_artist: dict[str, str] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -200,11 +227,55 @@ def _count_events(path) -> tuple[dict[tuple[str, str], int], dict[str, str], int
                 raise IngestError(
                     f"{path}:{lineno}: timestamp {value!r} is not an integer"
                 ) from None
-            key = (user, track)
-            counts[key] = counts.get(key, 0) + 1
+            row = counts.get(user)
+            if row is None:
+                row = counts[user] = {}
+            row[track] = row.get(track, 0) + 1
             if track not in track_artist:
                 track_artist[track] = artist
-    return counts, track_artist, sum(counts.values())
+    return counts, track_artist, sum(sum(row.values()) for row in counts.values())
+
+
+def _first_clash(
+    triples: Iterable[Triple], track_of: Mapping[str, str], events_path, genres_path
+) -> IngestError:
+    """The error for the first node id that two kinds share, in the order
+    ``build_catalog`` meets the triples' endpoints, naming the line each kind
+    came from; the files are read again only on this error path."""
+
+    def where(triple: Triple, kind: str) -> str:
+        # a track's node and its artist come from the track's first event
+        track = track_of[triple.source]
+        if kind == EntityKind.GENRE:
+            return f"{genres_path}:{_genre_line(genres_path, track, triple.target)}"
+        line = _first_line(events_path, lambda parts: len(parts) == 4 and parts[2] == track)
+        return f"{events_path}:{line}"
+
+    first: dict[str, tuple[str, Triple]] = {}
+    for triple in triples:
+        for node_id, kind in (
+            (triple.source, triple.source_kind), (triple.target, triple.target_kind)
+        ):
+            other, declared = first.setdefault(node_id, (kind, triple))
+            if other != kind:
+                return IngestError(
+                    f"{where(triple, kind)}: {kind} id {node_id!r} is also the "
+                    f"id of a node of kind {other!r}, first seen at "
+                    f"{where(declared, other)}"
+                )
+    raise AssertionError("no two kinds share an id")
+
+
+def _genre_line(path, track: str, genre: str) -> int:
+    """The physical line of the first genres-CSV record of ``track``'s
+    ``genre``."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        (track_column, genre_column), _ = csv_columns(reader, path, ("track_id", "genre"))
+        return next(
+            reader.line_num for row in reader
+            if row and (row[track_column].strip(), row[genre_column].strip()) == (track, genre)
+        )
 
 
 def merge_lastfm(events_path, features_path, genres_path=None) -> MergeResult:
@@ -218,10 +289,14 @@ def merge_lastfm(events_path, features_path, genres_path=None) -> MergeResult:
     lowest and highest tracks); a track whose scaled vector is all-zero is
     dropped and counted, so distance measures stay defined.
 
-    The events are counted straight into (user, track) play counts, and the
+    The events are counted straight into per-user play counts, and the
     joined tracks' features are scaled and checked as one (tracks x 8) array
     (``evaluation.first_bad_feature_row``), whose read-only rows are the
-    feature rows.
+    feature rows. An id that two kinds share (an artist that is also a genre,
+    or either equal to a track's node id ``t_<track>``) is an error naming
+    the line where the catalog would meet it and the line where it first met
+    the other kind, in the catalog's order: sorted tracks, each with its
+    artist and then its genres.
     """
     raw_features = _read_features_csv(features_path)
     genres = _read_genres_csv(genres_path) if genres_path else {}
@@ -260,13 +335,13 @@ def merge_lastfm(events_path, features_path, genres_path=None) -> MergeResult:
     node_of = {t: track_node_id(t) for t, keep in zip(candidates, nonzero) if keep}
     features = {node_of[t]: row for t, row in zip(candidates, rows) if t in node_of}
 
-    interactions: list[Interaction] = []
-    kept_events = 0
-    for (user, track), count in sorted(counts.items()):
-        node = node_of.get(track)
-        if node is not None:
-            interactions.append(Interaction(user, node, count))
-            kept_events += count
+    # a user with no kept track has no row; interactions are made on request
+    plays: dict[str, dict[str, int]] = {}
+    for user in sorted(counts):
+        row = {node_of[t]: count for t, count in counts[user].items() if t in node_of}
+        if row:
+            plays[user] = row
+    kept_events = sum(sum(row.values()) for row in plays.values())
     dropped_events = events_read - kept_events
 
     triples: list[Triple] = []
@@ -283,10 +358,17 @@ def merge_lastfm(events_path, features_path, genres_path=None) -> MergeResult:
             triples.append(
                 Triple(node, "genre", genre, EntityKind.TRACK, EntityKind.GENRE)
             )
+    # an id of two kinds would fail the catalog; name its lines here
+    if not (
+        artist_ids.isdisjoint(genre_names)
+        and set(node_of.values()).isdisjoint(artist_ids | genre_names)
+    ):
+        track_of = {node: track for track, node in node_of.items()}
+        raise _first_clash(triples, track_of, events_path, genres_path)
 
     stats = MergeStats(
         events=kept_events,
-        users=len({i.user for i in interactions}),
+        users=len(plays),
         artists=len(artist_ids),
         tracks=len(node_of),
         genres=len(genre_names),
@@ -308,7 +390,7 @@ def merge_lastfm(events_path, features_path, genres_path=None) -> MergeResult:
         ]
     )
     return MergeResult(
-        interactions=interactions,
+        plays=plays,
         triples=triples,
         features=features,
         stats=stats,
@@ -318,18 +400,24 @@ def merge_lastfm(events_path, features_path, genres_path=None) -> MergeResult:
 
 
 def sample_users(
-    interactions: Iterable[Interaction],
+    interactions: Iterable[Interaction] | Mapping[str, Collection[str]],
     n: int,
     min_unique_tracks: int,
     seed: int,
 ) -> set[str]:
     """Seeded uniform sample of n users having enough distinct items.
 
-    Raises with the eligible/requested counts when too few users qualify.
+    ``interactions`` are interaction records, or a mapping from each user
+    with an interaction to their distinct items, such as
+    :attr:`MergeResult.plays`; either draws the same users. Raises with the
+    eligible/requested counts when too few users qualify.
     """
-    uniques: dict[str, set[str]] = {}
-    for interaction in interactions:
-        uniques.setdefault(interaction.user, set()).add(interaction.item)
+    if isinstance(interactions, Mapping):
+        uniques = interactions
+    else:
+        uniques = {}
+        for interaction in interactions:
+            uniques.setdefault(interaction.user, set()).add(interaction.item)
     eligible = sorted(u for u, items in uniques.items() if len(items) >= min_unique_tracks)
     if len(eligible) < n:
         raise IngestError(
@@ -529,18 +617,18 @@ def make_synthetic_dataset(cfg: SyntheticConfig) -> MergeResult:
     n_minority = min(n_minority, cfg.history_size - 1, len(b_tracks))
     n_majority = min(cfg.history_size - n_minority, len(a_tracks))
 
-    interactions: list[Interaction] = []
+    plays: dict[str, dict[str, int]] = {}
     for u in range(cfg.n_users):
-        user = f"u{u:03d}"
+        row = plays[f"u{u:03d}"] = {}
         majority = rng.sample(a_tracks, n_majority)
         minority = rng.sample(b_tracks, n_minority)
         for track in sorted(majority):
-            interactions.append(Interaction(user, track, rng.randint(5, 50)))
+            row[track] = rng.randint(5, 50)
         for track in sorted(minority):
-            interactions.append(Interaction(user, track, rng.randint(1, 3)))
+            row[track] = rng.randint(1, 3)
 
     stats = MergeStats(
-        events=sum(i.count for i in interactions),
+        events=sum(sum(row.values()) for row in plays.values()),
         users=cfg.n_users,
         artists=cfg.n_tracks,
         tracks=cfg.n_tracks,
@@ -551,12 +639,12 @@ def make_synthetic_dataset(cfg: SyntheticConfig) -> MergeResult:
         {"stage": "synthetic", "count": cfg.n_users, "reason": "users generated"},
         {
             "stage": "synthetic",
-            "count": len(interactions),
+            "count": sum(len(row) for row in plays.values()),
             "reason": "interactions generated",
         },
     ]
     return MergeResult(
-        interactions=interactions,
+        plays=plays,
         triples=triples,
         features=features,
         stats=stats,

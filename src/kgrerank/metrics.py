@@ -517,7 +517,9 @@ def _bfs(adj: np.ndarray, block: range) -> tuple[np.ndarray, np.ndarray]:
 
     Each level adds the pairs still unseen to ``dist``, so a pair's count of
     unseen levels is its distance; the pairs never reached become -1 at the
-    end. Masks multiply, as a finite count times False is +0."""
+    end. The search stops after the level that reaches the last unseen pair,
+    or after one that reaches none. Masks multiply, as a finite count times
+    False is +0."""
     rows = np.arange(len(block))
     unseen = np.ones((len(block), adj.shape[0]), dtype=bool)
     unseen[rows, block] = False
@@ -535,6 +537,8 @@ def _bfs(adj: np.ndarray, block: range) -> tuple[np.ndarray, np.ndarray]:
         unseen ^= new
         frontier = reached * new
         sigma += frontier
+        if not unseen.any():
+            break
     dist[unseen] = -1
     return dist, sigma
 

@@ -16,6 +16,7 @@ import pytest
 
 import kgrerank
 from kgrerank import (
+    CatalogGraph,
     MetricError,
     MetricKind,
     Multigraph,
@@ -578,6 +579,31 @@ class TestPipeline:
         # the ingest stage builds the catalog, so the hook sees constructions
         assert "ingest" in built
         assert built.count("rerank") == 0
+
+    @pytest.mark.parametrize("dataset", ["lastfm", "synthetic"])
+    def test_ingest_builds_one_catalog(self, tmp_path, request, monkeypatch, dataset):
+        """The catalog is built once, in file order, and export hands it on:
+        the ingest stage constructs one ``CatalogGraph``, which the workspace
+        holds and which equals the catalog read back from the files."""
+        cfg = RunConfig.from_dict(pipeline_doc(request, dataset))
+        cfg.output_dir = str(tmp_path / "out")
+        built = []
+        init = CatalogGraph.__init__
+
+        def recording_init(graph):
+            built.append(graph)
+            init(graph)
+
+        monkeypatch.setattr(CatalogGraph, "__init__", recording_init)
+        ws = cli.Workspace(cfg)
+        stage_ingest(cfg, ws)
+        monkeypatch.undo()
+        assert len(built) == 1
+        out = Path(cfg.output_dir)
+        held = ws.read(lambda *paths: pytest.fail("no catalog held"), CATALOG_TRIPLES, CATALOG_NODES)
+        assert held is built[0]
+        loaded = read_graph(out / CATALOG_TRIPLES, out / CATALOG_NODES)
+        assert catalog_layout(held) == catalog_layout(loaded)
 
     def test_external_run_reads_the_external_file_once(self, tmp_path, monkeypatch):
         cfg = synth_config(tmp_path, recommender="external")

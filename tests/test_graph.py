@@ -28,7 +28,7 @@ from kgrerank import (
 from kgrerank.graph import added_nodes
 from kgrerank.metrics import compile_graph, compute_metric, score_stack
 
-from conftest import assert_same_graph, catalog_layout, extension_batch, signature
+from conftest import DVS_TRIPLES, assert_same_graph, catalog_layout, extension_batch, signature
 from oracles import (
     brute_extension,
     induced_profile,
@@ -710,6 +710,72 @@ class TestExport:
             assert list(graph.nodes()) == [
                 Node("g1", "rock pop"), Node("t1", "track", {"label": "rock pop"})
             ]
+
+
+class TestFileOrder:
+    """``build_catalog`` adds the sorted nodes, then the sorted edges, as
+    ``read_graph`` adds them from exported files; ``export_graph`` returns
+    such a catalog itself when its files hold its nodes as they are, and a
+    copy of any other graph. Either way it returns what ``read_graph``
+    reads."""
+
+    @staticmethod
+    def _export(tmp_path, graph):
+        paths = tmp_path / "t.tsv", tmp_path / "n.tsv"
+        flat = export_graph(graph, *paths)
+        assert catalog_layout(flat) == catalog_layout(read_graph(*paths))
+        return flat
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_triple_order_does_not_matter(self, tmp_path, seed):
+        triples = list(DVS_TRIPLES) + [DVS_TRIPLES[0]]
+        random.Random(seed).shuffle(triples)
+        catalog = build_catalog(triples)
+        assert catalog_layout(catalog) == catalog_layout(build_catalog(DVS_TRIPLES))
+        assert list(catalog.node_ids()) == sorted(catalog.node_ids())
+        assert self._export(tmp_path, catalog) is catalog
+
+    def test_a_merged_corpus_catalog_is_handed_on(self, tmp_path, lastfm_corpus):
+        from kgrerank import merge_lastfm
+
+        merged = merge_lastfm(
+            *(lastfm_corpus / name for name in ("events.tsv", "features.csv", "genres.csv"))
+        )
+        catalog = build_catalog(merged.triples)
+        assert self._export(tmp_path, catalog) is catalog
+        # what export returns is in file order too
+        assert self._export(tmp_path, catalog) is catalog
+
+    def test_a_netflix_catalog_is_copied(self, tmp_path, netflix_csv):
+        from kgrerank import load_netflix
+
+        triples, titles = load_netflix(netflix_csv)
+        catalog = build_catalog(triples, nodes=titles)
+        flat = self._export(tmp_path, catalog)
+        assert flat is not catalog
+        # a title becomes a label; the copy is in file order
+        assert flat.node("s1").attrs == {"label": "Alpha"}
+        assert self._export(tmp_path, flat) is flat
+        pruned = prune_graph(catalog)
+        assert self._export(tmp_path, pruned) is not pruned
+
+    def test_an_addition_takes_a_catalog_out_of_file_order(self, tmp_path):
+        for add in (
+            lambda g: g.add_edge("t1", "also", "a1"),
+            lambda g: g.add_node(Node("a0", EntityKind.ARTIST)),
+        ):
+            catalog = build_catalog(DVS_TRIPLES)
+            add(catalog)
+            assert self._export(tmp_path, catalog) is not catalog
+
+    def test_a_labelled_node_is_kept_as_it_is(self, tmp_path):
+        seed = Node("m", EntityKind.MOVIE, {"label": "Alpha"})
+        catalog = build_catalog(
+            [triple("p", "directs", "m", sk="person", tk="movie")], nodes=[seed]
+        )
+        assert self._export(tmp_path, catalog) is catalog
+        catalog = build_catalog([], nodes=[Node("m", EntityKind.MOVIE, {"label": ""})])
+        assert self._export(tmp_path, catalog) is not catalog
 
 
 class TestMultigraphBasics:

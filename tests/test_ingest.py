@@ -19,12 +19,13 @@ from kgrerank import (
     sample_users,
 )
 from kgrerank.cli import (
-    CATALOG_NODES, INTERACTIONS, PROFILES, RunConfig, stage_ingest,
+    CATALOG_NODES, INTERACTIONS, PROFILES, RunConfig, _read_interactions,
+    _read_profiles, stage_ingest,
 )
 from kgrerank.evaluation import FEATURE_NAMES
 from kgrerank.ingest import _CLUSTER_A_PROTOTYPE, _CLUSTER_B_PROTOTYPE, write_summary
 
-from conftest import matrix_ratings
+from conftest import lastfm_run_config, make_lastfm_corpus, matrix_ratings
 
 
 class TestMergeLastfm:
@@ -278,6 +279,68 @@ class TestMergeLastfm:
         assert all({"stage", "count", "reason"} <= set(r) for r in rows)
         dropped = [r for r in rows if "dropped" in r["reason"]]
         assert any(r["count"] == 1 for r in dropped)
+
+    # (events, genres, (file, line) of the clash, clashing id and kind,
+    # (file, line) where its other kind was first seen, and that kind); the
+    # first clash in the order the catalog adds endpoints is named: sorted
+    # tracks, each with its node, then its artist, then its genres
+    @pytest.mark.parametrize(
+        "events_text, genres_text, at, node, kind, first, other",
+        [
+            (
+                "u2\ta3\ttr3\t5\nu1\trock\ttr1\t1\n\nu1\ta1\ttr2\t2\n",
+                "track_id,genre\ntr1,pop\ntr2,rock\ntr3,rock\n",
+                ("genres", 3), "rock", "genre", ("events", 2), "artist",
+            ),
+            (
+                "u1\ta1\ttr1\t1\nu2\ta2\ttr3\t2\nu2\tpop\ttr2\t3\n",
+                "track_id,genre\n\ntr1,pop\ntr3,pop\n",
+                ("events", 3), "pop", "artist", ("genres", 3), "genre",
+            ),
+            (
+                "u1\tt_tr2\ttr1\t1\nu1\ta1\ttr2\t2\n",
+                "track_id,genre\n",
+                ("events", 2), "t_tr2", "track", ("events", 1), "artist",
+            ),
+            (
+                "u1\ta1\ttr3\t1\nu1\ta1\ttr1\t1\nu1\ta2\ttr2\t2\n",
+                "track_id,genre\ntr2,x\ntr2,t_tr1\n",
+                ("genres", 3), "t_tr1", "genre", ("events", 2), "track",
+            ),
+        ],
+        ids=["genre-was-artist", "artist-was-genre", "track-was-artist", "genre-was-track"],
+    )
+    def test_id_clash_names_both_files_and_lines(
+        self, tmp_path, lastfm_files, events_text, genres_text, at, node, kind, first, other
+    ):
+        _, features, _ = lastfm_files
+        paths = {"events": tmp_path / "events.tsv", "genres": tmp_path / "genres.csv"}
+        paths["events"].write_text(events_text, encoding="utf-8")
+        paths["genres"].write_text(genres_text, encoding="utf-8")
+        with pytest.raises(IngestError) as info:
+            merge_lastfm(paths["events"], features, paths["genres"])
+        assert str(info.value) == (
+            f"{paths[at[0]]}:{at[1]}: {kind} id {node!r} is also the id of a node "
+            f"of kind {other!r}, first seen at {paths[first[0]]}:{first[1]}"
+        )
+
+    def test_id_clash_fails_the_ingest_stage_by_name(self, tmp_path, lastfm_files, capsys):
+        from kgrerank.cli import main
+
+        _, features, _ = lastfm_files
+        events, genres = tmp_path / "events.tsv", tmp_path / "genres.csv"
+        events.write_text("u1\trock\ttr1\t1\nu1\ta1\ttr2\t1\n", encoding="utf-8")
+        genres.write_text("track_id,genre\ntr2,rock\n", encoding="utf-8")
+        code = main([
+            "ingest", "--dataset", "lastfm", "--events", str(events),
+            "--features", str(features), "--genres", str(genres),
+            "--out", str(tmp_path / "out"),
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: stage ingest failed: {genres}:2: genre id 'rock' is also the "
+            f"id of a node of kind 'artist', first seen at {events}:1\n"
+        )
 
 
 class TestSampleUsers:
@@ -751,3 +814,85 @@ class TestIngestArtifactDigests:
             if path.name != "manifest.json"
         }
         assert digests == INGEST_DIGESTS[case]
+
+
+@pytest.fixture(scope="module")
+def corpora(tmp_path_factory):
+    """:func:`make_lastfm_corpus` at corpus seeds 1, 2 and 3."""
+    return {
+        seed: make_lastfm_corpus(tmp_path_factory.mktemp(f"corpus{seed}"), seed=seed)
+        for seed in (1, 2, 3)
+    }
+
+
+class TestSampledIngest:
+    """A Last.fm ingest draws its sample from the merged play counts, before
+    any interaction exists; its files equal the library path's, in which
+    ``sample_users`` draws from ``merge_lastfm``'s interactions."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "sample, min_unique",
+        [(None, 10), (1, 10), (3, 10), (4, 10), (5, 10), (2, 0), (16, 4), (17, 4)],
+    )
+    def test_files_equal_the_library_path(self, tmp_path, corpora, seed, sample, min_unique):
+        paths = [corpora[seed] / name for name in ("events.tsv", "features.csv", "genres.csv")]
+        self._check(tmp_path, paths, 7 * seed, sample, min_unique)
+
+    @pytest.mark.parametrize("sample", [1, 2, 3])
+    def test_a_user_without_kept_tracks_is_never_drawn(self, tmp_path, lastfm_files, sample):
+        # u3's one track, tr4, has no feature row: with no minimum, two users
+        # are eligible
+        self._check(tmp_path, lastfm_files, 3, sample, 0)
+
+    def _check(self, tmp_path, paths, seed, sample, min_unique):
+        out = tmp_path / "out"
+        events, features, genres = paths
+        cfg = RunConfig.from_dict({
+            "dataset": {
+                "kind": "lastfm", "events": str(events), "features": str(features),
+                "genres": str(genres), "sample_users": sample,
+                "min_unique_tracks": min_unique,
+            },
+            "seed": seed,
+            "output_dir": str(out),
+        })
+        expected = merge_lastfm(events, features, genres).interactions
+        if sample is not None:
+            try:
+                kept = sample_users(expected, sample, min_unique, seed)
+            except IngestError as exc:
+                with pytest.raises(IngestError) as info:
+                    stage_ingest(cfg)
+                assert str(info.value) == str(exc)
+                assert str(exc).startswith("only ")
+                return
+            expected = [i for i in expected if i.user in kept]
+        stage_ingest(cfg)
+        assert _read_interactions(out / INTERACTIONS) == expected
+        histories: dict[str, list[str]] = {}
+        for interaction in expected:
+            histories.setdefault(interaction.user, []).append(interaction.item)
+        assert _read_profiles(out / PROFILES) == {
+            user: {"history": sorted(items)} for user, items in histories.items()
+        }
+
+    def test_sampled_out_users_make_no_interactions(self, tmp_path, lastfm_corpus, monkeypatch):
+        made = []
+        check = Interaction.__post_init__
+
+        def counting_check(interaction):
+            made.append(interaction.user)
+            check(interaction)
+
+        cfg = RunConfig.from_dict(
+            lastfm_run_config(lastfm_corpus, tmp_path / "out", ["node_count"])
+        )
+        monkeypatch.setattr(Interaction, "__post_init__", counting_check)
+        stage_ingest(cfg)
+        monkeypatch.undo()
+        lines = (tmp_path / "out" / INTERACTIONS).read_text(encoding="utf-8").splitlines()
+        users = {line.split("\t")[0] for line in lines}
+        assert len(users) == cfg.sample_users == 3
+        assert len(made) == len(lines) > 0
+        assert set(made) == users

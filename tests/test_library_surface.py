@@ -27,6 +27,7 @@ ROOT = Path(__file__).resolve().parents[1]
 
 # README's named library entries: one per concept, for library users
 README_ENTRIES = {
+    "ingest.MergeResult.interactions",
     "metrics.compute_metric",
     "evaluation.ild",
     "evaluation.ndcg_at_k",
